@@ -1083,7 +1083,10 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         grid = [[field.zero()] * size for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                v = field.coerce(rng.randrange(field.p))
+                if field.kind == "prime":
+                    v = field.coerce(rng.randrange(field.p))
+                else:
+                    v = field.coerce(rng.randint(-10, 10))
                 grid[i][j] = v
                 grid[j][i] = field.neg(v)
         return Matrix(field, size, size, tuple(v for row in grid for v in row))

@@ -37,6 +37,7 @@ from .exact_scalar import (
     pfaffian,
     poly_gcd,
     rank_kernel,
+    skew_rank_mod_p,
 )
 from .exterior_core import (
     AlternatingTensor,
@@ -154,11 +155,29 @@ def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
 
 
 def rank_at(M: SkewLinearMatrix, point: PointLike) -> int:
-    """Exact rank of the matrix evaluated at a nonzero point."""
+    """Exact rank of the matrix evaluated at a nonzero point.
+
+    Over F_p the entries are evaluated straight into an int grid whose rank
+    `skew_rank_mod_p` takes; over the rationals the rank is that of
+    `M.evaluate(point)` from `rank_kernel`.
+    """
     coords = _point_coords(M.ctx, point)
-    if all(M.ctx.field.is_zero(value) for value in coords):
+    field = M.ctx.field
+    if all(field.is_zero(value) for value in coords):
         raise ConventionError("rank is evaluated at nonzero points only")
-    return rank_kernel(M.evaluate(coords))[0]
+    if field.kind != "prime":
+        return rank_kernel(M.evaluate(coords))[0]
+    p: int = field.p  # type: ignore[assignment]
+    dim = M.size
+    grid = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        row = M.entries[i]
+        for j in range(i + 1, dim):
+            value = sum(coeff * coords[key[0]] for key, coeff in row[j].terms) % p
+            if value:
+                grid[i][j] = value
+                grid[j][i] = p - value
+    return skew_rank_mod_p(p, grid)
 
 
 def _require_three_form(omega: AlternatingTensor) -> None:

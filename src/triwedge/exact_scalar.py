@@ -6,12 +6,15 @@ represented by `fractions.Fraction` over the rationals and by Python ints in
 ``[0, p)`` over a prime field; a `FieldSpec` value carries the arithmetic for
 whichever field is in play.  Matrices are immutable dense arrays over a single
 field, and `rank_kernel` performs exact Gaussian elimination with a fast
-integer path modulo p.  The Pfaffian uses recursive first-row expansion with
-memoization, which is simple and more than fast enough for the matrix sizes
-that arise here (odd skew pencils never exceed 12 rows).  Univariate
-polynomials store coefficients lowest-degree first and provide the monic
-Euclidean GCD and Lagrange interpolation used to restrict determinantal loci
-to lines.
+integer path modulo p.  `skew_rank_mod_p` is the rank-only kernel for
+alternating matrices over F_p that the pointwise rank scans use: pairwise
+(skew-symmetric) elimination, which builds no kernel and can stop as soon as
+the rank exceeds a caller's limit.  The Pfaffian uses recursive first-row
+expansion with memoization, which is simple and more than fast enough for the
+matrix sizes that arise here (odd skew pencils never exceed 12 rows).
+Univariate polynomials store coefficients lowest-degree first and provide the
+monic Euclidean GCD and Lagrange interpolation used to restrict determinantal
+loci to lines.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "Matrix",
     "UniPoly",
     "rank_kernel",
+    "skew_rank_mod_p",
     "pfaffian",
     "poly_gcd",
     "interpolate",
@@ -38,11 +42,25 @@ class ConventionError(ValueError):
     """A value violates a structural convention (e.g. non-skew Pfaffian input)."""
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least strong pseudoprime to all of the first 13 prime bases:
+# below it, Miller-Rabin with those bases decides primality exactly.
+_MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every modulus below 3.3e24."""
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    Exact for every modulus below psi_13 = 3,317,044,064,679,887,385,961,981;
+    a modulus at or above that bound raises `ValueError`, since the test could
+    no longer tell a prime from a strong pseudoprime.
+    """
+    if p >= _MR_DETERMINISTIC_LIMIT:
+        raise ValueError(
+            f"modulus {p} is at or above {_MR_DETERMINISTIC_LIMIT}, the limit "
+            "below which primality is decided exactly"
+        )
     if p < 2:
         return False
     for small in _MR_WITNESSES:
@@ -372,6 +390,55 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
         if pivot_row == nrows:
             break
     return pivots
+
+
+def skew_rank_mod_p(p: int, rows: list[list[int]], limit: int | None = None) -> int:
+    """Exact rank of an alternating matrix over F_p by pairwise elimination.
+
+    ``rows`` is a square alternating matrix (zero diagonal, ``a[j][i] ==
+    -a[i][j] mod p``) with entries in ``[0, p)``; it is overwritten.  Each
+    step picks a nonzero pivot ``a[i][j]``, adds 2 to the rank and replaces
+    the remaining block by ``a[k][l] + (a[k][i]*a[j][l] - a[k][j]*a[i][l]) /
+    a[i][j]``, which is again alternating; an index whose row has become zero
+    on the remaining block is dropped.
+
+    With ``limit`` the result is exact whenever the rank is at most ``limit``,
+    and otherwise some value greater than ``limit``: elimination stops as soon
+    as the rank is known to exceed it.  When one more pivot would exceed the
+    limit, the remaining block is only searched for a nonzero entry.
+    """
+    live = list(range(len(rows)))
+    rank = 0
+    while live:
+        i = live.pop()
+        ri = rows[i]
+        j = next((c for c in live if ri[c]), None)
+        if j is None:
+            continue
+        live.remove(j)
+        rank += 2
+        if limit is not None and rank > limit:
+            return rank
+        rj = rows[j]
+        pivot = ri[j]
+        if limit is not None and rank + 2 > limit:
+            # a[i][j] times the updated entry (k, l); nonzero means another pivot
+            for pos, k in enumerate(live):
+                rk = rows[k]
+                u, v = rk[i], rk[j]
+                for l in live[pos + 1 :]:
+                    if (rk[l] * pivot + u * rj[l] - v * ri[l]) % p:
+                        return rank + 2
+            return rank
+        inv = pow(pivot, p - 2, p)
+        for k in live:
+            rk = rows[k]
+            u = rk[i] * inv % p
+            v = rk[j] * inv % p
+            if u or v:
+                for l in live:
+                    rk[l] = (rk[l] + u * rj[l] - v * ri[l]) % p
+    return rank
 
 
 def rank_kernel(m: Matrix) -> tuple[int, Matrix]:

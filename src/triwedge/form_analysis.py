@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import random as _random
 
-from .exact_scalar import Matrix, Scalar, _rref_prime, rank_kernel
+from .exact_scalar import Matrix, Scalar, rank_kernel, skew_rank_mod_p
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -195,8 +195,15 @@ def point_contraction_rank(
     omega: AlternatingTensor,
     coords,
     table: dict[tuple[int, int], list[tuple[int, Scalar]]] | None = None,
+    limit: int | None = None,
 ) -> int:
-    """Rank of the 2-form obtained by contracting the 3-form at one point."""
+    """Rank of the 2-form obtained by contracting the 3-form at one point.
+
+    Over F_p the skew matrix is built as an int grid and its rank taken by
+    `skew_rank_mod_p`; with ``limit`` the answer is exact up to ``limit`` and
+    otherwise only some value above it.  Over the rationals the rank comes
+    from `rank_kernel` and is always exact, whatever ``limit`` is.
+    """
     ctx = omega.ctx
     fld = ctx.field
     dim = ctx.dim
@@ -213,7 +220,7 @@ def point_contraction_rank(
             if acc:
                 int_rows[i][j] = acc
                 int_rows[j][i] = p - acc
-        return len(_rref_prime(p, int_rows, dim))
+        return skew_rank_mod_p(p, int_rows, limit)
     rows = [[fld.zero()] * dim for _ in range(dim)]
     for (i, j), entries in table.items():
         acc = fld.zero()
@@ -305,7 +312,7 @@ def genericity(
     if do_exhaustive:
         for coords in projective_points(fld, dim):
             examined += 1
-            if point_contraction_rank(omega, coords, table) <= 2:
+            if point_contraction_rank(omega, coords, table, limit=2) <= 2:
                 witness = coords
                 break
         else:
@@ -326,7 +333,7 @@ def genericity(
             if all(c == 0 for c in coords):
                 continue
             examined += 1
-            if point_contraction_rank(omega, coords, table) <= 2:
+            if point_contraction_rank(omega, coords, table, limit=2) <= 2:
                 witness = coords
                 break
         notes.append(f"randomized search over {examined} sampled points")

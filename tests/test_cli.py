@@ -240,6 +240,12 @@ def test_verify_field_override_on_generic_suite(tmp_path):
     assert doc["field"] == "p:211"
 
 
+def test_conventions_suite_runs_over_the_rationals():
+    report = run_suite("conventions", RunConfig(field=FieldSpec.rationals(), samples=20))
+    assert report.field == "q"
+    assert [claim.status for claim in report.claims] == ["pass"] * 5
+
+
 def test_suite_registry_matches_runner():
     cfg = RunConfig(samples=2)
     report = run_suite("span-lattice", cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -287,6 +288,23 @@ def test_two_plane_form_drops_exactly_on_the_two_planes_mod_3():
     assert len(plane_b) == 13
     assert not plane_a & plane_b
     assert plane_a | plane_b == low
+
+
+def test_exhaustive_strata_match_a_brute_force_scan():
+    omega, _ = catalog.get("n5")
+    f3 = FieldSpec.prime(3)
+    reduced = AlternatingTensor.make(
+        SpaceContext(5, f3), 3, "form", {key: f3.coerce(c) for key, c in omega.terms}
+    )
+    M = build_M(reduced)
+    counts: dict[int, int] = {}
+    for coords in itertools.product(range(3), repeat=6):
+        if next((c for c in coords if c), 0) != 1:
+            continue  # one representative per projective point
+        rank = rank_kernel(M.evaluate(coords))[0]
+        assert rank_at(M, coords) == rank
+        counts[rank] = counts.get(rank, 0) + 1
+    assert dict(exhaustive_strata(omega, 3).counts) == counts
 
 
 def test_hyperplane_form_drops_exactly_on_the_hyperplane_mod_3():

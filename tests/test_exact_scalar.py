@@ -21,10 +21,12 @@ from triwedge.exact_scalar import (
     FieldSpec,
     Matrix,
     UniPoly,
+    _rref_prime,
     interpolate,
     pfaffian,
     poly_gcd,
     rank_kernel,
+    skew_rank_mod_p,
 )
 
 QQ = FieldSpec.rationals()
@@ -68,6 +70,25 @@ def test_field_spec_rejects_composite_modulus():
         FieldSpec.prime(4)
     with pytest.raises(ValueError):
         FieldSpec.prime(1)
+
+
+def test_field_spec_rejects_strong_pseudoprime_to_the_first_twelve_bases():
+    # psi_12 passes Miller-Rabin for every prime base up to 37.
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert psi_12 == 399_165_290_221 * 798_330_580_441
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec.prime(psi_12)
+
+
+def test_field_spec_rejects_moduli_at_the_deterministic_limit():
+    psi_13 = 3_317_044_064_679_887_385_961_981
+    assert psi_13 == 1_287_836_182_261 * 2_575_672_364_521
+    # 2**89 - 1 is a Mersenne prime: above the limit even primes are refused.
+    for modulus in (psi_13, psi_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(psi_13)):
+            FieldSpec.prime(modulus)
+    largest_prime_below = 3_317_044_064_679_887_385_961_813
+    assert FieldSpec.prime(largest_prime_below).char == largest_prime_below
 
 
 def test_field_spec_accepts_small_and_large_primes():
@@ -302,3 +323,52 @@ def test_submatrix_and_skew_check():
     assert m.is_skew_symmetric()
     sub = m.submatrix([0, 2], [0, 2])
     assert sub == Matrix.from_rows(QQ, [[0, 5], [-5, 0]])
+
+
+# --- skew rank kernel -------------------------------------------------------------
+
+
+@st.composite
+def alternating_mod_p(draw):
+    """A random alternating matrix over F_p: either every entry above the
+    diagonal drawn, or a sum of 0-4 terms u^v so that low ranks occur."""
+    p = draw(st.sampled_from([2, 3, 101, 1009]))
+    size = draw(st.integers(0, 12))
+    rows = [[0] * size for _ in range(size)]
+    if draw(st.booleans()):
+        for i in range(size):
+            for j in range(i + 1, size):
+                value = draw(st.integers(0, p - 1))
+                rows[i][j], rows[j][i] = value, -value % p
+    else:
+        vector = st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+        for _ in range(draw(st.integers(0, 4))):
+            u, v = draw(vector), draw(vector)
+            for i in range(size):
+                for j in range(size):
+                    rows[i][j] = (rows[i][j] + u[i] * v[j] - u[j] * v[i]) % p
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=alternating_mod_p(), limit=st.integers(0, 12))
+def test_skew_rank_matches_row_reduction(case, limit):
+    p, rows = case
+    rank = len(_rref_prime(p, [row[:] for row in rows], len(rows)))
+    assert skew_rank_mod_p(p, [row[:] for row in rows]) == rank
+    bounded = skew_rank_mod_p(p, [row[:] for row in rows], limit=2)
+    assert (bounded <= 2) == (rank <= 2)
+    if rank <= 2:
+        assert bounded == rank
+    bounded = skew_rank_mod_p(p, [row[:] for row in rows], limit=limit)
+    assert bounded == rank if rank <= limit else bounded > limit
+
+
+def test_skew_rank_anchors():
+    assert skew_rank_mod_p(7, []) == 0
+    assert skew_rank_mod_p(7, [[0, 0], [0, 0]]) == 0
+    assert skew_rank_mod_p(7, [[0, 3], [4, 0]]) == 2
+    # e0^e1 + e2^e3 has rank 4; stopping at limit 2 still reports more than 2
+    rows = [[0, 1, 0, 0], [6, 0, 0, 0], [0, 0, 0, 1], [0, 0, 6, 0]]
+    assert skew_rank_mod_p(7, [row[:] for row in rows]) == 4
+    assert skew_rank_mod_p(7, [row[:] for row in rows], limit=2) > 2
