@@ -623,9 +623,16 @@ def _decomposable_by_plane_scan(
                 ctx_pi.vector_from_coords(point),
                 ctx_pi.vector_from_coords(direction),
             )
-            candidate = handle.ctx.zero_tensor(2, "vector")
-            for key, c in line_sub.terms:
-                candidate = candidate.add(lifted[key].scale(c))
+            candidate = AlternatingTensor.make(
+                handle.ctx,
+                2,
+                "vector",
+                [
+                    (k, field.mul(c, v))
+                    for key, c in line_sub.terms
+                    for k, v in lifted[key].terms
+                ],
+            )
             if contract(handle.omega, candidate).is_zero():
                 return line_sub
     return None

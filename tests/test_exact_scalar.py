@@ -4,7 +4,7 @@ Expected values fall into three classes: convention anchors asserted
 directly, hand-derived matrices frozen after independent computation, and
 cross-checks of two algorithmically independent implementations (recursive
 Pfaffian expansion vs. elimination determinant vs. a test-local cofactor
-determinant).
+determinant; the row reductions vs. a test-local field-generic elimination).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from triwedge.exact_scalar import (
     FieldSpec,
     Matrix,
     UniPoly,
+    _rref,
     _rref_prime,
     interpolate,
     pfaffian,
@@ -110,6 +111,15 @@ def test_coerce_rational_keeps_exact_value():
     assert QQ.coerce(5) == Fraction(5)
 
 
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime(7)])
+def test_coerce_rejects_floats(field):
+    # 2.5 used to round to 2 mod 7, and 0.1 to its binary expansion over Q
+    for value in (2.5, 0.1, 3.0, -0.0):
+        with pytest.raises(ConventionError, match="float"):
+            field.coerce(value)
+    assert field.coerce(3) == field.coerce("3") == field.coerce(Fraction(3))
+
+
 # --- rank_kernel -------------------------------------------------------------
 
 
@@ -166,6 +176,101 @@ def test_rank_kernel_agrees_between_rationals_and_large_prime_field():
         rank_q, _ = rank_kernel(Matrix.from_rows(QQ, rows))
         rank_p, _ = rank_kernel(Matrix.from_rows(big, rows))
         assert rank_q == rank_p
+
+
+def _reference_rref(field: FieldSpec, a: list[list], cols: int) -> list[int]:
+    """Field-generic Gauss-Jordan through `FieldSpec` arithmetic: the loop
+    `_rref` ran on every field before the integer paths, kept as its oracle."""
+    pivots: list[int] = []
+    pivot_row = 0
+    nrows = len(a)
+    for col in range(cols):
+        src = next(
+            (r for r in range(pivot_row, nrows) if not field.is_zero(a[r][col])), None
+        )
+        if src is None:
+            continue
+        a[pivot_row], a[src] = a[src], a[pivot_row]
+        inv_p = field.inv(a[pivot_row][col])
+        row = a[pivot_row]
+        for c in range(col, cols):
+            row[c] = field.mul(row[c], inv_p)
+        for r in range(nrows):
+            if r == pivot_row:
+                continue
+            factor = a[r][col]
+            if field.is_zero(factor):
+                continue
+            target = a[r]
+            for c in range(col, cols):
+                target[c] = field.sub(target[c], field.mul(factor, row[c]))
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return pivots
+
+
+ELIMINATION_FIELDS = (QQ, FieldSpec.prime(2), FieldSpec.prime(3), F101)
+
+
+@st.composite
+def elimination_inputs(draw, fields=ELIMINATION_FIELDS):
+    """(field, rows, cols): 0-10 rows of 0-12 entries, either drawn entry by
+    entry or a product B·C of inner dimension 0-4 so that the rank drops.
+    Rational entries have denominators 1-6; prime-field entries lie in [0, p)."""
+    field = draw(st.sampled_from(fields))
+    nrows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    if field.kind == "prime":
+        scalar = st.integers(0, field.p - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+    def block(height, width):
+        flat = tuple(draw(scalar) for _ in range(height * width))
+        return Matrix(field, height, width, flat)
+
+    if draw(st.booleans()):
+        m = block(nrows, cols)
+    else:
+        inner = draw(st.integers(0, 4))
+        m = block(nrows, inner).mul(block(inner, cols))
+    rows = m.row_lists()
+    return field, rows, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=elimination_inputs())
+def test_rref_matches_the_field_generic_reference(case):
+    field, rows, cols = case
+    expected_rows = [row[:] for row in rows]
+    expected = _reference_rref(field, expected_rows, cols)
+    a = [row[:] for row in rows]
+    originals = list(a)
+    assert _rref(field, a, cols) == expected
+    assert a == expected_rows
+    # the caller's own row lists hold the result
+    assert sorted(map(id, a)) == sorted(map(id, originals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=elimination_inputs(fields=(QQ,)))
+def test_rank_kernel_over_the_rationals_is_exact(case):
+    _, rows, cols = case
+    m = Matrix(QQ, len(rows), cols, tuple(v for row in rows for v in row))
+    rank, kernel = rank_kernel(m)
+    assert rank + kernel.cols == cols
+    for j in range(kernel.cols):
+        assert all(v == 0 for v in m.matvec(kernel.column(j)))
+
+
+def test_rref_over_the_rationals_clears_denominators_and_signs():
+    # the first pivot is negative; the rows mix ints and Fractions
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a = [[-half, third, 1], [1, -2 * third, 2], [0, 0, Fraction(5, 7)]]
+    assert _rref(QQ, a, 3) == [0, 2]
+    assert a == [[1, Fraction(-2, 3), 0], [0, 0, 1], [0, 0, 0]]
+    assert all(type(v) is Fraction for row in a for v in row)
 
 
 # --- pfaffian ----------------------------------------------------------------

@@ -18,12 +18,14 @@ from triwedge.degeneracy import (
 )
 from triwedge.exact_scalar import ConventionError, FieldSpec
 from triwedge.exterior_core import (
+    AlternatingTensor,
     SpaceContext,
     contract,
     covector_contract,
     pair,
     pullback,
     random_tensor,
+    reduced_square,
     wedge,
 )
 from triwedge.form_analysis import quadric_of, span_lattice
@@ -34,6 +36,7 @@ from triwedge.residual import (
     ResidualHandle,
     Y_secancy_even,
     _base_locus_context,
+    _decomposable_by_plane_scan,
     _lift_bivector,
     _restricted_line,
     _singular_span,
@@ -368,6 +371,43 @@ def test_singular_locus_dimensions_match_n_minus_five():
     assert sing_Y_dimension(handle_for("n5"), seed=0) == 0
     assert sing_Y_dimension(handle_for("n6-g2"), seed=0) == 1
     assert sing_Y_dimension(handle_for("n7-ozeki", field=F31), seed=0) == 2
+
+
+@pytest.mark.parametrize("field", [Q, F101])
+def test_one_shot_lift_equals_the_termwise_sum(field):
+    # the plane scan lifts a line of the base locus with one `make` over the
+    # precomputed lifts of the basis bivectors; it must equal the sum of the
+    # scaled lifts and the wedge-by-wedge `_lift_bivector`
+    handle = handle_for("n5", field=field)
+    ctx_pi, basis, lifted = _base_locus_context(handle)
+    for seed in range(3):
+        line = random_tensor(ctx_pi, 2, "vector", seed)
+        one_shot = AlternatingTensor.make(
+            handle.ctx,
+            2,
+            "vector",
+            [
+                (k, field.mul(c, v))
+                for key, c in line.terms
+                for k, v in lifted[key].terms
+            ],
+        )
+        termwise = handle.ctx.zero_tensor(2, "vector")
+        for key, c in line.terms:
+            termwise = termwise.add(lifted[key].scale(c))
+        assert not one_shot.is_zero()
+        assert one_shot == termwise == _lift_bivector(handle.ctx, basis, line)
+
+
+def test_plane_scan_returns_a_line_the_full_form_kills():
+    handle = handle_for("n7-ozeki", field=F31)
+    ctx_pi, basis, lifted = _base_locus_context(handle)
+    line = _decomposable_by_plane_scan(
+        handle, ctx_pi, basis, lifted, random.Random(0)
+    )
+    assert line is not None
+    assert not line.is_zero() and reduced_square(line).is_zero()
+    assert contract(handle.omega, _lift_bivector(handle.ctx, basis, line)).is_zero()
 
 
 def test_singular_locus_needs_dimension_at_least_five():
