@@ -44,7 +44,6 @@ from .congruence import (
     classify_linear_section,
     kernel_span,
     lines_through,
-    member_X,
     order,
     quadrics_through_span,
     recover_forms,
@@ -52,6 +51,7 @@ from .congruence import (
 )
 from .degeneracy import (
     NonGenericFormError,
+    _normalize_projective,
     _poly_roots_prime,
     _random_coords,
     _split_decomposable,
@@ -280,12 +280,6 @@ def _covector_kernel_basis(
         rows.extend(c.coords())
     conditions = Matrix(ctx.field, len(covectors), ctx.dim, tuple(rows))
     return LinearSubspace.from_kernel(conditions, "vectors", ctx).basis_tensors()
-
-
-def _normalized(coords, field) -> tuple:
-    lead = next(v for v in coords if not field.is_zero(v))
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, v) for v in coords)
 
 
 # -- suites -------------------------------------------------------------------------
@@ -851,17 +845,20 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
     ]
     omega5 = sources["n5"]
     field = omega5.ctx.field
+    p: int = field.p  # type: ignore[assignment]
     matches = 0
     checked = 5
     for i in range(checked):
         line = sample_line_on_X(omega5, seed=cfg.seed + i)
         pencil = secant_pencil(omega5, line)
         pencil_points = {
-            _normalized(pencil.point_at(t).coords(), field)
-            for t in _poly_roots_prime(pencil.poly, field.p)  # type: ignore[arg-type]
+            _normalize_projective(pencil.point_at(t).coords(), p)
+            for t in _poly_roots_prime(pencil.poly, p)
         }
         if pencil.infinity_multiplicity:
-            pencil_points.add(_normalized(pencil.point_at_infinity().coords(), field))
+            pencil_points.add(
+                _normalize_projective(pencil.point_at_infinity().coords(), p)
+            )
         first, second = _split_decomposable(line)
         direct = set()
         for zero_indices in ((3, 4, 5), (0, 1, 2)):
@@ -880,7 +877,7 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
                 continue
             a, b = kernel.column(0)
             point = first.scale(a).add(second.scale(b))
-            direct.add(_normalized(point.coords(), field))
+            direct.add(_normalize_projective(point.coords(), p))
         if pencil_points == direct and len(direct) == 2:
             matches += 1
     claims.append(

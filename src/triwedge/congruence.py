@@ -43,7 +43,7 @@ from .degeneracy import (
     build_M,
     rank_at,
 )
-from .exact_scalar import ConventionError, FieldSpec, Matrix, Scalar, _rref, rank_kernel
+from .exact_scalar import ConventionError, Matrix, Scalar, _rref, rank_kernel
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -53,6 +53,7 @@ from .exterior_core import (
     pair,
     projective_point_count,
     projective_points,
+    reduce_mod_p,
     reduced_square,
     split_along_covector,
     wedge,
@@ -516,18 +517,6 @@ class SectionPartition:
             )
 
 
-def _to_prime_field(tensor: AlternatingTensor, p: int) -> AlternatingTensor:
-    field = FieldSpec.prime(p)
-    source = tensor.ctx.field
-    if source.kind == "prime":
-        if source.p != p:
-            raise ConventionError("tensor already lives over a different prime field")
-        return tensor
-    ctx = SpaceContext(n=tensor.ctx.n, field=field)
-    mapping = {key: field.coerce(value) for key, value in tensor.terms}
-    return AlternatingTensor.make(ctx, tensor.degree, tensor.variance, mapping)
-
-
 def _relaxed_span(
     omega: AlternatingTensor, x: AlternatingTensor
 ) -> LinearSubspace:
@@ -565,8 +554,8 @@ def classify_linear_section(
         raise ConventionError("covector lives on a different space")
     if x.is_zero():
         raise ConventionError("cannot classify along the zero covector")
-    omega_p = _to_prime_field(omega, p)
-    x_p = _to_prime_field(x, p)
+    omega_p = reduce_mod_p(omega, p)
+    x_p = reduce_mod_p(x, p)
     ctx = omega_p.ctx
     field = ctx.field
     if space is None:

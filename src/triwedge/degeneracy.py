@@ -8,12 +8,15 @@ scalar skew-symmetric matrix whose rank is the rank of the 2-form
 generic value is the fundamental locus of the line congruence attached
 to ``omega`` (points lying on infinitely many of its lines).
 
-This module builds ``M`` exactly, evaluates ranks at points, samples
-rank statistics over prime fields, measures the degree of the drop
-locus for even ``n`` by restricting principal sub-Pfaffians to random
-lines, extracts the secant polynomial of a congruence line for odd
-``n`` from the quotient Pfaffian pencil, and enumerates the full rank
-stratification over small prime fields.
+``M`` (`SkewLinearMatrix`), `build_M` and the rank routine
+`point_contraction_rank` live in `form_analysis`.  This module re-exports
+the first two and defines `rank_at`, which coerces a point and rejects
+the zero point before taking that rank.  It samples rank statistics over
+prime fields, measures the degree of the drop locus for even ``n`` by
+restricting principal sub-Pfaffians to random lines, extracts the secant
+polynomial of a congruence line for odd ``n`` from the quotient Pfaffian
+pencil, and enumerates the full rank stratification over small prime
+fields.
 
 No floating point is used anywhere; scalars are rationals or prime
 residues throughout.
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .exact_scalar import (
     ConventionError,
@@ -37,22 +40,24 @@ from .exact_scalar import (
     pfaffian,
     poly_gcd,
     rank_kernel,
-    skew_rank_mod_p,
 )
 from .exterior_core import (
     AlternatingTensor,
-    SpaceContext,
     contract,
     covector_contract,
     derive_seed,
     projective_point_count,
     projective_points,
+    reduce_mod_p,
     reduced_square,
     wedge,
 )
 from .form_analysis import (
     EXHAUSTIVE_POINT_BUDGET,
-    _pair_action_table,
+    PointLike,
+    SkewLinearMatrix,
+    _point_coords,
+    build_M,
     j_rank,
     point_contraction_rank,
 )
@@ -76,108 +81,20 @@ __all__ = [
 # adequate for the desk-scale primes used throughout.
 ROOT_SCAN_PRIME_BOUND = 10_000
 
-PointLike = Union[AlternatingTensor, Sequence]
-
-
 class NonGenericFormError(RuntimeError):
     """A sampling computation detected that the input form is degenerate."""
-
-
-@dataclass(frozen=True)
-class SkewLinearMatrix:
-    """Square skew matrix whose entries are linear functionals on V."""
-
-    ctx: SpaceContext
-    size: int
-    entries: tuple[tuple[AlternatingTensor, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.size != len(self.entries):
-            raise ConventionError("entry grid does not match declared size")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.size:
-                raise ConventionError("entry grid is not square")
-            for j, form in enumerate(row):
-                if form.ctx != self.ctx or form.degree != 1 or form.variance != "form":
-                    raise ConventionError("entries must be 1-forms on the same space")
-                if i == j and not form.is_zero():
-                    raise ConventionError("diagonal entries must vanish")
-                if i < j and form.neg() != self.entries[j][i]:
-                    raise ConventionError("entries must be skew-symmetric")
-
-    def entry_form(self, i: int, j: int) -> AlternatingTensor:
-        return self.entries[i][j]
-
-    def evaluate(self, point: PointLike) -> Matrix:
-        """Scalar skew matrix obtained by evaluating every entry at a point."""
-        coords = _point_coords(self.ctx, point)
-        fld = self.ctx.field
-        dim = self.size
-        rows = [[fld.zero()] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                acc = fld.zero()
-                for key, coeff in self.entries[i][j].terms:
-                    acc = fld.add(acc, fld.mul(coeff, coords[key[0]]))
-                rows[i][j] = acc
-                rows[j][i] = fld.neg(acc)
-        flat = tuple(value for row in rows for value in row)
-        return Matrix(fld, dim, dim, flat)
-
-
-def _point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
-    if isinstance(point, AlternatingTensor):
-        if point.ctx != ctx or point.degree != 1 or point.variance != "vector":
-            raise ConventionError("point must be a vector of the same space")
-        return point.coords()
-    coords = tuple(ctx.field.coerce(value) for value in point)
-    if len(coords) != ctx.dim:
-        raise ConventionError(f"expected {ctx.dim} coordinates, got {len(coords)}")
-    return coords
-
-
-def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
-    """The skew matrix of linear forms (i, j) -> <omega, e_i ^ e_j ^ P>."""
-    _require_three_form(omega)
-    ctx = omega.ctx
-    dim = ctx.dim
-    table = _pair_action_table(omega)
-    grid: list[list[AlternatingTensor]] = [
-        [ctx.zero_tensor(1, "form") for _ in range(dim)] for _ in range(dim)
-    ]
-    for (i, j), contributions in table.items():
-        mapping = {(k,): value for k, value in contributions}
-        form = AlternatingTensor.make(ctx, 1, "form", mapping)
-        grid[i][j] = form
-        grid[j][i] = form.neg()
-    entries = tuple(tuple(row) for row in grid)
-    return SkewLinearMatrix(ctx=ctx, size=dim, entries=entries)
 
 
 def rank_at(M: SkewLinearMatrix, point: PointLike) -> int:
     """Exact rank of the matrix evaluated at a nonzero point.
 
-    Over F_p the entries are evaluated straight into an int grid whose rank
-    `skew_rank_mod_p` takes; over the rationals the rank is that of
-    `M.evaluate(point)` from `rank_kernel`.
+    Coerces the point into the field and takes the rank with
+    `point_contraction_rank`.
     """
     coords = _point_coords(M.ctx, point)
-    field = M.ctx.field
-    if all(field.is_zero(value) for value in coords):
+    if all(M.ctx.field.is_zero(value) for value in coords):
         raise ConventionError("rank is evaluated at nonzero points only")
-    if field.kind != "prime":
-        return rank_kernel(M.evaluate(coords))[0]
-    p: int = field.p  # type: ignore[assignment]
-    dim = M.size
-    grid = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        row = M.entries[i]
-        for j in range(i + 1, dim):
-            value = sum(coeff * coords[key[0]] for key, coeff in row[j].terms) % p
-            if value:
-                grid[i][j] = value
-                grid[j][i] = p - value
-    return skew_rank_mod_p(p, grid)
+    return point_contraction_rank(M, coords)
 
 
 def _require_three_form(omega: AlternatingTensor) -> None:
@@ -252,14 +169,13 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
     n = ctx.n
     dim = ctx.dim
     rng = random.Random(derive_seed("stratify", n, p, samples, seed))
-    table = _pair_action_table(omega)
     M = build_M(omega)
 
     histogram: dict[int, int] = {}
     seen: dict[int, set[tuple[int, ...]]] = {}
 
     def record(coords: Sequence[int]) -> int:
-        rank = point_contraction_rank(omega, list(coords), table)
+        rank = point_contraction_rank(M, coords)
         seen.setdefault(rank, set()).add(_normalize_projective(coords, p))
         return rank
 
@@ -611,20 +527,6 @@ class ExhaustiveStrata:
         return tuple(collected)
 
 
-def _reduce_mod_p(omega: AlternatingTensor, p: int) -> AlternatingTensor:
-    field = FieldSpec.prime(p)
-    source = omega.ctx.field
-    if source.kind == "prime":
-        if source.p != p:
-            raise ConventionError(
-                "form already lives over a different prime field"
-            )
-        return omega
-    ctx = SpaceContext(n=omega.ctx.n, field=field)
-    mapping = {key: field.coerce(value) for key, value in omega.terms}
-    return AlternatingTensor.make(ctx, 3, "form", mapping)
-
-
 def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
     """Rank of the matrix at every point of P^n(F_p)."""
     _require_three_form(omega)
@@ -634,12 +536,12 @@ def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
         raise ConventionError(
             f"{total} projective points exceed the enumeration budget"
         )
-    reduced = _reduce_mod_p(omega, p)
-    table = _pair_action_table(reduced)
+    reduced = reduce_mod_p(omega, p)
+    M = build_M(reduced)
     counts: dict[int, int] = {}
     points: dict[int, list[tuple[int, ...]]] = {}
     for coords in projective_points(reduced.ctx.field, n + 1):
-        rank = point_contraction_rank(reduced, list(coords), table)
+        rank = point_contraction_rank(M, coords)
         counts[rank] = counts.get(rank, 0) + 1
         points.setdefault(rank, []).append(tuple(int(value) for value in coords))
     return ExhaustiveStrata(

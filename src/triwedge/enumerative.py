@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .exact_scalar import FieldSpec, Matrix
+
 __all__ = [
     "MultidegreeTriangle",
     "ChernVector",
@@ -194,29 +196,6 @@ def chern(n: int) -> ChernVector:
     return ChernVector(n, coeffs)
 
 
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction elimination (local, small matrices)."""
-    size = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, size):
-            factor = a[r][col] * inv_p
-            if factor == 0:
-                continue
-            for c2 in range(col, size):
-                a[r][c2] -= factor * a[col][c2]
-    return det
-
-
 def stratum_class_degree(n: int, r: int) -> int:
     """Degree of the stratum where the contraction matrix has rank <= r:
     the k x k banded determinant det(c_{n-r-1-2i+j}), k = n-r-1, with c_0 = 1
@@ -233,8 +212,8 @@ def stratum_class_degree(n: int, r: int) -> int:
             return Fraction(0)
         return _chern_coefficient(n, i)
 
-    matrix = [[cc(n - r - 1 - 2 * i + j) for j in range(k)] for i in range(k)]
-    value = _det_fraction(matrix)
+    entries = tuple(cc(n - r - 1 - 2 * i + j) for i in range(k) for j in range(k))
+    value = Matrix(FieldSpec.rationals(), k, k, entries).det()
 
     expected: Fraction | None = None
     if r == n - 2:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .exact_scalar import FieldSpec, Scalar
+from .exact_scalar import ConventionError, FieldSpec, Scalar
 
 __all__ = [
     "SpaceContext",
@@ -41,6 +41,7 @@ __all__ = [
     "split_along_covector",
     "random_tensor",
     "pullback",
+    "reduce_mod_p",
     "projective_points",
     "projective_point_count",
     "form_to_document",
@@ -493,6 +494,23 @@ def pullback(
         value = pair(form, blade)
         coeffs[key] = value
     return AlternatingTensor.make(sub_ctx, k, "form", coeffs)
+
+
+def reduce_mod_p(tensor: AlternatingTensor, p: int) -> AlternatingTensor:
+    """The same tensor with its coefficients reduced into F_p.
+
+    A tensor over F_p is returned as it is; one over another prime field
+    raises `ConventionError`.
+    """
+    field = FieldSpec.prime(p)
+    source = tensor.ctx.field
+    if source.kind == "prime":
+        if source.p != p:
+            raise ConventionError("tensor already lives over a different prime field")
+        return tensor
+    ctx = SpaceContext(n=tensor.ctx.n, field=field)
+    mapping = {key: field.coerce(value) for key, value in tensor.terms}
+    return AlternatingTensor.make(ctx, tensor.degree, tensor.variance, mapping)
 
 
 # -- form file format ---------------------------------------------------------

@@ -1,6 +1,15 @@
-"""Rank analysis of alternating forms: contraction ranks, genericity checks,
-the quadratic form attached to a 4-form, and the lattice of linear spaces of
-bivectors cut out by a 3-form and one or two covector directions.
+"""Rank analysis of alternating forms: contraction ranks, the skew matrix of
+linear forms of a 3-form, genericity checks, the quadratic form attached to a
+4-form, and the lattice of linear spaces of bivectors cut out by a 3-form and
+one or two covector directions.
+
+The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
+table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
+`build_M` derives from omega.  Its one rank routine is
+`point_contraction_rank`: an int grid and `skew_rank_mod_p` over F_p,
+`rank_kernel` of `M.evaluate(point)` over the rationals.  Every rank-only
+query at a point goes through it; callers that need the kernel take
+`rank_kernel(M.evaluate(point))` themselves.
 
 Everything reduces to exact kernels of explicit matrices.  A k-form f induces
 linear maps "contract by a j-vector"; their matrices (columns indexed by the
@@ -19,12 +28,12 @@ permits, for the condition that every point contraction has rank above 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
+from typing import Sequence, Union
 
 import random as _random
 
-from .exact_scalar import Matrix, Scalar, rank_kernel, skew_rank_mod_p
+from .exact_scalar import ConventionError, Matrix, Scalar, rank_kernel, skew_rank_mod_p
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -43,7 +52,10 @@ __all__ = [
     "LinearSubspace",
     "QuadricAnalysis",
     "GenericityReport",
+    "SkewLinearMatrix",
     "SpanLattice",
+    "build_M",
+    "point_contraction_rank",
     "contraction_matrix",
     "j_rank",
     "genericity",
@@ -173,63 +185,114 @@ def j_rank(f: AlternatingTensor, j: int) -> int:
     return rank_kernel(contraction_matrix(f, j))[0]
 
 
-# -- fast pointwise contraction ranks ------------------------------------------
+# -- the skew matrix of linear forms and its pointwise rank ---------------------
+
+PointLike = Union[AlternatingTensor, Sequence]
 
 
-def _pair_action_table(
-    omega: AlternatingTensor,
-) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
-    """For each pair (i < j), the list of (k, coeff) with the coefficient of
-    x_i^x_j in the contraction of omega by e_k."""
-    table: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+def _point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
+    if isinstance(point, AlternatingTensor):
+        if point.ctx != ctx or point.degree != 1 or point.variance != "vector":
+            raise ConventionError("point must be a vector of the same space")
+        return point.coords()
+    coords = tuple(ctx.field.coerce(value) for value in point)
+    if len(coords) != ctx.dim:
+        raise ConventionError(f"expected {ctx.dim} coordinates, got {len(coords)}")
+    return coords
+
+
+@dataclass(frozen=True)
+class SkewLinearMatrix:
+    """Square skew matrix whose entries are linear functionals on V.
+
+    ``pairs`` lists pairs i < j with the terms (k, coeff) of the (i, j) entry
+    sum_k coeff * x_k; entries of pairs not listed are zero, the (j, i) entry
+    is the negative of the (i, j) one and the diagonal vanishes.
+    """
+
+    ctx: SpaceContext
+    pairs: tuple[tuple[tuple[int, int], tuple[tuple[int, Scalar], ...]], ...]
+
+    def __post_init__(self) -> None:
+        dim = self.ctx.dim
+        for (i, j), terms in self.pairs:
+            if not 0 <= i < j < dim:
+                raise ConventionError(f"entry ({i}, {j}) is not above the diagonal")
+            if any(not 0 <= k < dim for k, _ in terms):
+                raise ConventionError(f"entry ({i}, {j}) has a coordinate out of range")
+
+    @property
+    def size(self) -> int:
+        return self.ctx.dim
+
+    def entry_form(self, i: int, j: int) -> AlternatingTensor:
+        """The (i, j) entry as a 1-form."""
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise ConventionError(f"entry ({i}, {j}) is out of range")
+        terms = dict(self.pairs).get((min(i, j), max(i, j)), ())
+        form = AlternatingTensor.make(self.ctx, 1, "form", [((k,), c) for k, c in terms])
+        return form if i < j else form.neg()
+
+    def evaluate(self, point: PointLike) -> Matrix:
+        """Scalar skew matrix obtained by evaluating every entry at a point."""
+        coords = _point_coords(self.ctx, point)
+        fld = self.ctx.field
+        dim = self.size
+        rows = [[fld.zero()] * dim for _ in range(dim)]
+        for (i, j), terms in self.pairs:
+            acc = fld.zero()
+            for k, coeff in terms:
+                acc = fld.add(acc, fld.mul(coeff, coords[k]))
+            rows[i][j] = acc
+            rows[j][i] = fld.neg(acc)
+        return Matrix(fld, dim, dim, tuple(value for row in rows for value in row))
+
+
+def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
+    """The skew matrix of linear forms (i, j) -> <omega, e_i ^ e_j ^ P>.
+
+    Each term w * x_a^x_b^x_c of omega (a < b < c) adds the terms (a, w),
+    (b, -w) and (c, w) to the entries (b, c), (a, c) and (a, b).
+    """
+    if omega.degree != 3 or omega.variance != "form":
+        raise ConventionError("expected an alternating 3-form")
     fld = omega.ctx.field
+    pairs: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for key, coeff in omega.terms:
         for pos, k in enumerate(key):
             rest = key[:pos] + key[pos + 1 :]
             value = coeff if pos % 2 == 0 else fld.neg(coeff)
-            table.setdefault(rest, []).append((k, value))
-    return table
+            pairs.setdefault(rest, []).append((k, value))
+    return SkewLinearMatrix(
+        omega.ctx, tuple((key, tuple(terms)) for key, terms in pairs.items())
+    )
 
 
-def point_contraction_rank(
-    omega: AlternatingTensor,
-    coords,
-    table: dict[tuple[int, int], list[tuple[int, Scalar]]] | None = None,
-    limit: int | None = None,
-) -> int:
-    """Rank of the 2-form obtained by contracting the 3-form at one point.
+def point_contraction_rank(M: SkewLinearMatrix, coords, limit: int | None = None) -> int:
+    """Rank of the skew matrix evaluated at one point, the rank of the 2-form
+    obtained by contracting the 3-form there.
 
-    Over F_p the skew matrix is built as an int grid and its rank taken by
-    `skew_rank_mod_p`; with ``limit`` the answer is exact up to ``limit`` and
-    otherwise only some value above it.  Over the rationals the rank comes
-    from `rank_kernel` and is always exact, whatever ``limit`` is.
+    Over F_p the coordinates must already be ints; the matrix is built as an
+    int grid and its rank taken by `skew_rank_mod_p`; with ``limit`` the
+    answer is exact up to ``limit`` and otherwise only some value above it.
+    Over the rationals the rank is that of `M.evaluate(coords)` from
+    `rank_kernel` and is always exact, whatever ``limit`` is.
     """
-    ctx = omega.ctx
-    fld = ctx.field
-    dim = ctx.dim
-    if table is None:
-        table = _pair_action_table(omega)
-    if fld.kind == "prime":
-        p: int = fld.p  # type: ignore[assignment]
-        int_rows = [[0] * dim for _ in range(dim)]
-        for (i, j), entries in table.items():
-            acc = 0
-            for k, c in entries:
-                acc += c * coords[k]
-            acc %= p
-            if acc:
-                int_rows[i][j] = acc
-                int_rows[j][i] = p - acc
-        return skew_rank_mod_p(p, int_rows, limit)
-    rows = [[fld.zero()] * dim for _ in range(dim)]
-    for (i, j), entries in table.items():
-        acc = fld.zero()
-        for k, c in entries:
-            acc = fld.add(acc, fld.mul(c, fld.coerce(coords[k])))
-        rows[i][j] = acc
-        rows[j][i] = fld.neg(acc)
-    flat = tuple(v for row in rows for v in row)
-    return rank_kernel(Matrix(fld, dim, dim, flat))[0]
+    fld = M.ctx.field
+    if fld.kind != "prime":
+        return rank_kernel(M.evaluate(coords))[0]
+    p: int = fld.p  # type: ignore[assignment]
+    dim = M.size
+    grid = [[0] * dim for _ in range(dim)]
+    for (i, j), terms in M.pairs:
+        acc = 0
+        for k, c in terms:
+            acc += c * coords[k]
+        acc %= p
+        if acc:
+            grid[i][j] = acc
+            grid[j][i] = p - acc
+    return skew_rank_mod_p(p, grid, limit)
 
 
 # -- genericity -----------------------------------------------------------------
@@ -296,7 +359,7 @@ def genericity(
     )
     gc1 = rank_kernel(wedge_matrix)[0] == dim
 
-    table = _pair_action_table(omega)
+    M = build_M(omega)
     witness: tuple | None = None
     scanned_exhaustively = False
     examined = 0
@@ -312,7 +375,7 @@ def genericity(
     if do_exhaustive:
         for coords in projective_points(fld, dim):
             examined += 1
-            if point_contraction_rank(omega, coords, table, limit=2) <= 2:
+            if point_contraction_rank(M, coords, limit=2) <= 2:
                 witness = coords
                 break
         else:
@@ -333,13 +396,13 @@ def genericity(
             if all(c == 0 for c in coords):
                 continue
             examined += 1
-            if point_contraction_rank(omega, coords, table, limit=2) <= 2:
+            if point_contraction_rank(M, coords, limit=2) <= 2:
                 witness = coords
                 break
         notes.append(f"randomized search over {examined} sampled points")
 
     if witness is not None:
-        if point_contraction_rank(omega, witness, table) > 2:
+        if point_contraction_rank(M, witness) > 2:
             raise RuntimeError("internal error: witness fails its defining property")
 
     return GenericityReport(

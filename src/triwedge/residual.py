@@ -74,7 +74,12 @@ from .exterior_core import (
     reduced_square,
     wedge,
 )
-from .form_analysis import LinearSubspace, contraction_matrix, span_lattice
+from .form_analysis import (
+    LinearSubspace,
+    contraction_matrix,
+    point_contraction_rank,
+    span_lattice,
+)
 
 __all__ = [
     "LineSystem",
@@ -594,28 +599,13 @@ def _decomposable_by_plane_scan(
         flat = tuple(v for q in anchors for v in q)
         if rank_kernel(Matrix(field, 3, dim, flat))[0] != 3:
             continue
-        slices = [matrix.evaluate(q) for q in anchors]
-        rows = [[m.row(r) for r in range(dim)] for m in slices]
         for s, t, u in projective_points(field, 3):
-            flat2: list[Scalar] = []
-            for r in range(dim):
-                ra, rb, rc = rows[0][r], rows[1][r], rows[2][r]
-                for c in range(dim):
-                    flat2.append(
-                        field.add(
-                            field.add(field.mul(s, ra[c]), field.mul(t, rb[c])),
-                            field.mul(u, rc[c]),
-                        )
-                    )
-            evaluated = Matrix(field, dim, dim, tuple(flat2))
-            if rank_kernel(evaluated)[0] != generic_rank:
-                continue
             point = [
-                field.add(
-                    field.add(field.mul(s, qa), field.mul(t, qb)), field.mul(u, qc)
-                )
+                (s * qa + t * qb + u * qc) % field.p  # type: ignore[operator]
                 for qa, qb, qc in zip(*anchors)
             ]
+            if point_contraction_rank(matrix, point) != generic_rank:
+                continue
             direction = _kernel_complement_direction(matrix, point)
             if direction is None:
                 continue

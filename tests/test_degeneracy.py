@@ -141,10 +141,9 @@ def test_skew_grid_validation_rejects_nonzero_diagonal():
     omega, _ = catalog.get("n4")
     M = build_M(omega)
     ctx = omega.ctx
-    corrupted = list(list(row) for row in M.entries)
-    corrupted[0][0] = ctx.basis_covector(0)
+    corrupted = M.pairs + (((0, 0), ((0, ctx.field.one()),)),)
     with pytest.raises(ConventionError):
-        SkewLinearMatrix(ctx=ctx, size=M.size, entries=tuple(tuple(r) for r in corrupted))
+        SkewLinearMatrix(ctx=ctx, pairs=corrupted)
 
 
 # -- even n: degree of the rank-drop hypersurface ----------------------------------
@@ -353,7 +352,7 @@ def test_stratify_hits_the_quadric_for_n6():
     witnesses = report.strata_hits[4]
     assert witnesses
     for point in witnesses:
-        assert point_contraction_rank(omega, list(point)) == 4
+        assert point_contraction_rank(build_M(omega), list(point)) == 4
 
 
 def test_stratify_finds_codimension_three_witnesses_for_n9():
@@ -364,7 +363,7 @@ def test_stratify_finds_codimension_three_witnesses_for_n9():
     witnesses = report.strata_hits.get(6, ())
     assert witnesses
     for point in witnesses:
-        assert point_contraction_rank(omega, list(point)) == 6
+        assert point_contraction_rank(build_M(omega), list(point)) == 6
 
 
 def test_stratify_is_deterministic_per_seed():

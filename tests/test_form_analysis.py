@@ -11,8 +11,10 @@ hand computation on the concrete instances below before freezing.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triwedge.exact_scalar import FieldSpec, rank_kernel
+from triwedge.exact_scalar import ConventionError, FieldSpec, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -22,6 +24,8 @@ from triwedge.exterior_core import (
 )
 from triwedge.form_analysis import (
     LinearSubspace,
+    SkewLinearMatrix,
+    build_M,
     contraction_matrix,
     genericity,
     j_rank,
@@ -83,7 +87,64 @@ def test_point_contraction_rank_matches_generic_path():
         coords = v.coords()
         two_form = contract(omega, v)
         expected = j_rank_of_two_form(two_form)
-        assert point_contraction_rank(omega, coords) == expected
+        assert point_contraction_rank(build_M(omega), coords) == expected
+
+
+@st.composite
+def forms_and_points(draw):
+    """A 3-form with n = 3..8 over Q or F_p, p in {2, 3, 101}, and three
+    nonzero points; half the forms are sums of 1-4 random monomials, so low
+    point ranks occur often."""
+    n = draw(st.integers(3, 8))
+    field = draw(st.sampled_from([QQ, FieldSpec.prime(2), FieldSpec.prime(3), F101]))
+    ctx = SpaceContext(n, field)
+    coeff = st.integers(-5, 5) if field.kind == "rational" else st.integers(0, field.p - 1)
+    if draw(st.booleans()):
+        omega = random_tensor(ctx, 3, "form", draw(st.integers(0, 10**6)))
+    else:
+        index = st.lists(st.integers(0, n), min_size=3, max_size=3, unique=True)
+        terms = draw(st.lists(st.tuples(index, coeff), min_size=1, max_size=4))
+        omega = AlternatingTensor.make(ctx, 3, "form", terms)
+    point = st.lists(coeff, min_size=n + 1, max_size=n + 1).filter(any)
+    return omega, [field.coerce(v) for v in draw(point)], draw(point), draw(point), draw(coeff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=forms_and_points())
+def test_point_rank_matches_the_evaluated_matrix(case):
+    omega, x, b, c, scalar = case
+    field = omega.ctx.field
+    M = build_M(omega)
+    rank = rank_kernel(M.evaluate(x))[0]
+    assert point_contraction_rank(M, x) == rank
+    bounded = point_contraction_rank(M, x, limit=2)
+    assert bounded == rank if rank <= 2 else bounded > 2
+    # the plane scan's identity M(s*x + t*b + u*c) = s*M(x) + t*M(b) + u*M(c)
+    s, t, u = (field.coerce(v) for v in (scalar, scalar + 1, 2))
+    b, c = ([field.coerce(v) for v in q] for q in (b, c))
+    combined = [
+        field.add(field.add(field.mul(s, xi), field.mul(t, bi)), field.mul(u, ci))
+        for xi, bi, ci in zip(x, b, c)
+    ]
+    expected = M.evaluate(x).scale(s).add(M.evaluate(b).scale(t)).add(M.evaluate(c).scale(u))
+    assert M.evaluate(combined) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    i=st.integers(-2, 10),
+    j=st.integers(-2, 10),
+    k=st.integers(-2, 10),
+)
+def test_skew_matrix_rejects_entries_off_the_upper_triangle(n, i, j, k):
+    ctx = SpaceContext(n, F101)
+    pairs = (((i, j), ((k, 1),)),)
+    if 0 <= i < j <= n and 0 <= k <= n:
+        assert SkewLinearMatrix(ctx, pairs).entry_form(j, i).coefficient((k,)) == 100
+    else:
+        with pytest.raises(ConventionError):
+            SkewLinearMatrix(ctx, pairs)
 
 
 def j_rank_of_two_form(g: AlternatingTensor) -> int:
@@ -126,7 +187,7 @@ def test_genericity_exhaustive_scan_finds_rank_two_witness():
     report = genericity(two_planes(ctx))
     assert report.gc3_status == "falsified"
     assert report.gc3_witness == (1, 0, 0, 0, 0, 0)
-    assert point_contraction_rank(two_planes(ctx), report.gc3_witness) <= 2
+    assert point_contraction_rank(build_M(two_planes(ctx)), report.gc3_witness) <= 2
 
 
 def test_genericity_decomposable_direction_fails_gc1_passes_gc2():
