@@ -39,6 +39,7 @@ from .exact_scalar import (
     interpolate,
     pfaffian,
     poly_gcd,
+    randbelow,
     rank_kernel,
 )
 from .exterior_core import (
@@ -180,9 +181,9 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
         return rank
 
     for _ in range(samples):
-        coords = [rng.randrange(p) for _ in range(dim)]
+        coords = [randbelow(rng, p) for _ in range(dim)]
         while all(value == 0 for value in coords):
-            coords = [rng.randrange(p) for _ in range(dim)]
+            coords = [randbelow(rng, p) for _ in range(dim)]
         rank = record(coords)
         histogram[rank] = histogram.get(rank, 0) + 1
 
@@ -214,7 +215,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
 def _random_coords(field: FieldSpec, dim: int, rng: random.Random) -> list[Scalar]:
     if field.kind == "prime":
         p: int = field.p  # type: ignore[assignment]
-        coords = [field.coerce(rng.randrange(p)) for _ in range(dim)]
+        coords = [randbelow(rng, p) for _ in range(dim)]
     else:
         coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
     if all(field.is_zero(value) for value in coords):

@@ -17,11 +17,14 @@ expansion with memoization, which is simple and more than fast enough for the
 matrix sizes that arise here (odd skew pencils never exceed 12 rows).
 Univariate polynomials store coefficients lowest-degree first and provide the
 monic Euclidean GCD and Lagrange interpolation used to restrict determinantal
-loci to lines.
+loci to lines.  `randbelow` is the package's one uniform draw below a bound:
+the values and generator state of `random.Random.randrange`, at a fraction of
+its cost.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -40,11 +43,27 @@ __all__ = [
     "pfaffian",
     "poly_gcd",
     "interpolate",
+    "randbelow",
 ]
 
 
 class ConventionError(ValueError):
     """A value violates a structural convention (e.g. non-skew Pfaffian input)."""
+
+
+def randbelow(rng: random.Random, bound: int) -> int:
+    """``rng.randrange(bound)`` for ``bound > 0``: the same value, leaving the
+    generator in the same state, without `randrange`'s argument handling.
+
+    It draws ``bound.bit_length()`` random bits and redraws while the value is
+    at least ``bound``, which is how `random.Random` draws below a bound.
+    """
+    bits = bound.bit_length()
+    draw = rng.getrandbits
+    value = draw(bits)
+    while value >= bound:
+        value = draw(bits)
+    return value
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

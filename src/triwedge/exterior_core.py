@@ -18,6 +18,23 @@ coefficients are the principal 4x4 Pfaffians of the skew coefficient matrix
 of L.  `split_along_covector` realizes the decomposition omega = omega_x +
 beta_x^x used throughout the rank analysis, with a deterministic pivot rule
 for the auxiliary vector e (minimal index with x_i != 0, scaled so x(e)=1).
+
+Inside the kernels an index set is an int bitmask (bit i for index i), the
+"bitmap" representation of basis blades (Dorst, Fontijne and Mann,
+*Geometric Algebra for Computer Science*, 2007, ch. 19): two sets are
+disjoint when ``a & b == 0``, and the sign of merging them is the parity of
+a popcount.  Masks and the sorted tuples of ``terms`` convert through
+module tables that grow with the distinct index sets in use (at most 2^dim
+for one space).  Contraction looks each position subset of a term of the
+larger tensor up among the terms of the smaller one.  Products accumulate
+as plain ints reduced mod p once per output key; over the rationals the same
+loop runs on Fractions.
+
+Validation: the public constructor ``AlternatingTensor(...)`` checks every
+term (`__post_init__`), and `make` checks the variance, the degree and the
+size and range of each index set it keeps, since its input guarantees none of
+them.  Results of the operations here (`wedge`, `contract`, `neg`, ...) are
+canonical by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -26,9 +43,12 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .exact_scalar import ConventionError, FieldSpec, Scalar
+from .exact_scalar import ConventionError, FieldSpec, Scalar, randbelow
 
 __all__ = [
     "SpaceContext",
@@ -84,11 +104,6 @@ class SpaceContext:
             self, 1, "vector", {(i,): c for i, c in enumerate(coords)}
         )
 
-    def covector_from_coords(self, coords: Sequence[Scalar]) -> "AlternatingTensor":
-        return AlternatingTensor.make(
-            self, 1, "form", {(i,): c for i, c in enumerate(coords)}
-        )
-
     def tensor_from_coords(
         self, k: int, variance: str, coords: Sequence[Scalar]
     ) -> "AlternatingTensor":
@@ -104,33 +119,119 @@ class SpaceContext:
         )
 
 
-def _sort_with_sign(indices: Sequence[int]) -> tuple[IndexSet | None, int]:
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
+_VARIANCES = ("vector", "form")
+
+
+class _KeyTable(dict):
+    """Bitmask -> sorted index tuple, filled on first use."""
+
+    def __missing__(self, mask: int) -> IndexSet:
+        key = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        self[mask] = key
+        _MASKS[key] = mask
+        return key
+
+
+class _MaskTable(dict):
+    """Sorted, strictly increasing index tuple -> bitmask, filled on first use.
+
+    Only keys of stored terms are looked up with ``[]``; raw keys handed to
+    `make` use ``.get``, which never fills the table.
+    """
+
+    def __missing__(self, key: IndexSet) -> int:
+        mask = 0
+        for i in key:
+            mask |= 1 << i
+        self[key] = mask
+        _KEYS[mask] = key
+        return mask
+
+
+class _BelowParityTable(dict):
+    """Bitmask B -> the mask of positions l with an odd number of elements of
+    B below l (all higher bits set when |B| is odd).  The sign of merging A
+    then B is the parity of popcount(A & table[B])."""
+
+    def __missing__(self, mask: int) -> int:
+        out, odd, i, rest = 0, 0, 0, mask
+        while rest:
+            if odd:
+                out |= 1 << i
+            odd ^= rest & 1
+            rest >>= 1
+            i += 1
+        if odd:
+            out |= -1 << i
+        self[mask] = out
+        return out
+
+
+@cache
+def _position_subsets(k: int, j: int) -> tuple[tuple[itemgetter, int], ...]:
+    """For each j-subset S of the positions 0..k-1 of a sorted k-tuple: a
+    getter returning the entries at S as a tuple, and whether moving them to
+    the front (in order) is an odd permutation."""
+    rows = []
+    for positions in itertools.combinations(range(k), j):
+        # a slice returns a tuple even for j < 2, unlike itemgetter(*positions)
+        if j == 0 or positions[-1] - positions[0] == j - 1:
+            start = positions[0] if j else 0
+            pick = itemgetter(slice(start, start + j))
+        else:
+            pick = itemgetter(*positions)
+        rows.append((pick, (sum(positions) - j * (j - 1) // 2) & 1))
+    return tuple(rows)
+
+
+@cache
+def _lexicographic_positions(dim: int, k: int) -> dict[IndexSet, int]:
+    """Position of each sorted k-set of range(dim) in lexicographic order."""
+    keys = itertools.combinations(range(dim), k)
+    return {key: i for i, key in enumerate(keys)}
+
+
+_KEYS = _KeyTable()
+_MASKS = _MaskTable()
+_BELOW = _BelowParityTable()
+
+
+def _mask_with_sign(indices: Sequence[int]) -> tuple[int | None, int]:
+    """Bitmask of an index tuple and the parity of the permutation sorting it.
 
     Repeated indices make the alternating term vanish; flagged by (None, 0).
     """
-    idx = list(indices)
-    swaps = 0
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            swaps += 1
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
+    mask = 0
+    odd = 0
+    for i in indices:
+        if i < 0:
+            raise ValueError(f"index set {tuple(indices)} out of range")
+        bit = 1 << i
+        if mask & bit:
             return None, 0
-    return tuple(idx), (-1 if swaps % 2 else 1)
+        odd ^= (mask >> i).bit_count() & 1
+        mask |= bit
+    return mask, odd
 
 
-def _merge_sign(left: IndexSet, right: IndexSet) -> int:
-    """Sign of sorting the concatenation of two disjoint sorted tuples."""
-    inversions = 0
-    for r in right:
-        for l in left:
-            if l > r:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _reduced(
+    pairs: Iterable[tuple[IndexSet, Scalar]], p: int | None
+) -> list[tuple[IndexSet, Scalar]]:
+    """The pairs with each value reduced mod p and zeros dropped; over the
+    rationals (``p is None``) the values are exact already."""
+    if p is None:
+        return [(k, v) for k, v in pairs if v]
+    return [(k, r) for k, v in pairs if (r := v % p)]
+
+
+def _settle(
+    acc: dict[int, Scalar], p: int | None
+) -> tuple[tuple[IndexSet, Scalar], ...]:
+    """Terms from sums accumulated per bitmask: reduced once per key, zeros
+    dropped, sorted by index set."""
+    found = _reduced(zip(map(_KEYS.__getitem__, acc), acc.values()), p)
+    found.sort()
+    return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -171,24 +272,40 @@ class AlternatingTensor:
         | Iterable[tuple[Sequence[int], Scalar | str]],
     ) -> "AlternatingTensor":
         """Canonicalize arbitrary (indices, coeff) data: sort indices with sign,
-        accumulate duplicates, coerce scalars, drop zeros."""
+        accumulate duplicates, coerce scalars, drop zeros.
+
+        Raises `ValueError` for a bad variance or degree, and for an index set
+        of the wrong size or out of range that keeps a nonzero coefficient.
+        """
+        if variance not in _VARIANCES:
+            raise ValueError(f"variance must be vector|form, got {variance!r}")
+        if not (0 <= degree <= ctx.dim):
+            raise ValueError(f"degree {degree} out of range for n={ctx.n}")
         field = ctx.field
+        # Values already of the field's own type skip `coerce`; prime-field
+        # ints are reduced with the sums.
+        exact = Fraction if field.p is None else int
+        known = _MASKS.get
+        acc: dict[int, Scalar] = {}
+        get = acc.get
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[IndexSet, Scalar] = {}
-        for raw_key, raw_val in items:
-            key, sign = _sort_with_sign(tuple(raw_key))
-            if key is None:
-                continue
-            value = field.coerce(raw_val)
-            if sign < 0:
-                value = field.neg(value)
-            if key in acc:
-                value = field.add(acc[key], value)
-            acc[key] = value
-        cleaned = tuple(
-            sorted((k, v) for k, v in acc.items() if not field.is_zero(v))
-        )
-        return AlternatingTensor(ctx, degree, variance, cleaned)
+        for raw_key, raw_value in items:
+            key = raw_key if type(raw_key) is tuple else tuple(raw_key)
+            mask = known(key)
+            odd = 0
+            if mask is None:
+                mask, odd = _mask_with_sign(key)
+                if mask is None:
+                    continue
+            value = raw_value if type(raw_value) is exact else field.coerce(raw_value)
+            acc[mask] = get(mask, 0) - value if odd else get(mask, 0) + value
+        terms = _settle(acc, field.p)
+        for key, _ in terms:
+            if len(key) != degree:
+                raise ValueError(f"index set {key} has wrong size")
+            if key and key[-1] > ctx.n:
+                raise ValueError(f"index set {key} out of range")
+        return _trusted(ctx, degree, variance, terms)
 
     # -- inspection ------------------------------------------------------------
 
@@ -196,13 +313,17 @@ class AlternatingTensor:
         return dict(self.terms)
 
     def coefficient(self, indices: Sequence[int]) -> Scalar:
-        key, sign = _sort_with_sign(tuple(indices))
-        if key is None:
-            return self.ctx.field.zero()
-        for k, v in self.terms:
-            if k == key:
-                return v if sign > 0 else self.ctx.field.neg(v)
-        return self.ctx.field.zero()
+        key = tuple(indices)
+        zero = self.ctx.field.zero()
+        if any(i < 0 for i in key):
+            return zero
+        mask, odd = _mask_with_sign(key)
+        if mask is None:
+            return zero
+        value = self.coeff_map().get(tuple(sorted(key)))
+        if value is None:
+            return zero
+        return self.ctx.field.neg(value) if odd else value
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -215,11 +336,11 @@ class AlternatingTensor:
 
     def coords(self) -> tuple[Scalar, ...]:
         """Dense coefficient vector over all sorted index sets, lexicographic."""
-        cmap = self.coeff_map()
-        zero = self.ctx.field.zero()
-        return tuple(
-            cmap.get(key, zero) for key in self.ctx.index_sets(self.degree)
-        )
+        positions = _lexicographic_positions(self.ctx.dim, self.degree)
+        out = [self.ctx.field.zero()] * len(positions)
+        for key, value in self.terms:
+            out[positions[key]] = value
+        return tuple(out)
 
     # -- linear structure --------------------------------------------------------
 
@@ -236,28 +357,36 @@ class AlternatingTensor:
         return AlternatingTensor.make(self.ctx, self.degree, self.variance, merged)
 
     def neg(self) -> "AlternatingTensor":
-        field = self.ctx.field
-        return AlternatingTensor(
-            self.ctx,
-            self.degree,
-            self.variance,
-            tuple((k, field.neg(v)) for k, v in self.terms),
-        )
+        terms = _reduced(((k, -v) for k, v in self.terms), self.ctx.field.p)
+        return _trusted(self.ctx, self.degree, self.variance, tuple(terms))
 
     def sub(self, other: "AlternatingTensor") -> "AlternatingTensor":
         return self.add(other.neg())
 
     def scale(self, c: Scalar | str) -> "AlternatingTensor":
-        field = self.ctx.field
-        c = field.coerce(c)
-        if field.is_zero(c):
-            return AlternatingTensor(self.ctx, self.degree, self.variance, ())
-        return AlternatingTensor(
-            self.ctx,
-            self.degree,
-            self.variance,
-            tuple((k, field.mul(c, v)) for k, v in self.terms),
-        )
+        c = self.ctx.field.coerce(c)
+        terms = _reduced(((k, c * v) for k, v in self.terms), self.ctx.field.p)
+        return _trusted(self.ctx, self.degree, self.variance, tuple(terms))
+
+
+_new_tensor = object.__new__
+
+
+def _trusted(
+    ctx: SpaceContext,
+    degree: int,
+    variance: str,
+    terms: tuple[tuple[IndexSet, Scalar], ...],
+) -> AlternatingTensor:
+    """A tensor from terms that are canonical by construction, built without
+    running `__post_init__`."""
+    t = _new_tensor(AlternatingTensor)
+    fields = t.__dict__
+    fields["ctx"] = ctx
+    fields["degree"] = degree
+    fields["variance"] = variance
+    fields["terms"] = terms
+    return t
 
 
 def pair(f: AlternatingTensor, v: AlternatingTensor) -> Scalar:
@@ -274,8 +403,8 @@ def pair(f: AlternatingTensor, v: AlternatingTensor) -> Scalar:
     for key, a in f.terms:
         b = vmap.get(key)
         if b is not None:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+            acc += a * b
+    return acc if field.p is None else acc % field.p
 
 
 def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
@@ -285,24 +414,51 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
         raise ValueError("wedge requires matching variance")
     if a.degree + b.degree > a.ctx.dim:
         raise ValueError("wedge degree exceeds space dimension")
-    field = a.ctx.field
-    acc: dict[IndexSet, Scalar] = {}
+    masks, below = _MASKS, _BELOW
+    right = []
+    for kb, vb in b.terms:
+        mb = masks[kb]
+        right.append((mb, below[mb], vb))
+    acc: dict[int, Scalar] = {}
+    get = acc.get
     for ka, va in a.terms:
-        sa = set(ka)
-        for kb, vb in b.terms:
-            if sa.intersection(kb):
+        ma = masks[ka]
+        for mb, pb, vb in right:
+            if ma & mb:
                 continue
-            sign = _merge_sign(ka, kb)
-            key = tuple(sorted(ka + kb))
-            term = field.mul(va, vb)
-            if sign < 0:
-                term = field.neg(term)
-            if key in acc:
-                acc[key] = field.add(acc[key], term)
+            m = ma | mb
+            if (ma & pb).bit_count() & 1:
+                acc[m] = get(m, 0) - va * vb
             else:
-                acc[key] = term
-    cleaned = tuple(sorted((k, v) for k, v in acc.items() if not field.is_zero(v)))
-    return AlternatingTensor(a.ctx, a.degree + b.degree, a.variance, cleaned)
+                acc[m] = get(m, 0) + va * vb
+    terms = _settle(acc, a.ctx.field.p)
+    return _trusted(a.ctx, a.degree + b.degree, a.variance, terms)
+
+
+def _contract_terms(
+    big: AlternatingTensor, small: AlternatingTensor
+) -> tuple[tuple[IndexSet, Scalar], ...]:
+    """Terms of the contraction of ``big`` by ``small`` (small's index sets
+    moved to the front and removed): every position subset of a term of
+    ``big`` is looked up among the terms of ``small``."""
+    masks = _MASKS
+    lookup = {key: (masks[key], c) for key, c in small.terms}.get
+    subsets = _position_subsets(big.degree, small.degree)
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for key, cb in big.terms:
+        mb = masks[key]
+        for pick, odd in subsets:
+            hit = lookup(pick(key))
+            if hit is None:
+                continue
+            ms, cs = hit
+            rest = mb ^ ms
+            if odd:
+                acc[rest] = get(rest, 0) - cs * cb
+            else:
+                acc[rest] = get(rest, 0) + cs * cb
+    return _settle(acc, big.ctx.field.p)
 
 
 def contract(f: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
@@ -313,24 +469,7 @@ def contract(f: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
         raise ValueError("contract expects (form, vector)")
     if v.degree > f.degree:
         raise ValueError("cannot contract by a higher degree")
-    field = f.ctx.field
-    acc: dict[IndexSet, Scalar] = {}
-    for kf, cf in f.terms:
-        sf = set(kf)
-        for kv, cv in v.terms:
-            if not sf.issuperset(kv):
-                continue
-            rest = tuple(i for i in kf if i not in kv)
-            sign = _merge_sign(kv, rest)
-            term = field.mul(cv, cf)
-            if sign < 0:
-                term = field.neg(term)
-            if rest in acc:
-                acc[rest] = field.add(acc[rest], term)
-            else:
-                acc[rest] = term
-    cleaned = tuple(sorted((k, v) for k, v in acc.items() if not field.is_zero(v)))
-    return AlternatingTensor(f.ctx, f.degree - v.degree, "form", cleaned)
+    return _trusted(f.ctx, f.degree - v.degree, "form", _contract_terms(f, v))
 
 
 def covector_contract(f: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
@@ -343,24 +482,7 @@ def covector_contract(f: AlternatingTensor, v: AlternatingTensor) -> Alternating
         raise ValueError("covector_contract expects (form, vector)")
     if f.degree > v.degree:
         raise ValueError("cannot contract by a higher degree")
-    field = f.ctx.field
-    acc: dict[IndexSet, Scalar] = {}
-    for kv, cv in v.terms:
-        sv = set(kv)
-        for kf, cf in f.terms:
-            if not sv.issuperset(kf):
-                continue
-            rest = tuple(i for i in kv if i not in kf)
-            sign = _merge_sign(kf, rest)
-            term = field.mul(cf, cv)
-            if sign < 0:
-                term = field.neg(term)
-            if rest in acc:
-                acc[rest] = field.add(acc[rest], term)
-            else:
-                acc[rest] = term
-    cleaned = tuple(sorted((k, v2) for k, v2 in acc.items() if not field.is_zero(v2)))
-    return AlternatingTensor(f.ctx, v.degree - f.degree, "vector", cleaned)
+    return _trusted(f.ctx, v.degree - f.degree, "vector", _contract_terms(v, f))
 
 
 def projective_point_count(p: int, length: int) -> int:
@@ -389,35 +511,29 @@ def reduced_square(L: AlternatingTensor) -> AlternatingTensor:
     """Half the wedge square of a bivector: the 4-vector of principal 4x4
     Pfaffians of its skew coefficient matrix.  Zero iff L is decomposable,
     in every characteristic (including 2, where L^L itself is uninformative).
+
+    Each unordered pair of disjoint terms contributes once, which is the
+    Pfaffian a_ij a_hk - a_ih a_jk + a_ik a_jh summed over its three pairings.
     """
     if L.variance != "vector" or L.degree != 2:
         raise ValueError("reduced_square expects a degree-2 vector")
-    field = L.ctx.field
-    cmap = L.coeff_map()
-
-    def entry(i: int, j: int) -> Scalar:
-        if i < j:
-            return cmap.get((i, j), field.zero())
-        if i > j:
-            return field.neg(cmap.get((j, i), field.zero()))
-        return field.zero()
-
-    acc: dict[IndexSet, Scalar] = {}
-    support = L.support()
-    for quad in itertools.combinations(support, 4):
-        i, j, h, k = quad
-        # principal 4x4 Pfaffian: a_ij a_hk - a_ih a_jk + a_ik a_jh
-        value = field.add(
-            field.sub(
-                field.mul(entry(i, j), entry(h, k)),
-                field.mul(entry(i, h), entry(j, k)),
-            ),
-            field.mul(entry(i, k), entry(j, h)),
-        )
-        if not field.is_zero(value):
-            acc[quad] = value
-    cleaned = tuple(sorted(acc.items()))
-    return AlternatingTensor(L.ctx, 4, "vector", cleaned)
+    masks, below = _MASKS, _BELOW
+    items = []
+    for key, value in L.terms:
+        m = masks[key]
+        items.append((m, below[m], value))
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for start, (ma, _, va) in enumerate(items, 1):
+        for mb, pb, vb in items[start:]:
+            if ma & mb:
+                continue
+            m = ma | mb
+            if (ma & pb).bit_count() & 1:
+                acc[m] = get(m, 0) - va * vb
+            else:
+                acc[m] = get(m, 0) + va * vb
+    return _trusted(L.ctx, 4, "vector", _settle(acc, L.ctx.field.p))
 
 
 def split_along_covector(
@@ -464,7 +580,7 @@ def random_tensor(
     coeffs: dict[IndexSet, Scalar] = {}
     for key in ctx.index_sets(k):
         if ctx.field.kind == "prime":
-            value = rng.randrange(ctx.field.p)  # type: ignore[arg-type]
+            value = randbelow(rng, ctx.field.p)  # type: ignore[arg-type]
         else:
             value = rng.randint(-10, 10)
         coeffs[key] = value

@@ -33,7 +33,14 @@ from typing import Sequence, Union
 
 import random as _random
 
-from .exact_scalar import ConventionError, Matrix, Scalar, rank_kernel, skew_rank_mod_p
+from .exact_scalar import (
+    ConventionError,
+    Matrix,
+    Scalar,
+    randbelow,
+    rank_kernel,
+    skew_rank_mod_p,
+)
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -136,9 +143,6 @@ class LinearSubspace:
             ),
         )
         return rank_kernel(augmented)[0] == self.basis.cols
-
-    def contains_tensor(self, t: AlternatingTensor) -> bool:
-        return self.contains_coords(t.coords())
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if (self.ambient, self.ctx) != (other.ambient, other.ctx):
@@ -390,7 +394,7 @@ def genericity(
         rng = _random.Random(derive_seed("gc3", ctx.n, fld, seed))
         while examined < samples:
             if fld.kind == "prime":
-                coords = tuple(rng.randrange(fld.p) for _ in range(dim))  # type: ignore[arg-type]
+                coords = tuple(randbelow(rng, fld.p) for _ in range(dim))  # type: ignore[arg-type]
             else:
                 coords = tuple(rng.randint(-10, 10) for _ in range(dim))
             if all(c == 0 for c in coords):

@@ -59,6 +59,7 @@ from .exact_scalar import (
     _rref,
     interpolate,
     poly_gcd,
+    randbelow,
     rank_kernel,
 )
 from .exterior_core import (
@@ -400,8 +401,8 @@ def _sample_on_member(
 ) -> tuple[AlternatingTensor, AlternatingTensor, AlternatingTensor] | None:
     """One sampling attempt: (lifted line, line downstairs, restricted form)."""
     field = handle.ctx.field
-    a = field.coerce(rng.randrange(field.p))  # type: ignore[arg-type]
-    b = field.coerce(rng.randrange(field.p))  # type: ignore[arg-type]
+    a = randbelow(rng, field.p)  # type: ignore[arg-type]
+    b = randbelow(rng, field.p)  # type: ignore[arg-type]
     if field.is_zero(a) and field.is_zero(b):
         return None
     basis, omega_sub = _pencil_member_data(handle, a, b)
@@ -523,7 +524,7 @@ def _decomposable_in_basis(
         acc = span.ctx.zero_tensor(2, "vector")
         for b in basis:
             if field.kind == "prime":
-                c = field.coerce(rng.randrange(field.p))  # type: ignore[arg-type]
+                c = randbelow(rng, field.p)  # type: ignore[arg-type]
             else:
                 c = field.coerce(rng.randint(-5, 5))
             acc = acc.add(b.scale(c))
@@ -546,7 +547,7 @@ def _decomposable_by_line_search(
         for _ in range(2):
             acc = ctx.zero_tensor(2, "vector")
             for b in basis:
-                acc = acc.add(b.scale(field.coerce(rng.randrange(field.p))))  # type: ignore[arg-type]
+                acc = acc.add(b.scale(randbelow(rng, field.p)))  # type: ignore[arg-type]
             combos.append(acc)
         base, direction = combos
         if base.is_zero() or direction.is_zero():
@@ -679,7 +680,7 @@ def _degree_containment_checks(handle: ResidualHandle, rng: random.Random) -> No
     pi_point = ctx.zero_tensor(1, "vector")
     while pi_point.is_zero():
         for b in handle.pi.basis_tensors():
-            pi_point = pi_point.add(b.scale(field.coerce(rng.randrange(field.p))))  # type: ignore[arg-type]
+            pi_point = pi_point.add(b.scale(randbelow(rng, field.p)))  # type: ignore[arg-type]
     if not G_membership(handle, pi_point)[0]:
         raise NonGenericFormError("a base-locus point fell off the measured locus")
     for attempt in range(6):

@@ -8,11 +8,14 @@ import sys
 
 import pytest
 
+from triwedge import cli
 from triwedge.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    RANDOM_FORM_N_MAX,
+    TABLES_N_MAX,
     Claim,
     RunConfig,
     SUITES,
@@ -150,6 +153,34 @@ def test_tables_csv_format(tmp_path):
 def test_tables_rejects_small_n_max(capsys):
     assert main(["tables", "--n-max", "2"]) == EXIT_USAGE
     assert "at least 3" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the size check must come before any work")
+
+
+def test_tables_rejects_n_max_above_the_limit_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "tables_rows", _refuse)
+    assert main(["tables", "--n-max", str(TABLES_N_MAX + 1)]) == EXIT_USAGE
+    assert f"at most {TABLES_N_MAX}" in capsys.readouterr().err
+
+
+def test_tables_accepts_n_max_at_the_limit(tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setattr(cli, "tables_rows", lambda n_max: asked.append(n_max) or [])
+    code, doc = run_json(tmp_path, ["tables", "--n-max", str(TABLES_N_MAX)])
+    assert code == EXIT_PASS
+    assert asked == [TABLES_N_MAX] and doc["n_max"] == TABLES_N_MAX
+
+
+@pytest.mark.parametrize(
+    ("command", "limit"), [("tables", TABLES_N_MAX), ("random-form", RANDOM_FORM_N_MAX)]
+)
+def test_help_names_the_size_limits(command, limit, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert f"3..{limit}" in capsys.readouterr().out
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -323,6 +354,21 @@ def test_random_form_defaults_to_rationals(tmp_path):
 def test_random_form_rejects_tiny_n(capsys):
     assert main(["random-form", "--n", "2"]) == EXIT_USAGE
     assert "projective dimension" in capsys.readouterr().err
+
+
+def test_random_form_rejects_n_above_the_limit_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_tensor", _refuse)
+    assert main(["random-form", "--n", str(RANDOM_FORM_N_MAX + 1)]) == EXIT_USAGE
+    assert f"at most {RANDOM_FORM_N_MAX}" in capsys.readouterr().err
+
+
+def test_random_form_accepts_n_at_the_limit(tmp_path):
+    code, doc = run_json(
+        tmp_path, ["random-form", "--n", str(RANDOM_FORM_N_MAX), "--field", "p:101"]
+    )
+    assert code == EXIT_PASS
+    assert doc["n"] == RANDOM_FORM_N_MAX
+    assert form_from_document(doc).ctx.n == RANDOM_FORM_N_MAX
 
 
 # -- process-level behavior -------------------------------------------------------------

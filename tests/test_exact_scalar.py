@@ -26,6 +26,7 @@ from triwedge.exact_scalar import (
     interpolate,
     pfaffian,
     poly_gcd,
+    randbelow,
     rank_kernel,
     skew_rank_mod_p,
 )
@@ -477,3 +478,18 @@ def test_skew_rank_anchors():
     rows = [[0, 1, 0, 0], [6, 0, 0, 0], [0, 0, 0, 1], [0, 0, 6, 0]]
     assert skew_rank_mod_p(7, [row[:] for row in rows]) == 4
     assert skew_rank_mod_p(7, [row[:] for row in rows], limit=2) > 2
+
+
+# --- seeded draws --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 101, 1009, 2**31 - 1])
+def test_randbelow_repeats_randrange_and_its_generator_state(bound):
+    """Every seeded stream in the package draws through `randbelow`, so it
+    must give randrange's values and leave the generator where randrange
+    would."""
+    reference = random.Random(bound)
+    fast = random.Random(bound)
+    expected = [reference.randrange(bound) for _ in range(20_000)]
+    assert [randbelow(fast, bound) for _ in range(20_000)] == expected
+    assert fast.getstate() == reference.getstate()

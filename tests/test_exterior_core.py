@@ -9,6 +9,7 @@ random tensors across several degrees and dimensions.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
     contract,
+    covector_contract,
     form_from_document,
     form_to_document,
     pair,
@@ -371,3 +373,320 @@ def test_form_document_rejects_unknown_field():
     doc = {"n": 5, "field": {"kind": "real"}, "terms": []}
     with pytest.raises(ValueError):
         form_from_document(doc)
+
+
+# --- oracle: the tuple-based kernels --------------------------------------------------
+#
+# The kernels below are the package's exterior algebra as it was before index
+# sets became bitmasks: sign-by-sorting on tuples, every term pair tested, and
+# every result built through the validating public constructor.  They are
+# kept here, unoptimised, as the reference the mask kernels must reproduce.
+
+
+def _sort_with_sign(indices):
+    """Sort an index tuple, returning (sorted tuple, permutation sign).
+
+    Repeated indices make the alternating term vanish; flagged by (None, 0).
+    """
+    idx = list(indices)
+    swaps = 0
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            swaps += 1
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None, 0
+    return tuple(idx), (-1 if swaps % 2 else 1)
+
+
+def _merge_sign(left, right):
+    """Sign of sorting the concatenation of two disjoint sorted tuples."""
+    inversions = 0
+    for r in right:
+        for l in left:
+            if l > r:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def _cleaned(field, acc):
+    return tuple(sorted((k, v) for k, v in acc.items() if not field.is_zero(v)))
+
+
+def _reference_make(ctx, degree, variance, coeffs):
+    field = ctx.field
+    items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+    acc = {}
+    for raw_key, raw_val in items:
+        key, sign = _sort_with_sign(tuple(raw_key))
+        if key is None:
+            continue
+        value = field.coerce(raw_val)
+        if sign < 0:
+            value = field.neg(value)
+        if key in acc:
+            value = field.add(acc[key], value)
+        acc[key] = value
+    return AlternatingTensor(ctx, degree, variance, _cleaned(field, acc))
+
+
+def _reference_wedge(a, b):
+    field = a.ctx.field
+    acc = {}
+    for ka, va in a.terms:
+        sa = set(ka)
+        for kb, vb in b.terms:
+            if sa.intersection(kb):
+                continue
+            key = tuple(sorted(ka + kb))
+            term = field.mul(va, vb)
+            if _merge_sign(ka, kb) < 0:
+                term = field.neg(term)
+            acc[key] = field.add(acc[key], term) if key in acc else term
+    terms = _cleaned(field, acc)
+    return AlternatingTensor(a.ctx, a.degree + b.degree, a.variance, terms)
+
+
+def _reference_contract_terms(field, big, small):
+    acc = {}
+    for kb, cb in big.terms:
+        sb = set(kb)
+        for ks, cs in small.terms:
+            if not sb.issuperset(ks):
+                continue
+            rest = tuple(i for i in kb if i not in ks)
+            term = field.mul(cs, cb)
+            if _merge_sign(ks, rest) < 0:
+                term = field.neg(term)
+            acc[rest] = field.add(acc[rest], term) if rest in acc else term
+    return _cleaned(field, acc)
+
+
+def _reference_contract(f, v):
+    terms = _reference_contract_terms(f.ctx.field, f, v)
+    return AlternatingTensor(f.ctx, f.degree - v.degree, "form", terms)
+
+
+def _reference_covector_contract(f, v):
+    terms = _reference_contract_terms(f.ctx.field, v, f)
+    return AlternatingTensor(f.ctx, v.degree - f.degree, "vector", terms)
+
+
+def _reference_reduced_square(L):
+    field = L.ctx.field
+    cmap = L.coeff_map()
+
+    def entry(i, j):
+        return cmap.get((i, j), field.zero())
+
+    acc = {}
+    for i, j, h, k in itertools.combinations(L.support(), 4):
+        acc[(i, j, h, k)] = field.add(
+            field.sub(
+                field.mul(entry(i, j), entry(h, k)),
+                field.mul(entry(i, h), entry(j, k)),
+            ),
+            field.mul(entry(i, k), entry(j, h)),
+        )
+    return AlternatingTensor(L.ctx, 4, "vector", _cleaned(field, acc))
+
+
+def _reference_pair(f, v):
+    field = f.ctx.field
+    vmap = v.coeff_map()
+    acc = field.zero()
+    for key, a in f.terms:
+        if key in vmap:
+            acc = field.add(acc, field.mul(a, vmap[key]))
+    return acc
+
+
+ORACLE_FIELDS = (QQ, FieldSpec.prime(2), FieldSpec.prime(3), F101)
+
+
+def _random_scalar(field, rng):
+    if field.kind == "prime":
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _random_sparse(ctx, degree, variance, rng):
+    """Up to 30 random terms, built with the validating public constructor."""
+    keys = list(itertools.combinations(range(ctx.dim), degree))
+    chosen = rng.sample(keys, rng.randint(0, min(len(keys), 30)))
+    field = ctx.field
+    values = ((key, field.coerce(_random_scalar(field, rng))) for key in chosen)
+    terms = tuple(sorted((k, v) for k, v in values if not field.is_zero(v)))
+    return AlternatingTensor(ctx, degree, variance, terms)
+
+
+def _assert_same(got, expected):
+    """Equal as tensors with equal scalar types, and valid by the constructor."""
+    assert got == expected
+    assert repr(got.terms) == repr(expected.terms)
+    assert AlternatingTensor(got.ctx, got.degree, got.variance, got.terms) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(ORACLE_FIELDS),
+    n=st.integers(3, 9),
+    data=st.data(),
+)
+def test_kernels_match_the_tuple_reference(field, n, data):
+    ctx = SpaceContext(n, field)
+    low = data.draw(st.integers(0, ctx.dim), label="low degree")
+    high = data.draw(st.integers(low, ctx.dim), label="high degree")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    variance = rng.choice(("vector", "form"))
+
+    a = _random_sparse(ctx, low, variance, rng)
+    b = _random_sparse(ctx, high - low, variance, rng)
+    _assert_same(wedge(a, b), _reference_wedge(a, b))
+    _assert_same(wedge(b, a), _reference_wedge(b, a))
+
+    f = _random_sparse(ctx, high, "form", rng)
+    v = _random_sparse(ctx, low, "vector", rng)
+    _assert_same(contract(f, v), _reference_contract(f, v))
+    g = _random_sparse(ctx, low, "form", rng)
+    w = _random_sparse(ctx, high, "vector", rng)
+    _assert_same(covector_contract(g, w), _reference_covector_contract(g, w))
+
+    L = _random_sparse(ctx, 2, "vector", rng)
+    _assert_same(reduced_square(L), _reference_reduced_square(L))
+
+    u = _random_sparse(ctx, high, "vector", rng)
+    got, expected = pair(f, u), _reference_pair(f, u)
+    assert got == expected and type(got) is type(expected)
+
+    c = _random_scalar(field, rng)
+    scaled = {k: field.mul(field.coerce(c), x) for k, x in f.terms}
+    _assert_same(f.scale(c), AlternatingTensor(ctx, high, "form", _cleaned(field, scaled)))
+    negated = tuple((k, field.neg(x)) for k, x in f.terms)
+    _assert_same(f.neg(), AlternatingTensor(ctx, high, "form", negated))
+    zero = field.zero()
+    cmap = f.coeff_map()
+    expected_coords = tuple(
+        cmap.get(key, zero) for key in itertools.combinations(range(ctx.dim), high)
+    )
+    assert repr(f.coords()) == repr(expected_coords)
+
+
+def _random_raw_key(ctx, degree, rng):
+    """A key as callers may pass it: any order, now and then a repeated index,
+    an index past n or one index too many or too few."""
+    size = degree if rng.random() < 0.85 else max(0, degree + rng.choice((-1, 1)))
+    top = ctx.n + 2 if rng.random() < 0.15 else ctx.n
+    key = [rng.randint(0, top) for _ in range(size)]
+    return key if rng.random() < 0.5 else tuple(key)
+
+
+def _raw_value(field, rng):
+    value = _random_scalar(field, rng)
+    kind = rng.random()
+    if kind < 0.2:
+        return 0
+    if kind < 0.4:
+        return str(value)
+    if kind < 0.6:
+        return rng.randint(-500, 500)
+    return value
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, ZeroDivisionError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(ORACLE_FIELDS),
+    n=st.integers(3, 9),
+    data=st.data(),
+)
+def test_make_matches_the_tuple_reference(field, n, data):
+    ctx = SpaceContext(n, field)
+    degree = data.draw(st.integers(0, ctx.dim), label="degree")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    items = [
+        (_random_raw_key(ctx, degree, rng), _raw_value(field, rng))
+        for _ in range(rng.randint(0, 25))
+    ]
+    # repeat some keys, permuted, so that duplicates accumulate and cancel
+    for key, value in rng.sample(items, min(len(items), 5)):
+        permuted = list(key)
+        rng.shuffle(permuted)
+        items.append((permuted, value))
+    variance = rng.choice(("vector", "form"))
+    coeffs = items if rng.random() < 0.5 else {tuple(k): v for k, v in items}
+    got = _outcome(lambda: AlternatingTensor.make(ctx, degree, variance, coeffs))
+    expected = _outcome(lambda: _reference_make(ctx, degree, variance, coeffs))
+    if isinstance(expected, AlternatingTensor):
+        _assert_same(got, expected)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.kind + str(f.p or ""))
+def test_kernels_match_the_reference_at_extreme_degrees(field):
+    ctx = SpaceContext(5, field)
+    rng = random.Random(7)
+    dim = ctx.dim
+    for low, high in ((0, 0), (0, dim), (dim, dim), (1, dim), (dim - 1, dim)):
+        a = _random_sparse(ctx, low, "form", rng)
+        b = _random_sparse(ctx, high - low, "form", rng)
+        _assert_same(wedge(a, b), _reference_wedge(a, b))
+        f = _random_sparse(ctx, high, "form", rng)
+        v = _random_sparse(ctx, low, "vector", rng)
+        _assert_same(contract(f, v), _reference_contract(f, v))
+        w = _random_sparse(ctx, high, "vector", rng)
+        g = _random_sparse(ctx, low, "form", rng)
+        _assert_same(covector_contract(g, w), _reference_covector_contract(g, w))
+
+
+def test_make_rejects_bad_variance_and_degree():
+    ctx = ctx_q(3)
+    with pytest.raises(ValueError, match="variance"):
+        AlternatingTensor.make(ctx, 1, "covector", {(0,): 1})
+    with pytest.raises(ValueError, match="degree"):
+        AlternatingTensor.make(ctx, 5, "form", {})
+    with pytest.raises(ValueError, match="degree"):
+        AlternatingTensor.make(ctx, -1, "form", {})
+
+
+def test_make_rejects_out_of_range_and_wrong_size_keys():
+    ctx = ctx_q(3)
+    with pytest.raises(ValueError, match="out of range"):
+        AlternatingTensor.make(ctx, 2, "vector", {(1, 4): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        AlternatingTensor.make(ctx, 2, "vector", {(-1, 2): 1})
+    with pytest.raises(ValueError, match="wrong size"):
+        AlternatingTensor.make(ctx, 2, "vector", {(0, 1, 2): 1})
+    with pytest.raises(ValueError, match="wrong size"):
+        AlternatingTensor.make(ctx, 2, "vector", [((2,), 1), ((0, 1), 1)])
+
+
+def test_make_drops_bad_keys_whose_coefficient_vanishes():
+    ctx = ctx_q(3)
+    t = AlternatingTensor.make(
+        ctx, 2, "vector", [((1, 4), 1), ((4, 1), 1), ((0, 1, 2), 0), ((5, 5), 3)]
+    )
+    assert t.is_zero()
+
+
+def test_public_constructor_still_validates():
+    ctx = ctx_q(3)
+    for terms in (
+        (((1, 0), Fraction(1)),),
+        (((0, 1), Fraction(0)),),
+        (((0, 2), Fraction(1)), ((0, 1), Fraction(1))),
+        (((0, 4), Fraction(1)),),
+        (((0,), Fraction(1)),),
+    ):
+        with pytest.raises(ValueError):
+            AlternatingTensor(ctx, 2, "vector", terms)
