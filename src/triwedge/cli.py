@@ -14,6 +14,8 @@ Commands (each deterministic given its inputs and seed):
   status; exit code 0 when every claim passes, 1 on any failure, 2 when
   nothing failed but some claim was inconclusive (a sampling budget ran
   out), 3 on usage errors;
+* ``triwedge suites`` — the suite names, each with its fields and a
+  one-line description;
 * ``triwedge random-form --n 7 --seed 3`` — seeded random form documents
   that round-trip through the document format of the core module.
 
@@ -33,7 +35,9 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -173,14 +177,7 @@ class Claim:
             raise ConventionError(f"unknown claim source {self.source!r}")
 
     def to_document(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "expected": self.expected,
-            "source": self.source,
-            "computed": self.computed,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 def _claim(cid: str, anchor: str, expected, computed, source: str) -> Claim:
@@ -188,10 +185,6 @@ def _claim(cid: str, anchor: str, expected, computed, source: str) -> Claim:
     computed = _jsonable(computed)
     status = PASS if expected == computed else FAIL
     return Claim(cid, anchor, expected, source, computed, status)
-
-
-def _inconclusive(cid: str, anchor: str, expected, reason: str, source: str) -> Claim:
-    return Claim(cid, anchor, _jsonable(expected), source, reason, INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -223,9 +216,7 @@ class VerificationReport:
             "seed": self.seed,
             "field": self.field,
             "pass": self.passed,
-            "status": _STATUSES[self.exit_code]
-            if self.exit_code < len(_STATUSES)
-            else FAIL,
+            "status": _STATUSES[self.exit_code],
             "claims": [c.to_document() for c in self.claims],
             "elapsed": self.elapsed,
         }
@@ -262,6 +253,20 @@ class RunConfig:
 
 
 # -- shared builders ---------------------------------------------------------------
+
+
+def _field_label(field: FieldSpec) -> str:
+    return "q" if field.kind == "rational" else f"p:{field.p}"
+
+
+def _catalog_values(key: str, names: Iterable[str]) -> dict:
+    """The catalog's expected ``key`` value of each named form, in order."""
+    return {name: catalog.get(name)[1].expected[key].value for name in names}
+
+
+def _n9_random() -> AlternatingTensor:
+    """``n9-random``, a form outside the catalog; its degrees stay literal."""
+    return random_tensor(SpaceContext(9, F1009), 3, "form", 12)
 
 
 def _random_gc2_forms(
@@ -352,26 +357,23 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
             ("c", _TRIANGLE_C_ROWS),
         )
     ]
-    claims.append(
+    closed_form = [comb(2 * n - 2, n) // (n - 1) for n in range(3, 16)]
+    diagonal = triangle("b", 15).diagonal()
+    return claims + [
         _claim(
             "deg-x-sequence",
             "degrees of the kernel-line family for n = 3..9",
             _DEG_X_SEQUENCE,
             [multidegrees(n).degX for n in range(3, 10)],
             PUBLISHED,
-        )
-    )
-    claims.append(
+        ),
         _claim(
             "deg-y-sequence",
             "degrees of the residual family for n = 3..9",
             _DEG_Y_SEQUENCE,
             [multidegrees(n).degY for n in range(3, 10)],
             PUBLISHED,
-        )
-    )
-    closed_form = [comb(2 * n - 2, n) // (n - 1) for n in range(3, 16)]
-    claims.append(
+        ),
         _claim(
             "deg-b-closed-form",
             "the linear-congruence degree equals C(2n-2, n)/(n-1) for n = 3..15 "
@@ -379,37 +381,28 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
             closed_form,
             [multidegrees(n).degB for n in range(3, 16)],
             PUBLISHED,
-        )
-    )
-    diagonal = triangle("b", 15).diagonal()
-    claims.append(
+        ),
         _claim(
             "catalan-diagonal",
             "the b-triangle diagonal is the Catalan sequence",
             closed_form[:12],
             [diagonal[n - 1] for n in range(3, 15)],
             PUBLISHED,
-        )
-    )
-    claims.append(
+        ),
         _claim(
             "multidegree-x-lists",
             "multidegree lists of the kernel-line family for n = 5, 7, 9",
             _MULTIDEGREE_X,
             {n: list(multidegrees(n).X) for n in (5, 7, 9)},
             PUBLISHED,
-        )
-    )
-    claims.append(
+        ),
         _claim(
             "multidegree-y-lists",
             "multidegree lists of the residual family for n = 5, 7, 9",
             _MULTIDEGREE_Y,
             {n: list(multidegrees(n).Y) for n in (5, 7, 9)},
             PUBLISHED,
-        )
-    )
-    claims.append(
+        ),
         _claim(
             "degree-additivity",
             "family and residual degrees sum to the linear-congruence degree "
@@ -420,9 +413,8 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
                 for n in range(3, 16)
             ),
             DEFINITION,
-        )
-    )
-    return claims
+        ),
+    ]
 
 
 _STRATUM_EVEN = [0, 18, 99, 364, 1064, 2652]
@@ -436,7 +428,7 @@ def _suite_chern_strata(cfg: RunConfig) -> list[Claim]:
         "c2": [Fraction(n * n - 5 * n + 12, 8) for n in ns],
         "c3": [Fraction(n**3 - 9 * n**2 + 44 * n - 108, 48) for n in ns],
     }
-    claims = [
+    return [
         _claim(
             "chern-normalization",
             "the degree-zero coefficient is 1 for n = 4..12",
@@ -505,7 +497,6 @@ def _suite_chern_strata(cfg: RunConfig) -> list[Claim]:
             DEFINITION,
         ),
     ]
-    return claims
 
 
 def _suite_rank_laws(cfg: RunConfig) -> list[Claim]:
@@ -548,54 +539,39 @@ def _suite_rank_laws(cfg: RunConfig) -> list[Claim]:
                 restricted_rank = j_rank(pullback(omega, sub), 1)
                 if quadric_of(eta).rank != 2 * restricted_rank:
                     mismatch["covector-times-form"] += 1
-    anchors = {
-        "product": "a product of four covectors has quadric rank 6",
-        "plane-times-two-form": "a two-form wedged with a covector plane has "
-        "quadric rank twice the restricted rank plus two",
-        "covector-times-form": "a 3-form wedged with a covector has quadric "
-        "rank twice the restricted contraction rank",
-    }
     return [
         _claim(
             f"rank-law-{key}",
-            f"{anchors[key]} ({checked[key]} seeded instances on n = 5, 6, 7)",
+            f"{anchor} ({checked[key]} seeded instances on n = 5, 6, 7)",
             0,
-            count,
+            mismatch[key],
             PUBLISHED,
         )
-        for key, count in mismatch.items()
+        for key, anchor in (
+            ("product", "a product of four covectors has quadric rank 6"),
+            (
+                "plane-times-two-form",
+                "a two-form wedged with a covector plane has quadric rank "
+                "twice the restricted rank plus two",
+            ),
+            (
+                "covector-times-form",
+                "a 3-form wedged with a covector has quadric rank twice the "
+                "restricted contraction rank",
+            ),
+        )
     ]
-
-
-_CATALOG_ORDERS = {
-    "n3": 1,
-    "n4": 0,
-    "n5": 1,
-    "n5-tangent": 1,
-    "n6-g2": 0,
-    "n7-ozeki": 1,
-    "n7-djokovic": 1,
-    "n8-family": 0,
-}
 
 
 def _suite_order_law(cfg: RunConfig) -> list[Claim]:
     field = cfg.prime_field(F101)
     samples = cfg.count(200)
-    claims = []
+    names = [n for n in catalog.list_names() if "order" in catalog.get(n)[1].expected]
+    expected = _catalog_values("order", names)
     computed = {}
-    for name in _CATALOG_ORDERS:
+    for name in expected:
         omega, _ = catalog.get(name, field=field)
         computed[name] = order(omega, samples=samples, seed=cfg.seed)
-    claims.append(
-        _claim(
-            "catalog-orders",
-            f"orders of the catalog forms with {samples} agreeing samples each",
-            _CATALOG_ORDERS,
-            computed,
-            PUBLISHED,
-        )
-    )
     random_orders = {}
     for n in range(5, 10):
         forms = _random_gc2_forms(n, field, 10, "order-law", cfg.seed)
@@ -605,7 +581,14 @@ def _suite_order_law(cfg: RunConfig) -> list[Claim]:
                 for i, omega in enumerate(forms)
             }
         )
-    claims.append(
+    return [
+        _claim(
+            "catalog-orders",
+            f"orders of the catalog forms with {samples} agreeing samples each",
+            expected,
+            computed,
+            PUBLISHED,
+        ),
         _claim(
             "random-form-order-parity",
             "order is 1 for odd and 0 for even n over ten random full-rank "
@@ -613,9 +596,8 @@ def _suite_order_law(cfg: RunConfig) -> list[Claim]:
             {n: [n % 2] for n in range(5, 10)},
             random_orders,
             PUBLISHED,
-        )
-    )
-    return claims
+        ),
+    ]
 
 
 def _suite_span_lattice(cfg: RunConfig) -> list[Claim]:
@@ -676,9 +658,10 @@ def _suite_span_lattice(cfg: RunConfig) -> list[Claim]:
 
 
 def _suite_quadric_count(cfg: RunConfig) -> list[Claim]:
+    names = ("n5", "n6-g2", "n7-ozeki")
     dims = {}
     matches = {}
-    for name, n in (("n5", 5), ("n6-g2", 6), ("n7-ozeki", 7)):
+    for name in names:
         omega, _ = catalog.get(name)
         system = quadrics_through_span(omega)
         dims[name] = system.dimension
@@ -688,14 +671,14 @@ def _suite_quadric_count(cfg: RunConfig) -> list[Claim]:
             "quadric-count",
             "the quadrics through the family span form an (n+1)-dimensional "
             "system over the rationals",
-            {"n5": 6, "n6-g2": 7, "n7-ozeki": 8},
+            _catalog_values("quadrics_dim", names),
             dims,
             PUBLISHED,
         ),
         _claim(
             "quadric-family-match",
             "that system is exactly the wedge family of the form",
-            {"n5": True, "n6-g2": True, "n7-ozeki": True},
+            dict.fromkeys(names, True),
             matches,
             PUBLISHED,
         ),
@@ -703,9 +686,11 @@ def _suite_quadric_count(cfg: RunConfig) -> list[Claim]:
 
 
 def _suite_form_recovery(cfg: RunConfig) -> list[Claim]:
+    expected = _catalog_values("recovery_dim", ("n5", "n6-g2", "n7-ozeki"))
+    generic = ("n6-g2", "n7-ozeki")
     dims = {}
     contains = {}
-    for name in ("n5", "n6-g2", "n7-ozeki"):
+    for name in expected:
         omega, _ = catalog.get(name)
         dimension, solutions = recover_forms(kernel_span(omega))
         dims[name] = dimension
@@ -723,21 +708,21 @@ def _suite_form_recovery(cfg: RunConfig) -> list[Claim]:
             "recovery-dimension-generic",
             "the space of forms with the given family span is a single form "
             "up to scale for the large catalog shapes",
-            {"n6-g2": 1, "n7-ozeki": 1},
-            {k: dims[k] for k in ("n6-g2", "n7-ozeki")},
+            {k: expected[k] for k in generic},
+            {k: dims[k] for k in generic},
             PUBLISHED,
         ),
         _claim(
             "recovery-dimension-two-planes",
             "the two-plane shape is recovered inside a two-dimensional space",
-            2,
+            expected["n5"],
             dims["n5"],
             COMPUTED,
         ),
         _claim(
             "recovery-contains-original",
             "the recovered space always contains the original form",
-            {"n5": True, "n6-g2": True, "n7-ozeki": True},
+            dict.fromkeys(expected, True),
             contains,
             DEFINITION,
         ),
@@ -745,9 +730,10 @@ def _suite_form_recovery(cfg: RunConfig) -> list[Claim]:
 
 
 def _suite_degeneracy_degree(cfg: RunConfig) -> list[Claim]:
+    expected = _catalog_values("degF", ("n4", "n6-g2", "n8-family"))
     degrees = {}
     stable = {}
-    for name, expected in (("n4", 1), ("n6-g2", 2), ("n8-family", 3)):
+    for name in expected:
         omega, _ = catalog.get(name, field=F1009)
         values = [hypersurface_degree(omega, seed=cfg.seed + k) for k in range(3)]
         degrees[name] = values[0]
@@ -756,14 +742,14 @@ def _suite_degeneracy_degree(cfg: RunConfig) -> list[Claim]:
         _claim(
             "drop-locus-degrees",
             "skew-matrix drop-locus degrees for the even catalog forms",
-            {"n4": 1, "n6-g2": 2, "n8-family": 3},
+            expected,
             degrees,
             PUBLISHED,
         ),
         _claim(
             "drop-locus-seed-stability",
             "each degree is stable across three seeded line draws",
-            {"n4": True, "n6-g2": True, "n8-family": True},
+            dict.fromkeys(expected, True),
             stable,
             DEFINITION,
         ),
@@ -827,29 +813,17 @@ def _suite_stratification(cfg: RunConfig) -> list[Claim]:
 
 def _suite_secancy(cfg: RunConfig) -> list[Claim]:
     lines = cfg.count(20)
+    degrees = _catalog_values("secant_degree", ("n5", "n7-ozeki"))
+    sources = {name: catalog.get(name, field=F1009)[0] for name in degrees}
+    sources["n9-random"] = _n9_random()
+    expected_counts = {name: [d] for name, d in degrees.items()} | {"n9-random": [4]}
     degree_counts = {}
-    sources = {
-        "n5": catalog.get("n5", field=F1009)[0],
-        "n7-ozeki": catalog.get("n7-ozeki", field=F1009)[0],
-        "n9-random": random_tensor(SpaceContext(9, F1009), 3, "form", 12),
-    }
     for label, omega in sources.items():
         observed = []
         for i in range(lines):
             line = sample_line_on_X(omega, seed=cfg.seed + i)
             observed.append(secant_pencil(omega, line).total_degree)
         degree_counts[label] = sorted(set(observed))
-    expected_counts = {"n5": [2], "n7-ozeki": [3], "n9-random": [4]}
-    claims = [
-        _claim(
-            "secant-pencil-degrees",
-            f"rank-drop counts along {lines} sampled family lines per shape "
-            "equal (n-1)/2 uniformly",
-            expected_counts,
-            degree_counts,
-            PUBLISHED,
-        )
-    ]
     omega5 = sources["n5"]
     field = omega5.ctx.field
     p: int = field.p  # type: ignore[assignment]
@@ -887,7 +861,15 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
             direct.add(_normalize_projective(point.coords(), p))
         if pencil_points == direct and len(direct) == 2:
             matches += 1
-    claims.append(
+    return [
+        _claim(
+            "secant-pencil-degrees",
+            f"rank-drop counts along {lines} sampled family lines per shape "
+            "equal (n-1)/2 uniformly",
+            expected_counts,
+            degree_counts,
+            PUBLISHED,
+        ),
         _claim(
             "two-plane-roots-meet-the-planes",
             "for the two-plane shape the pencil roots are exactly the "
@@ -895,9 +877,8 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
             checked,
             matches,
             PUBLISHED,
-        )
-    )
-    return claims
+        ),
+    ]
 
 
 def _suite_section_split(cfg: RunConfig) -> list[Claim]:
@@ -936,17 +917,15 @@ def _suite_section_split(cfg: RunConfig) -> list[Claim]:
     ]
 
 
-_RESIDUAL_SHAPES = ("n5", "n6-g2", "n7-ozeki", "n8-family")
-
-
 def _suite_residual_membership(cfg: RunConfig) -> list[Claim]:
     field = cfg.prime_field(F101)
     seeds = cfg.count(50)
     membership_failures = 0
     parameter_failures = 0
     sampled = 0
+    parity_modes = {"n5": 1, "n6-g2": 2, "n7-ozeki": 1, "n8-family": 2}
     modes = {}
-    for name in _RESIDUAL_SHAPES:
+    for name in parity_modes:
         omega, _ = catalog.get(name, field=field)
         handle = ResidualHandle.general(omega, seed=cfg.seed)
         for s in range(seeds):
@@ -981,101 +960,78 @@ def _suite_residual_membership(cfg: RunConfig) -> list[Claim]:
             "line-system-generic-kernel",
             "the generic line-system kernel dimension is 1 for odd and 2 for "
             "even n (mode over 250 points per shape)",
-            {"n5": 1, "n6-g2": 2, "n7-ozeki": 1, "n8-family": 2},
+            parity_modes,
             modes,
             PUBLISHED,
         ),
     ]
 
 
-def _suite_residual_odd(cfg: RunConfig) -> list[Claim]:
-    degrees = {}
-    for label, omega in (
-        ("n5", catalog.get("n5", field=F101)[0]),
-        ("n7-ozeki", catalog.get("n7-ozeki", field=F101)[0]),
-        ("n9-random", random_tensor(SpaceContext(9, F1009), 3, "form", 12)),
-    ):
-        handle = ResidualHandle.general(omega, seed=cfg.seed)
+def _residual_claim(
+    cid: str,
+    anchor: str,
+    short_anchor: str,
+    expected: dict,
+    forms: dict[str, AlternatingTensor],
+    measure: Callable[..., object],
+    seed: int,
+) -> list[Claim]:
+    """One published claim on ``measure(handle, seed=seed)`` for a general
+    residual handle of each labelled form; the first form whose sampling
+    budget runs out makes it inconclusive, under ``short_anchor``."""
+    computed = {}
+    for label, omega in forms.items():
+        handle = ResidualHandle.general(omega, seed=seed)
         try:
-            degrees[label] = G_degree_odd(handle, seed=cfg.seed)
+            computed[label] = measure(handle, seed=seed)
         except NonGenericFormError as exc:
-            return [
-                _inconclusive(
-                    "residual-odd-degrees",
-                    "degrees of the infinitely-many-lines locus for odd n",
-                    {"n5": 2, "n7-ozeki": 3, "n9-random": 4},
-                    f"{label}: {exc}",
-                    PUBLISHED,
-                )
-            ]
-    return [
-        _claim(
-            "residual-odd-degrees",
-            "degrees of the infinitely-many-lines locus for odd n = 5, 7, 9",
-            {"n5": 2, "n7-ozeki": 3, "n9-random": 4},
-            degrees,
-            PUBLISHED,
-        )
-    ]
+            reason = f"{label}: {exc}"
+            expected = _jsonable(expected)
+            return [Claim(cid, short_anchor, expected, PUBLISHED, reason, INCONCLUSIVE)]
+    return [_claim(cid, anchor, expected, computed, PUBLISHED)]
+
+
+def _suite_residual_odd(cfg: RunConfig) -> list[Claim]:
+    degrees = _catalog_values("g_degree", ("n5", "n7-ozeki"))
+    forms = {name: catalog.get(name, field=F101)[0] for name in degrees}
+    forms["n9-random"] = _n9_random()
+    return _residual_claim(
+        "residual-odd-degrees",
+        "degrees of the infinitely-many-lines locus for odd n = 5, 7, 9",
+        "degrees of the infinitely-many-lines locus for odd n",
+        degrees | {"n9-random": 4},
+        forms,
+        G_degree_odd,
+        cfg.seed,
+    )
 
 
 def _suite_residual_even(cfg: RunConfig) -> list[Claim]:
-    observed = {}
-    for name in ("n4", "n6-g2", "n8-family"):
-        omega, _ = catalog.get(name, field=F101)
-        handle = ResidualHandle.general(omega, seed=cfg.seed)
-        try:
-            count, meets = Y_secancy_even(handle, seed=cfg.seed)
-        except NonGenericFormError as exc:
-            return [
-                _inconclusive(
-                    "residual-even-secancy",
-                    "secancy counts along the pencil for even n",
-                    {"n4": [1, True], "n6-g2": [2, True], "n8-family": [3, True]},
-                    f"{name}: {exc}",
-                    PUBLISHED,
-                )
-            ]
-        observed[name] = [count, meets]
-    return [
-        _claim(
-            "residual-even-secancy",
-            "the sampled residual line is an (n-2)/2-secant of the drop locus "
-            "and meets the base locus, for even n = 4, 6, 8",
-            {"n4": [1, True], "n6-g2": [2, True], "n8-family": [3, True]},
-            observed,
-            PUBLISHED,
-        )
-    ]
+    counts = _catalog_values("y_secancy", ("n4", "n6-g2", "n8-family"))
+    return _residual_claim(
+        "residual-even-secancy",
+        "the sampled residual line is an (n-2)/2-secant of the drop locus "
+        "and meets the base locus, for even n = 4, 6, 8",
+        "secancy counts along the pencil for even n",
+        {name: [count, True] for name, count in counts.items()},
+        {name: catalog.get(name, field=F101)[0] for name in counts},
+        Y_secancy_even,
+        cfg.seed,
+    )
 
 
 def _suite_residual_singular(cfg: RunConfig) -> list[Claim]:
-    observed = {}
-    for name, field in (("n5", F101), ("n6-g2", F101), ("n7-ozeki", FieldSpec.prime(31))):
-        omega, _ = catalog.get(name, field=field)
-        handle = ResidualHandle.general(omega, seed=cfg.seed)
-        try:
-            observed[name] = sing_Y_dimension(handle, seed=cfg.seed)
-        except NonGenericFormError as exc:
-            return [
-                _inconclusive(
-                    "residual-singular-dimensions",
-                    "certified singular-locus dimensions of the residual family",
-                    {"n5": 0, "n6-g2": 1, "n7-ozeki": 2},
-                    f"{name}: {exc}",
-                    PUBLISHED,
-                )
-            ]
-    return [
-        _claim(
-            "residual-singular-dimensions",
-            "the singular locus of the residual family has certified "
-            "dimension n - 5 for n = 5, 6, 7",
-            {"n5": 0, "n6-g2": 1, "n7-ozeki": 2},
-            observed,
-            PUBLISHED,
-        )
-    ]
+    fields = {"n5": F101, "n6-g2": F101, "n7-ozeki": FieldSpec.prime(31)}
+    return _residual_claim(
+        "residual-singular-dimensions",
+        "the singular locus of the residual family has certified "
+        "dimension n - 5 for n = 5, 6, 7",
+        "certified singular-locus dimensions of the residual family",
+        _catalog_values("sing_y_dim", fields),
+        {name: catalog.get(name, field=field)[0] for name, field in fields.items()},
+        sing_Y_dimension,
+        cfg.seed,
+    )
 
 
 def _suite_conventions(cfg: RunConfig) -> list[Claim]:
@@ -1154,34 +1110,37 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
             if star.projective_dim != corank - 2:
                 star_mismatch += 1
 
-    specs = (
-        ("pfaffian-squares-to-determinant", pf_mismatch, instances),
-        ("contraction-adjunction", adj_mismatch, instances),
-        ("quadric-polar-identity", polar_mismatch, instances),
-        ("matrix-annihilates-its-point", annihilation_mismatch, instances),
-        ("star-dimension-correspondence", star_mismatch, instances),
-    )
-    anchors = {
-        "pfaffian-squares-to-determinant": "the squared Pfaffian equals the "
-        "determinant on random skew matrices",
-        "contraction-adjunction": "pairing the contraction against a vector "
-        "equals pairing the form against the wedge",
-        "quadric-polar-identity": "the quadric value is half the polar "
-        "self-pairing away from characteristic 2",
-        "matrix-annihilates-its-point": "the skew matrix of a form kills the "
-        "point it is evaluated at",
-        "star-dimension-correspondence": "the star dimension at a point is "
-        "the matrix corank minus two",
-    }
     return [
-        _claim(
-            cid,
-            f"{anchors[cid]} ({count} instances)",
-            0,
-            bad,
-            DEFINITION,
+        _claim(cid, f"{anchor} ({instances} instances)", 0, bad, DEFINITION)
+        for cid, anchor, bad in (
+            (
+                "pfaffian-squares-to-determinant",
+                "the squared Pfaffian equals the determinant on random skew matrices",
+                pf_mismatch,
+            ),
+            (
+                "contraction-adjunction",
+                "pairing the contraction against a vector equals pairing the "
+                "form against the wedge",
+                adj_mismatch,
+            ),
+            (
+                "quadric-polar-identity",
+                "the quadric value is half the polar self-pairing away from "
+                "characteristic 2",
+                polar_mismatch,
+            ),
+            (
+                "matrix-annihilates-its-point",
+                "the skew matrix of a form kills the point it is evaluated at",
+                annihilation_mismatch,
+            ),
+            (
+                "star-dimension-correspondence",
+                "the star dimension at a point is the matrix corank minus two",
+                star_mismatch,
+            ),
         )
-        for cid, bad, count in specs
     ]
 
 
@@ -1269,6 +1228,9 @@ _ALL_PARTS = tuple(
 
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
     """Run one named suite (or 'all') and wrap the claims in a report."""
+    if name != "all" and name not in SUITES:
+        known = ", ".join(sorted(SUITES) + ["all"])
+        raise ConventionError(f"unknown suite {name!r}; known suites: {known}")
     start = time.monotonic()
     if name == "all":
         claims: list[Claim] = []
@@ -1283,11 +1245,7 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
                 "omit --field"
             )
         claims = spec.builder(cfg)
-        field_label = (
-            f"p:{cfg.field.p}"
-            if cfg.field is not None and cfg.field.kind == "prime"
-            else ("q" if cfg.field is not None else spec.field_label)
-        )
+        field_label = spec.field_label if cfg.field is None else _field_label(cfg.field)
     return VerificationReport(
         suite=name,
         claims=tuple(claims),
@@ -1298,10 +1256,6 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
 
 
 # -- analyze -------------------------------------------------------------------------
-
-
-def _field_label(field: FieldSpec) -> str:
-    return "q" if field.kind == "rational" else f"p:{field.p}"
 
 
 def _analyze_document(
@@ -1485,9 +1439,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite != "all" and args.suite not in SUITES:
-        known = ", ".join(sorted(SUITES) + ["all"])
-        raise ConventionError(f"unknown suite {args.suite!r}; known suites: {known}")
     cfg = RunConfig(
         seed=args.seed,
         samples=args.samples,
@@ -1499,9 +1450,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         _emit(json.dumps(report.to_document(), indent=2), args.out)
     if args.out is not None:
-        counts = {status: 0 for status in _STATUSES}
-        for claim in report.claims:
-            counts[claim.status] += 1
+        counts = Counter(claim.status for claim in report.claims)
         sys.stdout.write(
             f"suite {report.suite}: {counts[PASS]} pass, {counts[FAIL]} fail, "
             f"{counts[INCONCLUSIVE]} inconclusive ({report.elapsed:.1f}s)\n"
@@ -1559,7 +1508,7 @@ def _build_parser() -> _Parser:
     verify.add_argument(
         "--suite",
         required=True,
-        help="suite name or 'all' (see --list-suites)",
+        help="suite name or 'all' (see 'triwedge suites')",
     )
     common(verify)
     verify.set_defaults(handler=cmd_verify)

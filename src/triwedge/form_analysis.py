@@ -29,6 +29,7 @@ permits, for the condition that every point contraction has rank above 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Sequence, Union
 
 import random as _random
@@ -429,12 +430,23 @@ def genericity(
 class QuadricAnalysis:
     """The quadratic form L -> eta(L^[2]) of a 4-form eta, carried by the
     symmetric zero-diagonal polar matrix rho in the lexicographic bivector
-    basis, with its exact rank and singular subspace."""
+    basis, with its exact rank and singular subspace (computed on first use
+    from one row reduction of rho)."""
 
     eta: AlternatingTensor
     rho: Matrix
-    rank: int
-    singular_locus: LinearSubspace
+
+    @cached_property
+    def _rank_kernel(self) -> tuple[int, Matrix]:
+        return rank_kernel(self.rho)
+
+    @property
+    def rank(self) -> int:
+        return self._rank_kernel[0]
+
+    @cached_property
+    def singular_locus(self) -> LinearSubspace:
+        return LinearSubspace("bivectors", self.eta.ctx, self._rank_kernel[1])
 
     def value(self, L: AlternatingTensor) -> Scalar:
         """q(L) = eta evaluated on the reduced square of L."""
@@ -486,9 +498,7 @@ def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
         put((i, h), (j, k), fld.neg(coeff))
         put((i, k), (j, h), coeff)
     rho = Matrix(fld, size, size, tuple(v for row in rows for v in row))
-    rank, kernel = rank_kernel(rho)
-    singular = LinearSubspace("bivectors", ctx, kernel)
-    analysis = QuadricAnalysis(eta, rho, rank, singular)
+    analysis = QuadricAnalysis(eta, rho)
 
     if fld.char != 2:
         half = fld.inv(fld.coerce(2))

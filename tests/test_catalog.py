@@ -8,6 +8,7 @@ import pytest
 
 from triwedge import catalog
 from triwedge.exact_scalar import ConventionError, FieldSpec
+from triwedge.enumerative import fundamental_locus_degrees, multidegrees
 from triwedge.exterior_core import form_from_document, form_to_document
 from triwedge.form_analysis import j_rank
 
@@ -153,6 +154,29 @@ def test_rank_claims_match_contraction_rank():
         claim = entry.expected.get("rank")
         if claim is not None:
             assert j_rank(form, 1) == claim.value
+
+
+# Each recorded per-form value against the formula in n that it instantiates;
+# the verification suites read these values as their expectations.
+CATALOG_FORMULAS = {
+    "degX": lambda n: multidegrees(n).degX,
+    "degF": lambda n: fundamental_locus_degrees(n).degF,
+    "g_degree": lambda n: fundamental_locus_degrees(n).degG,
+    "secant_degree": lambda n: Fraction(n - 1, 2),
+    "y_secancy": lambda n: Fraction(n - 2, 2),
+    "quadrics_dim": lambda n: n + 1,
+}
+
+
+def test_expected_values_match_the_enumerative_formulas():
+    checked = dict.fromkeys(CATALOG_FORMULAS, 0)
+    for name in catalog.list_names():
+        _, entry = catalog.get(name)
+        for key, formula in CATALOG_FORMULAS.items():
+            if key in entry.expected:
+                assert entry.expected[key].value == formula(entry.n), (name, key)
+                checked[key] += 1
+    assert all(checked.values()), checked
 
 
 def test_published_claims_for_spotlight_entries():

@@ -256,6 +256,11 @@ def test_verify_unknown_suite(capsys):
     assert "known suites" in capsys.readouterr().err
 
 
+def test_run_suite_rejects_unknown_names():
+    with pytest.raises(ConventionError, match="unknown suite 'nope'.*residual-odd"):
+        run_suite("nope", RunConfig())
+
+
 def test_verify_rejects_field_override_on_fixed_suite(capsys):
     code = main(["verify", "--suite", "stratification", "--field", "p:7"])
     assert code == EXIT_USAGE
