@@ -55,15 +55,15 @@ from .congruence import (
 )
 from .degeneracy import (
     NonGenericFormError,
-    _normalize_projective,
     _poly_roots_prime,
-    _random_coords,
-    _split_decomposable,
     build_M,
     exhaustive_strata,
     hypersurface_degree,
+    normalize_projective,
+    random_coords,
     rank_at,
     secant_pencil,
+    split_decomposable,
     stratify,
 )
 from .enumerative import (
@@ -695,13 +695,7 @@ def _suite_form_recovery(cfg: RunConfig) -> list[Claim]:
         dimension, solutions = recover_forms(kernel_span(omega))
         dims[name] = dimension
         columns = [s.coords() for s in solutions] + [omega.coords()]
-        width = len(columns[0])
-        joined = Matrix(
-            omega.ctx.field,
-            width,
-            len(columns),
-            tuple(columns[c][r] for r in range(width) for c in range(len(columns))),
-        )
+        joined = Matrix.from_columns(omega.ctx.field, len(columns[0]), columns)
         contains[name] = rank_kernel(joined)[0] == len(solutions)
     return [
         _claim(
@@ -833,32 +827,24 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
         line = sample_line_on_X(omega5, seed=cfg.seed + i)
         pencil = secant_pencil(omega5, line)
         pencil_points = {
-            _normalize_projective(pencil.point_at(t).coords(), p)
+            normalize_projective(pencil.point_at(t).coords(), p)
             for t in _poly_roots_prime(pencil.poly, p)
         }
         if pencil.infinity_multiplicity:
             pencil_points.add(
-                _normalize_projective(pencil.point_at_infinity().coords(), p)
+                normalize_projective(pencil.point_at_infinity().coords(), p)
             )
-        first, second = _split_decomposable(line)
+        first, second = split_decomposable(line)
+        spanning = (first.coords(), second.coords())
         direct = set()
         for zero_indices in ((3, 4, 5), (0, 1, 2)):
-            conditions = Matrix(
-                field,
-                3,
-                2,
-                tuple(
-                    v
-                    for k in zero_indices
-                    for v in (first.coords()[k], second.coords()[k])
-                ),
-            )
-            _, kernel = rank_kernel(conditions)
+            columns = [[v[k] for k in zero_indices] for v in spanning]
+            _, kernel = rank_kernel(Matrix.from_columns(field, 3, columns))
             if kernel.cols != 1:
                 continue
             a, b = kernel.column(0)
             point = first.scale(a).add(second.scale(b))
-            direct.add(_normalize_projective(point.coords(), p))
+            direct.add(normalize_projective(point.coords(), p))
         if pencil_points == direct and len(direct) == 2:
             matches += 1
     return [
@@ -940,7 +926,7 @@ def _suite_residual_membership(cfg: RunConfig) -> list[Claim]:
         rng = random.Random(derive_seed("residual-kernel", name, cfg.seed))
         histogram: dict[int, int] = {}
         for _ in range(250):
-            coords = _random_coords(field, handle.ctx.dim, rng)
+            coords = random_coords(field, handle.ctx.dim, rng)
             k = line_system(handle, coords).kernel_dim()
             histogram[k] = histogram.get(k, 0) + 1
         modes[name] = max(histogram, key=lambda k: histogram[k])
@@ -1091,7 +1077,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-m", cfg.seed, i))
         matrix = build_M(omega)
         for _ in range(instances // forms):
-            coords = _random_coords(field, ctx.dim, rng)
+            coords = random_coords(field, ctx.dim, rng)
             image = matrix.evaluate(coords).matvec(coords)
             if any(not field.is_zero(v) for v in image):
                 annihilation_mismatch += 1
@@ -1104,7 +1090,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-s", cfg.seed, i))
         matrix = build_M(omega)
         for _ in range(instances // star_forms):
-            coords = _random_coords(field, ctx.dim, rng)
+            coords = random_coords(field, ctx.dim, rng)
             star = lines_through(omega, coords)
             corank = ctx.dim - rank_at(matrix, coords)
             if star.projective_dim != corank - 2:

@@ -12,7 +12,8 @@ here is exact linear algebra in the bivector space:
   an all-samples-must-agree policy;
 * ``sample_line_on_X`` — a seed-deterministic line of the family, found via
   kernel directions (odd ``n``) or rank-drop points on a restricted line
-  (even ``n``);
+  (even ``n``); ``draw_line_on_X`` runs the same attempts on a caller's
+  generator and budget;
 * ``tangent_certificate`` — exact tangent dimension at a family line, by
   intersecting the tangent space of the decomposable locus with the span;
 * ``quadrics_through_span`` — all quadratic equations (4-forms evaluated on
@@ -32,16 +33,15 @@ from dataclasses import dataclass
 from .degeneracy import (
     NonGenericFormError,
     SkewLinearMatrix,
-    _independent_pair,
-    _kernel_complement_direction,
-    _line_subpfaffian_gcd,
-    _point_coords,
     _poly_roots_prime,
-    _random_coords,
-    _require_three_form,
-    _split_decomposable,
     build_M,
+    independent_pair,
+    kernel_complement_direction,
+    line_subpfaffian_gcd,
+    random_coords,
     rank_at,
+    require_three_form,
+    split_decomposable,
 )
 from .exact_scalar import ConventionError, Matrix, Scalar, _rref, rank_kernel
 from .exterior_core import (
@@ -58,7 +58,7 @@ from .exterior_core import (
     split_along_covector,
     wedge,
 )
-from .form_analysis import LinearSubspace, contraction_matrix, j_rank
+from .form_analysis import LinearSubspace, contraction_matrix, j_rank, point_coords
 
 __all__ = [
     "MIN_ORDER_PRIME",
@@ -68,6 +68,7 @@ __all__ = [
     "QuadricSystem",
     "SectionPartition",
     "classify_linear_section",
+    "draw_line_on_X",
     "kernel_span",
     "lines_through",
     "member_X",
@@ -87,7 +88,7 @@ _WITNESS_CAP = 128
 
 def kernel_span(omega: AlternatingTensor) -> LinearSubspace:
     """Linear span of the line family: the exact kernel of L -> contract(omega, L)."""
-    _require_three_form(omega)
+    require_three_form(omega)
     return LinearSubspace.from_kernel(
         contraction_matrix(omega, 2), "bivectors", omega.ctx
     )
@@ -102,7 +103,7 @@ class CongruenceHandle:
     ctx: SpaceContext
 
     def __post_init__(self) -> None:
-        _require_three_form(self.omega)
+        require_three_form(self.omega)
         if self.ctx != self.omega.ctx:
             raise ConventionError("handle context does not match the form")
         if self.span.ambient != "bivectors" or self.span.ctx != self.ctx:
@@ -127,7 +128,7 @@ def _require_bivector(ctx: SpaceContext, line: AlternatingTensor) -> None:
 
 def member_X(omega: AlternatingTensor, line: AlternatingTensor) -> bool:
     """True iff the nonzero bivector is decomposable and killed by the form."""
-    _require_three_form(omega)
+    require_three_form(omega)
     _require_bivector(omega.ctx, line)
     if line.is_zero():
         raise ConventionError("membership of the zero bivector is undefined")
@@ -142,10 +143,10 @@ def lines_through(omega: AlternatingTensor, point) -> LinearSubspace:
     minus one; projective dimension d means a d-dimensional family of lines
     of the congruence through the point.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     field = ctx.field
-    coords = _point_coords(ctx, point)
+    coords = point_coords(ctx, point)
     if all(field.is_zero(c) for c in coords):
         raise ConventionError("directions through the zero point are undefined")
     matrix = build_M(omega)
@@ -153,8 +154,7 @@ def lines_through(omega: AlternatingTensor, point) -> LinearSubspace:
     pivot = next(i for i, c in enumerate(coords) if not field.is_zero(c))
     inv_pivot = field.inv(coords[pivot])
     projected: list[list[Scalar]] = []
-    for j in range(kernel.cols):
-        column = kernel.column(j)
+    for column in kernel.columns():
         factor = field.mul(column[pivot], inv_pivot)
         reduced = [
             field.sub(value, field.mul(factor, base))
@@ -163,11 +163,8 @@ def lines_through(omega: AlternatingTensor, point) -> LinearSubspace:
         if any(not field.is_zero(v) for v in reduced):
             projected.append(reduced)
     pivots = _rref(field, projected, ctx.dim)
-    basis_rows = projected[: len(pivots)]
-    flat = tuple(basis_rows[c][r] for r in range(ctx.dim) for c in range(len(basis_rows)))
-    return LinearSubspace(
-        "vectors", ctx, Matrix(field, ctx.dim, len(basis_rows), flat)
-    )
+    basis = Matrix.from_columns(field, ctx.dim, projected[: len(pivots)])
+    return LinearSubspace("vectors", ctx, basis)
 
 
 def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
@@ -182,7 +179,7 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
     of the requested samples, beyond which the form is reported non-generic
     instead of guessing a value.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     field = omega.ctx.field
     if field.kind != "prime" or field.p < MIN_ORDER_PRIME:  # type: ignore[operator]
         raise ConventionError(
@@ -204,7 +201,7 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
             raise NonGenericFormError(
                 "line-count statistic disagreed beyond the special-locus tolerance"
             )
-        coords = _random_coords(field, dim, rng)
+        coords = random_coords(field, dim, rng)
         value = dim - rank_at(matrix, coords) - 1
         if value < best:
             disagree += agree
@@ -226,7 +223,7 @@ def sample_line_on_X(omega: AlternatingTensor, seed: int = 0) -> AlternatingTens
     sub-Pfaffian gcd (the restriction's direction covers the root at
     infinity), and wedge that point with one of its kernel directions.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     field = ctx.field
     if field.kind != "prime":
@@ -236,21 +233,39 @@ def sample_line_on_X(omega: AlternatingTensor, seed: int = 0) -> AlternatingTens
             "line sampling requires a form whose contraction map has full rank"
         )
     rng = random.Random(derive_seed("congruence-sample-line", ctx.n, field.p, seed))
+    line = draw_line_on_X(omega, rng, _SAMPLE_RETRY_BUDGET)
+    if line is None:
+        raise NonGenericFormError(
+            "line sampling budget exhausted (non-generic form or small field)"
+        )
+    return line
+
+
+def draw_line_on_X(
+    omega: AlternatingTensor, rng: random.Random, budget: int
+) -> AlternatingTensor | None:
+    """A line of the family from at most ``budget`` attempts on ``rng``, or None.
+
+    Each attempt is the odd or even ``n`` search of `sample_line_on_X`, and
+    its line counts only when `member_X` confirms it.  Unlike
+    `sample_line_on_X` there is no full-rank gate: restrictions to
+    hyperplanes can have structurally non-maximal contraction rank (a 3-form
+    on a 4-dimensional space never reaches it), so a failure is left to the
+    caller.
+    """
     matrix = build_M(omega)
-    attempt = _odd_line_attempt if ctx.n % 2 else _even_line_attempt
-    for _ in range(_SAMPLE_RETRY_BUDGET):
+    attempt = _odd_line_attempt if omega.ctx.n % 2 else _even_line_attempt
+    for _ in range(budget):
         line = attempt(omega, matrix, rng)
         if line is not None and member_X(omega, line):
             return line
-    raise NonGenericFormError(
-        "line sampling budget exhausted (non-generic form or small field)"
-    )
+    return None
 
 
 def _line_from_kernel(
     matrix: SkewLinearMatrix, coords: list[Scalar]
 ) -> AlternatingTensor | None:
-    direction = _kernel_complement_direction(matrix, coords)
+    direction = kernel_complement_direction(matrix, coords)
     if direction is None:
         return None
     ctx = matrix.ctx
@@ -261,7 +276,7 @@ def _odd_line_attempt(
     omega: AlternatingTensor, matrix: SkewLinearMatrix, rng: random.Random
 ) -> AlternatingTensor | None:
     ctx = omega.ctx
-    coords = _random_coords(ctx.field, ctx.dim, rng)
+    coords = random_coords(ctx.field, ctx.dim, rng)
     if rank_at(matrix, coords) != ctx.n - 1:
         return None
     return _line_from_kernel(matrix, coords)
@@ -272,8 +287,8 @@ def _even_line_attempt(
 ) -> AlternatingTensor | None:
     ctx = omega.ctx
     field = ctx.field
-    first, second = _independent_pair(field, ctx.dim, rng)
-    gcd = _line_subpfaffian_gcd(matrix, first, second)
+    first, second = independent_pair(field, ctx.dim, rng)
+    gcd = line_subpfaffian_gcd(matrix, first, second)
     if gcd is None:
         return None
     candidates = [
@@ -328,31 +343,16 @@ def tangent_intersection_dim(
         raise ConventionError("span must be a bivector subspace on the line's space")
     if line.is_zero() or not reduced_square(line).is_zero():
         raise ConventionError("tangent space requires a nonzero decomposable bivector")
-    first, second = _split_decomposable(line)
+    first, second = split_decomposable(line)
     columns: list[tuple[Scalar, ...]] = []
     for i in range(ctx.dim):
         basis_vec = ctx.basis_vector(i)
         for generator in (wedge(first, basis_vec), wedge(basis_vec, second)):
             if not generator.is_zero():
                 columns.append(generator.coords())
-    ambient = len(list(ctx.index_sets(2)))
-    tangent = Matrix(
-        field,
-        ambient,
-        len(columns),
-        tuple(columns[c][r] for r in range(ambient) for c in range(len(columns))),
-    )
-    tangent_rank = rank_kernel(tangent)[0]
-    joined = Matrix(
-        field,
-        ambient,
-        tangent.cols + span.basis.cols,
-        tuple(
-            value
-            for r in range(ambient)
-            for value in (*tangent.row(r), *span.basis.row(r))
-        ),
-    )
+    ambient = span.basis.rows
+    tangent_rank = rank_kernel(Matrix.from_columns(field, ambient, columns))[0]
+    joined = Matrix.from_columns(field, ambient, columns + span.basis.columns())
     joined_rank = rank_kernel(joined)[0]
     return tangent_rank + span.linear_dim - joined_rank - 1
 
@@ -404,7 +404,7 @@ def quadrics_through_span(omega: AlternatingTensor) -> QuadricSystem:
     characteristic, including two.  Also reports whether the solution space
     equals the wedge family {omega ^ x : x a covector}.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     field = ctx.field
     span = kernel_span(omega)
@@ -418,33 +418,16 @@ def quadrics_through_span(omega: AlternatingTensor) -> QuadricSystem:
         field, len(rows), quartic_dim, tuple(v for row in rows for v in row)
     )
     _, kernel = rank_kernel(conditions)
+    kernel_columns = kernel.columns()
     basis = tuple(
-        ctx.tensor_from_coords(4, "form", kernel.column(j)) for j in range(kernel.cols)
+        ctx.tensor_from_coords(4, "form", column) for column in kernel_columns
     )
     family_columns = [
         wedge(omega, ctx.basis_covector(k)).coords() for k in range(ctx.dim)
     ]
-    family = Matrix(
-        field,
-        quartic_dim,
-        len(family_columns),
-        tuple(
-            family_columns[c][r]
-            for r in range(quartic_dim)
-            for c in range(len(family_columns))
-        ),
-    )
+    family = Matrix.from_columns(field, quartic_dim, family_columns)
     family_rank = rank_kernel(family)[0]
-    joined = Matrix(
-        field,
-        quartic_dim,
-        kernel.cols + family.cols,
-        tuple(
-            value
-            for r in range(quartic_dim)
-            for value in (*kernel.row(r), *family.row(r))
-        ),
-    )
+    joined = Matrix.from_columns(field, quartic_dim, kernel_columns + family_columns)
     matches = (
         kernel.cols == family_rank and rank_kernel(joined)[0] == kernel.cols
     )
@@ -469,17 +452,15 @@ def recover_forms(
     basis_forms = [
         AlternatingTensor.make(ctx, 3, "form", {key: 1}) for key in triples
     ]
-    rows: list[tuple[Scalar, ...]] = []
-    for b in span.basis_tensors():
-        columns = [contract(f, b).coords() for f in basis_forms]
-        for r in range(ctx.dim):
-            rows.append(tuple(col[r] for col in columns))
-    conditions = Matrix(
-        field, len(rows), len(triples), tuple(v for row in rows for v in row)
-    )
+    bivectors = span.basis_tensors()
+    # the column of a form stacks its contractions with every basis bivector
+    columns = [
+        [v for b in bivectors for v in contract(f, b).coords()] for f in basis_forms
+    ]
+    conditions = Matrix.from_columns(field, ctx.dim * len(bivectors), columns)
     _, kernel = rank_kernel(conditions)
     solutions = tuple(
-        ctx.tensor_from_coords(3, "form", kernel.column(j)) for j in range(kernel.cols)
+        ctx.tensor_from_coords(3, "form", column) for column in kernel.columns()
     )
     return kernel.cols, solutions
 
@@ -522,16 +503,12 @@ def _relaxed_span(
 ) -> LinearSubspace:
     """Bivectors whose contraction against the form is a multiple of x."""
     ctx = omega.ctx
-    rows = []
+    columns = []
     for key in ctx.index_sets(2):
         blade = AlternatingTensor.make(ctx, 2, "vector", {key: 1})
-        rows.append(wedge(contract(omega, blade), x).coords())
-    columns = len(rows)
-    width = len(rows[0])
-    flat = tuple(rows[c][r] for r in range(width) for c in range(columns))
-    return LinearSubspace.from_kernel(
-        Matrix(ctx.field, width, columns, flat), "bivectors", ctx
-    )
+        columns.append(wedge(contract(omega, blade), x).coords())
+    conditions = Matrix.from_columns(ctx.field, len(columns[0]), columns)
+    return LinearSubspace.from_kernel(conditions, "bivectors", ctx)
 
 
 def classify_linear_section(
@@ -547,7 +524,7 @@ def classify_linear_section(
     The report also checks that every overlap point lies on the hyperplane
     cut out by the split residue beta_x.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     if x.variance != "form" or x.degree != 1:
         raise ConventionError("classification needs a covector direction")
     if x.ctx != omega.ctx:
@@ -570,7 +547,7 @@ def classify_linear_section(
             f"{total} projective points exceed the enumeration budget"
         )
     split_form, beta, _ = split_along_covector(omega_p, x_p)
-    basis_columns = [space.basis.column(j) for j in range(space.linear_dim)]
+    basis_columns = space.basis.columns()
     ambient = space.ambient_linear_dim
     counts = {"only_full": 0, "only_split": 0, "overlap": 0, "neither": 0}
     grassmannian = 0

@@ -18,6 +18,15 @@ polynomial of a congruence line for odd ``n`` from the quotient Pfaffian
 pencil, and enumerates the full rank stratification over small prime
 fields.
 
+The sampling and line helpers that `congruence`, `residual` and `cli` share
+are public here: `random_coords` (a nonzero random point), `independent_pair`
+(two independent points spanning a line), `line_subpfaffian_gcd` (the
+rank-drop polynomial of M restricted to that line),
+`kernel_complement_direction` (a kernel direction of M(P) independent of P),
+`split_decomposable` (two vectors whose wedge is a decomposable bivector),
+`normalize_projective` (a projective point scaled to first nonzero
+coordinate 1) and `require_three_form`.
+
 No floating point is used anywhere; scalars are rationals or prime
 residues throughout.
 """
@@ -37,8 +46,8 @@ from .exact_scalar import (
     UniPoly,
     _rref,
     interpolate,
+    interpolated_gcd,
     pfaffian,
-    poly_gcd,
     randbelow,
     rank_kernel,
 )
@@ -57,10 +66,10 @@ from .form_analysis import (
     EXHAUSTIVE_POINT_BUDGET,
     PointLike,
     SkewLinearMatrix,
-    _point_coords,
     build_M,
     j_rank,
     point_contraction_rank,
+    point_coords,
 )
 
 __all__ = [
@@ -75,6 +84,13 @@ __all__ = [
     "hypersurface_degree",
     "secant_pencil",
     "exhaustive_strata",
+    "independent_pair",
+    "kernel_complement_direction",
+    "line_subpfaffian_gcd",
+    "normalize_projective",
+    "random_coords",
+    "require_three_form",
+    "split_decomposable",
     "ROOT_SCAN_PRIME_BOUND",
 ]
 
@@ -92,13 +108,14 @@ def rank_at(M: SkewLinearMatrix, point: PointLike) -> int:
     Coerces the point into the field and takes the rank with
     `point_contraction_rank`.
     """
-    coords = _point_coords(M.ctx, point)
+    coords = point_coords(M.ctx, point)
     if all(M.ctx.field.is_zero(value) for value in coords):
         raise ConventionError("rank is evaluated at nonzero points only")
     return point_contraction_rank(M, coords)
 
 
-def _require_three_form(omega: AlternatingTensor) -> None:
+def require_three_form(omega: AlternatingTensor) -> None:
+    """Raise `ConventionError` unless ``omega`` is an alternating 3-form."""
     if omega.degree != 3 or omega.variance != "form":
         raise ConventionError("expected an alternating 3-form")
 
@@ -135,7 +152,8 @@ class StratumReport:
                 raise ConventionError("witness ranks must sit below the generic rank")
 
 
-def _normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
+def normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
+    """The point mod p, scaled so that its first nonzero coordinate is 1."""
     values = [value % p for value in coords]
     for value in values:
         if value:
@@ -159,7 +177,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
     congruence's own lines, which meet it, are used instead).  Root scans
     run only for primes up to ``ROOT_SCAN_PRIME_BOUND``.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     field = ctx.field
     if field.kind != "prime":
@@ -177,7 +195,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
 
     def record(coords: Sequence[int]) -> int:
         rank = point_contraction_rank(M, coords)
-        seen.setdefault(rank, set()).add(_normalize_projective(coords, p))
+        seen.setdefault(rank, set()).add(normalize_projective(coords, p))
         return rank
 
     for _ in range(samples):
@@ -212,29 +230,31 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
     )
 
 
-def _random_coords(field: FieldSpec, dim: int, rng: random.Random) -> list[Scalar]:
+def random_coords(field: FieldSpec, dim: int, rng: random.Random) -> list[Scalar]:
+    """A nonzero random point: uniform over F_p, entries in -9..9 over Q."""
     if field.kind == "prime":
         p: int = field.p  # type: ignore[assignment]
         coords = [randbelow(rng, p) for _ in range(dim)]
     else:
         coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
     if all(field.is_zero(value) for value in coords):
-        return _random_coords(field, dim, rng)
+        return random_coords(field, dim, rng)
     return coords
 
 
-def _independent_pair(
+def independent_pair(
     field: FieldSpec, dim: int, rng: random.Random
 ) -> tuple[list[Scalar], list[Scalar]]:
+    """Two nonzero random points that span a line, redrawn until independent."""
     while True:
-        first = _random_coords(field, dim, rng)
-        second = _random_coords(field, dim, rng)
+        first = random_coords(field, dim, rng)
+        second = random_coords(field, dim, rng)
         flat = tuple(first) + tuple(second)
         if rank_kernel(Matrix(field, 2, dim, flat))[0] == 2:
             return first, second
 
 
-def _line_subpfaffian_gcd(
+def line_subpfaffian_gcd(
     M: SkewLinearMatrix, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> Optional[UniPoly]:
     """Monic gcd of the principal sub-Pfaffians along first + t*second.
@@ -246,24 +266,15 @@ def _line_subpfaffian_gcd(
     dim = M.size
     degree_bound = (dim - 1) // 2
     nodes = _interpolation_nodes(field, degree_bound + 1)
-    samples: list[list[tuple[Scalar, Scalar]]] = [[] for _ in range(dim)]
+    principal = [[k for k in range(dim) if k != i] for i in range(dim)]
+    rows = []
     for node in nodes:
         coords = [
             field.add(a, field.mul(node, b)) for a, b in zip(first, second)
         ]
         evaluated = M.evaluate(coords)
-        for i in range(dim):
-            keep = [k for k in range(dim) if k != i]
-            value = pfaffian(evaluated.submatrix(keep, keep))
-            samples[i].append((node, value))
-    polys = [interpolate(field, pts) for pts in samples]
-    nonzero = [poly for poly in polys if not poly.is_zero()]
-    if not nonzero:
-        return None
-    gcd = nonzero[0]
-    for poly in nonzero[1:]:
-        gcd = poly_gcd(gcd, poly)
-    return gcd.monic()
+        rows.append([pfaffian(evaluated.submatrix(keep, keep)) for keep in principal])
+    return interpolated_gcd(field, nodes, rows)
 
 
 def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:
@@ -281,8 +292,8 @@ def _even_witness_search(omega, M, rng, trials, record) -> None:
     p: int = field.p  # type: ignore[assignment]
     dim = M.size
     for _ in range(trials):
-        first, second = _independent_pair(field, dim, rng)
-        gcd = _line_subpfaffian_gcd(M, first, second)
+        first, second = independent_pair(field, dim, rng)
+        gcd = line_subpfaffian_gcd(M, first, second)
         if gcd is None or gcd.degree < 1:
             continue
         for root in _poly_roots_prime(gcd, p):
@@ -301,11 +312,11 @@ def _odd_witness_search(omega, M, rng, trials, record) -> None:
     dim = M.size
     n = ctx.n
     for _ in range(trials):
-        coords = _random_coords(field, dim, rng)
+        coords = random_coords(field, dim, rng)
         rank = record([int(value) for value in coords])
         if rank != n - 1:
             continue
-        direction = _kernel_complement_direction(M, coords)
+        direction = kernel_complement_direction(M, coords)
         if direction is None:
             continue
         point = ctx.vector_from_coords(coords)
@@ -322,17 +333,16 @@ def _odd_witness_search(omega, M, rng, trials, record) -> None:
             record([int(value) for value in witness.coords()])
 
 
-def _kernel_complement_direction(
+def kernel_complement_direction(
     M: SkewLinearMatrix, coords: Sequence[Scalar]
 ) -> Optional[list[Scalar]]:
     """A kernel vector of M(P) independent of P itself, if one exists."""
     field = M.ctx.field
     _, kernel = rank_kernel(M.evaluate(coords))
-    for column in range(kernel.cols):
-        candidate = [kernel.entry(row, column) for row in range(kernel.rows)]
-        flat = tuple(coords) + tuple(candidate)
+    for candidate in kernel.columns():
+        flat = tuple(coords) + candidate
         if rank_kernel(Matrix(field, 2, len(coords), flat))[0] == 2:
-            return candidate
+            return list(candidate)
     return None
 
 
@@ -347,7 +357,7 @@ def hypersurface_degree(omega: AlternatingTensor, *, seed: int = 0) -> int:
     the degree of their monic gcd, which all three lines must agree on.
     Requires the contraction map of the form to have full rank.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     n = ctx.n
     if n % 2 != 0:
@@ -365,8 +375,8 @@ def hypersurface_degree(omega: AlternatingTensor, *, seed: int = 0) -> int:
             raise NonGenericFormError(
                 "could not find three usable lines; the form looks degenerate"
             )
-        first, second = _independent_pair(field, ctx.dim, rng)
-        gcd = _line_subpfaffian_gcd(M, first, second)
+        first, second = independent_pair(field, ctx.dim, rng)
+        gcd = line_subpfaffian_gcd(M, first, second)
         if gcd is None:
             continue
         degrees.append(gcd.degree)
@@ -411,7 +421,7 @@ class SecantPencil:
         return self.direction
 
 
-def _split_decomposable(line: AlternatingTensor) -> tuple[AlternatingTensor, AlternatingTensor]:
+def split_decomposable(line: AlternatingTensor) -> tuple[AlternatingTensor, AlternatingTensor]:
     """Vectors e, f with e ^ f equal to the given decomposable bivector."""
     ctx = line.ctx
     field = ctx.field
@@ -436,7 +446,7 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
     space; its Pfaffian is a polynomial of total degree (n-1)/2 whose
     roots are the intersections of the line with the rank-drop locus.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     n = ctx.n
     if n % 2 == 0:
@@ -449,7 +459,7 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
         raise ConventionError("the line does not belong to the congruence")
 
     field = ctx.field
-    base, direction = _split_decomposable(line)
+    base, direction = split_decomposable(line)
     M = build_M(omega)
     first = M.evaluate(base)
     second = M.evaluate(direction)
@@ -530,7 +540,7 @@ class ExhaustiveStrata:
 
 def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
     """Rank of the matrix at every point of P^n(F_p)."""
-    _require_three_form(omega)
+    require_three_form(omega)
     n = omega.ctx.n
     total = projective_point_count(p, n + 1)
     if total > EXHAUSTIVE_POINT_BUDGET:

@@ -5,21 +5,24 @@ element, so this module deliberately avoids floating point.  Scalars are
 represented by `fractions.Fraction` over the rationals and by Python ints in
 ``[0, p)`` over a prime field; a `FieldSpec` value carries the arithmetic for
 whichever field is in play; it rejects floats, which are no exact value.
-Matrices are immutable dense arrays over a single field, and `rank_kernel`
-performs exact Gauss-Jordan elimination with one integer routine per field:
-modulo p on ints in ``[0, p)``, and over the rationals fraction-free on rows
-scaled to integers, with a Fraction division only for the final reduced
-rows.  `skew_rank_mod_p` is the rank-only kernel for alternating matrices
-over F_p that the pointwise rank scans use: pairwise (skew-symmetric)
-elimination, which builds no kernel and can stop as soon as the rank exceeds
-a caller's limit.  The Pfaffian uses recursive first-row
-expansion with memoization, which is simple and more than fast enough for the
-matrix sizes that arise here (odd skew pencils never exceed 12 rows).
-Univariate polynomials store coefficients lowest-degree first and provide the
-monic Euclidean GCD and Lagrange interpolation used to restrict determinantal
-loci to lines.  `randbelow` is the package's one uniform draw below a bound:
-the values and generator state of `random.Random.randrange`, at a fraction of
-its cost.
+Matrices are immutable dense arrays over a single field, built from rows
+(`Matrix.from_rows`, which coerces) or from columns of field elements
+(`Matrix.from_columns`), and `rank_kernel` performs exact Gauss-Jordan
+elimination with one integer routine per field: modulo p on ints in
+``[0, p)``, and over the rationals fraction-free on rows scaled to integers,
+with a Fraction division only for the final reduced rows.
+`skew_rank_mod_p` is the rank-only kernel for alternating matrices over F_p
+that the pointwise rank scans use: pairwise (skew-symmetric) elimination,
+which builds no kernel and can stop as soon as the rank exceeds a caller's
+limit.  The Pfaffian uses recursive first-row expansion with memoization,
+which is simple and more than fast enough for the matrix sizes that arise
+here (odd skew pencils never exceed 12 rows).  Univariate polynomials store
+coefficients lowest-degree first and provide the monic Euclidean GCD and
+Lagrange interpolation used to restrict determinantal loci to lines;
+`interpolated_gcd` is the one place that combines them, for polynomials
+known by their values at nodes.  `randbelow` is the package's one uniform
+draw below a bound: the values and generator state of
+`random.Random.randrange`, at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -43,6 +47,7 @@ __all__ = [
     "pfaffian",
     "poly_gcd",
     "interpolate",
+    "interpolated_gcd",
     "randbelow",
 ]
 
@@ -231,6 +236,24 @@ class Matrix:
         return Matrix(field, nrows, ncols, tuple(flat))
 
     @staticmethod
+    def from_columns(
+        field: FieldSpec, rows: int, columns: Sequence[Sequence[Scalar]]
+    ) -> "Matrix":
+        """The ``rows x len(columns)`` matrix with the given columns.
+
+        Entries must already be elements of ``field``: unlike `from_rows`,
+        nothing is coerced.  A column whose length is not ``rows`` raises
+        `ValueError`.
+        """
+        for column in columns:
+            if len(column) != rows:
+                raise ValueError(
+                    f"column of length {len(column)} in a matrix with {rows} rows"
+                )
+        flat = tuple(chain.from_iterable(zip(*columns)))
+        return Matrix(field, rows, len(columns), flat)
+
+    @staticmethod
     def zero(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
 
@@ -252,6 +275,9 @@ class Matrix:
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
+
+    def columns(self) -> list[tuple[Scalar, ...]]:
+        return [self.column(j) for j in range(self.cols)]
 
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -288,7 +314,7 @@ class Matrix:
         f = self.field
         zero = f.zero()
         out: list[Scalar] = []
-        other_cols = [other.column(j) for j in range(other.cols)]
+        other_cols = other.columns()
         for i in range(self.rows):
             left = self.row(i)
             for col in other_cols:
@@ -526,8 +552,7 @@ def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
         for r, pc in enumerate(pivots):
             vec[pc] = field.neg(a[r][fc])
         kernel_cols.append(vec)
-    flat = tuple(kernel_cols[j][i] for i in range(m.cols) for j in range(len(free)))
-    return rank, Matrix(field, m.cols, len(free), flat)
+    return rank, Matrix.from_columns(field, m.cols, kernel_cols)
 
 
 def pfaffian(m: Matrix) -> Scalar:
@@ -717,3 +742,20 @@ def interpolate(
             denom = field.mul(denom, field.sub(xs[i], xj))
         result = result.add(basis.scale(field.div(yi, denom)))
     return result
+
+
+def interpolated_gcd(
+    field: FieldSpec, nodes: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]
+) -> UniPoly | None:
+    """Monic gcd of polynomials given by their values at distinct nodes.
+
+    Row ``k`` of ``rows`` holds every polynomial's value at ``nodes[k]``.
+    Each column is interpolated through the nodes, the zero polynomials are
+    dropped and the rest folded with `poly_gcd` in column order.  Returns
+    None when every polynomial is zero.
+    """
+    polys = [interpolate(field, list(zip(nodes, column))) for column in zip(*rows)]
+    nonzero = [poly for poly in polys if not poly.is_zero()]
+    if not nonzero:
+        return None
+    return reduce(poly_gcd, nonzero).monic()

@@ -64,6 +64,7 @@ __all__ = [
     "SpanLattice",
     "build_M",
     "point_contraction_rank",
+    "point_coords",
     "contraction_matrix",
     "j_rank",
     "genericity",
@@ -125,40 +126,26 @@ class LinearSubspace:
     def basis_tensors(self) -> list[AlternatingTensor]:
         degree = _AMBIENT_DEGREE[self.ambient]
         return [
-            self.ctx.tensor_from_coords(degree, "vector", self.basis.column(j))
-            for j in range(self.basis.cols)
+            self.ctx.tensor_from_coords(degree, "vector", column)
+            for column in self.basis.columns()
         ]
 
     def contains_coords(self, coords) -> bool:
         if len(coords) != self.basis.rows:
             raise ValueError("coordinate length mismatch")
         field = self.ctx.field
-        augmented = Matrix(
+        augmented = Matrix.from_columns(
             field,
             self.basis.rows,
-            self.basis.cols + 1,
-            tuple(
-                value
-                for i in range(self.basis.rows)
-                for value in (*self.basis.row(i), field.coerce(coords[i]))
-            ),
+            self.basis.columns() + [[field.coerce(c) for c in coords]],
         )
         return rank_kernel(augmented)[0] == self.basis.cols
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if (self.ambient, self.ctx) != (other.ambient, other.ctx):
             raise ValueError("subspaces of different ambient spaces")
-        field = self.ctx.field
-        joined = Matrix(
-            field,
-            self.basis.rows,
-            self.basis.cols + other.basis.cols,
-            tuple(
-                value
-                for i in range(self.basis.rows)
-                for value in (*self.basis.row(i), *other.basis.row(i))
-            ),
-        )
+        columns = self.basis.columns() + other.basis.columns()
+        joined = Matrix.from_columns(self.ctx.field, self.basis.rows, columns)
         return rank_kernel(joined)[0] == self.basis.cols
 
     def equals(self, other: "LinearSubspace") -> bool:
@@ -180,9 +167,7 @@ def contraction_matrix(f: AlternatingTensor, j: int) -> Matrix:
     for key in ctx.index_sets(j):
         blade = AlternatingTensor.make(ctx, j, "vector", {key: 1})
         columns.append(contract(f, blade).coords())
-    nrows = len(columns[0])
-    flat = tuple(columns[c][r] for r in range(nrows) for c in range(len(columns)))
-    return Matrix(ctx.field, nrows, len(columns), flat)
+    return Matrix.from_columns(ctx.field, len(columns[0]), columns)
 
 
 def j_rank(f: AlternatingTensor, j: int) -> int:
@@ -195,7 +180,8 @@ def j_rank(f: AlternatingTensor, j: int) -> int:
 PointLike = Union[AlternatingTensor, Sequence]
 
 
-def _point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
+def point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
+    """Coordinates of a vector of ``ctx``, or of a sequence coerced into its field."""
     if isinstance(point, AlternatingTensor):
         if point.ctx != ctx or point.degree != 1 or point.variance != "vector":
             raise ConventionError("point must be a vector of the same space")
@@ -240,7 +226,7 @@ class SkewLinearMatrix:
 
     def evaluate(self, point: PointLike) -> Matrix:
         """Scalar skew matrix obtained by evaluating every entry at a point."""
-        coords = _point_coords(self.ctx, point)
+        coords = point_coords(self.ctx, point)
         fld = self.ctx.field
         dim = self.size
         rows = [[fld.zero()] * dim for _ in range(dim)]
@@ -355,13 +341,7 @@ def genericity(
     wedge_columns = [
         wedge(omega, ctx.basis_covector(i)).coords() for i in range(dim)
     ]
-    nrows = len(wedge_columns[0])
-    wedge_matrix = Matrix(
-        fld,
-        nrows,
-        dim,
-        tuple(wedge_columns[c][r] for r in range(nrows) for c in range(dim)),
-    )
+    wedge_matrix = Matrix.from_columns(fld, len(wedge_columns[0]), wedge_columns)
     gc1 = rank_kernel(wedge_matrix)[0] == dim
 
     M = build_M(omega)
@@ -579,13 +559,7 @@ def span_lattice(
         col_iota_xy.append(covector_contract(xy, blade).coords())
 
     def matrix_of(columns: list[tuple]) -> Matrix:
-        nrows = len(columns[0])
-        return Matrix(
-            fld,
-            nrows,
-            len(columns),
-            tuple(columns[c][r] for r in range(nrows) for c in range(len(columns))),
-        )
+        return Matrix.from_columns(fld, len(columns[0]), columns)
 
     def stacked(upper: list[tuple], lower: list[tuple]) -> Matrix:
         combined = [up + low for up, low in zip(upper, lower)]

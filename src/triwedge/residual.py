@@ -34,31 +34,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .congruence import (
-    _even_line_attempt,
-    _odd_line_attempt,
-    member_X,
-    sample_line_on_X,
-    tangent_intersection_dim,
-)
+from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
     NonGenericFormError,
-    _kernel_complement_direction,
-    _point_coords,
     _poly_roots_prime,
-    _random_coords,
-    _require_three_form,
-    _split_decomposable,
     build_M,
+    kernel_complement_direction,
+    random_coords,
+    require_three_form,
     secant_pencil,
+    split_decomposable,
 )
 from .exact_scalar import (
     ConventionError,
     Matrix,
     Scalar,
     _rref,
-    interpolate,
-    poly_gcd,
+    interpolated_gcd,
     randbelow,
     rank_kernel,
 )
@@ -79,6 +71,7 @@ from .form_analysis import (
     LinearSubspace,
     contraction_matrix,
     point_contraction_rank,
+    point_coords,
     span_lattice,
 )
 
@@ -118,13 +111,8 @@ def _directions_in_image(
     """Whether <x, y> lies in the image of the bivector contraction of omega."""
     cm = contraction_matrix(omega, 2)
     base_rank = rank_kernel(cm)[0]
-    flat: list[Scalar] = []
-    xc, yc = x.coords(), y.coords()
-    for r in range(cm.rows):
-        flat.extend(cm.row(r))
-        flat.append(xc[r])
-        flat.append(yc[r])
-    augmented = Matrix(omega.ctx.field, cm.rows, cm.cols + 2, tuple(flat))
+    columns = cm.columns() + [x.coords(), y.coords()]
+    augmented = Matrix.from_columns(omega.ctx.field, cm.rows, columns)
     return rank_kernel(augmented)[0] == base_rank
 
 
@@ -137,7 +125,7 @@ def general_directions(
     have codimension exactly ``n``; it holds automatically when the
     contraction map of the form has full rank.
     """
-    _require_three_form(omega)
+    require_three_form(omega)
     ctx = omega.ctx
     for attempt in range(_DIRECTION_BUDGET):
         x = random_tensor(
@@ -173,7 +161,7 @@ class ResidualHandle:
     ctx: SpaceContext
 
     def __post_init__(self) -> None:
-        _require_three_form(self.omega)
+        require_three_form(self.omega)
         if self.ctx != self.omega.ctx:
             raise ConventionError("handle context does not match the form")
         _require_covector(self.ctx, self.x)
@@ -210,7 +198,7 @@ class ResidualHandle:
         omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
     ) -> "ResidualHandle":
         ctx = omega.ctx
-        _require_three_form(omega)
+        require_three_form(omega)
         _require_covector(ctx, x)
         _require_covector(ctx, y)
         if wedge(x, y).is_zero():
@@ -278,7 +266,7 @@ def line_system(handle: ResidualHandle, point) -> LineSystem:
     """Build the line system of the family at a nonzero point."""
     ctx = handle.ctx
     field = ctx.field
-    coords = _point_coords(ctx, point)
+    coords = point_coords(ctx, point)
     if all(field.is_zero(c) for c in coords):
         raise ConventionError("the line system at the zero point is undefined")
     quotient = [list(handle.x.coords()), list(handle.y.coords())]
@@ -297,13 +285,7 @@ def line_system(handle: ResidualHandle, point) -> LineSystem:
         column = [g[i] for i in keep]
         column.append(pair(xy, blade))
         columns.append(column)
-    nrows = ctx.dim - 1
-    matrix = Matrix(
-        field,
-        nrows,
-        ctx.dim,
-        tuple(columns[c][r] for r in range(nrows) for c in range(ctx.dim)),
-    )
+    matrix = Matrix.from_columns(field, ctx.dim - 1, columns)
     return LineSystem(point=anchor, matrix=matrix)
 
 
@@ -337,13 +319,7 @@ def pencil_parameter(
         raise ConventionError("the zero bivector lies on no pencil member")
     cx = covector_contract(handle.x, line).coords()
     cy = covector_contract(handle.y, line).coords()
-    system = Matrix(
-        ctx.field,
-        ctx.dim,
-        2,
-        tuple(v for row in zip(cx, cy) for v in row),
-    )
-    _, kernel = rank_kernel(system)
+    _, kernel = rank_kernel(Matrix.from_columns(ctx.field, ctx.dim, [cx, cy]))
     if kernel.cols == 0:
         raise ConventionError("the line lies on no pencil member")
     if kernel.cols > 1:
@@ -377,42 +353,28 @@ def _lift_bivector(
     return acc
 
 
-def _restricted_line(
-    omega_sub: AlternatingTensor, rng: random.Random
-) -> AlternatingTensor | None:
-    """A line of the restricted family, without the full-rank gate.
-
-    Hyperplane restrictions can have structurally non-maximal contraction
-    rank (a 3-form on a 4-dimensional space never reaches it), so the
-    attempts are run directly and failures are left to the caller's retry
-    over other pencil members.
-    """
-    matrix = build_M(omega_sub)
-    attempt = _odd_line_attempt if omega_sub.ctx.n % 2 else _even_line_attempt
-    for _ in range(_INNER_LINE_BUDGET):
-        line = attempt(omega_sub, matrix, rng)
-        if line is not None and member_X(omega_sub, line):
-            return line
-    return None
-
-
-def _sample_on_member(
+def _sample_on_members(
     handle: ResidualHandle, rng: random.Random
-) -> tuple[AlternatingTensor, AlternatingTensor, AlternatingTensor] | None:
-    """One sampling attempt: (lifted line, line downstairs, restricted form)."""
+) -> tuple[AlternatingTensor, AlternatingTensor, AlternatingTensor]:
+    """(lifted line, line downstairs, restricted form) from the first of at
+    most ``_SAMPLE_BUDGET`` random pencil members that yields a family line."""
     field = handle.ctx.field
-    a = randbelow(rng, field.p)  # type: ignore[arg-type]
-    b = randbelow(rng, field.p)  # type: ignore[arg-type]
-    if field.is_zero(a) and field.is_zero(b):
-        return None
-    basis, omega_sub = _pencil_member_data(handle, a, b)
-    line_sub = _restricted_line(omega_sub, rng)
-    if line_sub is None:
-        return None
-    lifted = _lift_bivector(handle.ctx, basis, line_sub)
-    if not member_Y(handle, lifted):
-        return None
-    return lifted, line_sub, omega_sub
+    for _ in range(_SAMPLE_BUDGET):
+        a = randbelow(rng, field.p)  # type: ignore[arg-type]
+        b = randbelow(rng, field.p)  # type: ignore[arg-type]
+        if field.is_zero(a) and field.is_zero(b):
+            continue
+        basis, omega_sub = _pencil_member_data(handle, a, b)
+        # no full-rank gate downstairs: a failed member moves on to the next
+        line_sub = draw_line_on_X(omega_sub, rng, _INNER_LINE_BUDGET)
+        if line_sub is None:
+            continue
+        lifted = _lift_bivector(handle.ctx, basis, line_sub)
+        if member_Y(handle, lifted):
+            return lifted, line_sub, omega_sub
+    raise NonGenericFormError(
+        "residual line sampling budget exhausted (non-generic form or small field)"
+    )
 
 
 def sample_line_on_Y(handle: ResidualHandle, seed: int = 0) -> AlternatingTensor:
@@ -428,13 +390,7 @@ def sample_line_on_Y(handle: ResidualHandle, seed: int = 0) -> AlternatingTensor
     rng = random.Random(
         derive_seed("residual-sample-line", ctx.n, ctx.field.p, seed)
     )
-    for _ in range(_SAMPLE_BUDGET):
-        found = _sample_on_member(handle, rng)
-        if found is not None:
-            return found[0]
-    raise NonGenericFormError(
-        "residual line sampling budget exhausted (non-generic form or small field)"
-    )
+    return _sample_on_members(handle, rng)[0]
 
 
 def Y_secancy_even(handle: ResidualHandle, seed: int = 0) -> tuple[int, bool]:
@@ -454,27 +410,15 @@ def Y_secancy_even(handle: ResidualHandle, seed: int = 0) -> tuple[int, bool]:
     rng = random.Random(
         derive_seed("residual-secancy", ctx.n, ctx.field.p, seed)
     )
-    for _ in range(_SAMPLE_BUDGET):
-        found = _sample_on_member(handle, rng)
-        if found is None:
-            continue
-        lifted, line_sub, omega_sub = found
-        pencil = secant_pencil(omega_sub, line_sub)
-        first, second = _split_decomposable(lifted)
-        columns = [first.coords(), second.coords()] + [
-            t.coords() for t in handle.pi.basis_tensors()
-        ]
-        joined = Matrix(
-            ctx.field,
-            ctx.dim,
-            len(columns),
-            tuple(columns[c][r] for r in range(ctx.dim) for c in range(len(columns))),
-        )
-        meets_pi = 2 + handle.pi.linear_dim - rank_kernel(joined)[0] >= 1
-        return pencil.total_degree, meets_pi
-    raise NonGenericFormError(
-        "residual line sampling budget exhausted (non-generic form or small field)"
-    )
+    lifted, line_sub, omega_sub = _sample_on_members(handle, rng)
+    pencil = secant_pencil(omega_sub, line_sub)
+    first, second = split_decomposable(lifted)
+    columns = [first.coords(), second.coords()] + [
+        t.coords() for t in handle.pi.basis_tensors()
+    ]
+    joined = Matrix.from_columns(ctx.field, ctx.dim, columns)
+    meets_pi = 2 + handle.pi.linear_dim - rank_kernel(joined)[0] >= 1
+    return pencil.total_degree, meets_pi
 
 
 # -- the singular locus: lines inside the base locus killed by the full form ------
@@ -499,35 +443,33 @@ def _singular_span(
         contract(handle.omega, lifted[key]).coords()
         for key in ctx_pi.index_sets(2)
     ]
-    nrows = len(columns[0])
-    conditions = Matrix(
-        handle.ctx.field,
-        nrows,
-        len(columns),
-        tuple(columns[c][r] for r in range(nrows) for c in range(len(columns))),
-    )
+    conditions = Matrix.from_columns(handle.ctx.field, len(columns[0]), columns)
     return LinearSubspace.from_kernel(conditions, "bivectors", ctx_pi)
+
+
+def _random_combination(
+    acc: AlternatingTensor, basis: list[AlternatingTensor], rng: random.Random
+) -> AlternatingTensor:
+    """``acc`` plus c * b for each b of the basis in turn, each c uniform in F_p."""
+    p: int = acc.ctx.field.p  # type: ignore[assignment]
+    for b in basis:
+        acc = acc.add(b.scale(randbelow(rng, p)))
+    return acc
 
 
 def _decomposable_in_basis(
     span: LinearSubspace, rng: random.Random | None
 ) -> AlternatingTensor | None:
-    """Direct hits: basis vectors and a few random small combinations."""
+    """Direct hits: basis vectors and, over F_p (``rng`` given), a few random
+    combinations."""
     basis = span.basis_tensors()
     for b in basis:
         if not b.is_zero() and reduced_square(b).is_zero():
             return b
     if rng is None or len(basis) < 2:
         return None
-    field = span.ctx.field
     for _ in range(8):
-        acc = span.ctx.zero_tensor(2, "vector")
-        for b in basis:
-            if field.kind == "prime":
-                c = randbelow(rng, field.p)  # type: ignore[arg-type]
-            else:
-                c = field.coerce(rng.randint(-5, 5))
-            acc = acc.add(b.scale(c))
+        acc = _random_combination(span.ctx.zero_tensor(2, "vector"), basis, rng)
         if not acc.is_zero() and reduced_square(acc).is_zero():
             return acc
     return None
@@ -543,30 +485,22 @@ def _decomposable_by_line_search(
     keys = list(ctx.index_sets(4))
     nodes = [field.coerce(v) for v in range(3)]
     for _ in range(_LINE_SEARCH_ROUNDS):
-        combos = []
-        for _ in range(2):
-            acc = ctx.zero_tensor(2, "vector")
-            for b in basis:
-                acc = acc.add(b.scale(randbelow(rng, field.p)))  # type: ignore[arg-type]
-            combos.append(acc)
-        base, direction = combos
+        base, direction = [
+            _random_combination(ctx.zero_tensor(2, "vector"), basis, rng)
+            for _ in range(2)
+        ]
         if base.is_zero() or direction.is_zero():
             continue
-        samples: dict[tuple, list] = {key: [] for key in keys}
+        rows = []
         for t in nodes:
             values = reduced_square(base.add(direction.scale(t))).coeff_map()
-            for key in keys:
-                samples[key].append((t, values.get(key, field.zero())))
-        polys = [interpolate(field, pts) for pts in samples.values()]
-        polys = [q for q in polys if not q.is_zero()]
-        if not polys:
+            rows.append([values.get(key, field.zero()) for key in keys])
+        gcd = interpolated_gcd(field, nodes, rows)
+        if gcd is None:
             continue
-        gcd = polys[0]
-        for q in polys[1:]:
-            gcd = poly_gcd(gcd, q)
         candidates = [
             base.add(direction.scale(field.coerce(root)))
-            for root in _poly_roots_prime(gcd.monic(), field.p)  # type: ignore[arg-type]
+            for root in _poly_roots_prime(gcd, field.p)  # type: ignore[arg-type]
         ]
         candidates.append(direction)
         for candidate in candidates:
@@ -596,7 +530,7 @@ def _decomposable_by_plane_scan(
     generic_rank = ctx_pi.n - 1
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
-        anchors = [_random_coords(field, dim, rng) for _ in range(3)]
+        anchors = [random_coords(field, dim, rng) for _ in range(3)]
         flat = tuple(v for q in anchors for v in q)
         if rank_kernel(Matrix(field, 3, dim, flat))[0] != 3:
             continue
@@ -607,7 +541,7 @@ def _decomposable_by_plane_scan(
             ]
             if point_contraction_rank(matrix, point) != generic_rank:
                 continue
-            direction = _kernel_complement_direction(matrix, point)
+            direction = kernel_complement_direction(matrix, point)
             if direction is None:
                 continue
             line_sub = wedge(
@@ -679,8 +613,7 @@ def _degree_containment_checks(handle: ResidualHandle, rng: random.Random) -> No
     field = ctx.field
     pi_point = ctx.zero_tensor(1, "vector")
     while pi_point.is_zero():
-        for b in handle.pi.basis_tensors():
-            pi_point = pi_point.add(b.scale(randbelow(rng, field.p)))  # type: ignore[arg-type]
+        pi_point = _random_combination(pi_point, handle.pi.basis_tensors(), rng)
     if not G_membership(handle, pi_point)[0]:
         raise NonGenericFormError("a base-locus point fell off the measured locus")
     for attempt in range(6):
@@ -724,33 +657,26 @@ def G_degree_odd(handle: ResidualHandle, seed: int = 0) -> int:
         raise ConventionError("field too small for the interpolation nodes")
     rng = random.Random(derive_seed("residual-degree", ctx.n, field.p, seed))
     nodes = [field.coerce(v) for v in range(ctx.n + 1)]
+    maximal = [[c for c in range(ctx.dim) if c != j] for j in range(ctx.dim)]
     agreed: list[int] = []
     for _ in range(_DEGREE_LINE_BUDGET):
         if len(agreed) >= _AGREEING_LINES:
             break
-        base = _random_coords(field, ctx.dim, rng)
-        direction = _random_coords(field, ctx.dim, rng)
+        base = random_coords(field, ctx.dim, rng)
+        direction = random_coords(field, ctx.dim, rng)
         flat = tuple(base) + tuple(direction)
         if rank_kernel(Matrix(field, 2, ctx.dim, flat))[0] != 2:
             continue
-        samples: dict[int, list] = {j: [] for j in range(ctx.dim)}
+        rows = []
         for t in nodes:
             coords = [
                 field.add(a, field.mul(t, b)) for a, b in zip(base, direction)
             ]
             matrix = line_system(handle, coords).matrix
             row_idx = list(range(matrix.rows))
-            for j in range(ctx.dim):
-                keep = [c for c in range(ctx.dim) if c != j]
-                samples[j].append((t, matrix.submatrix(row_idx, keep).det()))
-        polys = [interpolate(field, pts) for pts in samples.values()]
-        polys = [q for q in polys if not q.is_zero()]
-        if not polys:
-            continue
-        gcd = polys[0]
-        for q in polys[1:]:
-            gcd = poly_gcd(gcd, q)
-        if gcd.degree % 2:
+            rows.append([matrix.submatrix(row_idx, keep).det() for keep in maximal])
+        gcd = interpolated_gcd(field, nodes, rows)
+        if gcd is None or gcd.degree % 2:
             continue
         agreed.append(gcd.degree)
     if len(agreed) < _AGREEING_LINES or len(set(agreed)) != 1:

@@ -21,7 +21,7 @@ from triwedge.congruence import (
     sample_line_on_X,
     tangent_certificate,
 )
-from triwedge.degeneracy import NonGenericFormError, _split_decomposable, build_M, rank_at
+from triwedge.degeneracy import NonGenericFormError, build_M, rank_at, split_decomposable
 from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
@@ -49,7 +49,7 @@ def random_point(ctx, rng):
 def plane_intersection_dim(line, zero_indices):
     """Dimension of the intersection of a line's 2-plane with a coordinate
     subspace given by vanishing coordinates."""
-    first, second = _split_decomposable(line)
+    first, second = split_decomposable(line)
     field = line.ctx.field
     rows = [
         [first.coords()[i] for i in zero_indices],
@@ -257,7 +257,7 @@ def test_sampled_line_lies_on_the_rank_drop_quadric_for_even_n():
     field = omega.ctx.field
     for seed in range(3):
         line = sample_line_on_X(omega, seed=seed)
-        first, second = _split_decomposable(line)
+        first, second = split_decomposable(line)
         ranks = {rank_at(matrix, list(second.coords()))}
         for t in range(5):
             coords = [

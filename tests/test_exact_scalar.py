@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwedge import exact_scalar
 from triwedge.exact_scalar import (
     ConventionError,
     FieldSpec,
@@ -24,6 +25,7 @@ from triwedge.exact_scalar import (
     _rref,
     _rref_prime,
     interpolate,
+    interpolated_gcd,
     pfaffian,
     poly_gcd,
     randbelow,
@@ -331,6 +333,50 @@ def test_elimination_determinant_matches_cofactor_oracle():
             assert m.det() == _cofactor_det(field, m.row_lists())
 
 
+# --- matrices from columns --------------------------------------------------
+
+
+@st.composite
+def column_lists(draw):
+    """(field, rows, columns): 0-6 columns of one length 0-8, field entries."""
+    field = draw(st.sampled_from((QQ, FieldSpec.prime(2), F101)))
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    if field.kind == "prime":
+        scalar = st.integers(0, field.p - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    columns = [tuple(draw(scalar) for _ in range(nrows)) for _ in range(ncols)]
+    return field, nrows, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=column_lists())
+def test_from_columns_is_the_transpose_of_from_rows(case):
+    field, nrows, columns = case
+    m = Matrix.from_columns(field, nrows, columns)
+    assert (m.rows, m.cols) == (nrows, len(columns))
+    assert m.columns() == columns
+    if columns:
+        assert m == Matrix.from_rows(field, columns).transpose()
+    else:
+        assert m == Matrix.zero(field, nrows, 0)
+
+
+def test_from_columns_shapes_without_columns_or_rows():
+    assert Matrix.from_columns(F101, 4, []) == Matrix(F101, 4, 0, ())
+    assert Matrix.from_columns(QQ, 0, [(), (), ()]) == Matrix(QQ, 0, 3, ())
+    assert Matrix.from_columns(QQ, 0, []) == Matrix(QQ, 0, 0, ())
+
+
+def test_from_columns_rejects_columns_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 1"):
+        Matrix.from_columns(F101, 2, [(1, 2), (3,)])
+    with pytest.raises(ValueError, match="length 2"):
+        Matrix.from_columns(F101, 3, [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="length 1"):
+        Matrix.from_columns(QQ, 0, [(), (Fraction(1),)])
+
+
 # --- polynomials -------------------------------------------------------------
 
 
@@ -493,3 +539,85 @@ def test_randbelow_repeats_randrange_and_its_generator_state(bound):
     expected = [reference.randrange(bound) for _ in range(20_000)]
     assert [randbelow(fast, bound) for _ in range(20_000)] == expected
     assert fast.getstate() == reference.getstate()
+
+
+def _inline_gcd_fold(field, nodes, rows):
+    """The interpolate / drop zeros / fold `poly_gcd` loop that
+    `interpolated_gcd` replaced, kept as its oracle."""
+    samples = [[] for _ in range(len(rows[0]) if rows else 0)]
+    for node, row in zip(nodes, rows):
+        for i, value in enumerate(row):
+            samples[i].append((node, value))
+    polys = [interpolate(field, pts) for pts in samples]
+    nonzero = [poly for poly in polys if not poly.is_zero()]
+    if not nonzero:
+        return None
+    gcd = nonzero[0]
+    for poly in nonzero[1:]:
+        gcd = poly_gcd(gcd, poly)
+    return gcd.monic()
+
+
+@st.composite
+def sampled_polynomials(draw):
+    """(field, nodes, rows, common): 0-5 polynomials sharing a planted factor
+    ``common`` (some of them zero), sampled at enough nodes to interpolate."""
+    field = draw(st.sampled_from((QQ, F101)))
+    if field.kind == "prime":
+        coeff = st.integers(0, field.p - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    planted = draw(st.lists(coeff, min_size=1, max_size=3))
+    common = UniPoly.from_coeffs(field, planted)
+    polys = [
+        UniPoly.from_coeffs(field, draw(st.lists(coeff, max_size=4))).mul(common)
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    nodes = [field.coerce(t) for t in range(7)]
+    rows = [[poly.eval(t) for poly in polys] for t in nodes]
+    return field, nodes, rows, common
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sampled_polynomials())
+def test_interpolated_gcd_matches_the_inline_fold(case):
+    field, nodes, rows, common = case
+    gcd = interpolated_gcd(field, nodes, rows)
+    assert gcd == _inline_gcd_fold(field, nodes, rows)
+    if gcd is None:
+        return
+    assert gcd.leading() == field.one()
+    if not common.is_zero():
+        assert gcd.divmod(common.monic())[1].is_zero()
+
+
+def test_interpolated_gcd_of_zero_polynomials_is_none():
+    nodes = [0, 1, 2]
+    assert interpolated_gcd(F101, nodes, [[0, 0], [0, 0], [0, 0]]) is None
+    assert interpolated_gcd(F101, nodes, [[], [], []]) is None
+
+
+def test_interpolated_gcd_of_one_nonzero_polynomial_is_its_monic():
+    # 2t^2 - 2 and the zero polynomial, sampled at t = 0, 1, 2
+    rows = [[Fraction(-2), 0], [Fraction(0), 0], [Fraction(6), 0]]
+    expected = UniPoly.from_coeffs(QQ, [-1, 0, 1])
+    assert interpolated_gcd(QQ, [0, 1, 2], rows) == expected
+
+
+def test_interpolated_gcd_calls_interpolate_per_column_then_poly_gcd(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in (("interpolate", interpolate), ("poly_gcd", poly_gcd)):
+        monkeypatch.setattr(exact_scalar, name, counted(name, fn))
+    # t - 1, zero, t^2 - 1 and 2t - 2 at t = 0, 1, 2
+    rows = [[100, 0, 100, 99], [0, 0, 0, 0], [1, 0, 3, 2]]
+    gcd = interpolated_gcd(F101, [0, 1, 2], rows)
+    assert gcd == UniPoly.from_coeffs(F101, [100, 1])
+    assert calls == ["interpolate"] * 4 + ["poly_gcd"] * 2

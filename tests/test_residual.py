@@ -10,11 +10,11 @@ import random
 import pytest
 
 from triwedge import catalog
-from triwedge.congruence import kernel_span, member_X, sample_line_on_X
+from triwedge.congruence import draw_line_on_X, kernel_span, member_X, sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
-    _random_coords,
-    _split_decomposable,
+    random_coords,
+    split_decomposable,
 )
 from triwedge.exact_scalar import ConventionError, FieldSpec
 from triwedge.exterior_core import (
@@ -35,10 +35,10 @@ from triwedge.residual import (
     LineSystem,
     ResidualHandle,
     Y_secancy_even,
+    _INNER_LINE_BUDGET,
     _base_locus_context,
     _decomposable_by_plane_scan,
     _lift_bivector,
-    _restricted_line,
     _singular_span,
     general_directions,
     line_system,
@@ -136,7 +136,7 @@ def test_handle_rejects_a_span_that_is_not_the_pencil_kernel():
 def test_line_system_shape_and_self_annihilation():
     handle = handle_for("n6-g2")
     rng = random.Random(3)
-    coords = _random_coords(F101, handle.ctx.dim, rng)
+    coords = random_coords(F101, handle.ctx.dim, rng)
     system = line_system(handle, coords)
     assert system.matrix.rows == handle.ctx.dim - 1
     assert system.matrix.cols == handle.ctx.dim
@@ -147,8 +147,8 @@ def test_line_system_shape_and_self_annihilation():
 def test_line_system_is_linear_in_the_anchor_point():
     handle = handle_for("n5")
     rng = random.Random(3)
-    p = _random_coords(F101, handle.ctx.dim, rng)
-    q = _random_coords(F101, handle.ctx.dim, rng)
+    p = random_coords(F101, handle.ctx.dim, rng)
+    q = random_coords(F101, handle.ctx.dim, rng)
     s = [F101.add(a, b) for a, b in zip(p, q)]
     mp, mq, ms = (line_system(handle, c).matrix for c in (p, q, s))
     for r in range(ms.rows):
@@ -167,9 +167,9 @@ def test_line_system_rejects_the_zero_point():
 def test_line_system_rejects_a_mismatched_matrix():
     handle = handle_for("n5")
     rng = random.Random(3)
-    coords = _random_coords(F101, handle.ctx.dim, rng)
+    coords = random_coords(F101, handle.ctx.dim, rng)
     system = line_system(handle, coords)
-    other = line_system(handle, _random_coords(F101, handle.ctx.dim, rng))
+    other = line_system(handle, random_coords(F101, handle.ctx.dim, rng))
     with pytest.raises(ConventionError):
         LineSystem(point=system.point, matrix=other.matrix)
 
@@ -186,7 +186,7 @@ def test_kernel_dimension_histograms_over_random_points():
         rng = random.Random(7)
         histogram: dict[int, int] = {}
         for _ in range(200):
-            coords = _random_coords(F101, handle.ctx.dim, rng)
+            coords = random_coords(F101, handle.ctx.dim, rng)
             k = line_system(handle, coords).kernel_dim()
             histogram[k] = histogram.get(k, 0) + 1
         assert histogram == expected[name]
@@ -210,7 +210,7 @@ def test_generic_points_are_off_G():
     for name, star in [("n5", 0), ("n6-g2", 1), ("n7-ozeki", 0), ("n8-family", 1)]:
         handle = handle_for(name)
         rng = random.Random(13)
-        coords = _random_coords(F101, handle.ctx.dim, rng)
+        coords = random_coords(F101, handle.ctx.dim, rng)
         on_g, observed = G_membership(handle, coords)
         assert not on_g
         assert observed == star
@@ -225,7 +225,7 @@ def test_the_singular_line_is_the_vertex_of_the_quadric_locus():
     span = _singular_span(handle, ctx_pi, lifted)
     assert span.linear_dim == 1
     generator = span.basis_tensors()[0]
-    first, second = _split_decomposable(generator)
+    first, second = split_decomposable(generator)
 
     def lift_point(v):
         acc = handle.ctx.zero_tensor(1, "vector")
@@ -279,7 +279,7 @@ def test_lifted_base_locus_congruence_lines_are_residual_lines():
     handle = handle_for("n5")
     ctx_pi, basis, _ = _base_locus_context(handle)
     omega_pi = pullback(handle.omega, basis)
-    line_pi = _restricted_line(omega_pi, random.Random(3))
+    line_pi = draw_line_on_X(omega_pi, random.Random(3), _INNER_LINE_BUDGET)
     assert line_pi is not None
     lifted = _lift_bivector(handle.ctx, basis, line_pi)
     assert member_Y(handle, lifted)
