@@ -55,7 +55,6 @@ from .congruence import (
 )
 from .degeneracy import (
     NonGenericFormError,
-    _poly_roots_prime,
     build_M,
     exhaustive_strata,
     hypersurface_degree,
@@ -827,13 +826,8 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
         line = sample_line_on_X(omega5, seed=cfg.seed + i)
         pencil = secant_pencil(omega5, line)
         pencil_points = {
-            normalize_projective(pencil.point_at(t).coords(), p)
-            for t in _poly_roots_prime(pencil.poly, p)
+            normalize_projective(point.coords(), p) for point in pencil.zeros()
         }
-        if pencil.infinity_multiplicity:
-            pencil_points.add(
-                normalize_projective(pencil.point_at_infinity().coords(), p)
-            )
         first, second = split_decomposable(line)
         spanning = (first.coords(), second.coords())
         direct = set()

@@ -4,8 +4,8 @@ A projective line corresponds to a nonzero decomposable bivector ``L``; the
 form contains the line exactly when ``contract(omega, L) = 0``.  Everything
 here is exact linear algebra in the bivector space:
 
-* ``kernel_span`` / ``CongruenceHandle`` — the linear span of the family,
-  computed as the kernel of ``L -> contract(omega, L)``;
+* ``kernel_span`` — the linear span of the family, computed as the kernel of
+  ``L -> contract(omega, L)``;
 * ``lines_through`` — the star of family lines through a point, read off the
   kernel of the evaluated skew matrix of the point;
 * ``order`` — the sampled count of family lines through a random point, with
@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from .degeneracy import (
     NonGenericFormError,
     SkewLinearMatrix,
-    _poly_roots_prime,
     build_M,
     independent_pair,
     kernel_complement_direction,
     line_subpfaffian_gcd,
+    line_zeros,
     random_coords,
     rank_at,
     require_three_form,
@@ -63,7 +63,6 @@ from .form_analysis import LinearSubspace, contraction_matrix, j_rank, point_coo
 __all__ = [
     "MIN_ORDER_PRIME",
     "SECTION_POINT_BUDGET",
-    "CongruenceHandle",
     "LocalCertificate",
     "QuadricSystem",
     "SectionPartition",
@@ -92,31 +91,6 @@ def kernel_span(omega: AlternatingTensor) -> LinearSubspace:
     return LinearSubspace.from_kernel(
         contraction_matrix(omega, 2), "bivectors", omega.ctx
     )
-
-
-@dataclass(frozen=True)
-class CongruenceHandle:
-    """A 3-form bundled with the linear span of its line family."""
-
-    omega: AlternatingTensor
-    span: LinearSubspace
-    ctx: SpaceContext
-
-    def __post_init__(self) -> None:
-        require_three_form(self.omega)
-        if self.ctx != self.omega.ctx:
-            raise ConventionError("handle context does not match the form")
-        if self.span.ambient != "bivectors" or self.span.ctx != self.ctx:
-            raise ConventionError("span must be a bivector subspace on the same space")
-        if self.span.codim != j_rank(self.omega, 2):
-            raise ConventionError("span is not the exact contraction kernel")
-        for b in self.span.basis_tensors():
-            if not contract(self.omega, b).is_zero():
-                raise ConventionError("span is not the exact contraction kernel")
-
-    @staticmethod
-    def build(omega: AlternatingTensor) -> "CongruenceHandle":
-        return CongruenceHandle(omega=omega, span=kernel_span(omega), ctx=omega.ctx)
 
 
 def _require_bivector(ctx: SpaceContext, line: AlternatingTensor) -> None:
@@ -291,14 +265,7 @@ def _even_line_attempt(
     gcd = line_subpfaffian_gcd(matrix, first, second)
     if gcd is None:
         return None
-    candidates = [
-        [field.add(a, field.mul(root, b)) for a, b in zip(first, second)]
-        for root in _poly_roots_prime(gcd, field.p)  # type: ignore[arg-type]
-    ]
-    candidates.append(list(second))
-    for coords in candidates:
-        if all(field.is_zero(c) for c in coords):
-            continue
+    for coords in line_zeros(field, first, second, gcd):
         if rank_at(matrix, coords) > ctx.n - 2:
             continue
         line = _line_from_kernel(matrix, coords)
@@ -547,19 +514,12 @@ def classify_linear_section(
             f"{total} projective points exceed the enumeration budget"
         )
     split_form, beta, _ = split_along_covector(omega_p, x_p)
-    basis_columns = space.basis.columns()
-    ambient = space.ambient_linear_dim
     counts = {"only_full": 0, "only_split": 0, "overlap": 0, "neither": 0}
     grassmannian = 0
     neither_witnesses: list[tuple[int, ...]] = []
     violations: list[tuple[int, ...]] = []
     for coeffs in projective_points(field, space.linear_dim):
-        coords = [field.zero()] * ambient
-        for c, column in zip(coeffs, basis_columns):
-            if field.is_zero(c):
-                continue
-            for r in range(ambient):
-                coords[r] = field.add(coords[r], field.mul(c, column[r]))
+        coords = space.basis.matvec(coeffs)
         line = ctx.tensor_from_coords(2, "vector", coords)
         if not reduced_square(line).is_zero():
             continue

@@ -20,8 +20,10 @@ fields.
 
 The sampling and line helpers that `congruence`, `residual` and `cli` share
 are public here: `random_coords` (a nonzero random point), `independent_pair`
-(two independent points spanning a line), `line_subpfaffian_gcd` (the
-rank-drop polynomial of M restricted to that line),
+(two independent points spanning a line), `line_gcd` and `line_zeros` (the
+gcd of polynomials restricted to that line, and the points where one
+vanishes), `line_subpfaffian_gcd` (the rank-drop polynomial of M on the line),
+`SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
 `kernel_complement_direction` (a kernel direction of M(P) independent of P),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
@@ -36,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .exact_scalar import (
     ConventionError,
@@ -86,7 +88,9 @@ __all__ = [
     "exhaustive_strata",
     "independent_pair",
     "kernel_complement_direction",
+    "line_gcd",
     "line_subpfaffian_gcd",
+    "line_zeros",
     "normalize_projective",
     "random_coords",
     "require_three_form",
@@ -199,10 +203,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
         return rank
 
     for _ in range(samples):
-        coords = [randbelow(rng, p) for _ in range(dim)]
-        while all(value == 0 for value in coords):
-            coords = [randbelow(rng, p) for _ in range(dim)]
-        rank = record(coords)
+        rank = record(random_coords(field, dim, rng))
         histogram[rank] = histogram.get(rank, 0) + 1
 
     generic = max(histogram)
@@ -254,6 +255,43 @@ def independent_pair(
             return first, second
 
 
+def _line_point(field, first, second, t) -> list[Scalar]:
+    return [field.add(a, field.mul(t, b)) for a, b in zip(first, second)]
+
+
+def line_gcd(
+    field: FieldSpec,
+    first: Sequence[Scalar],
+    second: Sequence[Scalar],
+    degree: int,
+    values_at: Callable[[list[Scalar]], Sequence[Scalar]],
+) -> Optional[UniPoly]:
+    """Monic gcd of polynomials of degree at most ``degree`` along first + t*second.
+
+    ``values_at`` maps a point to every polynomial's value there; it is called
+    at the nodes of `_interpolation_nodes`, and `interpolated_gcd` combines the
+    values.  Returns None when every polynomial vanishes on the line, and
+    raises `ConventionError` when F_p has fewer than ``degree + 1`` elements.
+    """
+    nodes = _interpolation_nodes(field, degree + 1)
+    rows = [values_at(_line_point(field, first, second, node)) for node in nodes]
+    return interpolated_gcd(field, nodes, rows)
+
+
+def line_zeros(
+    field: FieldSpec, first: Sequence[Scalar], second: Sequence[Scalar], poly: UniPoly
+) -> list[list[Scalar]]:
+    """The points first + r*second over F_p at the roots r of ``poly``, in
+    increasing r, then ``second`` for the root at infinity; zero points dropped.
+    """
+    points = [
+        _line_point(field, first, second, root)
+        for root in _poly_roots_prime(poly, field.p)  # type: ignore[arg-type]
+    ]
+    points.append(list(second))
+    return [point for point in points if not all(field.is_zero(v) for v in point)]
+
+
 def line_subpfaffian_gcd(
     M: SkewLinearMatrix, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> Optional[UniPoly]:
@@ -262,19 +300,14 @@ def line_subpfaffian_gcd(
     Returns None when every sub-Pfaffian vanishes identically on the
     line, which signals a degenerate line choice.
     """
-    field = M.ctx.field
     dim = M.size
-    degree_bound = (dim - 1) // 2
-    nodes = _interpolation_nodes(field, degree_bound + 1)
     principal = [[k for k in range(dim) if k != i] for i in range(dim)]
-    rows = []
-    for node in nodes:
-        coords = [
-            field.add(a, field.mul(node, b)) for a, b in zip(first, second)
-        ]
+
+    def subpfaffians(coords: list[Scalar]) -> list[Scalar]:
         evaluated = M.evaluate(coords)
-        rows.append([pfaffian(evaluated.submatrix(keep, keep)) for keep in principal])
-    return interpolated_gcd(field, nodes, rows)
+        return [pfaffian(evaluated.submatrix(keep, keep)) for keep in principal]
+
+    return line_gcd(M.ctx.field, first, second, (dim - 1) // 2, subpfaffians)
 
 
 def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:
@@ -289,32 +322,20 @@ def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:
 
 def _even_witness_search(omega, M, rng, trials, record) -> None:
     field = omega.ctx.field
-    p: int = field.p  # type: ignore[assignment]
-    dim = M.size
     for _ in range(trials):
-        first, second = independent_pair(field, dim, rng)
+        first, second = independent_pair(field, M.size, rng)
         gcd = line_subpfaffian_gcd(M, first, second)
         if gcd is None or gcd.degree < 1:
             continue
-        for root in _poly_roots_prime(gcd, p):
-            coords = [
-                (int(a) + root * int(b)) % p for a, b in zip(first, second)
-            ]
-            if any(coords):
-                record(coords)
-        record([int(b) % p for b in second])
+        for coords in line_zeros(field, first, second, gcd):
+            record(coords)
 
 
 def _odd_witness_search(omega, M, rng, trials, record) -> None:
-    field = omega.ctx.field
-    p: int = field.p  # type: ignore[assignment]
     ctx = omega.ctx
-    dim = M.size
-    n = ctx.n
     for _ in range(trials):
-        coords = random_coords(field, dim, rng)
-        rank = record([int(value) for value in coords])
-        if rank != n - 1:
+        coords = random_coords(ctx.field, M.size, rng)
+        if record(coords) != ctx.n - 1:
             continue
         direction = kernel_complement_direction(M, coords)
         if direction is None:
@@ -325,12 +346,8 @@ def _odd_witness_search(omega, M, rng, trials, record) -> None:
             pencil = secant_pencil(omega, line)
         except NonGenericFormError:
             continue
-        for root in _poly_roots_prime(pencil.poly, p):
-            witness = pencil.point_at(root)
-            record([int(value) for value in witness.coords()])
-        if pencil.infinity_multiplicity > 0:
-            witness = pencil.point_at_infinity()
-            record([int(value) for value in witness.coords()])
+        for witness in pencil.zeros():
+            record(witness.coords())
 
 
 def kernel_complement_direction(
@@ -419,6 +436,17 @@ class SecantPencil:
 
     def point_at_infinity(self) -> AlternatingTensor:
         return self.direction
+
+    def roots(self) -> list[int]:
+        """The parameters t in F_p, in increasing order, where ``poly`` vanishes."""
+        return _poly_roots_prime(self.poly, self.base.ctx.field.p)  # type: ignore[arg-type]
+
+    def zeros(self) -> list[AlternatingTensor]:
+        """`point_at` each root, then the point at infinity when it counts."""
+        points = [self.point_at(t) for t in self.roots()]
+        if self.infinity_multiplicity > 0:
+            points.append(self.point_at_infinity())
+        return points
 
 
 def split_decomposable(line: AlternatingTensor) -> tuple[AlternatingTensor, AlternatingTensor]:

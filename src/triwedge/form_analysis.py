@@ -317,16 +317,14 @@ def genericity(
     omega: AlternatingTensor,
     samples: int = DEFAULT_GC3_SAMPLES,
     seed: int = 0,
-    exhaustive: bool | None = None,
 ) -> GenericityReport:
     """Genericity report for a 3-form.
 
     gc1 (injectivity of x -> omega^x) and gc2 (contraction rank n+1) are
     exact.  gc3 is decided by seeded random search over at least `samples`
-    points; over a prime field whose projective point count fits the budget
-    (or when `exhaustive=True`), an exhaustive scan replaces sampling and the
-    verdict is a certificate for that field.  `exhaustive=False` disables the
-    scan even when affordable.
+    points; over a prime field whose projective point count fits the budget,
+    an exhaustive scan replaces sampling and the verdict is a certificate for
+    that field.
     """
     if omega.variance != "form" or omega.degree != 3:
         raise ValueError("genericity expects a 3-form")
@@ -353,11 +351,7 @@ def genericity(
         fld.kind == "prime"
         and projective_point_count(fld.p, dim) <= EXHAUSTIVE_POINT_BUDGET  # type: ignore[arg-type]
     )
-    if exhaustive is True and not can_enumerate:
-        raise ValueError("exhaustive scan requested but point count exceeds budget")
-    do_exhaustive = can_enumerate if exhaustive is None else exhaustive
-
-    if do_exhaustive:
+    if can_enumerate:
         for coords in projective_points(fld, dim):
             examined += 1
             if point_contraction_rank(M, coords, limit=2) <= 2:

@@ -37,9 +37,11 @@ from dataclasses import dataclass
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
     NonGenericFormError,
-    _poly_roots_prime,
     build_M,
+    independent_pair,
     kernel_complement_direction,
+    line_gcd,
+    line_zeros,
     random_coords,
     require_three_form,
     secant_pencil,
@@ -50,7 +52,6 @@ from .exact_scalar import (
     Matrix,
     Scalar,
     _rref,
-    interpolated_gcd,
     randbelow,
     rank_kernel,
 )
@@ -483,7 +484,12 @@ def _decomposable_by_line_search(
     field = ctx.field
     basis = span.basis_tensors()
     keys = list(ctx.index_sets(4))
-    nodes = [field.coerce(v) for v in range(3)]
+
+    def quadrics(coords: list[Scalar]) -> list[Scalar]:
+        square = reduced_square(ctx.tensor_from_coords(2, "vector", coords))
+        values = square.coeff_map()
+        return [values.get(key, field.zero()) for key in keys]
+
     for _ in range(_LINE_SEARCH_ROUNDS):
         base, direction = [
             _random_combination(ctx.zero_tensor(2, "vector"), basis, rng)
@@ -491,20 +497,13 @@ def _decomposable_by_line_search(
         ]
         if base.is_zero() or direction.is_zero():
             continue
-        rows = []
-        for t in nodes:
-            values = reduced_square(base.add(direction.scale(t))).coeff_map()
-            rows.append([values.get(key, field.zero()) for key in keys])
-        gcd = interpolated_gcd(field, nodes, rows)
+        first, second = base.coords(), direction.coords()
+        gcd = line_gcd(field, first, second, 2, quadrics)
         if gcd is None:
             continue
-        candidates = [
-            base.add(direction.scale(field.coerce(root)))
-            for root in _poly_roots_prime(gcd, field.p)  # type: ignore[arg-type]
-        ]
-        candidates.append(direction)
-        for candidate in candidates:
-            if not candidate.is_zero() and reduced_square(candidate).is_zero():
+        for coords in line_zeros(field, first, second, gcd):
+            candidate = ctx.tensor_from_coords(2, "vector", coords)
+            if reduced_square(candidate).is_zero():
                 return candidate
     return None
 
@@ -531,14 +530,11 @@ def _decomposable_by_plane_scan(
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = [random_coords(field, dim, rng) for _ in range(3)]
-        flat = tuple(v for q in anchors for v in q)
-        if rank_kernel(Matrix(field, 3, dim, flat))[0] != 3:
+        plane = Matrix.from_columns(field, dim, anchors)
+        if rank_kernel(plane)[0] != 3:
             continue
-        for s, t, u in projective_points(field, 3):
-            point = [
-                (s * qa + t * qb + u * qc) % field.p  # type: ignore[operator]
-                for qa, qb, qc in zip(*anchors)
-            ]
+        for coeffs in projective_points(field, 3):
+            point = plane.matvec(coeffs)
             if point_contraction_rank(matrix, point) != generic_rank:
                 continue
             direction = kernel_complement_direction(matrix, point)
@@ -610,7 +606,6 @@ def _degree_containment_checks(handle: ResidualHandle, rng: random.Random) -> No
     """The base locus, and sampled degeneracy points of lines of the ambient
     congruence, must lie on the locus whose degree was just measured."""
     ctx = handle.ctx
-    field = ctx.field
     pi_point = ctx.zero_tensor(1, "vector")
     while pi_point.is_zero():
         pi_point = _random_combination(pi_point, handle.pi.basis_tensors(), rng)
@@ -622,12 +617,11 @@ def _degree_containment_checks(handle: ResidualHandle, rng: random.Random) -> No
             pencil = secant_pencil(handle.omega, line)
         except (ConventionError, NonGenericFormError):
             continue
-        roots = _poly_roots_prime(pencil.poly.monic(), field.p)  # type: ignore[arg-type]
+        roots = pencil.roots()
         if not roots:
             continue
         for root in roots[:2]:
-            point = pencil.point_at(field.coerce(root))
-            if not G_membership(handle, point)[0]:
+            if not G_membership(handle, pencil.point_at(root))[0]:
                 raise NonGenericFormError(
                     "a degeneracy point of a congruence line fell off the "
                     "measured locus"
@@ -653,29 +647,20 @@ def G_degree_odd(handle: ResidualHandle, seed: int = 0) -> int:
         raise ConventionError("the minor-gcd degree applies to odd n")
     if field.kind != "prime":
         raise ConventionError("degree sampling needs a prime field")
-    if field.p <= ctx.n:  # type: ignore[operator]
-        raise ConventionError("field too small for the interpolation nodes")
     rng = random.Random(derive_seed("residual-degree", ctx.n, field.p, seed))
-    nodes = [field.coerce(v) for v in range(ctx.n + 1)]
     maximal = [[c for c in range(ctx.dim) if c != j] for j in range(ctx.dim)]
+
+    def maximal_minors(coords: list[Scalar]) -> list[Scalar]:
+        matrix = line_system(handle, coords).matrix
+        row_idx = list(range(matrix.rows))
+        return [matrix.submatrix(row_idx, keep).det() for keep in maximal]
+
     agreed: list[int] = []
     for _ in range(_DEGREE_LINE_BUDGET):
         if len(agreed) >= _AGREEING_LINES:
             break
-        base = random_coords(field, ctx.dim, rng)
-        direction = random_coords(field, ctx.dim, rng)
-        flat = tuple(base) + tuple(direction)
-        if rank_kernel(Matrix(field, 2, ctx.dim, flat))[0] != 2:
-            continue
-        rows = []
-        for t in nodes:
-            coords = [
-                field.add(a, field.mul(t, b)) for a, b in zip(base, direction)
-            ]
-            matrix = line_system(handle, coords).matrix
-            row_idx = list(range(matrix.rows))
-            rows.append([matrix.submatrix(row_idx, keep).det() for keep in maximal])
-        gcd = interpolated_gcd(field, nodes, rows)
+        base, direction = independent_pair(field, ctx.dim, rng)
+        gcd = line_gcd(field, base, direction, ctx.n, maximal_minors)
         if gcd is None or gcd.degree % 2:
             continue
         agreed.append(gcd.degree)

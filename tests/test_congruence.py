@@ -9,7 +9,6 @@ import pytest
 
 from triwedge import catalog
 from triwedge.congruence import (
-    CongruenceHandle,
     LocalCertificate,
     classify_linear_section,
     kernel_span,
@@ -84,16 +83,6 @@ def test_kernel_span_rank_law_on_degenerate_forms():
     omega = AlternatingTensor.make(ctx, 3, "form", {(0, 1, 2): 1})
     span = kernel_span(omega)
     assert span.codim == j_rank(omega, 2) == j_rank(omega, 1) == 3
-
-
-def test_handle_build_and_validation():
-    omega, _ = catalog.get("n5")
-    handle = CongruenceHandle.build(omega)
-    assert handle.span.codim == 6
-    assert handle.ctx == omega.ctx
-    other, _ = catalog.get("n5-tangent")
-    with pytest.raises(ConventionError):
-        CongruenceHandle(omega=other, span=kernel_span(omega), ctx=other.ctx)
 
 
 # -- membership --------------------------------------------------------------------

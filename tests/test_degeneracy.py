@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwedge import catalog
+from triwedge.congruence import sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
     SkewLinearMatrix,
@@ -15,11 +19,22 @@ from triwedge.degeneracy import (
     build_M,
     exhaustive_strata,
     hypersurface_degree,
+    independent_pair,
+    line_gcd,
+    line_zeros,
     rank_at,
     secant_pencil,
     stratify,
 )
-from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, rank_kernel
+from triwedge.exact_scalar import (
+    ConventionError,
+    FieldSpec,
+    Matrix,
+    UniPoly,
+    interpolated_gcd,
+    pfaffian,
+    rank_kernel,
+)
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -268,6 +283,89 @@ def test_secant_pencil_rejects_bad_lines():
     line6 = wedge(ctx6.basis_vector(1), ctx6.basis_vector(2))
     with pytest.raises(ConventionError):
         secant_pencil(omega6, line6)
+
+
+def test_pencil_zeros_are_the_scanned_roots_then_infinity():
+    # the pencil's own root scan against a scan of every parameter of F_1009;
+    # the n5 lines all count the root at infinity, and n7-ozeki at seed 9
+    # meets the drop locus in three affine points
+    shapes = Counter()
+    for name in ("n5", "n7-ozeki"):
+        omega, _ = catalog.get(name, field=F1009)
+        for seed in range(12):
+            pencil = secant_pencil(omega, sample_line_on_X(omega, seed=seed))
+            scanned = [t for t in range(1009) if F1009.is_zero(pencil.poly.eval(t))]
+            expected = [pencil.point_at(t) for t in scanned]
+            if pencil.infinity_multiplicity > 0:
+                expected.append(pencil.point_at_infinity())
+            assert pencil.roots() == scanned
+            assert pencil.zeros() == expected
+            shapes[len(scanned), pencil.infinity_multiplicity > 0] += 1
+    assert shapes[1, True] == 12 and shapes[3, False] >= 1
+
+
+# -- restriction to a line: gcd and zeros ------------------------------------------
+
+
+@st.composite
+def polynomials_on_lines(draw):
+    """(field, first, second, poly) over a small or a desk-scale prime."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    dim = draw(st.integers(1, 4))
+    point = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    coeffs = draw(st.lists(st.integers(0, p - 1), max_size=5))
+    field = FieldSpec.prime(p)
+    return field, draw(point), draw(point), UniPoly.from_coeffs(field, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polynomials_on_lines())
+def test_line_zeros_match_a_scan_of_the_line(case):
+    field, first, second, poly = case
+    p = field.p
+    scanned = [
+        [(a + t * b) % p for a, b in zip(first, second)]
+        for t in range(p)
+        if poly.eval(t) % p == 0
+    ]
+    scanned.append(list(second))
+    assert line_zeros(field, first, second, poly) == [pt for pt in scanned if any(pt)]
+
+
+def _inline_line_gcd(field, first, second, degree, values_at):
+    """The node loop that `line_gcd` replaced, kept as its oracle."""
+    nodes = [field.coerce(v) for v in range(degree + 1)]
+    rows = []
+    for node in nodes:
+        coords = [field.add(a, field.mul(node, b)) for a, b in zip(first, second)]
+        rows.append(values_at(coords))
+    return interpolated_gcd(field, nodes, rows)
+
+
+@pytest.mark.parametrize("field", [Q, F1009])
+@pytest.mark.parametrize("name", ["n4", "n6-g2", "n8-family"])
+def test_line_gcd_matches_the_inline_node_loop(field, name):
+    omega, _ = catalog.get(name, field=field)
+    M = build_M(omega)
+    dim = M.size
+    principal = [[k for k in range(dim) if k != i] for i in range(dim)]
+
+    def subpfaffians(coords):
+        evaluated = M.evaluate(coords)
+        return [pfaffian(evaluated.submatrix(keep, keep)) for keep in principal]
+
+    rng = random.Random(5)
+    for _ in range(3):
+        first, second = independent_pair(field, dim, rng)
+        gcd = line_gcd(field, first, second, (dim - 1) // 2, subpfaffians)
+        assert gcd == _inline_line_gcd(field, first, second, (dim - 1) // 2, subpfaffians)
+        assert gcd is not None
+
+
+def test_line_gcd_rejects_a_field_too_small_for_its_nodes():
+    F2 = FieldSpec.prime(2)
+    with pytest.raises(ConventionError):
+        line_gcd(F2, [1, 0], [0, 1], 2, lambda coords: [coords[0]])
 
 
 # -- exhaustive stratification ------------------------------------------------------

@@ -410,6 +410,15 @@ def test_plane_scan_returns_a_line_the_full_form_kills():
     assert contract(handle.omega, _lift_bivector(handle.ctx, basis, line)).is_zero()
 
 
+def test_singular_locus_over_a_field_too_small_for_the_line_search():
+    # the line search needs three interpolation nodes; F_2 has two, and at
+    # these seeds the search is reached after the direct basis hits fail
+    omega, _ = catalog.get("n7-ozeki", field=FieldSpec.prime(2))
+    handle = ResidualHandle.general(omega, seed=1)
+    with pytest.raises(ConventionError):
+        sing_Y_dimension(handle, seed=1)
+
+
 def test_singular_locus_needs_dimension_at_least_five():
     omega = random_tensor(SpaceContext(4, F101), 3, "form", 3)
     handle = ResidualHandle.general(omega, seed=0)
