@@ -13,10 +13,9 @@ elimination with one integer routine per field: modulo p on ints in
 with a Fraction division only for the final reduced rows.
 `skew_rank_mod_p` is the rank-only kernel for alternating matrices over F_p
 that the pointwise rank scans use: pairwise (skew-symmetric) elimination,
-which builds no kernel and can stop as soon as the rank exceeds a caller's
-limit.  The Pfaffian uses recursive first-row expansion with memoization,
-which is simple and more than fast enough for the matrix sizes that arise
-here (odd skew pencils never exceed 12 rows).  Univariate polynomials store
+which builds no kernel.  The Pfaffian uses recursive first-row expansion
+with memoization, which is simple and more than fast enough for the matrix
+sizes that arise here (odd skew pencils never exceed 12 rows).  Univariate polynomials store
 coefficients lowest-degree first and provide the monic Euclidean GCD and
 Lagrange interpolation used to restrict determinantal loci to lines;
 `interpolated_gcd` is the one place that combines them, for polynomials
@@ -480,7 +479,7 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def skew_rank_mod_p(p: int, rows: list[list[int]], limit: int | None = None) -> int:
+def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:
     """Exact rank of an alternating matrix over F_p by pairwise elimination.
 
     ``rows`` is a square alternating matrix (zero diagonal, ``a[j][i] ==
@@ -489,11 +488,6 @@ def skew_rank_mod_p(p: int, rows: list[list[int]], limit: int | None = None) -> 
     the remaining block by ``a[k][l] + (a[k][i]*a[j][l] - a[k][j]*a[i][l]) /
     a[i][j]``, which is again alternating; an index whose row has become zero
     on the remaining block is dropped.
-
-    With ``limit`` the result is exact whenever the rank is at most ``limit``,
-    and otherwise some value greater than ``limit``: elimination stops as soon
-    as the rank is known to exceed it.  When one more pivot would exceed the
-    limit, the remaining block is only searched for a nonzero entry.
     """
     live = list(range(len(rows)))
     rank = 0
@@ -505,20 +499,8 @@ def skew_rank_mod_p(p: int, rows: list[list[int]], limit: int | None = None) -> 
             continue
         live.remove(j)
         rank += 2
-        if limit is not None and rank > limit:
-            return rank
         rj = rows[j]
-        pivot = ri[j]
-        if limit is not None and rank + 2 > limit:
-            # a[i][j] times the updated entry (k, l); nonzero means another pivot
-            for pos, k in enumerate(live):
-                rk = rows[k]
-                u, v = rk[i], rk[j]
-                for l in live[pos + 1 :]:
-                    if (rk[l] * pivot + u * rj[l] - v * ri[l]) % p:
-                        return rank + 2
-            return rank
-        inv = pow(pivot, p - 2, p)
+        inv = pow(ri[j], p - 2, p)
         for k in live:
             rk = rows[k]
             u = rk[i] * inv % p

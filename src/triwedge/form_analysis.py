@@ -7,8 +7,10 @@ The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
 table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
 `build_M` derives from omega.  Its one rank routine is
 `point_contraction_rank`: an int grid and `skew_rank_mod_p` over F_p,
-`rank_kernel` of `M.evaluate(point)` over the rationals.  Every rank-only
-query at a point goes through it; callers that need the kernel take
+`rank_kernel` of `M.evaluate(point)` over the rationals.  Every rank query
+at a point goes through it, except the question "rank at most 2?", which
+`rank_at_most_two` answers from the 4x4 principal Pfaffians without building
+the matrix; callers that need the kernel take
 `rank_kernel(M.evaluate(point))` themselves.
 
 Everything reduces to exact kernels of explicit matrices.  A k-form f induces
@@ -23,13 +25,15 @@ construction except in characteristic 2, where the polar matrix alone is
 used.  Genericity of a 3-form is decided exactly for the two linear-algebra
 conditions (injectivity of x -> omega^x; full contraction rank n+1) and by
 seeded random search, plus exhaustive finite-field scan when the point count
-permits, for the condition that every point contraction has rank above 2.
+permits, for the condition that every point contraction has rank above 2;
+each point of that search is tested by `rank_at_most_two`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence, Union
 
 import random as _random
@@ -65,6 +69,7 @@ __all__ = [
     "build_M",
     "point_contraction_rank",
     "point_coords",
+    "rank_at_most_two",
     "contraction_matrix",
     "j_rank",
     "genericity",
@@ -178,6 +183,7 @@ def j_rank(f: AlternatingTensor, j: int) -> int:
 # -- the skew matrix of linear forms and its pointwise rank ---------------------
 
 PointLike = Union[AlternatingTensor, Sequence]
+LinearTerms = tuple[tuple[int, Scalar], ...]
 
 
 def point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
@@ -202,7 +208,7 @@ class SkewLinearMatrix:
     """
 
     ctx: SpaceContext
-    pairs: tuple[tuple[tuple[int, int], tuple[tuple[int, Scalar], ...]], ...]
+    pairs: tuple[tuple[tuple[int, int], LinearTerms], ...]
 
     def __post_init__(self) -> None:
         dim = self.ctx.dim
@@ -216,13 +222,31 @@ class SkewLinearMatrix:
     def size(self) -> int:
         return self.ctx.dim
 
-    def entry_form(self, i: int, j: int) -> AlternatingTensor:
-        """The (i, j) entry as a 1-form."""
-        if not (0 <= i < self.size and 0 <= j < self.size):
-            raise ConventionError(f"entry ({i}, {j}) is out of range")
-        terms = dict(self.pairs).get((min(i, j), max(i, j)), ())
-        form = AlternatingTensor.make(self.ctx, 1, "form", [((k,), c) for k, c in terms])
-        return form if i < j else form.neg()
+    @cached_property
+    def quartets(self) -> tuple[tuple[tuple[LinearTerms, LinearTerms, int], ...], ...]:
+        """The 4x4 principal Pfaffians that are not identically zero.
+
+        For each a < b < c < d in lexicographic order, the Pfaffian is
+        m_ab m_cd - m_ac m_bd + m_ad m_bc; a product survives when both of
+        its entries are listed in ``pairs``, and it is stored as (terms of
+        the first entry, terms of the second, sign).  A quadruple with no
+        surviving product is left out.
+        """
+        entries = dict(self.pairs)
+        quartets = []
+        for a, b, c, d in combinations(range(self.size), 4):
+            products = tuple(
+                (entries[first], entries[second], sign)
+                for first, second, sign in (
+                    ((a, b), (c, d), 1),
+                    ((a, c), (b, d), -1),
+                    ((a, d), (b, c), 1),
+                )
+                if first in entries and second in entries
+            )
+            if products:
+                quartets.append(products)
+        return tuple(quartets)
 
     def evaluate(self, point: PointLike) -> Matrix:
         """Scalar skew matrix obtained by evaluating every entry at a point."""
@@ -259,15 +283,13 @@ def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
     )
 
 
-def point_contraction_rank(M: SkewLinearMatrix, coords, limit: int | None = None) -> int:
+def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     """Rank of the skew matrix evaluated at one point, the rank of the 2-form
     obtained by contracting the 3-form there.
 
     Over F_p the coordinates must already be ints; the matrix is built as an
-    int grid and its rank taken by `skew_rank_mod_p`; with ``limit`` the
-    answer is exact up to ``limit`` and otherwise only some value above it.
-    Over the rationals the rank is that of `M.evaluate(coords)` from
-    `rank_kernel` and is always exact, whatever ``limit`` is.
+    int grid and its rank taken by `skew_rank_mod_p`.  Over the rationals the
+    rank is that of `M.evaluate(coords)` from `rank_kernel`.
     """
     fld = M.ctx.field
     if fld.kind != "prime":
@@ -283,7 +305,37 @@ def point_contraction_rank(M: SkewLinearMatrix, coords, limit: int | None = None
         if acc:
             grid[i][j] = acc
             grid[j][i] = p - acc
-    return skew_rank_mod_p(p, grid, limit)
+    return skew_rank_mod_p(p, grid)
+
+
+def rank_at_most_two(M: SkewLinearMatrix, coords) -> bool:
+    """Whether the skew matrix evaluated at one point has rank at most 2.
+
+    A skew matrix has rank at most 2 exactly when every 4x4 principal
+    Pfaffian vanishes, so this evaluates the Pfaffians of `M.quartets` at the
+    point and answers False at the first nonzero one; the quadruples left out
+    of that table vanish identically.  Over F_p the coordinates must already
+    be ints and each Pfaffian is reduced mod p; over the rationals it is
+    compared with zero exactly.
+    """
+    fld = M.ctx.field
+    prime = fld.kind == "prime"
+    if not prime:
+        coords = point_coords(M.ctx, coords)
+    for quartet in M.quartets:
+        acc = 0
+        for first, second, sign in quartet:
+            u = v = 0
+            for k, c in first:
+                u += c * coords[k]
+            for k, c in second:
+                v += c * coords[k]
+            acc += sign * u * v
+        if prime:
+            acc %= fld.p  # type: ignore[operator]
+        if acc:
+            return False
+    return True
 
 
 # -- genericity -----------------------------------------------------------------
@@ -354,7 +406,7 @@ def genericity(
     if can_enumerate:
         for coords in projective_points(fld, dim):
             examined += 1
-            if point_contraction_rank(M, coords, limit=2) <= 2:
+            if rank_at_most_two(M, coords):
                 witness = coords
                 break
         else:
@@ -375,7 +427,7 @@ def genericity(
             if all(c == 0 for c in coords):
                 continue
             examined += 1
-            if point_contraction_rank(M, coords, limit=2) <= 2:
+            if rank_at_most_two(M, coords):
                 witness = coords
                 break
         notes.append(f"randomized search over {examined} sampled points")

@@ -503,27 +503,20 @@ def alternating_mod_p(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=alternating_mod_p(), limit=st.integers(0, 12))
-def test_skew_rank_matches_row_reduction(case, limit):
+@given(case=alternating_mod_p())
+def test_skew_rank_matches_row_reduction(case):
     p, rows = case
     rank = len(_rref_prime(p, [row[:] for row in rows], len(rows)))
     assert skew_rank_mod_p(p, [row[:] for row in rows]) == rank
-    bounded = skew_rank_mod_p(p, [row[:] for row in rows], limit=2)
-    assert (bounded <= 2) == (rank <= 2)
-    if rank <= 2:
-        assert bounded == rank
-    bounded = skew_rank_mod_p(p, [row[:] for row in rows], limit=limit)
-    assert bounded == rank if rank <= limit else bounded > limit
 
 
 def test_skew_rank_anchors():
     assert skew_rank_mod_p(7, []) == 0
     assert skew_rank_mod_p(7, [[0, 0], [0, 0]]) == 0
     assert skew_rank_mod_p(7, [[0, 3], [4, 0]]) == 2
-    # e0^e1 + e2^e3 has rank 4; stopping at limit 2 still reports more than 2
+    # e0^e1 + e2^e3 has rank 4
     rows = [[0, 1, 0, 0], [6, 0, 0, 0], [0, 0, 0, 1], [0, 0, 6, 0]]
     assert skew_rank_mod_p(7, [row[:] for row in rows]) == 4
-    assert skew_rank_mod_p(7, [row[:] for row in rows], limit=2) > 2
 
 
 # --- seeded draws --------------------------------------------------------------------

@@ -10,19 +10,26 @@ hand computation on the concrete instances below before freezing.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwedge.exact_scalar import ConventionError, FieldSpec, rank_kernel
+from triwedge import catalog
+from triwedge.exact_scalar import ConventionError, FieldSpec, randbelow, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
     contract,
+    derive_seed,
+    projective_point_count,
+    projective_points,
     random_tensor,
     wedge,
 )
 from triwedge.form_analysis import (
+    EXHAUSTIVE_POINT_BUDGET,
     LinearSubspace,
     SkewLinearMatrix,
     build_M,
@@ -31,8 +38,11 @@ from triwedge.form_analysis import (
     j_rank,
     point_contraction_rank,
     quadric_of,
+    rank_at_most_two,
     span_lattice,
 )
+
+from oracles import entry_form
 
 QQ = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -92,19 +102,35 @@ def test_point_contraction_rank_matches_generic_path():
 
 @st.composite
 def forms_and_points(draw):
-    """A 3-form with n = 3..8 over Q or F_p, p in {2, 3, 101}, and three
-    nonzero points; half the forms are sums of 1-4 random monomials, so low
-    point ranks occur often."""
+    """A 3-form with n = 3..8 over Q or F_p, p in {2, 3, 5, 101}, and three
+    nonzero points.  A quarter of the forms are random; the rest make low
+    point ranks common: sums of 1-4 random monomials, sums of one or two
+    decomposable forms u^v^w (point rank at most 2 or 4), and the two-planes
+    form (rank 2 on its two planes)."""
     n = draw(st.integers(3, 8))
-    field = draw(st.sampled_from([QQ, FieldSpec.prime(2), FieldSpec.prime(3), F101]))
+    field = draw(
+        st.sampled_from([QQ, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), F101])
+    )
     ctx = SpaceContext(n, field)
     coeff = st.integers(-5, 5) if field.kind == "rational" else st.integers(0, field.p - 1)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["random", "monomials", "decomposable", "two-planes"]))
+    if shape == "random":
         omega = random_tensor(ctx, 3, "form", draw(st.integers(0, 10**6)))
-    else:
+    elif shape == "monomials":
         index = st.lists(st.integers(0, n), min_size=3, max_size=3, unique=True)
         terms = draw(st.lists(st.tuples(index, coeff), min_size=1, max_size=4))
         omega = AlternatingTensor.make(ctx, 3, "form", terms)
+    elif shape == "decomposable" or n < 5:
+        covector = st.lists(coeff, min_size=n + 1, max_size=n + 1)
+        omega = ctx.zero_tensor(3, "form")
+        for _ in range(draw(st.integers(1, 2))):
+            u, v, w = (
+                ctx.tensor_from_coords(1, "form", [field.coerce(c) for c in draw(covector)])
+                for _ in range(3)
+            )
+            omega = omega.add(wedge(wedge(u, v), w))
+    else:
+        omega = two_planes(ctx)
     point = st.lists(coeff, min_size=n + 1, max_size=n + 1).filter(any)
     return omega, [field.coerce(v) for v in draw(point)], draw(point), draw(point), draw(coeff)
 
@@ -117,8 +143,7 @@ def test_point_rank_matches_the_evaluated_matrix(case):
     M = build_M(omega)
     rank = rank_kernel(M.evaluate(x))[0]
     assert point_contraction_rank(M, x) == rank
-    bounded = point_contraction_rank(M, x, limit=2)
-    assert bounded == rank if rank <= 2 else bounded > 2
+    assert rank_at_most_two(M, x) == (rank <= 2)
     # the plane scan's identity M(s*x + t*b + u*c) = s*M(x) + t*M(b) + u*M(c)
     s, t, u = (field.coerce(v) for v in (scalar, scalar + 1, 2))
     b, c = ([field.coerce(v) for v in q] for q in (b, c))
@@ -141,7 +166,7 @@ def test_skew_matrix_rejects_entries_off_the_upper_triangle(n, i, j, k):
     ctx = SpaceContext(n, F101)
     pairs = (((i, j), ((k, 1),)),)
     if 0 <= i < j <= n and 0 <= k <= n:
-        assert SkewLinearMatrix(ctx, pairs).entry_form(j, i).coefficient((k,)) == 100
+        assert entry_form(SkewLinearMatrix(ctx, pairs), j, i).coefficient((k,)) == 100
     else:
         with pytest.raises(ConventionError):
             SkewLinearMatrix(ctx, pairs)
@@ -216,6 +241,56 @@ def test_genericity_random_search_unfalsified_for_generic_big_field_form():
     assert report.gc3_status == "unfalsified"
     assert report.gc3_exhaustive is False
     assert report.gc3_samples >= 1500
+
+
+def full_rank_gc3_scan(omega, samples, seed):
+    """The gc3 loop of `genericity` with the full point rank as its test:
+    the witness, the points examined, whether the scan was exhaustive, and
+    the notes."""
+    ctx, fld, dim = omega.ctx, omega.ctx.field, omega.ctx.dim
+    M = build_M(omega)
+    examined = 0
+    if fld.kind == "prime" and projective_point_count(fld.p, dim) <= EXHAUSTIVE_POINT_BUDGET:
+        for coords in projective_points(fld, dim):
+            examined += 1
+            if point_contraction_rank(M, coords) <= 2:
+                return coords, examined, False, ("witness found during exhaustive scan",)
+        note = f"exhaustive scan of all {examined} points of P^{ctx.n}(F_{fld.p})"
+        return None, examined, True, (note,)
+    rng = random.Random(derive_seed("gc3", ctx.n, fld, seed))
+    witness = None
+    while examined < samples:
+        if fld.kind == "prime":
+            coords = tuple(randbelow(rng, fld.p) for _ in range(dim))
+        else:
+            coords = tuple(rng.randint(-10, 10) for _ in range(dim))
+        if all(c == 0 for c in coords):
+            continue
+        examined += 1
+        if point_contraction_rank(M, coords) <= 2:
+            witness = coords
+            break
+    return witness, examined, False, (f"randomized search over {examined} sampled points",)
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+@pytest.mark.parametrize(
+    "field",
+    [QQ, F101, FieldSpec.prime(2), FieldSpec.prime(3)],
+    ids=["q", "p101", "p2", "p3"],
+)
+def test_genericity_matches_the_full_rank_scan(field, name):
+    # Q and F_101 sample (P^n over F_101 has too many points for n >= 3);
+    # F_2 and F_3 take the exhaustive branch, which ends in a witness or a
+    # full scan
+    omega, _ = catalog.get(name, field=field)
+    report = genericity(omega, samples=500, seed=1)
+    assert (
+        report.gc3_witness,
+        report.gc3_samples,
+        report.gc3_exhaustive,
+        report.notes,
+    ) == full_rank_gc3_scan(omega, samples=500, seed=1)
 
 
 # --- quadric of a 4-form ------------------------------------------------------------
