@@ -1018,6 +1018,8 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
     field = cfg.prime_field(F101)
     instances = cfg.count(1000)
     rng = random.Random(derive_seed("conventions", cfg.seed))
+    # one context per n, so each keeps the quadric check data it builds
+    contexts = {n: SpaceContext(n, field) for n in range(4, 9)}
 
     def random_skew(size: int) -> Matrix:
         grid = [[field.zero()] * size for _ in range(size)]
@@ -1041,8 +1043,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
 
     adj_mismatch = 0
     for i in range(instances):
-        n = 4 + (i % 5)
-        ctx = SpaceContext(n, field)
+        ctx = contexts[4 + (i % 5)]
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-adj", cfg.seed, i))
         line = random_tensor(ctx, 2, "vector", derive_seed("cv-adj-l", cfg.seed, i))
         vector = random_tensor(ctx, 1, "vector", derive_seed("cv-adj-v", cfg.seed, i))
@@ -1054,8 +1055,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
     polar_mismatch = 0
     half = field.inv(field.coerce(2))
     for i in range(instances):
-        n = 4 + (i % 5)
-        ctx = SpaceContext(n, field)
+        ctx = contexts[4 + (i % 5)]
         eta = random_tensor(ctx, 4, "form", derive_seed("cv-q", cfg.seed, i))
         quadric = quadric_of(eta)
         line = random_tensor(ctx, 2, "vector", derive_seed("cv-q-l", cfg.seed, i))
@@ -1066,8 +1066,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
     annihilation_mismatch = 0
     forms = max(1, instances // 10)
     for i in range(forms):
-        n = 4 + (i % 5)
-        ctx = SpaceContext(n, field)
+        ctx = contexts[4 + (i % 5)]
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-m", cfg.seed, i))
         matrix = build_M(omega)
         for _ in range(instances // forms):
@@ -1079,8 +1078,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
     star_mismatch = 0
     star_forms = max(1, instances // 25)
     for i in range(star_forms):
-        n = 4 + (i % 5)
-        ctx = SpaceContext(n, field)
+        ctx = contexts[4 + (i % 5)]
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-s", cfg.seed, i))
         matrix = build_M(omega)
         for _ in range(instances // star_forms):

@@ -10,7 +10,9 @@ Matrices are immutable dense arrays over a single field, built from rows
 (`Matrix.from_columns`), and `rank_kernel` performs exact Gauss-Jordan
 elimination with one integer routine per field: modulo p on ints in
 ``[0, p)``, and over the rationals fraction-free on rows scaled to integers,
-with a Fraction division only for the final reduced rows.
+with a Fraction division only for the final reduced rows.  `Matrix.matvec`
+takes int dot products the same way: reduced mod p, or over the rationals on
+numerators over common denominators with one Fraction per output row.
 `skew_rank_mod_p` is the rank-only kernel for alternating matrices over F_p
 that the pointwise rank scans use: pairwise (skew-symmetric) elimination,
 which builds no kernel.  The Pfaffian uses recursive first-row expansion
@@ -26,6 +28,7 @@ draw below a bound: the values and generator state of
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,6 +208,13 @@ class FieldSpec:
         return a == 0
 
 
+def _scaled_to_ints(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Rational values (ints or Fractions) as integer numerators over the lcm
+    of their denominators, with that lcm."""
+    den = reduce(lcm, [x.denominator for x in values], 1)
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix over one field, entries in row-major order."""
@@ -281,14 +291,6 @@ class Matrix:
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        flat = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return Matrix(self.field, self.cols, self.rows, flat)
-
     def add(self, other: "Matrix") -> "Matrix":
         self._check_compatible(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -325,18 +327,25 @@ class Matrix:
         return Matrix(f, self.rows, other.cols, tuple(out))
 
     def matvec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
+        """The product with a column vector, as one int dot product per row:
+        reduced mod p over F_p, and over the rationals taken on numerators
+        over common denominators and divided once per row."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        zero = f.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for a, b in zip(self.row(i), vec):
-                if a != 0 and b != 0:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        if self.field.kind == "prime":
+            p = self.field.p
+            return tuple(
+                sum(map(operator.mul, self.row(i), vec)) % p  # type: ignore[operator]
+                for i in range(self.rows)
+            )
+        cols = self.cols
+        entries, den = _scaled_to_ints(self.entries)
+        ints, vec_den = _scaled_to_ints(vec)
+        den *= vec_den
+        return tuple(
+            Fraction(sum(map(operator.mul, entries[i * cols : (i + 1) * cols], ints)), den)
+            for i in range(self.rows)
+        )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         flat = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
@@ -406,8 +415,7 @@ def _rref(field: FieldSpec, a: list[list[Scalar]], cols: int) -> list[int]:
     # the peak RSS of a rational verify pass by ~1.5 MB (~7%)
     rows: list[list[int]] = []
     for row in a:
-        den = reduce(lcm, [x.denominator for x in row], 1)
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints = _scaled_to_ints(row)[0]
         content = reduce(gcd, ints, 0)
         if content > 1:
             ints = [x // content for x in ints]

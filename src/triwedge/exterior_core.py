@@ -44,7 +44,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -117,6 +117,21 @@ class SpaceContext:
         return AlternatingTensor.make(
             self, k, variance, dict(zip(keys, coords))
         )
+
+    @cached_property
+    def quadric_check_pairs(
+        self,
+    ) -> tuple[tuple["AlternatingTensor", "AlternatingTensor"], ...]:
+        """The three seeded bivectors L on which `form_analysis.quadric_of`
+        checks a polar matrix, each with its reduced square: L is
+        ``random_tensor(self, 2, "vector", derive_seed("quadric-check", s))``
+        for s = 0, 1, 2.  Drawn on first read and kept on this instance, so
+        an equal context built elsewhere draws its own."""
+        bivectors = (
+            random_tensor(self, 2, "vector", derive_seed("quadric-check", s))
+            for s in range(3)
+        )
+        return tuple((L, reduced_square(L)) for L in bivectors)
 
 
 _VARIANCES = ("vector", "form")

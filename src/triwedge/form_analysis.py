@@ -21,12 +21,13 @@ is carried by the symmetric zero-diagonal matrix rho with
 rho[(ab),(cd)] = eta(e_a^e_b^e_c^e_d) in the lexicographic bivector basis;
 its value on a bivector L equals eta evaluated on the reduced square of L,
 and the factor-two bookkeeping (L^L = 2 L^[2]) is cross-asserted at
-construction except in characteristic 2, where the polar matrix alone is
-used.  Genericity of a 3-form is decided exactly for the two linear-algebra
-conditions (injectivity of x -> omega^x; full contraction rank n+1) and by
-seeded random search, plus exhaustive finite-field scan when the point count
-permits, for the condition that every point contraction has rank above 2;
-each point of that search is tested by `rank_at_most_two`.
+construction, on bivectors and reduced squares the space context draws once,
+except in characteristic 2, where the polar matrix alone is used.  Genericity
+of a 3-form is decided exactly for the two linear-algebra conditions
+(injectivity of x -> omega^x; full contraction rank n+1) and by seeded random
+search, plus exhaustive finite-field scan when the point count permits, for
+the condition that every point contraction has rank above 2; each point of
+that search is tested by `rank_at_most_two`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .exterior_core import (
     pair,
     projective_point_count,
     projective_points,
-    random_tensor,
     reduced_square,
     wedge,
 )
@@ -456,23 +456,15 @@ def genericity(
 class QuadricAnalysis:
     """The quadratic form L -> eta(L^[2]) of a 4-form eta, carried by the
     symmetric zero-diagonal polar matrix rho in the lexicographic bivector
-    basis, with its exact rank and singular subspace (computed on first use
-    from one row reduction of rho)."""
+    basis, with its exact rank (computed on first use from one row reduction
+    of rho)."""
 
     eta: AlternatingTensor
     rho: Matrix
 
     @cached_property
-    def _rank_kernel(self) -> tuple[int, Matrix]:
-        return rank_kernel(self.rho)
-
-    @property
     def rank(self) -> int:
-        return self._rank_kernel[0]
-
-    @cached_property
-    def singular_locus(self) -> LinearSubspace:
-        return LinearSubspace("bivectors", self.eta.ctx, self._rank_kernel[1])
+        return rank_kernel(self.rho)[0]
 
     def value(self, L: AlternatingTensor) -> Scalar:
         """q(L) = eta evaluated on the reduced square of L."""
@@ -487,25 +479,12 @@ class QuadricAnalysis:
             acc = fld.add(acc, fld.mul(u, v))
         return acc
 
-    def contains_subspace(self, space: LinearSubspace) -> bool:
-        """Whether the quadric vanishes identically on a linear space of
-        bivectors: q = 0 on a basis and the polar pairing vanishes pairwise
-        (sufficient in every characteristic, including 2)."""
-        fld = self.eta.ctx.field
-        vectors = space.basis_tensors()
-        for i, u in enumerate(vectors):
-            if not fld.is_zero(self.value(u)):
-                return False
-            for v in vectors[i + 1 :]:
-                if not fld.is_zero(self.polar_pairing(u, v)):
-                    return False
-        return True
-
 
 def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
-    """Polar matrix, rank, and singular subspace of the quadratic form of a
-    4-form; cross-asserts q(L) = (1/2) L^T rho L on seeded samples except in
-    characteristic 2."""
+    """Polar matrix and rank of the quadratic form of a 4-form; on every call
+    cross-asserts q(L) = eta(L^[2]) = (1/2) L^T rho L on the context's three
+    seeded bivectors and their reduced squares (`SpaceContext.
+    quadric_check_pairs`), except in characteristic 2."""
     if eta.variance != "form" or eta.degree != 4:
         raise ValueError("quadric_of expects a 4-form")
     ctx = eta.ctx
@@ -528,11 +507,8 @@ def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
 
     if fld.char != 2:
         half = fld.inv(fld.coerce(2))
-        for sample in range(3):
-            L = random_tensor(ctx, 2, "vector", derive_seed("quadric-check", sample))
-            direct = analysis.value(L)
-            via_rho = fld.mul(half, analysis.polar_pairing(L, L))
-            if direct != via_rho:
+        for L, square in ctx.quadric_check_pairs:
+            if pair(eta, square) != fld.mul(half, analysis.polar_pairing(L, L)):
                 raise RuntimeError(
                     "polar matrix disagrees with reduced-square evaluation"
                 )

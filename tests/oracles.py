@@ -4,8 +4,11 @@ tests directory on the import path."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
+from triwedge.exact_scalar import Matrix, Scalar
 from triwedge.exterior_core import AlternatingTensor
-from triwedge.form_analysis import SkewLinearMatrix
+from triwedge.form_analysis import LinearSubspace, QuadricAnalysis, SkewLinearMatrix
 
 
 def entry_form(M: SkewLinearMatrix, i: int, j: int) -> AlternatingTensor:
@@ -14,3 +17,47 @@ def entry_form(M: SkewLinearMatrix, i: int, j: int) -> AlternatingTensor:
     terms = dict(M.pairs).get((min(i, j), max(i, j)), ())
     form = AlternatingTensor.make(M.ctx, 1, "form", [((k,), c) for k, c in terms])
     return form if i < j else form.neg()
+
+
+def transpose(m: Matrix) -> Matrix:
+    """The transpose, entry by entry."""
+    flat = tuple(
+        m.entries[i * m.cols + j] for j in range(m.cols) for i in range(m.rows)
+    )
+    return Matrix(m.field, m.cols, m.rows, flat)
+
+
+def matvec_reference(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """The product with a column vector by field operations, one term at a
+    time."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    f = m.field
+    out = []
+    for i in range(m.rows):
+        acc = f.zero()
+        for a, b in zip(m.row(i), vec):
+            if a != 0 and b != 0:
+                acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def singular_locus(quadric: QuadricAnalysis) -> LinearSubspace:
+    """The singular subspace of a quadric: the kernel of its polar matrix."""
+    return LinearSubspace.from_kernel(quadric.rho, "bivectors", quadric.eta.ctx)
+
+
+def quadric_contains_subspace(quadric: QuadricAnalysis, space: LinearSubspace) -> bool:
+    """Whether a quadric vanishes identically on a linear space of bivectors:
+    q = 0 on a basis and the polar pairing vanishes pairwise (sufficient in
+    every characteristic, including 2)."""
+    fld = quadric.eta.ctx.field
+    vectors = space.basis_tensors()
+    for i, u in enumerate(vectors):
+        if not fld.is_zero(quadric.value(u)):
+            return False
+        for v in vectors[i + 1 :]:
+            if not fld.is_zero(quadric.polar_pairing(u, v)):
+                return False
+    return True

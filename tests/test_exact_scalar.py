@@ -33,6 +33,8 @@ from triwedge.exact_scalar import (
     skew_rank_mod_p,
 )
 
+from oracles import matvec_reference, transpose
+
 QQ = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
 BIG_PRIME = 1_000_003
@@ -357,9 +359,60 @@ def test_from_columns_is_the_transpose_of_from_rows(case):
     assert (m.rows, m.cols) == (nrows, len(columns))
     assert m.columns() == columns
     if columns:
-        assert m == Matrix.from_rows(field, columns).transpose()
+        assert m == transpose(Matrix.from_rows(field, columns))
     else:
         assert m == Matrix.zero(field, nrows, 0)
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """(matrix, vector) over F_2, F_3, F_101 or Q: 0-7 rows and 0-7 columns,
+    with zero rows and zero vectors drawn often, and Q entries and coordinates
+    with denominators up to 6, as Fractions or plain ints."""
+    field = draw(st.sampled_from((FieldSpec.prime(2), FieldSpec.prime(3), F101, QQ)))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if field.kind == "prime":
+        scalar = st.integers(0, field.p - 1)
+    else:
+        scalar = st.one_of(
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+            st.integers(-9, 9),
+        )
+    zero = st.just(field.zero())
+    rows = [
+        [draw(zero if zero_row else scalar) for _ in range(ncols)]
+        for zero_row in draw(st.lists(st.booleans(), min_size=nrows, max_size=nrows))
+    ]
+    m = Matrix(field, nrows, ncols, tuple(v for row in rows for v in row))
+    vector = draw(st.one_of(st.just((0,) * ncols), st.tuples(*[scalar] * ncols)))
+    return m, vector
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=matrices_and_vectors())
+def test_matvec_matches_the_field_operation_loop(case):
+    m, vector = case
+    image = m.matvec(vector)
+    assert image == matvec_reference(m, vector)
+    assert len(image) == m.rows
+    if m.field.kind == "prime":
+        assert all(type(v) is int and 0 <= v < m.field.p for v in image)
+    else:
+        assert all(type(v) is Fraction for v in image)
+    with pytest.raises(ValueError, match="length"):
+        m.matvec(tuple(vector) + (0,))
+
+
+def test_matvec_over_the_rationals_on_common_denominators():
+    m = Matrix.from_rows(QQ, [["1/2", "-2/3", 0], [0, 0, 0], ["5/4", 1, "1/6"]])
+    assert m.matvec((Fraction(2, 5), 3, Fraction(-3, 7))) == (
+        Fraction(1, 5) - 2,
+        Fraction(0),
+        Fraction(1, 2) + 3 - Fraction(1, 14),
+    )
+    assert m.matvec((0, 0, 0)) == (Fraction(0),) * 3
+    assert Matrix.zero(QQ, 0, 3).matvec((1, 2, 3)) == ()
+    assert Matrix.zero(QQ, 2, 0).matvec(()) == (Fraction(0), Fraction(0))
 
 
 def test_from_columns_shapes_without_columns_or_rows():
@@ -462,7 +515,7 @@ def test_matrix_multiplication_and_transpose():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     b = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert a.mul(b) == Matrix.from_rows(QQ, [[2, 1], [4, 3]])
-    assert a.transpose() == Matrix.from_rows(QQ, [[1, 3], [2, 4]])
+    assert transpose(a) == Matrix.from_rows(QQ, [[1, 3], [2, 4]])
 
 
 def test_matrix_rejects_mixed_fields():

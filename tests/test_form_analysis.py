@@ -23,14 +23,17 @@ from triwedge.exterior_core import (
     SpaceContext,
     contract,
     derive_seed,
+    pair,
     projective_point_count,
     projective_points,
     random_tensor,
+    reduced_square,
     wedge,
 )
 from triwedge.form_analysis import (
     EXHAUSTIVE_POINT_BUDGET,
     LinearSubspace,
+    QuadricAnalysis,
     SkewLinearMatrix,
     build_M,
     contraction_matrix,
@@ -42,7 +45,7 @@ from triwedge.form_analysis import (
     span_lattice,
 )
 
-from oracles import entry_form
+from oracles import entry_form, quadric_contains_subspace, singular_locus
 
 QQ = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -301,7 +304,7 @@ def test_quadric_of_totally_decomposable_four_form():
     eta = AlternatingTensor.make(ctx, 4, "form", {(0, 1, 2, 3): 1})
     qa = quadric_of(eta)
     assert qa.rank == 6
-    assert qa.singular_locus.projective_dim == -1
+    assert singular_locus(qa).projective_dim == -1
 
 
 def test_quadric_of_one_covector_shape_rank_and_singular_locus():
@@ -310,14 +313,14 @@ def test_quadric_of_one_covector_shape_rank_and_singular_locus():
     assert j_rank(omega, 1) == 6
     qa = quadric_of(wedge(omega, ctx.basis_covector(0)))
     assert qa.rank == 12
-    assert qa.singular_locus.projective_dim == 8
+    assert singular_locus(qa).projective_dim == 8
 
 
 def test_quadric_of_zero_form():
     ctx = SpaceContext(5, QQ)
     qa = quadric_of(ctx.zero_tensor(4, "form"))
     assert qa.rank == 0
-    assert qa.singular_locus.projective_dim == 15 - 1
+    assert singular_locus(qa).projective_dim == 15 - 1
 
 
 def test_quadric_rank_matches_structured_formulas():
@@ -343,6 +346,58 @@ def test_quadric_value_agrees_with_polar_matrix():
         for seed in range(5):
             L = random_tensor(ctx, 2, "vector", seed)
             assert qa.value(L) == fld.mul(half, qa.polar_pairing(L, L))
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "QQ"])
+def test_quadric_self_check_runs_on_every_call(fld, monkeypatch):
+    ctx = SpaceContext(5, fld)
+    quadric_of(random_tensor(ctx, 4, "form", 1))
+    assert "quadric_check_pairs" in vars(ctx)
+    true_pairing = QuadricAnalysis.polar_pairing
+    monkeypatch.setattr(
+        QuadricAnalysis,
+        "polar_pairing",
+        lambda self, a, b: fld.add(true_pairing(self, a, b), fld.one()),
+    )
+    for seed in (2, 3):
+        with pytest.raises(RuntimeError, match="polar matrix"):
+            quadric_of(random_tensor(ctx, 4, "form", seed))
+    with pytest.raises(RuntimeError, match="polar matrix"):
+        quadric_of(random_tensor(SpaceContext(5, fld), 4, "form", 2))
+
+
+def test_quadric_check_pairs_are_the_seeded_bivectors_of_each_context():
+    for fld in (FieldSpec.prime(3), F101, QQ):
+        ctx = SpaceContext(6, fld)
+        pairs = ctx.quadric_check_pairs
+        assert len(pairs) == 3
+        for s, (L, square) in enumerate(pairs):
+            expected = random_tensor(ctx, 2, "vector", derive_seed("quadric-check", s))
+            assert L == expected
+            assert square == reduced_square(expected)
+        assert ctx.quadric_check_pairs is pairs
+        twin = SpaceContext(6, fld)
+        assert twin == ctx
+        assert "quadric_check_pairs" not in vars(twin)
+        assert twin.quadric_check_pairs is not pairs
+        assert twin.quadric_check_pairs == pairs
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize(
+    "fld", [FieldSpec.prime(2), F101, QQ], ids=["F2", "F101", "QQ"]
+)
+def test_polar_pairing_is_eta_on_the_wedge(fld, n):
+    # a^T rho b = q(a+b) - q(a) - q(b) = eta(a^b), computed without rho
+    ctx = SpaceContext(n, fld)
+    for seed in range(3):
+        eta = random_tensor(ctx, 4, "form", derive_seed("polar-oracle", seed))
+        quadric = quadric_of(eta)
+        for k in range(3):
+            a = random_tensor(ctx, 2, "vector", derive_seed("polar-a", seed, k))
+            b = random_tensor(ctx, 2, "vector", derive_seed("polar-b", seed, k))
+            assert quadric.polar_pairing(a, b) == pair(eta, wedge(a, b))
+            assert quadric.polar_pairing(a, a) == pair(eta, wedge(a, a))
 
 
 def test_quadric_unchanged_by_multiples_of_the_direction():
@@ -411,11 +466,11 @@ def test_span_lattice_members_lie_on_the_direction_quadric():
     x = ctx.basis_covector(0)
     y = ctx.basis_covector(3)
     lattice = span_lattice(omega, x, y)
-    assert quadric_of(wedge(omega, x)).contains_subspace(lattice.modulo_x)
+    assert quadric_contains_subspace(quadric_of(wedge(omega, x)), lattice.modulo_x)
     for a, b in ((1, 0), (0, 1), (1, 1), (2, -3), (5, 7)):
         direction = x.scale(a).add(y.scale(b))
         quadric = quadric_of(wedge(omega, direction))
-        assert quadric.contains_subspace(lattice.pencil_at_xy)
+        assert quadric_contains_subspace(quadric, lattice.pencil_at_xy)
 
 
 def test_span_lattice_rejects_dependent_directions():
