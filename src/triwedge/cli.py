@@ -128,8 +128,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 # Largest sizes the size-driven commands accept (measured on a 2-vCPU VM:
-# `tables --n-max 400` 16 s and 64 MB, `random-form --n 60` 0.8 s and 72 MB,
-# each growing at least as n^3 beyond).
+# `tables --n-max 400` 0.55 s and 66 MB, `random-form --n 60` 0.8 s and 72 MB,
+# the form growing as n^3 beyond, the table as n^2 entries of O(n) bits).
 TABLES_N_MAX = 400
 RANDOM_FORM_N_MAX = 60
 
@@ -358,19 +358,20 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
     ]
     closed_form = [comb(2 * n - 2, n) // (n - 1) for n in range(3, 16)]
     diagonal = triangle("b", 15).diagonal()
+    md = {n: multidegrees(n) for n in range(3, 16)}
     return claims + [
         _claim(
             "deg-x-sequence",
             "degrees of the kernel-line family for n = 3..9",
             _DEG_X_SEQUENCE,
-            [multidegrees(n).degX for n in range(3, 10)],
+            [md[n].degX for n in range(3, 10)],
             PUBLISHED,
         ),
         _claim(
             "deg-y-sequence",
             "degrees of the residual family for n = 3..9",
             _DEG_Y_SEQUENCE,
-            [multidegrees(n).degY for n in range(3, 10)],
+            [md[n].degY for n in range(3, 10)],
             PUBLISHED,
         ),
         _claim(
@@ -378,7 +379,7 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
             "the linear-congruence degree equals C(2n-2, n)/(n-1) for n = 3..15 "
             "and sits on the b-triangle diagonal",
             closed_form,
-            [multidegrees(n).degB for n in range(3, 16)],
+            [md[n].degB for n in range(3, 16)],
             PUBLISHED,
         ),
         _claim(
@@ -392,14 +393,14 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
             "multidegree-x-lists",
             "multidegree lists of the kernel-line family for n = 5, 7, 9",
             _MULTIDEGREE_X,
-            {n: list(multidegrees(n).X) for n in (5, 7, 9)},
+            {n: list(md[n].X) for n in (5, 7, 9)},
             PUBLISHED,
         ),
         _claim(
             "multidegree-y-lists",
             "multidegree lists of the residual family for n = 5, 7, 9",
             _MULTIDEGREE_Y,
-            {n: list(multidegrees(n).Y) for n in (5, 7, 9)},
+            {n: list(md[n].Y) for n in (5, 7, 9)},
             PUBLISHED,
         ),
         _claim(
@@ -407,10 +408,7 @@ def _suite_enumerative(cfg: RunConfig) -> list[Claim]:
             "family and residual degrees sum to the linear-congruence degree "
             "for n = 3..15",
             True,
-            all(
-                multidegrees(n).degX + multidegrees(n).degY == multidegrees(n).degB
-                for n in range(3, 16)
-            ),
+            all(m.degX + m.degY == m.degB for m in md.values()),
             DEFINITION,
         ),
     ]

@@ -14,7 +14,10 @@ Antidiagonals of a/b/c give the multidegrees of the kernel-line congruence,
 of a generic linear congruence of the same codimension, and of the residual
 congruence; diagonals give degrees (Fine numbers for a, Catalan numbers for
 b).  Every quantity here is computed two independent ways whenever a second
-route exists, and the alternate routes are cross-asserted at runtime.
+route exists, and the alternate routes are cross-asserted at runtime: c = b - a
+once per triangle build, the B, Y = B - X, Catalan and degY checks once per n.
+Rows 0..n-1 of a triangle do not depend on its depth, so `tables_rows` builds
+the triangles once, and its table is a prefix of the table for any larger n_max.
 
 Chern coefficients come from the formal series (1 + t/2)^(n+1) / (1 + 3t/2):
 the half-integer twist has no underlying line bundle, so the coefficients
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .exact_scalar import FieldSpec, Matrix
@@ -67,49 +71,43 @@ class MultidegreeTriangle:
 
     def antidiagonal(self, n: int) -> tuple[int, ...]:
         """(entry(n-1, 0), entry(n-2, 1), ...) down to the middle of row n-1."""
-        return tuple(
-            self.entry(n - 1 - l, l) for l in range((n - 1) // 2 + 1)
-        )
+        return tuple(self.entry(n - 1 - l, l) for l in range((n - 1) // 2 + 1))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entry(i, i) for i in range(len(self.rows)))
 
 
-def _build_rows(first_column, depth: int) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for i in range(depth):
-        row = [first_column(i)]
-        for j in range(1, i + 1):
-            above = rows[i - 1][j] if j <= i - 1 else 0
-            row.append(row[j - 1] + above)
-        rows.append(row)
-    return rows
+_SEED_COLUMNS = {"a": lambda i: 1 - i % 2, "b": lambda i: 1, "c": lambda i: i % 2}
+
+
+def _triangles(depth: int) -> tuple[MultidegreeTriangle, ...]:
+    """The a, b and c triangles to the given number of rows, each built once
+    by its own recursion; c is checked against b - a over the full depth."""
+    built = []
+    for kind, seed in _SEED_COLUMNS.items():
+        rows = [(seed(0),)]
+        for i in range(1, depth):
+            rows.append(tuple(accumulate(rows[-1][1:] + (0,), initial=seed(i))))
+        built.append(MultidegreeTriangle(kind, tuple(rows)))
+    tri_a, tri_b, tri_c = built
+    for ar, br, cr in zip(tri_a.rows, tri_b.rows, tri_c.rows):
+        if cr != tuple(bv - av for av, bv in zip(ar, br)):
+            raise RuntimeError("triangle c: recursion and b-a routes disagree")
+    return tri_a, tri_b, tri_c
 
 
 def triangle(kind: str, depth: int) -> MultidegreeTriangle:
     """Build a triangle to the given number of rows.
 
-    The c triangle is computed both by its own recursion (seed column
-    0, 1, 0, 1, ...) and as b - a entrywise; the two must agree.
+    All three kinds are built together, so the c triangle is always computed
+    both by its own recursion (seed column 0, 1, 0, 1, ...) and as b - a
+    entrywise; the two must agree.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if kind == "a":
-        rows = _build_rows(lambda i: 1 if i % 2 == 0 else 0, depth)
-    elif kind == "b":
-        rows = _build_rows(lambda i: 1, depth)
-    elif kind == "c":
-        rows = _build_rows(lambda i: 0 if i % 2 == 0 else 1, depth)
-        a_rows = _build_rows(lambda i: 1 if i % 2 == 0 else 0, depth)
-        b_rows = _build_rows(lambda i: 1, depth)
-        difference = [
-            [bv - av for av, bv in zip(ar, br)] for ar, br in zip(a_rows, b_rows)
-        ]
-        if rows != difference:
-            raise RuntimeError("triangle c: recursion and b-a routes disagree")
-    else:
+    if kind not in _SEED_COLUMNS:
         raise ValueError(f"triangle kind must be a|b|c, got {kind!r}")
-    return MultidegreeTriangle(kind, tuple(tuple(r) for r in rows))
+    return _triangles(depth)["abc".index(kind)]
 
 
 @dataclass(frozen=True)
@@ -131,23 +129,20 @@ def multidegrees(n: int) -> Multidegrees:
     against an independent closed-form or difference route."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    tri_a = triangle("a", n)
-    tri_b = triangle("b", n)
-    tri_c = triangle("c", n)
-    X = tri_a.antidiagonal(n)
-    B = tri_b.antidiagonal(n)
-    Y = tri_c.antidiagonal(n)
+    return _multidegrees(n, *_triangles(n))
+
+
+def _multidegrees(n: int, *triangles: MultidegreeTriangle) -> Multidegrees:
+    """Multidegrees at n from the a, b and c triangles of any depth >= n."""
+    X, B, Y = (tri.antidiagonal(n) for tri in triangles)
     width = (n - 1) // 2 + 1
-    closed_B = tuple(
-        comb(n - 2, i) - (comb(n - 2, i - 2) if i >= 2 else 0) for i in range(width)
-    )
+    binom = [comb(n - 2, i) for i in range(width)]
+    closed_B = tuple(v - (binom[i - 2] if i >= 2 else 0) for i, v in enumerate(binom))
     if B != closed_B:
         raise RuntimeError(f"n={n}: triangle and closed-form B multidegrees disagree")
     if Y != tuple(bv - xv for xv, bv in zip(X, B)):
         raise RuntimeError(f"n={n}: Y antidiagonal does not equal B - X")
-    degX = tri_a.entry(n - 1, n - 1)
-    degB = tri_b.entry(n - 1, n - 1)
-    degY = tri_c.entry(n - 1, n - 1)
+    degX, degB, degY = (tri.entry(n - 1, n - 1) for tri in triangles)
     catalan, rem = divmod(comb(2 * n - 2, n), n - 1)
     if rem != 0 or degB != catalan:
         raise RuntimeError(f"n={n}: triangle degB disagrees with C(2n-2,n)/(n-1)")
@@ -272,12 +267,16 @@ def fundamental_locus_degrees(n: int) -> FundamentalLocusDegrees:
 
 
 def tables_rows(n_max: int) -> list[dict]:
-    """Numeric table rows for 3 <= n <= n_max (consumed by the CLI)."""
+    """Numeric table rows for 3 <= n <= n_max (consumed by the CLI), read from
+    triangles built and checked for c = b - a once, to depth n_max; each n runs
+    the per-n checks of `multidegrees`.  Rows 0..n-1 of a triangle do not depend
+    on its depth, so the table is a prefix of the table for any larger n_max."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
+    triangles = _triangles(n_max)
     rows = []
     for n in range(3, n_max + 1):
-        md = multidegrees(n)
+        md = _multidegrees(n, *triangles)
         fl = fundamental_locus_degrees(n)
         row = {
             "n": n,

@@ -43,6 +43,24 @@ def matvec_reference(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
+def triangle_rows_reference(kind: str, depth: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..depth-1 of the a, b or c triangle, entry by entry:
+    entry(i, j) = entry(i, j-1) + entry(i-1, j), out-of-range entries 0."""
+    first_column = {
+        "a": lambda i: 1 if i % 2 == 0 else 0,
+        "b": lambda i: 1,
+        "c": lambda i: 0 if i % 2 == 0 else 1,
+    }[kind]
+    rows: list[list[int]] = []
+    for i in range(depth):
+        row = [first_column(i)]
+        for j in range(1, i + 1):
+            above = rows[i - 1][j] if j <= i - 1 else 0
+            row.append(row[j - 1] + above)
+        rows.append(row)
+    return tuple(tuple(r) for r in rows)
+
+
 def singular_locus(quadric: QuadricAnalysis) -> LinearSubspace:
     """The singular subspace of a quadric: the kernel of its polar matrix."""
     return LinearSubspace.from_kernel(quadric.rho, "bivectors", quadric.eta.ctx)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from triwedge.cli import (
     main,
     run_suite,
 )
+from triwedge.enumerative import tables_rows
 from triwedge.exact_scalar import ConventionError, FieldSpec
 from triwedge.exterior_core import form_from_document
 from triwedge.form_analysis import j_rank
@@ -171,6 +173,21 @@ def test_tables_accepts_n_max_at_the_limit(tmp_path, monkeypatch):
     code, doc = run_json(tmp_path, ["tables", "--n-max", str(TABLES_N_MAX)])
     assert code == EXIT_PASS
     assert asked == [TABLES_N_MAX] and doc["n_max"] == TABLES_N_MAX
+
+
+def test_tables_rows_at_the_limit_satisfy_the_fine_catalan_identity():
+    """C_m = 2 F_m + F_(m-1) links the Fine degrees of X to the Catalan
+    degrees of B without the triangle recursion, and smaller tables are
+    prefixes of the table at the limit."""
+    rows = tables_rows(TABLES_N_MAX)
+    assert [row["n"] for row in rows] == list(range(3, TABLES_N_MAX + 1))
+    deg_x = {row["n"]: row["degX"] for row in rows}
+    for row in rows[1:]:
+        n = row["n"]
+        catalan = comb(2 * n - 2, n) // (n - 1)
+        assert 2 * deg_x[n] + deg_x[n - 1] == row["degB"] == catalan
+    for k in (3, 9, 200):
+        assert tables_rows(k) == rows[: k - 2]
 
 
 @pytest.mark.parametrize(

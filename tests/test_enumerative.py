@@ -11,8 +11,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import triangle_rows_reference
 from triwedge.enumerative import (
+    MultidegreeTriangle,
     chern,
     fundamental_locus_degrees,
     multidegrees,
@@ -94,6 +98,65 @@ def test_triangle_rejects_bad_kind_and_depth():
         triangle("d", 5)
     with pytest.raises(ValueError):
         triangle("a", 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from("abc"), depth=st.integers(1, 60))
+def test_triangle_matches_the_entry_by_entry_recursion(kind, depth):
+    assert triangle(kind, depth).rows == triangle_rows_reference(kind, depth)
+
+
+def reference_table_row(n: int) -> dict:
+    """The multidegree columns of table row n, read from reference triangles
+    of depth exactly n."""
+    width = (n - 1) // 2 + 1
+    row = {"n": n}
+    for name, kind in zip("XBY", "abc"):
+        rows = triangle_rows_reference(kind, n)
+        row[f"multidegree_{name}"] = [rows[n - 1 - l][l] for l in range(width)]
+        row[f"deg{name}"] = rows[n - 1][n - 1]
+    return row
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_max=st.integers(3, 60))
+def test_tables_rows_match_triangles_built_per_n(n_max):
+    rows = tables_rows(n_max)
+    assert [row["n"] for row in rows] == list(range(3, n_max + 1))
+    for row in rows:
+        expected = reference_table_row(row["n"])
+        assert {key: row[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    ("method", "kind", "message"),
+    [
+        ("antidiagonal", "b", "closed-form B"),
+        ("antidiagonal", "a", "Y antidiagonal does not equal B - X"),
+        ("entry", "b", r"degB disagrees with C\(2n-2,n\)/\(n-1\)"),
+        ("entry", "a", "degY does not equal degB - degX"),
+    ],
+)
+@pytest.mark.parametrize(
+    "build", [multidegrees, tables_rows], ids=["multidegrees", "tables_rows"]
+)
+def test_each_per_n_cross_assertion_fires(monkeypatch, method, kind, message, build):
+    """One triangle read off by one (an antidiagonal's first entry, or the
+    last diagonal entry) trips exactly the check that reads it."""
+    original = getattr(MultidegreeTriangle, method)
+
+    def off_by_one(self, *args):
+        value = original(self, *args)
+        if self.kind != kind:
+            return value
+        if method == "antidiagonal":
+            return (value[0] + 1,) + value[1:]
+        i, j = args
+        return value + 1 if i == j == len(self.rows) - 1 else value
+
+    monkeypatch.setattr(MultidegreeTriangle, method, off_by_one)
+    with pytest.raises(RuntimeError, match=message):
+        build(8)
 
 
 def test_multidegrees_n7():
