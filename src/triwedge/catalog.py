@@ -8,7 +8,7 @@ four pencil coefficients ``lam`` and ``genN-mod3`` takes the ambient
 ``n`` and builds the standard representative for the residue of ``n+1``
 modulo 3.
 
-Every claim value carries a ``source`` marker:
+Every expected value carries a ``source`` marker from ``SOURCES``:
 
 * ``published`` -- the value is stated in the literature the form is
   drawn from and is asserted as an external fact;
@@ -30,45 +30,46 @@ from .exact_scalar import ConventionError, FieldSpec
 from .exterior_core import AlternatingTensor, SpaceContext
 
 __all__ = [
-    "Claim",
+    "Expected",
     "CatalogEntry",
     "get",
     "list_names",
     "PUBLISHED",
     "COMPUTED",
     "DEFINITION",
+    "SOURCES",
 ]
 
 PUBLISHED = "published"
 COMPUTED = "computed"
 DEFINITION = "definition"
 
-_SOURCES = (PUBLISHED, COMPUTED, DEFINITION)
+SOURCES = (PUBLISHED, COMPUTED, DEFINITION)
 
 IndexTriple = tuple[int, int, int]
 Term = tuple[IndexTriple, int]
 
 
 @dataclass(frozen=True)
-class Claim:
+class Expected:
     """One expected invariant value together with its source marker."""
 
     value: object
     source: str
 
     def __post_init__(self) -> None:
-        if self.source not in _SOURCES:
+        if self.source not in SOURCES:
             raise ConventionError(f"unknown claim source {self.source!r}")
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Descriptor for a named form: term data plus expected claims."""
+    """Descriptor for a named form: term data plus expected values."""
 
     name: str
     n: int
     terms: tuple[Term, ...]
-    expected: Mapping[str, Claim]
+    expected: Mapping[str, Expected]
     parameters: Mapping[str, object]
 
     def __post_init__(self) -> None:
@@ -83,16 +84,16 @@ class CatalogEntry:
                 raise ConventionError("catalog terms must have nonzero coefficients")
 
 
-def _claims(**kwargs: Claim) -> Mapping[str, Claim]:
+def _claims(**kwargs: Expected) -> Mapping[str, Expected]:
     return MappingProxyType(dict(kwargs))
 
 
-def _published(value: object) -> Claim:
-    return Claim(value, PUBLISHED)
+def _published(value: object) -> Expected:
+    return Expected(value, PUBLISHED)
 
 
-def _computed(value: object) -> Claim:
-    return Claim(value, COMPUTED)
+def _computed(value: object) -> Expected:
+    return Expected(value, COMPUTED)
 
 
 _N3_TERMS: tuple[Term, ...] = (((1, 2, 3), 1),)
@@ -153,7 +154,7 @@ _N7_CLAIMS = _claims(
     sing_y_dim=_published(2),
 )
 
-_FIXED_ENTRIES: dict[str, tuple[int, tuple[Term, ...], Mapping[str, Claim]]] = {
+_FIXED_ENTRIES: dict[str, tuple[int, tuple[Term, ...], Mapping[str, Expected]]] = {
     "n3": (
         3,
         _N3_TERMS,
@@ -219,8 +220,6 @@ _FIXED_ENTRIES: dict[str, tuple[int, tuple[Term, ...], Mapping[str, Claim]]] = {
     "n7-ozeki": (7, _N7_OZEKI_TERMS, _N7_CLAIMS),
     "n7-djokovic": (7, _N7_DJOKOVIC_TERMS, _N7_CLAIMS),
 }
-
-_PARAMETERIZED = ("n8-family", "genN-mod3")
 
 _NAME_ORDER = (
     "n3",

@@ -18,7 +18,7 @@ polynomial of a congruence line for odd ``n`` from the quotient Pfaffian
 pencil, and enumerates the full rank stratification over small prime
 fields.
 
-The sampling and line helpers that `congruence`, `residual` and `cli` share
+The sampling and line helpers that `congruence`, `residual` and `suites` share
 are public here: `random_coords` (a nonzero random point), `independent_pair`
 (two independent points spanning a line), `line_gcd` and `line_zeros` (the
 gcd of polynomials restricted to that line, and the points where one

@@ -262,18 +262,6 @@ class Matrix:
         flat = tuple(chain.from_iterable(zip(*columns)))
         return Matrix(field, rows, len(columns), flat)
 
-    @staticmethod
-    def zero(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
-
-    @staticmethod
-    def identity(field: FieldSpec, size: int) -> "Matrix":
-        zero, one = field.zero(), field.one()
-        flat = [zero] * (size * size)
-        for i in range(size):
-            flat[i * size + i] = one
-        return Matrix(field, size, size, tuple(flat))
-
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
@@ -307,24 +295,6 @@ class Matrix:
         f = self.field
         c = f.coerce(c)
         return Matrix(f, self.rows, self.cols, tuple(f.mul(c, e) for e in self.entries))
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        f = self.field
-        zero = f.zero()
-        out: list[Scalar] = []
-        other_cols = other.columns()
-        for i in range(self.rows):
-            left = self.row(i)
-            for col in other_cols:
-                acc = zero
-                for a, b in zip(left, col):
-                    if a != 0 and b != 0:
-                        acc = f.add(acc, f.mul(a, b))
-                out.append(acc)
-        return Matrix(f, self.rows, other.cols, tuple(out))
 
     def matvec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """The product with a column vector, as one int dot product per row:
@@ -634,13 +604,6 @@ class UniPoly:
             for i in range(n)
         ]
         return UniPoly.from_coeffs(f, out)
-
-    def neg(self) -> "UniPoly":
-        f = self.field
-        return UniPoly(f, tuple(f.neg(c) for c in self.coeffs))
-
-    def sub(self, other: "UniPoly") -> "UniPoly":
-        return self.add(other.neg())
 
     def mul(self, other: "UniPoly") -> "UniPoly":
         self._check_field(other)

@@ -343,12 +343,6 @@ class AlternatingTensor:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for key, _ in self.terms:
-            seen.update(key)
-        return tuple(sorted(seen))
-
     def coords(self) -> tuple[Scalar, ...]:
         """Dense coefficient vector over all sorted index sets, lexicographic."""
         positions = _lexicographic_positions(self.ctx.dim, self.degree)

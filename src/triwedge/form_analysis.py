@@ -128,6 +128,16 @@ class LinearSubspace:
         _, kernel = rank_kernel(conditions)
         return LinearSubspace(ambient, ctx, kernel)
 
+    @staticmethod
+    def annihilator(
+        ctx: SpaceContext, covectors: Sequence[AlternatingTensor]
+    ) -> "LinearSubspace":
+        """The vectors of ``ctx`` that pair to zero with every covector; its
+        dimension is ``ctx.dim`` minus the rank of the covectors."""
+        rows = tuple(v for c in covectors for v in c.coords())
+        conditions = Matrix(ctx.field, len(covectors), ctx.dim, rows)
+        return LinearSubspace.from_kernel(conditions, "vectors", ctx)
+
     def basis_tensors(self) -> list[AlternatingTensor]:
         degree = _AMBIENT_DEGREE[self.ambient]
         return [
@@ -135,29 +145,12 @@ class LinearSubspace:
             for column in self.basis.columns()
         ]
 
-    def contains_coords(self, coords) -> bool:
-        if len(coords) != self.basis.rows:
-            raise ValueError("coordinate length mismatch")
-        field = self.ctx.field
-        augmented = Matrix.from_columns(
-            field,
-            self.basis.rows,
-            self.basis.columns() + [[field.coerce(c) for c in coords]],
-        )
-        return rank_kernel(augmented)[0] == self.basis.cols
-
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if (self.ambient, self.ctx) != (other.ambient, other.ctx):
             raise ValueError("subspaces of different ambient spaces")
         columns = self.basis.columns() + other.basis.columns()
         joined = Matrix.from_columns(self.ctx.field, self.basis.rows, columns)
         return rank_kernel(joined)[0] == self.basis.cols
-
-    def equals(self, other: "LinearSubspace") -> bool:
-        return (
-            self.linear_dim == other.linear_dim
-            and self.contains_subspace(other)
-        )
 
 
 def contraction_matrix(f: AlternatingTensor, j: int) -> Matrix:

@@ -205,10 +205,7 @@ class ResidualHandle:
         if wedge(x, y).is_zero():
             raise ConventionError("pencil directions are dependent (x^y = 0)")
         span = span_lattice(omega, x, y).pencil_at_xy
-        rows = tuple(x.coords()) + tuple(y.coords())
-        pi = LinearSubspace.from_kernel(
-            Matrix(ctx.field, 2, ctx.dim, rows), "vectors", ctx
-        )
+        pi = LinearSubspace.annihilator(ctx, [x, y])
         return ResidualHandle(omega=omega, x=x, y=y, span=span, pi=pi, ctx=ctx)
 
     @staticmethod
@@ -335,10 +332,8 @@ def _pencil_member_data(
     handle: ResidualHandle, a: Scalar, b: Scalar
 ) -> tuple[list[AlternatingTensor], AlternatingTensor]:
     """Basis of the hyperplane {a*x + b*y = 0} and the restricted form on it."""
-    ctx = handle.ctx
     z = handle.x.scale(a).add(handle.y.scale(b))
-    conditions = Matrix(ctx.field, 1, ctx.dim, tuple(z.coords()))
-    basis = LinearSubspace.from_kernel(conditions, "vectors", ctx).basis_tensors()
+    basis = LinearSubspace.annihilator(handle.ctx, [z]).basis_tensors()
     return basis, pullback(handle.omega, basis)
 
 

@@ -27,6 +27,19 @@ def transpose(m: Matrix) -> Matrix:
     return Matrix(m.field, m.cols, m.rows, flat)
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product of two matrices over one field, entry by entry."""
+    f = a.field
+    flat = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero()
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a.entry(i, k), b.entry(k, j)))
+            flat.append(acc)
+    return Matrix(f, a.rows, b.cols, tuple(flat))
+
+
 def matvec_reference(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """The product with a column vector by field operations, one term at a
     time."""
@@ -59,6 +72,12 @@ def triangle_rows_reference(kind: str, depth: int) -> tuple[tuple[int, ...], ...
             row.append(row[j - 1] + above)
         rows.append(row)
     return tuple(tuple(r) for r in rows)
+
+
+def same_subspace(a: LinearSubspace, b: LinearSubspace) -> bool:
+    """Whether two subspaces of one ambient space are equal: one contains
+    the other and their dimensions agree."""
+    return a.linear_dim == b.linear_dim and a.contains_subspace(b)
 
 
 def singular_locus(quadric: QuadricAnalysis) -> LinearSubspace:

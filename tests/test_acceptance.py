@@ -1,5 +1,5 @@
 """Acceptance gate: thirteen criteria, each driven through the verification
-suites of the command-line layer and reported as one pass/fail line.
+suites and reported as one pass/fail line.
 
 Run with ``-s`` (or read the -v test ids) to see the per-criterion lines.
 """
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 
-from triwedge.cli import RunConfig, run_suite
+from triwedge.suites import RunConfig, run_suite
 
 
 def _run(number: int, title: str, suite: str, budget: float | None = None):

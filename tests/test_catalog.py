@@ -196,7 +196,7 @@ def test_published_claims_for_spotlight_entries():
 def test_expected_maps_are_read_only():
     _, entry = catalog.get("n5")
     with pytest.raises(TypeError):
-        entry.expected["order"] = catalog.Claim(7, catalog.PUBLISHED)
+        entry.expected["order"] = catalog.Expected(7, catalog.PUBLISHED)
 
 
 def test_prime_field_coercion():
@@ -206,8 +206,11 @@ def test_prime_field_coercion():
 
 
 def test_claim_source_vocabulary_is_validated():
-    with pytest.raises(ConventionError):
-        catalog.Claim(1, "rumor")
+    assert catalog.SOURCES == (catalog.PUBLISHED, catalog.COMPUTED, catalog.DEFINITION)
+    for source in catalog.SOURCES:
+        assert catalog.Expected(1, source).source == source
+    with pytest.raises(ConventionError, match="unknown claim source"):
+        catalog.Expected(1, "rumor")
 
 
 def test_unknown_name_is_rejected():

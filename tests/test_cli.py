@@ -9,19 +9,16 @@ from math import comb
 
 import pytest
 
-from triwedge import cli
-from triwedge.cli import (
+from triwedge import catalog, cli
+from triwedge.cli import EXIT_USAGE, RANDOM_FORM_N_MAX, TABLES_N_MAX, main
+from triwedge.suites import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
-    EXIT_USAGE,
-    RANDOM_FORM_N_MAX,
-    TABLES_N_MAX,
     Claim,
     RunConfig,
     SUITES,
     VerificationReport,
-    main,
     run_suite,
 )
 from triwedge.enumerative import tables_rows
@@ -341,6 +338,8 @@ def test_report_exit_codes_follow_claim_statuses():
         Claim("d", "anchor", 1, "published", 1, "maybe")
     with pytest.raises(ConventionError, match="unknown claim source"):
         Claim("e", "anchor", 1, "rumor", 1, "pass")
+    for source in catalog.SOURCES:
+        assert Claim("f", "anchor", 1, source, 1, "pass").source == source
 
 
 # -- random-form ----------------------------------------------------------------------

@@ -483,7 +483,8 @@ def _reference_reduced_square(L):
         return cmap.get((i, j), field.zero())
 
     acc = {}
-    for i, j, h, k in itertools.combinations(L.support(), 4):
+    support = sorted({i for key in cmap for i in key})
+    for i, j, h, k in itertools.combinations(support, 4):
         acc[(i, j, h, k)] = field.add(
             field.sub(
                 field.mul(entry(i, j), entry(h, k)),

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwedge import catalog
-from triwedge.exact_scalar import ConventionError, FieldSpec, randbelow, rank_kernel
+from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, randbelow, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -45,7 +45,7 @@ from triwedge.form_analysis import (
     span_lattice,
 )
 
-from oracles import entry_form, quadric_contains_subspace, singular_locus
+from oracles import entry_form, quadric_contains_subspace, same_subspace, singular_locus
 
 QQ = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -192,8 +192,6 @@ def j_rank_of_two_form(g: AlternatingTensor) -> int:
             else:
                 row.append(fld.zero())
         rows.append(row)
-    from triwedge.exact_scalar import Matrix
-
     return rank_kernel(Matrix.from_rows(fld, rows))[0]
 
 
@@ -441,7 +439,7 @@ def test_span_lattice_direction_outside_image_collapses():
     ctx = SpaceContext(5, QQ)
     omega = AlternatingTensor.make(ctx, 3, "form", {(1, 2, 3): 1, (3, 4, 5): 1})
     lattice = span_lattice(omega, ctx.basis_covector(0), ctx.basis_covector(1))
-    assert lattice.full.equals(lattice.modulo_x)
+    assert same_subspace(lattice.full, lattice.modulo_x)
     assert lattice.full.codim == j_rank(omega, 1) == 5
 
 
@@ -484,22 +482,49 @@ def test_span_lattice_rejects_dependent_directions():
 
 
 def test_linear_subspace_rejects_dependent_columns():
-    from triwedge.exact_scalar import Matrix
-
     ctx = SpaceContext(3, QQ)
     basis = Matrix.from_rows(QQ, [[1, 2], [0, 0], [1, 2], [0, 0]])
     with pytest.raises(ValueError):
         LinearSubspace("vectors", ctx, basis)
 
 
-def test_linear_subspace_membership():
-    from triwedge.exact_scalar import Matrix
+@st.composite
+def covector_lists(draw):
+    """(ctx, covectors) over F_101 or Q: n = 3..6 and 0..dim+1 covectors with
+    entries in -2..2, so dependent and zero covectors come up often."""
+    field = draw(st.sampled_from([F101, QQ]))
+    ctx = SpaceContext(draw(st.integers(3, 6)), field)
+    entries = st.lists(st.integers(-2, 2), min_size=ctx.dim, max_size=ctx.dim)
+    rows = draw(st.lists(entries, max_size=ctx.dim + 1))
+    covectors = [
+        ctx.tensor_from_coords(1, "form", [field.coerce(v) for v in row])
+        for row in rows
+    ]
+    return ctx, covectors
 
+
+@settings(max_examples=150, deadline=None)
+@given(case=covector_lists())
+def test_annihilator_is_killed_by_every_covector(case):
+    ctx, covectors = case
+    space = LinearSubspace.annihilator(ctx, covectors)
+    for vector in space.basis_tensors():
+        for covector in covectors:
+            assert ctx.field.is_zero(pair(covector, vector))
+    rows = [c.coords() for c in covectors]
+    rank = rank_kernel(Matrix.from_rows(ctx.field, rows))[0] if rows else 0
+    assert space.linear_dim == ctx.dim - rank
+    assert space.ambient == "vectors"
+
+
+def test_linear_subspace_membership():
     ctx = SpaceContext(3, QQ)
     basis = Matrix.from_rows(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]])
     space = LinearSubspace("vectors", ctx, basis)
-    assert space.contains_coords([3, -2, 0, 0])
-    assert not space.contains_coords([0, 0, 1, 0])
+    inside = Matrix.from_rows(QQ, [[3], [-2], [0], [0]])
+    outside = Matrix.from_rows(QQ, [[0], [0], [1], [0]])
+    assert space.contains_subspace(LinearSubspace("vectors", ctx, inside))
+    assert not space.contains_subspace(LinearSubspace("vectors", ctx, outside))
     assert space.projective_dim == 1
     assert space.codim == 2
 
