@@ -13,7 +13,7 @@ to ``omega`` (points lying on infinitely many of its lines).
 the first two and defines `rank_at`, which coerces a point and rejects
 the zero point before taking that rank.  It samples rank statistics over
 prime fields, measures the degree of the drop locus for even ``n`` by
-restricting principal sub-Pfaffians to random lines, extracts the secant
+restricting a principal sub-Pfaffian to random lines, extracts the secant
 polynomial of a congruence line for odd ``n`` from the quotient Pfaffian
 pencil, and enumerates the full rank stratification over small prime
 fields.
@@ -22,7 +22,10 @@ The sampling and line helpers that `congruence`, `residual` and `suites` share
 are public here: `random_coords` (a nonzero random point), `independent_pair`
 (two independent points spanning a line), `line_gcd` and `line_zeros` (the
 gcd of polynomials restricted to that line, and the points where one
-vanishes), `line_subpfaffian_gcd` (the rank-drop polynomial of M on the line),
+vanishes), `line_subpfaffian_gcd` (the rank-drop polynomial of M on the line,
+the gcd of the principal sub-Pfaffians, read off one of them: for even ``n``
+the sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
+Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
 `kernel_complement_direction` (a kernel direction of M(P) independent of P),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
@@ -50,7 +53,7 @@ from .exact_scalar import (
     interpolate,
     interpolated_gcd,
     pfaffian,
-    randbelow,
+    randbelow_many,
     rank_kernel,
 )
 from .exterior_core import (
@@ -180,6 +183,10 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
     points (a random line misses the codimension-3 drop locus, so the
     congruence's own lines, which meet it, are used instead).  Root scans
     run only for primes up to ``ROOT_SCAN_PRIME_BOUND``.
+
+    Every sampled and witness point is kept as drawn; only the points of
+    ranks below the generic one are normalized (`normalize_projective`) and
+    de-duplicated, at the end.
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -195,11 +202,11 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
     M = build_M(omega)
 
     histogram: dict[int, int] = {}
-    seen: dict[int, set[tuple[int, ...]]] = {}
+    seen: dict[int, list[Sequence[int]]] = {}
 
     def record(coords: Sequence[int]) -> int:
         rank = point_contraction_rank(M, coords)
-        seen.setdefault(rank, set()).add(normalize_projective(coords, p))
+        seen.setdefault(rank, []).append(coords)
         return rank
 
     for _ in range(samples):
@@ -218,7 +225,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
 
     hits = dict(
         sorted(
-            (rank, tuple(sorted(points)))
+            (rank, tuple(sorted({normalize_projective(c, p) for c in points})))
             for rank, points in seen.items()
             if rank < generic
         )
@@ -235,7 +242,7 @@ def random_coords(field: FieldSpec, dim: int, rng: random.Random) -> list[Scalar
     """A nonzero random point: uniform over F_p, entries in -9..9 over Q."""
     if field.kind == "prime":
         p: int = field.p  # type: ignore[assignment]
-        coords = [randbelow(rng, p) for _ in range(dim)]
+        coords = randbelow_many(rng, p, dim)
     else:
         coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
     if all(field.is_zero(value) for value in coords):
@@ -297,17 +304,37 @@ def line_subpfaffian_gcd(
 ) -> Optional[UniPoly]:
     """Monic gcd of the principal sub-Pfaffians along first + t*second.
 
-    Returns None when every sub-Pfaffian vanishes identically on the
-    line, which signals a degenerate line choice.
+    For odd ``dim`` the vector of principal sub-Pfaffians of M(P) spans
+    ker M(P), and M(P)·P = 0, so Pf_i(M(P)) = ±g(P)·P_i as polynomials for
+    one form g.  First and second are independent, so the restrictions of
+    the P_i share no root and the gcd is g along the line.  It is read off
+    one sub-Pfaffian, at the first index i with ``second[i] != 0``:
+    interpolated at the nodes of `line_gcd` and divided exactly by
+    ``first[i] + t*second[i]``.
+
+    Returns None when the sub-Pfaffians vanish identically on the line,
+    which signals a degenerate line choice.  A division that leaves a
+    remainder raises `RuntimeError`.
     """
+    field = M.ctx.field
     dim = M.size
-    principal = [[k for k in range(dim) if k != i] for i in range(dim)]
-
-    def subpfaffians(coords: list[Scalar]) -> list[Scalar]:
-        evaluated = M.evaluate(coords)
-        return [pfaffian(evaluated.submatrix(keep, keep)) for keep in principal]
-
-    return line_gcd(M.ctx.field, first, second, (dim - 1) // 2, subpfaffians)
+    i = next((k for k, value in enumerate(second) if not field.is_zero(value)), None)
+    if i is None:
+        raise ConventionError("a line needs a nonzero direction")
+    keep = [k for k in range(dim) if k != i]
+    values = []
+    for node in _interpolation_nodes(field, (dim - 1) // 2 + 1):
+        evaluated = M.evaluate(_line_point(field, first, second, node))
+        values.append((node, pfaffian(evaluated.submatrix(keep, keep))))
+    restricted = interpolate(field, values)
+    if restricted.is_zero():
+        return None
+    quotient, remainder = restricted.divmod(UniPoly.from_coeffs(field, [first[i], second[i]]))
+    if not remainder.is_zero():
+        raise RuntimeError(
+            "internal error: a sub-Pfaffian is not divisible by its coordinate"
+        )
+    return quotient.monic()
 
 
 def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:

@@ -15,15 +15,17 @@ takes int dot products the same way: reduced mod p, or over the rationals on
 numerators over common denominators with one Fraction per output row.
 `skew_rank_mod_p` is the rank-only kernel for alternating matrices over F_p
 that the pointwise rank scans use: pairwise (skew-symmetric) elimination,
-which builds no kernel.  The Pfaffian uses recursive first-row expansion
-with memoization, which is simple and more than fast enough for the matrix
-sizes that arise here (odd skew pencils never exceed 12 rows).  Univariate polynomials store
-coefficients lowest-degree first and provide the monic Euclidean GCD and
-Lagrange interpolation used to restrict determinantal loci to lines;
-`interpolated_gcd` is the one place that combines them, for polynomials
-known by their values at nodes.  `randbelow` is the package's one uniform
-draw below a bound: the values and generator state of
-`random.Random.randrange`, at a fraction of its cost.
+which builds no kernel.  `pfaffian` runs the same pairwise elimination,
+pivoting on the first remaining index and multiplying in each signed pivot:
+on ints mod p, and on Fractions over the rationals.  Univariate polynomials
+store coefficients lowest-degree first and provide the monic Euclidean GCD
+and Lagrange interpolation (on int lists mod p over F_p) used to restrict
+determinantal loci to lines; `interpolated_gcd` is the one place that
+combines them, for polynomials known by their values at nodes.  `randbelow`
+is the package's one uniform draw below a bound: the values and generator
+state of `random.Random.randrange`, at a fraction of its cost;
+`randbelow_many` draws a run of such values with one `getrandbits` call per
+value, leaving the generator where as many `randbelow` calls would.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -51,6 +53,7 @@ __all__ = [
     "interpolate",
     "interpolated_gcd",
     "randbelow",
+    "randbelow_many",
 ]
 
 
@@ -71,6 +74,24 @@ def randbelow(rng: random.Random, bound: int) -> int:
     while value >= bound:
         value = draw(bits)
     return value
+
+
+def randbelow_many(rng: random.Random, bound: int, count: int) -> list[int]:
+    """``[randbelow(rng, bound) for _ in range(count)]``: the same values,
+    leaving the generator in the same state.
+
+    It draws ``count`` words of ``bound.bit_length()`` bits in one pass and
+    keeps those below ``bound``, then draws one word at a time until it has
+    ``count``.  Each value is the next accepted word, as in `randbelow`.
+    """
+    bits = bound.bit_length()
+    draw = rng.getrandbits
+    values = [value for value in map(draw, repeat(bits, count)) if value < bound]
+    while len(values) < count:
+        value = draw(bits)
+        if value < bound:
+            values.append(value)
+    return values
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -522,6 +543,13 @@ def pfaffian(m: Matrix) -> Scalar:
     direct sum is the product of the blocks' Pfaffians.  Satisfies
     pfaffian(m)**2 == m.det().  Raises `ConventionError` for non-skew or
     odd-size input.
+
+    Skew elimination: the first remaining index i pivots on its first
+    nonzero entry a[i][j], at 0-based position ``pos`` among the other
+    remaining indices.  The Pfaffian gains the factor (-1)**pos * a[i][j],
+    and the block left without i and j becomes the alternating Schur
+    complement a[k][l] + (a[k][i]*a[j][l] - a[k][j]*a[i][l]) / a[i][j] of
+    `skew_rank_mod_p`.  A zero row makes the Pfaffian zero.
     """
     if m.rows != m.cols:
         raise ConventionError("pfaffian requires a square matrix")
@@ -532,25 +560,40 @@ def pfaffian(m: Matrix) -> Scalar:
     if not m.is_skew_symmetric():
         raise ConventionError("pfaffian requires a skew-symmetric matrix")
     field = m.field
-    one = field.one()
-    memo: dict[tuple[int, ...], Scalar] = {(): one}
-
-    def pf(indices: tuple[int, ...]) -> Scalar:
-        cached = memo.get(indices)
-        if cached is not None:
-            return cached
-        i0, rest = indices[0], indices[1:]
-        acc = field.zero()
-        for pos, j in enumerate(rest):
-            a = m.entry(i0, j)
-            if field.is_zero(a):
-                continue
-            term = field.mul(a, pf(rest[:pos] + rest[pos + 1 :]))
-            acc = field.add(acc, term) if pos % 2 == 0 else field.sub(acc, term)
-        memo[indices] = acc
-        return acc
-
-    return pf(tuple(range(m.rows)))
+    a = m.row_lists()
+    live = list(range(m.rows))
+    pf = field.one()
+    p = field.p
+    while live:
+        i = live.pop(0)
+        ri = a[i]
+        pos = next((pos for pos, c in enumerate(live) if ri[c]), None)
+        if pos is None:
+            return field.zero()
+        j = live.pop(pos)
+        rj = a[j]
+        pivot = ri[j]
+        pf = pf * pivot if pos % 2 == 0 else -pf * pivot
+        if p is None:
+            inv = Fraction(1) / pivot
+            for k in live:
+                rk = a[k]
+                u = rk[i] * inv
+                v = rk[j] * inv
+                if u or v:
+                    for l in live:
+                        rk[l] += u * rj[l] - v * ri[l]
+        else:
+            pf %= p
+            inv = pow(pivot, p - 2, p)
+            for k in live:
+                rk = a[k]
+                u = rk[i] * inv % p
+                v = rk[j] * inv % p
+                if u or v:
+                    for l in live:
+                        rk[l] = (rk[l] + u * rj[l] - v * ri[l]) % p
+    return pf
 
 
 @dataclass(frozen=True)
@@ -677,10 +720,37 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 def interpolate(
     field: FieldSpec, points: Sequence[tuple[Scalar, Scalar]]
 ) -> UniPoly:
-    """Lagrange interpolation through distinct nodes; exact over any field."""
+    """Lagrange interpolation through distinct nodes; exact over any field.
+
+    Over F_p each Lagrange basis polynomial is built on an int list mod p and
+    the sum becomes one `UniPoly`; over the rationals it is built with
+    `UniPoly` arithmetic.
+    """
     xs = [field.coerce(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
+    if field.kind == "prime":
+        p: int = field.p  # type: ignore[assignment]
+        coeffs = [0] * len(xs)
+        for i, (_, yi) in enumerate(points):
+            yi = field.coerce(yi)
+            if not yi:
+                continue
+            xi = xs[i]
+            basis = [1]
+            denom = 1
+            for j, xj in enumerate(xs):
+                if j == i:
+                    continue
+                # basis * (t - xj)
+                basis = [
+                    (shifted - xj * c) % p for shifted, c in zip([0] + basis, basis + [0])
+                ]
+                denom = denom * (xi - xj) % p
+            scale = yi * pow(denom, p - 2, p) % p
+            for k, c in enumerate(basis):
+                coeffs[k] = (coeffs[k] + scale * c) % p
+        return UniPoly.from_coeffs(field, coeffs)
     result = UniPoly.zero(field)
     for i, (_, yi) in enumerate(points):
         yi = field.coerce(yi)

@@ -48,7 +48,7 @@ from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .exact_scalar import ConventionError, FieldSpec, Scalar, randbelow
+from .exact_scalar import ConventionError, FieldSpec, Scalar, randbelow_many
 
 __all__ = [
     "SpaceContext",
@@ -586,14 +586,12 @@ def random_tensor(
     if not (0 <= k <= ctx.dim):
         raise ValueError(f"degree {k} out of range")
     rng = random.Random(derive_seed("tensor", ctx.n, ctx.field, k, variance, seed))
-    coeffs: dict[IndexSet, Scalar] = {}
-    for key in ctx.index_sets(k):
-        if ctx.field.kind == "prime":
-            value = randbelow(rng, ctx.field.p)  # type: ignore[arg-type]
-        else:
-            value = rng.randint(-10, 10)
-        coeffs[key] = value
-    return AlternatingTensor.make(ctx, k, variance, coeffs)
+    keys = list(ctx.index_sets(k))
+    if ctx.field.kind == "prime":
+        values = randbelow_many(rng, ctx.field.p, len(keys))  # type: ignore[arg-type]
+    else:
+        values = [rng.randint(-10, 10) for _ in keys]
+    return AlternatingTensor.make(ctx, k, variance, dict(zip(keys, values)))
 
 
 def pullback(

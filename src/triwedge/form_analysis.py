@@ -43,7 +43,7 @@ from .exact_scalar import (
     ConventionError,
     Matrix,
     Scalar,
-    randbelow,
+    randbelow_many,
     rank_kernel,
     skew_rank_mod_p,
 )
@@ -242,18 +242,42 @@ class SkewLinearMatrix:
         return tuple(quartets)
 
     def evaluate(self, point: PointLike) -> Matrix:
-        """Scalar skew matrix obtained by evaluating every entry at a point."""
+        """Scalar skew matrix obtained by evaluating every entry at a point.
+
+        Over F_p the entries are those of `_grid_mod_p`; over the rationals
+        each is summed with field operations.
+        """
         coords = point_coords(self.ctx, point)
         fld = self.ctx.field
         dim = self.size
-        rows = [[fld.zero()] * dim for _ in range(dim)]
-        for (i, j), terms in self.pairs:
-            acc = fld.zero()
-            for k, coeff in terms:
-                acc = fld.add(acc, fld.mul(coeff, coords[k]))
-            rows[i][j] = acc
-            rows[j][i] = fld.neg(acc)
+        if fld.kind == "prime":
+            rows = self._grid_mod_p(coords)
+        else:
+            rows = [[fld.zero()] * dim for _ in range(dim)]
+            for (i, j), terms in self.pairs:
+                acc = fld.zero()
+                for k, coeff in terms:
+                    acc = fld.add(acc, fld.mul(coeff, coords[k]))
+                rows[i][j] = acc
+                rows[j][i] = fld.neg(acc)
         return Matrix(fld, dim, dim, tuple(value for row in rows for value in row))
+
+    def _grid_mod_p(self, coords) -> list[list[int]]:
+        """The matrix at a point over F_p as rows of ints in [0, p); the
+        coordinates must already be ints.  Each entry is an int sum reduced
+        once, and the entry below the diagonal is p minus the one above."""
+        p: int = self.ctx.field.p  # type: ignore[assignment]
+        dim = self.size
+        grid = [[0] * dim for _ in range(dim)]
+        for (i, j), terms in self.pairs:
+            acc = 0
+            for k, c in terms:
+                acc += c * coords[k]
+            acc %= p
+            if acc:
+                grid[i][j] = acc
+                grid[j][i] = p - acc
+        return grid
 
 
 def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
@@ -281,24 +305,14 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     obtained by contracting the 3-form there.
 
     Over F_p the coordinates must already be ints; the matrix is built as an
-    int grid and its rank taken by `skew_rank_mod_p`.  Over the rationals the
-    rank is that of `M.evaluate(coords)` from `rank_kernel`.
+    int grid (`SkewLinearMatrix._grid_mod_p`) and its rank taken by
+    `skew_rank_mod_p`.  Over the rationals the rank is that of
+    `M.evaluate(coords)` from `rank_kernel`.
     """
     fld = M.ctx.field
     if fld.kind != "prime":
         return rank_kernel(M.evaluate(coords))[0]
-    p: int = fld.p  # type: ignore[assignment]
-    dim = M.size
-    grid = [[0] * dim for _ in range(dim)]
-    for (i, j), terms in M.pairs:
-        acc = 0
-        for k, c in terms:
-            acc += c * coords[k]
-        acc %= p
-        if acc:
-            grid[i][j] = acc
-            grid[j][i] = p - acc
-    return skew_rank_mod_p(p, grid)
+    return skew_rank_mod_p(fld.p, M._grid_mod_p(coords))  # type: ignore[arg-type]
 
 
 def rank_at_most_two(M: SkewLinearMatrix, coords) -> bool:
@@ -414,7 +428,7 @@ def genericity(
         rng = _random.Random(derive_seed("gc3", ctx.n, fld, seed))
         while examined < samples:
             if fld.kind == "prime":
-                coords = tuple(randbelow(rng, fld.p) for _ in range(dim))  # type: ignore[arg-type]
+                coords = tuple(randbelow_many(rng, fld.p, dim))  # type: ignore[arg-type]
             else:
                 coords = tuple(rng.randint(-10, 10) for _ in range(dim))
             if all(c == 0 for c in coords):

@@ -4,9 +4,10 @@ tests directory on the import path."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from triwedge.exact_scalar import Matrix, Scalar
+from triwedge.degeneracy import line_gcd
+from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, Scalar, UniPoly
 from triwedge.exterior_core import AlternatingTensor
 from triwedge.form_analysis import LinearSubspace, QuadricAnalysis, SkewLinearMatrix
 
@@ -17,6 +18,22 @@ def entry_form(M: SkewLinearMatrix, i: int, j: int) -> AlternatingTensor:
     terms = dict(M.pairs).get((min(i, j), max(i, j)), ())
     form = AlternatingTensor.make(M.ctx, 1, "form", [((k,), c) for k, c in terms])
     return form if i < j else form.neg()
+
+
+def evaluate_reference(M: SkewLinearMatrix, coords: Sequence[Scalar]) -> Matrix:
+    """The skew matrix of linear forms at a point, entry by entry with field
+    operations."""
+    fld = M.ctx.field
+    coords = [fld.coerce(value) for value in coords]
+    dim = M.size
+    rows = [[fld.zero()] * dim for _ in range(dim)]
+    for (i, j), terms in M.pairs:
+        acc = fld.zero()
+        for k, coeff in terms:
+            acc = fld.add(acc, fld.mul(coeff, coords[k]))
+        rows[i][j] = acc
+        rows[j][i] = fld.neg(acc)
+    return Matrix(fld, dim, dim, tuple(value for row in rows for value in row))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -54,6 +71,76 @@ def matvec_reference(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
                 acc = f.add(acc, f.mul(a, b))
         out.append(acc)
     return tuple(out)
+
+
+def pfaffian_expansion(m: Matrix) -> Scalar:
+    """The Pfaffian by memoized recursive expansion along the first row,
+    with the checks and messages of `exact_scalar.pfaffian`."""
+    if m.rows != m.cols:
+        raise ConventionError("pfaffian requires a square matrix")
+    if m.rows % 2 != 0:
+        raise ConventionError(
+            "pfaffian requires even size; pass an even-size principal submatrix"
+        )
+    if not m.is_skew_symmetric():
+        raise ConventionError("pfaffian requires a skew-symmetric matrix")
+    field = m.field
+    memo: dict[tuple[int, ...], Scalar] = {(): field.one()}
+
+    def pf(indices: tuple[int, ...]) -> Scalar:
+        cached = memo.get(indices)
+        if cached is not None:
+            return cached
+        i0, rest = indices[0], indices[1:]
+        acc = field.zero()
+        for pos, j in enumerate(rest):
+            a = m.entry(i0, j)
+            if field.is_zero(a):
+                continue
+            term = field.mul(a, pf(rest[:pos] + rest[pos + 1 :]))
+            acc = field.add(acc, term) if pos % 2 == 0 else field.sub(acc, term)
+        memo[indices] = acc
+        return acc
+
+    return pf(tuple(range(m.rows)))
+
+
+def interpolate_reference(
+    field: FieldSpec, points: Sequence[tuple[Scalar, Scalar]]
+) -> UniPoly:
+    """Lagrange interpolation with `UniPoly` arithmetic over any field."""
+    xs = [field.coerce(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    result = UniPoly.zero(field)
+    for i, (_, yi) in enumerate(points):
+        yi = field.coerce(yi)
+        if field.is_zero(yi):
+            continue
+        basis = UniPoly.one(field)
+        denom = field.one()
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = basis.mul(UniPoly.from_coeffs(field, [field.neg(xj), field.one()]))
+            denom = field.mul(denom, field.sub(xs[i], xj))
+        result = result.add(basis.scale(field.div(yi, denom)))
+    return result
+
+
+def all_subpfaffian_gcd(
+    M: SkewLinearMatrix, first: Sequence[Scalar], second: Sequence[Scalar]
+) -> Optional[UniPoly]:
+    """Monic gcd of all principal sub-Pfaffians along first + t*second, each
+    by `pfaffian_expansion`; None when every one vanishes on the line."""
+    dim = M.size
+    principal = [[k for k in range(dim) if k != i] for i in range(dim)]
+
+    def subpfaffians(coords: list[Scalar]) -> list[Scalar]:
+        evaluated = M.evaluate(coords)
+        return [pfaffian_expansion(evaluated.submatrix(keep, keep)) for keep in principal]
+
+    return line_gcd(M.ctx.field, first, second, (dim - 1) // 2, subpfaffians)
 
 
 def triangle_rows_reference(kind: str, depth: int) -> tuple[tuple[int, ...], ...]:

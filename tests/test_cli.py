@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from triwedge import catalog, cli
+from triwedge import catalog, cli, suites
 from triwedge.cli import EXIT_USAGE, RANDOM_FORM_N_MAX, TABLES_N_MAX, main
 from triwedge.suites import (
     EXIT_FAIL,
@@ -18,9 +18,11 @@ from triwedge.suites import (
     Claim,
     RunConfig,
     SUITES,
+    SuiteSpec,
     VerificationReport,
     run_suite,
 )
+from triwedge.degeneracy import NonGenericFormError
 from triwedge.enumerative import tables_rows
 from triwedge.exact_scalar import ConventionError, FieldSpec
 from triwedge.exterior_core import form_from_document
@@ -340,6 +342,38 @@ def test_report_exit_codes_follow_claim_statuses():
         Claim("e", "anchor", 1, "rumor", 1, "pass")
     for source in catalog.SOURCES:
         assert Claim("f", "anchor", 1, source, 1, "pass").source == source
+
+
+def test_a_non_generic_suite_becomes_one_inconclusive_claim(tmp_path, monkeypatch):
+    def non_generic(cfg):
+        raise NonGenericFormError("could not find three usable lines")
+
+    registry = {
+        "enumerative": SUITES["enumerative"],
+        "stub": SuiteSpec(non_generic, "none", False, "always raises"),
+        "chern-strata": SUITES["chern-strata"],
+    }
+    cfg = RunConfig()
+    others = [run_suite(name, cfg).claims for name in ("enumerative", "chern-strata")]
+    monkeypatch.setattr(suites, "SUITES", registry)
+
+    report = run_suite("all", cfg)
+    stub_claim = Claim(
+        "suite-stub",
+        "suite stub runs to completion on generic inputs",
+        "completed",
+        "definition",
+        "stub: could not find three usable lines",
+        "inconclusive",
+    )
+    assert report.claims == others[0] + (stub_claim,) + others[1]
+    assert report.exit_code == EXIT_INCONCLUSIVE
+    assert run_suite("stub", cfg).claims == (stub_claim,)
+
+    code, doc = run_json(tmp_path, ["verify", "--suite", "all"])
+    assert code == EXIT_INCONCLUSIVE
+    assert doc["status"] == "inconclusive"
+    assert [claim["id"] for claim in doc["claims"]] == [claim.id for claim in report.claims]
 
 
 # -- random-form ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from triwedge.degeneracy import (
     hypersurface_degree,
     independent_pair,
     line_gcd,
+    line_subpfaffian_gcd,
     line_zeros,
     rank_at,
     secant_pencil,
@@ -44,7 +45,7 @@ from triwedge.exterior_core import (
 )
 from triwedge.form_analysis import j_rank, point_contraction_rank
 
-from oracles import entry_form
+from oracles import all_subpfaffian_gcd, entry_form
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -362,6 +363,89 @@ def test_line_gcd_matches_the_inline_node_loop(field, name):
         gcd = line_gcd(field, first, second, (dim - 1) // 2, subpfaffians)
         assert gcd == _inline_line_gcd(field, first, second, (dim - 1) // 2, subpfaffians)
         assert gcd is not None
+
+
+@st.composite
+def even_forms_and_lines(draw):
+    """(M, first, second): the skew matrix of an even-n 3-form and two
+    independent points.  The form is random (n = 4, 6, 8), an even catalog
+    form, or a sum of one or two decomposable forms u^v^w, whose generic
+    point rank stays below n so that every sub-Pfaffian vanishes.  Over F_p,
+    ``second`` is half the time moved onto the rank-drop locus: a root of the
+    oracle gcd on a first line."""
+    field = draw(st.sampled_from((Q, FieldSpec.prime(7), F101, F1009)))
+    shape = draw(st.sampled_from(["random", "catalog", "low-rank"]))
+    if shape == "catalog":
+        omega, _ = catalog.get(draw(st.sampled_from(["n4", "n6-g2", "n8-family"])), field=field)
+    else:
+        ctx = SpaceContext(draw(st.sampled_from([4, 6, 8])), field)
+        if shape == "random":
+            omega = random_tensor(ctx, 3, "form", draw(st.integers(0, 10**6)))
+        else:
+            covector = st.lists(st.integers(-3, 3), min_size=ctx.dim, max_size=ctx.dim)
+            omega = ctx.zero_tensor(3, "form")
+            for _ in range(draw(st.integers(1, 2))):
+                u, v, w = (
+                    ctx.tensor_from_coords(1, "form", [field.coerce(c) for c in draw(covector)])
+                    for _ in range(3)
+                )
+                omega = omega.add(wedge(wedge(u, v), w))
+    M = build_M(omega)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    first, second = independent_pair(field, M.size, rng)
+    if field.kind == "prime" and draw(st.booleans()):
+        gcd = all_subpfaffian_gcd(M, first, second)
+        if gcd is not None and gcd.degree >= 1:
+            on_locus = line_zeros(field, first, second, gcd)[:-1]
+            if on_locus:
+                second = draw(st.sampled_from(on_locus))
+                first = independent_pair(field, M.size, rng)[0]
+                while rank_kernel(Matrix(field, 2, M.size, tuple(first) + tuple(second)))[0] < 2:
+                    first = independent_pair(field, M.size, rng)[0]
+    return M, first, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=even_forms_and_lines())
+def test_line_subpfaffian_gcd_matches_the_all_subpfaffian_gcd(case):
+    M, first, second = case
+    assert line_subpfaffian_gcd(M, first, second) == all_subpfaffian_gcd(M, first, second)
+
+
+def test_line_subpfaffian_gcd_is_none_for_a_form_of_low_generic_rank():
+    for field in (Q, F101):
+        ctx = SpaceContext(6, field)
+        omega = AlternatingTensor.make(ctx, 3, "form", {(0, 1, 2): 1, (3, 4, 5): 1})
+        M = build_M(omega)
+        first, second = independent_pair(field, M.size, random.Random(1))
+        assert all_subpfaffian_gcd(M, first, second) is None
+        assert line_subpfaffian_gcd(M, first, second) is None
+
+
+def test_line_subpfaffian_gcd_counts_a_direction_on_the_locus_at_infinity():
+    field = F1009
+    omega, _ = catalog.get("n6-g2", field=field)
+    M = build_M(omega)
+    rng = random.Random(14)
+    first, second = independent_pair(field, M.size, rng)
+    gcd = line_subpfaffian_gcd(M, first, second)
+    root = line_zeros(field, first, second, gcd)[0]
+    other = independent_pair(field, M.size, rng)[0]
+    on_locus = line_subpfaffian_gcd(M, other, root)
+    assert on_locus == all_subpfaffian_gcd(M, other, root)
+    # the root at infinity leaves the finite part one degree short
+    assert on_locus.degree == gcd.degree - 1
+
+
+def test_line_subpfaffian_gcd_rejects_a_matrix_that_does_not_kill_its_point():
+    # entries x1 at (1, 2) and (3, 4): the sub-Pfaffian without index 0 is
+    # x1^2, which x0 does not divide
+    ctx = SpaceContext(4, F101)
+    M = SkewLinearMatrix(ctx, (((1, 2), ((1, 1),)), ((3, 4), ((1, 1),))))
+    with pytest.raises(RuntimeError, match="not divisible"):
+        line_subpfaffian_gcd(M, [0, 1, 0, 0, 0], [1, 0, 0, 0, 0])
+    with pytest.raises(ConventionError, match="nonzero direction"):
+        line_subpfaffian_gcd(M, [0, 1, 0, 0, 0], [0, 0, 0, 0, 0])
 
 
 def test_line_gcd_rejects_a_field_too_small_for_its_nodes():

@@ -2,9 +2,10 @@
 
 Expected values fall into three classes: convention anchors asserted
 directly, hand-derived matrices frozen after independent computation, and
-cross-checks of two algorithmically independent implementations (recursive
-Pfaffian expansion vs. elimination determinant vs. a test-local cofactor
-determinant; the row reductions vs. a test-local field-generic elimination).
+cross-checks of two algorithmically independent implementations (the
+elimination Pfaffian vs. recursive expansion vs. elimination determinant vs.
+a test-local cofactor determinant; the row reductions vs. a test-local
+field-generic elimination; int interpolation vs. `UniPoly` interpolation).
 """
 
 from __future__ import annotations
@@ -29,11 +30,18 @@ from triwedge.exact_scalar import (
     pfaffian,
     poly_gcd,
     randbelow,
+    randbelow_many,
     rank_kernel,
     skew_rank_mod_p,
 )
 
-from oracles import matmul, matvec_reference, transpose
+from oracles import (
+    interpolate_reference,
+    matmul,
+    matvec_reference,
+    pfaffian_expansion,
+    transpose,
+)
 
 QQ = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -324,6 +332,65 @@ def test_pfaffian_squared_equals_determinant_all_even_sizes_to_ten():
             assert field.mul(pf, pf) == m.det()
 
 
+PFAFFIAN_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(3), F101, QQ)
+
+
+@st.composite
+def skew_matrices(draw):
+    """An even-size (0-12) skew matrix over F_2, F_3, F_101 or Q: every entry
+    above the diagonal drawn (zero with some weight, so sparse matrices
+    occur), or a sum of 0-4 terms u^v so that singular matrices are common."""
+    field = draw(st.sampled_from(PFAFFIAN_FIELDS))
+    size = 2 * draw(st.integers(0, 6))
+    if field.kind == "prime":
+        scalar = st.integers(0, field.p - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    entry = st.one_of(st.just(0), scalar)
+    rows = [[field.zero()] * size for _ in range(size)]
+    if draw(st.booleans()):
+        for i in range(size):
+            for j in range(i + 1, size):
+                value = field.coerce(draw(entry))
+                rows[i][j], rows[j][i] = value, field.neg(value)
+    else:
+        vector = st.lists(scalar, min_size=size, max_size=size)
+        for _ in range(draw(st.integers(0, 4))):
+            u = [field.coerce(x) for x in draw(vector)]
+            v = [field.coerce(x) for x in draw(vector)]
+            for i in range(size):
+                for j in range(size):
+                    term = field.sub(field.mul(u[i], v[j]), field.mul(u[j], v[i]))
+                    rows[i][j] = field.add(rows[i][j], term)
+    return Matrix(field, size, size, tuple(v for row in rows for v in row))
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=skew_matrices())
+def test_pfaffian_matches_the_recursive_expansion_and_squares_to_det(m):
+    pf = pfaffian(m)
+    expected = pfaffian_expansion(m)
+    assert pf == expected
+    assert type(pf) is type(expected)
+    assert m.field.mul(pf, pf) == m.det()
+
+
+def test_pfaffian_keeps_its_checks_in_order():
+    # a non-square, odd-size, non-skew matrix fails the square check first
+    with pytest.raises(ConventionError, match="square"):
+        pfaffian(Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ConventionError, match="even size"):
+        pfaffian(Matrix.from_rows(QQ, [[1, 2, 3]] * 3))
+    with pytest.raises(ConventionError, match="skew-symmetric"):
+        pfaffian(Matrix.from_rows(F101, [[0, 1], [1, 0]]))
+
+
+def test_pfaffian_of_a_matrix_with_a_zero_row_is_zero():
+    rows = [[0, 0, 0, 0], [0, 0, 1, 2], [0, -1, 0, 3], [0, -2, -3, 0]]
+    assert pfaffian(Matrix.from_rows(F101, rows)) == 0
+    assert pfaffian(Matrix.from_rows(QQ, rows)) == 0
+
+
 def test_elimination_determinant_matches_cofactor_oracle():
     rng = random.Random(13)
     for size in range(1, 6):
@@ -587,6 +654,45 @@ def test_randbelow_repeats_randrange_and_its_generator_state(bound):
     expected = [reference.randrange(bound) for _ in range(20_000)]
     assert [randbelow(fast, bound) for _ in range(20_000)] == expected
     assert fast.getstate() == reference.getstate()
+
+
+RANDBELOW_MANY_BOUNDS = [
+    1, 2, 3, 5, 101, 1009, 32003, 2**31 - 1, 2**32 - 5, 2**32, 2**32 + 15, 2**61 - 1
+]
+
+
+@pytest.mark.parametrize("bound", RANDBELOW_MANY_BOUNDS)
+def test_randbelow_many_repeats_randbelow_and_its_generator_state(bound):
+    reference = random.Random(bound)
+    fast = random.Random(bound)
+    for count in (0, 1, 2, 7, 10, 64, 1000):
+        expected = [randbelow(reference, bound) for _ in range(count)]
+        assert randbelow_many(fast, bound, count) == expected
+        assert fast.getstate() == reference.getstate()
+
+
+@st.composite
+def interpolation_points(draw):
+    """(field, points): 0-8 distinct nodes over F_2, F_3, F_101, F_1009 or Q,
+    values that are zero with some weight and otherwise any int or Fraction
+    the field can coerce."""
+    field = draw(st.sampled_from((FieldSpec.prime(2), FieldSpec.prime(3), F101,
+                                  FieldSpec.prime(1009), QQ)))
+    bound = field.p if field.kind == "prime" else 50
+    xs = draw(st.lists(st.integers(0, bound - 1), max_size=min(8, bound), unique=True))
+    value = st.one_of(st.just(0), st.integers(-2000, 2000),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 1)))
+    return field, [(x, draw(value)) for x in xs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=interpolation_points())
+def test_interpolate_matches_the_unipoly_reference(case):
+    field, points = case
+    poly = interpolate(field, points)
+    assert poly == interpolate_reference(field, points)
+    for x, y in points:
+        assert poly.eval(x) == field.coerce(y)
 
 
 def _inline_gcd_fold(field, nodes, rows):

@@ -45,7 +45,13 @@ from triwedge.form_analysis import (
     span_lattice,
 )
 
-from oracles import entry_form, quadric_contains_subspace, same_subspace, singular_locus
+from oracles import (
+    entry_form,
+    evaluate_reference,
+    quadric_contains_subspace,
+    same_subspace,
+    singular_locus,
+)
 
 QQ = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -156,6 +162,16 @@ def test_point_rank_matches_the_evaluated_matrix(case):
     ]
     expected = M.evaluate(x).scale(s).add(M.evaluate(b).scale(t)).add(M.evaluate(c).scale(u))
     assert M.evaluate(combined) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=forms_and_points())
+def test_evaluate_matches_the_field_operation_reference(case):
+    omega, x, b, _, _ = case
+    M = build_M(omega)
+    assert M.evaluate(x) == evaluate_reference(M, x)
+    # b is passed as drawn; both routes coerce it into the field
+    assert M.evaluate(b) == evaluate_reference(M, b)
 
 
 @settings(max_examples=100, deadline=None)
