@@ -43,7 +43,14 @@ from .degeneracy import (
     require_three_form,
     split_decomposable,
 )
-from .exact_scalar import ConventionError, Matrix, Scalar, _rref, rank_kernel
+from .exact_scalar import (
+    ConventionError,
+    Matrix,
+    Scalar,
+    _rref,
+    matrix_rank,
+    rank_kernel,
+)
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -318,9 +325,9 @@ def tangent_intersection_dim(
             if not generator.is_zero():
                 columns.append(generator.coords())
     ambient = span.basis.rows
-    tangent_rank = rank_kernel(Matrix.from_columns(field, ambient, columns))[0]
+    tangent_rank = matrix_rank(Matrix.from_columns(field, ambient, columns))
     joined = Matrix.from_columns(field, ambient, columns + span.basis.columns())
-    joined_rank = rank_kernel(joined)[0]
+    joined_rank = matrix_rank(joined)
     return tangent_rank + span.linear_dim - joined_rank - 1
 
 
@@ -393,10 +400,10 @@ def quadrics_through_span(omega: AlternatingTensor) -> QuadricSystem:
         wedge(omega, ctx.basis_covector(k)).coords() for k in range(ctx.dim)
     ]
     family = Matrix.from_columns(field, quartic_dim, family_columns)
-    family_rank = rank_kernel(family)[0]
+    family_rank = matrix_rank(family)
     joined = Matrix.from_columns(field, quartic_dim, kernel_columns + family_columns)
     matches = (
-        kernel.cols == family_rank and rank_kernel(joined)[0] == kernel.cols
+        kernel.cols == family_rank and matrix_rank(joined) == kernel.cols
     )
     return QuadricSystem(
         dimension=kernel.cols, basis=basis, matches_wedge_family=matches

@@ -52,6 +52,7 @@ from .exact_scalar import (
     _rref,
     interpolate,
     interpolated_gcd,
+    matrix_rank,
     pfaffian,
     randbelow_many,
     rank_kernel,
@@ -258,7 +259,7 @@ def independent_pair(
         first = random_coords(field, dim, rng)
         second = random_coords(field, dim, rng)
         flat = tuple(first) + tuple(second)
-        if rank_kernel(Matrix(field, 2, dim, flat))[0] == 2:
+        if matrix_rank(Matrix(field, 2, dim, flat)) == 2:
             return first, second
 
 
@@ -385,7 +386,7 @@ def kernel_complement_direction(
     _, kernel = rank_kernel(M.evaluate(coords))
     for candidate in kernel.columns():
         flat = tuple(coords) + candidate
-        if rank_kernel(Matrix(field, 2, len(coords), flat))[0] == 2:
+        if matrix_rank(Matrix(field, 2, len(coords), flat)) == 2:
             return list(candidate)
     return None
 

@@ -7,17 +7,22 @@ represented by `fractions.Fraction` over the rationals and by Python ints in
 whichever field is in play; it rejects floats, which are no exact value.
 Matrices are immutable dense arrays over a single field, built from rows
 (`Matrix.from_rows`, which coerces) or from columns of field elements
-(`Matrix.from_columns`), and `rank_kernel` performs exact Gauss-Jordan
-elimination with one integer routine per field: modulo p on ints in
-``[0, p)``, and over the rationals fraction-free on rows scaled to integers,
-with a Fraction division only for the final reduced rows.  `Matrix.matvec`
-takes int dot products the same way: reduced mod p, or over the rationals on
-numerators over common denominators with one Fraction per output row.
-`skew_rank_mod_p` is the rank-only kernel for alternating matrices over F_p
-that the pointwise rank scans use: pairwise (skew-symmetric) elimination,
-which builds no kernel.  `pfaffian` runs the same pairwise elimination,
-pivoting on the first remaining index and multiplying in each signed pivot:
-on ints mod p, and on Fractions over the rationals.  Univariate polynomials
+(`Matrix.from_columns`).  Over the rationals the hot loops run on ints:
+`as_ints` gives field elements as ints over one shared denominator (the
+values themselves over F_p), and a result becomes one Fraction at the end.
+`rank_kernel` performs exact Gauss-Jordan elimination with one integer
+routine per field: modulo p on ints in ``[0, p)``, and over the rationals
+fraction-free on rows scaled to integers, each kernel entry one Fraction
+read off the integer rows.  `matrix_rank` builds no kernel: over the
+rationals it eliminates forward only, clearing each pivot's column in the
+rows below it.  `Matrix.matvec` takes int dot products the same way: reduced
+mod p, or over the rationals on numerators over common denominators with one
+Fraction per output row.  `skew_rank_mod_p` is the rank-only kernel for
+alternating matrices over F_p that the pointwise rank scans use: pairwise
+(skew-symmetric) elimination, which builds no kernel.  `pfaffian` runs the
+same pairwise elimination, pivoting on the first remaining index and
+multiplying in each signed pivot: on ints mod p, and on Fractions over the
+rationals.  Univariate polynomials
 store coefficients lowest-degree first and provide the monic Euclidean GCD
 and Lagrange interpolation (on int lists mod p over F_p) used to restrict
 determinantal loci to lines; `interpolated_gcd` is the one place that
@@ -47,6 +52,8 @@ __all__ = [
     "Matrix",
     "UniPoly",
     "rank_kernel",
+    "matrix_rank",
+    "as_ints",
     "skew_rank_mod_p",
     "pfaffian",
     "poly_gcd",
@@ -233,7 +240,18 @@ def _scaled_to_ints(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """Rational values (ints or Fractions) as integer numerators over the lcm
     of their denominators, with that lcm."""
     den = reduce(lcm, [x.denominator for x in values], 1)
+    if den == 1:
+        return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def as_ints(field: FieldSpec, values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Field elements as ints over one shared denominator, so that sums of
+    products can run on ints: over F_p the values themselves over 1, over
+    the rationals numerators over the lcm of their denominators."""
+    if field.kind == "prime":
+        return list(values), 1  # type: ignore[arg-type]
+    return _scaled_to_ints(values)
 
 
 @dataclass(frozen=True)
@@ -387,30 +405,47 @@ class Matrix:
             raise ValueError("matrices over different fields")
 
 
-def _rref(field: FieldSpec, a: list[list[Scalar]], cols: int) -> list[int]:
-    """In-place reduced row echelon form of rows of length ``cols``; returns
-    the pivot column list.
-
-    Over F_p this is `_rref_prime`.  Over the rationals the rows are scaled
-    to integers by the lcm of their denominators and eliminated
-    fraction-free: row r becomes (pv/g)·row_r − (f/g)·pivot_row with
-    g = gcd(pv, f), then is divided by the gcd of its entries.  The reduced
-    row echelon form is unique, so dividing each pivot row by its pivot at
-    the end gives exactly the rows that Fraction elimination would.  Row
-    ``r`` of ``a`` ends holding reduced row ``r`` as Fractions, zero below
-    the rank.
-    """
-    if field.kind == "prime":
-        return _rref_prime(field.p, a, cols)  # type: ignore[arg-type]
-    # reduce rather than gcd(*row): an argument tuple per row update raised
-    # the peak RSS of a rational verify pass by ~1.5 MB (~7%)
-    rows: list[list[int]] = []
-    for row in a:
-        ints = _scaled_to_ints(row)[0]
-        content = reduce(gcd, ints, 0)
+def _integer_rows(
+    entries: Sequence[Scalar], rows: int, cols: int
+) -> list[list[int]]:
+    """The rows of a rational ``rows x cols`` matrix given row-major, scaled
+    to integers by the lcm of all denominators and each divided by the gcd
+    of its entries: the primitive integer multiple of each row, sign kept."""
+    ints = _scaled_to_ints(entries)[0]
+    out = []
+    for i in range(rows):
+        row = ints[i * cols : (i + 1) * cols]
+        # reduce rather than gcd(*row): an argument tuple per row update
+        # raised the peak RSS of a rational verify pass by ~1.5 MB (~7%)
+        content = reduce(gcd, row, 0)
         if content > 1:
-            ints = [x // content for x in ints]
-        rows.append(ints)
+            row = [x // content for x in row]
+        out.append(row)
+    return out
+
+
+def _eliminated(target: list[int], prow: list[int], col: int) -> list[int]:
+    """``target`` with its entry in ``col`` cleared against the pivot row
+    ``prow``, fraction-free: (pv/g)·target − (f/g)·prow with g = gcd(pv, f),
+    then divided by the gcd of its entries."""
+    pv, f = prow[col], target[col]
+    g = gcd(pv, f)
+    s, t = pv // g, f // g
+    target = [s * x - t * y for x, y in zip(target, prow)]
+    content = reduce(gcd, target, 0)
+    if content > 1:
+        target = [x // content for x in target]
+    return target
+
+
+def _rref_ints(rows: list[list[int]], cols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows of length ``cols``, in
+    place; returns the pivot column list.
+
+    Each pivot clears its column in every other row by `_eliminated`.  Row
+    ``r`` ends as a multiple of reduced row ``r`` (its pivot entry is the
+    multiplier), zero below the rank.
+    """
     pivots: list[int] = []
     pivot_row = 0
     nrows = len(rows)
@@ -420,23 +455,52 @@ def _rref(field: FieldSpec, a: list[list[Scalar]], cols: int) -> list[int]:
             continue
         rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
         prow = rows[pivot_row]
-        pv = prow[col]
         for r in range(nrows):
-            target = rows[r]
-            f = target[col]
-            if not f or r == pivot_row:
-                continue
-            g = gcd(pv, f)
-            s, t = pv // g, f // g
-            target = [s * x - t * y for x, y in zip(target, prow)]
-            content = reduce(gcd, target, 0)
-            if content > 1:
-                target = [x // content for x in target]
-            rows[r] = target
+            if r != pivot_row and rows[r][col]:
+                rows[r] = _eliminated(rows[r], prow, col)
         pivots.append(col)
         pivot_row += 1
         if pivot_row == nrows:
             break
+    return pivots
+
+
+def _rank_ints(rows: list[list[int]], cols: int) -> int:
+    """Rank of integer rows of length ``cols`` by forward fraction-free
+    elimination, in place: each pivot clears its column only in the rows
+    below it, and no row is reduced back."""
+    rank = 0
+    nrows = len(rows)
+    for col in range(cols):
+        if rank == nrows:
+            break
+        src = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        prow = rows[rank]
+        rank += 1
+        for r in range(rank, nrows):
+            if rows[r][col]:
+                rows[r] = _eliminated(rows[r], prow, col)
+    return rank
+
+
+def _rref(field: FieldSpec, a: list[list[Scalar]], cols: int) -> list[int]:
+    """In-place reduced row echelon form of rows of length ``cols``; returns
+    the pivot column list.
+
+    Over F_p this is `_rref_prime`.  Over the rationals the rows are scaled
+    to integers (`_integer_rows`) and eliminated fraction-free by
+    `_rref_ints`.  The reduced row echelon form is unique, so dividing each
+    pivot row by its pivot at the end gives exactly the rows that Fraction
+    elimination would.  Row ``r`` of ``a`` ends holding reduced row ``r`` as
+    Fractions, zero below the rank.
+    """
+    if field.kind == "prime":
+        return _rref_prime(field.p, a, cols)  # type: ignore[arg-type]
+    rows = _integer_rows([x for row in a for x in row], len(a), cols)
+    pivots = _rref_ints(rows, cols)
     zero = Fraction(0)
     for r, row in enumerate(a):
         if r < len(pivots):
@@ -515,25 +579,38 @@ def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
 
     Satisfies rank + kernel.cols == m.cols; each kernel column v has m·v = 0.
     Free coordinates of kernel vectors are 0/1, so the basis is in reduced form.
+    Over the rationals each entry is read off the integer rows of
+    `_rref_ints` as one Fraction, -row[fc] / row[pc].
     """
     field = m.field
-    if field.kind == "prime":
+    p = field.p
+    if p is not None:
         a = [list(m.row(i)) for i in range(m.rows)]
-        pivots = _rref_prime(field.p, a, m.cols)  # type: ignore[arg-type]
+        pivots = _rref_prime(p, a, m.cols)
     else:
-        a = m.row_lists()
-        pivots = _rref(field, a, m.cols)
-    rank = len(pivots)
+        a = _integer_rows(m.entries, m.rows, m.cols)
+        pivots = _rref_ints(a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     zero, one = field.zero(), field.one()
     kernel_cols: list[list[Scalar]] = []
     for fc in free:
         vec = [zero] * m.cols
         vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(a[r][fc])
+        for row, pc in zip(a, pivots):
+            x = row[fc]
+            if x:
+                vec[pc] = p - x if p is not None else Fraction(-x, row[pc])
         kernel_cols.append(vec)
-    return rank, Matrix.from_columns(field, m.cols, kernel_cols)
+    return len(pivots), Matrix.from_columns(field, m.cols, kernel_cols)
+
+
+def matrix_rank(m: Matrix) -> int:
+    """Exact rank, building no kernel: ``len(_rref_prime(...))`` over F_p,
+    and forward fraction-free elimination (`_rank_ints`) over the rationals."""
+    if m.field.kind == "prime":
+        a = [list(m.row(i)) for i in range(m.rows)]
+        return len(_rref_prime(m.field.p, a, m.cols))  # type: ignore[arg-type]
+    return _rank_ints(_integer_rows(m.entries, m.rows, m.cols), m.cols)
 
 
 def pfaffian(m: Matrix) -> Scalar:

@@ -26,9 +26,13 @@ disjoint when ``a & b == 0``, and the sign of merging them is the parity of
 a popcount.  Masks and the sorted tuples of ``terms`` convert through
 module tables that grow with the distinct index sets in use (at most 2^dim
 for one space).  Contraction looks each position subset of a term of the
-larger tensor up among the terms of the smaller one.  Products accumulate
-as plain ints reduced mod p once per output key; over the rationals the same
-loop runs on Fractions.
+larger tensor up among the terms of the smaller one.  The kernels (`wedge`,
+`contract`, `covector_contract`, `reduced_square`, `pair`) run on ints over
+both fields: each operand's values are ints over one denominator (over the
+rationals numerators from `exact_scalar.as_ints`, kept on the tensor after
+first use), products accumulate as ints per output key, and each key is
+settled once, reduced mod p, or over the rationals as one canonical Fraction
+of the sum over the product of the operands' denominators.
 
 Validation: the public constructor ``AlternatingTensor(...)`` checks every
 term (`__post_init__`), and `make` checks the variance, the degree and the
@@ -48,7 +52,13 @@ from functools import cache, cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .exact_scalar import ConventionError, FieldSpec, Scalar, randbelow_many
+from .exact_scalar import (
+    ConventionError,
+    FieldSpec,
+    Scalar,
+    as_ints,
+    randbelow_many,
+)
 
 __all__ = [
     "SpaceContext",
@@ -249,6 +259,34 @@ def _settle(
     return tuple(found)
 
 
+def _int_terms(
+    t: "AlternatingTensor",
+) -> tuple[Sequence[tuple[IndexSet, int]], int]:
+    """``t``'s terms with int values over one shared denominator: the terms
+    themselves (over 1) over a prime field, and over the rationals
+    `AlternatingTensor._numerator_terms`."""
+    if t.ctx.field.p is not None:
+        return t.terms, 1
+    return t._numerator_terms
+
+
+def _settle_ints(
+    acc: dict[int, int], p: int | None, den: int
+) -> tuple[tuple[IndexSet, Scalar], ...]:
+    """Terms from int sums accumulated per bitmask: reduced mod p once per
+    key over a prime field, one Fraction ``sum / den`` per nonzero key over
+    the rationals; zeros dropped, sorted by index set."""
+    if p is not None:
+        return _settle(acc, p)
+    keys = _KEYS
+    if den == 1:
+        found = [(keys[m], Fraction(v)) for m, v in acc.items() if v]
+    else:
+        found = [(keys[m], Fraction(v, den)) for m, v in acc.items() if v]
+    found.sort()
+    return tuple(found)
+
+
 @dataclass(frozen=True)
 class AlternatingTensor:
     """Sparse alternating tensor: sorted index sets mapped to nonzero scalars."""
@@ -321,6 +359,14 @@ class AlternatingTensor:
             if key and key[-1] > ctx.n:
                 raise ValueError(f"index set {key} out of range")
         return _trusted(ctx, degree, variance, terms)
+
+    @cached_property
+    def _numerator_terms(self) -> tuple[list[tuple[IndexSet, int]], int]:
+        """Over the rationals: the terms with int numerators over the
+        denominator they share (`as_ints`).  Made by the first kernel that
+        reads them and kept, since one operand often meets many others."""
+        ints, den = as_ints(self.ctx.field, [v for _, v in self.terms])
+        return list(zip([k for k, _ in self.terms], ints)), den
 
     # -- inspection ------------------------------------------------------------
 
@@ -406,14 +452,16 @@ def pair(f: AlternatingTensor, v: AlternatingTensor) -> Scalar:
         raise ValueError("pair expects (form, vector)")
     if f.degree != v.degree:
         raise ValueError("pairing degrees differ")
-    field = f.ctx.field
-    vmap = v.coeff_map()
-    acc = field.zero()
-    for key, a in f.terms:
+    p = f.ctx.field.p
+    f_terms, f_den = _int_terms(f)
+    v_terms, v_den = _int_terms(v)
+    vmap = dict(v_terms)
+    acc = 0
+    for key, a in f_terms:
         b = vmap.get(key)
         if b is not None:
             acc += a * b
-    return acc if field.p is None else acc % field.p
+    return Fraction(acc, f_den * v_den) if p is None else acc % p
 
 
 def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
@@ -424,13 +472,15 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
     if a.degree + b.degree > a.ctx.dim:
         raise ValueError("wedge degree exceeds space dimension")
     masks, below = _MASKS, _BELOW
+    a_terms, a_den = _int_terms(a)
+    b_terms, b_den = _int_terms(b)
     right = []
-    for kb, vb in b.terms:
+    for kb, vb in b_terms:
         mb = masks[kb]
         right.append((mb, below[mb], vb))
-    acc: dict[int, Scalar] = {}
+    acc: dict[int, int] = {}
     get = acc.get
-    for ka, va in a.terms:
+    for ka, va in a_terms:
         ma = masks[ka]
         for mb, pb, vb in right:
             if ma & mb:
@@ -440,7 +490,7 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
                 acc[m] = get(m, 0) - va * vb
             else:
                 acc[m] = get(m, 0) + va * vb
-    terms = _settle(acc, a.ctx.field.p)
+    terms = _settle_ints(acc, a.ctx.field.p, a_den * b_den)
     return _trusted(a.ctx, a.degree + b.degree, a.variance, terms)
 
 
@@ -451,11 +501,13 @@ def _contract_terms(
     moved to the front and removed): every position subset of a term of
     ``big`` is looked up among the terms of ``small``."""
     masks = _MASKS
-    lookup = {key: (masks[key], c) for key, c in small.terms}.get
+    big_terms, big_den = _int_terms(big)
+    small_terms, small_den = _int_terms(small)
+    lookup = {key: (masks[key], c) for key, c in small_terms}.get
     subsets = _position_subsets(big.degree, small.degree)
-    acc: dict[int, Scalar] = {}
+    acc: dict[int, int] = {}
     get = acc.get
-    for key, cb in big.terms:
+    for key, cb in big_terms:
         mb = masks[key]
         for pick, odd in subsets:
             hit = lookup(pick(key))
@@ -467,7 +519,7 @@ def _contract_terms(
                 acc[rest] = get(rest, 0) - cs * cb
             else:
                 acc[rest] = get(rest, 0) + cs * cb
-    return _settle(acc, big.ctx.field.p)
+    return _settle_ints(acc, big.ctx.field.p, big_den * small_den)
 
 
 def contract(f: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
@@ -527,11 +579,12 @@ def reduced_square(L: AlternatingTensor) -> AlternatingTensor:
     if L.variance != "vector" or L.degree != 2:
         raise ValueError("reduced_square expects a degree-2 vector")
     masks, below = _MASKS, _BELOW
+    terms, den = _int_terms(L)
     items = []
-    for key, value in L.terms:
+    for key, value in terms:
         m = masks[key]
         items.append((m, below[m], value))
-    acc: dict[int, Scalar] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for start, (ma, _, va) in enumerate(items, 1):
         for mb, pb, vb in items[start:]:
@@ -542,7 +595,8 @@ def reduced_square(L: AlternatingTensor) -> AlternatingTensor:
                 acc[m] = get(m, 0) - va * vb
             else:
                 acc[m] = get(m, 0) + va * vb
-    return _trusted(L.ctx, 4, "vector", _settle(acc, L.ctx.field.p))
+    terms = _settle_ints(acc, L.ctx.field.p, den * den)
+    return _trusted(L.ctx, 4, "vector", terms)
 
 
 def split_along_covector(

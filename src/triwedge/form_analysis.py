@@ -7,7 +7,7 @@ The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
 table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
 `build_M` derives from omega.  Its one rank routine is
 `point_contraction_rank`: an int grid and `skew_rank_mod_p` over F_p,
-`rank_kernel` of `M.evaluate(point)` over the rationals.  Every rank query
+`matrix_rank` of `M.evaluate(point)` over the rationals.  Every rank query
 at a point goes through it, except the question "rank at most 2?", which
 `rank_at_most_two` answers from the 4x4 principal Pfaffians without building
 the matrix; callers that need the kernel take
@@ -33,8 +33,10 @@ that search is tested by `rank_at_most_two`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Sequence, Union
 
 import random as _random
@@ -43,6 +45,8 @@ from .exact_scalar import (
     ConventionError,
     Matrix,
     Scalar,
+    as_ints,
+    matrix_rank,
     randbelow_many,
     rank_kernel,
     skew_rank_mod_p,
@@ -101,8 +105,7 @@ class LinearSubspace:
                 f"basis rows {self.basis.rows} do not match ambient dimension "
                 f"{expected_rows}"
             )
-        rank, _ = rank_kernel(self.basis)
-        if rank != self.basis.cols:
+        if matrix_rank(self.basis) != self.basis.cols:
             raise ValueError("basis columns are dependent")
 
     @property
@@ -150,7 +153,7 @@ class LinearSubspace:
             raise ValueError("subspaces of different ambient spaces")
         columns = self.basis.columns() + other.basis.columns()
         joined = Matrix.from_columns(self.ctx.field, self.basis.rows, columns)
-        return rank_kernel(joined)[0] == self.basis.cols
+        return matrix_rank(joined) == self.basis.cols
 
 
 def contraction_matrix(f: AlternatingTensor, j: int) -> Matrix:
@@ -170,7 +173,7 @@ def contraction_matrix(f: AlternatingTensor, j: int) -> Matrix:
 
 def j_rank(f: AlternatingTensor, j: int) -> int:
     """Rank of the contraction map on j-vectors, computed exactly."""
-    return rank_kernel(contraction_matrix(f, j))[0]
+    return matrix_rank(contraction_matrix(f, j))
 
 
 # -- the skew matrix of linear forms and its pointwise rank ---------------------
@@ -307,11 +310,11 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     Over F_p the coordinates must already be ints; the matrix is built as an
     int grid (`SkewLinearMatrix._grid_mod_p`) and its rank taken by
     `skew_rank_mod_p`.  Over the rationals the rank is that of
-    `M.evaluate(coords)` from `rank_kernel`.
+    `M.evaluate(coords)` from `matrix_rank`.
     """
     fld = M.ctx.field
     if fld.kind != "prime":
-        return rank_kernel(M.evaluate(coords))[0]
+        return matrix_rank(M.evaluate(coords))
     return skew_rank_mod_p(fld.p, M._grid_mod_p(coords))  # type: ignore[arg-type]
 
 
@@ -399,7 +402,7 @@ def genericity(
         wedge(omega, ctx.basis_covector(i)).coords() for i in range(dim)
     ]
     wedge_matrix = Matrix.from_columns(fld, len(wedge_columns[0]), wedge_columns)
-    gc1 = rank_kernel(wedge_matrix)[0] == dim
+    gc1 = matrix_rank(wedge_matrix) == dim
 
     M = build_M(omega)
     witness: tuple | None = None
@@ -464,27 +467,40 @@ class QuadricAnalysis:
     """The quadratic form L -> eta(L^[2]) of a 4-form eta, carried by the
     symmetric zero-diagonal polar matrix rho in the lexicographic bivector
     basis, with its exact rank (computed on first use from one row reduction
-    of rho)."""
+    of rho) and its int rows (made on first use of `polar_pairing`)."""
 
     eta: AlternatingTensor
     rho: Matrix
 
     @cached_property
     def rank(self) -> int:
-        return rank_kernel(self.rho)[0]
+        return matrix_rank(self.rho)
 
     def value(self, L: AlternatingTensor) -> Scalar:
         """q(L) = eta evaluated on the reduced square of L."""
         return pair(self.eta, reduced_square(L))
 
+    @cached_property
+    def _int_rows(self) -> tuple[list[list[int]], int]:
+        """The rows of rho as ints over the denominator they share
+        (`as_ints`)."""
+        rho = self.rho
+        entries, den = as_ints(rho.field, rho.entries)
+        size = rho.cols
+        return [entries[i * size : (i + 1) * size] for i in range(rho.rows)], den
+
     def polar_pairing(self, a: AlternatingTensor, b: AlternatingTensor) -> Scalar:
-        """The symmetric bilinear companion a^T rho b = q(a+b) - q(a) - q(b)."""
-        fld = self.eta.ctx.field
-        image = self.rho.matvec(b.coords())
-        acc = fld.zero()
-        for u, v in zip(a.coords(), image):
-            acc = fld.add(acc, fld.mul(u, v))
-        return acc
+        """The symmetric bilinear companion a^T rho b = q(a+b) - q(a) - q(b),
+        as one int dot product on numerators: reduced mod p over F_p, one
+        Fraction over the rationals."""
+        fld = self.rho.field
+        rows, den = self._int_rows
+        a_ints, a_den = as_ints(fld, a.coords())
+        b_ints, b_den = as_ints(fld, b.coords())
+        total = sum(
+            x * sum(map(mul, row, b_ints)) for x, row in zip(a_ints, rows) if x
+        )
+        return Fraction(total, den * a_den * b_den) if fld.p is None else total % fld.p
 
 
 def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:

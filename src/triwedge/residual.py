@@ -52,6 +52,7 @@ from .exact_scalar import (
     Matrix,
     Scalar,
     _rref,
+    matrix_rank,
     randbelow,
     rank_kernel,
 )
@@ -111,10 +112,10 @@ def _directions_in_image(
 ) -> bool:
     """Whether <x, y> lies in the image of the bivector contraction of omega."""
     cm = contraction_matrix(omega, 2)
-    base_rank = rank_kernel(cm)[0]
+    base_rank = matrix_rank(cm)
     columns = cm.columns() + [x.coords(), y.coords()]
     augmented = Matrix.from_columns(omega.ctx.field, cm.rows, columns)
-    return rank_kernel(augmented)[0] == base_rank
+    return matrix_rank(augmented) == base_rank
 
 
 def general_directions(
@@ -257,7 +258,7 @@ class LineSystem:
             raise ConventionError("line system must annihilate its own point")
 
     def kernel_dim(self) -> int:
-        return self.matrix.cols - rank_kernel(self.matrix)[0]
+        return self.matrix.cols - matrix_rank(self.matrix)
 
 
 def line_system(handle: ResidualHandle, point) -> LineSystem:
@@ -413,7 +414,7 @@ def Y_secancy_even(handle: ResidualHandle, seed: int = 0) -> tuple[int, bool]:
         t.coords() for t in handle.pi.basis_tensors()
     ]
     joined = Matrix.from_columns(ctx.field, ctx.dim, columns)
-    meets_pi = 2 + handle.pi.linear_dim - rank_kernel(joined)[0] >= 1
+    meets_pi = 2 + handle.pi.linear_dim - matrix_rank(joined) >= 1
     return pencil.total_degree, meets_pi
 
 
@@ -526,7 +527,7 @@ def _decomposable_by_plane_scan(
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = [random_coords(field, dim, rng) for _ in range(3)]
         plane = Matrix.from_columns(field, dim, anchors)
-        if rank_kernel(plane)[0] != 3:
+        if matrix_rank(plane) != 3:
             continue
         for coeffs in projective_points(field, 3):
             point = plane.matvec(coeffs)

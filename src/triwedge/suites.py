@@ -57,6 +57,7 @@ from .exact_scalar import (
     ConventionError,
     FieldSpec,
     Matrix,
+    matrix_rank,
     pfaffian,
     randbelow_many,
     rank_kernel,
@@ -651,7 +652,7 @@ def _suite_form_recovery(cfg: RunConfig) -> list[Claim]:
         dims[name] = dimension
         columns = [s.coords() for s in solutions] + [omega.coords()]
         joined = Matrix.from_columns(omega.ctx.field, len(columns[0]), columns)
-        contains[name] = rank_kernel(joined)[0] == len(solutions)
+        contains[name] = matrix_rank(joined) == len(solutions)
     return [
         _claim(
             "recovery-dimension-generic",

@@ -7,8 +7,23 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from triwedge.degeneracy import line_gcd
-from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, Scalar, UniPoly
-from triwedge.exterior_core import AlternatingTensor
+from triwedge.exact_scalar import (
+    ConventionError,
+    FieldSpec,
+    Matrix,
+    Scalar,
+    UniPoly,
+    _rref,
+    _rref_prime,
+)
+from triwedge.exterior_core import (
+    _BELOW,
+    _MASKS,
+    AlternatingTensor,
+    _position_subsets,
+    _settle,
+    _trusted,
+)
 from triwedge.form_analysis import LinearSubspace, QuadricAnalysis, SkewLinearMatrix
 
 
@@ -71,6 +86,112 @@ def matvec_reference(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
                 acc = f.add(acc, f.mul(a, b))
         out.append(acc)
     return tuple(out)
+
+
+def rank_kernel_reference(m: Matrix) -> tuple[int, Matrix]:
+    """Rank and kernel basis with each kernel entry read off the reduced rows
+    that `_rref` leaves as field elements (Fractions over the rationals)."""
+    field = m.field
+    if field.kind == "prime":
+        a = [list(m.row(i)) for i in range(m.rows)]
+        pivots = _rref_prime(field.p, a, m.cols)
+    else:
+        a = m.row_lists()
+        pivots = _rref(field, a, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    zero, one = field.zero(), field.one()
+    kernel_cols = []
+    for fc in free:
+        vec = [zero] * m.cols
+        vec[fc] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = field.neg(a[r][fc])
+        kernel_cols.append(vec)
+    return len(pivots), Matrix.from_columns(field, m.cols, kernel_cols)
+
+
+# -- exterior kernels, one field operation per product ------------------------
+
+
+def pair_reference(f: AlternatingTensor, v: AlternatingTensor) -> Scalar:
+    """The determinant pairing of a k-form and a k-vector, summed on field
+    elements (Fractions over the rationals)."""
+    field = f.ctx.field
+    vmap = v.coeff_map()
+    acc = field.zero()
+    for key, a in f.terms:
+        b = vmap.get(key)
+        if b is not None:
+            acc += a * b
+    return acc if field.p is None else acc % field.p
+
+
+def wedge_reference(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
+    """The wedge product with every product and sum taken on field elements."""
+    masks, below = _MASKS, _BELOW
+    right = []
+    for kb, vb in b.terms:
+        mb = masks[kb]
+        right.append((mb, below[mb], vb))
+    acc: dict = {}
+    get = acc.get
+    for ka, va in a.terms:
+        ma = masks[ka]
+        for mb, pb, vb in right:
+            if ma & mb:
+                continue
+            m = ma | mb
+            if (ma & pb).bit_count() & 1:
+                acc[m] = get(m, 0) - va * vb
+            else:
+                acc[m] = get(m, 0) + va * vb
+    terms = _settle(acc, a.ctx.field.p)
+    return _trusted(a.ctx, a.degree + b.degree, a.variance, terms)
+
+
+def contract_terms_reference(big: AlternatingTensor, small: AlternatingTensor) -> tuple:
+    """The terms of the contraction of ``big`` by ``small``, with every
+    product and sum taken on field elements."""
+    masks = _MASKS
+    lookup = {key: (masks[key], c) for key, c in small.terms}.get
+    subsets = _position_subsets(big.degree, small.degree)
+    acc: dict = {}
+    get = acc.get
+    for key, cb in big.terms:
+        mb = masks[key]
+        for pick, odd in subsets:
+            hit = lookup(pick(key))
+            if hit is None:
+                continue
+            ms, cs = hit
+            rest = mb ^ ms
+            if odd:
+                acc[rest] = get(rest, 0) - cs * cb
+            else:
+                acc[rest] = get(rest, 0) + cs * cb
+    return _settle(acc, big.ctx.field.p)
+
+
+def reduced_square_reference(L: AlternatingTensor) -> AlternatingTensor:
+    """Half the wedge square of a bivector, with every product and sum taken
+    on field elements."""
+    masks, below = _MASKS, _BELOW
+    items = []
+    for key, value in L.terms:
+        m = masks[key]
+        items.append((m, below[m], value))
+    acc: dict = {}
+    get = acc.get
+    for start, (ma, _, va) in enumerate(items, 1):
+        for mb, pb, vb in items[start:]:
+            if ma & mb:
+                continue
+            m = ma | mb
+            if (ma & pb).bit_count() & 1:
+                acc[m] = get(m, 0) - va * vb
+            else:
+                acc[m] = get(m, 0) + va * vb
+    return _trusted(L.ctx, 4, "vector", _settle(acc, L.ctx.field.p))
 
 
 def pfaffian_expansion(m: Matrix) -> Scalar:

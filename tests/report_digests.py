@@ -1,0 +1,83 @@
+"""SHA-256 digests of the verification reports over the rationals.
+
+    PYTHONPATH=src python3 tests/report_digests.py           # check, exit 1 on a change
+    PYTHONPATH=src python3 tests/report_digests.py --record  # rewrite the digest file
+
+Each report is the standard output of ``triwedge verify --suite <suite>
+--seed <seed> --format json`` for the suites in ``SUITES`` at the seeds in
+``SEEDS``.  ``rank-laws`` and ``span-lattice`` take ``--field q``;
+``quadric-count`` and ``form-recovery`` run over the rationals only and
+refuse the option.  The digest covers the output bytes without the
+``"elapsed"`` line, the one wall-clock value in a report.  The file
+``data/rational_report_digests.json`` holds each command line with its
+digest, so a check runs exactly the recorded commands.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+DIGESTS = Path(__file__).with_name("data") / "rational_report_digests.json"
+SUITES = {
+    "rank-laws": True,
+    "span-lattice": True,
+    "quadric-count": False,
+    "form-recovery": False,
+}
+SEEDS = (0, 7)
+
+
+def commands() -> list[list[str]]:
+    """The ``verify`` argument lists, suites in order, then seeds."""
+    out = []
+    for suite, takes_field in SUITES.items():
+        for seed in SEEDS:
+            field = ["--field", "q"] if takes_field else []
+            out.append(
+                ["verify", "--suite", suite, *field, "--seed", str(seed), "--format", "json"]
+            )
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    """SHA-256 of the report that ``triwedge <argv>`` prints, without its
+    ``"elapsed"`` line."""
+    run = subprocess.run(
+        [sys.executable, "-m", "triwedge.cli", *argv],
+        capture_output=True,
+        check=False,
+    )
+    if not run.stdout:
+        sys.exit(f"triwedge {' '.join(argv)} printed no report:\n{run.stderr.decode()}")
+    kept = [
+        line
+        for line in run.stdout.splitlines(keepends=True)
+        if not line.lstrip().startswith(b'"elapsed":')
+    ]
+    return hashlib.sha256(b"".join(kept)).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--record"]:
+        reports = [{"argv": args, "sha256": digest(args)} for args in commands()]
+        DIGESTS.parent.mkdir(exist_ok=True)
+        DIGESTS.write_text(json.dumps({"reports": reports}, indent=2) + "\n")
+        print(f"recorded {len(reports)} digests in {DIGESTS}")
+        return 0
+    if argv:
+        sys.exit(__doc__)
+    changed = 0
+    for report in json.loads(DIGESTS.read_text())["reports"]:
+        got = digest(report["argv"])
+        same = got == report["sha256"]
+        changed += not same
+        print(("same   " if same else "CHANGED"), " ".join(report["argv"]))
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

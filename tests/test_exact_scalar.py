@@ -27,6 +27,7 @@ from triwedge.exact_scalar import (
     _rref_prime,
     interpolate,
     interpolated_gcd,
+    matrix_rank,
     pfaffian,
     poly_gcd,
     randbelow,
@@ -40,6 +41,7 @@ from oracles import (
     matmul,
     matvec_reference,
     pfaffian_expansion,
+    rank_kernel_reference,
     transpose,
 )
 
@@ -231,8 +233,9 @@ ELIMINATION_FIELDS = (QQ, FieldSpec.prime(2), FieldSpec.prime(3), F101)
 @st.composite
 def elimination_inputs(draw, fields=ELIMINATION_FIELDS):
     """(field, rows, cols): 0-10 rows of 0-12 entries, either drawn entry by
-    entry or a product B·C of inner dimension 0-4 so that the rank drops.
-    Rational entries have denominators 1-6; prime-field entries lie in [0, p)."""
+    entry or a product B·C of inner dimension 0-4 so that the rank drops,
+    now and then with some rows set to zero.  Rational entries have
+    denominators 1-6; prime-field entries lie in [0, p)."""
     field = draw(st.sampled_from(fields))
     nrows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 12))
     if field.kind == "prime":
@@ -250,7 +253,14 @@ def elimination_inputs(draw, fields=ELIMINATION_FIELDS):
         inner = draw(st.integers(0, 4))
         m = matmul(block(nrows, inner), block(inner, cols))
     rows = m.row_lists()
+    if nrows and draw(st.booleans()):
+        for r in draw(st.sets(st.integers(0, nrows - 1))):
+            rows[r] = [field.zero()] * cols
     return field, rows, cols
+
+
+def _matrix(field: FieldSpec, rows: list[list], cols: int) -> Matrix:
+    return Matrix(field, len(rows), cols, tuple(v for row in rows for v in row))
 
 
 @settings(max_examples=400, deadline=None)
@@ -276,6 +286,62 @@ def test_rank_kernel_over_the_rationals_is_exact(case):
     assert rank + kernel.cols == cols
     for j in range(kernel.cols):
         assert all(v == 0 for v in m.matvec(kernel.column(j)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=elimination_inputs())
+def test_matrix_rank_matches_rank_kernel_and_the_reference(case):
+    field, rows, cols = case
+    m = _matrix(field, rows, cols)
+    expected = len(_reference_rref(field, [row[:] for row in rows], cols))
+    assert matrix_rank(m) == rank_kernel(m)[0] == expected
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.kind + str(f.p or ""))
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 3)])
+def test_rank_routines_on_empty_and_zero_shapes(field, shape):
+    rows, cols = shape
+    m = Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
+    rank, kernel = rank_kernel(m)
+    assert matrix_rank(m) == rank == 0
+    assert (kernel.rows, kernel.cols) == (cols, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=elimination_inputs())
+def test_rank_kernel_matches_the_kernel_from_reduced_rows(case):
+    field, rows, cols = case
+    m = _matrix(field, rows, cols)
+    got, expected = rank_kernel(m), rank_kernel_reference(m)
+    assert got == expected
+    assert repr(got[1].entries) == repr(expected[1].entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=elimination_inputs(fields=ELIMINATION_FIELDS[1:]))
+def test_rank_kernel_columns_are_annihilated_mod_p(case):
+    # over the rationals: test_rank_kernel_over_the_rationals_is_exact
+    field, rows, cols = case
+    m = _matrix(field, rows, cols)
+    rank, kernel = rank_kernel(m)
+    assert rank + kernel.cols == cols
+    for j in range(kernel.cols):
+        assert all(v == 0 for v in matvec_reference(m, kernel.column(j)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 101)),
+    case=elimination_inputs(fields=(QQ,)),
+)
+def test_rank_over_the_rationals_bounds_the_rank_mod_p(p, case):
+    # an integer matrix: clear every denominator of the drawn rational one
+    _, rows, cols = case
+    ints = [[int(v * 720) for v in row] for row in rows]
+    rank_q = matrix_rank(Matrix.from_rows(QQ, ints))
+    rank_p = matrix_rank(Matrix.from_rows(FieldSpec.prime(p), ints))
+    assert rank_q >= rank_p
+    assert rank_q == len(_reference_rref(QQ, [[Fraction(v) for v in row] for row in ints], cols))
 
 
 def test_rref_over_the_rationals_clears_denominators_and_signs():

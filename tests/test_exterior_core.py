@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triwedge.exact_scalar import FieldSpec
@@ -27,9 +27,17 @@ from triwedge.exterior_core import (
     pair,
     pullback,
     random_tensor,
+    reduce_mod_p,
     reduced_square,
     split_along_covector,
     wedge,
+)
+
+from oracles import (
+    contract_terms_reference,
+    pair_reference,
+    reduced_square_reference,
+    wedge_reference,
 )
 
 QQ = FieldSpec.rationals()
@@ -691,3 +699,132 @@ def test_public_constructor_still_validates():
     ):
         with pytest.raises(ValueError):
             AlternatingTensor(ctx, 2, "vector", terms)
+
+
+# --- oracle: the kernels on Fractions ------------------------------------------
+#
+# Over the rationals the kernels take int products of numerators over one
+# denominator per operand; `oracles` keeps the loops that took every product
+# and sum on Fractions.  Inputs carry denominators 1-30 (the package's random
+# tensors all have denominator 1), include empty tensors, and include operands
+# whose products cancel.
+
+
+@st.composite
+def rational_tensors(draw, ctx, degree, variance):
+    """A tensor of up to 12 terms with numerators in [-30, 30] and
+    denominators 1-30; one draw in eight is the empty tensor."""
+    if draw(st.integers(0, 7)) == 0:
+        return ctx.zero_tensor(degree, variance)
+    keys = list(itertools.combinations(range(ctx.dim), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=12))
+    value = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+    return AlternatingTensor.make(ctx, degree, variance, {k: draw(value) for k in chosen})
+
+
+def _assert_fraction_terms(got, expected):
+    """The same terms, every value a Fraction."""
+    assert repr(got.terms) == repr(expected.terms)
+    assert all(type(v) is Fraction for _, v in got.terms)
+
+
+@st.composite
+def cancelling_operands(draw, ctx):
+    """(x, e, alpha): x = b·x_i − a·x_j and e = a·e_i + b·e_j for distinct
+    i, j and nonzero rationals a, b, so that x(e) = 0, and a nonzero form
+    alpha on the other indices."""
+    i, j = draw(st.lists(st.integers(0, ctx.dim - 1), min_size=2, max_size=2, unique=True))
+    nonzero = st.builds(Fraction, st.integers(1, 30), st.integers(1, 30))
+    a, b = draw(nonzero), -draw(nonzero)
+    x = AlternatingTensor.make(ctx, 1, "form", {(i,): b, (j,): -a})
+    e = AlternatingTensor.make(ctx, 1, "vector", {(i,): a, (j,): b})
+    others = [k for k in range(ctx.dim) if k not in (i, j)]
+    degree = draw(st.integers(1, min(3, len(others))))
+    keys = list(itertools.combinations(others, degree))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=6))
+    alpha = AlternatingTensor.make(ctx, degree, "form", {k: draw(nonzero) for k in chosen})
+    return x, e, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 7), data=st.data())
+def test_rational_kernels_match_the_fraction_loops(n, data):
+    ctx = ctx_q(n)
+    low = data.draw(st.integers(0, ctx.dim), label="low degree")
+    high = data.draw(st.integers(low, ctx.dim), label="high degree")
+    a = data.draw(rational_tensors(ctx, low, "form"), label="a")
+    b = data.draw(rational_tensors(ctx, high - low, "form"), label="b")
+    _assert_fraction_terms(wedge(a, b), wedge_reference(a, b))
+
+    f = data.draw(rational_tensors(ctx, high, "form"), label="f")
+    v = data.draw(rational_tensors(ctx, low, "vector"), label="v")
+    _assert_fraction_terms(contract(f, v), _contracted(f, v))
+    g = data.draw(rational_tensors(ctx, low, "form"), label="g")
+    w = data.draw(rational_tensors(ctx, high, "vector"), label="w")
+    _assert_fraction_terms(covector_contract(g, w), _covector_contracted(g, w))
+
+    L = data.draw(rational_tensors(ctx, 2, "vector"), label="L")
+    _assert_fraction_terms(reduced_square(L), reduced_square_reference(L))
+
+    u = data.draw(rational_tensors(ctx, high, "vector"), label="u")
+    got, expected = pair(f, u), pair_reference(f, u)
+    assert got == expected and type(got) is Fraction
+
+
+def _contracted(f, v):
+    terms = contract_terms_reference(f, v)
+    return AlternatingTensor(f.ctx, f.degree - v.degree, "form", terms)
+
+
+def _covector_contracted(f, v):
+    terms = contract_terms_reference(v, f)
+    return AlternatingTensor(f.ctx, v.degree - f.degree, "vector", terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 7), data=st.data())
+def test_rational_kernels_match_the_fraction_loops_when_terms_cancel(n, data):
+    ctx = ctx_q(n)
+    x, e, alpha = data.draw(cancelling_operands(ctx))
+    got = pair(x, e)
+    assert got == pair_reference(x, e) == 0 and type(got) is Fraction
+    # every key of the contraction of x^alpha by e takes two opposite values
+    f = wedge(x, alpha)
+    assert contract(f, e).is_zero()
+    _assert_fraction_terms(contract(f, e), _contracted(f, e))
+    # partial cancellation: g = ((b+1)·x_i − a·x_j)^alpha contracts to a·alpha
+    i = e.terms[0][0]
+    g = f.add(wedge(AlternatingTensor.make(ctx, 1, "form", {i: 1}), alpha))
+    _assert_fraction_terms(contract(g, e), _contracted(g, e))
+    # a covector wedged with a multiple of itself
+    _assert_fraction_terms(wedge(x, x.scale(Fraction(3, 7))), wedge_reference(x, x))
+    assert wedge(x, x.scale(Fraction(3, 7))).is_zero()
+    # the reduced square of a decomposable bivector
+    y = ctx.vector_from_coords([Fraction(k + 1, 7) for k in range(ctx.dim)])
+    L = wedge(e, y)
+    _assert_fraction_terms(reduced_square(L), reduced_square_reference(L))
+    assert reduced_square(L).is_zero()
+
+
+MOD_P_PRIMES = (2, 3, 7, 31, 101)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 7), p=st.sampled_from(MOD_P_PRIMES), data=st.data())
+def test_rational_kernels_commute_with_reduction_mod_p(n, p, data):
+    ctx = ctx_q(n)
+    low = data.draw(st.integers(0, ctx.dim), label="low degree")
+    high = data.draw(st.integers(low, ctx.dim), label="high degree")
+    a = data.draw(rational_tensors(ctx, low, "form"), label="a")
+    b = data.draw(rational_tensors(ctx, high - low, "form"), label="b")
+    f = data.draw(rational_tensors(ctx, high, "form"), label="f")
+    v = data.draw(rational_tensors(ctx, low, "vector"), label="v")
+    L = data.draw(rational_tensors(ctx, 2, "vector"), label="L")
+    assume(all(x.denominator % p for t in (a, b, f, v, L) for _, x in t.terms))
+
+    def mod_p(t):
+        return reduce_mod_p(t, p)
+
+    assert mod_p(wedge(a, b)) == wedge(mod_p(a), mod_p(b))
+    assert mod_p(contract(f, v)) == contract(mod_p(f), mod_p(v))
+    assert mod_p(reduced_square(L)) == reduced_square(mod_p(L))

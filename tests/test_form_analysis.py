@@ -11,6 +11,7 @@ hand computation on the concrete instances below before freezing.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,22 @@ def test_polar_pairing_is_eta_on_the_wedge(fld, n):
             b = random_tensor(ctx, 2, "vector", derive_seed("polar-b", seed, k))
             assert quadric.polar_pairing(a, b) == pair(eta, wedge(a, b))
             assert quadric.polar_pairing(a, a) == pair(eta, wedge(a, a))
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "QQ"])
+def test_polar_pairing_on_fractional_tensors_keeps_the_field_type(fld):
+    # denominators in eta, a and b, so the int dot product runs over a
+    # common denominator other than 1 over the rationals
+    ctx = SpaceContext(5, fld)
+    eta = random_tensor(ctx, 4, "form", 3).scale(Fraction(5, 6))
+    quadric = quadric_of(eta)
+    for k in range(3):
+        a = random_tensor(ctx, 2, "vector", derive_seed("polar-a", k)).scale(Fraction(1, 4))
+        b = random_tensor(ctx, 2, "vector", derive_seed("polar-b", k)).scale(Fraction(3, 7))
+        got = quadric.polar_pairing(a, b)
+        assert got == pair(eta, wedge(a, b))
+        assert type(got) is (Fraction if fld is QQ else int)
+    assert quadric.polar_pairing(ctx.zero_tensor(2, "vector"), b) == 0
 
 
 def test_quadric_unchanged_by_multiples_of_the_direction():
