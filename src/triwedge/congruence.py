@@ -7,7 +7,8 @@ here is exact linear algebra in the bivector space:
 * ``kernel_span`` — the linear span of the family, computed as the kernel of
   ``L -> contract(omega, L)``;
 * ``lines_through`` — the star of family lines through a point, read off the
-  kernel of the evaluated skew matrix of the point;
+  kernel of the evaluated skew matrix of the point (`degeneracy`'s
+  ``directions_through`` on a matrix built once);
 * ``order`` — the sampled count of family lines through a random point, with
   an all-samples-must-agree policy;
 * ``sample_line_on_X`` — a seed-deterministic line of the family, found via
@@ -34,6 +35,7 @@ from .degeneracy import (
     NonGenericFormError,
     SkewLinearMatrix,
     build_M,
+    directions_through,
     independent_pair,
     kernel_complement_direction,
     line_subpfaffian_gcd,
@@ -47,7 +49,6 @@ from .exact_scalar import (
     ConventionError,
     Matrix,
     Scalar,
-    _rref,
     matrix_rank,
     rank_kernel,
 )
@@ -65,7 +66,7 @@ from .exterior_core import (
     split_along_covector,
     wedge,
 )
-from .form_analysis import LinearSubspace, contraction_matrix, j_rank, point_coords
+from .form_analysis import LinearSubspace, contraction_matrix, j_rank
 
 __all__ = [
     "MIN_ORDER_PRIME",
@@ -122,30 +123,11 @@ def lines_through(omega: AlternatingTensor, point) -> LinearSubspace:
     The result is a complement of the point inside the kernel of its
     evaluated skew matrix, so its linear dimension is that kernel dimension
     minus one; projective dimension d means a d-dimensional family of lines
-    of the congruence through the point.
+    of the congruence through the point.  A loop over points of one form
+    builds M once and calls `directions_through` itself.
     """
     require_three_form(omega)
-    ctx = omega.ctx
-    field = ctx.field
-    coords = point_coords(ctx, point)
-    if all(field.is_zero(c) for c in coords):
-        raise ConventionError("directions through the zero point are undefined")
-    matrix = build_M(omega)
-    _, kernel = rank_kernel(matrix.evaluate(coords))
-    pivot = next(i for i, c in enumerate(coords) if not field.is_zero(c))
-    inv_pivot = field.inv(coords[pivot])
-    projected: list[list[Scalar]] = []
-    for column in kernel.columns():
-        factor = field.mul(column[pivot], inv_pivot)
-        reduced = [
-            field.sub(value, field.mul(factor, base))
-            for value, base in zip(column, coords)
-        ]
-        if any(not field.is_zero(v) for v in reduced):
-            projected.append(reduced)
-    pivots = _rref(field, projected, ctx.dim)
-    basis = Matrix.from_columns(field, ctx.dim, projected[: len(pivots)])
-    return LinearSubspace("vectors", ctx, basis)
+    return directions_through(build_M(omega), point)
 
 
 def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:

@@ -28,6 +28,7 @@ the sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
 Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
 `kernel_complement_direction` (a kernel direction of M(P) independent of P),
+`directions_through` (all of them: the star of congruence lines through P),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
 coordinate 1) and `require_three_form`.
@@ -70,6 +71,7 @@ from .exterior_core import (
 )
 from .form_analysis import (
     EXHAUSTIVE_POINT_BUDGET,
+    LinearSubspace,
     PointLike,
     SkewLinearMatrix,
     build_M,
@@ -90,6 +92,7 @@ __all__ = [
     "hypersurface_degree",
     "secant_pencil",
     "exhaustive_strata",
+    "directions_through",
     "independent_pair",
     "kernel_complement_direction",
     "line_gcd",
@@ -113,7 +116,8 @@ class NonGenericFormError(RuntimeError):
 def rank_at(M: SkewLinearMatrix, point: PointLike) -> int:
     """Exact rank of the matrix evaluated at a nonzero point.
 
-    Coerces the point into the field and takes the rank with
+    Coerces the point into the field (`point_coords`: canonical residues
+    over F_p are taken as they are) and takes the rank with
     `point_contraction_rank`.
     """
     coords = point_coords(M.ctx, point)
@@ -389,6 +393,36 @@ def kernel_complement_direction(
         if matrix_rank(Matrix(field, 2, len(coords), flat)) == 2:
             return list(candidate)
     return None
+
+
+def directions_through(M: SkewLinearMatrix, point: PointLike) -> LinearSubspace:
+    """Directions f (mod the point) with M(P)·f = 0, that is
+    contract(omega, P ^ f) = 0 for the form omega of M.
+
+    The result is a complement of the point inside the kernel of M(P), so
+    its linear dimension is that kernel dimension minus one: the star of
+    lines of the congruence through the point.
+    """
+    ctx = M.ctx
+    field = ctx.field
+    coords = point_coords(ctx, point)
+    if all(field.is_zero(c) for c in coords):
+        raise ConventionError("directions through the zero point are undefined")
+    _, kernel = rank_kernel(M.evaluate(coords))
+    pivot = next(i for i, c in enumerate(coords) if not field.is_zero(c))
+    inv_pivot = field.inv(coords[pivot])
+    projected: list[list[Scalar]] = []
+    for column in kernel.columns():
+        factor = field.mul(column[pivot], inv_pivot)
+        reduced = [
+            field.sub(value, field.mul(factor, base))
+            for value, base in zip(column, coords)
+        ]
+        if any(not field.is_zero(v) for v in reduced):
+            projected.append(reduced)
+    pivots = _rref(field, projected, ctx.dim)
+    basis = Matrix.from_columns(field, ctx.dim, projected[: len(pivots)])
+    return LinearSubspace("vectors", ctx, basis)
 
 
 # -- even n: degree of the rank-drop hypersurface ---------------------------------

@@ -373,12 +373,20 @@ class Matrix:
         return True
 
     def det(self) -> Scalar:
-        """Determinant by exact Gaussian elimination (independent of `pfaffian`)."""
+        """Determinant by exact Gaussian elimination (independent of `pfaffian`).
+
+        Over F_p this is `_det_mod_p` on the int rows; over the rationals the
+        elimination uses field operations.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         f = self.field
-        a = self.row_lists()
         size = self.rows
+        if f.p is not None:
+            e = self.entries
+            rows = [e[i * size : (i + 1) * size] for i in range(size)]
+            return _det_mod_p(f.p, rows)
+        a = self.row_lists()
         det = f.one()
         for col in range(size):
             pivot_row = next(
@@ -540,6 +548,36 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
         if pivot_row == nrows:
             break
     return pivots
+
+
+def _det_mod_p(p: int, rows: list[Sequence[int]]) -> int:
+    """Determinant of a square matrix of ints in [0, p), given by its rows;
+    the list is overwritten.
+
+    Each step pivots on the first remaining row whose first entry is
+    nonzero, at 0-based position ``pos``: the determinant gains the factor
+    (-1)**pos * pivot, and the other rows become the Schur complement
+    r[1:] - (r[0] / pivot) * pivot_row[1:], reduced mod p.  A zero first
+    column makes the determinant zero.
+    """
+    det = 1
+    while rows:
+        for pos, prow in enumerate(rows):
+            if prow[0]:
+                break
+        else:
+            return 0
+        del rows[pos]
+        det = (-det if pos % 2 else det) * prow[0] % p
+        inv = pow(prow[0], p - 2, p)
+        tail = prow[1:]
+        rows = [
+            [(x - factor * y) % p for x, y in zip(row[1:], tail)]
+            if (factor := row[0] * inv % p)
+            else row[1:]
+            for row in rows
+        ]
+    return det
 
 
 def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:

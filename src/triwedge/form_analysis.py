@@ -5,8 +5,12 @@ one or two covector directions.
 
 The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
 table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
-`build_M` derives from omega.  Its one rank routine is
-`point_contraction_rank`: an int grid and `skew_rank_mod_p` over F_p,
+`build_M` derives from omega.  Its one evaluation is
+`SkewLinearMatrix.rows_at`, the rows of M(P): ints in [0, p) over F_p, field
+elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
+`Matrix`, and callers that work on the rows (the line system of `residual`,
+the point rank) take them from there.  Its one rank routine is
+`point_contraction_rank`: `skew_rank_mod_p` of those int rows over F_p,
 `matrix_rank` of `M.evaluate(point)` over the rationals.  Every rank query
 at a point goes through it, except the question "rank at most 2?", which
 `rank_at_most_two` answers from the 4x4 principal Pfaffians without building
@@ -183,12 +187,20 @@ LinearTerms = tuple[tuple[int, Scalar], ...]
 
 
 def point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
-    """Coordinates of a vector of ``ctx``, or of a sequence coerced into its field."""
+    """Coordinates of a vector of ``ctx``, or of a sequence coerced into its field.
+
+    Over F_p a sequence of canonical residues (every value of type ``int``
+    in ``[0, p)``) is taken as it is; anything else, bools included, goes
+    through `FieldSpec.coerce`.
+    """
     if isinstance(point, AlternatingTensor):
         if point.ctx != ctx or point.degree != 1 or point.variance != "vector":
             raise ConventionError("point must be a vector of the same space")
         return point.coords()
-    coords = tuple(ctx.field.coerce(value) for value in point)
+    coords = tuple(point)
+    p = ctx.field.p
+    if p is None or not all(type(v) is int and 0 <= v < p for v in coords):
+        coords = tuple(ctx.field.coerce(value) for value in coords)
     if len(coords) != ctx.dim:
         raise ConventionError(f"expected {ctx.dim} coordinates, got {len(coords)}")
     return coords
@@ -245,17 +257,24 @@ class SkewLinearMatrix:
         return tuple(quartets)
 
     def evaluate(self, point: PointLike) -> Matrix:
-        """Scalar skew matrix obtained by evaluating every entry at a point.
+        """Scalar skew matrix obtained by evaluating every entry at a point:
+        the point is coerced (`point_coords`) and `rows_at` gives the rows."""
+        rows = self.rows_at(point_coords(self.ctx, point))
+        flat = tuple(value for row in rows for value in row)
+        return Matrix(self.ctx.field, self.size, self.size, flat)
 
-        Over F_p the entries are those of `_grid_mod_p`; over the rationals
-        each is summed with field operations.
+    def rows_at(self, coords: Sequence[Scalar]) -> list[list[Scalar]]:
+        """The rows of the matrix at a point whose coordinates are already
+        field elements (see `point_coords`).
+
+        Over F_p the rows are ints in [0, p): each entry is an int sum
+        reduced once, and the entry below the diagonal is p minus the one
+        above.  Over the rationals each entry is summed with field
+        operations.
         """
-        coords = point_coords(self.ctx, point)
         fld = self.ctx.field
         dim = self.size
-        if fld.kind == "prime":
-            rows = self._grid_mod_p(coords)
-        else:
+        if fld.kind != "prime":
             rows = [[fld.zero()] * dim for _ in range(dim)]
             for (i, j), terms in self.pairs:
                 acc = fld.zero()
@@ -263,14 +282,8 @@ class SkewLinearMatrix:
                     acc = fld.add(acc, fld.mul(coeff, coords[k]))
                 rows[i][j] = acc
                 rows[j][i] = fld.neg(acc)
-        return Matrix(fld, dim, dim, tuple(value for row in rows for value in row))
-
-    def _grid_mod_p(self, coords) -> list[list[int]]:
-        """The matrix at a point over F_p as rows of ints in [0, p); the
-        coordinates must already be ints.  Each entry is an int sum reduced
-        once, and the entry below the diagonal is p minus the one above."""
-        p: int = self.ctx.field.p  # type: ignore[assignment]
-        dim = self.size
+            return rows
+        p: int = fld.p  # type: ignore[assignment]
         grid = [[0] * dim for _ in range(dim)]
         for (i, j), terms in self.pairs:
             acc = 0
@@ -307,15 +320,15 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     """Rank of the skew matrix evaluated at one point, the rank of the 2-form
     obtained by contracting the 3-form there.
 
-    Over F_p the coordinates must already be ints; the matrix is built as an
-    int grid (`SkewLinearMatrix._grid_mod_p`) and its rank taken by
+    Over F_p the coordinates must already be ints; the matrix is built as
+    int rows (`SkewLinearMatrix.rows_at`) and its rank taken by
     `skew_rank_mod_p`.  Over the rationals the rank is that of
     `M.evaluate(coords)` from `matrix_rank`.
     """
     fld = M.ctx.field
     if fld.kind != "prime":
         return matrix_rank(M.evaluate(coords))
-    return skew_rank_mod_p(fld.p, M._grid_mod_p(coords))  # type: ignore[arg-type]
+    return skew_rank_mod_p(fld.p, M.rows_at(coords))  # type: ignore[arg-type]
 
 
 def rank_at_most_two(M: SkewLinearMatrix, coords) -> bool:

@@ -14,7 +14,9 @@ Everything is exact linear algebra plus seeded sampling over prime fields:
 * ``ResidualHandle`` — the form, the two directions, the linear span of the
   family (the pencil kernel of the span lattice) and the base locus ``Pi``;
 * ``line_system`` — the matrix of ``f -> (omega(P^f) mod <x,y>, (x^y)(P^f))``
-  whose kernel beyond ``P`` consists of the family directions through ``P``;
+  whose kernel beyond ``P`` consists of the family directions through ``P``,
+  read off the rows of the skew matrix M(P) of the form (``omega(P^e_j)`` is
+  row j of M(P)), with M and the reduced directions kept once per handle;
 * ``member_Y`` / ``pencil_parameter`` — membership and the pencil member a
   family line lives on;
 * ``sample_line_on_Y`` — restrict to a random pencil member, sample a line of
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
@@ -195,6 +199,23 @@ class ResidualHandle:
             ):
                 raise ConventionError("base locus must be cut out by both directions")
 
+    @cached_property
+    def _line_system_data(self) -> tuple:
+        """What `line_system` reads besides the point, made once per handle:
+        M, the rows of x and y in reduced row echelon form, their two pivot
+        columns, the other indices, and the coordinates of x and y."""
+        quotient = [list(self.x.coords()), list(self.y.coords())]
+        pivots = _rref(self.ctx.field, quotient, self.ctx.dim)
+        keep = [i for i in range(self.ctx.dim) if i not in pivots]
+        return (
+            build_M(self.omega),
+            quotient,
+            pivots,
+            keep,
+            self.x.coords(),
+            self.y.coords(),
+        )
+
     @staticmethod
     def build(
         omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
@@ -235,10 +256,11 @@ def member_Y(handle: ResidualHandle, line: AlternatingTensor) -> bool:
 class LineSystem:
     """Evaluated matrix of ``f -> (omega(P^f) mod <x,y>, (x^y)(P^f))``.
 
-    Columns are indexed by the ambient basis directions; the two coordinates
-    pinned by the pivots of ``x`` and ``y`` are eliminated from the covector
-    part, leaving ``dim - 1`` rows.  The kernel always contains the point
-    itself; each further kernel dimension is a pencil-worth of family lines
+    Columns are indexed by the ambient basis directions; column j holds row
+    j of M(P) with the two coordinates pinned by the pivots of ``x`` and
+    ``y`` eliminated, then ``(x^y)(P^e_j)``, so there are ``dim - 1`` rows.
+    The kernel always contains the point itself, which construction
+    checks; each further kernel dimension is a pencil-worth of family lines
     through the point.
     """
 
@@ -262,30 +284,32 @@ class LineSystem:
 
 
 def line_system(handle: ResidualHandle, point) -> LineSystem:
-    """Build the line system of the family at a nonzero point."""
+    """The line system of the family at a nonzero point, read off the rows
+    of M(P).
+
+    Column j of the covector block is ``contract(omega, P^e_j)``, which is
+    row j of M(P), reduced modulo x and y and kept at the indices that are
+    not their pivots; its last entry is ``(x^y)(P^e_j) = x(P)*y_j -
+    x_j*y(P)``.  Over F_p every entry is an int reduced mod p, over the
+    rationals a Fraction.
+    """
     ctx = handle.ctx
     field = ctx.field
     coords = point_coords(ctx, point)
     if all(field.is_zero(c) for c in coords):
         raise ConventionError("the line system at the zero point is undefined")
-    quotient = [list(handle.x.coords()), list(handle.y.coords())]
-    pivots = _rref(field, quotient, ctx.dim)
-    keep = [i for i in range(ctx.dim) if i not in pivots]
-    xy = wedge(handle.x, handle.y)
-    anchor = ctx.vector_from_coords(coords)
+    M, (row_a, row_b), (piv_a, piv_b), keep, xs, ys = handle._line_system_data
+    p = field.p
+    x_at = sum(map(mul, xs, coords))
+    y_at = sum(map(mul, ys, coords))
     columns: list[list[Scalar]] = []
-    for j in range(ctx.dim):
-        blade = wedge(anchor, ctx.basis_vector(j))
-        g = list(contract(handle.omega, blade).coords())
-        for piv, row in zip(pivots, quotient):
-            factor = g[piv]
-            if not field.is_zero(factor):
-                g = [field.sub(a, field.mul(factor, b)) for a, b in zip(g, row)]
-        column = [g[i] for i in keep]
-        column.append(pair(xy, blade))
-        columns.append(column)
+    for j, g in enumerate(M.rows_at(coords)):
+        a, b = g[piv_a], g[piv_b]
+        column = [g[i] - a * row_a[i] - b * row_b[i] for i in keep]
+        column.append(x_at * ys[j] - xs[j] * y_at)
+        columns.append([v % p for v in column] if p is not None else column)
     matrix = Matrix.from_columns(field, ctx.dim - 1, columns)
-    return LineSystem(point=anchor, matrix=matrix)
+    return LineSystem(point=ctx.vector_from_coords(coords), matrix=matrix)
 
 
 def G_membership(handle: ResidualHandle, point) -> tuple[bool, int]:

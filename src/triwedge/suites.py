@@ -29,7 +29,6 @@ from .catalog import COMPUTED, DEFINITION, PUBLISHED, SOURCES
 from .congruence import (
     classify_linear_section,
     kernel_span,
-    lines_through,
     order,
     quadrics_through_span,
     recover_forms,
@@ -38,6 +37,7 @@ from .congruence import (
 from .degeneracy import (
     NonGenericFormError,
     build_M,
+    directions_through,
     exhaustive_strata,
     hypersurface_degree,
     normalize_projective,
@@ -1040,7 +1040,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         matrix = build_M(omega)
         for _ in range(instances // star_forms):
             coords = random_coords(field, ctx.dim, rng)
-            star = lines_through(omega, coords)
+            star = directions_through(matrix, coords)
             corank = ctx.dim - rank_at(matrix, coords)
             if star.projective_dim != corank - 2:
                 star_mismatch += 1
@@ -1190,7 +1190,13 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
         label = "mixed"
     else:
         spec = SUITES[name]
-        if cfg.field is not None and not spec.honors_field:
+        # a fixed-field suite reads no cfg.field, so naming its one field is
+        # the run without --field
+        if (
+            cfg.field is not None
+            and not spec.honors_field
+            and field_label(cfg.field) != spec.field_label
+        ):
             raise ConventionError(
                 f"suite {name!r} runs on fixed fields ({spec.field_label}); "
                 "omit --field"

@@ -23,8 +23,17 @@ from triwedge.exterior_core import (
     _position_subsets,
     _settle,
     _trusted,
+    contract,
+    pair,
+    wedge,
 )
-from triwedge.form_analysis import LinearSubspace, QuadricAnalysis, SkewLinearMatrix
+from triwedge.form_analysis import (
+    LinearSubspace,
+    QuadricAnalysis,
+    SkewLinearMatrix,
+    point_coords,
+)
+from triwedge.residual import ResidualHandle
 
 
 def entry_form(M: SkewLinearMatrix, i: int, j: int) -> AlternatingTensor:
@@ -108,6 +117,60 @@ def rank_kernel_reference(m: Matrix) -> tuple[int, Matrix]:
             vec[pc] = field.neg(a[r][fc])
         kernel_cols.append(vec)
     return len(pivots), Matrix.from_columns(field, m.cols, kernel_cols)
+
+
+def det_reference(m: Matrix) -> Scalar:
+    """Determinant by Gaussian elimination with field operations, one entry
+    at a time, over either field."""
+    f = m.field
+    a = m.row_lists()
+    size = m.rows
+    det = f.one()
+    for col in range(size):
+        pivot_row = next(
+            (r for r in range(col, size) if not f.is_zero(a[r][col])), None
+        )
+        if pivot_row is None:
+            return f.zero()
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            det = f.neg(det)
+        pivot = a[col][col]
+        det = f.mul(det, pivot)
+        inv_p = f.inv(pivot)
+        for r in range(col + 1, size):
+            factor = f.mul(a[r][col], inv_p)
+            if f.is_zero(factor):
+                continue
+            for c in range(col, size):
+                a[r][c] = f.sub(a[r][c], f.mul(factor, a[col][c]))
+    return det
+
+
+def line_system_reference(handle: ResidualHandle, point) -> Matrix:
+    """The matrix of the residual line system at a point, built from tensors:
+    column j is contract(omega, P^e_j) reduced modulo x and y, kept off their
+    pivots, followed by (x^y)(P^e_j)."""
+    ctx = handle.ctx
+    field = ctx.field
+    coords = point_coords(ctx, point)
+    quotient = [list(handle.x.coords()), list(handle.y.coords())]
+    pivots = _rref(field, quotient, ctx.dim)
+    keep = [i for i in range(ctx.dim) if i not in pivots]
+    xy = wedge(handle.x, handle.y)
+    anchor = ctx.vector_from_coords(coords)
+    columns: list[list[Scalar]] = []
+    for j in range(ctx.dim):
+        blade = wedge(anchor, ctx.basis_vector(j))
+        g = list(contract(handle.omega, blade).coords())
+        for piv, row in zip(pivots, quotient):
+            factor = g[piv]
+            if not field.is_zero(factor):
+                g = [field.sub(a, field.mul(factor, b)) for a, b in zip(g, row)]
+        column = [g[i] for i in keep]
+        column.append(pair(xy, blade))
+        columns.append(column)
+    return Matrix.from_columns(field, ctx.dim - 1, columns)
 
 
 # -- exterior kernels, one field operation per product ------------------------

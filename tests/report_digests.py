@@ -1,15 +1,21 @@
-"""SHA-256 digests of the verification reports over the rationals.
+"""SHA-256 digests of verification reports.
 
     PYTHONPATH=src python3 tests/report_digests.py           # check, exit 1 on a change
-    PYTHONPATH=src python3 tests/report_digests.py --record  # rewrite the digest file
+    PYTHONPATH=src python3 tests/report_digests.py --record  # rewrite the digest files
 
 Each report is the standard output of ``triwedge verify --suite <suite>
---seed <seed> --format json`` for the suites in ``SUITES`` at the seeds in
-``SEEDS``.  ``rank-laws`` and ``span-lattice`` take ``--field q``;
-``quadric-count`` and ``form-recovery`` run over the rationals only and
-refuse the option.  The digest covers the output bytes without the
-``"elapsed"`` line, the one wall-clock value in a report.  The file
-``data/rational_report_digests.json`` holds each command line with its
+--seed <seed> --format json`` at the seeds in ``SEEDS``.  Two files hold
+the digests:
+
+* ``data/rational_report_digests.json``: the suites in ``SUITES`` over the
+  rationals.  ``rank-laws`` and ``span-lattice`` take ``--field q``;
+  ``quadric-count`` and ``form-recovery`` run over the rationals only, and
+  their recorded commands leave the option out.
+* ``data/prime_field_report_digests.json``: ``--suite all`` at its default
+  fields, which are prime fields for every suite but the four above.
+
+The digest covers the output bytes without the ``"elapsed"`` line, the one
+wall-clock value in a report.  Each file holds each command line with its
 digest, so a check runs exactly the recorded commands.
 """
 
@@ -21,7 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-DIGESTS = Path(__file__).with_name("data") / "rational_report_digests.json"
+DATA = Path(__file__).with_name("data")
 SUITES = {
     "rank-laws": True,
     "span-lattice": True,
@@ -31,8 +37,9 @@ SUITES = {
 SEEDS = (0, 7)
 
 
-def commands() -> list[list[str]]:
-    """The ``verify`` argument lists, suites in order, then seeds."""
+def rational_commands() -> list[list[str]]:
+    """The ``verify`` argument lists over the rationals, suites in order,
+    then seeds."""
     out = []
     for suite, takes_field in SUITES.items():
         for seed in SEEDS:
@@ -41,6 +48,20 @@ def commands() -> list[list[str]]:
                 ["verify", "--suite", suite, *field, "--seed", str(seed), "--format", "json"]
             )
     return out
+
+
+def prime_field_commands() -> list[list[str]]:
+    """The ``verify --suite all`` argument lists, one per seed."""
+    return [
+        ["verify", "--suite", "all", "--seed", str(seed), "--format", "json"]
+        for seed in SEEDS
+    ]
+
+
+DIGEST_FILES = {
+    DATA / "rational_report_digests.json": rational_commands,
+    DATA / "prime_field_report_digests.json": prime_field_commands,
+}
 
 
 def digest(argv: list[str]) -> str:
@@ -63,19 +84,21 @@ def digest(argv: list[str]) -> str:
 
 def main(argv: list[str]) -> int:
     if argv == ["--record"]:
-        reports = [{"argv": args, "sha256": digest(args)} for args in commands()]
-        DIGESTS.parent.mkdir(exist_ok=True)
-        DIGESTS.write_text(json.dumps({"reports": reports}, indent=2) + "\n")
-        print(f"recorded {len(reports)} digests in {DIGESTS}")
+        DATA.mkdir(exist_ok=True)
+        for path, commands in DIGEST_FILES.items():
+            reports = [{"argv": args, "sha256": digest(args)} for args in commands()]
+            path.write_text(json.dumps({"reports": reports}, indent=2) + "\n")
+            print(f"recorded {len(reports)} digests in {path}")
         return 0
     if argv:
         sys.exit(__doc__)
     changed = 0
-    for report in json.loads(DIGESTS.read_text())["reports"]:
-        got = digest(report["argv"])
-        same = got == report["sha256"]
-        changed += not same
-        print(("same   " if same else "CHANGED"), " ".join(report["argv"]))
+    for path in DIGEST_FILES:
+        for report in json.loads(path.read_text())["reports"]:
+            got = digest(report["argv"])
+            same = got == report["sha256"]
+            changed += not same
+            print(("same   " if same else "CHANGED"), " ".join(report["argv"]))
     return 1 if changed else 0
 
 

@@ -283,6 +283,39 @@ def test_verify_rejects_field_override_on_fixed_suite(capsys):
     assert "fixed fields" in capsys.readouterr().err
 
 
+def _report_without_elapsed(path) -> bytes:
+    return b"".join(
+        line
+        for line in path.read_bytes().splitlines(keepends=True)
+        if not line.lstrip().startswith(b'"elapsed":')
+    )
+
+
+@pytest.mark.parametrize("suite", ["quadric-count", "form-recovery"])
+def test_verify_accepts_the_single_field_of_a_fixed_suite(tmp_path, suite):
+    named = tmp_path / "named.json"
+    plain = tmp_path / "plain.json"
+    argv = ["verify", "--suite", suite, "--format", "json"]
+    assert main([*argv, "--field", "q", "--out", str(named)]) == EXIT_PASS
+    assert main([*argv, "--out", str(plain)]) == EXIT_PASS
+    assert _report_without_elapsed(named) == _report_without_elapsed(plain)
+
+
+@pytest.mark.parametrize(
+    "suite, field",
+    [
+        ("quadric-count", "p:101"),
+        ("degeneracy-degree", "p:101"),
+        # one of several fixed fields is not the suite's field
+        ("residual-odd", "p:101"),
+        ("enumerative", "q"),
+    ],
+)
+def test_verify_rejects_any_other_field_on_a_fixed_suite(suite, field, capsys):
+    assert main(["verify", "--suite", suite, "--field", field]) == EXIT_USAGE
+    assert "fixed fields" in capsys.readouterr().err
+
+
 def test_verify_field_override_on_generic_suite(tmp_path):
     code, doc = run_json(
         tmp_path,

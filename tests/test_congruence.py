@@ -20,7 +20,13 @@ from triwedge.congruence import (
     sample_line_on_X,
     tangent_certificate,
 )
-from triwedge.degeneracy import NonGenericFormError, build_M, rank_at, split_decomposable
+from triwedge.degeneracy import (
+    NonGenericFormError,
+    build_M,
+    directions_through,
+    rank_at,
+    split_decomposable,
+)
 from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
@@ -166,6 +172,30 @@ def test_star_dimension_matches_the_point_matrix_kernel():
             star = lines_through(omega, coords)
             kernel_dim = ctx.dim - rank_at(build_M(omega), coords)
             assert star.linear_dim == kernel_dim - 1
+
+
+@pytest.mark.parametrize("field", [F101, Q])
+def test_directions_through_one_matrix_equal_lines_through(field):
+    rng = random.Random(17)
+    for n in range(3, 9):
+        ctx = SpaceContext(n=n, field=field)
+        for seed in range(3):
+            omega = random_tensor(ctx, 3, "form", seed=300 + seed)
+            matrix = build_M(omega)
+            # a basis vector, and coordinates that need coercion over F_p
+            points = [ctx.basis_vector(seed)] + [
+                [rng.randint(-3, 120) for _ in range(ctx.dim)] for _ in range(3)
+            ]
+            for point in points:
+                star = directions_through(matrix, point)
+                assert star == lines_through(omega, point)
+                anchor = (
+                    point
+                    if isinstance(point, AlternatingTensor)
+                    else ctx.vector_from_coords([field.coerce(v) for v in point])
+                )
+                for direction in star.basis_tensors():
+                    assert contract(omega, wedge(anchor, direction)).is_zero()
 
 
 def test_star_rejects_the_zero_point():

@@ -37,6 +37,7 @@ from triwedge.exact_scalar import (
 )
 
 from oracles import (
+    det_reference,
     interpolate_reference,
     matmul,
     matvec_reference,
@@ -467,6 +468,52 @@ def test_elimination_determinant_matches_cofactor_oracle():
             ]
             m = Matrix.from_rows(field, rows)
             assert m.det() == _cofactor_det(field, m.row_lists())
+
+
+@st.composite
+def determinant_inputs(draw):
+    """A square matrix of size 0-7 over F_2, F_3, F_101, F_1000003 or the
+    rationals; about half are made singular by a zero row or by a row that is
+    a combination of two others."""
+    field = draw(st.sampled_from((FieldSpec.prime(2), FieldSpec.prime(3), F101,
+                                  FieldSpec.prime(BIG_PRIME), QQ)))
+    size = draw(st.integers(0, 7))
+    if field.kind == "prime":
+        scalar = st.integers(0, field.p - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    rows = [[draw(scalar) for _ in range(size)] for _ in range(size)]
+    if size and draw(st.booleans()):
+        target = draw(st.integers(0, size - 1))
+        if size < 3 or draw(st.booleans()):
+            rows[target] = [field.zero()] * size
+        else:
+            i, j = [k for k in range(size) if k != target][:2]
+            a, b = draw(scalar), draw(scalar)
+            rows[target] = [
+                field.add(field.mul(a, x), field.mul(b, y))
+                for x, y in zip(rows[i], rows[j])
+            ]
+    return Matrix(field, size, size, tuple(v for row in rows for v in row))
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=determinant_inputs())
+def test_determinant_matches_the_field_operation_loop_and_cofactors(m):
+    det = m.det()
+    assert det == det_reference(m)
+    assert det == _cofactor_det(m.field, m.row_lists())
+    assert type(det) is type(det_reference(m))
+    if m.field.kind == "prime":
+        assert 0 <= det < m.field.p
+
+
+def test_determinant_of_the_empty_and_one_by_one_matrices():
+    for field in (QQ, F101, FieldSpec.prime(2)):
+        assert Matrix(field, 0, 0, ()).det() == field.one()
+        assert Matrix(field, 1, 1, (field.zero(),)).det() == field.zero()
+    assert Matrix(F101, 1, 1, (57,)).det() == 57
+    assert Matrix(QQ, 1, 1, (Fraction(-3, 4),)).det() == Fraction(-3, 4)
 
 
 # --- matrices from columns --------------------------------------------------

@@ -41,6 +41,7 @@ from triwedge.form_analysis import (
     genericity,
     j_rank,
     point_contraction_rank,
+    point_coords,
     quadric_of,
     rank_at_most_two,
     span_lattice,
@@ -173,6 +174,49 @@ def test_evaluate_matches_the_field_operation_reference(case):
     assert M.evaluate(x) == evaluate_reference(M, x)
     # b is passed as drawn; both routes coerce it into the field
     assert M.evaluate(b) == evaluate_reference(M, b)
+    assert M.rows_at(x) == M.evaluate(x).row_lists()
+
+
+# --- point coordinates ----------------------------------------------------------
+
+
+def test_point_coords_pass_canonical_residues_through():
+    ctx = SpaceContext(3, F101)
+    point = [0, 1, 57, 100]
+    coords = point_coords(ctx, point)
+    assert coords == (0, 1, 57, 100)
+    assert all(type(v) is int for v in coords)
+    # the values themselves, not copies made by coercion
+    assert all(a is b for a, b in zip(coords, point))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(-1, 100), (101, 0), (205, 3), (True, 1), (Fraction(1, 2), 51), ("-2/5", 40)],
+)
+def test_point_coords_coerce_everything_else_as_before(value, expected):
+    ctx = SpaceContext(3, F101)
+    coords = point_coords(ctx, [1, value, 0, 2])
+    assert coords == (1, expected, 0, 2)
+    assert all(type(v) is int for v in coords)
+    assert coords == tuple(F101.coerce(v) for v in [1, value, 0, 2])
+
+
+def test_point_coords_reject_floats_and_wrong_lengths():
+    for field in (F101, QQ):
+        ctx = SpaceContext(3, field)
+        with pytest.raises(ConventionError, match="float"):
+            point_coords(ctx, [1, 0.5, 0, 2])
+        with pytest.raises(ConventionError, match="expected 4 coordinates"):
+            point_coords(ctx, [1, 2, 3])
+    with pytest.raises(ConventionError, match="expected 4 coordinates"):
+        point_coords(SpaceContext(3, F101), [1, 2, 3, 4, 5])
+
+
+def test_point_coords_over_the_rationals_are_fractions():
+    coords = point_coords(SpaceContext(3, QQ), [1, "1/3", Fraction(2, 4), True])
+    assert coords == (1, Fraction(1, 3), Fraction(1, 2), 1)
+    assert all(type(v) is Fraction for v in coords)
 
 
 @settings(max_examples=100, deadline=None)

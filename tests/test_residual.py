@@ -6,6 +6,7 @@ degree, and the even-dimension secancy count."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,9 +49,10 @@ from triwedge.residual import (
     sing_Y_dimension,
 )
 
-from oracles import quadric_contains_subspace
+from oracles import line_system_reference, quadric_contains_subspace
 
 Q = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
 F31 = FieldSpec.prime(31)
 F101 = FieldSpec.prime(101)
 F1009 = FieldSpec.prime(1009)
@@ -144,6 +146,55 @@ def test_line_system_shape_and_self_annihilation():
     assert system.matrix.cols == handle.ctx.dim
     values = system.matrix.matvec(system.point.coords())
     assert all(F101.is_zero(v) for v in values)
+
+
+def _line_system_points(field: FieldSpec, dim: int, rng: random.Random) -> list:
+    """Random points, and the same points with every coordinate shifted by
+    p (or given as a string over the rationals), so that coercion runs."""
+    points = [random_coords(field, dim, rng) for _ in range(4)]
+    if field.kind == "prime":
+        points += [[v + field.p for v in c] for c in points[:2]]
+        points += [[v - field.p for v in c] for c in points[:1]]
+    else:
+        points += [[str(v) for v in c] for c in points[:2]]
+    return points
+
+
+def _assert_line_system_matches_the_oracle(handle: ResidualHandle, seed: int) -> None:
+    ctx = handle.ctx
+    rng = random.Random(seed)
+    for coords in _line_system_points(ctx.field, ctx.dim, rng):
+        system = line_system(handle, coords)
+        assert system.matrix == line_system_reference(handle, coords)
+        assert system.point == ctx.vector_from_coords(
+            [ctx.field.coerce(v) for v in coords]
+        )
+    vector = ctx.vector_from_coords(random_coords(ctx.field, ctx.dim, rng))
+    system = line_system(handle, vector)
+    assert system.point == vector
+    assert system.matrix == line_system_reference(handle, vector)
+
+
+@pytest.mark.parametrize(
+    "field, n", [(F101, n) for n in range(4, 10)] + [(F2, n) for n in range(5, 10)]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_line_system_matches_the_tensor_oracle_on_random_forms(field, n, seed):
+    omega = random_tensor(SpaceContext(n, field), 3, "form", seed)
+    _assert_line_system_matches_the_oracle(ResidualHandle.general(omega, seed), seed)
+
+
+def test_line_system_matches_the_tensor_oracle_over_the_rationals():
+    handle = handle_for("n5", Q)
+    _assert_line_system_matches_the_oracle(handle, 0)
+    matrix = line_system(handle, ["1/2", -3, 0, "2/7", 5, 1]).matrix
+    assert all(type(v) is Fraction for v in matrix.entries)
+
+
+def test_a_random_form_with_n_4_over_f2_can_have_no_handle():
+    omega = random_tensor(SpaceContext(4, F2), 3, "form", 1)
+    with pytest.raises(ConventionError, match="pencil kernel codimension"):
+        ResidualHandle.general(omega, 1)
 
 
 def test_line_system_is_linear_in_the_anchor_point():
