@@ -8,11 +8,15 @@ Each report is the standard output of ``triwedge verify --suite <suite>
 the digests:
 
 * ``data/rational_report_digests.json``: the suites in ``SUITES`` over the
-  rationals.  ``rank-laws`` and ``span-lattice`` take ``--field q``;
-  ``quadric-count`` and ``form-recovery`` run over the rationals only, and
-  their recorded commands leave the option out.
+  rationals.  ``rank-laws``, ``span-lattice`` and ``conventions`` take
+  ``--field q``; ``quadric-count`` and ``form-recovery`` run over the
+  rationals only, and their recorded commands leave the option out.
+  ``conventions`` over the rationals checks pf² = det, `evaluate` and
+  `directions_through`, so these digests also cover the rational `det`
+  and `pfaffian`.
 * ``data/prime_field_report_digests.json``: ``--suite all`` at its default
-  fields, which are prime fields for every suite but the four above.
+  fields, which are prime fields for every suite but ``quadric-count`` and
+  ``form-recovery``.
 
 The digest covers the output bytes without the ``"elapsed"`` line, the one
 wall-clock value in a report.  Each file holds each command line with its
@@ -33,6 +37,7 @@ SUITES = {
     "span-lattice": True,
     "quadric-count": False,
     "form-recovery": False,
+    "conventions": True,
 }
 SEEDS = (0, 7)
 
