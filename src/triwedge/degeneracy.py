@@ -31,7 +31,10 @@ Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `directions_through` (all of them: the star of congruence lines through P),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
-coordinate 1) and `require_three_form`.
+coordinate 1) and `require_three_form`.  `line_gcd`, `line_subpfaffian_gcd`
+and `secant_pencil` restrict their polynomials to a line through one node
+loop, `_restrict_to_line`, which evaluates at the points t = 0, 1, ... of
+the line and interpolates.
 
 No floating point is used anywhere; scalars are rationals or prime
 residues throughout.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -52,9 +56,9 @@ from .exact_scalar import (
     UniPoly,
     _rref,
     interpolate,
-    interpolated_gcd,
     matrix_rank,
     pfaffian,
+    poly_gcd,
     randbelow_many,
     rank_kernel,
 )
@@ -271,6 +275,25 @@ def _line_point(field, first, second, t) -> list[Scalar]:
     return [field.add(a, field.mul(t, b)) for a, b in zip(first, second)]
 
 
+def _restrict_to_line(
+    field: FieldSpec,
+    first: Sequence[Scalar],
+    second: Sequence[Scalar],
+    degree: int,
+    values_at: Callable[[list[Scalar]], Sequence[Scalar]],
+) -> list[UniPoly]:
+    """Polynomials of degree at most ``degree`` restricted to first + t*second.
+
+    ``values_at`` maps a point to every polynomial's value there; it is called
+    at the points of the line at t = 0, ..., ``degree``, and each polynomial
+    is interpolated through its values, in ``values_at``'s order.  Raises
+    `ConventionError` when F_p has fewer than ``degree + 1`` elements.
+    """
+    nodes = _interpolation_nodes(field, degree + 1)
+    rows = [values_at(_line_point(field, first, second, node)) for node in nodes]
+    return [interpolate(field, list(zip(nodes, column))) for column in zip(*rows)]
+
+
 def line_gcd(
     field: FieldSpec,
     first: Sequence[Scalar],
@@ -280,14 +303,17 @@ def line_gcd(
 ) -> Optional[UniPoly]:
     """Monic gcd of polynomials of degree at most ``degree`` along first + t*second.
 
-    ``values_at`` maps a point to every polynomial's value there; it is called
-    at the nodes of `_interpolation_nodes`, and `interpolated_gcd` combines the
-    values.  Returns None when every polynomial vanishes on the line, and
-    raises `ConventionError` when F_p has fewer than ``degree + 1`` elements.
+    ``values_at`` maps a point to every polynomial's value there.  Each
+    polynomial is restricted to the line (`_restrict_to_line`), the zero ones
+    are dropped and the rest folded with `poly_gcd` in order.  Returns None
+    when every polynomial vanishes on the line, and raises `ConventionError`
+    when F_p has fewer than ``degree + 1`` elements.
     """
-    nodes = _interpolation_nodes(field, degree + 1)
-    rows = [values_at(_line_point(field, first, second, node)) for node in nodes]
-    return interpolated_gcd(field, nodes, rows)
+    polys = _restrict_to_line(field, first, second, degree, values_at)
+    nonzero = [poly for poly in polys if not poly.is_zero()]
+    if not nonzero:
+        return None
+    return reduce(poly_gcd, nonzero).monic()
 
 
 def line_zeros(
@@ -314,7 +340,7 @@ def line_subpfaffian_gcd(
     one form g.  First and second are independent, so the restrictions of
     the P_i share no root and the gcd is g along the line.  It is read off
     one sub-Pfaffian, at the first index i with ``second[i] != 0``:
-    interpolated at the nodes of `line_gcd` and divided exactly by
+    restricted to the line (`_restrict_to_line`) and divided exactly by
     ``first[i] + t*second[i]``.
 
     Returns None when the sub-Pfaffians vanish identically on the line,
@@ -327,11 +353,13 @@ def line_subpfaffian_gcd(
     if i is None:
         raise ConventionError("a line needs a nonzero direction")
     keep = [k for k in range(dim) if k != i]
-    values = []
-    for node in _interpolation_nodes(field, (dim - 1) // 2 + 1):
-        evaluated = M.evaluate(_line_point(field, first, second, node))
-        values.append((node, pfaffian(evaluated.submatrix(keep, keep))))
-    restricted = interpolate(field, values)
+    (restricted,) = _restrict_to_line(
+        field,
+        first,
+        second,
+        (dim - 1) // 2,
+        lambda coords: [pfaffian(M.evaluate(coords).submatrix(keep, keep))],
+    )
     if restricted.is_zero():
         return None
     quotient, remainder = restricted.divmod(UniPoly.from_coeffs(field, [first[i], second[i]]))
@@ -535,6 +563,10 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
     annihilate the line's plane, so the pencil descends to the quotient
     space; its Pfaffian is a polynomial of total degree (n-1)/2 whose
     roots are the intersections of the line with the rank-drop locus.
+    ``M`` is linear in the point, so the pencil member at ``t`` is
+    M(base + t*direction), and the Pfaffian is restricted to the line
+    (`_restrict_to_line`) on that matrix's rows and columns at the indices
+    completing the line's plane.
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -551,26 +583,22 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
     field = ctx.field
     base, direction = split_decomposable(line)
     M = build_M(omega)
-    first = M.evaluate(base)
-    second = M.evaluate(direction)
     base_coords = base.coords()
     direction_coords = direction.coords()
-    for matrix in (first, second):
+    for matrix in (M.evaluate(base), M.evaluate(direction)):
         for vector in (base_coords, direction_coords):
             if any(not field.is_zero(v) for v in matrix.matvec(vector)):
                 raise RuntimeError("pencil members fail to annihilate the line")
 
     complement = _complement_indices(field, base_coords, direction_coords)
-    reduced_first = first.submatrix(complement, complement)
-    reduced_second = second.submatrix(complement, complement)
-
     total = (n - 1) // 2
-    nodes = _interpolation_nodes(field, total + 1)
-    values = []
-    for node in nodes:
-        member = reduced_first.add(reduced_second.scale(node))
-        values.append((node, pfaffian(member)))
-    poly = interpolate(field, values)
+    (poly,) = _restrict_to_line(
+        field,
+        base_coords,
+        direction_coords,
+        total,
+        lambda coords: [pfaffian(M.evaluate(coords).submatrix(complement, complement))],
+    )
     if poly.is_zero():
         raise NonGenericFormError("the quotient Pfaffian vanishes identically")
     return SecantPencil(

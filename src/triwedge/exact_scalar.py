@@ -22,13 +22,14 @@ alternating matrices over F_p that the pointwise rank scans use: pairwise
 (skew-symmetric) elimination, which builds no kernel.  `pfaffian` runs the
 same pairwise elimination, pivoting on the first remaining index and
 multiplying in each signed pivot: on ints mod p, and on Fractions over the
-rationals.  Univariate polynomials
-store coefficients lowest-degree first and provide the monic Euclidean GCD
-and Lagrange interpolation (on int lists mod p over F_p) used to restrict
-determinantal loci to lines; `interpolated_gcd` is the one place that
-combines them, for polynomials known by their values at nodes.  `randbelow`
-is the package's one uniform draw below a bound: the values and generator
-state of `random.Random.randrange`, at a fraction of its cost;
+rationals.  `Matrix.det` runs the Schur-complement elimination that
+pivots on the first row with a nonzero first entry, on ints mod p over F_p
+and on Fractions over the rationals.  Univariate polynomials store
+coefficients lowest-degree first and provide the monic Euclidean GCD and
+Lagrange interpolation (on int lists over both fields, reduced into the
+field once at the end) used to restrict determinantal loci to lines.
+`randbelow` is the package's one uniform draw below a bound: the values and
+generator state of `random.Random.randrange`, at a fraction of its cost;
 `randbelow_many` draws a run of such values with one `getrandbits` call per
 value, leaving the generator where as many `randbelow` calls would.
 """
@@ -58,7 +59,6 @@ __all__ = [
     "pfaffian",
     "poly_gcd",
     "interpolate",
-    "interpolated_gcd",
     "randbelow",
     "randbelow_many",
 ]
@@ -318,23 +318,6 @@ class Matrix:
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
-        )
-
-    def scale(self, c: Scalar) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(f, self.rows, self.cols, tuple(f.mul(c, e) for e in self.entries))
-
     def matvec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """The product with a column vector, as one int dot product per row:
         reduced mod p over F_p, and over the rationals taken on numerators
@@ -375,42 +358,48 @@ class Matrix:
     def det(self) -> Scalar:
         """Determinant by exact Gaussian elimination (independent of `pfaffian`).
 
-        Over F_p this is `_det_mod_p` on the int rows; over the rationals the
-        elimination uses field operations.
+        Each step pivots on the first remaining row whose first entry is
+        nonzero, at 0-based position ``pos``: the determinant gains the factor
+        (-1)**pos * pivot, and the other rows become the Schur complement
+        r[1:] - (r[0] / pivot) * pivot_row[1:].  A zero first column makes the
+        determinant zero.  The rows are ints reduced mod p over F_p and
+        Fractions over the rationals.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        f = self.field
+        field = self.field
+        p = field.p
         size = self.rows
-        if f.p is not None:
-            e = self.entries
-            rows = [e[i * size : (i + 1) * size] for i in range(size)]
-            return _det_mod_p(f.p, rows)
-        a = self.row_lists()
-        det = f.one()
-        for col in range(size):
-            pivot_row = next(
-                (r for r in range(col, size) if not f.is_zero(a[r][col])), None
-            )
-            if pivot_row is None:
-                return f.zero()
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                det = f.neg(det)
-            pivot = a[col][col]
-            det = f.mul(det, pivot)
-            inv_p = f.inv(pivot)
-            for r in range(col + 1, size):
-                factor = f.mul(a[r][col], inv_p)
-                if f.is_zero(factor):
-                    continue
-                for c in range(col, size):
-                    a[r][c] = f.sub(a[r][c], f.mul(factor, a[col][c]))
+        e = self.entries
+        rows = [e[i * size : (i + 1) * size] for i in range(size)]
+        det = field.one()
+        while rows:
+            for pos, prow in enumerate(rows):
+                if prow[0]:
+                    break
+            else:
+                return field.zero()
+            del rows[pos]
+            det = (-det if pos % 2 else det) * prow[0]
+            tail = prow[1:]
+            if p is None:
+                inv = Fraction(1) / prow[0]
+                rows = [
+                    [x - factor * y for x, y in zip(row[1:], tail)]
+                    if (factor := row[0] * inv)
+                    else row[1:]
+                    for row in rows
+                ]
+            else:
+                det %= p
+                inv = pow(prow[0], p - 2, p)
+                rows = [
+                    [(x - factor * y) % p for x, y in zip(row[1:], tail)]
+                    if (factor := row[0] * inv % p)
+                    else row[1:]
+                    for row in rows
+                ]
         return det
-
-    def _check_compatible(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise ValueError("matrices over different fields")
 
 
 def _integer_rows(
@@ -446,13 +435,17 @@ def _eliminated(target: list[int], prow: list[int], col: int) -> list[int]:
     return target
 
 
-def _rref_ints(rows: list[list[int]], cols: int) -> list[int]:
+def _rref_ints(
+    rows: list[list[int]], cols: int, back_substitute: bool = True
+) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows of length ``cols``, in
     place; returns the pivot column list.
 
     Each pivot clears its column in every other row by `_eliminated`.  Row
     ``r`` ends as a multiple of reduced row ``r`` (its pivot entry is the
-    multiplier), zero below the rank.
+    multiplier), zero below the rank.  Without ``back_substitute`` a pivot
+    clears its column only in the rows below it: forward elimination, which
+    is enough for the rank.
     """
     pivots: list[int] = []
     pivot_row = 0
@@ -463,7 +456,7 @@ def _rref_ints(rows: list[list[int]], cols: int) -> list[int]:
             continue
         rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
         prow = rows[pivot_row]
-        for r in range(nrows):
+        for r in range(0 if back_substitute else pivot_row + 1, nrows):
             if r != pivot_row and rows[r][col]:
                 rows[r] = _eliminated(rows[r], prow, col)
         pivots.append(col)
@@ -471,27 +464,6 @@ def _rref_ints(rows: list[list[int]], cols: int) -> list[int]:
         if pivot_row == nrows:
             break
     return pivots
-
-
-def _rank_ints(rows: list[list[int]], cols: int) -> int:
-    """Rank of integer rows of length ``cols`` by forward fraction-free
-    elimination, in place: each pivot clears its column only in the rows
-    below it, and no row is reduced back."""
-    rank = 0
-    nrows = len(rows)
-    for col in range(cols):
-        if rank == nrows:
-            break
-        src = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if src is None:
-            continue
-        rows[rank], rows[src] = rows[src], rows[rank]
-        prow = rows[rank]
-        rank += 1
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                rows[r] = _eliminated(rows[r], prow, col)
-    return rank
 
 
 def _rref(field: FieldSpec, a: list[list[Scalar]], cols: int) -> list[int]:
@@ -548,36 +520,6 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
         if pivot_row == nrows:
             break
     return pivots
-
-
-def _det_mod_p(p: int, rows: list[Sequence[int]]) -> int:
-    """Determinant of a square matrix of ints in [0, p), given by its rows;
-    the list is overwritten.
-
-    Each step pivots on the first remaining row whose first entry is
-    nonzero, at 0-based position ``pos``: the determinant gains the factor
-    (-1)**pos * pivot, and the other rows become the Schur complement
-    r[1:] - (r[0] / pivot) * pivot_row[1:], reduced mod p.  A zero first
-    column makes the determinant zero.
-    """
-    det = 1
-    while rows:
-        for pos, prow in enumerate(rows):
-            if prow[0]:
-                break
-        else:
-            return 0
-        del rows[pos]
-        det = (-det if pos % 2 else det) * prow[0] % p
-        inv = pow(prow[0], p - 2, p)
-        tail = prow[1:]
-        rows = [
-            [(x - factor * y) % p for x, y in zip(row[1:], tail)]
-            if (factor := row[0] * inv % p)
-            else row[1:]
-            for row in rows
-        ]
-    return det
 
 
 def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:
@@ -644,11 +586,13 @@ def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
 
 def matrix_rank(m: Matrix) -> int:
     """Exact rank, building no kernel: ``len(_rref_prime(...))`` over F_p,
-    and forward fraction-free elimination (`_rank_ints`) over the rationals."""
+    and forward fraction-free elimination (`_rref_ints` without back
+    substitution) over the rationals."""
     if m.field.kind == "prime":
         a = [list(m.row(i)) for i in range(m.rows)]
         return len(_rref_prime(m.field.p, a, m.cols))  # type: ignore[arg-type]
-    return _rank_ints(_integer_rows(m.entries, m.rows, m.cols), m.cols)
+    rows = _integer_rows(m.entries, m.rows, m.cols)
+    return len(_rref_ints(rows, m.cols, back_substitute=False))
 
 
 def pfaffian(m: Matrix) -> Scalar:
@@ -837,63 +781,28 @@ def interpolate(
 ) -> UniPoly:
     """Lagrange interpolation through distinct nodes; exact over any field.
 
-    Over F_p each Lagrange basis polynomial is built on an int list mod p and
-    the sum becomes one `UniPoly`; over the rationals it is built with
-    `UniPoly` arithmetic.
+    Each Lagrange basis polynomial is built on a list of native ints (of
+    Fractions where a rational node is not an integer) with no reduction,
+    and `UniPoly.from_coeffs` reduces the sum into the field once.
     """
     xs = [field.coerce(x) for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    if field.kind == "prime":
-        p: int = field.p  # type: ignore[assignment]
-        coeffs = [0] * len(xs)
-        for i, (_, yi) in enumerate(points):
-            yi = field.coerce(yi)
-            if not yi:
-                continue
-            xi = xs[i]
-            basis = [1]
-            denom = 1
-            for j, xj in enumerate(xs):
-                if j == i:
-                    continue
-                # basis * (t - xj)
-                basis = [
-                    (shifted - xj * c) % p for shifted, c in zip([0] + basis, basis + [0])
-                ]
-                denom = denom * (xi - xj) % p
-            scale = yi * pow(denom, p - 2, p) % p
-            for k, c in enumerate(basis):
-                coeffs[k] = (coeffs[k] + scale * c) % p
-        return UniPoly.from_coeffs(field, coeffs)
-    result = UniPoly.zero(field)
+    xs = [x.numerator if x.denominator == 1 else x for x in xs]
+    coeffs = [0] * len(xs)
     for i, (_, yi) in enumerate(points):
         yi = field.coerce(yi)
-        if field.is_zero(yi):
+        if not yi:
             continue
-        basis = UniPoly.one(field)
-        denom = field.one()
+        xi = xs[i]
+        basis = [1]
+        denom = 1
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            basis = basis.mul(UniPoly.from_coeffs(field, [field.neg(xj), field.one()]))
-            denom = field.mul(denom, field.sub(xs[i], xj))
-        result = result.add(basis.scale(field.div(yi, denom)))
-    return result
-
-
-def interpolated_gcd(
-    field: FieldSpec, nodes: Sequence[Scalar], rows: Sequence[Sequence[Scalar]]
-) -> UniPoly | None:
-    """Monic gcd of polynomials given by their values at distinct nodes.
-
-    Row ``k`` of ``rows`` holds every polynomial's value at ``nodes[k]``.
-    Each column is interpolated through the nodes, the zero polynomials are
-    dropped and the rest folded with `poly_gcd` in column order.  Returns
-    None when every polynomial is zero.
-    """
-    polys = [interpolate(field, list(zip(nodes, column))) for column in zip(*rows)]
-    nonzero = [poly for poly in polys if not poly.is_zero()]
-    if not nonzero:
-        return None
-    return reduce(poly_gcd, nonzero).monic()
+            # basis * (t - xj)
+            basis = [shifted - xj * c for shifted, c in zip([0] + basis, basis + [0])]
+            denom *= xi - xj
+        scale = field.div(yi, field.coerce(denom))
+        coeffs = [a + scale * c for a, c in zip(coeffs, basis)]
+    return UniPoly.from_coeffs(field, coeffs)

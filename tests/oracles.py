@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from triwedge.degeneracy import line_gcd
+from triwedge.degeneracy import build_M, line_gcd, split_decomposable
 from triwedge.exact_scalar import (
     ConventionError,
     FieldSpec,
@@ -325,6 +325,31 @@ def all_subpfaffian_gcd(
         return [pfaffian_expansion(evaluated.submatrix(keep, keep)) for keep in principal]
 
     return line_gcd(M.ctx.field, first, second, (dim - 1) // 2, subpfaffians)
+
+
+def secant_pencil_reference(omega: AlternatingTensor, line: AlternatingTensor) -> UniPoly:
+    """The polynomial of `degeneracy.secant_pencil` along a congruence line,
+    by the add-and-scale pencil: on the indices completing the line's plane,
+    the member at t of M(base) + t·M(direction) is built entry by entry with
+    field operations, its Pfaffian taken by `pfaffian_expansion` at t = 0,
+    ..., (n-1)/2 and interpolated by `interpolate_reference`."""
+    field = omega.ctx.field
+    base, direction = split_decomposable(line)
+    M = build_M(omega)
+    first, second = M.evaluate(base), M.evaluate(direction)
+    pivots = _rref(field, [list(base.coords()), list(direction.coords())], M.size)
+    complement = [k for k in range(M.size) if k not in pivots]
+    points = []
+    for t in range((omega.ctx.n - 1) // 2 + 1):
+        t = field.coerce(t)
+        entries = [
+            field.add(first.entry(i, j), field.mul(t, second.entry(i, j)))
+            for i in complement
+            for j in complement
+        ]
+        member = Matrix(field, len(complement), len(complement), tuple(entries))
+        points.append((t, pfaffian_expansion(member)))
+    return interpolate_reference(field, points)
 
 
 def triangle_rows_reference(kind: str, depth: int) -> tuple[tuple[int, ...], ...]:

@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwedge import catalog
+from triwedge import catalog, degeneracy
 from triwedge.congruence import sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
@@ -32,8 +33,9 @@ from triwedge.exact_scalar import (
     FieldSpec,
     Matrix,
     UniPoly,
-    interpolated_gcd,
+    interpolate,
     pfaffian,
+    poly_gcd,
     rank_kernel,
 )
 from triwedge.exterior_core import (
@@ -45,7 +47,7 @@ from triwedge.exterior_core import (
 )
 from triwedge.form_analysis import j_rank, point_contraction_rank
 
-from oracles import all_subpfaffian_gcd, entry_form
+from oracles import all_subpfaffian_gcd, entry_form, secant_pencil_reference
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -257,6 +259,31 @@ def test_sampled_pencils_are_quartic_for_n9():
         checked += 1
 
 
+@pytest.mark.parametrize(
+    "name, field",
+    [("n5", F1009), ("n7-ozeki", F1009), ("random-n9", F1009), ("n5", Q)],
+    ids=["n5-F1009", "n7-ozeki-F1009", "random-n9-F1009", "n5-Q"],
+)
+def test_secant_pencil_matches_the_add_and_scale_reference(name, field):
+    # the pencil polynomial itself, not only its degree and roots, against
+    # members built entry by entry from M(base) and M(direction)
+    if name == "random-n9":
+        omega = random_tensor(SpaceContext(n=9, field=field), 3, "form", seed=12)
+    else:
+        omega, _ = catalog.get(name, field=field)
+    M = build_M(omega)
+    rng = random.Random(31)
+    generic = omega.ctx.n - 1
+    checked = 0
+    while checked < 3:
+        coords = [field.coerce(rng.randint(-9, 9)) for _ in range(M.size)]
+        if all(field.is_zero(v) for v in coords) or rank_at(M, coords) != generic:
+            continue
+        line = kernel_line(omega, M, coords)
+        assert secant_pencil(omega, line).poly == secant_pencil_reference(omega, line)
+        checked += 1
+
+
 def test_pencil_point_parameterization():
     omega, _ = catalog.get("n5")
     ctx = omega.ctx
@@ -335,6 +362,23 @@ def test_line_zeros_match_a_scan_of_the_line(case):
     assert line_zeros(field, first, second, poly) == [pt for pt in scanned if any(pt)]
 
 
+def _inline_gcd_fold(field, nodes, rows):
+    """The interpolate / drop zeros / fold `poly_gcd` loop that `line_gcd`
+    runs on its node values, kept as its oracle."""
+    samples = [[] for _ in range(len(rows[0]) if rows else 0)]
+    for node, row in zip(nodes, rows):
+        for i, value in enumerate(row):
+            samples[i].append((node, value))
+    polys = [interpolate(field, pts) for pts in samples]
+    nonzero = [poly for poly in polys if not poly.is_zero()]
+    if not nonzero:
+        return None
+    gcd = nonzero[0]
+    for poly in nonzero[1:]:
+        gcd = poly_gcd(gcd, poly)
+    return gcd.monic()
+
+
 def _inline_line_gcd(field, first, second, degree, values_at):
     """The node loop that `line_gcd` replaced, kept as its oracle."""
     nodes = [field.coerce(v) for v in range(degree + 1)]
@@ -342,7 +386,77 @@ def _inline_line_gcd(field, first, second, degree, values_at):
     for node in nodes:
         coords = [field.add(a, field.mul(node, b)) for a, b in zip(first, second)]
         rows.append(values_at(coords))
-    return interpolated_gcd(field, nodes, rows)
+    return _inline_gcd_fold(field, nodes, rows)
+
+
+def _gcd_of_rows(field, rows):
+    """`line_gcd` on the line [1, 0] + t*[0, 1], at whose node t the values
+    are row t of ``rows``."""
+    return line_gcd(field, [1, 0], [0, 1], len(rows) - 1, lambda coords: rows[int(coords[1])])
+
+
+@st.composite
+def sampled_polynomials(draw):
+    """(field, nodes, rows, common): 0-5 polynomials sharing a planted factor
+    ``common`` (some of them zero), sampled at enough nodes to interpolate."""
+    field = draw(st.sampled_from((Q, F101)))
+    if field.kind == "prime":
+        coeff = st.integers(0, field.p - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    planted = draw(st.lists(coeff, min_size=1, max_size=3))
+    common = UniPoly.from_coeffs(field, planted)
+    polys = [
+        UniPoly.from_coeffs(field, draw(st.lists(coeff, max_size=4))).mul(common)
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    nodes = [field.coerce(t) for t in range(7)]
+    rows = [[poly.eval(t) for poly in polys] for t in nodes]
+    return field, nodes, rows, common
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sampled_polynomials())
+def test_line_gcd_of_sampled_rows_matches_the_inline_fold(case):
+    field, nodes, rows, common = case
+    gcd = _gcd_of_rows(field, rows)
+    assert gcd == _inline_gcd_fold(field, nodes, rows)
+    if gcd is None:
+        return
+    assert gcd.leading() == field.one()
+    if not common.is_zero():
+        assert gcd.divmod(common.monic())[1].is_zero()
+
+
+def test_line_gcd_of_zero_polynomials_is_none():
+    assert _gcd_of_rows(F101, [[0, 0], [0, 0], [0, 0]]) is None
+    assert _gcd_of_rows(F101, [[], [], []]) is None
+
+
+def test_line_gcd_of_one_nonzero_polynomial_is_its_monic():
+    # 2t^2 - 2 and the zero polynomial, sampled at t = 0, 1, 2
+    rows = [[Fraction(-2), 0], [Fraction(0), 0], [Fraction(6), 0]]
+    expected = UniPoly.from_coeffs(Q, [-1, 0, 1])
+    assert _gcd_of_rows(Q, rows) == expected
+
+
+def test_line_gcd_calls_interpolate_per_column_then_poly_gcd(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in (("interpolate", interpolate), ("poly_gcd", poly_gcd)):
+        monkeypatch.setattr(degeneracy, name, counted(name, fn))
+    # t - 1, zero, t^2 - 1 and 2t - 2 at t = 0, 1, 2
+    rows = [[100, 0, 100, 99], [0, 0, 0, 0], [1, 0, 3, 2]]
+    gcd = _gcd_of_rows(F101, rows)
+    assert gcd == UniPoly.from_coeffs(F101, [100, 1])
+    assert calls == ["interpolate"] * 4 + ["poly_gcd"] * 2
 
 
 @pytest.mark.parametrize("field", [Q, F1009])

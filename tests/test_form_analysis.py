@@ -162,8 +162,11 @@ def test_point_rank_matches_the_evaluated_matrix(case):
         field.add(field.add(field.mul(s, xi), field.mul(t, bi)), field.mul(u, ci))
         for xi, bi, ci in zip(x, b, c)
     ]
-    expected = M.evaluate(x).scale(s).add(M.evaluate(b).scale(t)).add(M.evaluate(c).scale(u))
-    assert M.evaluate(combined) == expected
+    expected = [
+        field.add(field.add(field.mul(s, ex), field.mul(t, eb)), field.mul(u, ec))
+        for ex, eb, ec in zip(*(M.evaluate(q).entries for q in (x, b, c)))
+    ]
+    assert list(M.evaluate(combined).entries) == expected
 
 
 @settings(max_examples=200, deadline=None)
