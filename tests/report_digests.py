@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 tests/report_digests.py --record  # rewrite the digest files
 
 Each report is the standard output of ``triwedge verify --suite <suite>
---seed <seed> --format json`` at the seeds in ``SEEDS``.  Two files hold
-the digests:
+--seed <seed> --format json`` at the seeds in ``SEEDS``, or of ``triwedge
+analyze --form catalog:<name> --field <field> --seed <seed>`` for the runs
+in ``ANALYZE_RUNS``.  Three files hold the digests:
 
 * ``data/rational_report_digests.json``: the suites in ``SUITES`` over the
   rationals.  ``rank-laws``, ``span-lattice`` and ``conventions`` take
@@ -17,6 +18,13 @@ the digests:
 * ``data/prime_field_report_digests.json``: ``--suite all`` at its default
   fields, which are prime fields for every suite but ``quadric-count`` and
   ``form-recovery``.
+* ``data/analyze_report_digests.json``: ``analyze`` on the catalog forms,
+  fields and seeds in ``ANALYZE_RUNS``.  They cover the branches of the
+  pointwise rank search and of the rank sampling that the benchmark's
+  F_101 analyses miss: complete exhaustive scans (``n6-g2`` over F_2),
+  exhaustive scans that stop at a witness (F_3), a small field (F_5), and
+  sampled search with the witness searches and `order` over F_1009 and
+  F_32003.
 
 The digest covers the output bytes without the ``"elapsed"`` line, the one
 wall-clock value in a report.  Each file holds each command line with its
@@ -40,6 +48,15 @@ SUITES = {
     "conventions": True,
 }
 SEEDS = (0, 7)
+ANALYZE_RUNS = (
+    ("n6-g2", "p:2", 0),
+    ("n4", "p:3", 0),
+    ("genN-mod3", "p:3", 7),
+    ("n5", "p:5", 0),
+    ("n7-ozeki", "p:1009", 7),
+    ("n8-family", "p:1009", 0),
+    ("n6-g2", "p:32003", 0),
+)
 
 
 def rational_commands() -> list[list[str]]:
@@ -63,9 +80,18 @@ def prime_field_commands() -> list[list[str]]:
     ]
 
 
+def analyze_commands() -> list[list[str]]:
+    """The ``analyze`` argument lists, one per entry of ``ANALYZE_RUNS``."""
+    return [
+        ["analyze", "--form", f"catalog:{name}", "--field", field, "--seed", str(seed)]
+        for name, field, seed in ANALYZE_RUNS
+    ]
+
+
 DIGEST_FILES = {
     DATA / "rational_report_digests.json": rational_commands,
     DATA / "prime_field_report_digests.json": prime_field_commands,
+    DATA / "analyze_report_digests.json": analyze_commands,
 }
 
 
