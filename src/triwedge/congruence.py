@@ -41,6 +41,7 @@ from .degeneracy import (
     line_subpfaffian_gcd,
     line_zeros,
     random_coords,
+    random_points,
     rank_at,
     require_three_form,
     split_decomposable,
@@ -66,7 +67,12 @@ from .exterior_core import (
     split_along_covector,
     wedge,
 )
-from .form_analysis import LinearSubspace, contraction_matrix, j_rank
+from .form_analysis import (
+    LinearSubspace,
+    contraction_matrix,
+    j_rank,
+    point_contraction_rank,
+)
 
 __all__ = [
     "MIN_ORDER_PRIME",
@@ -140,7 +146,9 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
     with a strictly larger statistic land on that special subset; they are
     expected at a rate of about 1/p and are tolerated up to a fixed fraction
     of the requested samples, beyond which the form is reported non-generic
-    instead of guessing a value.
+    instead of guessing a value.  Every draw counts towards the agreeing or
+    the disagreeing draws, so at most ``samples`` plus that tolerance points
+    are drawn (`random_points`), and each is ranked as it comes.
     """
     require_three_form(omega)
     field = omega.ctx.field
@@ -159,13 +167,8 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
     best = dim
     agree = 0
     disagree = 0
-    while agree < samples:
-        if disagree > slack:
-            raise NonGenericFormError(
-                "line-count statistic disagreed beyond the special-locus tolerance"
-            )
-        coords = random_coords(field, dim, rng)
-        value = dim - rank_at(matrix, coords) - 1
+    for coords in random_points(field, dim, rng, samples + slack):
+        value = dim - point_contraction_rank(matrix, coords) - 1
         if value < best:
             disagree += agree
             best = value
@@ -174,7 +177,13 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
             agree += 1
         else:
             disagree += 1
-    return best
+        if agree >= samples:
+            return best
+        if disagree > slack:
+            break
+    raise NonGenericFormError(
+        "line-count statistic disagreed beyond the special-locus tolerance"
+    )
 
 
 def sample_line_on_X(omega: AlternatingTensor, seed: int = 0) -> AlternatingTensor:

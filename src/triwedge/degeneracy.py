@@ -11,7 +11,9 @@ to ``omega`` (points lying on infinitely many of its lines).
 ``M`` (`SkewLinearMatrix`), `build_M` and the rank routine
 `point_contraction_rank` live in `form_analysis`.  This module re-exports
 the first two and defines `rank_at`, which coerces a point and rejects
-the zero point before taking that rank.  It samples rank statistics over
+the zero point before taking that rank; loops over points that
+`random_points` drew, canonical and nonzero, rank them with
+`point_contraction_rank` directly.  It samples rank statistics over
 prime fields, measures the degree of the drop locus for even ``n`` by
 restricting a principal sub-Pfaffian to random lines, extracts the secant
 polynomial of a congruence line for odd ``n`` from the quotient Pfaffian
@@ -19,10 +21,13 @@ pencil, and enumerates the full rank stratification over small prime
 fields.
 
 The sampling and line helpers that `congruence`, `residual` and `suites` share
-are public here: `random_coords` (a nonzero random point), `independent_pair`
-(two independent points spanning a line), `line_gcd` and `line_zeros` (the
-gcd of polynomials restricted to that line, and the points where one
-vanishes), `line_subpfaffian_gcd` (the rank-drop polynomial of M on the line,
+are public here: `random_points` (nonzero random points, drawn over F_p in
+blocks of one `randbelow_many` call each; it lives in `form_analysis`, whose
+pointwise rank search draws from it too), `random_coords` (its one-point
+case), `independent_pair` (two independent points spanning a line, one
+two-point draw at a time), `line_gcd` and `line_zeros` (the gcd of
+polynomials restricted to that line, and the points where one vanishes),
+`line_subpfaffian_gcd` (the rank-drop polynomial of M on the line,
 the gcd of the principal sub-Pfaffians, read off one of them: for even ``n``
 the sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
 Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
@@ -59,7 +64,6 @@ from .exact_scalar import (
     matrix_rank,
     pfaffian,
     poly_gcd,
-    randbelow_many,
     rank_kernel,
 )
 from .exterior_core import (
@@ -82,6 +86,7 @@ from .form_analysis import (
     j_rank,
     point_contraction_rank,
     point_coords,
+    random_points,
 )
 
 __all__ = [
@@ -104,6 +109,7 @@ __all__ = [
     "line_zeros",
     "normalize_projective",
     "random_coords",
+    "random_points",
     "require_three_form",
     "split_decomposable",
     "ROOT_SCAN_PRIME_BOUND",
@@ -218,8 +224,8 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
         seen.setdefault(rank, []).append(coords)
         return rank
 
-    for _ in range(samples):
-        rank = record(random_coords(field, dim, rng))
+    for coords in random_points(field, dim, rng, samples):
+        rank = record(coords)
         histogram[rank] = histogram.get(rank, 0) + 1
 
     generic = max(histogram)
@@ -248,15 +254,9 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
 
 
 def random_coords(field: FieldSpec, dim: int, rng: random.Random) -> list[Scalar]:
-    """A nonzero random point: uniform over F_p, entries in -9..9 over Q."""
-    if field.kind == "prime":
-        p: int = field.p  # type: ignore[assignment]
-        coords = randbelow_many(rng, p, dim)
-    else:
-        coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
-    if all(field.is_zero(value) for value in coords):
-        return random_coords(field, dim, rng)
-    return coords
+    """A nonzero random point: uniform over F_p, entries in -9..9 over Q
+    (`random_points` of one point)."""
+    return next(random_points(field, dim, rng, 1))
 
 
 def independent_pair(
@@ -264,8 +264,7 @@ def independent_pair(
 ) -> tuple[list[Scalar], list[Scalar]]:
     """Two nonzero random points that span a line, redrawn until independent."""
     while True:
-        first = random_coords(field, dim, rng)
-        second = random_coords(field, dim, rng)
+        first, second = random_points(field, dim, rng, 2)
         flat = tuple(first) + tuple(second)
         if matrix_rank(Matrix(field, 2, dim, flat)) == 2:
             return first, second
@@ -393,8 +392,7 @@ def _even_witness_search(omega, M, rng, trials, record) -> None:
 
 def _odd_witness_search(omega, M, rng, trials, record) -> None:
     ctx = omega.ctx
-    for _ in range(trials):
-        coords = random_coords(ctx.field, M.size, rng)
+    for coords in random_points(ctx.field, M.size, rng, trials):
         if record(coords) != ctx.n - 1:
             continue
         direction = kernel_complement_direction(M, coords)
@@ -566,7 +564,7 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
     ``M`` is linear in the point, so the pencil member at ``t`` is
     M(base + t*direction), and the Pfaffian is restricted to the line
     (`_restrict_to_line`) on that matrix's rows and columns at the indices
-    completing the line's plane.
+    completing the line's plane, read off `SkewLinearMatrix.rows_at`.
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -591,14 +589,15 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
                 raise RuntimeError("pencil members fail to annihilate the line")
 
     complement = _complement_indices(field, base_coords, direction_coords)
+    size = len(complement)
     total = (n - 1) // 2
-    (poly,) = _restrict_to_line(
-        field,
-        base_coords,
-        direction_coords,
-        total,
-        lambda coords: [pfaffian(M.evaluate(coords).submatrix(complement, complement))],
-    )
+
+    def member_pfaffian(coords: list[Scalar]) -> list[Scalar]:
+        rows = M.rows_at(coords)
+        flat = tuple(rows[i][j] for i in complement for j in complement)
+        return [pfaffian(Matrix(field, size, size, flat))]
+
+    (poly,) = _restrict_to_line(field, base_coords, direction_coords, total, member_pfaffian)
     if poly.is_zero():
         raise NonGenericFormError("the quotient Pfaffian vanishes identically")
     return SecantPencil(

@@ -87,17 +87,17 @@ def randbelow_many(rng: random.Random, bound: int, count: int) -> list[int]:
     """``[randbelow(rng, bound) for _ in range(count)]``: the same values,
     leaving the generator in the same state.
 
-    It draws ``count`` words of ``bound.bit_length()`` bits in one pass and
-    keeps those below ``bound``, then draws one word at a time until it has
-    ``count``.  Each value is the next accepted word, as in `randbelow`.
+    It draws as many words of ``bound.bit_length()`` bits as values are still
+    missing and keeps those below ``bound``, until it has ``count``.  Each
+    value is the next accepted word, as in `randbelow`, and a refill of r
+    words accepts at most r values, so no word past the last accepted one
+    is drawn.
     """
     bits = bound.bit_length()
     draw = rng.getrandbits
-    values = [value for value in map(draw, repeat(bits, count)) if value < bound]
+    values: list[int] = []
     while len(values) < count:
-        value = draw(bits)
-        if value < bound:
-            values.append(value)
+        values += [v for v in map(draw, repeat(bits, count - len(values))) if v < bound]
     return values
 
 

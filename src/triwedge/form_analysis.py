@@ -13,9 +13,11 @@ the point rank) take them from there.  Its one rank routine is
 `point_contraction_rank`: `skew_rank_mod_p` of those int rows over F_p,
 `matrix_rank` of `M.evaluate(point)` over the rationals.  Every rank query
 at a point goes through it, except the question "rank at most 2?", which
-`rank_at_most_two` answers from the 4x4 principal Pfaffians without building
-the matrix; callers that need the kernel take
-`rank_kernel(M.evaluate(point))` themselves.
+`first_rank_at_most_two` answers for a whole stream of points from the 4x4
+principal Pfaffians without building the matrix; callers that need the
+kernel take `rank_kernel(M.evaluate(point))` themselves.  Random points
+come from `random_points`: nonzero points, drawn over F_p a block at a time
+with one `randbelow_many` call per block.
 
 Everything reduces to exact kernels of explicit matrices.  A k-form f induces
 linear maps "contract by a j-vector"; their matrices (columns indexed by the
@@ -30,8 +32,9 @@ except in characteristic 2, where the polar matrix alone is used.  Genericity
 of a 3-form is decided exactly for the two linear-algebra conditions
 (injectivity of x -> omega^x; full contraction rank n+1) and by seeded random
 search, plus exhaustive finite-field scan when the point count permits, for
-the condition that every point contraction has rank above 2; each point of
-that search is tested by `rank_at_most_two`.
+the condition that every point contraction has rank above 2; that search,
+exhaustive or sampled, is one `first_rank_at_most_two` scan over its stream
+of points.
 """
 
 from __future__ import annotations
@@ -39,14 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from operator import mul
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import random as _random
 
 from .exact_scalar import (
     ConventionError,
+    FieldSpec,
     Matrix,
     Scalar,
     as_ints,
@@ -77,7 +81,8 @@ __all__ = [
     "build_M",
     "point_contraction_rank",
     "point_coords",
-    "rank_at_most_two",
+    "first_rank_at_most_two",
+    "random_points",
     "contraction_matrix",
     "j_rank",
     "genericity",
@@ -89,6 +94,9 @@ _AMBIENT_DEGREE = {"vectors": 1, "bivectors": 2}
 
 EXHAUSTIVE_POINT_BUDGET = 10**6
 DEFAULT_GC3_SAMPLES = 10_000
+# Random points over F_p are drawn in blocks of at most this many points, one
+# `randbelow_many` call per block.
+_POINT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -331,34 +339,71 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     return skew_rank_mod_p(fld.p, M.rows_at(coords))  # type: ignore[arg-type]
 
 
-def rank_at_most_two(M: SkewLinearMatrix, coords) -> bool:
-    """Whether the skew matrix evaluated at one point has rank at most 2.
+def first_rank_at_most_two(
+    M: SkewLinearMatrix, points: Iterable[PointLike]
+) -> Optional[tuple[int, PointLike]]:
+    """The first of ``points`` at which the skew matrix has rank at most 2, as
+    its index and the point as given, or None when there is none.
 
     A skew matrix has rank at most 2 exactly when every 4x4 principal
-    Pfaffian vanishes, so this evaluates the Pfaffians of `M.quartets` at the
-    point and answers False at the first nonzero one; the quadruples left out
-    of that table vanish identically.  Over F_p the coordinates must already
-    be ints and each Pfaffian is reduced mod p; over the rationals it is
+    Pfaffian vanishes, so each point is tested on the Pfaffians of
+    `M.quartets` and passed over at the first nonzero one; the quadruples
+    left out of that table vanish identically.  Over F_p the points must
+    already be canonical ints and each Pfaffian is reduced mod p; over the
+    rationals each point is coerced (`point_coords`) and each Pfaffian is
     compared with zero exactly.
     """
-    fld = M.ctx.field
-    prime = fld.kind == "prime"
-    if not prime:
-        coords = point_coords(M.ctx, coords)
-    for quartet in M.quartets:
-        acc = 0
-        for first, second, sign in quartet:
-            u = v = 0
-            for k, c in first:
-                u += c * coords[k]
-            for k, c in second:
-                v += c * coords[k]
-            acc += sign * u * v
-        if prime:
-            acc %= fld.p  # type: ignore[operator]
-        if acc:
-            return False
-    return True
+    p = M.ctx.field.p
+    quartets = M.quartets
+    for index, point in enumerate(points):
+        coords = point if p is not None else point_coords(M.ctx, point)
+        for quartet in quartets:
+            acc = 0
+            for first, second, sign in quartet:
+                u = v = 0
+                for k, c in first:
+                    u += c * coords[k]
+                for k, c in second:
+                    v += c * coords[k]
+                acc += sign * u * v
+            if p is not None:
+                acc %= p
+            if acc:
+                break
+        else:
+            return index, point
+    return None
+
+
+def random_points(
+    field: FieldSpec, dim: int, rng: _random.Random, count: int
+) -> Iterator[list[Scalar]]:
+    """``count`` nonzero random points: uniform over F_p, entries in -9..9
+    over Q.
+
+    The points and the generator state once all are taken are those of
+    ``count`` draws of one point each, where a draw takes ``dim`` values and
+    is redrawn while they are all zero.  Over F_p each block of at most
+    ``_POINT_BLOCK`` points is one `randbelow_many` call cut into points; the
+    all-zero ones are dropped and the next block makes up for them.  Blocks
+    are drawn as the points are taken, so a caller that stops early leaves
+    the generator at most one block past the last point it took.
+    """
+    if field.kind != "prime":
+        while count > 0:
+            coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
+            if any(coords):
+                count -= 1
+                yield coords
+        return
+    p: int = field.p  # type: ignore[assignment]
+    while count > 0:
+        size = min(count, _POINT_BLOCK) * dim
+        values = randbelow_many(rng, p, size)
+        block = [values[i : i + dim] for i in range(0, size, dim)]
+        nonzero = [coords for coords in block if any(coords)]
+        count -= len(nonzero)
+        yield from nonzero
 
 
 # -- genericity -----------------------------------------------------------------
@@ -418,42 +463,37 @@ def genericity(
     gc1 = matrix_rank(wedge_matrix) == dim
 
     M = build_M(omega)
-    witness: tuple | None = None
-    scanned_exhaustively = False
-    examined = 0
-
     can_enumerate = (
         fld.kind == "prime"
         and projective_point_count(fld.p, dim) <= EXHAUSTIVE_POINT_BUDGET  # type: ignore[arg-type]
     )
+    points: Iterable[Sequence]
     if can_enumerate:
-        for coords in projective_points(fld, dim):
-            examined += 1
-            if rank_at_most_two(M, coords):
-                witness = coords
-                break
-        else:
-            scanned_exhaustively = True
-        if scanned_exhaustively:
-            notes.append(
-                f"exhaustive scan of all {examined} points of P^{ctx.n}(F_{fld.p})"
-            )
-        else:
-            notes.append("witness found during exhaustive scan")
+        total = projective_point_count(fld.p, dim)  # type: ignore[arg-type]
+        points = projective_points(fld, dim)
     else:
+        total = max(samples, 0)
         rng = _random.Random(derive_seed("gc3", ctx.n, fld, seed))
-        while examined < samples:
-            if fld.kind == "prime":
-                coords = tuple(randbelow_many(rng, fld.p, dim))  # type: ignore[arg-type]
-            else:
-                coords = tuple(rng.randint(-10, 10) for _ in range(dim))
-            if all(c == 0 for c in coords):
-                continue
-            examined += 1
-            if rank_at_most_two(M, coords):
-                witness = coords
-                break
+        if fld.kind == "prime":
+            points = random_points(fld, dim, rng, total)
+        else:
+            # nonzero points with entries in -10..10, as tuples of ints
+            def draw() -> tuple[int, ...]:
+                return tuple(rng.randint(-10, 10) for _ in range(dim))
+
+            points = islice(filter(any, iter(draw, None)), total)
+    found = first_rank_at_most_two(M, points)
+    witness = None if found is None else tuple(found[1])
+    examined = total if found is None else found[0] + 1
+    scanned_exhaustively = can_enumerate and found is None
+    if not can_enumerate:
         notes.append(f"randomized search over {examined} sampled points")
+    elif scanned_exhaustively:
+        notes.append(
+            f"exhaustive scan of all {examined} points of P^{ctx.n}(F_{fld.p})"
+        )
+    else:
+        notes.append("witness found during exhaustive scan")
 
     if witness is not None:
         if point_contraction_rank(M, witness) > 2:

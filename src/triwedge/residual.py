@@ -46,7 +46,7 @@ from .degeneracy import (
     kernel_complement_direction,
     line_gcd,
     line_zeros,
-    random_coords,
+    random_points,
     require_three_form,
     secant_pencil,
     split_decomposable,
@@ -549,7 +549,7 @@ def _decomposable_by_plane_scan(
     generic_rank = ctx_pi.n - 1
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
-        anchors = [random_coords(field, dim, rng) for _ in range(3)]
+        anchors = list(random_points(field, dim, rng, 3))
         plane = Matrix.from_columns(field, dim, anchors)
         if matrix_rank(plane) != 3:
             continue

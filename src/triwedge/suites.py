@@ -41,7 +41,7 @@ from .degeneracy import (
     exhaustive_strata,
     hypersurface_degree,
     normalize_projective,
-    random_coords,
+    random_points,
     rank_at,
     secant_pencil,
     split_decomposable,
@@ -876,8 +876,7 @@ def _suite_residual_membership(cfg: RunConfig) -> list[Claim]:
                 parameter_failures += 1
         rng = random.Random(derive_seed("residual-kernel", name, cfg.seed))
         histogram: dict[int, int] = {}
-        for _ in range(250):
-            coords = random_coords(field, handle.ctx.dim, rng)
+        for coords in random_points(field, handle.ctx.dim, rng, 250):
             k = line_system(handle, coords).kernel_dim()
             histogram[k] = histogram.get(k, 0) + 1
         modes[name] = max(histogram, key=lambda k: histogram[k])
@@ -1026,8 +1025,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         ctx = contexts[4 + (i % 5)]
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-m", cfg.seed, i))
         matrix = build_M(omega)
-        for _ in range(instances // forms):
-            coords = random_coords(field, ctx.dim, rng)
+        for coords in random_points(field, ctx.dim, rng, instances // forms):
             image = matrix.evaluate(coords).matvec(coords)
             if any(not field.is_zero(v) for v in image):
                 annihilation_mismatch += 1
@@ -1038,8 +1036,7 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         ctx = contexts[4 + (i % 5)]
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-s", cfg.seed, i))
         matrix = build_M(omega)
-        for _ in range(instances // star_forms):
-            coords = random_coords(field, ctx.dim, rng)
+        for coords in random_points(field, ctx.dim, rng, instances // star_forms):
             star = directions_through(matrix, coords)
             corank = ctx.dim - rank_at(matrix, coords)
             if star.projective_dim != corank - 2:

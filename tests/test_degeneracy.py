@@ -24,6 +24,8 @@ from triwedge.degeneracy import (
     line_gcd,
     line_subpfaffian_gcd,
     line_zeros,
+    random_coords,
+    random_points,
     rank_at,
     secant_pencil,
     stratify,
@@ -36,6 +38,7 @@ from triwedge.exact_scalar import (
     interpolate,
     pfaffian,
     poly_gcd,
+    randbelow,
     rank_kernel,
 )
 from triwedge.exterior_core import (
@@ -141,6 +144,42 @@ def test_generic_rank_follows_the_parity_law():
                 continue
             observed = max(observed, rank_at(M, coords))
         assert observed == expected
+
+
+def one_point_reference(field, dim, rng):
+    """One nonzero point drawn on its own: ``dim`` values from
+    `randbelow` over F_p or from -9..9 over Q, redrawn while all zero."""
+    while True:
+        if field.kind == "prime":
+            coords = [randbelow(rng, field.p) for _ in range(dim)]
+        else:
+            coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
+        if not all(field.is_zero(v) for v in coords):
+            return coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), F101, Q]),
+    dim=st.integers(1, 10),
+    count=st.integers(0, 50),
+    seed=st.integers(0, 2**32),
+)
+def test_random_points_repeat_random_coords_and_the_generator_state(field, dim, count, seed):
+    # over F_2 short points are often zero, so blocks are refilled
+    blocks, singles, reference = (random.Random(seed) for _ in range(3))
+    points = list(random_points(field, dim, blocks, count))
+    assert points == [random_coords(field, dim, singles) for _ in range(count)]
+    assert points == [one_point_reference(field, dim, reference) for _ in range(count)]
+    assert blocks.getstate() == singles.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("field, dim", [(FieldSpec.prime(2), 1), (F101, 7)])
+def test_random_points_over_many_blocks_repeat_the_one_point_draws(field, dim):
+    blocks, reference = random.Random(5), random.Random(5)
+    points = list(random_points(field, dim, blocks, 2000))
+    assert points == [one_point_reference(field, dim, reference) for _ in range(2000)]
+    assert blocks.getstate() == reference.getstate()
 
 
 def test_rank_at_rejects_the_zero_point():

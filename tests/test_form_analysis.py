@@ -38,12 +38,12 @@ from triwedge.form_analysis import (
     SkewLinearMatrix,
     build_M,
     contraction_matrix,
+    first_rank_at_most_two,
     genericity,
     j_rank,
     point_contraction_rank,
     point_coords,
     quadric_of,
-    rank_at_most_two,
     span_lattice,
 )
 
@@ -154,7 +154,7 @@ def test_point_rank_matches_the_evaluated_matrix(case):
     M = build_M(omega)
     rank = rank_kernel(M.evaluate(x))[0]
     assert point_contraction_rank(M, x) == rank
-    assert rank_at_most_two(M, x) == (rank <= 2)
+    assert first_rank_at_most_two(M, [x]) == ((0, x) if rank <= 2 else None)
     # the plane scan's identity M(s*x + t*b + u*c) = s*M(x) + t*M(b) + u*M(c)
     s, t, u = (field.coerce(v) for v in (scalar, scalar + 1, 2))
     b, c = ([field.coerce(v) for v in q] for q in (b, c))
@@ -356,6 +356,37 @@ def test_genericity_matches_the_full_rank_scan(field, name):
         report.gc3_exhaustive,
         report.notes,
     ) == full_rank_gc3_scan(omega, samples=500, seed=1)
+    if field == QQ and report.gc3_witness is not None:
+        # the rational witness is the drawn point, not its coercion
+        assert type(report.gc3_witness) is tuple
+        assert all(type(v) is int for v in report.gc3_witness)
+
+
+def test_gc3_samples_draw_no_block_sized_by_the_sample_count():
+    # P^3(F_101) exceeds the exhaustive budget, so gc3 samples; every point
+    # of a 3-form on a 4-space has rank at most 2, so the first one is a
+    # witness, and a draw sized by the sample count would never return
+    omega, _ = catalog.get("n3", field=F101)
+    assert projective_point_count(101, 4) > EXHAUSTIVE_POINT_BUDGET
+    report = genericity(omega, samples=10**9, seed=0)
+    assert report.gc3_status == "falsified"
+    assert report.gc3_samples == 1
+
+
+def test_first_rank_at_most_two_returns_the_first_low_rank_point_as_given():
+    # n4 drops to rank 2 on a hyperplane, about one point in 101 over F_101
+    omega, _ = catalog.get("n4", field=F101)
+    M = build_M(omega)
+    rng = random.Random(3)
+    generic, low = [], []
+    while len(generic) < 5 or not low:
+        coords = [randbelow(rng, 101) for _ in range(M.size)]
+        if any(coords):
+            (low if point_contraction_rank(M, coords) <= 2 else generic).append(coords)
+    low = low[0]
+    assert first_rank_at_most_two(M, generic) is None
+    assert first_rank_at_most_two(M, iter(generic[:3] + [low] + generic[3:])) == (3, low)
+    assert first_rank_at_most_two(M, []) is None
 
 
 # --- quadric of a 4-form ------------------------------------------------------------
