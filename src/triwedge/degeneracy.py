@@ -39,7 +39,8 @@ Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 coordinate 1) and `require_three_form`.  `line_gcd`, `line_subpfaffian_gcd`
 and `secant_pencil` restrict their polynomials to a line through one node
 loop, `_restrict_to_line`, which evaluates at the points t = 0, 1, ... of
-the line and interpolates.
+the line and interpolates; the last two take each node's principal
+sub-Pfaffian from `_principal_pfaffian`, on the rows of `rows_at`.
 
 No floating point is used anywhere; scalars are rationals or prime
 residues throughout.
@@ -329,6 +330,17 @@ def line_zeros(
     return [point for point in points if not all(field.is_zero(v) for v in point)]
 
 
+def _principal_pfaffian(
+    M: SkewLinearMatrix, coords: Sequence[Scalar], indices: Sequence[int]
+) -> Scalar:
+    """Pfaffian of the principal submatrix of M at ``coords`` on ``indices``,
+    its entries read off `SkewLinearMatrix.rows_at`."""
+    rows = M.rows_at(coords)
+    size = len(indices)
+    flat = tuple(rows[i][j] for i in indices for j in indices)
+    return pfaffian(Matrix(M.ctx.field, size, size, flat))
+
+
 def line_subpfaffian_gcd(
     M: SkewLinearMatrix, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> Optional[UniPoly]:
@@ -339,15 +351,17 @@ def line_subpfaffian_gcd(
     one form g.  First and second are independent, so the restrictions of
     the P_i share no root and the gcd is g along the line.  It is read off
     one sub-Pfaffian, at the first index i with ``second[i] != 0``:
-    restricted to the line (`_restrict_to_line`) and divided exactly by
-    ``first[i] + t*second[i]``.
+    restricted to the line (`_restrict_to_line`, each node's value from
+    `_principal_pfaffian`) and divided exactly by ``first[i] + t*second[i]``.
 
     Returns None when the sub-Pfaffians vanish identically on the line,
     which signals a degenerate line choice.  A division that leaves a
-    remainder raises `RuntimeError`.
+    remainder raises `RuntimeError`.  Both points are coerced once
+    (`point_coords`), and a zero direction raises `ConventionError`.
     """
     field = M.ctx.field
     dim = M.size
+    first, second = point_coords(M.ctx, first), point_coords(M.ctx, second)
     i = next((k for k, value in enumerate(second) if not field.is_zero(value)), None)
     if i is None:
         raise ConventionError("a line needs a nonzero direction")
@@ -357,7 +371,7 @@ def line_subpfaffian_gcd(
         first,
         second,
         (dim - 1) // 2,
-        lambda coords: [pfaffian(M.evaluate(coords).submatrix(keep, keep))],
+        lambda coords: [_principal_pfaffian(M, coords, keep)],
     )
     if restricted.is_zero():
         return None
@@ -564,7 +578,7 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
     ``M`` is linear in the point, so the pencil member at ``t`` is
     M(base + t*direction), and the Pfaffian is restricted to the line
     (`_restrict_to_line`) on that matrix's rows and columns at the indices
-    completing the line's plane, read off `SkewLinearMatrix.rows_at`.
+    completing the line's plane (`_principal_pfaffian`).
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -589,15 +603,15 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
                 raise RuntimeError("pencil members fail to annihilate the line")
 
     complement = _complement_indices(field, base_coords, direction_coords)
-    size = len(complement)
     total = (n - 1) // 2
 
-    def member_pfaffian(coords: list[Scalar]) -> list[Scalar]:
-        rows = M.rows_at(coords)
-        flat = tuple(rows[i][j] for i in complement for j in complement)
-        return [pfaffian(Matrix(field, size, size, flat))]
-
-    (poly,) = _restrict_to_line(field, base_coords, direction_coords, total, member_pfaffian)
+    (poly,) = _restrict_to_line(
+        field,
+        base_coords,
+        direction_coords,
+        total,
+        lambda coords: [_principal_pfaffian(M, coords, complement)],
+    )
     if poly.is_zero():
         raise NonGenericFormError("the quotient Pfaffian vanishes identically")
     return SecantPencil(

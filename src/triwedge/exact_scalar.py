@@ -17,9 +17,12 @@ read off the integer rows.  `matrix_rank` builds no kernel: over the
 rationals it eliminates forward only, clearing each pivot's column in the
 rows below it.  `Matrix.matvec` takes int dot products the same way: reduced
 mod p, or over the rationals on numerators over common denominators with one
-Fraction per output row.  `skew_rank_mod_p` is the rank-only kernel for
-alternating matrices over F_p that the pointwise rank scans use: pairwise
-(skew-symmetric) elimination, which builds no kernel.  `pfaffian` runs the
+Fraction per output row.  `packed_skew_rank_mod_p` is the rank-only kernel
+for alternating matrices over F_p that the pointwise rank scans use:
+pairwise (skew-symmetric) elimination, which builds no kernel, on rows
+packed one int each, a slot of `skew_slot_width` bits per entry, wide
+enough that no entry is reduced until it is read; `skew_rank_mod_p` packs
+list rows into it.  `pfaffian` runs the
 same pairwise elimination, pivoting on the first remaining index and
 multiplying in each signed pivot: on ints mod p, and on Fractions over the
 rationals.  `Matrix.det` runs the Schur-complement elimination that
@@ -56,6 +59,8 @@ __all__ = [
     "matrix_rank",
     "as_ints",
     "skew_rank_mod_p",
+    "packed_skew_rank_mod_p",
+    "skew_slot_width",
     "pfaffian",
     "poly_gcd",
     "interpolate",
@@ -522,36 +527,76 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:
-    """Exact rank of an alternating matrix over F_p by pairwise elimination.
+def skew_slot_width(p: int, size: int, bound: int) -> int:
+    """Slot width in bits under which `packed_skew_rank_mod_p` on ``size``
+    rows, every slot starting in ``[0, bound]``, never carries across a slot.
 
-    ``rows`` is a square alternating matrix (zero diagonal, ``a[j][i] ==
-    -a[i][j] mod p``) with entries in ``[0, p)``; it is overwritten.  Each
-    step picks a nonzero pivot ``a[i][j]``, adds 2 to the rank and replaces
-    the remaining block by ``a[k][l] + (a[k][i]*a[j][l] - a[k][j]*a[i][l]) /
-    a[i][j]``, which is again alternating; an index whose row has become zero
-    on the remaining block is dropped.
+    A step adds at most p - 1 times each of two rows to a row, so it maps a
+    slot bound B to at most (2p - 1)·B, and there are at most size // 2
+    steps: every slot stays below ``2**width``.
     """
+    return (bound * (2 * p - 1) ** (size // 2)).bit_length()
+
+
+def packed_skew_rank_mod_p(p: int, rows: list[int], width: int) -> int:
+    """Exact rank of an alternating matrix over F_p on packed rows.
+
+    Row a is one int whose slot b (bits ``b*width`` up to ``(b+1)*width``)
+    holds a non-negative representative of ``a[a][b]``; ``rows`` is
+    overwritten and ``width`` comes from `skew_slot_width`.  The elimination
+    is pairwise: each step picks a pivot ``a[i][j] != 0`` mod p, adds 2 to
+    the rank and replaces each remaining row k by ``rk + u*rj + (p - v)*ri``
+    with ``u = a[k][i] / a[i][j]`` and ``v = a[k][j] / a[i][j]`` mod p,
+    adding only the nonzero terms.  On the remaining block that is the
+    alternating Schur complement ``a[k][l] + (a[k][i]*a[j][l] -
+    a[k][j]*a[i][l]) / a[i][j]``; no slot is reduced, so an entry is read as
+    ``(row >> b*width & mask) % p``.  An index whose row has become zero on
+    the remaining block is dropped, and the loop ends when fewer than two
+    indices remain.
+    """
+    mask = (1 << width) - 1
     live = list(range(len(rows)))
     rank = 0
     while live:
         i = live.pop()
         ri = rows[i]
-        j = next((c for c in live if ri[c]), None)
-        if j is None:
+        for pos, j in enumerate(live):
+            pivot = (ri >> j * width & mask) % p
+            if pivot:
+                break
+        else:
             continue
-        live.remove(j)
+        del live[pos]
         rank += 2
+        if len(live) < 2:
+            break
         rj = rows[j]
-        inv = pow(ri[j], p - 2, p)
+        inv = pow(pivot, -1, p)
+        si = i * width
+        sj = j * width
         for k in live:
             rk = rows[k]
-            u = rk[i] * inv % p
-            v = rk[j] * inv % p
-            if u or v:
-                for l in live:
-                    rk[l] = (rk[l] + u * rj[l] - v * ri[l]) % p
+            u = (rk >> si & mask) * inv % p
+            v = (rk >> sj & mask) * inv % p
+            if u:
+                rk += u * rj
+            if v:
+                rk += (p - v) * ri
+            rows[k] = rk
     return rank
+
+
+def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:
+    """Exact rank of an alternating matrix over F_p by pairwise elimination.
+
+    ``rows`` is a square alternating matrix (zero diagonal, ``a[j][i] ==
+    -a[i][j] mod p``) with entries in ``[0, p)``; it is left as it is.  Each
+    row is packed into one int, slot b holding ``a[a][b]``, and the rank
+    taken by `packed_skew_rank_mod_p`.
+    """
+    width = skew_slot_width(p, len(rows), p - 1)
+    packed = [sum(value << b * width for b, value in enumerate(row)) for row in rows]
+    return packed_skew_rank_mod_p(p, packed, width)
 
 
 def rank_kernel(m: Matrix) -> tuple[int, Matrix]:

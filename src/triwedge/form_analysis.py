@@ -5,13 +5,17 @@ one or two covector directions.
 
 The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
 table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
-`build_M` derives from omega.  Its one evaluation is
+`build_M` derives from omega.  Its one evaluation to list rows is
 `SkewLinearMatrix.rows_at`, the rows of M(P): ints in [0, p) over F_p, field
 elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
 `Matrix`, and callers that work on the rows (the line system of `residual`,
-the point rank) take them from there.  Its one rank routine is
-`point_contraction_rank`: `skew_rank_mod_p` of those int rows over F_p,
-`matrix_rank` of `M.evaluate(point)` over the rationals.  Every rank query
+the line-node Pfaffians of `degeneracy`) take them from there.  Its one rank
+routine is `point_contraction_rank`.  Over F_p it builds each row of M(P)
+as one int, slot b holding the (a, b) entry, from a table of packed
+coefficient rows cached on the matrix, and takes the rank on those ints with
+`packed_skew_rank_mod_p`; the slot width bounds every entry through the
+whole elimination, so nothing is reduced until an entry is read.  Over the
+rationals it is `matrix_rank` of `M.evaluate(point)`.  Every rank query
 at a point goes through it, except the question "rank at most 2?", which
 `first_rank_at_most_two` answers for a whole stream of points from the 4x4
 principal Pfaffians without building the matrix; callers that need the
@@ -55,9 +59,10 @@ from .exact_scalar import (
     Scalar,
     as_ints,
     matrix_rank,
+    packed_skew_rank_mod_p,
     randbelow_many,
     rank_kernel,
-    skew_rank_mod_p,
+    skew_slot_width,
 )
 from .exterior_core import (
     AlternatingTensor,
@@ -218,9 +223,10 @@ def point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
 class SkewLinearMatrix:
     """Square skew matrix whose entries are linear functionals on V.
 
-    ``pairs`` lists pairs i < j with the terms (k, coeff) of the (i, j) entry
-    sum_k coeff * x_k; entries of pairs not listed are zero, the (j, i) entry
-    is the negative of the (i, j) one and the diagonal vanishes.
+    ``pairs`` lists pairs i < j, each at most once, with the terms (k, coeff)
+    of the (i, j) entry sum_k coeff * x_k; entries of pairs not listed are
+    zero, the (j, i) entry is the negative of the (i, j) one and the diagonal
+    vanishes.
     """
 
     ctx: SpaceContext
@@ -228,9 +234,13 @@ class SkewLinearMatrix:
 
     def __post_init__(self) -> None:
         dim = self.ctx.dim
+        seen = set()
         for (i, j), terms in self.pairs:
             if not 0 <= i < j < dim:
                 raise ConventionError(f"entry ({i}, {j}) is not above the diagonal")
+            if (i, j) in seen:
+                raise ConventionError(f"entry ({i}, {j}) is listed twice")
+            seen.add((i, j))
             if any(not 0 <= k < dim for k, _ in terms):
                 raise ConventionError(f"entry ({i}, {j}) has a coordinate out of range")
 
@@ -263,6 +273,33 @@ class SkewLinearMatrix:
             if products:
                 quartets.append(products)
         return tuple(quartets)
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """Over F_p, the rows of the matrix packed for `point_contraction_rank`:
+        a slot width w and, for each row a, the pairs (k, R) of a coordinate
+        k and one int R whose slot b (bits b*w up to (b+1)*w) holds the
+        coefficient of x_k in the (a, b) entry as a residue in [0, p).
+
+        The (i, j) entry's terms are merged per k and reduced; its (j, i)
+        entry is stored as p minus the residue.  Row a of M(P) is then
+        sum_k P_k * R with every slot at most dim*(p - 1)**2, and w is
+        `skew_slot_width` of that bound.
+        """
+        p: int = self.ctx.field.p  # type: ignore[assignment]
+        dim = self.size
+        width = skew_slot_width(p, dim, dim * (p - 1) ** 2)
+        table: list[dict[int, int]] = [{} for _ in range(dim)]
+        for (i, j), terms in self.pairs:
+            merged: dict[int, int] = {}
+            for k, c in terms:
+                merged[k] = merged.get(k, 0) + c
+            for k, c in merged.items():
+                c %= p
+                if c:
+                    table[i][k] = table[i].get(k, 0) + (c << j * width)
+                    table[j][k] = table[j].get(k, 0) + ((p - c) << i * width)
+        return width, tuple(tuple(row.items()) for row in table)
 
     def evaluate(self, point: PointLike) -> Matrix:
         """Scalar skew matrix obtained by evaluating every entry at a point:
@@ -328,15 +365,27 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     """Rank of the skew matrix evaluated at one point, the rank of the 2-form
     obtained by contracting the 3-form there.
 
-    Over F_p the coordinates must already be ints; the matrix is built as
-    int rows (`SkewLinearMatrix.rows_at`) and its rank taken by
-    `skew_rank_mod_p`.  Over the rationals the rank is that of
+    Over F_p the coordinates must be ints; residues in [0, p) are taken as
+    they are, and any other int sends the point through `point_coords`,
+    since the slot bound holds only for residues.  Row a of M(P) is one int,
+    sum_k P_k * R over the packed table of the matrix
+    (`SkewLinearMatrix._packed`), and the rank is taken on those ints by
+    `packed_skew_rank_mod_p`.  Over the rationals the rank is that of
     `M.evaluate(coords)` from `matrix_rank`.
     """
-    fld = M.ctx.field
-    if fld.kind != "prime":
+    p = M.ctx.field.p
+    if p is None:
         return matrix_rank(M.evaluate(coords))
-    return skew_rank_mod_p(fld.p, M.rows_at(coords))  # type: ignore[arg-type]
+    if min(coords) < 0 or max(coords) >= p:
+        coords = point_coords(M.ctx, coords)
+    width, table = M._packed
+    rows = []
+    for terms in table:
+        row = 0
+        for k, packed in terms:
+            row += coords[k] * packed
+        rows.append(row)
+    return packed_skew_rank_mod_p(p, rows, width)
 
 
 def first_rank_at_most_two(

@@ -45,7 +45,9 @@ from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
     contract,
+    projective_point_count,
     random_tensor,
+    reduce_mod_p,
     wedge,
 )
 from triwedge.form_analysis import j_rank, point_contraction_rank
@@ -599,6 +601,8 @@ def test_line_subpfaffian_gcd_rejects_a_matrix_that_does_not_kill_its_point():
         line_subpfaffian_gcd(M, [0, 1, 0, 0, 0], [1, 0, 0, 0, 0])
     with pytest.raises(ConventionError, match="nonzero direction"):
         line_subpfaffian_gcd(M, [0, 1, 0, 0, 0], [0, 0, 0, 0, 0])
+    with pytest.raises(ConventionError, match="expected 5 coordinates"):
+        line_subpfaffian_gcd(M, [0, 1, 0, 0], [1, 0, 0, 0, 0])
 
 
 def test_line_gcd_rejects_a_field_too_small_for_its_nodes():
@@ -641,6 +645,27 @@ def test_exhaustive_strata_match_a_brute_force_scan():
         assert rank_at(M, coords) == rank
         counts[rank] = counts.get(rank, 0) + 1
     assert dict(exhaustive_strata(omega, 3).counts) == counts
+
+
+@pytest.mark.parametrize("source", ["catalog", "random"])
+@pytest.mark.parametrize(
+    "n, p, catalog_name", [(4, 3, "n4"), (5, 3, "n5"), (6, 2, "n6-g2"), (4, 5, "n4")]
+)
+def test_exhaustive_strata_agree_with_row_reduction_at_every_point(n, p, catalog_name, source):
+    """Every point of P^n(F_p) sits in the stratum of its rank as row
+    reduction of the evaluated matrix finds it, for a catalog form and a
+    random one."""
+    if source == "random":
+        omega = random_tensor(SpaceContext(n, Q), 3, "form", seed=n)
+    else:
+        omega, _ = catalog.get(catalog_name)
+    strata = exhaustive_strata(omega, p)
+    M = build_M(reduce_mod_p(omega, p))
+    assert sum(strata.counts.values()) == projective_point_count(p, n + 1)
+    for rank, points in strata.points.items():
+        assert strata.counts[rank] == len(points)
+        for point in points:
+            assert rank_kernel(M.evaluate(point))[0] == rank
 
 
 def test_hyperplane_form_drops_exactly_on_the_hyperplane_mod_3():

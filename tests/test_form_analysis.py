@@ -239,6 +239,99 @@ def test_skew_matrix_rejects_entries_off_the_upper_triangle(n, i, j, k):
             SkewLinearMatrix(ctx, pairs)
 
 
+def test_skew_matrix_rejects_a_pair_listed_twice():
+    # Two term lists for (0, 1): an evaluation that kept one and a Pfaffian
+    # table that kept the other would disagree at [1, 0, 0, 0], rank 4
+    # against "rank at most 2".
+    ctx = SpaceContext(3, F101)
+    twice = (((0, 1), ((0, 1),)), ((0, 1), ((1, 1),)), ((2, 3), ((0, 1),)))
+    with pytest.raises(ConventionError, match="listed twice"):
+        SkewLinearMatrix(ctx, twice)
+    for terms in (((0, 1),), ((1, 1),)):
+        M = SkewLinearMatrix(ctx, (((0, 1), terms), ((2, 3), ((0, 1),))))
+        rank = point_contraction_rank(M, [1, 0, 0, 0])
+        assert rank == rank_kernel(M.evaluate([1, 0, 0, 0]))[0]
+        assert (first_rank_at_most_two(M, [[1, 0, 0, 0]]) is not None) == (rank <= 2)
+
+
+# Small primes, word-size primes and the Mersenne primes 2^31 - 1 and 2^61 - 1,
+# whose packed slots are the widest.
+PACKED_PRIMES = (2, 3, 101, 32003, 2**31 - 1, 2**61 - 1)
+
+
+@st.composite
+def pair_tables_and_points(draw):
+    """A hand-built pair table over F_p with 4 to 12 rows and a point of
+    residues.  Coefficients are unreduced, negative or p - 1, and a
+    coordinate may repeat within an entry, sometimes with cancelling
+    coefficients.  Half the tables list a random set of entries; in the
+    other half the coefficients of x_0 form a sum of 0 to 3 products u^v and
+    the point is a multiple of e_0, so its rank is at most 6."""
+    p = draw(st.sampled_from(PACKED_PRIMES))
+    dim = draw(st.integers(4, 12))
+    upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    coeff = st.integers(-3 * p, 3 * p) | st.sampled_from([-1, 0, p - 1, p, 2 * p - 1])
+    coordinate = st.integers(0, dim - 1) | st.integers(0, 1)
+    residue = st.integers(0, p - 1) | st.sampled_from([0, p - 1])
+    vector = st.lists(residue, min_size=dim, max_size=dim)
+    pairs = []
+    if draw(st.booleans()):
+        for pair in draw(st.lists(st.sampled_from(upper), unique=True, max_size=len(upper))):
+            terms = draw(st.lists(st.tuples(coordinate, coeff), min_size=1, max_size=4))
+            if draw(st.booleans()):
+                k, c = terms[0]
+                terms.append((k, -c))
+            pairs.append((pair, tuple(terms)))
+        point = draw(vector)
+    else:
+        products = [(draw(vector), draw(vector)) for _ in range(draw(st.integers(0, 3)))]
+        for i, j in upper:
+            c = sum(u[i] * v[j] - u[j] * v[i] for u, v in products)
+            part = draw(coeff)
+            others = draw(st.lists(st.tuples(st.integers(1, dim - 1), coeff), max_size=2))
+            pairs.append(((i, j), ((0, part), *others, (0, c - part))))
+        point = [draw(st.integers(1, p - 1))] + [0] * (dim - 1)
+    return SkewLinearMatrix(SpaceContext(dim - 1, FieldSpec.prime(p)), tuple(pairs)), point
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_tables_and_points())
+def test_packed_point_rank_matches_row_reduction_on_hand_built_tables(case):
+    M, point = case
+    assert point_contraction_rank(M, point) == rank_kernel(M.evaluate(point))[0]
+
+
+def test_point_rank_reduces_ints_outside_the_residues():
+    """Ints below 0 or at least p would break the slot bound of the packed
+    rows, so they are reduced first, as `rank_at` reduces them."""
+    rng = random.Random(5)
+    for n in (4, 6, 8):
+        M = build_M(random_tensor(SpaceContext(n, F101), 3, "form", 1))
+        for _ in range(200):
+            x = [rng.randrange(-300, 300) for _ in range(n + 1)]
+            expected = rank_kernel(M.evaluate(x))[0]
+            assert point_contraction_rank(M, x) == expected
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("dim", [10, 12])
+@pytest.mark.parametrize("coefficient", ["p - 1", "1"])
+def test_packed_point_rank_at_the_largest_slots(p, dim, coefficient):
+    """Every coordinate p - 1 and every entry the sum of all coordinates with
+    one coefficient: p - 1 makes every slot above the diagonal, and 1 every
+    slot below it, start at its bound dim * (p - 1)**2."""
+    c = p - 1 if coefficient == "p - 1" else 1
+    terms = tuple((k, c) for k in range(dim))
+    pairs = tuple(((i, j), terms) for i in range(dim) for j in range(i + 1, dim))
+    M = SkewLinearMatrix(SpaceContext(dim - 1, FieldSpec.prime(p)), pairs)
+    point = [p - 1] * dim
+    rank = rank_kernel(M.evaluate(point))[0]
+    assert point_contraction_rank(M, point) == rank
+    # every entry above the diagonal is dim * c * (p - 1), nonzero mod p
+    # unless p divides dim: then the matrix vanishes
+    assert rank == (0 if dim % p == 0 else dim)
+
+
 def j_rank_of_two_form(g: AlternatingTensor) -> int:
     """Independent rank of a 2-form via its skew coefficient matrix."""
     ctx = g.ctx
