@@ -37,7 +37,7 @@ from .degeneracy import (
     build_M,
     directions_through,
     independent_pair,
-    kernel_complement_direction,
+    kernel_line,
     line_subpfaffian_gcd,
     line_zeros,
     random_coords,
@@ -234,16 +234,6 @@ def draw_line_on_X(
     return None
 
 
-def _line_from_kernel(
-    matrix: SkewLinearMatrix, coords: list[Scalar]
-) -> AlternatingTensor | None:
-    direction = kernel_complement_direction(matrix, coords)
-    if direction is None:
-        return None
-    ctx = matrix.ctx
-    return wedge(ctx.vector_from_coords(coords), ctx.vector_from_coords(direction))
-
-
 def _odd_line_attempt(
     omega: AlternatingTensor, matrix: SkewLinearMatrix, rng: random.Random
 ) -> AlternatingTensor | None:
@@ -251,7 +241,7 @@ def _odd_line_attempt(
     coords = random_coords(ctx.field, ctx.dim, rng)
     if rank_at(matrix, coords) != ctx.n - 1:
         return None
-    return _line_from_kernel(matrix, coords)
+    return kernel_line(matrix, coords)
 
 
 def _even_line_attempt(
@@ -266,7 +256,7 @@ def _even_line_attempt(
     for coords in line_zeros(field, first, second, gcd):
         if rank_at(matrix, coords) > ctx.n - 2:
             continue
-        line = _line_from_kernel(matrix, coords)
+        line = kernel_line(matrix, coords)
         if line is not None:
             return line
     return None

@@ -32,15 +32,16 @@ the gcd of the principal sub-Pfaffians, read off one of them: for even ``n``
 the sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
 Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
-`kernel_complement_direction` (a kernel direction of M(P) independent of P),
+`kernel_line` (the line from P along a kernel direction of M(P)),
 `directions_through` (all of them: the star of congruence lines through P),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
-coordinate 1) and `require_three_form`.  `line_gcd`, `line_subpfaffian_gcd`
-and `secant_pencil` restrict their polynomials to a line through one node
-loop, `_restrict_to_line`, which evaluates at the points t = 0, 1, ... of
-the line and interpolates; the last two take each node's principal
-sub-Pfaffian from `_principal_pfaffian`, on the rows of `rows_at`.
+coordinate 1) and `require_three_form` (from `exterior_core`).  `line_gcd`,
+`line_subpfaffian_gcd` and `secant_pencil` restrict their polynomials to a
+line through one node loop, `_restrict_to_line`, which evaluates at the
+points t = 0, 1, ... of the line and interpolates; the last two take each
+node's principal sub-Pfaffian from `_principal_pfaffian` (over F_p off
+`packed_rows_at`, with no `Matrix`).
 
 No floating point is used anywhere; scalars are rationals or prime
 residues throughout.
@@ -63,6 +64,7 @@ from .exact_scalar import (
     _rref,
     interpolate,
     matrix_rank,
+    packed_skew_mod_p,
     pfaffian,
     poly_gcd,
     rank_kernel,
@@ -76,6 +78,7 @@ from .exterior_core import (
     projective_points,
     reduce_mod_p,
     reduced_square,
+    require_three_form,
     wedge,
 )
 from .form_analysis import (
@@ -104,7 +107,7 @@ __all__ = [
     "exhaustive_strata",
     "directions_through",
     "independent_pair",
-    "kernel_complement_direction",
+    "kernel_line",
     "line_gcd",
     "line_subpfaffian_gcd",
     "line_zeros",
@@ -135,12 +138,6 @@ def rank_at(M: SkewLinearMatrix, point: PointLike) -> int:
     if all(M.ctx.field.is_zero(value) for value in coords):
         raise ConventionError("rank is evaluated at nonzero points only")
     return point_contraction_rank(M, coords)
-
-
-def require_three_form(omega: AlternatingTensor) -> None:
-    """Raise `ConventionError` unless ``omega`` is an alternating 3-form."""
-    if omega.degree != 3 or omega.variance != "form":
-        raise ConventionError("expected an alternating 3-form")
 
 
 # -- sampled stratification -------------------------------------------------------
@@ -180,7 +177,7 @@ def normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
     values = [value % p for value in coords]
     for value in values:
         if value:
-            inverse = pow(value, p - 2, p)
+            inverse = pow(value, -1, p)
             return tuple(v * inverse % p for v in values)
     raise ConventionError("cannot normalize the zero vector")
 
@@ -333,8 +330,13 @@ def line_zeros(
 def _principal_pfaffian(
     M: SkewLinearMatrix, coords: Sequence[Scalar], indices: Sequence[int]
 ) -> Scalar:
-    """Pfaffian of the principal submatrix of M at ``coords`` on ``indices``,
-    its entries read off `SkewLinearMatrix.rows_at`."""
+    """Pfaffian of the principal submatrix of M at ``coords`` on ``indices``:
+    over F_p from `packed_skew_mod_p` on `SkewLinearMatrix.packed_rows_at`,
+    over the rationals `pfaffian` of the block of `rows_at`."""
+    p = M.ctx.field.p
+    if p is not None:
+        rows, width = M.packed_rows_at(coords)
+        return packed_skew_mod_p(p, rows, width, indices)[1]
     rows = M.rows_at(coords)
     size = len(indices)
     flat = tuple(rows[i][j] for i in indices for j in indices)
@@ -409,11 +411,9 @@ def _odd_witness_search(omega, M, rng, trials, record) -> None:
     for coords in random_points(ctx.field, M.size, rng, trials):
         if record(coords) != ctx.n - 1:
             continue
-        direction = kernel_complement_direction(M, coords)
-        if direction is None:
+        line = kernel_line(M, coords)
+        if line is None:
             continue
-        point = ctx.vector_from_coords(coords)
-        line = wedge(point, ctx.vector_from_coords(direction))
         try:
             pencil = secant_pencil(omega, line)
         except NonGenericFormError:
@@ -422,16 +422,17 @@ def _odd_witness_search(omega, M, rng, trials, record) -> None:
             record(witness.coords())
 
 
-def kernel_complement_direction(
+def kernel_line(
     M: SkewLinearMatrix, coords: Sequence[Scalar]
-) -> Optional[list[Scalar]]:
-    """A kernel vector of M(P) independent of P itself, if one exists."""
-    field = M.ctx.field
+) -> Optional[AlternatingTensor]:
+    """The line P ^ f for the first kernel vector f of M(P) independent of
+    P, or None when there is none."""
+    ctx = M.ctx
     _, kernel = rank_kernel(M.evaluate(coords))
     for candidate in kernel.columns():
         flat = tuple(coords) + candidate
-        if matrix_rank(Matrix(field, 2, len(coords), flat)) == 2:
-            return list(candidate)
+        if matrix_rank(Matrix(ctx.field, 2, len(coords), flat)) == 2:
+            return wedge(ctx.vector_from_coords(coords), ctx.vector_from_coords(candidate))
     return None
 
 

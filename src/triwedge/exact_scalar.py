@@ -17,17 +17,15 @@ read off the integer rows.  `matrix_rank` builds no kernel: over the
 rationals it eliminates forward only, clearing each pivot's column in the
 rows below it.  `Matrix.matvec` takes int dot products the same way: reduced
 mod p, or over the rationals on numerators over common denominators with one
-Fraction per output row.  `packed_skew_rank_mod_p` is the rank-only kernel
-for alternating matrices over F_p that the pointwise rank scans use:
-pairwise (skew-symmetric) elimination, which builds no kernel, on rows
-packed one int each, a slot of `skew_slot_width` bits per entry, wide
-enough that no entry is reduced until it is read; `skew_rank_mod_p` packs
-list rows into it.  `pfaffian` runs the
-same pairwise elimination, pivoting on the first remaining index and
-multiplying in each signed pivot: on ints mod p, and on Fractions over the
-rationals.  `Matrix.det` runs the Schur-complement elimination that
-pivots on the first row with a nonzero first entry, on ints mod p over F_p
-and on Fractions over the rationals.  Univariate polynomials store
+Fraction per output row.  `packed_skew_mod_p` is the one skew elimination
+over F_p, giving the rank and the Pfaffian of a principal block of an
+alternating matrix: pairwise elimination on rows packed one int each, a slot
+of `skew_slot_width` bits per entry, wide enough that no entry is reduced
+until it is read.  `skew_rank_mod_p` and `pfaffian` pack list rows into it;
+over the rationals `pfaffian` runs the same elimination on Fractions.
+`Matrix.det` runs the Schur-complement elimination that pivots on the first
+row with a nonzero first entry, on ints mod p over F_p and on Fractions
+over the rationals.  Univariate polynomials store
 coefficients lowest-degree first and provide the monic Euclidean GCD and
 Lagrange interpolation (on int lists over both fields, reduced into the
 field once at the end) used to restrict determinantal loci to lines.
@@ -59,7 +57,7 @@ __all__ = [
     "matrix_rank",
     "as_ints",
     "skew_rank_mod_p",
-    "packed_skew_rank_mod_p",
+    "packed_skew_mod_p",
     "skew_slot_width",
     "pfaffian",
     "poly_gcd",
@@ -202,7 +200,7 @@ class FieldSpec:
             den = value.denominator % p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {p}")
-            return value.numerator * pow(den, p - 2, p) % p
+            return value.numerator * pow(den, -1, p) % p
         if isinstance(value, float):
             raise ConventionError(f"float {value!r} is not an exact scalar")
         return int(value) % p
@@ -228,11 +226,11 @@ class FieldSpec:
         return -a if self.kind == "rational" else (-a) % self.p  # type: ignore[operator]
 
     def inv(self, a: Scalar) -> Scalar:
-        if self.is_zero(a):
+        if self.is_zero(self.coerce(a)):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == "rational":
             return Fraction(1) / a
-        return pow(int(a), self.p - 2, self.p)  # type: ignore[operator]
+        return pow(int(a), -1, self.p)  # type: ignore[arg-type]
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
@@ -397,7 +395,7 @@ class Matrix:
                 ]
             else:
                 det %= p
-                inv = pow(prow[0], p - 2, p)
+                inv = pow(prow[0], -1, p)
                 rows = [
                     [(x - factor * y) % p for x, y in zip(row[1:], tail)]
                     if (factor := row[0] * inv % p)
@@ -508,7 +506,7 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
             continue
         a[pivot_row], a[src] = a[src], a[pivot_row]
         row = a[pivot_row]
-        inv_p = pow(row[col], p - 2, p)
+        inv_p = pow(row[col], -1, p)
         for c in range(col, cols):
             row[c] = row[c] * inv_p % p
         for r in range(nrows):
@@ -528,8 +526,8 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
 
 
 def skew_slot_width(p: int, size: int, bound: int) -> int:
-    """Slot width in bits under which `packed_skew_rank_mod_p` on ``size``
-    rows, every slot starting in ``[0, bound]``, never carries across a slot.
+    """Slot width in bits under which `packed_skew_mod_p` on ``size`` rows,
+    every slot starting in ``[0, bound]``, never carries across a slot.
 
     A step adds at most p - 1 times each of two rows to a row, so it maps a
     slot bound B to at most (2p - 1)·B, and there are at most size // 2
@@ -538,25 +536,29 @@ def skew_slot_width(p: int, size: int, bound: int) -> int:
     return (bound * (2 * p - 1) ** (size // 2)).bit_length()
 
 
-def packed_skew_rank_mod_p(p: int, rows: list[int], width: int) -> int:
-    """Exact rank of an alternating matrix over F_p on packed rows.
+def packed_skew_mod_p(
+    p: int, rows: list[int], width: int, indices: Sequence[int] | None = None
+) -> tuple[int, int]:
+    """Rank and Pfaffian over F_p of the principal block on ``indices``
+    (every index by default) of an alternating matrix on packed rows.
 
     Row a is one int whose slot b (bits ``b*width`` up to ``(b+1)*width``)
     holds a non-negative representative of ``a[a][b]``; ``rows`` is
-    overwritten and ``width`` comes from `skew_slot_width`.  The elimination
-    is pairwise: each step picks a pivot ``a[i][j] != 0`` mod p, adds 2 to
-    the rank and replaces each remaining row k by ``rk + u*rj + (p - v)*ri``
-    with ``u = a[k][i] / a[i][j]`` and ``v = a[k][j] / a[i][j]`` mod p,
-    adding only the nonzero terms.  On the remaining block that is the
-    alternating Schur complement ``a[k][l] + (a[k][i]*a[j][l] -
-    a[k][j]*a[i][l]) / a[i][j]``; no slot is reduced, so an entry is read as
-    ``(row >> b*width & mask) % p``.  An index whose row has become zero on
-    the remaining block is dropped, and the loop ends when fewer than two
-    indices remain.
+    overwritten and ``width`` comes from `skew_slot_width`.  Each step, the
+    last remaining index i pivots on its first nonzero entry ``a[i][j]``, at
+    0-based position ``pos`` among the remaining indices: the rank gains 2,
+    the Pfaffian the factor ``(-1)**pos * a[j][i]``, and each remaining row
+    k becomes ``rk + u*rj + (p - v)*ri`` with ``u = a[k][i] / a[i][j]`` and
+    ``v = a[k][j] / a[i][j]`` mod p, only the nonzero terms.  That is the
+    alternating Schur complement on the remaining block; no slot is
+    reduced, so an entry is read as ``(row >> b*width & mask) % p``.  An
+    index whose row is zero on the remaining block is dropped and makes the
+    Pfaffian 0, as does an odd block.
     """
     mask = (1 << width) - 1
-    live = list(range(len(rows)))
+    live = list(range(len(rows)) if indices is None else indices)
     rank = 0
+    pf = 1
     while live:
         i = live.pop()
         ri = rows[i]
@@ -565,9 +567,11 @@ def packed_skew_rank_mod_p(p: int, rows: list[int], width: int) -> int:
             if pivot:
                 break
         else:
+            pf = 0
             continue
         del live[pos]
         rank += 2
+        pf = pf * (pivot if pos % 2 else p - pivot) % p
         if len(live) < 2:
             break
         rj = rows[j]
@@ -583,20 +587,28 @@ def packed_skew_rank_mod_p(p: int, rows: list[int], width: int) -> int:
             if v:
                 rk += (p - v) * ri
             rows[k] = rk
-    return rank
+    return rank, 0 if live else pf
+
+
+def _packed_skew_rows(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The rows of a square alternating matrix over F_p packed for
+    `packed_skew_mod_p`, each entry reduced mod p, and their slot width."""
+    width = skew_slot_width(p, len(rows), p - 1)
+    packed = []
+    for row in rows:
+        acc = 0
+        for value in reversed(row):
+            acc = acc << width | value % p
+        packed.append(acc)
+    return packed, width
 
 
 def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:
-    """Exact rank of an alternating matrix over F_p by pairwise elimination.
-
-    ``rows`` is a square alternating matrix (zero diagonal, ``a[j][i] ==
-    -a[i][j] mod p``) with entries in ``[0, p)``; it is left as it is.  Each
-    row is packed into one int, slot b holding ``a[a][b]``, and the rank
-    taken by `packed_skew_rank_mod_p`.
-    """
-    width = skew_slot_width(p, len(rows), p - 1)
-    packed = [sum(value << b * width for b, value in enumerate(row)) for row in rows]
-    return packed_skew_rank_mod_p(p, packed, width)
+    """Exact rank of a square alternating matrix over F_p (zero diagonal,
+    ``a[j][i] == -a[i][j] mod p``), left as it is: that of
+    `packed_skew_mod_p` on its packed rows."""
+    packed, width = _packed_skew_rows(p, rows)
+    return packed_skew_mod_p(p, packed, width)[0]
 
 
 def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
@@ -648,12 +660,12 @@ def pfaffian(m: Matrix) -> Scalar:
     pfaffian(m)**2 == m.det().  Raises `ConventionError` for non-skew or
     odd-size input.
 
-    Skew elimination: the first remaining index i pivots on its first
-    nonzero entry a[i][j], at 0-based position ``pos`` among the other
-    remaining indices.  The Pfaffian gains the factor (-1)**pos * a[i][j],
-    and the block left without i and j becomes the alternating Schur
-    complement a[k][l] + (a[k][i]*a[j][l] - a[k][j]*a[i][l]) / a[i][j] of
-    `skew_rank_mod_p`.  A zero row makes the Pfaffian zero.
+    Over F_p it is read off `packed_skew_mod_p`, every entry reduced mod p
+    first (the skew check lets an entry below the diagonal stay unreduced).
+    Over the rationals the first remaining index i pivots on its first
+    nonzero entry a[i][j], at 0-based position ``pos`` among the others: the
+    Pfaffian gains the factor (-1)**pos * a[i][j], the rest becomes its
+    alternating Schur complement, and a zero row makes the Pfaffian zero.
     """
     if m.rows != m.cols:
         raise ConventionError("pfaffian requires a square matrix")
@@ -663,40 +675,31 @@ def pfaffian(m: Matrix) -> Scalar:
         )
     if not m.is_skew_symmetric():
         raise ConventionError("pfaffian requires a skew-symmetric matrix")
-    field = m.field
+    p = m.field.p
+    if p is not None:
+        packed, width = _packed_skew_rows(p, [m.row(i) for i in range(m.rows)])
+        return packed_skew_mod_p(p, packed, width)[1]
     a = m.row_lists()
     live = list(range(m.rows))
-    pf = field.one()
-    p = field.p
+    pf = Fraction(1)
     while live:
         i = live.pop(0)
         ri = a[i]
         pos = next((pos for pos, c in enumerate(live) if ri[c]), None)
         if pos is None:
-            return field.zero()
+            return Fraction(0)
         j = live.pop(pos)
         rj = a[j]
         pivot = ri[j]
         pf = pf * pivot if pos % 2 == 0 else -pf * pivot
-        if p is None:
-            inv = Fraction(1) / pivot
-            for k in live:
-                rk = a[k]
-                u = rk[i] * inv
-                v = rk[j] * inv
-                if u or v:
-                    for l in live:
-                        rk[l] += u * rj[l] - v * ri[l]
-        else:
-            pf %= p
-            inv = pow(pivot, p - 2, p)
-            for k in live:
-                rk = a[k]
-                u = rk[i] * inv % p
-                v = rk[j] * inv % p
-                if u or v:
-                    for l in live:
-                        rk[l] = (rk[l] + u * rj[l] - v * ri[l]) % p
+        inv = Fraction(1) / pivot
+        for k in live:
+            rk = a[k]
+            u = rk[i] * inv
+            v = rk[j] * inv
+            if u or v:
+                for l in live:
+                    rk[l] += u * rj[l] - v * ri[l]
     return pf
 
 

@@ -69,6 +69,7 @@ __all__ = [
     "covector_contract",
     "reduced_square",
     "split_along_covector",
+    "require_three_form",
     "random_tensor",
     "pullback",
     "reduce_mod_p",
@@ -599,6 +600,12 @@ def reduced_square(L: AlternatingTensor) -> AlternatingTensor:
     return _trusted(L.ctx, 4, "vector", terms)
 
 
+def require_three_form(omega: AlternatingTensor) -> None:
+    """Raise `ConventionError` unless ``omega`` is an alternating 3-form."""
+    if omega.degree != 3 or omega.variance != "form":
+        raise ConventionError("expected an alternating 3-form")
+
+
 def split_along_covector(
     omega: AlternatingTensor, x: AlternatingTensor
 ) -> tuple[AlternatingTensor, AlternatingTensor, AlternatingTensor]:
@@ -608,8 +615,7 @@ def split_along_covector(
     index i with x_i != 0, scaled so that x(e) = 1.  Returns (omega_x, beta_x, e);
     contract(omega_x, e) = contract(beta_x, e) = 0 and the sum reassembles omega.
     """
-    if omega.variance != "form" or omega.degree != 3:
-        raise ValueError("split expects a 3-form")
+    require_three_form(omega)
     if x.variance != "form" or x.degree != 1:
         raise ValueError("split expects a 1-form direction")
     if x.is_zero():

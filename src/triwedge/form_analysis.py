@@ -8,15 +8,15 @@ table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
 `build_M` derives from omega.  Its one evaluation to list rows is
 `SkewLinearMatrix.rows_at`, the rows of M(P): ints in [0, p) over F_p, field
 elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
-`Matrix`, and callers that work on the rows (the line system of `residual`,
-the line-node Pfaffians of `degeneracy`) take them from there.  Its one rank
-routine is `point_contraction_rank`.  Over F_p it builds each row of M(P)
-as one int, slot b holding the (a, b) entry, from a table of packed
-coefficient rows cached on the matrix, and takes the rank on those ints with
-`packed_skew_rank_mod_p`; the slot width bounds every entry through the
-whole elimination, so nothing is reduced until an entry is read.  Over the
-rationals it is `matrix_rank` of `M.evaluate(point)`.  Every rank query
-at a point goes through it, except the question "rank at most 2?", which
+`Matrix`, and the line system of `residual` takes the rows from there.  Over
+F_p the skew elimination `packed_skew_mod_p` reads M(P) off
+`SkewLinearMatrix.packed_rows_at`: each row one int, slot b holding the
+(a, b) entry, from a table of packed coefficient rows cached on the matrix,
+wide enough that nothing is reduced until an entry is read.  There the
+line nodes of `degeneracy` take their principal sub-Pfaffians, and the one
+rank routine, `point_contraction_rank`, its rank (over the rationals
+`matrix_rank` of `M.evaluate(point)`).  Every rank query at a point goes
+through that routine, except the question "rank at most 2?", which
 `first_rank_at_most_two` answers for a whole stream of points from the 4x4
 principal Pfaffians without building the matrix; callers that need the
 kernel take `rank_kernel(M.evaluate(point))` themselves.  Random points
@@ -59,7 +59,7 @@ from .exact_scalar import (
     Scalar,
     as_ints,
     matrix_rank,
-    packed_skew_rank_mod_p,
+    packed_skew_mod_p,
     randbelow_many,
     rank_kernel,
     skew_slot_width,
@@ -74,6 +74,7 @@ from .exterior_core import (
     projective_point_count,
     projective_points,
     reduced_square,
+    require_three_form,
     wedge,
 )
 
@@ -276,8 +277,8 @@ class SkewLinearMatrix:
 
     @cached_property
     def _packed(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """Over F_p, the rows of the matrix packed for `point_contraction_rank`:
-        a slot width w and, for each row a, the pairs (k, R) of a coordinate
+        """Over F_p, the rows of the matrix packed for `packed_rows_at`: a
+        slot width w and, for each row a, the pairs (k, R) of a coordinate
         k and one int R whose slot b (bits b*w up to (b+1)*w) holds the
         coefficient of x_k in the (a, b) entry as a residue in [0, p).
 
@@ -300,6 +301,22 @@ class SkewLinearMatrix:
                     table[i][k] = table[i].get(k, 0) + (c << j * width)
                     table[j][k] = table[j].get(k, 0) + ((p - c) << i * width)
         return width, tuple(tuple(row.items()) for row in table)
+
+    def packed_rows_at(self, coords: Sequence[int]) -> tuple[list[int], int]:
+        """Over F_p, the rows of the matrix at an int point packed for
+        `packed_skew_mod_p`, row a being sum_k P_k * R over `_packed`, and
+        their slot width.  A coordinate outside [0, p) sends the point
+        through `point_coords`: the slot bound holds only for residues."""
+        if min(coords) < 0 or max(coords) >= self.ctx.field.p:  # type: ignore[operator]
+            coords = point_coords(self.ctx, coords)
+        width, table = self._packed
+        rows = []
+        for terms in table:
+            row = 0
+            for k, packed in terms:
+                row += coords[k] * packed
+            rows.append(row)
+        return rows, width
 
     def evaluate(self, point: PointLike) -> Matrix:
         """Scalar skew matrix obtained by evaluating every entry at a point:
@@ -347,8 +364,7 @@ def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
     Each term w * x_a^x_b^x_c of omega (a < b < c) adds the terms (a, w),
     (b, -w) and (c, w) to the entries (b, c), (a, c) and (a, b).
     """
-    if omega.degree != 3 or omega.variance != "form":
-        raise ConventionError("expected an alternating 3-form")
+    require_three_form(omega)
     fld = omega.ctx.field
     pairs: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for key, coeff in omega.terms:
@@ -365,27 +381,15 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     """Rank of the skew matrix evaluated at one point, the rank of the 2-form
     obtained by contracting the 3-form there.
 
-    Over F_p the coordinates must be ints; residues in [0, p) are taken as
-    they are, and any other int sends the point through `point_coords`,
-    since the slot bound holds only for residues.  Row a of M(P) is one int,
-    sum_k P_k * R over the packed table of the matrix
-    (`SkewLinearMatrix._packed`), and the rank is taken on those ints by
-    `packed_skew_rank_mod_p`.  Over the rationals the rank is that of
-    `M.evaluate(coords)` from `matrix_rank`.
+    Over F_p the coordinates must be ints, and the rank is that of
+    `packed_skew_mod_p` on `M.packed_rows_at(coords)`.  Over the rationals
+    it is that of `M.evaluate(coords)` from `matrix_rank`.
     """
     p = M.ctx.field.p
     if p is None:
         return matrix_rank(M.evaluate(coords))
-    if min(coords) < 0 or max(coords) >= p:
-        coords = point_coords(M.ctx, coords)
-    width, table = M._packed
-    rows = []
-    for terms in table:
-        row = 0
-        for k, packed in terms:
-            row += coords[k] * packed
-        rows.append(row)
-    return packed_skew_rank_mod_p(p, rows, width)
+    rows, width = M.packed_rows_at(coords)
+    return packed_skew_mod_p(p, rows, width)[0]
 
 
 def first_rank_at_most_two(
@@ -495,8 +499,7 @@ def genericity(
     an exhaustive scan replaces sampling and the verdict is a certificate for
     that field.
     """
-    if omega.variance != "form" or omega.degree != 3:
-        raise ValueError("genericity expects a 3-form")
+    require_three_form(omega)
     ctx = omega.ctx
     fld = ctx.field
     dim = ctx.dim
@@ -679,8 +682,7 @@ def span_lattice(
     """Compute the five bivector subspaces for a 3-form and two independent
     covector directions; every space is the exact kernel of its defining
     stacked linear system."""
-    if omega.variance != "form" or omega.degree != 3:
-        raise ValueError("span_lattice expects a 3-form")
+    require_three_form(omega)
     for direction in (x, y):
         if direction.variance != "form" or direction.degree != 1:
             raise ValueError("directions must be 1-forms")

@@ -43,7 +43,7 @@ from .degeneracy import (
     NonGenericFormError,
     build_M,
     independent_pair,
-    kernel_complement_direction,
+    kernel_line,
     line_gcd,
     line_zeros,
     random_points,
@@ -557,13 +557,9 @@ def _decomposable_by_plane_scan(
             point = plane.matvec(coeffs)
             if point_contraction_rank(matrix, point) != generic_rank:
                 continue
-            direction = kernel_complement_direction(matrix, point)
-            if direction is None:
+            line_sub = kernel_line(matrix, point)
+            if line_sub is None:
                 continue
-            line_sub = wedge(
-                ctx_pi.vector_from_coords(point),
-                ctx_pi.vector_from_coords(direction),
-            )
             candidate = AlternatingTensor.make(
                 handle.ctx,
                 2,

@@ -36,6 +36,7 @@ from triwedge.exact_scalar import (
     Matrix,
     UniPoly,
     interpolate,
+    packed_skew_mod_p,
     pfaffian,
     poly_gcd,
     randbelow,
@@ -52,7 +53,12 @@ from triwedge.exterior_core import (
 )
 from triwedge.form_analysis import j_rank, point_contraction_rank
 
-from oracles import all_subpfaffian_gcd, entry_form, secant_pencil_reference
+from oracles import (
+    all_subpfaffian_gcd,
+    entry_form,
+    pfaffian_expansion,
+    secant_pencil_reference,
+)
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -565,6 +571,34 @@ def even_forms_and_lines(draw):
 def test_line_subpfaffian_gcd_matches_the_all_subpfaffian_gcd(case):
     M, first, second = case
     assert line_subpfaffian_gcd(M, first, second) == all_subpfaffian_gcd(M, first, second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from((FieldSpec.prime(3), F101, FieldSpec.prime(2**61 - 1))),
+    name=st.sampled_from(["n4", "n5", "n6-g2", "n7-ozeki", "n8-family", "random"]),
+    n=st.integers(4, 9),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_packed_principal_subpfaffian_matches_pfaffian(field, name, n, seed, data):
+    # The line nodes take a principal sub-Pfaffian off the packed rows; any
+    # int coordinates, reduced or not, must give the Pfaffian of the block.
+    if name == "random":
+        omega = random_tensor(SpaceContext(n, field), 3, "form", seed)
+    else:
+        omega, _ = catalog.get(name, field=field)
+    M = build_M(omega)
+    p = field.p
+    coords = data.draw(
+        st.lists(st.integers(-p, 2 * p), min_size=M.size, max_size=M.size)
+    )
+    size = 2 * data.draw(st.integers(0, M.size // 2))
+    idx = data.draw(st.permutations(range(M.size)))[:size]
+    rows, width = M.packed_rows_at(coords)
+    block = M.evaluate(coords).submatrix(idx, idx)
+    assert packed_skew_mod_p(p, rows, width, idx)[1] == pfaffian(block)
+    assert pfaffian(block) == pfaffian_expansion(block)
 
 
 def test_line_subpfaffian_gcd_is_none_for_a_form_of_low_generic_rank():

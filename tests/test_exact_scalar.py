@@ -120,6 +120,20 @@ def test_coerce_fraction_string_into_prime_field():
         f7.coerce(Fraction(1, 7))
 
 
+@pytest.mark.parametrize("zero", [0, 101, -101, 202])
+def test_prime_field_inverse_of_any_multiple_of_p_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        F101.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        F101.div(5, zero)
+
+
+def test_prime_field_inverse_of_unreduced_values():
+    assert F101.inv(106) == F101.inv(5) == 81
+    assert F101.inv(-1) == 100
+    assert F101.div(3, 5) == 3 * 81 % 101
+
+
 def test_coerce_rational_keeps_exact_value():
     assert QQ.coerce("22/7") == Fraction(22, 7)
     assert QQ.coerce(5) == Fraction(5)
@@ -397,14 +411,22 @@ def test_pfaffian_squared_equals_determinant_all_even_sizes_to_ten():
             assert field.mul(pf, pf) == m.det()
 
 
-PFAFFIAN_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(3), F101, QQ)
+PFAFFIAN_FIELDS = (
+    FieldSpec.prime(2),
+    FieldSpec.prime(3),
+    F101,
+    FieldSpec.prime(2**31 - 1),
+    FieldSpec.prime(2**61 - 1),
+    QQ,
+)
 
 
 @st.composite
 def skew_matrices(draw):
-    """An even-size (0-12) skew matrix over F_2, F_3, F_101 or Q: every entry
-    above the diagonal drawn (zero with some weight, so sparse matrices
-    occur), or a sum of 0-4 terms u^v so that singular matrices are common."""
+    """An even-size (0-12) skew matrix over F_2, F_3, F_101, F_(2^31 - 1),
+    F_(2^61 - 1) or Q: every entry above the diagonal drawn (zero with some
+    weight, so sparse matrices occur), or a sum of 0-4 terms u^v so that
+    singular matrices are common."""
     field = draw(st.sampled_from(PFAFFIAN_FIELDS))
     size = 2 * draw(st.integers(0, 6))
     if field.kind == "prime":
@@ -448,6 +470,22 @@ def test_pfaffian_keeps_its_checks_in_order():
         pfaffian(Matrix.from_rows(QQ, [[1, 2, 3]] * 3))
     with pytest.raises(ConventionError, match="skew-symmetric"):
         pfaffian(Matrix.from_rows(F101, [[0, 1], [1, 0]]))
+
+
+def test_pfaffian_reduces_entries_below_the_diagonal():
+    # The skew check accepts a[j][i] = 106 beside a[i][j] = 96 over F_101,
+    # so the Pfaffian must reduce such an entry before it is eliminated;
+    # multiples of p far above the slot bound would otherwise carry.
+    rng = random.Random(5)
+    reduced = _random_skew(F101, 10, rng)
+    rows = reduced.row_lists()
+    for i in range(10):
+        for j in range(i):
+            rows[i][j] += 101 * rng.randrange(1, 2**200)
+    unreduced = Matrix(F101, 10, 10, tuple(v for row in rows for v in row))
+    assert unreduced.is_skew_symmetric()
+    assert unreduced != reduced
+    assert pfaffian(unreduced) == pfaffian(reduced) != 0
 
 
 def test_pfaffian_of_a_matrix_with_a_zero_row_is_zero():
