@@ -23,10 +23,14 @@ in ``ANALYZE_RUNS``.  Three files hold the digests:
   pointwise rank search and of the rank sampling that the benchmark's
   F_101 analyses miss: complete exhaustive scans (``n6-g2`` over F_2),
   exhaustive scans that stop at a witness (F_3), a small field (F_5), and
-  sampled search with the witness searches and `order` over F_1009 and
-  F_32003.  The two runs over F_(2**61 - 1) cover wide packed slots in the
-  line-node sub-Pfaffians: ``n6-g2`` (even n) reaches them through the
-  degree of the drop locus, ``n7-ozeki`` (odd n) through the secant pencil.
+  sampled search with the witness searches and `order` over F_1009, F_9973
+  and F_32003.  The two runs over F_9973, the largest prime below
+  ``ROOT_SCAN_PRIME_BOUND``, cover the largest fields on which the witness
+  searches of the rank sampling scan every field element, for even n
+  (``n6-g2``) and odd n (``n7-ozeki``).
+  The two runs over F_(2**61 - 1) cover wide packed slots in the line-node
+  sub-Pfaffians: ``n6-g2`` (even n) reaches them through the degree of the
+  drop locus, ``n7-ozeki`` (odd n) through the secant pencil.
 
 The digest covers the output bytes without the ``"elapsed"`` line, the one
 wall-clock value in a report.  Each file holds each command line with its
@@ -57,6 +61,8 @@ ANALYZE_RUNS = (
     ("n5", "p:5", 0),
     ("n7-ozeki", "p:1009", 7),
     ("n8-family", "p:1009", 0),
+    ("n6-g2", "p:9973", 0),
+    ("n7-ozeki", "p:9973", 0),
     ("n6-g2", "p:32003", 0),
     ("n6-g2", "p:2305843009213693951", 0),
     ("n7-ozeki", "p:2305843009213693951", 0),
