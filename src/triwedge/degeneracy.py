@@ -13,12 +13,16 @@ to ``omega`` (points lying on infinitely many of its lines).
 the first two and defines `rank_at`, which coerces a point and rejects
 the zero point before taking that rank; loops over points that
 `random_points` drew, canonical and nonzero, rank them with
-`point_contraction_rank` directly.  It samples rank statistics over
-prime fields, measures the degree of the drop locus for even ``n`` by
-restricting a principal sub-Pfaffian to random lines, extracts the secant
-polynomial of a congruence line for odd ``n`` from the quotient Pfaffian
-pencil, and enumerates the full rank stratification over small prime
-fields.
+`point_contraction_rank` directly.  It samples the rank histogram of M
+over prime fields (`stratify`), measures the degree of the drop locus for
+even ``n`` by restricting a principal sub-Pfaffian to random lines,
+extracts the secant polynomial of a congruence line for odd ``n`` from the
+quotient Pfaffian pencil, and enumerates the full rank stratification over
+small prime fields (`exhaustive_strata`).  Points of the drop locus itself
+are found exactly: over small fields by `exhaustive_strata`, and along a
+line by the roots of its restricted polynomial (`line_zeros` of the
+`line_subpfaffian_gcd` for even ``n``, `SecantPencil.zeros` on a congruence
+line for odd ``n``).
 
 The sampling and line helpers that `congruence`, `residual` and `suites` share
 are public here: `random_points` (nonzero random points, drawn over F_p in
@@ -50,6 +54,7 @@ residues throughout.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
@@ -116,12 +121,7 @@ __all__ = [
     "random_points",
     "require_three_form",
     "split_decomposable",
-    "ROOT_SCAN_PRIME_BOUND",
 ]
-
-# Polynomial roots over F_p are located by scanning the field, which is
-# adequate for the desk-scale primes used throughout.
-ROOT_SCAN_PRIME_BOUND = 10_000
 
 class NonGenericFormError(RuntimeError):
     """A sampling computation detected that the input form is degenerate."""
@@ -147,16 +147,13 @@ def rank_at(M: SkewLinearMatrix, point: PointLike) -> int:
 class StratumReport:
     """Rank statistics of the skew matrix over a prime field.
 
-    ``rank_histogram`` counts samples per rank, ``generic_rank`` is the
-    largest rank observed, and ``strata_hits`` lists distinct projective
-    witnesses (first nonzero coordinate normalized to 1) for every rank
-    seen strictly below the generic one.
+    ``rank_histogram`` counts samples per rank, in increasing rank, and
+    ``generic_rank`` is the largest rank observed.
     """
 
     n: int
     rank_histogram: Mapping[int, int]
     generic_rank: int
-    strata_hits: Mapping[int, tuple[tuple[int, ...], ...]]
 
     def __post_init__(self) -> None:
         if not self.rank_histogram:
@@ -167,9 +164,6 @@ class StratumReport:
         bound = self.n if self.n % 2 == 0 else self.n - 1
         if not 0 <= self.generic_rank <= bound:
             raise ConventionError("generic rank exceeds the parity bound")
-        for rank in self.strata_hits:
-            if rank % 2 != 0 or rank >= self.generic_rank:
-                raise ConventionError("witness ranks must sit below the generic rank")
 
 
 def normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
@@ -187,19 +181,11 @@ def _poly_roots_prime(poly: UniPoly, p: int) -> list[int]:
 
 
 def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> StratumReport:
-    """Sample matrix ranks at random points and hunt for low-rank witnesses.
+    """The histogram of matrix ranks at ``samples`` random points over F_p.
 
-    Witnesses below the generic rank are located by restricting to lines
-    and factoring the restricted rank-drop polynomial: for even ``n`` the
-    gcd of the principal sub-Pfaffians on random lines, for odd ``n`` the
-    quotient Pfaffian pencil along lines of the congruence through random
-    points (a random line misses the codimension-3 drop locus, so the
-    congruence's own lines, which meet it, are used instead).  Root scans
-    run only for primes up to ``ROOT_SCAN_PRIME_BOUND``.
-
-    Every sampled and witness point is kept as drawn; only the points of
-    ranks below the generic one are normalized (`normalize_projective`) and
-    de-duplicated, at the end.
+    The points are the `random_points` draws of a generator seeded with
+    ``derive_seed("stratify", n, p, samples, seed)``, each ranked by
+    `point_contraction_rank`; the generic rank is the largest rank seen.
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -208,46 +194,16 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
         raise ConventionError("stratification sampling requires a prime field")
     if samples < 1:
         raise ConventionError("at least one sample is required")
-    p: int = field.p  # type: ignore[assignment]
-    n = ctx.n
-    dim = ctx.dim
-    rng = random.Random(derive_seed("stratify", n, p, samples, seed))
+    rng = random.Random(derive_seed("stratify", ctx.n, field.p, samples, seed))
     M = build_M(omega)
-
-    histogram: dict[int, int] = {}
-    seen: dict[int, list[Sequence[int]]] = {}
-
-    def record(coords: Sequence[int]) -> int:
-        rank = point_contraction_rank(M, coords)
-        seen.setdefault(rank, []).append(coords)
-        return rank
-
-    for coords in random_points(field, dim, rng, samples):
-        rank = record(coords)
-        histogram[rank] = histogram.get(rank, 0) + 1
-
-    generic = max(histogram)
-
-    nodes_needed = dim // 2 if n % 2 else n // 2 + 1
-    if nodes_needed <= p <= ROOT_SCAN_PRIME_BOUND:
-        trials = max(3, min(40, samples // 250))
-        if n % 2 == 0:
-            _even_witness_search(omega, M, rng, trials, record)
-        else:
-            _odd_witness_search(omega, M, rng, trials, record)
-
-    hits = dict(
-        sorted(
-            (rank, tuple(sorted({normalize_projective(c, p) for c in points})))
-            for rank, points in seen.items()
-            if rank < generic
-        )
+    histogram = Counter(
+        point_contraction_rank(M, coords)
+        for coords in random_points(field, ctx.dim, rng, samples)
     )
     return StratumReport(
-        n=n,
+        n=ctx.n,
         rank_histogram=MappingProxyType(dict(sorted(histogram.items()))),
-        generic_rank=generic,
-        strata_hits=MappingProxyType(hits),
+        generic_rank=max(histogram),
     )
 
 
@@ -393,33 +349,6 @@ def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:
                 f"field with {p} elements cannot host {count} interpolation nodes"
             )
     return [field.coerce(value) for value in range(count)]
-
-
-def _even_witness_search(omega, M, rng, trials, record) -> None:
-    field = omega.ctx.field
-    for _ in range(trials):
-        first, second = independent_pair(field, M.size, rng)
-        gcd = line_subpfaffian_gcd(M, first, second)
-        if gcd is None or gcd.degree < 1:
-            continue
-        for coords in line_zeros(field, first, second, gcd):
-            record(coords)
-
-
-def _odd_witness_search(omega, M, rng, trials, record) -> None:
-    ctx = omega.ctx
-    for coords in random_points(ctx.field, M.size, rng, trials):
-        if record(coords) != ctx.n - 1:
-            continue
-        line = kernel_line(M, coords)
-        if line is None:
-            continue
-        try:
-            pencil = secant_pencil(omega, line)
-        except NonGenericFormError:
-            continue
-        for witness in pencil.zeros():
-            record(witness.coords())
 
 
 def kernel_line(

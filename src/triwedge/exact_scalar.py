@@ -21,8 +21,8 @@ Fraction per output row.  `packed_skew_mod_p` is the one skew elimination
 over F_p, giving the rank and the Pfaffian of a principal block of an
 alternating matrix: pairwise elimination on rows packed one int each, a slot
 of `skew_slot_width` bits per entry, wide enough that no entry is reduced
-until it is read.  `skew_rank_mod_p` and `pfaffian` pack list rows into it;
-over the rationals `pfaffian` runs the same elimination on Fractions.
+until it is read.  `pfaffian` packs list rows into it; over the rationals
+it runs the same elimination on Fractions.
 `Matrix.det` runs the Schur-complement elimination that pivots on the first
 row with a nonzero first entry, on ints mod p over F_p and on Fractions
 over the rationals.  Univariate polynomials store
@@ -56,7 +56,6 @@ __all__ = [
     "rank_kernel",
     "matrix_rank",
     "as_ints",
-    "skew_rank_mod_p",
     "packed_skew_mod_p",
     "skew_slot_width",
     "pfaffian",
@@ -347,14 +346,19 @@ class Matrix:
         return Matrix(self.field, len(row_idx), len(col_idx), flat)
 
     def is_skew_symmetric(self) -> bool:
-        if self.rows != self.cols:
+        """Square, zero on the diagonal, and each entry above it the field's
+        negation of its mirror (``-x % p`` over F_p: the mirror may be unreduced)."""
+        size = self.rows
+        if size != self.cols:
             return False
-        f = self.field
-        for i in range(self.rows):
-            if not f.is_zero(self.entry(i, i)):
-                return False
-            for j in range(i + 1, self.cols):
-                if self.entry(i, j) != f.neg(self.entry(j, i)):
+        e = self.entries
+        if any(e[:: size + 1]):
+            return False
+        p = self.field.p
+        for i in range(size):
+            for j in range(i + 1, size):
+                negated = -e[j * size + i]
+                if e[i * size + j] != (negated if p is None else negated % p):
                     return False
         return True
 
@@ -395,7 +399,7 @@ class Matrix:
                 ]
             else:
                 det %= p
-                inv = pow(prow[0], -1, p)
+                inv = _pivot_inverse(prow[0], p)
                 rows = [
                     [(x - factor * y) % p for x, y in zip(row[1:], tail)]
                     if (factor := row[0] * inv % p)
@@ -403,6 +407,15 @@ class Matrix:
                     for row in rows
                 ]
         return det
+
+
+def _pivot_inverse(pivot: int, p: int) -> int:
+    """``pivot**-1 mod p``.  `Matrix` takes its entries as given, so a pivot
+    can be a nonzero multiple of p; that raises `ConventionError`."""
+    try:
+        return pow(pivot, -1, p)
+    except ValueError:
+        raise ConventionError(f"matrix entry {pivot} is a nonzero multiple of {p}") from None
 
 
 def _integer_rows(
@@ -506,7 +519,7 @@ def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
             continue
         a[pivot_row], a[src] = a[src], a[pivot_row]
         row = a[pivot_row]
-        inv_p = pow(row[col], -1, p)
+        inv_p = _pivot_inverse(row[col], p)
         for c in range(col, cols):
             row[c] = row[c] * inv_p % p
         for r in range(nrows):
@@ -601,14 +614,6 @@ def _packed_skew_rows(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int],
             acc = acc << width | value % p
         packed.append(acc)
     return packed, width
-
-
-def skew_rank_mod_p(p: int, rows: list[list[int]]) -> int:
-    """Exact rank of a square alternating matrix over F_p (zero diagonal,
-    ``a[j][i] == -a[i][j] mod p``), left as it is: that of
-    `packed_skew_mod_p` on its packed rows."""
-    packed, width = _packed_skew_rows(p, rows)
-    return packed_skew_mod_p(p, packed, width)[0]
 
 
 def rank_kernel(m: Matrix) -> tuple[int, Matrix]:

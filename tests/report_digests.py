@@ -23,11 +23,11 @@ in ``ANALYZE_RUNS``.  Three files hold the digests:
   pointwise rank search and of the rank sampling that the benchmark's
   F_101 analyses miss: complete exhaustive scans (``n6-g2`` over F_2),
   exhaustive scans that stop at a witness (F_3), a small field (F_5), and
-  sampled search with the witness searches and `order` over F_1009, F_9973
-  and F_32003.  The two runs over F_9973, the largest prime below
-  ``ROOT_SCAN_PRIME_BOUND``, cover the largest fields on which the witness
-  searches of the rank sampling scan every field element, for even n
-  (``n6-g2``) and odd n (``n7-ozeki``).
+  sampled search with the rank sampling and `order` over F_1009, F_9973
+  and F_32003.  The two runs over F_9973, the largest prime below 10,000,
+  for even n (``n6-g2``) and odd n (``n7-ozeki``), were recorded while the
+  rank sampling still searched the drop locus by root scans up to that
+  bound; they show that dropping the search left the reports unchanged.
   The two runs over F_(2**61 - 1) cover wide packed slots in the line-node
   sub-Pfaffians: ``n6-g2`` (even n) reaches them through the degree of the
   drop locus, ``n7-ozeki`` (odd n) through the secant pencil.

@@ -46,6 +46,7 @@ from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
     contract,
+    derive_seed,
     projective_point_count,
     random_tensor,
     reduce_mod_p,
@@ -733,33 +734,78 @@ def test_exhaustive_budget_and_field_guards():
 
 
 def test_stratify_finds_the_single_drop_point_for_n3():
+    # P^3(F_5) has 156 points and one of them, (1, 0, 0, 0), has rank 0
+    # (`exhaustive_strata`), so 2000 draws land on it about 13 times.
     omega, _ = catalog.get("n3", field=FieldSpec.prime(5))
     report = stratify(omega, samples=2000, seed=1)
     assert report.generic_rank == 2
-    assert set(report.rank_histogram) <= {0, 2}
-    assert report.strata_hits[0] == ((1, 0, 0, 0),)
+    assert set(report.rank_histogram) == {0, 2}
+    assert sum(report.rank_histogram.values()) == 2000
 
 
-def test_stratify_hits_the_quadric_for_n6():
+def test_line_subpfaffian_roots_hit_the_quadric_for_n6():
     omega, _ = catalog.get("n6-g2", field=F101)
-    report = stratify(omega, samples=3000, seed=2)
-    assert report.generic_rank == 6
-    assert set(report.rank_histogram) <= {4, 6}
-    witnesses = report.strata_hits[4]
-    assert witnesses
-    for point in witnesses:
-        assert point_contraction_rank(build_M(omega), list(point)) == 4
+    M = build_M(omega)
+    rng = random.Random(2)
+    hits = 0
+    for _ in range(8):
+        first, second = independent_pair(F101, M.size, rng)
+        gcd = line_subpfaffian_gcd(M, first, second)
+        assert gcd is not None and gcd.degree == 2
+        # `line_zeros` appends `second` for the root at infinity; it is off
+        # the quadric here (rank 6), so only the finite roots are checked.
+        for point in line_zeros(F101, first, second, gcd)[:-1]:
+            assert point_contraction_rank(M, point) == 4
+            hits += 1
+    assert hits
 
 
-def test_stratify_finds_codimension_three_witnesses_for_n9():
+def test_secant_pencil_zeros_lie_on_the_codimension_three_locus_for_n9():
     ctx = SpaceContext(n=9, field=F101)
     omega = random_tensor(ctx, 3, "form", seed=12)
-    report = stratify(omega, samples=2000, seed=3)
-    assert report.generic_rank == 8
-    witnesses = report.strata_hits.get(6, ())
-    assert witnesses
-    for point in witnesses:
-        assert point_contraction_rank(build_M(omega), list(point)) == 6
+    M = build_M(omega)
+    for seed in range(5):
+        zeros = secant_pencil(omega, sample_line_on_X(omega, seed=seed)).zeros()
+        assert zeros
+        for point in zeros:
+            assert point_contraction_rank(M, point.coords()) == 6
+
+
+@pytest.mark.parametrize(
+    "form, p",
+    [
+        ("n3", 3),
+        ("n5", 101),
+        ("n6-g2", 1009),
+        ("n7-ozeki", 101),
+        ("n8-family", 3),
+        ("random:n4", 3),
+        ("random:n6", 101),
+        ("random:n9", 1009),
+    ],
+)
+@pytest.mark.parametrize("samples, seed", [(1, 0), (300, 5)])
+def test_stratify_counts_the_ranks_of_its_seeded_draws(form, p, samples, seed):
+    """The histogram counts the ranks at the `random_points` draws of the
+    generator that `derive_seed("stratify", n, p, samples, seed)` seeds, the
+    draws the analyze reports depend on; each rank is taken here by
+    `rank_kernel` on the evaluated matrix."""
+    field = FieldSpec.prime(p)
+    if form.startswith("random:n"):
+        omega = random_tensor(SpaceContext(int(form[len("random:n") :]), field), 3, "form", p)
+    else:
+        omega, _ = catalog.get(form, field=field)
+    ctx = omega.ctx
+    rng = random.Random(derive_seed("stratify", ctx.n, ctx.field.p, samples, seed))
+    M = build_M(omega)
+    expected = Counter(
+        rank_kernel(M.evaluate(coords))[0]
+        for coords in random_points(ctx.field, ctx.dim, rng, samples)
+    )
+    report = stratify(omega, samples=samples, seed=seed)
+    assert dict(report.rank_histogram) == expected
+    assert list(report.rank_histogram) == sorted(expected)
+    assert report.generic_rank == max(expected)
 
 
 def test_stratify_is_deterministic_per_seed():
@@ -767,7 +813,6 @@ def test_stratify_is_deterministic_per_seed():
     first = stratify(omega, samples=500, seed=4)
     second = stratify(omega, samples=500, seed=4)
     assert dict(first.rank_histogram) == dict(second.rank_histogram)
-    assert dict(first.strata_hits) == dict(second.strata_hits)
 
 
 def test_stratify_requires_a_prime_field():
@@ -778,10 +823,6 @@ def test_stratify_requires_a_prime_field():
 
 def test_report_validation_rejects_odd_ranks_and_bad_bounds():
     with pytest.raises(ConventionError):
-        StratumReport(
-            n=5, rank_histogram={3: 1}, generic_rank=3, strata_hits={}
-        )
+        StratumReport(n=5, rank_histogram={3: 1}, generic_rank=3)
     with pytest.raises(ConventionError):
-        StratumReport(
-            n=5, rank_histogram={6: 1}, generic_rank=6, strata_hits={}
-        )
+        StratumReport(n=5, rank_histogram={6: 1}, generic_rank=6)

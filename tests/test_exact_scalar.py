@@ -22,16 +22,17 @@ from triwedge.exact_scalar import (
     FieldSpec,
     Matrix,
     UniPoly,
+    _packed_skew_rows,
     _rref,
     _rref_prime,
     interpolate,
     matrix_rank,
+    packed_skew_mod_p,
     pfaffian,
     poly_gcd,
     randbelow,
     randbelow_many,
     rank_kernel,
-    skew_rank_mod_p,
 )
 
 from oracles import (
@@ -742,6 +743,72 @@ def test_submatrix_and_skew_check():
     assert sub == Matrix.from_rows(QQ, [[0, 5], [-5, 0]])
 
 
+def _skew_reference(m: Matrix) -> bool:
+    """The skew check entry by entry through the field's own arithmetic."""
+    f = m.field
+    if m.rows != m.cols:
+        return False
+    for i in range(m.rows):
+        if not f.is_zero(m.entry(i, i)):
+            return False
+        for j in range(i + 1, m.cols):
+            if m.entry(i, j) != f.neg(m.entry(j, i)):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from([QQ, F101, FieldSpec.prime(2)]),
+    size=st.integers(0, 5),
+    extra_col=st.booleans(),
+    data=st.data(),
+)
+def test_skew_check_matches_the_entrywise_reference(field, size, extra_col, data):
+    # Start from a skew matrix, then perturb: shift entries by multiples of p
+    # (or by integers over Q), and set diagonal entries, so that reduced,
+    # unreduced, non-skew and non-square inputs all occur.
+    rows = _random_skew(field, size, random.Random(data.draw(st.integers(0, 99)))).row_lists()
+    modulus = field.p or 1
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not size:
+            break
+        i = data.draw(st.integers(0, size - 1))
+        j = data.draw(st.integers(0, size - 1))
+        rows[i][j] += modulus * data.draw(st.integers(-2, 2))
+    cols = size + extra_col
+    flat = tuple(v for row in rows for v in row + [0] * extra_col)
+    m = Matrix(field, size, cols, flat)
+    assert m.is_skew_symmetric() == _skew_reference(m)
+
+
+def test_skew_check_verdicts_on_unreduced_entries():
+    # below the diagonal an unreduced entry passes when its negation mod p
+    # is the entry above; above the diagonal it must be reduced
+    assert Matrix(F101, 2, 2, (0, 5, 197, 0)).is_skew_symmetric()
+    assert not Matrix(F101, 2, 2, (0, 106, 96, 0)).is_skew_symmetric()
+    assert not Matrix(F101, 2, 2, (101, 5, 96, 0)).is_skew_symmetric()
+    assert not Matrix.from_rows(QQ, [[0, 1], [1, 0]]).is_skew_symmetric()
+    assert Matrix(QQ, 0, 0, ()).is_skew_symmetric()
+    assert not Matrix(QQ, 1, 2, (Fraction(0), Fraction(0))).is_skew_symmetric()
+
+
+@pytest.mark.parametrize("entry, det, rank", [(101, None, None), (102, 100, 2), (-100, 100, 2)])
+def test_unreduced_prime_field_entries(entry, det, rank):
+    """`Matrix` over F_p takes entries as given.  One that is congruent to a
+    nonzero residue gives the true det and rank; a nonzero multiple of p
+    cannot be inverted as a pivot and raises `ConventionError`, not a bare
+    `ValueError` from `pow`."""
+    m = Matrix(F101, 2, 2, (entry, 1, 1, 0))
+    if det is None:
+        for call in (m.det, lambda: matrix_rank(m), lambda: rank_kernel(m)):
+            with pytest.raises(ConventionError, match="multiple of 101"):
+                call()
+    else:
+        assert m.det() == det
+        assert matrix_rank(m) == rank_kernel(m)[0] == rank
+
+
 # --- skew rank kernel -------------------------------------------------------------
 
 
@@ -772,16 +839,20 @@ def alternating_mod_p(draw):
 def test_skew_rank_matches_row_reduction(case):
     p, rows = case
     rank = len(_rref_prime(p, [row[:] for row in rows], len(rows)))
-    assert skew_rank_mod_p(p, [row[:] for row in rows]) == rank
+    assert _skew_rank(p, rows) == rank
+
+
+def _skew_rank(p: int, rows: list[list[int]]) -> int:
+    return packed_skew_mod_p(p, *_packed_skew_rows(p, rows))[0]
 
 
 def test_skew_rank_anchors():
-    assert skew_rank_mod_p(7, []) == 0
-    assert skew_rank_mod_p(7, [[0, 0], [0, 0]]) == 0
-    assert skew_rank_mod_p(7, [[0, 3], [4, 0]]) == 2
+    assert _skew_rank(7, []) == 0
+    assert _skew_rank(7, [[0, 0], [0, 0]]) == 0
+    assert _skew_rank(7, [[0, 3], [4, 0]]) == 2
     # e0^e1 + e2^e3 has rank 4
     rows = [[0, 1, 0, 0], [6, 0, 0, 0], [0, 0, 0, 1], [0, 0, 6, 0]]
-    assert skew_rank_mod_p(7, [row[:] for row in rows]) == 4
+    assert _skew_rank(7, rows) == 4
 
 
 # --- seeded draws --------------------------------------------------------------------
