@@ -224,7 +224,13 @@ def _tables_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+def _require_samples(args: argparse.Namespace) -> None:
+    if args.samples is not None and args.samples < 1:
+        raise ConventionError(f"--samples must be at least 1, got {args.samples}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _require_samples(args)
     field = _parse_field(args.field) if args.field else None
     omega, label = _resolve_form(args.form, field, catalog_default=F101)
     if omega.ctx.field.kind != "prime":
@@ -260,6 +266,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _require_samples(args)
     cfg = RunConfig(
         seed=args.seed,
         samples=args.samples,

@@ -66,13 +66,14 @@ from .exact_scalar import (
     Matrix,
     Scalar,
     UniPoly,
-    _rref,
+    as_ints,
     interpolate,
     matrix_rank,
     packed_skew_mod_p,
     pfaffian,
     poly_gcd,
     rank_kernel,
+    row_reduce,
 )
 from .exterior_core import (
     AlternatingTensor,
@@ -369,30 +370,22 @@ def directions_through(M: SkewLinearMatrix, point: PointLike) -> LinearSubspace:
     """Directions f (mod the point) with M(P)·f = 0, that is
     contract(omega, P ^ f) = 0 for the form omega of M.
 
-    The result is a complement of the point inside the kernel of M(P), so
-    its linear dimension is that kernel dimension minus one: the star of
-    lines of the congruence through the point.
+    The result is the kernel of M(P) with the row e_k appended, k the first
+    nonzero coordinate of P: the directions f in the kernel with f_k = 0.
+    M(P)·P = 0, so this is a complement of the point inside the kernel of
+    M(P), and its linear dimension is that kernel dimension minus one: the
+    star of lines of the congruence through the point.
     """
     ctx = M.ctx
     field = ctx.field
     coords = point_coords(ctx, point)
     if all(field.is_zero(c) for c in coords):
         raise ConventionError("directions through the zero point are undefined")
-    _, kernel = rank_kernel(M.evaluate(coords))
     pivot = next(i for i, c in enumerate(coords) if not field.is_zero(c))
-    inv_pivot = field.inv(coords[pivot])
-    projected: list[list[Scalar]] = []
-    for column in kernel.columns():
-        factor = field.mul(column[pivot], inv_pivot)
-        reduced = [
-            field.sub(value, field.mul(factor, base))
-            for value, base in zip(column, coords)
-        ]
-        if any(not field.is_zero(v) for v in reduced):
-            projected.append(reduced)
-    pivots = _rref(field, projected, ctx.dim)
-    basis = Matrix.from_columns(field, ctx.dim, projected[: len(pivots)])
-    return LinearSubspace("vectors", ctx, basis)
+    rows = M.rows_at(coords)
+    rows.append([field.one() if i == pivot else field.zero() for i in range(ctx.dim)])
+    conditions = Matrix(field, ctx.dim + 1, ctx.dim, tuple(v for row in rows for v in row))
+    return LinearSubspace.from_kernel(conditions, "vectors", ctx)
 
 
 # -- even n: degree of the rank-drop hypersurface ---------------------------------
@@ -557,8 +550,8 @@ def _complement_indices(
     field: FieldSpec, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> list[int]:
     """Indices of standard basis vectors completing span{first, second}."""
-    rows = [list(first), list(second)]
-    pivots = _rref(field, rows, len(first))
+    rows = [as_ints(field, v)[0] for v in (first, second)]
+    pivots = row_reduce(field, rows, len(first), back_substitute=False)
     if len(pivots) != 2:
         raise ConventionError("expected two independent spanning vectors")
     return [k for k in range(len(first)) if k not in pivots]
@@ -603,12 +596,12 @@ def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
     """Rank of the matrix at every point of P^n(F_p)."""
     require_three_form(omega)
     n = omega.ctx.n
+    reduced = reduce_mod_p(omega, p)
     total = projective_point_count(p, n + 1)
     if total > EXHAUSTIVE_POINT_BUDGET:
         raise ConventionError(
             f"{total} projective points exceed the enumeration budget"
         )
-    reduced = reduce_mod_p(omega, p)
     M = build_M(reduced)
     counts: dict[int, int] = {}
     points: dict[int, list[tuple[int, ...]]] = {}

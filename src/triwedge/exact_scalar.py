@@ -10,11 +10,11 @@ Matrices are immutable dense arrays over a single field, built from rows
 (`Matrix.from_columns`).  Over the rationals the hot loops run on ints:
 `as_ints` gives field elements as ints over one shared denominator (the
 values themselves over F_p), and a result becomes one Fraction at the end.
-`rank_kernel` performs exact Gauss-Jordan elimination with one integer
-routine per field: modulo p on ints in ``[0, p)``, and over the rationals
-fraction-free on rows scaled to integers, each kernel entry one Fraction
-read off the integer rows.  `matrix_rank` builds no kernel: over the
-rationals it eliminates forward only, clearing each pivot's column in the
+`row_reduce` is the one Gauss-Jordan elimination, on int rows over both
+fields: modulo p on ints in ``[0, p)``, and over the rationals
+fraction-free on rows scaled to integers.  `rank_kernel` reads each kernel
+entry off its rows (one Fraction over the rationals); `matrix_rank` builds
+no kernel and eliminates forward only, clearing each pivot's column in the
 rows below it.  `Matrix.matvec` takes int dot products the same way: reduced
 mod p, or over the rationals on numerators over common denominators with one
 Fraction per output row.  `packed_skew_mod_p` is the one skew elimination
@@ -53,6 +53,7 @@ __all__ = [
     "FieldSpec",
     "Matrix",
     "UniPoly",
+    "row_reduce",
     "rank_kernel",
     "matrix_rank",
     "as_ints",
@@ -114,11 +115,11 @@ def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin over the first 13 prime bases.
 
     Exact for every modulus below psi_13 = 3,317,044,064,679,887,385,961,981;
-    a modulus at or above that bound raises `ValueError`, since the test could
-    no longer tell a prime from a strong pseudoprime.
+    a modulus at or above that bound raises `ConventionError`, since the test
+    could no longer tell a prime from a strong pseudoprime.
     """
     if p >= _MR_DETERMINISTIC_LIMIT:
-        raise ValueError(
+        raise ConventionError(
             f"modulus {p} is at or above {_MR_DETERMINISTIC_LIMIT}, the limit "
             "below which primality is decided exactly"
         )
@@ -161,12 +162,12 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if self.kind == "rational":
             if self.p is not None:
-                raise ValueError("rational field carries no modulus")
+                raise ConventionError("rational field carries no modulus")
         elif self.kind == "prime":
             if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"modulus {self.p!r} is not prime")
+                raise ConventionError(f"modulus {self.p!r} is not prime")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ConventionError(f"unknown field kind {self.kind!r}")
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -418,16 +419,17 @@ def _pivot_inverse(pivot: int, p: int) -> int:
         raise ConventionError(f"matrix entry {pivot} is a nonzero multiple of {p}") from None
 
 
-def _integer_rows(
-    entries: Sequence[Scalar], rows: int, cols: int
-) -> list[list[int]]:
-    """The rows of a rational ``rows x cols`` matrix given row-major, scaled
-    to integers by the lcm of all denominators and each divided by the gcd
-    of its entries: the primitive integer multiple of each row, sign kept."""
-    ints = _scaled_to_ints(entries)[0]
+def _integer_rows(m: Matrix) -> list[list[int]]:
+    """The rows of ``m`` as int lists for `row_reduce`: over F_p the entries
+    themselves; over the rationals scaled to integers by the lcm of all
+    denominators and each divided by the gcd of its entries, the primitive
+    integer multiple of each row, sign kept."""
+    if m.field.kind == "prime":
+        return m.row_lists()  # type: ignore[return-value]
+    ints = _scaled_to_ints(m.entries)[0]
     out = []
-    for i in range(rows):
-        row = ints[i * cols : (i + 1) * cols]
+    for i in range(m.rows):
+        row = ints[i * m.cols : (i + 1) * m.cols]
         # reduce rather than gcd(*row): an argument tuple per row update
         # raised the peak RSS of a rational verify pass by ~1.5 MB (~7%)
         content = reduce(gcd, row, 0)
@@ -451,18 +453,24 @@ def _eliminated(target: list[int], prow: list[int], col: int) -> list[int]:
     return target
 
 
-def _rref_ints(
-    rows: list[list[int]], cols: int, back_substitute: bool = True
+def row_reduce(
+    field: FieldSpec, rows: list[list[int]], cols: int, *, back_substitute: bool = True
 ) -> list[int]:
-    """Fraction-free Gauss-Jordan on integer rows of length ``cols``, in
-    place; returns the pivot column list.
+    """Gauss-Jordan elimination on int rows of length ``cols``, in place;
+    returns the pivot column list.
 
-    Each pivot clears its column in every other row by `_eliminated`.  Row
-    ``r`` ends as a multiple of reduced row ``r`` (its pivot entry is the
-    multiplier), zero below the rank.  Without ``back_substitute`` a pivot
-    clears its column only in the rows below it: forward elimination, which
-    is enough for the rank.
+    Each pivot column takes the first remaining row with a nonzero entry
+    there, swaps it up, and clears that column in every other row.  Over
+    F_p the rows hold ints in ``[0, p)``: the pivot row is scaled to pivot
+    1 and a row is cleared by ``(x - f·y) mod p`` from the pivot column on,
+    so the rows end in reduced row echelon form.  Over the rationals the
+    rows hold integers (`as_ints`) and are cleared fraction-free by
+    `_eliminated`: row ``r`` ends as a multiple of reduced row ``r``, its
+    pivot entry the multiplier.  Rows below the rank end zero.  Without
+    ``back_substitute`` a pivot clears its column only in the rows below it:
+    forward elimination, which gives the same pivots.
     """
+    p = field.p
     pivots: list[int] = []
     pivot_row = 0
     nrows = len(rows)
@@ -472,70 +480,30 @@ def _rref_ints(
             continue
         rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
         prow = rows[pivot_row]
-        for r in range(0 if back_substitute else pivot_row + 1, nrows):
-            if r != pivot_row and rows[r][col]:
-                rows[r] = _eliminated(rows[r], prow, col)
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivots
-
-
-def _rref(field: FieldSpec, a: list[list[Scalar]], cols: int) -> list[int]:
-    """In-place reduced row echelon form of rows of length ``cols``; returns
-    the pivot column list.
-
-    Over F_p this is `_rref_prime`.  Over the rationals the rows are scaled
-    to integers (`_integer_rows`) and eliminated fraction-free by
-    `_rref_ints`.  The reduced row echelon form is unique, so dividing each
-    pivot row by its pivot at the end gives exactly the rows that Fraction
-    elimination would.  Row ``r`` of ``a`` ends holding reduced row ``r`` as
-    Fractions, zero below the rank.
-    """
-    if field.kind == "prime":
-        return _rref_prime(field.p, a, cols)  # type: ignore[arg-type]
-    rows = _integer_rows([x for row in a for x in row], len(a), cols)
-    pivots = _rref_ints(rows, cols)
-    zero = Fraction(0)
-    for r, row in enumerate(a):
-        if r < len(pivots):
-            ints = rows[r]
-            pv = ints[pivots[r]]
-            row[:] = [Fraction(x, pv) if x else zero for x in ints]
+        start = 0 if back_substitute else pivot_row + 1
+        if p is None:
+            for r in range(start, nrows):
+                if r != pivot_row and rows[r][col]:
+                    rows[r] = _eliminated(rows[r], prow, col)
         else:
-            row[:] = [zero] * len(row)
-    return pivots
-
-
-def _rref_prime(p: int, a: list[list[int]], cols: int) -> list[int]:
-    """Fast integer RREF modulo p (hot path for sampling suites)."""
-    pivots: list[int] = []
-    pivot_row = 0
-    nrows = len(a)
-    for col in range(cols):
-        src = next((r for r in range(pivot_row, nrows) if a[r][col]), None)
-        if src is None:
-            continue
-        a[pivot_row], a[src] = a[src], a[pivot_row]
-        row = a[pivot_row]
-        inv_p = _pivot_inverse(row[col], p)
-        for c in range(col, cols):
-            row[c] = row[c] * inv_p % p
-        for r in range(nrows):
-            if r == pivot_row:
-                continue
-            factor = a[r][col]
-            if not factor:
-                continue
-            target = a[r]
+            inv = _pivot_inverse(prow[col], p)
             for c in range(col, cols):
-                target[c] = (target[c] - factor * row[c]) % p
+                prow[c] = prow[c] * inv % p
+            for r in range(start, nrows):
+                target = rows[r]
+                factor = target[col]
+                if factor and r != pivot_row:
+                    for c in range(col, cols):
+                        target[c] = (target[c] - factor * prow[c]) % p
         pivots.append(col)
         pivot_row += 1
         if pivot_row == nrows:
             break
     return pivots
+
+
+# `perfbench/tracer.py` wraps the elimination by these names; no module calls them.
+_rref = _rref_prime = row_reduce
 
 
 def skew_slot_width(p: int, size: int, bound: int) -> int:
@@ -621,17 +589,13 @@ def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
 
     Satisfies rank + kernel.cols == m.cols; each kernel column v has m·v = 0.
     Free coordinates of kernel vectors are 0/1, so the basis is in reduced form.
-    Over the rationals each entry is read off the integer rows of
-    `_rref_ints` as one Fraction, -row[fc] / row[pc].
+    Each entry is read off the rows of `row_reduce` as -row[fc] / row[pc]:
+    p - row[fc] over F_p, where the pivot is 1; one Fraction over the rationals.
     """
     field = m.field
     p = field.p
-    if p is not None:
-        a = [list(m.row(i)) for i in range(m.rows)]
-        pivots = _rref_prime(p, a, m.cols)
-    else:
-        a = _integer_rows(m.entries, m.rows, m.cols)
-        pivots = _rref_ints(a, m.cols)
+    a = _integer_rows(m)
+    pivots = row_reduce(field, a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     zero, one = field.zero(), field.one()
     kernel_cols: list[list[Scalar]] = []
@@ -647,14 +611,8 @@ def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
 
 
 def matrix_rank(m: Matrix) -> int:
-    """Exact rank, building no kernel: ``len(_rref_prime(...))`` over F_p,
-    and forward fraction-free elimination (`_rref_ints` without back
-    substitution) over the rationals."""
-    if m.field.kind == "prime":
-        a = [list(m.row(i)) for i in range(m.rows)]
-        return len(_rref_prime(m.field.p, a, m.cols))  # type: ignore[arg-type]
-    rows = _integer_rows(m.entries, m.rows, m.cols)
-    return len(_rref_ints(rows, m.cols, back_substitute=False))
+    """Exact rank, building no kernel: forward elimination by `row_reduce`."""
+    return len(row_reduce(m.field, _integer_rows(m), m.cols, back_substitute=False))
 
 
 def pfaffian(m: Matrix) -> Scalar:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -55,10 +56,11 @@ from .exact_scalar import (
     ConventionError,
     Matrix,
     Scalar,
-    _rref,
+    as_ints,
     matrix_rank,
     randbelow,
     rank_kernel,
+    row_reduce,
 )
 from .exterior_core import (
     AlternatingTensor,
@@ -204,8 +206,12 @@ class ResidualHandle:
         """What `line_system` reads besides the point, made once per handle:
         M, the rows of x and y in reduced row echelon form, their two pivot
         columns, the other indices, and the coordinates of x and y."""
-        quotient = [list(self.x.coords()), list(self.y.coords())]
-        pivots = _rref(self.ctx.field, quotient, self.ctx.dim)
+        field = self.ctx.field
+        quotient = [as_ints(field, v.coords())[0] for v in (self.x, self.y)]
+        pivots = row_reduce(field, quotient, self.ctx.dim)
+        if field.kind == "rational":
+            # each row is a multiple of its reduced row: divide by the pivot
+            quotient = [[Fraction(v, row[pc]) for v in row] for row, pc in zip(quotient, pivots)]
         keep = [i for i in range(self.ctx.dim) if i not in pivots]
         return (
             build_M(self.omega),

@@ -13,8 +13,6 @@ from triwedge.exact_scalar import (
     Matrix,
     Scalar,
     UniPoly,
-    _rref,
-    _rref_prime,
 )
 from triwedge.exterior_core import (
     _BELOW,
@@ -97,16 +95,46 @@ def matvec_reference(m: Matrix, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
+def rref_reference(field: FieldSpec, a: list[list], cols: int) -> list[int]:
+    """Field-generic Gauss-Jordan through `FieldSpec` arithmetic, one entry
+    at a time, in place; returns the pivot columns.  Row ``r`` of ``a`` ends
+    holding reduced row ``r`` as field elements, zero below the rank."""
+    pivots: list[int] = []
+    pivot_row = 0
+    nrows = len(a)
+    for col in range(cols):
+        src = next(
+            (r for r in range(pivot_row, nrows) if not field.is_zero(a[r][col])), None
+        )
+        if src is None:
+            continue
+        a[pivot_row], a[src] = a[src], a[pivot_row]
+        inv_p = field.inv(a[pivot_row][col])
+        row = a[pivot_row]
+        for c in range(col, cols):
+            row[c] = field.mul(row[c], inv_p)
+        for r in range(nrows):
+            if r == pivot_row:
+                continue
+            factor = a[r][col]
+            if field.is_zero(factor):
+                continue
+            target = a[r]
+            for c in range(col, cols):
+                target[c] = field.sub(target[c], field.mul(factor, row[c]))
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return pivots
+
+
 def rank_kernel_reference(m: Matrix) -> tuple[int, Matrix]:
     """Rank and kernel basis with each kernel entry read off the reduced rows
-    that `_rref` leaves as field elements (Fractions over the rationals)."""
+    of `rref_reference`."""
     field = m.field
-    if field.kind == "prime":
-        a = [list(m.row(i)) for i in range(m.rows)]
-        pivots = _rref_prime(field.p, a, m.cols)
-    else:
-        a = m.row_lists()
-        pivots = _rref(field, a, m.cols)
+    a = m.row_lists()
+    pivots = rref_reference(field, a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     zero, one = field.zero(), field.one()
     kernel_cols = []
@@ -155,7 +183,7 @@ def line_system_reference(handle: ResidualHandle, point) -> Matrix:
     field = ctx.field
     coords = point_coords(ctx, point)
     quotient = [list(handle.x.coords()), list(handle.y.coords())]
-    pivots = _rref(field, quotient, ctx.dim)
+    pivots = rref_reference(field, quotient, ctx.dim)
     keep = [i for i in range(ctx.dim) if i not in pivots]
     xy = wedge(handle.x, handle.y)
     anchor = ctx.vector_from_coords(coords)
@@ -337,7 +365,7 @@ def secant_pencil_reference(omega: AlternatingTensor, line: AlternatingTensor) -
     base, direction = split_decomposable(line)
     M = build_M(omega)
     first, second = M.evaluate(base), M.evaluate(direction)
-    pivots = _rref(field, [list(base.coords()), list(direction.coords())], M.size)
+    pivots = rref_reference(field, [list(base.coords()), list(direction.coords())], M.size)
     complement = [k for k in range(M.size) if k not in pivots]
     points = []
     for t in range((omega.ctx.n - 1) // 2 + 1):

@@ -117,6 +117,13 @@ def test_analyze_rejects_field_mismatch_with_file(tmp_path, capsys):
     assert "carry their own field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_analyze_rejects_samples_below_one(samples, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_analyze_document", _refuse)
+    assert main(["analyze", "--form", "catalog:n5", "--samples", samples]) == EXIT_USAGE
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
 # -- tables ---------------------------------------------------------------------------
 
 
@@ -270,6 +277,13 @@ def test_verify_prints_summary_when_writing_to_file(tmp_path, capsys):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
     assert "known suites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, samples", [("rank-laws", "0"), ("conventions", "-3")])
+def test_verify_rejects_samples_below_one(suite, samples, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _refuse)
+    assert main(["verify", "--suite", suite, "--samples", samples]) == EXIT_USAGE
+    assert "--samples must be at least 1" in capsys.readouterr().err
 
 
 def test_run_suite_rejects_unknown_names():

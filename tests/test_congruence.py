@@ -39,7 +39,7 @@ from triwedge.exterior_core import (
 )
 from triwedge.form_analysis import LinearSubspace, j_rank, span_lattice
 
-from oracles import same_subspace
+from oracles import matvec_reference, same_subspace
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -196,6 +196,30 @@ def test_directions_through_one_matrix_equal_lines_through(field):
                 )
                 for direction in star.basis_tensors():
                     assert contract(omega, wedge(anchor, direction)).is_zero()
+
+
+@pytest.mark.parametrize("field", [F101, Q])
+def test_directions_through_is_the_kernel_off_the_pivot_coordinate(field):
+    # every direction v has M(P)·v = 0 and v_k = 0 at the first nonzero
+    # coordinate k of P; the star has one dimension less than ker M(P)
+    rng = random.Random(23)
+    for n in range(4, 9):
+        ctx = SpaceContext(n=n, field=field)
+        omega = random_tensor(ctx, 3, "form", seed=400 + n)
+        matrix = build_M(omega)
+        points = [[0] * (n - 3) + [1, 0, 0, 5]] + [
+            [rng.randint(-3, 120) for _ in range(ctx.dim)] for _ in range(3)
+        ]
+        for point in points:
+            coords = [field.coerce(v) for v in point]
+            pivot = next(i for i, c in enumerate(coords) if c)
+            evaluated = matrix.evaluate(coords)
+            star = directions_through(matrix, coords)
+            rank, _ = rank_kernel(evaluated)
+            assert star.linear_dim == ctx.dim - rank - 1
+            for v in star.basis.columns():
+                assert v[pivot] == 0
+                assert not any(matvec_reference(evaluated, v))
 
 
 def test_star_rejects_the_zero_point():

@@ -730,6 +730,14 @@ def test_exhaustive_budget_and_field_guards():
         exhaustive_strata(omega101, 3)
 
 
+@pytest.mark.parametrize("p", [1, 0, 4, -3])
+def test_exhaustive_strata_reject_bad_moduli(p):
+    # the modulus is checked before the point count divides by p - 1
+    omega, _ = catalog.get("n5")
+    with pytest.raises(ConventionError, match="not prime"):
+        exhaustive_strata(omega, p)
+
+
 # -- sampled stratification ---------------------------------------------------------
 
 

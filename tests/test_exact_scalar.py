@@ -4,8 +4,8 @@ Expected values fall into three classes: convention anchors asserted
 directly, hand-derived matrices frozen after independent computation, and
 cross-checks of two algorithmically independent implementations (the
 elimination Pfaffian vs. recursive expansion vs. elimination determinant vs.
-a test-local cofactor determinant; the row reductions vs. a test-local
-field-generic elimination; int interpolation vs. `UniPoly` interpolation).
+a test-local cofactor determinant; `row_reduce` vs. the field-generic
+elimination `rref_reference`; int interpolation vs. `UniPoly` interpolation).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from triwedge.exact_scalar import (
     Matrix,
     UniPoly,
     _packed_skew_rows,
-    _rref,
-    _rref_prime,
+    as_ints,
     interpolate,
     matrix_rank,
     packed_skew_mod_p,
@@ -33,6 +32,7 @@ from triwedge.exact_scalar import (
     randbelow,
     randbelow_many,
     rank_kernel,
+    row_reduce,
 )
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     matvec_reference,
     pfaffian_expansion,
     rank_kernel_reference,
+    rref_reference,
     transpose,
 )
 
@@ -88,6 +89,17 @@ def test_field_spec_rejects_composite_modulus():
         FieldSpec.prime(1)
 
 
+@pytest.mark.parametrize("p", [1, 0, 4, -3])
+def test_field_spec_rejects_bad_moduli_with_a_convention_error(p):
+    with pytest.raises(ConventionError, match=f"modulus {p} is not prime"):
+        FieldSpec.prime(p)
+
+
+def test_field_spec_rejects_unknown_kinds_with_a_convention_error():
+    with pytest.raises(ConventionError, match="unknown field kind 'complex'"):
+        FieldSpec("complex")
+
+
 def test_field_spec_rejects_strong_pseudoprime_to_the_first_twelve_bases():
     # psi_12 passes Miller-Rabin for every prime base up to 37.
     psi_12 = 318_665_857_834_031_151_167_461
@@ -101,7 +113,7 @@ def test_field_spec_rejects_moduli_at_the_deterministic_limit():
     assert psi_13 == 1_287_836_182_261 * 2_575_672_364_521
     # 2**89 - 1 is a Mersenne prime: above the limit even primes are refused.
     for modulus in (psi_13, psi_13 + 2, 2**89 - 1):
-        with pytest.raises(ValueError, match=str(psi_13)):
+        with pytest.raises(ConventionError, match=str(psi_13)):
             FieldSpec.prime(modulus)
     largest_prime_below = 3_317_044_064_679_887_385_961_813
     assert FieldSpec.prime(largest_prime_below).char == largest_prime_below
@@ -208,39 +220,6 @@ def test_rank_kernel_agrees_between_rationals_and_large_prime_field():
         assert rank_q == rank_p
 
 
-def _reference_rref(field: FieldSpec, a: list[list], cols: int) -> list[int]:
-    """Field-generic Gauss-Jordan through `FieldSpec` arithmetic: the loop
-    `_rref` ran on every field before the integer paths, kept as its oracle."""
-    pivots: list[int] = []
-    pivot_row = 0
-    nrows = len(a)
-    for col in range(cols):
-        src = next(
-            (r for r in range(pivot_row, nrows) if not field.is_zero(a[r][col])), None
-        )
-        if src is None:
-            continue
-        a[pivot_row], a[src] = a[src], a[pivot_row]
-        inv_p = field.inv(a[pivot_row][col])
-        row = a[pivot_row]
-        for c in range(col, cols):
-            row[c] = field.mul(row[c], inv_p)
-        for r in range(nrows):
-            if r == pivot_row:
-                continue
-            factor = a[r][col]
-            if field.is_zero(factor):
-                continue
-            target = a[r]
-            for c in range(col, cols):
-                target[c] = field.sub(target[c], field.mul(factor, row[c]))
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivots
-
-
 ELIMINATION_FIELDS = (QQ, FieldSpec.prime(2), FieldSpec.prime(3), F101)
 
 
@@ -277,18 +256,47 @@ def _matrix(field: FieldSpec, rows: list[list], cols: int) -> Matrix:
     return Matrix(field, len(rows), cols, tuple(v for row in rows for v in row))
 
 
+def _int_rows(field: FieldSpec, rows: list[list]) -> list[list[int]]:
+    return [as_ints(field, row)[0] for row in rows]
+
+
+def _reduced(rows: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+    """Each of the first ``len(pivots)`` rows divided by its pivot entry."""
+    return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=elimination_inputs())
 def test_rref_matches_the_field_generic_reference(case):
     field, rows, cols = case
     expected_rows = [row[:] for row in rows]
-    expected = _reference_rref(field, expected_rows, cols)
-    a = [row[:] for row in rows]
+    expected = rref_reference(field, expected_rows, cols)
+    a = _int_rows(field, rows)
     originals = list(a)
-    assert _rref(field, a, cols) == expected
-    assert a == expected_rows
-    # the caller's own row lists hold the result
-    assert sorted(map(id, a)) == sorted(map(id, originals))
+    assert row_reduce(field, a, cols) == expected
+    rank = len(expected)
+    assert all(not any(row) for row in a[rank:])
+    if field.kind == "prime":
+        assert a == expected_rows
+        # the caller's own row lists hold the result
+        assert sorted(map(id, a)) == sorted(map(id, originals))
+    else:
+        # each row is a multiple of the reduced row, its pivot the multiplier
+        assert _reduced(a, expected) == expected_rows[:rank]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=elimination_inputs())
+def test_forward_elimination_finds_the_pivots_of_full_reduction(case):
+    field, rows, cols = case
+    full = _int_rows(field, rows)
+    forward = _int_rows(field, rows)
+    pivots = row_reduce(field, full, cols)
+    assert row_reduce(field, forward, cols, back_substitute=False) == pivots
+    # row echelon form: each pivot column is zero below its pivot row
+    for r, pc in enumerate(pivots):
+        assert forward[r][pc] and not any(row[pc] for row in forward[r + 1 :])
+    assert all(not any(row) for row in forward[len(pivots) :])
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,7 +315,7 @@ def test_rank_kernel_over_the_rationals_is_exact(case):
 def test_matrix_rank_matches_rank_kernel_and_the_reference(case):
     field, rows, cols = case
     m = _matrix(field, rows, cols)
-    expected = len(_reference_rref(field, [row[:] for row in rows], cols))
+    expected = len(rref_reference(field, [row[:] for row in rows], cols))
     assert matrix_rank(m) == rank_kernel(m)[0] == expected
 
 
@@ -355,16 +363,19 @@ def test_rank_over_the_rationals_bounds_the_rank_mod_p(p, case):
     rank_q = matrix_rank(Matrix.from_rows(QQ, ints))
     rank_p = matrix_rank(Matrix.from_rows(FieldSpec.prime(p), ints))
     assert rank_q >= rank_p
-    assert rank_q == len(_reference_rref(QQ, [[Fraction(v) for v in row] for row in ints], cols))
+    assert rank_q == len(rref_reference(QQ, [[Fraction(v) for v in row] for row in ints], cols))
 
 
 def test_rref_over_the_rationals_clears_denominators_and_signs():
     # the first pivot is negative; the rows mix ints and Fractions
     half, third = Fraction(1, 2), Fraction(1, 3)
-    a = [[-half, third, 1], [1, -2 * third, 2], [0, 0, Fraction(5, 7)]]
-    assert _rref(QQ, a, 3) == [0, 2]
-    assert a == [[1, Fraction(-2, 3), 0], [0, 0, 1], [0, 0, 0]]
-    assert all(type(v) is Fraction for row in a for v in row)
+    a = _int_rows(QQ, [[-half, third, 1], [1, -2 * third, 2], [0, 0, Fraction(5, 7)]])
+    assert a == [[-3, 2, 6], [3, -2, 6], [0, 0, 5]]
+    pivots = row_reduce(QQ, a, 3)
+    assert pivots == [0, 2]
+    assert all(type(v) is int for row in a for v in row)
+    assert _reduced(a, pivots) == [[1, Fraction(-2, 3), 0], [0, 0, 1]]
+    assert a[2] == [0, 0, 0]
 
 
 # --- pfaffian ----------------------------------------------------------------
@@ -838,7 +849,7 @@ def alternating_mod_p(draw):
 @given(case=alternating_mod_p())
 def test_skew_rank_matches_row_reduction(case):
     p, rows = case
-    rank = len(_rref_prime(p, [row[:] for row in rows], len(rows)))
+    rank = len(row_reduce(FieldSpec.prime(p), [row[:] for row in rows], len(rows)))
     assert _skew_rank(p, rows) == rank
 
 
