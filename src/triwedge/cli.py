@@ -152,12 +152,10 @@ def _parse_field(text: str) -> FieldSpec:
     raise ConventionError(f"field must be 'q' or 'p:<prime>', got {text!r}")
 
 
-def _resolve_form(
-    spec: str, field: FieldSpec | None, catalog_default: FieldSpec | None = None
-) -> tuple[AlternatingTensor, str]:
+def _resolve_form(spec: str, field: FieldSpec | None) -> tuple[AlternatingTensor, str]:
     if spec.startswith("catalog:"):
         name = spec[len("catalog:") :]
-        omega, _ = catalog.get(name, field=field or catalog_default)
+        omega, _ = catalog.get(name, field=field or F101)
         return omega, spec
     path = Path(spec)
     try:
@@ -232,7 +230,7 @@ def _require_samples(args: argparse.Namespace) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     _require_samples(args)
     field = _parse_field(args.field) if args.field else None
-    omega, label = _resolve_form(args.form, field, catalog_default=F101)
+    omega, label = _resolve_form(args.form, field)
     if omega.ctx.field.kind != "prime":
         raise ConventionError(
             "analysis includes sampled statistics and needs a prime field; "

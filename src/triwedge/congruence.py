@@ -253,7 +253,8 @@ def _even_line_attempt(
     gcd = line_subpfaffian_gcd(matrix, first, second)
     if gcd is None:
         return None
-    for coords in line_zeros(field, first, second, gcd):
+    # g has degree n/2 - 1, so ``second`` is listed exactly when g vanishes there
+    for coords in line_zeros(field, first, second, gcd, ctx.n // 2 - 1):
         if rank_at(matrix, coords) > ctx.n - 2:
             continue
         line = kernel_line(matrix, coords)
@@ -267,19 +268,16 @@ class LocalCertificate:
     """Exact local data of the line family at one of its lines."""
 
     point: AlternatingTensor
-    on_X: bool
     tangent_dim: int
-    smooth_of_expected_dim: bool
 
     def __post_init__(self) -> None:
         _require_bivector(self.point.ctx, self.point)
         if self.point.is_zero():
             raise ConventionError("certificate point must be a nonzero bivector")
-        expected = self.on_X and self.tangent_dim == self.point.ctx.n - 1
-        if self.smooth_of_expected_dim != expected:
-            raise ConventionError(
-                "smoothness flag must mirror tangent_dim == n - 1 on the family"
-            )
+
+    @property
+    def smooth_of_expected_dim(self) -> bool:
+        return self.tangent_dim == self.point.ctx.n - 1
 
 
 def tangent_intersection_dim(
@@ -323,12 +321,8 @@ def tangent_certificate(
     """
     if not member_X(omega, line):
         raise ConventionError("tangent certificate requires a line of the family")
-    tangent_dim = tangent_intersection_dim(kernel_span(omega), line)
     return LocalCertificate(
-        point=line,
-        on_X=True,
-        tangent_dim=tangent_dim,
-        smooth_of_expected_dim=tangent_dim == line.ctx.n - 1,
+        point=line, tangent_dim=tangent_intersection_dim(kernel_span(omega), line)
     )
 
 
@@ -336,16 +330,17 @@ def tangent_certificate(
 class QuadricSystem:
     """All quadratic equations through the span of the line family."""
 
-    dimension: int
     basis: tuple[AlternatingTensor, ...]
     matches_wedge_family: bool
 
     def __post_init__(self) -> None:
-        if self.dimension != len(self.basis):
-            raise ConventionError("quadric system dimension must match its basis")
         for eta in self.basis:
             if eta.variance != "form" or eta.degree != 4:
                 raise ConventionError("quadric system basis must consist of 4-forms")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def quadrics_through_span(omega: AlternatingTensor) -> QuadricSystem:
@@ -386,9 +381,7 @@ def quadrics_through_span(omega: AlternatingTensor) -> QuadricSystem:
     matches = (
         kernel.cols == family_rank and matrix_rank(joined) == kernel.cols
     )
-    return QuadricSystem(
-        dimension=kernel.cols, basis=basis, matches_wedge_family=matches
-    )
+    return QuadricSystem(basis=basis, matches_wedge_family=matches)
 
 
 def recover_forms(
@@ -429,28 +422,29 @@ class SectionPartition:
     p: int
     space_linear_dim: int
     total_points: int
-    grassmannian_points: int
     only_full: int
     only_split: int
     overlap: int
     neither: int
     neither_witnesses: tuple[tuple[int, ...], ...]
     overlap_off_hyperplane: tuple[tuple[int, ...], ...]
-    exhaustive: bool
-    overlap_on_hyperplane: bool
 
     def __post_init__(self) -> None:
-        parts = self.only_full + self.only_split + self.overlap + self.neither
-        if parts != self.grassmannian_points:
-            raise ConventionError("partition buckets must cover the decomposables")
         if self.grassmannian_points > self.total_points:
             raise ConventionError("more decomposables than enumerated points")
-        if self.exhaustive != (self.neither == 0):
-            raise ConventionError("exhaustive flag must mirror an empty neither bucket")
-        if self.overlap_on_hyperplane != (not self.overlap_off_hyperplane):
-            raise ConventionError(
-                "hyperplane flag must mirror an empty violation list"
-            )
+
+    @property
+    def grassmannian_points(self) -> int:
+        """The decomposable points: the four buckets together."""
+        return self.only_full + self.only_split + self.overlap + self.neither
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.neither == 0
+
+    @property
+    def overlap_on_hyperplane(self) -> bool:
+        return not self.overlap_off_hyperplane
 
 
 def _relaxed_span(
@@ -503,7 +497,6 @@ def classify_linear_section(
         )
     split_form, beta, _ = split_along_covector(omega_p, x_p)
     counts = {"only_full": 0, "only_split": 0, "overlap": 0, "neither": 0}
-    grassmannian = 0
     neither_witnesses: list[tuple[int, ...]] = []
     violations: list[tuple[int, ...]] = []
     for coeffs in projective_points(field, space.linear_dim):
@@ -511,7 +504,6 @@ def classify_linear_section(
         line = ctx.tensor_from_coords(2, "vector", coords)
         if not reduced_square(line).is_zero():
             continue
-        grassmannian += 1
         in_full = contract(omega_p, line).is_zero()
         in_split = (
             covector_contract(x_p, line).is_zero()
@@ -535,13 +527,7 @@ def classify_linear_section(
         p=p,
         space_linear_dim=space.linear_dim,
         total_points=total,
-        grassmannian_points=grassmannian,
-        only_full=counts["only_full"],
-        only_split=counts["only_split"],
-        overlap=counts["overlap"],
-        neither=counts["neither"],
         neither_witnesses=tuple(neither_witnesses),
         overlap_off_hyperplane=tuple(violations),
-        exhaustive=counts["neither"] == 0,
-        overlap_on_hyperplane=not violations,
+        **counts,
     )

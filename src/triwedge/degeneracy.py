@@ -20,9 +20,9 @@ extracts the secant polynomial of a congruence line for odd ``n`` from the
 quotient Pfaffian pencil, and enumerates the full rank stratification over
 small prime fields (`exhaustive_strata`).  Points of the drop locus itself
 are found exactly: over small fields by `exhaustive_strata`, and along a
-line by the roots of its restricted polynomial (`line_zeros` of the
-`line_subpfaffian_gcd` for even ``n``, `SecantPencil.zeros` on a congruence
-line for odd ``n``).
+line by the roots of its restricted polynomial, and its direction when the
+restriction drops degree (`line_zeros` of the `line_subpfaffian_gcd` for
+even ``n``, of the `SecantPencil` on a congruence line for odd ``n``).
 
 The sampling and line helpers that `congruence`, `residual` and `suites` share
 are public here: `random_points` (nonzero random points, drawn over F_p in
@@ -30,7 +30,8 @@ blocks of one `randbelow_many` call each; it lives in `form_analysis`, whose
 pointwise rank search draws from it too), `random_coords` (its one-point
 case), `independent_pair` (two independent points spanning a line, one
 two-point draw at a time), `line_gcd` and `line_zeros` (the gcd of
-polynomials restricted to that line, and the points where one vanishes),
+polynomials restricted to that line, and the points where one vanishes,
+counting the direction only on a drop below the degree it restricts),
 `line_subpfaffian_gcd` (the rank-drop polynomial of M on the line,
 the gcd of the principal sub-Pfaffians, read off one of them: for even ``n``
 the sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
@@ -154,7 +155,6 @@ class StratumReport:
 
     n: int
     rank_histogram: Mapping[int, int]
-    generic_rank: int
 
     def __post_init__(self) -> None:
         if not self.rank_histogram:
@@ -166,9 +166,15 @@ class StratumReport:
         if not 0 <= self.generic_rank <= bound:
             raise ConventionError("generic rank exceeds the parity bound")
 
+    @property
+    def generic_rank(self) -> int:
+        return max(self.rank_histogram)
+
 
 def normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
     """The point mod p, scaled so that its first nonzero coordinate is 1."""
+    if p < 2:
+        raise ConventionError(f"modulus {p} is below 2")
     values = [value % p for value in coords]
     for value in values:
         if value:
@@ -177,7 +183,9 @@ def normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
     raise ConventionError("cannot normalize the zero vector")
 
 
-def _poly_roots_prime(poly: UniPoly, p: int) -> list[int]:
+def _poly_roots_prime(poly: UniPoly, p: Optional[int]) -> list[int]:
+    if p is None:
+        raise ConventionError("root finding needs a prime field")
     return [t for t in range(p) if poly.field.is_zero(poly.eval(t))]
 
 
@@ -202,9 +210,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
         for coords in random_points(field, ctx.dim, rng, samples)
     )
     return StratumReport(
-        n=ctx.n,
-        rank_histogram=MappingProxyType(dict(sorted(histogram.items()))),
-        generic_rank=max(histogram),
+        n=ctx.n, rank_histogram=MappingProxyType(dict(sorted(histogram.items())))
     )
 
 
@@ -271,16 +277,23 @@ def line_gcd(
 
 
 def line_zeros(
-    field: FieldSpec, first: Sequence[Scalar], second: Sequence[Scalar], poly: UniPoly
+    field: FieldSpec,
+    first: Sequence[Scalar],
+    second: Sequence[Scalar],
+    poly: UniPoly,
+    degree: int,
 ) -> list[list[Scalar]]:
     """The points first + r*second over F_p at the roots r of ``poly``, in
-    increasing r, then ``second`` for the root at infinity; zero points dropped.
+    increasing r, then ``second`` when ``poly`` falls below ``degree``, the
+    degree of what it restricts (whose value at ``second`` is the coefficient
+    of t^degree); zero points dropped.  Over the rationals `ConventionError`.
     """
     points = [
         _line_point(field, first, second, root)
-        for root in _poly_roots_prime(poly, field.p)  # type: ignore[arg-type]
+        for root in _poly_roots_prime(poly, field.p)
     ]
-    points.append(list(second))
+    if poly.degree < degree:
+        points.append(list(second))
     return [point for point in points if not all(field.is_zero(v) for v in point)]
 
 
@@ -438,44 +451,49 @@ class SecantPencil:
 
     The line is spanned by ``base`` and ``direction``; the point at
     parameter ``t`` is ``base + t*direction``.  ``poly`` vanishes at the
-    parameters where the line meets the rank-drop locus; the root at
-    infinity (the point ``direction`` itself) is reported through
+    parameters where the line meets the rank-drop locus, and has degree at
+    most ``total_degree = (n-1)/2``; the root at infinity (the point
+    ``direction`` itself) has multiplicity
     ``infinity_multiplicity = total_degree - poly.degree``.
     """
 
     poly: UniPoly
-    total_degree: int
-    infinity_multiplicity: int
     base: AlternatingTensor
     direction: AlternatingTensor
 
     def __post_init__(self) -> None:
         if self.poly.is_zero():
             raise ConventionError("secant polynomial must be nonzero")
-        if self.infinity_multiplicity != self.total_degree - self.poly.degree:
-            raise ConventionError("inconsistent root count at infinity")
+
+    @property
+    def total_degree(self) -> int:
+        return (self.base.ctx.n - 1) // 2
+
+    @property
+    def infinity_multiplicity(self) -> int:
+        return self.total_degree - self.poly.degree
 
     def point_at(self, t) -> AlternatingTensor:
         scalar = self.base.ctx.field.coerce(t)
         return self.base.add(self.direction.scale(scalar))
 
-    def point_at_infinity(self) -> AlternatingTensor:
-        return self.direction
-
     def roots(self) -> list[int]:
         """The parameters t in F_p, in increasing order, where ``poly`` vanishes."""
-        return _poly_roots_prime(self.poly, self.base.ctx.field.p)  # type: ignore[arg-type]
+        return _poly_roots_prime(self.poly, self.base.ctx.field.p)
 
     def zeros(self) -> list[AlternatingTensor]:
-        """`point_at` each root, then the point at infinity when it counts."""
-        points = [self.point_at(t) for t in self.roots()]
-        if self.infinity_multiplicity > 0:
-            points.append(self.point_at_infinity())
-        return points
+        """The points of the line where ``poly`` vanishes (`line_zeros`), then
+        ``direction`` when the root at infinity counts."""
+        ctx = self.base.ctx
+        first, second = self.base.coords(), self.direction.coords()
+        points = line_zeros(ctx.field, first, second, self.poly, self.total_degree)
+        return [ctx.vector_from_coords(point) for point in points]
 
 
 def split_decomposable(line: AlternatingTensor) -> tuple[AlternatingTensor, AlternatingTensor]:
     """Vectors e, f with e ^ f equal to the given decomposable bivector."""
+    if line.variance != "vector" or line.degree != 2 or line.is_zero():
+        raise ConventionError("expected a nonzero bivector")
     ctx = line.ctx
     field = ctx.field
     (i, j), coefficient = line.terms[0]
@@ -526,24 +544,16 @@ def secant_pencil(omega: AlternatingTensor, line: AlternatingTensor) -> SecantPe
                 raise RuntimeError("pencil members fail to annihilate the line")
 
     complement = _complement_indices(field, base_coords, direction_coords)
-    total = (n - 1) // 2
-
     (poly,) = _restrict_to_line(
         field,
         base_coords,
         direction_coords,
-        total,
+        (n - 1) // 2,
         lambda coords: [_principal_pfaffian(M, coords, complement)],
     )
     if poly.is_zero():
         raise NonGenericFormError("the quotient Pfaffian vanishes identically")
-    return SecantPencil(
-        poly=poly,
-        total_degree=total,
-        infinity_multiplicity=total - poly.degree,
-        base=base,
-        direction=direction,
-    )
+    return SecantPencil(poly=poly, base=base, direction=direction)
 
 
 def _complement_indices(
@@ -566,22 +576,24 @@ class ExhaustiveStrata:
 
     n: int
     p: int
-    counts: Mapping[int, int]
     points: Mapping[int, tuple[tuple[int, ...], ...]]
 
     def __post_init__(self) -> None:
         expected = projective_point_count(self.p, self.n + 1)
         if sum(self.counts.values()) != expected:
             raise ConventionError("stratification does not cover projective space")
-        for rank, members in self.points.items():
+        for rank in self.points:
             if rank % 2 != 0:
                 raise ConventionError("skew matrix ranks must be even")
-            if len(members) != self.counts[rank]:
-                raise ConventionError("point lists disagree with their counts")
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """The number of points of each rank, in increasing rank."""
+        return {rank: len(members) for rank, members in self.points.items()}
 
     @property
     def generic_rank(self) -> int:
-        return max(self.counts)
+        return max(self.points)
 
     def stratum(self, max_rank: int) -> tuple[tuple[int, ...], ...]:
         """All points of rank at most ``max_rank``, in enumeration order."""
@@ -603,16 +615,13 @@ def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
             f"{total} projective points exceed the enumeration budget"
         )
     M = build_M(reduced)
-    counts: dict[int, int] = {}
     points: dict[int, list[tuple[int, ...]]] = {}
     for coords in projective_points(reduced.ctx.field, n + 1):
         rank = point_contraction_rank(M, coords)
-        counts[rank] = counts.get(rank, 0) + 1
         points.setdefault(rank, []).append(tuple(int(value) for value in coords))
     return ExhaustiveStrata(
         n=n,
         p=p,
-        counts=MappingProxyType(dict(sorted(counts.items()))),
         points=MappingProxyType(
             {rank: tuple(members) for rank, members in sorted(points.items())}
         ),

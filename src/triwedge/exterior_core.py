@@ -549,6 +549,8 @@ def covector_contract(f: AlternatingTensor, v: AlternatingTensor) -> Alternating
 
 def projective_point_count(p: int, length: int) -> int:
     """Number of points of projective (length-1)-space over F_p."""
+    if p < 2:
+        raise ConventionError(f"modulus {p} is below 2")
     return (p**length - 1) // (p - 1)
 
 
@@ -715,7 +717,7 @@ def form_to_document(t: AlternatingTensor) -> dict:
     }
 
 
-def form_from_document(doc: Mapping, degree: int = 3) -> AlternatingTensor:
+def form_from_document(doc: Mapping) -> AlternatingTensor:
     """Parse the JSON form document; indices must be strictly increasing."""
     try:
         n = int(doc["n"])
@@ -733,9 +735,9 @@ def form_from_document(doc: Mapping, degree: int = 3) -> AlternatingTensor:
     coeffs: list[tuple[Sequence[int], Scalar | str]] = []
     for term in doc.get("terms", []):
         indices = tuple(int(i) for i in term["indices"])
-        if len(indices) != degree:
-            raise ValueError(f"term {indices} does not have degree {degree}")
+        if len(indices) != 3:
+            raise ValueError(f"term {indices} does not have degree 3")
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise ValueError(f"indices {indices} not strictly increasing")
         coeffs.append((indices, str(term["coeff"])))
-    return AlternatingTensor.make(ctx, degree, "form", coeffs)
+    return AlternatingTensor.make(ctx, 3, "form", coeffs)

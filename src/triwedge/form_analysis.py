@@ -470,20 +470,19 @@ class GenericityReport:
     n: int
     rank_omega: int
     gc1: bool
-    gc2: bool
-    gc3_status: str  # "falsified" | "unfalsified"
     gc3_witness: tuple | None
     gc3_samples: int
     gc3_exhaustive: bool
     notes: tuple[str, ...] = dataclass_field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        if self.gc3_status not in ("falsified", "unfalsified"):
-            raise ValueError(f"bad gc3 status {self.gc3_status!r}")
-        if (self.gc3_status == "falsified") != (self.gc3_witness is not None):
-            raise ValueError("witness present iff falsified")
-        if self.gc2 != (self.rank_omega == self.n + 1):
-            raise ValueError("gc2 must mirror rank_omega == n+1")
+    @property
+    def gc2(self) -> bool:
+        return self.rank_omega == self.n + 1
+
+    @property
+    def gc3_status(self) -> str:
+        """``"falsified"`` when a witness was found, else ``"unfalsified"``."""
+        return "unfalsified" if self.gc3_witness is None else "falsified"
 
 
 def genericity(
@@ -506,7 +505,6 @@ def genericity(
     notes: list[str] = []
 
     rank_omega = j_rank(omega, 1)
-    gc2 = rank_omega == ctx.n + 1
 
     wedge_columns = [
         wedge(omega, ctx.basis_covector(i)).coords() for i in range(dim)
@@ -555,8 +553,6 @@ def genericity(
         n=ctx.n,
         rank_omega=rank_omega,
         gc1=gc1,
-        gc2=gc2,
-        gc3_status="falsified" if witness is not None else "unfalsified",
         gc3_witness=witness,
         gc3_samples=examined,
         gc3_exhaustive=scanned_exhaustively,

@@ -166,12 +166,9 @@ class ResidualHandle:
     y: AlternatingTensor
     span: LinearSubspace
     pi: LinearSubspace
-    ctx: SpaceContext
 
     def __post_init__(self) -> None:
         require_three_form(self.omega)
-        if self.ctx != self.omega.ctx:
-            raise ConventionError("handle context does not match the form")
         _require_covector(self.ctx, self.x)
         _require_covector(self.ctx, self.y)
         xy = wedge(self.x, self.y)
@@ -200,6 +197,10 @@ class ResidualHandle:
                 pair(self.y, b)
             ):
                 raise ConventionError("base locus must be cut out by both directions")
+
+    @property
+    def ctx(self) -> SpaceContext:
+        return self.omega.ctx
 
     @cached_property
     def _line_system_data(self) -> tuple:
@@ -234,7 +235,7 @@ class ResidualHandle:
             raise ConventionError("pencil directions are dependent (x^y = 0)")
         span = span_lattice(omega, x, y).pencil_at_xy
         pi = LinearSubspace.annihilator(ctx, [x, y])
-        return ResidualHandle(omega=omega, x=x, y=y, span=span, pi=pi, ctx=ctx)
+        return ResidualHandle(omega=omega, x=x, y=y, span=span, pi=pi)
 
     @staticmethod
     def general(omega: AlternatingTensor, seed: int = 0) -> "ResidualHandle":
@@ -527,7 +528,8 @@ def _decomposable_by_line_search(
         gcd = line_gcd(field, first, second, 2, quadrics)
         if gcd is None:
             continue
-        for coords in line_zeros(field, first, second, gcd):
+        # a gcd of degree 2 puts ``second`` off every restricted quadric
+        for coords in line_zeros(field, first, second, gcd, 2):
             candidate = ctx.tensor_from_coords(2, "vector", coords)
             if reduced_square(candidate).is_zero():
                 return candidate

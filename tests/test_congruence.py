@@ -11,6 +11,7 @@ from triwedge import catalog
 from triwedge.congruence import (
     LocalCertificate,
     classify_linear_section,
+    draw_line_on_X,
     kernel_span,
     lines_through,
     member_X,
@@ -334,7 +335,6 @@ def test_tangent_dimension_is_n_minus_one_at_sampled_lines():
         omega, _ = catalog.get(name, field=F101)
         for seed in range(2):
             cert = tangent_certificate(omega, sample_line_on_X(omega, seed=seed))
-            assert cert.on_X
             assert cert.tangent_dim == n - 1
             assert cert.smooth_of_expected_dim
 
@@ -362,14 +362,21 @@ def test_tangent_certificate_rejects_non_members():
         tangent_certificate(omega, wedge(ctx.basis_vector(0), ctx.basis_vector(1)))
 
 
-def test_certificate_flag_must_mirror_the_dimension():
+def test_draw_line_on_X_over_the_rationals_is_a_convention_error():
+    # the even-n attempt finds its points by a root scan, which needs F_p
+    omega, _ = catalog.get("n6-g2")
+    with pytest.raises(ConventionError, match="needs a prime field"):
+        draw_line_on_X(omega, random.Random(0), 4)
+
+
+def test_certificate_smoothness_follows_the_tangent_dimension():
     omega, _ = catalog.get("n5")
     ctx = omega.ctx
     line = wedge(ctx.basis_vector(0), ctx.basis_vector(3))
+    assert LocalCertificate(point=line, tangent_dim=4).smooth_of_expected_dim
+    assert not LocalCertificate(point=line, tangent_dim=5).smooth_of_expected_dim
     with pytest.raises(ConventionError):
-        LocalCertificate(
-            point=line, on_X=True, tangent_dim=4, smooth_of_expected_dim=False
-        )
+        LocalCertificate(point=ctx.zero_tensor(2, "vector"), tangent_dim=4)
 
 
 # -- quadrics through the span -----------------------------------------------------

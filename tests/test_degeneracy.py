@@ -24,10 +24,12 @@ from triwedge.degeneracy import (
     line_gcd,
     line_subpfaffian_gcd,
     line_zeros,
+    normalize_projective,
     random_coords,
     random_points,
     rank_at,
     secant_pencil,
+    split_decomposable,
     stratify,
 )
 from triwedge.exact_scalar import (
@@ -261,14 +263,14 @@ def test_two_plane_line_meets_both_planes():
         t for t in range(3) if Q.is_zero(pencil.poly.eval(Q.coerce(t)))
     )
     finite_point = normalized(pencil.point_at(root).coords(), Q)
-    infinite_point = normalized(pencil.point_at_infinity().coords(), Q)
+    infinite_point = normalized(pencil.direction.coords(), Q)
     e0 = normalized(ctx.basis_vector(0).coords(), Q)
     e3 = normalized(ctx.basis_vector(3).coords(), Q)
     assert {finite_point, infinite_point} == {e0, e3}
 
     M = build_M(omega)
     assert rank_at(M, pencil.point_at(root)) == 2
-    assert rank_at(M, pencil.point_at_infinity()) == 2
+    assert rank_at(M, pencil.direction) == 2
 
 
 def test_sampled_congruence_lines_are_trisecant_for_n7():
@@ -375,11 +377,36 @@ def test_pencil_zeros_are_the_scanned_roots_then_infinity():
             scanned = [t for t in range(1009) if F1009.is_zero(pencil.poly.eval(t))]
             expected = [pencil.point_at(t) for t in scanned]
             if pencil.infinity_multiplicity > 0:
-                expected.append(pencil.point_at_infinity())
+                expected.append(pencil.direction)
             assert pencil.roots() == scanned
             assert pencil.zeros() == expected
             shapes[len(scanned), pencil.infinity_multiplicity > 0] += 1
     assert shapes[1, True] == 12 and shapes[3, False] >= 1
+
+
+def test_secant_pencil_root_finding_over_the_rationals_is_a_convention_error():
+    omega, _ = catalog.get("n5")
+    ctx = omega.ctx
+    pencil = secant_pencil(omega, wedge(ctx.basis_vector(0), ctx.basis_vector(3)))
+    with pytest.raises(ConventionError, match="needs a prime field"):
+        pencil.roots()
+    with pytest.raises(ConventionError, match="needs a prime field"):
+        pencil.zeros()
+
+
+def test_split_decomposable_rejects_anything_but_a_nonzero_bivector():
+    ctx = SpaceContext(4, Q)
+    e = ctx.basis_vector
+    for bad in (
+        ctx.zero_tensor(2, "vector"),
+        e(0),
+        wedge(wedge(e(0), e(1)), e(2)),
+        wedge(ctx.basis_covector(0), ctx.basis_covector(1)),
+    ):
+        with pytest.raises(ConventionError, match="nonzero bivector"):
+            split_decomposable(bad)
+    first, second = split_decomposable(wedge(e(1), e(3)))
+    assert wedge(first, second) == wedge(e(1), e(3))
 
 
 # -- restriction to a line: gcd and zeros ------------------------------------------
@@ -387,27 +414,37 @@ def test_pencil_zeros_are_the_scanned_roots_then_infinity():
 
 @st.composite
 def polynomials_on_lines(draw):
-    """(field, first, second, poly) over a small or a desk-scale prime."""
+    """(field, first, second, poly, degree) over a small or a desk-scale
+    prime, ``degree`` at least the degree of ``poly``."""
     p = draw(st.sampled_from((2, 3, 5, 101)))
     dim = draw(st.integers(1, 4))
     point = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
     coeffs = draw(st.lists(st.integers(0, p - 1), max_size=5))
     field = FieldSpec.prime(p)
-    return field, draw(point), draw(point), UniPoly.from_coeffs(field, coeffs)
+    poly = UniPoly.from_coeffs(field, coeffs)
+    degree = draw(st.integers(max(poly.degree, 0), 5))
+    return field, draw(point), draw(point), poly, degree
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=polynomials_on_lines())
 def test_line_zeros_match_a_scan_of_the_line(case):
-    field, first, second, poly = case
+    field, first, second, poly, degree = case
     p = field.p
     scanned = [
         [(a + t * b) % p for a, b in zip(first, second)]
         for t in range(p)
         if poly.eval(t) % p == 0
     ]
-    scanned.append(list(second))
-    assert line_zeros(field, first, second, poly) == [pt for pt in scanned if any(pt)]
+    if poly.degree < degree:
+        scanned.append(list(second))
+    assert line_zeros(field, first, second, poly, degree) == [pt for pt in scanned if any(pt)]
+
+
+def test_line_zeros_over_the_rationals_is_a_convention_error():
+    poly = UniPoly.from_coeffs(Q, [1, 1])
+    with pytest.raises(ConventionError, match="needs a prime field"):
+        line_zeros(Q, [1, 0], [0, 1], poly, 1)
 
 
 def _inline_gcd_fold(field, nodes, rows):
@@ -558,7 +595,7 @@ def even_forms_and_lines(draw):
     if field.kind == "prime" and draw(st.booleans()):
         gcd = all_subpfaffian_gcd(M, first, second)
         if gcd is not None and gcd.degree >= 1:
-            on_locus = line_zeros(field, first, second, gcd)[:-1]
+            on_locus = line_zeros(field, first, second, gcd, M.size // 2 - 1)
             if on_locus:
                 second = draw(st.sampled_from(on_locus))
                 first = independent_pair(field, M.size, rng)[0]
@@ -619,7 +656,7 @@ def test_line_subpfaffian_gcd_counts_a_direction_on_the_locus_at_infinity():
     rng = random.Random(14)
     first, second = independent_pair(field, M.size, rng)
     gcd = line_subpfaffian_gcd(M, first, second)
-    root = line_zeros(field, first, second, gcd)[0]
+    root = line_zeros(field, first, second, gcd, 2)[0]
     other = independent_pair(field, M.size, rng)[0]
     on_locus = line_subpfaffian_gcd(M, other, root)
     assert on_locus == all_subpfaffian_gcd(M, other, root)
@@ -738,6 +775,14 @@ def test_exhaustive_strata_reject_bad_moduli(p):
         exhaustive_strata(omega, p)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_projective_helpers_reject_moduli_below_two(p):
+    with pytest.raises(ConventionError, match="below 2"):
+        projective_point_count(p, 3)
+    with pytest.raises(ConventionError, match="below 2"):
+        normalize_projective([1, 2], p)
+
+
 # -- sampled stratification ---------------------------------------------------------
 
 
@@ -760,9 +805,9 @@ def test_line_subpfaffian_roots_hit_the_quadric_for_n6():
         first, second = independent_pair(F101, M.size, rng)
         gcd = line_subpfaffian_gcd(M, first, second)
         assert gcd is not None and gcd.degree == 2
-        # `line_zeros` appends `second` for the root at infinity; it is off
-        # the quadric here (rank 6), so only the finite roots are checked.
-        for point in line_zeros(F101, first, second, gcd)[:-1]:
+        # a gcd of full degree 2 leaves `second` off the quadric, so
+        # `line_zeros` lists only the finite roots
+        for point in line_zeros(F101, first, second, gcd, 2):
             assert point_contraction_rank(M, point) == 4
             hits += 1
     assert hits
@@ -831,6 +876,6 @@ def test_stratify_requires_a_prime_field():
 
 def test_report_validation_rejects_odd_ranks_and_bad_bounds():
     with pytest.raises(ConventionError):
-        StratumReport(n=5, rank_histogram={3: 1}, generic_rank=3)
+        StratumReport(n=5, rank_histogram={3: 1})
     with pytest.raises(ConventionError):
-        StratumReport(n=5, rank_histogram={6: 1}, generic_rank=6)
+        StratumReport(n=5, rank_histogram={6: 1})

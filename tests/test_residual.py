@@ -130,7 +130,6 @@ def test_handle_rejects_a_span_that_is_not_the_pencil_kernel():
             y=handle.y,
             span=lattice.full,
             pi=handle.pi,
-            ctx=handle.ctx,
         )
 
 
