@@ -17,7 +17,9 @@ in ``ANALYZE_RUNS``.  Three files hold the digests:
   and `pfaffian`.
 * ``data/prime_field_report_digests.json``: ``--suite all`` at its default
   fields, which are prime fields for every suite but ``quadric-count`` and
-  ``form-recovery``.
+  ``form-recovery``, and ``conventions`` over F_3.  A third of the F_3
+  coefficients of a random tensor are zero, so the F_3 runs pin how
+  `random_tensor` drops them.
 * ``data/analyze_report_digests.json``: ``analyze`` on the catalog forms,
   fields and seeds in ``ANALYZE_RUNS``.  They cover the branches of the
   pointwise rank search and of the rank sampling that the benchmark's
@@ -83,9 +85,14 @@ def rational_commands() -> list[list[str]]:
 
 
 def prime_field_commands() -> list[list[str]]:
-    """The ``verify --suite all`` argument lists, one per seed."""
+    """The ``verify --suite all`` argument lists, one per seed, then the
+    ``conventions`` runs over F_3, one per seed."""
     return [
         ["verify", "--suite", "all", "--seed", str(seed), "--format", "json"]
+        for seed in SEEDS
+    ] + [
+        ["verify", "--suite", "conventions", "--field", "p:3", "--seed", str(seed),
+         "--format", "json"]
         for seed in SEEDS
     ]
 
