@@ -37,8 +37,8 @@ of the sum over the product of the operands' denominators.
 Validation: the public constructor ``AlternatingTensor(...)`` checks every
 term (`__post_init__`), and `make` checks the variance, the degree and the
 size and range of each index set it keeps, since its input guarantees none of
-them.  Results of the operations here (`wedge`, `contract`, `neg`, ...) are
-canonical by construction and skip the check.
+them.  Results of the operations here (`wedge`, `contract`, `neg`, ...) and
+of `random_tensor` are canonical by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -644,16 +644,24 @@ def random_tensor(
     ctx: SpaceContext, k: int, variance: str, seed: int
 ) -> AlternatingTensor:
     """Seed-deterministic random tensor: uniform coefficients over a prime
-    field, small integers in [-10, 10] over the rationals."""
+    field, small integers in [-10, 10] over the rationals.  The keys are the
+    index sets in lexicographic order and the values residues or Fractions,
+    so the terms are canonical once the zeros are dropped, and the tensor is
+    built without `make`."""
     if not (0 <= k <= ctx.dim):
         raise ValueError(f"degree {k} out of range")
+    if variance not in _VARIANCES:
+        raise ValueError(f"variance must be vector|form, got {variance!r}")
     rng = random.Random(derive_seed("tensor", ctx.n, ctx.field, k, variance, seed))
-    keys = list(ctx.index_sets(k))
+    keys = _lexicographic_positions(ctx.dim, k)
     if ctx.field.kind == "prime":
         values = randbelow_many(rng, ctx.field.p, len(keys))  # type: ignore[arg-type]
+        nonzero = filter(None, values)
     else:
         values = [rng.randint(-10, 10) for _ in keys]
-    return AlternatingTensor.make(ctx, k, variance, dict(zip(keys, values)))
+        nonzero = map(Fraction, filter(None, values))
+    terms = tuple(zip(itertools.compress(keys, values), nonzero))
+    return _trusted(ctx, k, variance, terms)
 
 
 def pullback(

@@ -92,6 +92,7 @@ __all__ = [
     "contraction_matrix",
     "j_rank",
     "genericity",
+    "polar_quadric",
     "quadric_of",
     "span_lattice",
 ]
@@ -604,31 +605,35 @@ class QuadricAnalysis:
         return Fraction(total, den * a_den * b_den) if fld.p is None else total % fld.p
 
 
-def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
-    """Polar matrix and rank of the quadratic form of a 4-form; on every call
-    cross-asserts q(L) = eta(L^[2]) = (1/2) L^T rho L on the context's three
-    seeded bivectors and their reduced squares (`SpaceContext.
-    quadric_check_pairs`), except in characteristic 2."""
+def polar_quadric(eta: AlternatingTensor) -> QuadricAnalysis:
+    """The quadratic form of a 4-form with its polar matrix rho, built and
+    not checked; `quadric_of` is the checked builder."""
     if eta.variance != "form" or eta.degree != 4:
-        raise ValueError("quadric_of expects a 4-form")
+        raise ValueError("the quadric of a form needs a 4-form")
+    fld = eta.ctx.field
+    position = {pr: idx for idx, pr in enumerate(eta.ctx.index_sets(2))}
+    size = len(position)
+    entries = [fld.zero()] * (size * size)
+    for (i, j, h, k), coeff in eta.terms:
+        minus = fld.neg(coeff)
+        for a, b, value in (
+            (position[i, j], position[h, k], coeff),
+            (position[i, h], position[j, k], minus),
+            (position[i, k], position[j, h], coeff),
+        ):
+            entries[a * size + b] = entries[b * size + a] = value
+    return QuadricAnalysis(eta, Matrix(fld, size, size, tuple(entries)))
+
+
+def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
+    """Polar matrix and rank of the quadratic form of a 4-form
+    (`polar_quadric`); on every call cross-asserts q(L) = eta(L^[2]) =
+    (1/2) L^T rho L on the context's three seeded bivectors and their
+    reduced squares (`SpaceContext.quadric_check_pairs`), except in
+    characteristic 2."""
+    analysis = polar_quadric(eta)
     ctx = eta.ctx
     fld = ctx.field
-    pairs = list(ctx.index_sets(2))
-    position = {pr: idx for idx, pr in enumerate(pairs)}
-    size = len(pairs)
-    rows = [[fld.zero()] * size for _ in range(size)]
-
-    def put(a: tuple[int, int], b: tuple[int, int], value: Scalar) -> None:
-        rows[position[a]][position[b]] = value
-        rows[position[b]][position[a]] = value
-
-    for (i, j, h, k), coeff in eta.terms:
-        put((i, j), (h, k), coeff)
-        put((i, h), (j, k), fld.neg(coeff))
-        put((i, k), (j, h), coeff)
-    rho = Matrix(fld, size, size, tuple(v for row in rows for v in row))
-    analysis = QuadricAnalysis(eta, rho)
-
     if fld.char != 2:
         half = fld.inv(fld.coerce(2))
         for L, square in ctx.quadric_check_pairs:

@@ -72,7 +72,13 @@ from .exterior_core import (
     random_tensor,
     wedge,
 )
-from .form_analysis import LinearSubspace, j_rank, quadric_of, span_lattice
+from .form_analysis import (
+    LinearSubspace,
+    j_rank,
+    polar_quadric,
+    quadric_of,
+    span_lattice,
+)
 from .residual import (
     ResidualHandle,
     Y_secancy_even,
@@ -972,9 +978,13 @@ def _suite_residual_singular(cfg: RunConfig) -> list[Claim]:
 
 def _suite_conventions(cfg: RunConfig) -> list[Claim]:
     field = cfg.prime_field(F101)
+    if field.char == 2:
+        raise ConventionError(
+            "the conventions suite checks q(L) = (1/2) L^T rho L and needs a "
+            "field of characteristic other than 2"
+        )
     instances = cfg.count(1000)
     rng = random.Random(derive_seed("conventions", cfg.seed))
-    # one context per n, so each keeps the quadric check data it builds
     contexts = {n: SpaceContext(n, field) for n in range(4, 9)}
 
     def random_skew(size: int) -> Matrix:
@@ -1013,7 +1023,8 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
     for i in range(instances):
         ctx = contexts[4 + (i % 5)]
         eta = random_tensor(ctx, 4, "form", derive_seed("cv-q", cfg.seed, i))
-        quadric = quadric_of(eta)
+        # the claim itself checks rho, so the builder skips quadric_of's checks
+        quadric = polar_quadric(eta)
         line = random_tensor(ctx, 2, "vector", derive_seed("cv-q-l", cfg.seed, i))
         via_polar = field.mul(half, quadric.polar_pairing(line, line))
         if not field.is_zero(field.sub(quadric.value(line), via_polar)):

@@ -4,6 +4,7 @@ tests directory on the import path."""
 
 from __future__ import annotations
 
+import random
 from typing import Optional, Sequence
 
 from triwedge.degeneracy import build_M, line_gcd, split_decomposable
@@ -13,15 +14,18 @@ from triwedge.exact_scalar import (
     Matrix,
     Scalar,
     UniPoly,
+    randbelow_many,
 )
 from triwedge.exterior_core import (
     _BELOW,
     _MASKS,
     AlternatingTensor,
+    SpaceContext,
     _position_subsets,
     _settle,
     _trusted,
     contract,
+    derive_seed,
     pair,
     wedge,
 )
@@ -261,6 +265,22 @@ def contract_terms_reference(big: AlternatingTensor, small: AlternatingTensor) -
             else:
                 acc[rest] = get(rest, 0) + cs * cb
     return _settle(acc, big.ctx.field.p)
+
+
+def random_tensor_reference(
+    ctx: SpaceContext, k: int, variance: str, seed: int
+) -> AlternatingTensor:
+    """`random_tensor` through `AlternatingTensor.make`: the same draws, with
+    every key canonicalised and every value coerced and reduced."""
+    if not (0 <= k <= ctx.dim):
+        raise ValueError(f"degree {k} out of range")
+    rng = random.Random(derive_seed("tensor", ctx.n, ctx.field, k, variance, seed))
+    keys = list(ctx.index_sets(k))
+    if ctx.field.kind == "prime":
+        values = randbelow_many(rng, ctx.field.p, len(keys))
+    else:
+        values = [rng.randint(-10, 10) for _ in keys]
+    return AlternatingTensor.make(ctx, k, variance, dict(zip(keys, values)))
 
 
 def reduced_square_reference(L: AlternatingTensor) -> AlternatingTensor:

@@ -345,6 +345,15 @@ def test_conventions_suite_runs_over_the_rationals():
     assert [claim.status for claim in report.claims] == ["pass"] * 5
 
 
+def test_conventions_suite_refuses_characteristic_two(capsys):
+    code = main(["verify", "--suite", "conventions", "--field", "p:2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "characteristic other than 2" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_suite_registry_matches_runner():
     cfg = RunConfig(samples=2)
     report = run_suite("span-lattice", cfg)

@@ -36,6 +36,7 @@ from triwedge.exterior_core import (
 from oracles import (
     contract_terms_reference,
     pair_reference,
+    random_tensor_reference,
     reduced_square_reference,
     wedge_reference,
 )
@@ -324,6 +325,37 @@ def test_random_tensor_prime_coefficients_in_range():
     t = random_tensor(ctx, 2, "form", 99)
     for _, value in t.terms:
         assert 0 < value < 101
+
+
+def _value_error(call) -> str | None:
+    """The message of the `ValueError` that ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fld=st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(3), F101, QQ]),
+    n=st.integers(3, 8),
+    data=st.data(),
+    variance=st.sampled_from(["vector", "form", "covector"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_random_tensor_matches_the_make_path(fld, n, data, variance, seed):
+    ctx = SpaceContext(n, fld)
+    k = data.draw(st.integers(-2, ctx.dim + 2), label="degree")
+    error = _value_error(lambda: random_tensor_reference(ctx, k, variance, seed))
+    if error is not None:
+        assert _value_error(lambda: random_tensor(ctx, k, variance, seed)) == error
+        return
+    got = random_tensor(ctx, k, variance, seed)
+    want = random_tensor_reference(ctx, k, variance, seed)
+    assert got == want
+    assert [type(v) for _, v in got.terms] == [type(v) for _, v in want.terms]
+    assert AlternatingTensor(ctx, k, variance, got.terms) == got
 
 
 # --- pullback -------------------------------------------------------------------------

@@ -43,9 +43,11 @@ from triwedge.form_analysis import (
     j_rank,
     point_contraction_rank,
     point_coords,
+    polar_quadric,
     quadric_of,
     span_lattice,
 )
+from triwedge.suites import RunConfig, run_suite
 
 from oracles import (
     entry_form,
@@ -550,6 +552,37 @@ def test_quadric_self_check_runs_on_every_call(fld, monkeypatch):
             quadric_of(random_tensor(ctx, 4, "form", seed))
     with pytest.raises(RuntimeError, match="polar matrix"):
         quadric_of(random_tensor(SpaceContext(5, fld), 4, "form", 2))
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "QQ"])
+def test_polar_quadric_builds_the_checked_polar_matrix(fld):
+    for n in (4, 6, 8):
+        ctx = SpaceContext(n, fld)
+        for seed in range(3):
+            eta = random_tensor(ctx, 4, "form", derive_seed("polar-quadric", seed))
+            built = polar_quadric(eta)
+            assert built.eta is eta
+            assert built.rho == quadric_of(eta).rho
+    with pytest.raises(ValueError, match="4-form"):
+        polar_quadric(random_tensor(SpaceContext(5, fld), 3, "form", 0))
+
+
+def test_conventions_claim_catches_a_wrong_polar_pairing(monkeypatch):
+    # the conventions suite builds rho with polar_quadric, unchecked, so its
+    # own claim must be what catches a wrong rho
+    cfg = RunConfig(samples=20)
+    status = {c.id: c.status for c in run_suite("conventions", cfg).claims}
+    assert status["quadric-polar-identity"] == "pass"
+    true_pairing = QuadricAnalysis.polar_pairing
+    monkeypatch.setattr(
+        QuadricAnalysis,
+        "polar_pairing",
+        lambda self, a, b: F101.add(true_pairing(self, a, b), F101.one()),
+    )
+    claims = {c.id: c for c in run_suite("conventions", cfg).claims}
+    assert claims["quadric-polar-identity"].status == "fail"
+    assert claims["quadric-polar-identity"].computed == 20
+    assert [c.status for c in claims.values()].count("pass") == 4
 
 
 def test_quadric_check_pairs_are_the_seeded_bivectors_of_each_context():
