@@ -32,9 +32,11 @@ case), `independent_pair` (two independent points spanning a line, one
 two-point draw at a time), `line_gcd` and `line_zeros` (the gcd of
 polynomials restricted to that line, and the points where one vanishes,
 counting the direction only on a drop below the degree it restricts),
+`line_cofactor` (the form c along the line when polynomials f_i are
+±c(P)·P_i: their gcd, read off one of them by exact division),
 `line_subpfaffian_gcd` (the rank-drop polynomial of M on the line,
-the gcd of the principal sub-Pfaffians, read off one of them: for even ``n``
-the sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
+`line_cofactor` of the principal sub-Pfaffians: for even ``n`` the
+sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
 Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
 `kernel_line` (the line from P along a kernel direction of M(P)),
@@ -42,11 +44,11 @@ Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
 coordinate 1) and `require_three_form` (from `exterior_core`).  `line_gcd`,
-`line_subpfaffian_gcd` and `secant_pencil` restrict their polynomials to a
+`line_cofactor` and `secant_pencil` restrict their polynomials to a
 line through one node loop, `_restrict_to_line`, which evaluates at the
-points t = 0, 1, ... of the line and interpolates; the last two take each
-node's principal sub-Pfaffian from `_principal_pfaffian` (over F_p off
-`packed_rows_at`, with no `Matrix`).
+points t = 0, 1, ... of the line and interpolates; `line_subpfaffian_gcd`
+and `secant_pencil` take each node's principal sub-Pfaffian from
+`_principal_pfaffian` (over F_p off `packed_rows_at`, with no `Matrix`).
 
 No floating point is used anywhere; scalars are rationals or prime
 residues throughout.
@@ -57,7 +59,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -115,6 +117,7 @@ __all__ = [
     "directions_through",
     "independent_pair",
     "kernel_line",
+    "line_cofactor",
     "line_gcd",
     "line_subpfaffian_gcd",
     "line_zeros",
@@ -313,6 +316,45 @@ def _principal_pfaffian(
     return pfaffian(Matrix(M.ctx.field, size, size, flat))
 
 
+def line_cofactor(
+    field: FieldSpec,
+    first: Sequence[Scalar],
+    second: Sequence[Scalar],
+    degree: int,
+    value_at: Callable[[list[Scalar], list[int]], Scalar],
+) -> Optional[UniPoly]:
+    """Monic c along first + t*second of polynomials f_i = ±c(P)·P_i.
+
+    ``value_at(coords, keep)`` is f_i at a point, where ``keep`` lists the
+    indices other than i (a minor or sub-Pfaffian off index i), a
+    polynomial of degree at most ``degree``.  First and second are
+    independent, so the restrictions of the P_i share no root and the gcd
+    of the restricted f_i is c along the line.  It is read off one of them,
+    at the first index i with ``second[i] != 0``: f_i restricted to the
+    line (`_restrict_to_line`) and divided exactly by
+    ``first[i] + t*second[i]``.
+
+    Returns None when f_i, and with it every f_j, vanishes on the line.  A
+    zero direction raises `ConventionError`, a division that leaves a
+    remainder `RuntimeError`.
+    """
+    i = next((k for k, value in enumerate(second) if not field.is_zero(value)), None)
+    if i is None:
+        raise ConventionError("a line needs a nonzero direction")
+    keep = [k for k in range(len(second)) if k != i]
+    (restricted,) = _restrict_to_line(
+        field, first, second, degree, lambda coords: [value_at(coords, keep)]
+    )
+    if restricted.is_zero():
+        return None
+    quotient, remainder = restricted.divmod(UniPoly.from_coeffs(field, [first[i], second[i]]))
+    if not remainder.is_zero():
+        raise RuntimeError(
+            "internal error: a restricted polynomial is not divisible by its coordinate"
+        )
+    return quotient.monic()
+
+
 def line_subpfaffian_gcd(
     M: SkewLinearMatrix, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> Optional[UniPoly]:
@@ -320,39 +362,17 @@ def line_subpfaffian_gcd(
 
     For odd ``dim`` the vector of principal sub-Pfaffians of M(P) spans
     ker M(P), and M(P)·P = 0, so Pf_i(M(P)) = ±g(P)·P_i as polynomials for
-    one form g.  First and second are independent, so the restrictions of
-    the P_i share no root and the gcd is g along the line.  It is read off
-    one sub-Pfaffian, at the first index i with ``second[i] != 0``:
-    restricted to the line (`_restrict_to_line`, each node's value from
-    `_principal_pfaffian`) and divided exactly by ``first[i] + t*second[i]``.
+    one form g, and the gcd is g along the line: `line_cofactor`, each
+    node's value from `_principal_pfaffian`.
 
     Returns None when the sub-Pfaffians vanish identically on the line,
-    which signals a degenerate line choice.  A division that leaves a
-    remainder raises `RuntimeError`.  Both points are coerced once
-    (`point_coords`), and a zero direction raises `ConventionError`.
+    which signals a degenerate line choice.  Both points are coerced once
+    (`point_coords`).
     """
-    field = M.ctx.field
-    dim = M.size
     first, second = point_coords(M.ctx, first), point_coords(M.ctx, second)
-    i = next((k for k, value in enumerate(second) if not field.is_zero(value)), None)
-    if i is None:
-        raise ConventionError("a line needs a nonzero direction")
-    keep = [k for k in range(dim) if k != i]
-    (restricted,) = _restrict_to_line(
-        field,
-        first,
-        second,
-        (dim - 1) // 2,
-        lambda coords: [_principal_pfaffian(M, coords, keep)],
+    return line_cofactor(
+        M.ctx.field, first, second, (M.size - 1) // 2, partial(_principal_pfaffian, M)
     )
-    if restricted.is_zero():
-        return None
-    quotient, remainder = restricted.divmod(UniPoly.from_coeffs(field, [first[i], second[i]]))
-    if not remainder.is_zero():
-        raise RuntimeError(
-            "internal error: a sub-Pfaffian is not divisible by its coordinate"
-        )
-    return quotient.monic()
 
 
 def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:

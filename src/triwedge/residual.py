@@ -11,8 +11,9 @@ the plane of covectors spanned by ``x`` and ``y``.
 
 Everything is exact linear algebra plus seeded sampling over prime fields:
 
-* ``ResidualHandle`` — the form, the two directions, the linear span of the
-  family (the pencil kernel of the span lattice) and the base locus ``Pi``;
+* ``ResidualHandle`` — the form and the two directions, checked once; the
+  linear span of the family (the pencil kernel of the span lattice) and the
+  base locus ``Pi`` (the annihilator of x and y) are derived from them;
 * ``line_system`` — the matrix of ``f -> (omega(P^f) mod <x,y>, (x^y)(P^f))``
   whose kernel beyond ``P`` consists of the family directions through ``P``,
   read off the rows of the skew matrix M(P) of the form (``omega(P^e_j)`` is
@@ -20,13 +21,15 @@ Everything is exact linear algebra plus seeded sampling over prime fields:
 * ``member_Y`` / ``pencil_parameter`` — membership and the pencil member a
   family line lives on;
 * ``sample_line_on_Y`` — restrict to a random pencil member, sample a line of
-  the restricted family there, and lift it back;
+  the restricted family there, and lift it back; a lifted line inside ``Pi``
+  lies on every member, so it fails like a member and the next is drawn;
 * ``sing_Y_dimension`` — the singular locus (lines inside ``Pi`` killed by
   the full form), certified at a sampled point of its exact linear span;
 * ``G_membership`` / ``G_degree_odd`` — the locus of points lying on
   infinitely many family lines, detected by the kernel dimension of the line
   system and measured, for odd ``n``, by the gcd of its maximal minors along
-  restricted lines;
+  restricted lines: they are ±c(P)·P_i for one form c, so the gcd is read
+  off one minor by `degeneracy.line_cofactor`;
 * ``Y_secancy_even`` — for even ``n``, the rank-drop count along a sampled
   family line inside its pencil member.
 """
@@ -34,10 +37,11 @@ Everything is exact linear algebra plus seeded sampling over prime fields:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import Optional
 
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
@@ -45,6 +49,7 @@ from .degeneracy import (
     build_M,
     independent_pair,
     kernel_line,
+    line_cofactor,
     line_gcd,
     line_zeros,
     random_points,
@@ -56,6 +61,7 @@ from .exact_scalar import (
     ConventionError,
     Matrix,
     Scalar,
+    UniPoly,
     as_ints,
     matrix_rank,
     randbelow,
@@ -106,13 +112,6 @@ _AGREEING_LINES = 3
 _DEGREE_LINE_BUDGET = 24
 
 
-def _require_covector(ctx: SpaceContext, direction: AlternatingTensor) -> None:
-    if direction.ctx != ctx:
-        raise ConventionError("direction lives on a different space")
-    if direction.variance != "form" or direction.degree != 1:
-        raise ConventionError("directions must be 1-forms")
-
-
 def _directions_in_image(
     omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
 ) -> bool:
@@ -156,47 +155,36 @@ def general_directions(
 class ResidualHandle:
     """A 3-form with a pencil of hyperplane directions and the family data.
 
-    ``span`` is the exact kernel of ``L -> ((x^y)(L), contract(omega, L)^x^y)``
-    — the linear span of the residual family — and ``pi`` is the base locus
-    ``{x = y = 0}`` of the pencil, as a subspace of the vector space.
+    Only ``omega``, ``x`` and ``y`` are inputs.  ``span`` is derived as the
+    pencil kernel of the span lattice, the exact kernel of
+    ``L -> ((x^y)(L), contract(omega, L)^x^y)`` — the linear span of the
+    residual family — and ``pi`` as the base locus ``{x = y = 0}`` of the
+    pencil, the annihilator of ``x`` and ``y`` in the vector space.
     """
 
     omega: AlternatingTensor
     x: AlternatingTensor
     y: AlternatingTensor
-    span: LinearSubspace
-    pi: LinearSubspace
+    span: LinearSubspace = dataclass_field(init=False)
+    pi: LinearSubspace = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         require_three_form(self.omega)
-        _require_covector(self.ctx, self.x)
-        _require_covector(self.ctx, self.y)
-        xy = wedge(self.x, self.y)
-        if xy.is_zero():
+        for direction in (self.x, self.y):
+            if direction.ctx != self.ctx:
+                raise ConventionError("direction lives on a different space")
+            if direction.variance != "form" or direction.degree != 1:
+                raise ConventionError("directions must be 1-forms")
+        if wedge(self.x, self.y).is_zero():
             raise ConventionError("pencil directions are dependent (x^y = 0)")
-        if self.span.ambient != "bivectors" or self.span.ctx != self.ctx:
-            raise ConventionError("span must be a bivector subspace on the same space")
-        field = self.ctx.field
-        for b in self.span.basis_tensors():
-            if not field.is_zero(pair(xy, b)):
-                raise ConventionError("span is not the exact pencil kernel")
-            if not wedge(contract(self.omega, b), xy).is_zero():
-                raise ConventionError("span is not the exact pencil kernel")
-        if _directions_in_image(self.omega, self.x, self.y):
-            if self.span.codim != self.ctx.n:
-                raise ConventionError(
-                    "pencil kernel codimension must equal n for directions "
-                    "inside the contraction image"
-                )
-        if self.pi.ambient != "vectors" or self.pi.ctx != self.ctx:
-            raise ConventionError("base locus must be a vector subspace")
-        if self.pi.codim != 2:
-            raise ConventionError("base locus of an honest pencil has codimension 2")
-        for b in self.pi.basis_tensors():
-            if not field.is_zero(pair(self.x, b)) or not field.is_zero(
-                pair(self.y, b)
-            ):
-                raise ConventionError("base locus must be cut out by both directions")
+        span = span_lattice(self.omega, self.x, self.y).pencil_at_xy
+        if span.codim != self.ctx.n and _directions_in_image(self.omega, self.x, self.y):
+            raise ConventionError(
+                "pencil kernel codimension must equal n for directions "
+                "inside the contraction image"
+            )
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "pi", LinearSubspace.annihilator(self.ctx, [self.x, self.y]))
 
     @property
     def ctx(self) -> SpaceContext:
@@ -224,23 +212,9 @@ class ResidualHandle:
         )
 
     @staticmethod
-    def build(
-        omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
-    ) -> "ResidualHandle":
-        ctx = omega.ctx
-        require_three_form(omega)
-        _require_covector(ctx, x)
-        _require_covector(ctx, y)
-        if wedge(x, y).is_zero():
-            raise ConventionError("pencil directions are dependent (x^y = 0)")
-        span = span_lattice(omega, x, y).pencil_at_xy
-        pi = LinearSubspace.annihilator(ctx, [x, y])
-        return ResidualHandle(omega=omega, x=x, y=y, span=span, pi=pi)
-
-    @staticmethod
     def general(omega: AlternatingTensor, seed: int = 0) -> "ResidualHandle":
         x, y = general_directions(omega, seed)
-        return ResidualHandle.build(omega, x, y)
+        return ResidualHandle(omega, x, y)
 
 
 def member_Y(handle: ResidualHandle, line: AlternatingTensor) -> bool:
@@ -369,16 +343,23 @@ def _pencil_member_data(
     return basis, pullback(handle.omega, basis)
 
 
+def _basis_wedges(ctx_sub: SpaceContext, basis: list[AlternatingTensor]) -> dict:
+    """The wedge of each pair of basis vectors, keyed by the pair of ``ctx_sub``."""
+    return {key: wedge(basis[key[0]], basis[key[1]]) for key in ctx_sub.index_sets(2)}
+
+
 def _lift_bivector(
-    ctx: SpaceContext,
-    basis: list[AlternatingTensor],
-    line: AlternatingTensor,
+    ctx: SpaceContext, wedges: dict, line: AlternatingTensor
 ) -> AlternatingTensor:
-    """Push a bivector of the sub-context through the basis into the ambient."""
-    acc = ctx.zero_tensor(2, "vector")
-    for (i, j), c in line.terms:
-        acc = acc.add(wedge(basis[i], basis[j]).scale(c))
-    return acc
+    """Push a bivector of a sub-context into the ambient in one `make`, through
+    ``wedges``, the wedges of its basis pairs (`_basis_wedges`)."""
+    field = ctx.field
+    return AlternatingTensor.make(
+        ctx,
+        2,
+        "vector",
+        [(k, field.mul(c, v)) for key, c in line.terms for k, v in wedges[key].terms],
+    )
 
 
 def _sample_on_members(
@@ -397,8 +378,10 @@ def _sample_on_members(
         line_sub = draw_line_on_X(omega_sub, rng, _INNER_LINE_BUDGET)
         if line_sub is None:
             continue
-        lifted = _lift_bivector(handle.ctx, basis, line_sub)
-        if member_Y(handle, lifted):
+        lifted = _lift_bivector(handle.ctx, _basis_wedges(omega_sub.ctx, basis), line_sub)
+        # a line inside the base locus lies on every member: it fails like a member
+        in_pi = all(covector_contract(d, lifted).is_zero() for d in (handle.x, handle.y))
+        if not in_pi and member_Y(handle, lifted):
             return lifted, line_sub, omega_sub
     raise NonGenericFormError(
         "residual line sampling budget exhausted (non-generic form or small field)"
@@ -457,10 +440,7 @@ def _base_locus_context(
 ) -> tuple[SpaceContext, list[AlternatingTensor], dict]:
     basis = handle.pi.basis_tensors()
     ctx_pi = SpaceContext(len(basis) - 1, handle.ctx.field)
-    lifted = {
-        key: wedge(basis[key[0]], basis[key[1]]) for key in ctx_pi.index_sets(2)
-    }
-    return ctx_pi, basis, lifted
+    return ctx_pi, basis, _basis_wedges(ctx_pi, basis)
 
 
 def _singular_span(
@@ -568,16 +548,7 @@ def _decomposable_by_plane_scan(
             line_sub = kernel_line(matrix, point)
             if line_sub is None:
                 continue
-            candidate = AlternatingTensor.make(
-                handle.ctx,
-                2,
-                "vector",
-                [
-                    (k, field.mul(c, v))
-                    for key, c in line_sub.terms
-                    for k, v in lifted[key].terms
-                ],
-            )
+            candidate = _lift_bivector(handle.ctx, lifted, line_sub)
             if contract(handle.omega, candidate).is_zero():
                 return line_sub
     return None
@@ -653,17 +624,32 @@ def _degree_containment_checks(handle: ResidualHandle, rng: random.Random) -> No
         return
 
 
+def _line_minor_quotient(
+    handle: ResidualHandle, first: list[Scalar], second: list[Scalar]
+) -> Optional[UniPoly]:
+    """The monic c along first + t*second for which the maximal minors of the
+    line system are ±c(P)·P_i (`line_cofactor`, one `det` per node)."""
+    ctx = handle.ctx
+    rows = list(range(ctx.dim - 1))
+
+    def maximal_minor(coords: list[Scalar], keep: list[int]) -> Scalar:
+        return line_system(handle, coords).matrix.submatrix(rows, keep).det()
+
+    return line_cofactor(ctx.field, first, second, ctx.n, maximal_minor)
+
+
 def G_degree_odd(handle: ResidualHandle, seed: int = 0) -> int:
     """Degree of the locus of points on infinitely many family lines, odd n.
 
-    Restricts the line system to random lines of points; each maximal minor
-    interpolates to a polynomial of degree at most ``n``, and their gcd cuts
-    the locus with multiplicity two (the kernel jumps by two there, so every
-    maximal minor vanishes doubly).  Clean restrictions therefore show an
-    even gcd degree; the halved value must agree across three lines.  The
-    result is spot-checked for containment: a random base-locus point, and
-    the rank-drop points of a sampled congruence line when the field shows
-    some, must test as members.
+    Restricts the line system A(P) to random lines of points.  A(P) has
+    shape ``(dim - 1) x dim`` and kills P, so its maximal minors are
+    ±c(P)·P_i for one form c of degree ``n - 1``, read off one minor along
+    each line (`_line_minor_quotient`).  c cuts the locus with multiplicity
+    two (the kernel jumps by two there, so every maximal minor vanishes
+    doubly).  Clean restrictions therefore show an even degree; the halved
+    value must agree across three lines.  The result is spot-checked for
+    containment: a random base-locus point, and the rank-drop points of a
+    sampled congruence line when the field shows some, must test as members.
     """
     ctx = handle.ctx
     field = ctx.field
@@ -672,19 +658,12 @@ def G_degree_odd(handle: ResidualHandle, seed: int = 0) -> int:
     if field.kind != "prime":
         raise ConventionError("degree sampling needs a prime field")
     rng = random.Random(derive_seed("residual-degree", ctx.n, field.p, seed))
-    maximal = [[c for c in range(ctx.dim) if c != j] for j in range(ctx.dim)]
-
-    def maximal_minors(coords: list[Scalar]) -> list[Scalar]:
-        matrix = line_system(handle, coords).matrix
-        row_idx = list(range(matrix.rows))
-        return [matrix.submatrix(row_idx, keep).det() for keep in maximal]
-
     agreed: list[int] = []
     for _ in range(_DEGREE_LINE_BUDGET):
         if len(agreed) >= _AGREEING_LINES:
             break
         base, direction = independent_pair(field, ctx.dim, rng)
-        gcd = line_gcd(field, base, direction, ctx.n, maximal_minors)
+        gcd = _line_minor_quotient(handle, base, direction)
         if gcd is None or gcd.degree % 2:
             continue
         agreed.append(gcd.degree)

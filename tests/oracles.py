@@ -205,6 +205,23 @@ def line_system_reference(handle: ResidualHandle, point) -> Matrix:
     return Matrix.from_columns(field, ctx.dim - 1, columns)
 
 
+def all_minor_gcd(
+    handle: ResidualHandle, first: Sequence[Scalar], second: Sequence[Scalar]
+) -> Optional[UniPoly]:
+    """Monic gcd of all maximal minors of the residual line system along
+    first + t*second, each by `det_reference` on `line_system_reference`,
+    folded by `line_gcd`; None when every minor vanishes on the line."""
+    ctx = handle.ctx
+    rows = list(range(ctx.dim - 1))
+    maximal = [[c for c in range(ctx.dim) if c != j] for j in range(ctx.dim)]
+
+    def maximal_minors(coords: list[Scalar]) -> list[Scalar]:
+        matrix = line_system_reference(handle, coords)
+        return [det_reference(matrix.submatrix(rows, keep)) for keep in maximal]
+
+    return line_gcd(ctx.field, first, second, ctx.n, maximal_minors)
+
+
 # -- exterior kernels, one field operation per product ------------------------
 
 

@@ -5,21 +5,25 @@ degree, and the even-dimension secancy count."""
 
 from __future__ import annotations
 
+import functools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from triwedge import catalog
+from triwedge import catalog, cli
 from triwedge.congruence import draw_line_on_X, kernel_span, member_X, sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
+    independent_pair,
     random_coords,
     split_decomposable,
 )
 from triwedge.exact_scalar import ConventionError, FieldSpec
 from triwedge.exterior_core import (
-    AlternatingTensor,
     SpaceContext,
     contract,
     covector_contract,
@@ -29,7 +33,7 @@ from triwedge.exterior_core import (
     reduced_square,
     wedge,
 )
-from triwedge.form_analysis import quadric_of, span_lattice
+from triwedge.form_analysis import LinearSubspace, quadric_of, span_lattice
 from triwedge.residual import (
     G_degree_odd,
     G_membership,
@@ -40,6 +44,7 @@ from triwedge.residual import (
     _base_locus_context,
     _decomposable_by_plane_scan,
     _lift_bivector,
+    _line_minor_quotient,
     _singular_span,
     general_directions,
     line_system,
@@ -49,7 +54,7 @@ from triwedge.residual import (
     sing_Y_dimension,
 )
 
-from oracles import line_system_reference, quadric_contains_subspace
+from oracles import all_minor_gcd, line_system_reference, quadric_contains_subspace
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -116,21 +121,28 @@ def test_general_directions_are_deterministic_and_independent():
 def test_dependent_directions_are_rejected():
     omega, _ = catalog.get("n5", field=F101)
     x, _ = general_directions(omega, seed=0)
-    with pytest.raises(ConventionError):
-        ResidualHandle.build(omega, x, x)
+    with pytest.raises(ConventionError, match="dependent"):
+        ResidualHandle(omega, x, x)
 
 
-def test_handle_rejects_a_span_that_is_not_the_pencil_kernel():
-    handle = handle_for("n5")
-    lattice = span_lattice(handle.omega, handle.x, handle.y)
-    with pytest.raises(ConventionError):
-        ResidualHandle(
-            omega=handle.omega,
-            x=handle.x,
-            y=handle.y,
-            span=lattice.full,
-            pi=handle.pi,
-        )
+@pytest.mark.parametrize("field", [Q, F101])
+def test_handle_derives_its_span_and_base_locus(field):
+    for name in ("n5", "n6-g2"):
+        handle = handle_for(name, field)
+        span = span_lattice(handle.omega, handle.x, handle.y).pencil_at_xy
+        pi = LinearSubspace.annihilator(handle.ctx, [handle.x, handle.y])
+        assert handle.span == span
+        assert handle.pi == pi
+
+
+def test_handle_checks_its_three_inputs():
+    omega, _ = catalog.get("n5", field=F101)
+    x, y = general_directions(omega, seed=0)
+    other = SpaceContext(5, F31)
+    with pytest.raises(ConventionError, match="different space"):
+        ResidualHandle(omega, x, random_tensor(other, 1, "form", 0))
+    with pytest.raises(ConventionError, match="1-forms"):
+        ResidualHandle(omega, x, omega.ctx.basis_vector(0))
 
 
 # -- the line system ----------------------------------------------------------------
@@ -329,11 +341,11 @@ def test_congruence_lines_in_the_hyperplane_section_are_residual_lines():
 
 def test_lifted_base_locus_congruence_lines_are_residual_lines():
     handle = handle_for("n5")
-    ctx_pi, basis, _ = _base_locus_context(handle)
+    ctx_pi, basis, wedges = _base_locus_context(handle)
     omega_pi = pullback(handle.omega, basis)
     line_pi = draw_line_on_X(omega_pi, random.Random(3), _INNER_LINE_BUDGET)
     assert line_pi is not None
-    lifted = _lift_bivector(handle.ctx, basis, line_pi)
+    lifted = _lift_bivector(handle.ctx, wedges, line_pi)
     assert member_Y(handle, lifted)
     # membership only needs the contraction inside <x, y>; the full form
     # does not have to kill the line, and here it does not
@@ -367,6 +379,27 @@ def test_sampling_covers_several_pencil_members():
             for s in range(seeds)
         }
         assert len(params) == distinct
+
+
+@pytest.mark.parametrize(
+    "name, handle_seed, line_seed",
+    [("n5", 406, 409), ("n7-ozeki", 411, 436), ("n8-family", 468, 509), ("n5", 477, 477)],
+)
+def test_sampling_redraws_a_line_inside_the_base_locus(name, handle_seed, line_seed):
+    # at these seeds the first member with a line gives one inside the base
+    # locus, on every member at once; the sampler moves on to the next member
+    omega, _ = catalog.get(name, field=F101)
+    handle = ResidualHandle.general(omega, seed=handle_seed)
+    line = sample_line_on_Y(handle, seed=line_seed)
+    assert member_Y(handle, line)
+    a, b = pencil_parameter(handle, line)
+    assert covector_contract(handle.x.scale(a).add(handle.y.scale(b)), line).is_zero()
+
+
+def test_residual_membership_passes_at_a_seed_that_drew_a_base_locus_line(capsys):
+    assert cli.main(["verify", "--suite", "residual-membership", "--seed", "406"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [claim["status"] for claim in report["claims"]] == ["pass", "pass"]
 
 
 def test_base_locus_lines_lie_on_every_pencil_member():
@@ -427,28 +460,21 @@ def test_singular_locus_dimensions_match_n_minus_five():
 
 @pytest.mark.parametrize("field", [Q, F101])
 def test_one_shot_lift_equals_the_termwise_sum(field):
-    # the plane scan lifts a line of the base locus with one `make` over the
-    # precomputed lifts of the basis bivectors; it must equal the sum of the
-    # scaled lifts and the wedge-by-wedge `_lift_bivector`
+    # `_lift_bivector` lifts a line of the base locus with one `make` over the
+    # wedges of the basis pairs; it must equal the sum of the scaled lifts and
+    # the wedge-by-wedge sum
     handle = handle_for("n5", field=field)
     ctx_pi, basis, lifted = _base_locus_context(handle)
     for seed in range(3):
         line = random_tensor(ctx_pi, 2, "vector", seed)
-        one_shot = AlternatingTensor.make(
-            handle.ctx,
-            2,
-            "vector",
-            [
-                (k, field.mul(c, v))
-                for key, c in line.terms
-                for k, v in lifted[key].terms
-            ],
-        )
         termwise = handle.ctx.zero_tensor(2, "vector")
-        for key, c in line.terms:
-            termwise = termwise.add(lifted[key].scale(c))
+        wedgewise = handle.ctx.zero_tensor(2, "vector")
+        for (i, j), c in line.terms:
+            termwise = termwise.add(lifted[(i, j)].scale(c))
+            wedgewise = wedgewise.add(wedge(basis[i], basis[j]).scale(c))
+        one_shot = _lift_bivector(handle.ctx, lifted, line)
         assert not one_shot.is_zero()
-        assert one_shot == termwise == _lift_bivector(handle.ctx, basis, line)
+        assert one_shot == termwise == wedgewise
 
 
 def test_plane_scan_returns_a_line_the_full_form_kills():
@@ -459,7 +485,7 @@ def test_plane_scan_returns_a_line_the_full_form_kills():
     )
     assert line is not None
     assert not line.is_zero() and reduced_square(line).is_zero()
-    assert contract(handle.omega, _lift_bivector(handle.ctx, basis, line)).is_zero()
+    assert contract(handle.omega, _lift_bivector(handle.ctx, lifted, line)).is_zero()
 
 
 def test_singular_locus_over_a_field_too_small_for_the_line_search():
@@ -487,6 +513,40 @@ def test_G_degree_grows_with_the_dimension():
     omega9 = random_tensor(SpaceContext(9, F1009), 3, "form", 12)
     handle9 = ResidualHandle.general(omega9, seed=0)
     assert G_degree_odd(handle9, seed=0) == 4
+
+
+@functools.lru_cache(maxsize=None)
+def _random_odd_handle(p: int, n: int, seed: int) -> ResidualHandle:
+    omega = random_tensor(SpaceContext(n, FieldSpec.prime(p)), 3, "form", seed)
+    return ResidualHandle.general(omega, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([31, 101, 1009]),
+    n=st.sampled_from([5, 7, 9]),
+    seed=st.integers(0, 2),
+    line_seed=st.integers(0, 10**6),
+    inside_pi=st.integers(0, 2),
+)
+def test_one_minor_quotient_equals_the_all_minor_gcd(p, n, seed, line_seed, inside_pi):
+    # a random line; one whose direction lies in the base locus, which lies on
+    # G, so the quotient drops degree; or one inside the base locus, where
+    # every minor vanishes and both sides read None
+    handle = _random_odd_handle(p, n, seed)
+    field = handle.ctx.field
+    rng = random.Random(line_seed)
+    first, second = independent_pair(field, handle.ctx.dim, rng)
+    if inside_pi:
+        second = list(random_pi_point(handle, rng).coords())
+        if inside_pi == 2:
+            first = list(random_pi_point(handle, rng).coords())
+        assume(not wedge(handle.ctx.vector_from_coords(first),
+                         handle.ctx.vector_from_coords(second)).is_zero())
+    quotient = _line_minor_quotient(handle, first, second)
+    assert quotient == all_minor_gcd(handle, first, second)
+    if inside_pi == 2:
+        assert quotient is None
 
 
 def test_G_degree_gates():
