@@ -4,8 +4,8 @@ A projective line corresponds to a nonzero decomposable bivector ``L``; the
 form contains the line exactly when ``contract(omega, L) = 0``.  Everything
 here is exact linear algebra in the bivector space:
 
-* ``kernel_span`` — the linear span of the family, computed as the kernel of
-  ``L -> contract(omega, L)``;
+* ``kernel_span`` — the linear span of the family, the kernel of
+  ``L -> contract(omega, L)`` (`form_analysis.contraction_kernel`);
 * ``lines_through`` — the star of family lines through a point, read off the
   kernel of the evaluated skew matrix of the point (`degeneracy`'s
   ``directions_through`` on a matrix built once);
@@ -22,8 +22,8 @@ here is exact linear algebra in the bivector space:
   ``{omega ^ x}``;
 * ``recover_forms`` — all 3-forms vanishing on a given bivector subspace;
 * ``classify_linear_section`` — exhaustive small-field classification of the
-  decomposable points of the hyperplane-relaxed span into the family of
-  ``omega`` and the family of its split-off restriction.
+  decomposable points of the hyperplane-relaxed span (`contraction_kernel`
+  of ``[x]``) into the families of ``omega`` and of its split-off restriction.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .exterior_core import (
 )
 from .form_analysis import (
     LinearSubspace,
-    contraction_matrix,
+    contraction_kernel,
     j_rank,
     point_contraction_rank,
 )
@@ -101,10 +101,7 @@ _WITNESS_CAP = 128
 
 def kernel_span(omega: AlternatingTensor) -> LinearSubspace:
     """Linear span of the line family: the exact kernel of L -> contract(omega, L)."""
-    require_three_form(omega)
-    return LinearSubspace.from_kernel(
-        contraction_matrix(omega, 2), "bivectors", omega.ctx
-    )
+    return contraction_kernel(omega)
 
 
 def _require_bivector(ctx: SpaceContext, line: AlternatingTensor) -> None:
@@ -447,19 +444,6 @@ class SectionPartition:
         return not self.overlap_off_hyperplane
 
 
-def _relaxed_span(
-    omega: AlternatingTensor, x: AlternatingTensor
-) -> LinearSubspace:
-    """Bivectors whose contraction against the form is a multiple of x."""
-    ctx = omega.ctx
-    columns = []
-    for key in ctx.index_sets(2):
-        blade = AlternatingTensor.make(ctx, 2, "vector", {key: 1})
-        columns.append(wedge(contract(omega, blade), x).coords())
-    conditions = Matrix.from_columns(ctx.field, len(columns[0]), columns)
-    return LinearSubspace.from_kernel(conditions, "bivectors", ctx)
-
-
 def classify_linear_section(
     omega: AlternatingTensor,
     x: AlternatingTensor,
@@ -478,14 +462,14 @@ def classify_linear_section(
         raise ConventionError("classification needs a covector direction")
     if x.ctx != omega.ctx:
         raise ConventionError("covector lives on a different space")
-    if x.is_zero():
-        raise ConventionError("cannot classify along the zero covector")
     omega_p = reduce_mod_p(omega, p)
     x_p = reduce_mod_p(x, p)
+    if x_p.is_zero():
+        raise ConventionError(f"cannot classify along a covector that is zero mod {p}")
     ctx = omega_p.ctx
     field = ctx.field
     if space is None:
-        space = _relaxed_span(omega_p, x_p)
+        space = contraction_kernel(omega_p, [x_p])
     elif space.ambient != "bivectors" or space.ctx != ctx:
         raise ConventionError(
             "custom space must be a bivector subspace over the same prime field"

@@ -39,11 +39,16 @@ search, plus exhaustive finite-field scan when the point count permits, for
 the condition that every point contraction has rank above 2; that search,
 exhaustive or sampled, is one `first_rank_at_most_two` scan over its stream
 of points.
+
+Every bivector kernel of a 3-form (the spaces of `span_lattice`, the spans of
+`congruence` and of the residual handle) is one `contraction_kernel`: the
+rows of `bivector_contraction`, read off `build_M`, reduced modulo the
+covectors through their echelon form (`covector_echelon`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
@@ -62,13 +67,13 @@ from .exact_scalar import (
     packed_skew_mod_p,
     randbelow_many,
     rank_kernel,
+    row_reduce,
     skew_slot_width,
 )
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
     contract,
-    covector_contract,
     derive_seed,
     pair,
     projective_point_count,
@@ -89,7 +94,10 @@ __all__ = [
     "point_coords",
     "first_rank_at_most_two",
     "random_points",
+    "bivector_contraction",
+    "contraction_kernel",
     "contraction_matrix",
+    "covector_echelon",
     "j_rank",
     "genericity",
     "polar_quadric",
@@ -649,7 +657,7 @@ def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
 
 @dataclass(frozen=True)
 class SpanLattice:
-    """Five exact kernels in the bivector space attached to (omega, x, y):
+    """The five `contraction_kernel` spaces of bivectors of (omega, x, y):
 
     full          bivectors L with contract(omega, L) = 0
     modulo_x      contract(omega, L) ^ x = 0
@@ -665,64 +673,92 @@ class SpanLattice:
     pencil_at_xy: LinearSubspace
 
     def as_dict(self) -> dict[str, LinearSubspace]:
-        return {
-            "full": self.full,
-            "modulo_x": self.modulo_x,
-            "modulo_xy": self.modulo_xy,
-            "split_at_x": self.split_at_x,
-            "pencil_at_xy": self.pencil_at_xy,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def codimensions(self) -> dict[str, int]:
         return {name: space.codim for name, space in self.as_dict().items()}
 
 
+def bivector_contraction(omega: AlternatingTensor) -> list[list[Scalar]]:
+    """The rows of `contraction_matrix(omega, 2)`, the map L -> contract(omega, L):
+    entry (k, ij) is the coefficient of x_k in the (i, j) entry of `build_M`,
+    where each k appears at most once."""
+    M = build_M(omega)
+    position = {key: idx for idx, key in enumerate(omega.ctx.index_sets(2))}
+    rows = [[omega.ctx.field.zero()] * len(position) for _ in range(M.size)]
+    for key, terms in M.pairs:
+        for k, coeff in terms:
+            rows[k][position[key]] = coeff
+    return rows
+
+
+def covector_echelon(
+    ctx: SpaceContext, covectors: Sequence[AlternatingTensor]
+) -> tuple[list[list[Scalar]], list[int], list[int]]:
+    """The covectors' reduced echelon rows r as field elements (pivot 1), their
+    pivots and the other indices: g is in their span exactly when
+    g[i] - sum_r g[pivot_r] * r[i] = 0 at every other i.  A covector that is
+    not a 1-form of ``ctx`` raises `ConventionError`."""
+    for g in covectors:
+        if g.ctx != ctx:
+            raise ConventionError("covector lives on a different space")
+        if g.variance != "form" or g.degree != 1:
+            raise ConventionError("covectors must be 1-forms")
+    field = ctx.field
+    rows = [as_ints(field, g.coords())[0] for g in covectors]
+    pivots = row_reduce(field, rows, ctx.dim)
+    if field.kind == "rational":  # row r is a multiple of reduced row r
+        rows = [[Fraction(v, row[pc]) for v in row] for row, pc in zip(rows, pivots)]
+    rows = rows[: len(pivots)]
+    others = [i for i in range(ctx.dim) if i not in pivots]
+    return rows, pivots, others
+
+
+def contraction_kernel(
+    omega: AlternatingTensor,
+    covectors: Sequence[AlternatingTensor] = (),
+    inside: bool = False,
+) -> LinearSubspace:
+    """The bivectors L with contract(omega, L) in the span of the covectors
+    (zero for none) and, with ``inside``, c(L) = 0 for c their wedge: the rows
+    of `bivector_contraction` reduced modulo the covectors, and those of
+    L -> c(L), coordinate m being <c ^ e^m, L> (<c, L> for two covectors)."""
+    require_three_form(omega)
+    ctx = omega.ctx
+    echelon, pivots, others = covector_echelon(ctx, covectors)
+    if inside and len(covectors) not in (1, 2):
+        raise ConventionError("the condition c(L) = 0 needs one or two covectors")
+    B = bivector_contraction(omega)
+    p = ctx.field.p
+    conditions = []
+    for i in others:
+        row = B[i]
+        for r, pc in zip(echelon, pivots):
+            if r[i]:
+                row = [a - r[i] * b for a, b in zip(row, B[pc])]
+        conditions.append([v % p for v in row] if p is not None else row)
+    if inside:
+        c = covectors[0] if len(covectors) == 1 else wedge(*covectors)
+        if c.degree == 1:
+            conditions += [wedge(c, ctx.basis_covector(m)).coords() for m in range(ctx.dim)]
+        else:
+            conditions.append(c.coords())
+    flat = tuple(v for row in conditions for v in row)
+    matrix = Matrix(ctx.field, len(conditions), len(B[0]), flat)
+    return LinearSubspace.from_kernel(matrix, "bivectors", ctx)
+
+
 def span_lattice(
     omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
 ) -> SpanLattice:
-    """Compute the five bivector subspaces for a 3-form and two independent
-    covector directions; every space is the exact kernel of its defining
-    stacked linear system."""
-    require_three_form(omega)
-    for direction in (x, y):
-        if direction.variance != "form" or direction.degree != 1:
-            raise ValueError("directions must be 1-forms")
-    ctx = omega.ctx
-    xy = wedge(x, y)
-    if xy.is_zero():
-        raise ValueError("directions are dependent (x^y = 0)")
-    fld = ctx.field
-
-    pairs = list(ctx.index_sets(2))
-    col_full: list[tuple] = []
-    col_mod_x: list[tuple] = []
-    col_mod_xy: list[tuple] = []
-    col_iota_x: list[tuple] = []
-    col_iota_xy: list[tuple] = []
-    for key in pairs:
-        blade = AlternatingTensor.make(ctx, 2, "vector", {key: 1})
-        g = contract(omega, blade)
-        col_full.append(g.coords())
-        col_mod_x.append(wedge(g, x).coords())
-        col_mod_xy.append(wedge(g, xy).coords())
-        col_iota_x.append(covector_contract(x, blade).coords())
-        col_iota_xy.append(covector_contract(xy, blade).coords())
-
-    def matrix_of(columns: list[tuple]) -> Matrix:
-        return Matrix.from_columns(fld, len(columns[0]), columns)
-
-    def stacked(upper: list[tuple], lower: list[tuple]) -> Matrix:
-        combined = [up + low for up, low in zip(upper, lower)]
-        return matrix_of(combined)
-
+    """The five bivector subspaces of a 3-form and two independent covectors."""
+    modulo_xy = contraction_kernel(omega, [x, y])
+    if wedge(x, y).is_zero():
+        raise ConventionError("directions are dependent (x^y = 0)")
     return SpanLattice(
-        full=LinearSubspace.from_kernel(matrix_of(col_full), "bivectors", ctx),
-        modulo_x=LinearSubspace.from_kernel(matrix_of(col_mod_x), "bivectors", ctx),
-        modulo_xy=LinearSubspace.from_kernel(matrix_of(col_mod_xy), "bivectors", ctx),
-        split_at_x=LinearSubspace.from_kernel(
-            stacked(col_iota_x, col_mod_x), "bivectors", ctx
-        ),
-        pencil_at_xy=LinearSubspace.from_kernel(
-            stacked(col_iota_xy, col_mod_xy), "bivectors", ctx
-        ),
+        full=contraction_kernel(omega),
+        modulo_x=contraction_kernel(omega, [x]),
+        modulo_xy=modulo_xy,
+        split_at_x=contraction_kernel(omega, [x], inside=True),
+        pencil_at_xy=contraction_kernel(omega, [x, y], inside=True),
     )

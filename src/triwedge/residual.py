@@ -11,13 +11,15 @@ the plane of covectors spanned by ``x`` and ``y``.
 
 Everything is exact linear algebra plus seeded sampling over prime fields:
 
+* ``general_directions`` — seeded directions inside the contraction image
+  whose plane ``x^y`` is no point contraction ``contract(omega, v)``;
 * ``ResidualHandle`` — the form and the two directions, checked once; the
-  linear span of the family (the pencil kernel of the span lattice) and the
-  base locus ``Pi`` (the annihilator of x and y) are derived from them;
+  linear span of the family (the pencil kernel, one `contraction_kernel`)
+  and the base locus ``Pi`` (the annihilator of x and y) are derived;
 * ``line_system`` — the matrix of ``f -> (omega(P^f) mod <x,y>, (x^y)(P^f))``
   whose kernel beyond ``P`` consists of the family directions through ``P``,
   read off the rows of the skew matrix M(P) of the form (``omega(P^e_j)`` is
-  row j of M(P)), with M and the reduced directions kept once per handle;
+  row j of M(P)), with M and `covector_echelon` of x, y kept once per handle;
 * ``member_Y`` / ``pencil_parameter`` — membership and the pencil member a
   family line lives on;
 * ``sample_line_on_Y`` — restrict to a random pencil member, sample a line of
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Optional
@@ -62,11 +63,9 @@ from .exact_scalar import (
     Matrix,
     Scalar,
     UniPoly,
-    as_ints,
     matrix_rank,
     randbelow,
     rank_kernel,
-    row_reduce,
 )
 from .exterior_core import (
     AlternatingTensor,
@@ -83,10 +82,11 @@ from .exterior_core import (
 )
 from .form_analysis import (
     LinearSubspace,
-    contraction_matrix,
+    bivector_contraction,
+    contraction_kernel,
+    covector_echelon,
     point_contraction_rank,
     point_coords,
-    span_lattice,
 )
 
 __all__ = [
@@ -112,26 +112,28 @@ _AGREEING_LINES = 3
 _DEGREE_LINE_BUDGET = 24
 
 
-def _directions_in_image(
+def _pencil_conditions(
     omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
-) -> bool:
-    """Whether <x, y> lies in the image of the bivector contraction of omega."""
-    cm = contraction_matrix(omega, 2)
-    base_rank = matrix_rank(cm)
-    columns = cm.columns() + [x.coords(), y.coords()]
-    augmented = Matrix.from_columns(omega.ctx.field, cm.rows, columns)
-    return matrix_rank(augmented) == base_rank
+) -> tuple[bool, bool]:
+    """Whether <x, y> lies in the image of the bivector contraction of omega,
+    and whether x^y = contract(omega, v), a combination of the rows of
+    `bivector_contraction`: then x(v) = y(v) = 0, so (x^y)(L) =
+    <contract(omega, L), v> vanishes wherever contract(omega, L) is in <x, y>."""
+    rows = bivector_contraction(omega)
+    augmented = [row + [a, b] for row, a, b in zip(rows, x.coords(), y.coords())]
+    rank, in_image, on_plane = (
+        matrix_rank(Matrix.from_rows(omega.ctx.field, table))
+        for table in (rows, augmented, rows + [list(wedge(x, y).coords())])
+    )
+    return in_image == rank, on_plane == rank
 
 
 def general_directions(
     omega: AlternatingTensor, seed: int = 0
 ) -> tuple[AlternatingTensor, AlternatingTensor]:
-    """Seeded random independent covectors inside the contraction image.
-
-    The image condition is what makes the pencil kernel of the span lattice
-    have codimension exactly ``n``; it holds automatically when the
-    contraction map of the form has full rank.
-    """
+    """Seeded random independent covectors inside the contraction image whose
+    plane x^y is no point contraction of omega (`_pencil_conditions`): then
+    the pencil kernel of the span lattice has codimension exactly ``n``."""
     require_three_form(omega)
     ctx = omega.ctx
     for attempt in range(_DIRECTION_BUDGET):
@@ -141,11 +143,8 @@ def general_directions(
         y = random_tensor(
             ctx, 1, "form", derive_seed("residual-y", ctx.n, ctx.field, seed, attempt)
         )
-        if wedge(x, y).is_zero():
-            continue
-        if not _directions_in_image(omega, x, y):
-            continue
-        return x, y
+        if not wedge(x, y).is_zero() and _pencil_conditions(omega, x, y) == (True, False):
+            return x, y
     raise NonGenericFormError(
         "no independent covector pair found inside the contraction image"
     )
@@ -155,11 +154,11 @@ def general_directions(
 class ResidualHandle:
     """A 3-form with a pencil of hyperplane directions and the family data.
 
-    Only ``omega``, ``x`` and ``y`` are inputs.  ``span`` is derived as the
-    pencil kernel of the span lattice, the exact kernel of
-    ``L -> ((x^y)(L), contract(omega, L)^x^y)`` — the linear span of the
-    residual family — and ``pi`` as the base locus ``{x = y = 0}`` of the
-    pencil, the annihilator of ``x`` and ``y`` in the vector space.
+    Only ``omega``, ``x`` and ``y`` are inputs.  ``span``, the linear span of
+    the residual family, is derived as the L with ``(x^y)(L) = 0`` and
+    ``contract(omega, L)`` in ``<x, y>`` (`contraction_kernel`, which checks
+    the directions), and ``pi``, the base locus ``{x = y = 0}``, as the
+    annihilator of ``x`` and ``y``.
     """
 
     omega: AlternatingTensor
@@ -169,16 +168,10 @@ class ResidualHandle:
     pi: LinearSubspace = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
-        require_three_form(self.omega)
-        for direction in (self.x, self.y):
-            if direction.ctx != self.ctx:
-                raise ConventionError("direction lives on a different space")
-            if direction.variance != "form" or direction.degree != 1:
-                raise ConventionError("directions must be 1-forms")
+        span = contraction_kernel(self.omega, [self.x, self.y], inside=True)
         if wedge(self.x, self.y).is_zero():
             raise ConventionError("pencil directions are dependent (x^y = 0)")
-        span = span_lattice(self.omega, self.x, self.y).pencil_at_xy
-        if span.codim != self.ctx.n and _directions_in_image(self.omega, self.x, self.y):
+        if span.codim != self.ctx.n and _pencil_conditions(self.omega, self.x, self.y)[0]:
             raise ConventionError(
                 "pencil kernel codimension must equal n for directions "
                 "inside the contraction image"
@@ -193,23 +186,9 @@ class ResidualHandle:
     @cached_property
     def _line_system_data(self) -> tuple:
         """What `line_system` reads besides the point, made once per handle:
-        M, the rows of x and y in reduced row echelon form, their two pivot
-        columns, the other indices, and the coordinates of x and y."""
-        field = self.ctx.field
-        quotient = [as_ints(field, v.coords())[0] for v in (self.x, self.y)]
-        pivots = row_reduce(field, quotient, self.ctx.dim)
-        if field.kind == "rational":
-            # each row is a multiple of its reduced row: divide by the pivot
-            quotient = [[Fraction(v, row[pc]) for v in row] for row, pc in zip(quotient, pivots)]
-        keep = [i for i in range(self.ctx.dim) if i not in pivots]
-        return (
-            build_M(self.omega),
-            quotient,
-            pivots,
-            keep,
-            self.x.coords(),
-            self.y.coords(),
-        )
+        M, `covector_echelon` of x and y, and the coordinates of x and y."""
+        echelon = covector_echelon(self.ctx, [self.x, self.y])
+        return (build_M(self.omega), *echelon, self.x.coords(), self.y.coords())
 
     @staticmethod
     def general(omega: AlternatingTensor, seed: int = 0) -> "ResidualHandle":

@@ -25,6 +25,7 @@ from triwedge.exterior_core import (
     _settle,
     _trusted,
     contract,
+    covector_contract,
     derive_seed,
     pair,
     wedge,
@@ -33,6 +34,7 @@ from triwedge.form_analysis import (
     LinearSubspace,
     QuadricAnalysis,
     SkewLinearMatrix,
+    SpanLattice,
     point_coords,
 )
 from triwedge.residual import ResidualHandle
@@ -459,3 +461,47 @@ def quadric_contains_subspace(quadric: QuadricAnalysis, space: LinearSubspace) -
             if not fld.is_zero(quadric.polar_pairing(u, v)):
                 return False
     return True
+
+
+def _stacked_kernel(ctx: SpaceContext, columns: list[tuple]) -> LinearSubspace:
+    matrix = Matrix.from_columns(ctx.field, len(columns[0]), columns)
+    return LinearSubspace.from_kernel(matrix, "bivectors", ctx)
+
+
+def span_lattice_reference(
+    omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
+) -> SpanLattice:
+    """The five bivector subspaces of (omega, x, y), each the kernel of its
+    stacked wedge system: per basis bivector, contract(omega, L), its wedge
+    with x and with x^y, and the contractions of x and of x^y with L."""
+    ctx = omega.ctx
+    xy = wedge(x, y)
+    full, mod_x, mod_xy, iota_x, iota_xy = [], [], [], [], []
+    for key in ctx.index_sets(2):
+        blade = AlternatingTensor.make(ctx, 2, "vector", {key: 1})
+        g = contract(omega, blade)
+        full.append(g.coords())
+        mod_x.append(wedge(g, x).coords())
+        mod_xy.append(wedge(g, xy).coords())
+        iota_x.append(covector_contract(x, blade).coords())
+        iota_xy.append(covector_contract(xy, blade).coords())
+    return SpanLattice(
+        full=_stacked_kernel(ctx, full),
+        modulo_x=_stacked_kernel(ctx, mod_x),
+        modulo_xy=_stacked_kernel(ctx, mod_xy),
+        split_at_x=_stacked_kernel(ctx, [a + b for a, b in zip(iota_x, mod_x)]),
+        pencil_at_xy=_stacked_kernel(ctx, [a + b for a, b in zip(iota_xy, mod_xy)]),
+    )
+
+
+def relaxed_span_reference(
+    omega: AlternatingTensor, x: AlternatingTensor
+) -> LinearSubspace:
+    """Bivectors whose contraction against the form is a multiple of x, as
+    the kernel of L -> contract(omega, L) ^ x."""
+    ctx = omega.ctx
+    columns = []
+    for key in ctx.index_sets(2):
+        blade = AlternatingTensor.make(ctx, 2, "vector", {key: 1})
+        columns.append(wedge(contract(omega, blade), x).coords())
+    return _stacked_kernel(ctx, columns)

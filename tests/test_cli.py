@@ -274,6 +274,19 @@ def test_verify_prints_summary_when_writing_to_file(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", ["q", "p:2", "p:3", "p:13"])
+@pytest.mark.parametrize("suite", ["span-lattice", "residual-membership"])
+def test_verify_ends_in_an_answer_or_a_package_error_over_every_field(
+    suite, field, seed, capsys
+):
+    # 0 pass, 2 inconclusive, 3 ConventionError; 1 would be a failed claim,
+    # and any other exception escapes main
+    argv = ["verify", "--suite", suite, "--field", field, "--seed", str(seed)]
+    assert main(argv + ["--format", "json"]) in (0, 2, 3)
+    capsys.readouterr()
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
     assert "known suites" in capsys.readouterr().err

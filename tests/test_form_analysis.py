@@ -37,7 +37,10 @@ from triwedge.form_analysis import (
     QuadricAnalysis,
     SkewLinearMatrix,
     build_M,
+    bivector_contraction,
+    contraction_kernel,
     contraction_matrix,
+    covector_echelon,
     first_rank_at_most_two,
     genericity,
     j_rank,
@@ -47,17 +50,23 @@ from triwedge.form_analysis import (
     quadric_of,
     span_lattice,
 )
+from triwedge.congruence import kernel_span
 from triwedge.suites import RunConfig, run_suite
 
 from oracles import (
     entry_form,
     evaluate_reference,
     quadric_contains_subspace,
+    relaxed_span_reference,
     same_subspace,
     singular_locus,
+    span_lattice_reference,
 )
 
 QQ = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
+F31 = FieldSpec.prime(31)
 F101 = FieldSpec.prime(101)
 
 
@@ -713,6 +722,123 @@ def test_span_lattice_rejects_dependent_directions():
     x = ctx.basis_covector(0)
     with pytest.raises(ValueError):
         span_lattice(two_planes(ctx), x, x.scale(2))
+
+
+@st.composite
+def forms_with_directions(draw):
+    """A random 3-form (or the two-plane form, whose contraction image is
+    spanned by x_0..x_5) with two covectors, each random, a basis covector
+    (outside the image of the two-plane form from index 6 on) or a point
+    of the image."""
+    field = draw(st.sampled_from([F2, F3, F101, QQ]))
+    n = draw(st.integers(3, 8))
+    ctx = SpaceContext(n, field)
+    if n >= 5 and draw(st.booleans()):
+        omega = two_planes(ctx)
+    else:
+        omega = random_tensor(ctx, 3, "form", draw(st.integers(0, 10**6)))
+
+    def direction():
+        kind = draw(st.sampled_from(["random", "basis", "image"]))
+        if kind == "basis":
+            return ctx.basis_covector(draw(st.integers(0, n)))
+        seed = draw(st.integers(0, 10**6))
+        if kind == "random":
+            return random_tensor(ctx, 1, "form", seed)
+        return contract(omega, random_tensor(ctx, 2, "vector", seed))
+
+    return omega, direction(), direction()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=forms_with_directions())
+def test_contraction_kernels_equal_the_stacked_wedge_systems(case):
+    # equal bases, not only equal subspaces: the bases are what reports print
+    omega, x, y = case
+    assert bivector_contraction(omega) == contraction_matrix(omega, 2).row_lists()
+    reference = span_lattice_reference(omega, x, y)
+    assert kernel_span(omega).basis == reference.full.basis
+    if not x.is_zero():
+        assert contraction_kernel(omega, [x]).basis == relaxed_span_reference(omega, x).basis
+    if wedge(x, y).is_zero():
+        return
+    lattice = span_lattice(omega, x, y)
+    for name, space in lattice.as_dict().items():
+        assert space.basis == reference.as_dict()[name].basis, name
+
+
+@st.composite
+def covectors_and_a_probe(draw):
+    """Up to four covectors, some of them zero or combinations of the ones
+    before (so the list may be dependent), and a covector g that is either
+    a combination of them or random."""
+    field = draw(st.sampled_from([F2, F3, F101, QQ]))
+    ctx = SpaceContext(draw(st.integers(3, 6)), field)
+
+    def combination(vectors):
+        acc = ctx.zero_tensor(1, "form")
+        for v in vectors:
+            acc = acc.add(v.scale(field.coerce(draw(st.integers(-3, 3)))))
+        return acc
+
+    covectors = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "random":
+            covectors.append(random_tensor(ctx, 1, "form", draw(st.integers(0, 10**6))))
+        else:
+            covectors.append(combination(covectors if kind == "combination" else []))
+    if draw(st.booleans()):
+        probe = combination(covectors)
+        assert_inside = True
+    else:
+        probe = random_tensor(ctx, 1, "form", draw(st.integers(0, 10**6)))
+        assert_inside = False
+    return ctx, covectors, probe, assert_inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=covectors_and_a_probe())
+def test_covector_echelon_decides_span_membership_like_the_annihilator(case):
+    ctx, covectors, g, assert_inside = case
+    fld = ctx.field
+    rows, pivots, others = covector_echelon(ctx, covectors)
+    annihilator = LinearSubspace.annihilator(ctx, covectors)
+    assert len(pivots) == len(rows) == ctx.dim - annihilator.linear_dim
+    assert sorted(pivots + others) == list(range(ctx.dim))
+    assert all(row[pc] == 1 for row, pc in zip(rows, pivots))
+    coords = g.coords()
+    residue = []
+    for i in others:
+        value = coords[i]
+        for row, pc in zip(rows, pivots):
+            value = fld.sub(value, fld.mul(coords[pc], row[i]))
+        residue.append(value)
+    inside = all(fld.is_zero(pair(g, v)) for v in annihilator.basis_tensors())
+    assert all(fld.is_zero(v) for v in residue) == inside
+    if assert_inside:
+        assert inside
+
+
+def test_kernel_builders_reject_covectors_of_another_space_or_kind():
+    omega, _ = catalog.get("n5", field=F101)
+    x = random_tensor(omega.ctx, 1, "form", 1)
+    bad = (
+        (random_tensor(SpaceContext(5, F31), 1, "form", 0), "different space"),
+        (random_tensor(SpaceContext(6, F101), 1, "form", 0), "different space"),
+        (omega.ctx.basis_vector(0), "1-forms"),
+    )
+    for covector, message in bad:
+        with pytest.raises(ConventionError, match=message):
+            contraction_kernel(omega, [covector])
+        with pytest.raises(ConventionError, match=message):
+            contraction_kernel(omega, [x, covector], inside=True)
+        with pytest.raises(ConventionError, match=message):
+            span_lattice(omega, x, covector)
+        with pytest.raises(ConventionError, match=message):
+            span_lattice(omega, covector, x)
+    with pytest.raises(ConventionError, match="one or two covectors"):
+        contraction_kernel(omega, inside=True)
 
 
 # --- LinearSubspace plumbing ---------------------------------------------------------------

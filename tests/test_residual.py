@@ -23,6 +23,7 @@ from triwedge.degeneracy import (
     split_decomposable,
 )
 from triwedge.exact_scalar import ConventionError, FieldSpec
+from triwedge.suites import RunConfig, run_suite
 from triwedge.exterior_core import (
     SpaceContext,
     contract,
@@ -33,7 +34,7 @@ from triwedge.exterior_core import (
     reduced_square,
     wedge,
 )
-from triwedge.form_analysis import LinearSubspace, quadric_of, span_lattice
+from triwedge.form_analysis import LinearSubspace, contraction_kernel, quadric_of, span_lattice
 from triwedge.residual import (
     G_degree_odd,
     G_membership,
@@ -45,6 +46,7 @@ from triwedge.residual import (
     _decomposable_by_plane_scan,
     _lift_bivector,
     _line_minor_quotient,
+    _pencil_conditions,
     _singular_span,
     general_directions,
     line_system,
@@ -125,6 +127,34 @@ def test_dependent_directions_are_rejected():
         ResidualHandle(omega, x, x)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_pencil_kernel_loses_a_condition_exactly_on_point_contraction_planes(p):
+    # for x, y in the contraction image the pencil kernel has codimension n
+    # unless x^y = contract(omega, v), which a small field draws often at n = 4
+    drops = 0
+    for n in (4, 5):
+        ctx = SpaceContext(n, FieldSpec.prime(p))
+        for seed in range(80):
+            omega = random_tensor(ctx, 3, "form", seed)
+            x = random_tensor(ctx, 1, "form", 1000 + seed)
+            y = random_tensor(ctx, 1, "form", 2000 + seed)
+            in_image, on_plane = _pencil_conditions(omega, x, y)
+            if wedge(x, y).is_zero() or not in_image:
+                continue
+            drop = contraction_kernel(omega, [x, y], inside=True).codim != n
+            assert drop == on_plane
+            drops += drop
+    assert drops > 0
+
+
+def test_span_lattice_suite_over_f2_at_seed_1_draws_general_directions():
+    # one random n = 5 form over F_2 fails gc3 there, and the first pair of
+    # directions drawn for it spans a point contraction: the pencil kernel
+    # had codimension 4 and the published-codimension claim failed
+    claims = run_suite("span-lattice", RunConfig(seed=1, field=FieldSpec.prime(2))).claims
+    assert [c.status for c in claims] == ["pass", "pass"]
+
+
 @pytest.mark.parametrize("field", [Q, F101])
 def test_handle_derives_its_span_and_base_locus(field):
     for name in ("n5", "n6-g2"):
@@ -203,9 +233,24 @@ def test_line_system_matches_the_tensor_oracle_over_the_rationals():
 
 
 def test_a_random_form_with_n_4_over_f2_can_have_no_handle():
+    # contraction rank 3: the 7 planes of covectors over F_2 inside the
+    # contraction image are all point contractions, so no pair of directions
+    # gives the pencil kernel codimension n, and `general` finds none
     omega = random_tensor(SpaceContext(4, F2), 3, "form", 1)
-    with pytest.raises(ConventionError, match="pencil kernel codimension"):
+    with pytest.raises(NonGenericFormError, match="no independent covector pair"):
         ResidualHandle.general(omega, 1)
+    pairs = (
+        (random_tensor(omega.ctx, 1, "form", s), random_tensor(omega.ctx, 1, "form", s + 1))
+        for s in range(0, 200, 2)
+    )
+    x, y = next(
+        (x, y)
+        for x, y in pairs
+        if not wedge(x, y).is_zero() and _pencil_conditions(omega, x, y)[0]
+    )
+    assert _pencil_conditions(omega, x, y)[1]
+    with pytest.raises(ConventionError, match="pencil kernel codimension"):
+        ResidualHandle(omega, x, y)
 
 
 def test_line_system_is_linear_in_the_anchor_point():
