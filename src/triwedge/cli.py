@@ -42,7 +42,7 @@ from .exterior_core import (
     form_to_document,
     random_tensor,
 )
-from .form_analysis import genericity, j_rank, span_lattice
+from .form_analysis import genericity, span_lattice
 from .residual import general_directions
 from .suites import (
     EXIT_PASS,
@@ -84,6 +84,7 @@ def _analyze_document(
 ) -> dict:
     ctx = omega.ctx
     field = ctx.field
+    report = genericity(omega, seed=seed)
     doc: dict = {
         "schema": SCHEMA_ANALYSIS,
         "form": label,
@@ -91,9 +92,8 @@ def _analyze_document(
         "field": field_label(field),
         "seed": seed,
         "samples": samples,
-        "rank": j_rank(omega, 1),
+        "rank": report.rank_omega,
     }
-    report = genericity(omega, seed=seed)
     doc["genericity"] = {
         "wedge_map_injective": report.gc1,
         "contraction_full_rank": report.gc2,

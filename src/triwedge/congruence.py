@@ -11,10 +11,10 @@ here is exact linear algebra in the bivector space:
   ``directions_through`` on a matrix built once);
 * ``order`` — the sampled count of family lines through a random point, with
   an all-samples-must-agree policy;
-* ``sample_line_on_X`` — a seed-deterministic line of the family, found via
-  kernel directions (odd ``n``) or rank-drop points on a restricted line
-  (even ``n``); ``draw_line_on_X`` runs the same attempts on a caller's
-  generator and budget;
+* ``sample_line_on_X`` — a seed-deterministic line of the family along the
+  star (``directions_through``) of a random point (odd ``n``) or of a rank-drop
+  point on a restricted line (even ``n``); ``draw_line_on_X`` runs the same
+  attempts on a caller's generator and budget;
 * ``tangent_certificate`` — exact tangent dimension at a family line, by
   intersecting the tangent space of the decomposable locus with the span;
 * ``quadrics_through_span`` — all quadratic equations (4-forms evaluated on
@@ -37,12 +37,10 @@ from .degeneracy import (
     build_M,
     directions_through,
     independent_pair,
-    kernel_line,
     line_subpfaffian_gcd,
     line_zeros,
     random_coords,
     random_points,
-    rank_at,
     require_three_form,
     split_decomposable,
 )
@@ -186,11 +184,11 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
 def sample_line_on_X(omega: AlternatingTensor, seed: int = 0) -> AlternatingTensor:
     """A seed-deterministic decomposable bivector of the line family.
 
-    Odd ``n``: draw points until one has the generic corank two, then wedge
-    it with an independent kernel direction.  Even ``n``: restrict the skew
-    matrix to a random line, locate a rank-drop point among the roots of the
-    sub-Pfaffian gcd (the restriction's direction covers the root at
-    infinity), and wedge that point with one of its kernel directions.
+    Odd ``n``: draw points until one has a star of one direction (the generic
+    corank two), and wedge it with that direction.  Even ``n``: restrict the
+    skew matrix to a random line, locate a rank-drop point among the roots of
+    the sub-Pfaffian gcd (the restriction's direction covers the root at
+    infinity), and wedge the first with a nonempty star with a direction of it.
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -236,9 +234,10 @@ def _odd_line_attempt(
 ) -> AlternatingTensor | None:
     ctx = omega.ctx
     coords = random_coords(ctx.field, ctx.dim, rng)
-    if rank_at(matrix, coords) != ctx.n - 1:
+    star = directions_through(matrix, coords)
+    if star.linear_dim != 1:
         return None
-    return kernel_line(matrix, coords)
+    return wedge(ctx.vector_from_coords(coords), ctx.vector_from_coords(star.basis.column(0)))
 
 
 def _even_line_attempt(
@@ -252,11 +251,12 @@ def _even_line_attempt(
         return None
     # g has degree n/2 - 1, so ``second`` is listed exactly when g vanishes there
     for coords in line_zeros(field, first, second, gcd, ctx.n // 2 - 1):
-        if rank_at(matrix, coords) > ctx.n - 2:
-            continue
-        line = kernel_line(matrix, coords)
-        if line is not None:
-            return line
+        # M(P) has odd size and so odd corank: a nonempty star means rank <= n - 2
+        star = directions_through(matrix, coords)
+        if star.linear_dim:
+            return wedge(
+                ctx.vector_from_coords(coords), ctx.vector_from_coords(star.basis.column(0))
+            )
     return None
 
 

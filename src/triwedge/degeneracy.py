@@ -39,8 +39,9 @@ counting the direction only on a drop below the degree it restricts),
 sub-Pfaffian vector Pf_i(M(P)) spans ker M(P), which holds P, so
 Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
-`kernel_line` (the line from P along a kernel direction of M(P)),
-`directions_through` (all of them: the star of congruence lines through P),
+`directions_through` (the star of congruence lines through P, the one
+kernel of M(P) taken anywhere: a caller that needs a line through P takes its
+star, and one that needs only the rank takes `point_contraction_rank`),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
 coordinate 1) and `require_three_form` (from `exterior_core`).  `line_gcd`,
@@ -75,7 +76,6 @@ from .exact_scalar import (
     packed_skew_mod_p,
     pfaffian,
     poly_gcd,
-    rank_kernel,
     row_reduce,
 )
 from .exterior_core import (
@@ -116,7 +116,6 @@ __all__ = [
     "exhaustive_strata",
     "directions_through",
     "independent_pair",
-    "kernel_line",
     "line_cofactor",
     "line_gcd",
     "line_subpfaffian_gcd",
@@ -383,20 +382,6 @@ def _interpolation_nodes(field: FieldSpec, count: int) -> list[Scalar]:
                 f"field with {p} elements cannot host {count} interpolation nodes"
             )
     return [field.coerce(value) for value in range(count)]
-
-
-def kernel_line(
-    M: SkewLinearMatrix, coords: Sequence[Scalar]
-) -> Optional[AlternatingTensor]:
-    """The line P ^ f for the first kernel vector f of M(P) independent of
-    P, or None when there is none."""
-    ctx = M.ctx
-    _, kernel = rank_kernel(M.evaluate(coords))
-    for candidate in kernel.columns():
-        flat = tuple(coords) + candidate
-        if matrix_rank(Matrix(ctx.field, 2, len(coords), flat)) == 2:
-            return wedge(ctx.vector_from_coords(coords), ctx.vector_from_coords(candidate))
-    return None
 
 
 def directions_through(M: SkewLinearMatrix, point: PointLike) -> LinearSubspace:

@@ -726,26 +726,34 @@ def form_to_document(t: AlternatingTensor) -> dict:
 
 
 def form_from_document(doc: Mapping) -> AlternatingTensor:
-    """Parse the JSON form document; indices must be strictly increasing."""
+    """Parse the JSON form document; indices must be strictly increasing.  Any
+    malformed document raises `ValueError` (or its `ConventionError`)."""
     try:
         n = int(doc["n"])
         field_doc = doc["field"]
         kind = field_doc["kind"]
-    except (KeyError, TypeError) as exc:
+        p = int(field_doc["p"]) if kind == "prime" else 0
+        coeffs = [
+            (tuple(int(i) for i in term["indices"]), str(term["coeff"]))
+            for term in doc.get("terms", [])
+        ]
+    except KeyError as exc:
         raise ValueError(f"malformed form document: missing {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed form document: {exc}") from exc
     if kind == "rational":
         field = FieldSpec.rationals()
     elif kind == "prime":
-        field = FieldSpec.prime(int(field_doc["p"]))
+        field = FieldSpec.prime(p)
     else:
         raise ValueError(f"unknown field kind {kind!r}")
     ctx = SpaceContext(n, field)
-    coeffs: list[tuple[Sequence[int], Scalar | str]] = []
-    for term in doc.get("terms", []):
-        indices = tuple(int(i) for i in term["indices"])
+    for indices, _ in coeffs:
         if len(indices) != 3:
             raise ValueError(f"term {indices} does not have degree 3")
         if any(a >= b for a, b in zip(indices, indices[1:])):
             raise ValueError(f"indices {indices} not strictly increasing")
-        coeffs.append((indices, str(term["coeff"])))
-    return AlternatingTensor.make(ctx, 3, "form", coeffs)
+    try:
+        return AlternatingTensor.make(ctx, 3, "form", coeffs)
+    except ZeroDivisionError as exc:
+        raise ConventionError(f"a form coefficient is undefined: {exc}") from exc

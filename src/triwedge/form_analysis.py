@@ -19,7 +19,7 @@ rank routine, `point_contraction_rank`, its rank (over the rationals
 through that routine, except the question "rank at most 2?", which
 `first_rank_at_most_two` answers for a whole stream of points from the 4x4
 principal Pfaffians without building the matrix; callers that need the
-kernel take `rank_kernel(M.evaluate(point))` themselves.  Random points
+kernel take the star, `degeneracy.directions_through`.  Random points
 come from `random_points`: nonzero points, drawn over F_p a block at a time
 with one `randbelow_many` call per block.
 

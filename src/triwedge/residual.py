@@ -42,14 +42,14 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
     NonGenericFormError,
     build_M,
+    directions_through,
     independent_pair,
-    kernel_line,
     line_cofactor,
     line_gcd,
     line_zeros,
@@ -85,7 +85,6 @@ from .form_analysis import (
     bivector_contraction,
     contraction_kernel,
     covector_echelon,
-    point_contraction_rank,
     point_coords,
 )
 
@@ -112,20 +111,25 @@ _AGREEING_LINES = 3
 _DEGREE_LINE_BUDGET = 24
 
 
-def _pencil_conditions(
-    omega: AlternatingTensor, x: AlternatingTensor, y: AlternatingTensor
-) -> tuple[bool, bool]:
-    """Whether <x, y> lies in the image of the bivector contraction of omega,
-    and whether x^y = contract(omega, v), a combination of the rows of
-    `bivector_contraction`: then x(v) = y(v) = 0, so (x^y)(L) =
-    <contract(omega, L), v> vanishes wherever contract(omega, L) is in <x, y>."""
+def _pencil_conditions(omega: AlternatingTensor) -> Callable[..., tuple[bool, bool]]:
+    """The test of covectors x, y: whether <x, y> lies in the image of the
+    bivector contraction of omega, and whether x^y = contract(omega, v), a
+    combination of the rows of `bivector_contraction`: then x(v) = y(v) = 0, so
+    (x^y)(L) = <contract(omega, L), v> vanishes wherever contract(omega, L) is
+    in <x, y>.  The rows and their rank are made once per omega."""
+    field = omega.ctx.field
     rows = bivector_contraction(omega)
-    augmented = [row + [a, b] for row, a, b in zip(rows, x.coords(), y.coords())]
-    rank, in_image, on_plane = (
-        matrix_rank(Matrix.from_rows(omega.ctx.field, table))
-        for table in (rows, augmented, rows + [list(wedge(x, y).coords())])
-    )
-    return in_image == rank, on_plane == rank
+    rank = matrix_rank(Matrix.from_rows(field, rows))
+
+    def conditions(x: AlternatingTensor, y: AlternatingTensor) -> tuple[bool, bool]:
+        augmented = [row + [a, b] for row, a, b in zip(rows, x.coords(), y.coords())]
+        in_image, on_plane = (
+            matrix_rank(Matrix.from_rows(field, table)) == rank
+            for table in (augmented, rows + [list(wedge(x, y).coords())])
+        )
+        return in_image, on_plane
+
+    return conditions
 
 
 def general_directions(
@@ -136,6 +140,7 @@ def general_directions(
     the pencil kernel of the span lattice has codimension exactly ``n``."""
     require_three_form(omega)
     ctx = omega.ctx
+    conditions = _pencil_conditions(omega)
     for attempt in range(_DIRECTION_BUDGET):
         x = random_tensor(
             ctx, 1, "form", derive_seed("residual-x", ctx.n, ctx.field, seed, attempt)
@@ -143,7 +148,7 @@ def general_directions(
         y = random_tensor(
             ctx, 1, "form", derive_seed("residual-y", ctx.n, ctx.field, seed, attempt)
         )
-        if not wedge(x, y).is_zero() and _pencil_conditions(omega, x, y) == (True, False):
+        if not wedge(x, y).is_zero() and conditions(x, y) == (True, False):
             return x, y
     raise NonGenericFormError(
         "no independent covector pair found inside the contraction image"
@@ -171,7 +176,7 @@ class ResidualHandle:
         span = contraction_kernel(self.omega, [self.x, self.y], inside=True)
         if wedge(self.x, self.y).is_zero():
             raise ConventionError("pencil directions are dependent (x^y = 0)")
-        if span.codim != self.ctx.n and _pencil_conditions(self.omega, self.x, self.y)[0]:
+        if span.codim != self.ctx.n and _pencil_conditions(self.omega)(self.x, self.y)[0]:
             raise ConventionError(
                 "pencil kernel codimension must equal n for directions "
                 "inside the contraction image"
@@ -503,7 +508,7 @@ def _decomposable_by_plane_scan(
     rng: random.Random,
 ) -> AlternatingTensor | None:
     """Odd ``n``: scan a plane of base-locus points for the one restricted
-    line through each, keeping a line whose lift the full form kills.
+    line through each (its star), keeping a line whose lift the form kills.
 
     The restriction to the base locus has odd projective dimension, so a
     general point carries exactly one line of the restricted family; the
@@ -513,7 +518,6 @@ def _decomposable_by_plane_scan(
     """
     field = ctx_pi.field
     matrix = build_M(pullback(handle.omega, basis))
-    generic_rank = ctx_pi.n - 1
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = list(random_points(field, dim, rng, 3))
@@ -522,11 +526,12 @@ def _decomposable_by_plane_scan(
             continue
         for coeffs in projective_points(field, 3):
             point = plane.matvec(coeffs)
-            if point_contraction_rank(matrix, point) != generic_rank:
+            star = directions_through(matrix, point)
+            if star.linear_dim != 1:
                 continue
-            line_sub = kernel_line(matrix, point)
-            if line_sub is None:
-                continue
+            line_sub = wedge(
+                ctx_pi.vector_from_coords(point), ctx_pi.vector_from_coords(star.basis.column(0))
+            )
             candidate = _lift_bivector(handle.ctx, lifted, line_sub)
             if contract(handle.omega, candidate).is_zero():
                 return line_sub

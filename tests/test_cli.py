@@ -104,6 +104,44 @@ def test_analyze_rejects_malformed_form_file(tmp_path, capsys):
     assert "(0, 0, 2)" in capsys.readouterr().err
 
 
+_P101 = {"kind": "prime", "p": 101}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"n": 4, "field": _P101, "terms": 5},
+        {"n": 4, "field": _P101, "terms": [5]},
+        {"n": 4, "field": _P101, "terms": [{"coeff": "1"}]},
+        {"n": 4, "field": _P101, "terms": [{"indices": [0, 1, 2]}]},
+        {"n": 4, "field": {"kind": "prime", "p": 2},
+         "terms": [{"indices": [0, 1, 2], "coeff": "1/2"}]},
+        {"n": 4, "field": {"kind": "rational"},
+         "terms": [{"indices": [0, 1, 2], "coeff": "1/0"}]},
+        {"n": 4, "field": {"kind": "prime"}, "terms": []},
+    ],
+    ids=["terms-int", "term-int", "no-indices", "no-coeff", "half-mod-2",
+         "over-zero", "no-prime"],
+)
+def test_analyze_ends_a_malformed_form_file_in_a_usage_error(document, tmp_path, capsys):
+    # each of these escaped `main` as a TypeError, KeyError or
+    # ZeroDivisionError traceback before `form_from_document` checked them
+    form_path = tmp_path / "bad.json"
+    form_path.write_text(json.dumps(document))
+    assert main(["analyze", "--form", str(form_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("triwedge: error: ")
+
+
+@pytest.mark.parametrize("field", ["p:2", "p:3", "p:13"])
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_analyze_answers_on_every_catalog_form_over_small_fields(name, field, tmp_path):
+    code, doc = run_json(
+        tmp_path, ["analyze", "--form", f"catalog:{name}", "--field", field]
+    )
+    assert code == EXIT_PASS
+    assert doc["form"] == f"catalog:{name}"
+
+
 def test_analyze_rejects_rational_field(capsys):
     assert main(["analyze", "--form", "catalog:n5", "--field", "q"]) == EXIT_USAGE
     assert "prime" in capsys.readouterr().err
@@ -276,13 +314,18 @@ def test_verify_prints_summary_when_writing_to_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("field", ["q", "p:2", "p:3", "p:13"])
-@pytest.mark.parametrize("suite", ["span-lattice", "residual-membership"])
+@pytest.mark.parametrize(
+    "suite",
+    ["span-lattice", "residual-membership", "rank-laws", "order-law", "conventions"],
+)
 def test_verify_ends_in_an_answer_or_a_package_error_over_every_field(
     suite, field, seed, capsys
 ):
     # 0 pass, 2 inconclusive, 3 ConventionError; 1 would be a failed claim,
     # and any other exception escapes main
     argv = ["verify", "--suite", suite, "--field", field, "--seed", str(seed)]
+    if suite in ("rank-laws", "order-law", "conventions"):
+        argv += ["--samples", "20"]
     assert main(argv + ["--format", "json"]) in (0, 2, 3)
     capsys.readouterr()
 

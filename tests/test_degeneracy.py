@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwedge import catalog, degeneracy
-from triwedge.congruence import sample_line_on_X
+from triwedge import catalog, congruence, degeneracy
+from triwedge.congruence import draw_line_on_X, sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
     SkewLinearMatrix,
     StratumReport,
     build_M,
+    directions_through,
     exhaustive_strata,
     hypersurface_degree,
     independent_pair,
@@ -271,6 +272,44 @@ def test_two_plane_line_meets_both_planes():
     M = build_M(omega)
     assert rank_at(M, pencil.point_at(root)) == 2
     assert rank_at(M, pencil.direction) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([5, 7]), seed=st.integers(0, 2**32 - 1))
+def test_odd_line_attempts_equal_the_kernel_line_oracle(n, seed):
+    # one attempt of `draw_line_on_X` draws one point; replaying that draw on a
+    # copy of the generator gives the point, whose oracle line the attempt's
+    # line must equal up to a nonzero scalar
+    omega = random_tensor(SpaceContext(n=n, field=F101), 3, "form", seed=seed)
+    M = build_M(omega)
+    line = draw_line_on_X(omega, random.Random(seed), 1)
+    coords = random_coords(F101, n + 1, random.Random(seed))
+    if rank_at(M, coords) != n - 1:
+        assert line is None
+        return
+    oracle = kernel_line(omega, M, coords)
+    assert line is not None
+    assert normalized(line.coords(), F101) == normalized(oracle.coords(), F101)
+
+
+def test_the_odd_line_attempt_rejects_a_point_with_a_star_of_three_directions(
+    monkeypatch,
+):
+    # a point P of the plane <e0, e1, e2> of e012 + e345 has M(P) of rank 2:
+    # it lies on a plane of lines, not on the one line of a general point
+    omega, _ = catalog.get("n5", field=F101)
+    M = build_M(omega)
+    on_plane = [3, 5, 7, 0, 0, 0]
+    assert rank_at(M, on_plane) == 2
+    assert directions_through(M, on_plane).linear_dim == 3
+    monkeypatch.setattr(congruence, "random_coords", lambda field, dim, rng: on_plane)
+    assert congruence._odd_line_attempt(omega, M, random.Random(0)) is None
+    general = [3, 5, 7, 1, 2, 4]
+    assert rank_at(M, general) == 4
+    monkeypatch.setattr(congruence, "random_coords", lambda field, dim, rng: general)
+    line = congruence._odd_line_attempt(omega, M, random.Random(0))
+    oracle = kernel_line(omega, M, general)
+    assert normalized(line.coords(), F101) == normalized(oracle.coords(), F101)
 
 
 def test_sampled_congruence_lines_are_trisecant_for_n7():

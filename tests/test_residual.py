@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from triwedge import catalog, cli
+from triwedge import catalog, cli, residual
 from triwedge.congruence import draw_line_on_X, kernel_span, member_X, sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
@@ -120,6 +120,20 @@ def test_general_directions_are_deterministic_and_independent():
     assert not wedge(x1, y1).is_zero()
 
 
+def test_general_directions_builds_the_contraction_rows_once(monkeypatch):
+    # catalog n3's contraction map is not of full rank, so every one of the
+    # attempts fails; the rows depend on the form alone and are built once
+    omega, _ = catalog.get("n3", field=F101)
+    calls = []
+    build = residual.bivector_contraction
+    monkeypatch.setattr(
+        residual, "bivector_contraction", lambda form: calls.append(form) or build(form)
+    )
+    with pytest.raises(NonGenericFormError, match="no independent covector pair"):
+        general_directions(omega, seed=0)
+    assert len(calls) == 1
+
+
 def test_dependent_directions_are_rejected():
     omega, _ = catalog.get("n5", field=F101)
     x, _ = general_directions(omega, seed=0)
@@ -138,7 +152,7 @@ def test_pencil_kernel_loses_a_condition_exactly_on_point_contraction_planes(p):
             omega = random_tensor(ctx, 3, "form", seed)
             x = random_tensor(ctx, 1, "form", 1000 + seed)
             y = random_tensor(ctx, 1, "form", 2000 + seed)
-            in_image, on_plane = _pencil_conditions(omega, x, y)
+            in_image, on_plane = _pencil_conditions(omega)(x, y)
             if wedge(x, y).is_zero() or not in_image:
                 continue
             drop = contraction_kernel(omega, [x, y], inside=True).codim != n
@@ -246,9 +260,9 @@ def test_a_random_form_with_n_4_over_f2_can_have_no_handle():
     x, y = next(
         (x, y)
         for x, y in pairs
-        if not wedge(x, y).is_zero() and _pencil_conditions(omega, x, y)[0]
+        if not wedge(x, y).is_zero() and _pencil_conditions(omega)(x, y)[0]
     )
-    assert _pencil_conditions(omega, x, y)[1]
+    assert _pencil_conditions(omega)(x, y)[1]
     with pytest.raises(ConventionError, match="pencil kernel codimension"):
         ResidualHandle(omega, x, y)
 
