@@ -4,9 +4,10 @@
     PYTHONPATH=src python3 tests/report_digests.py --record  # rewrite the digest files
 
 Each report is the standard output of ``triwedge verify --suite <suite>
---seed <seed> --format json`` at the seeds in ``SEEDS``, or of ``triwedge
+--seed <seed> --format json`` at the seeds in ``SEEDS`` (and, for
+``residual-singular``, in ``RESIDUAL_SINGULAR_SEEDS``), or of ``triwedge
 analyze --form catalog:<name> --field <field> --seed <seed>`` for the runs
-in ``ANALYZE_RUNS``.  Three files hold the digests:
+in ``ANALYZE_RUNS``.  Four files hold the digests:
 
 * ``data/rational_report_digests.json``: the suites in ``SUITES`` over the
   rationals.  ``rank-laws``, ``span-lattice`` and ``conventions`` take
@@ -33,6 +34,10 @@ in ``ANALYZE_RUNS``.  Three files hold the digests:
   The two runs over F_(2**61 - 1) cover wide packed slots in the line-node
   sub-Pfaffians: ``n6-g2`` (even n) reaches them through the degree of the
   drop locus, ``n7-ozeki`` (odd n) through the secant pencil.
+* ``data/residual_singular_report_digests.json``: ``residual-singular`` at
+  its default field, at the seeds in ``RESIDUAL_SINGULAR_SEEDS``.  The
+  ``--suite all`` runs reach it only at seeds 0 and 7, and its plane scan
+  draws its anchors and scans its points differently at every seed.
 
 The digest covers the output bytes without the ``"elapsed"`` line, the one
 wall-clock value in a report.  Each file holds each command line with its
@@ -56,6 +61,7 @@ SUITES = {
     "conventions": True,
 }
 SEEDS = (0, 7)
+RESIDUAL_SINGULAR_SEEDS = (1, 2, 3, 4, 5, 6)
 ANALYZE_RUNS = (
     ("n6-g2", "p:2", 0),
     ("n4", "p:3", 0),
@@ -105,10 +111,20 @@ def analyze_commands() -> list[list[str]]:
     ]
 
 
+def residual_singular_commands() -> list[list[str]]:
+    """The ``verify --suite residual-singular`` argument lists, one per seed
+    of ``RESIDUAL_SINGULAR_SEEDS``."""
+    return [
+        ["verify", "--suite", "residual-singular", "--seed", str(seed), "--format", "json"]
+        for seed in RESIDUAL_SINGULAR_SEEDS
+    ]
+
+
 DIGEST_FILES = {
     DATA / "rational_report_digests.json": rational_commands,
     DATA / "prime_field_report_digests.json": prime_field_commands,
     DATA / "analyze_report_digests.json": analyze_commands,
+    DATA / "residual_singular_report_digests.json": residual_singular_commands,
 }
 
 
