@@ -27,12 +27,12 @@ a popcount.  Masks and the sorted tuples of ``terms`` convert through
 module tables that grow with the distinct index sets in use (at most 2^dim
 for one space).  Contraction looks each position subset of a term of the
 larger tensor up among the terms of the smaller one.  The kernels (`wedge`,
-`contract`, `covector_contract`, `reduced_square`, `pair`) run on ints over
-both fields: each operand's values are ints over one denominator (over the
-rationals numerators from `exact_scalar.as_ints`, kept on the tensor after
-first use), products accumulate as ints per output key, and each key is
-settled once, reduced mod p, or over the rationals as one canonical Fraction
-of the sum over the product of the operands' denominators.
+`contract`, `covector_contract`, `reduced_square`, `pair`, `pullback`) run on
+ints over both fields: each operand's values are ints over one denominator
+(over the rationals numerators from `exact_scalar.as_ints`, kept on the
+tensor after first use), products accumulate as ints per output key, and each
+key is settled once, reduced mod p, or over the rationals as one canonical
+Fraction of the sum over the product of the operands' denominators.
 
 Validation: the public constructor ``AlternatingTensor(...)`` checks every
 term (`__post_init__`), and `make` checks the variance, the degree and the
@@ -664,29 +664,74 @@ def random_tensor(
     return _trusted(ctx, k, variance, terms)
 
 
+def _contract_ints(
+    f: dict[int, int], v: list[tuple[int, int]], p: int | None
+) -> dict[int, int]:
+    """The contraction of a form by a vector: the form as int values per
+    bitmask, the vector as (bit, int value) pairs; reduced mod p over F_p,
+    zeros dropped.  Removing bit b from a mask moves it past the bits below
+    it, the parity that `_BELOW` holds at b."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for mask, c in f.items():
+        odd = _BELOW[mask]
+        for bit, x in v:
+            if mask & bit:
+                rest = mask ^ bit
+                acc[rest] = get(rest, 0) - x * c if odd & bit else get(rest, 0) + x * c
+    if p is None:
+        return {m: c for m, c in acc.items() if c}
+    return {m: r for m, c in acc.items() if (r := c % p)}
+
+
 def pullback(
     form: AlternatingTensor, basis: Sequence[AlternatingTensor]
 ) -> AlternatingTensor:
     """Restrict a k-form to the subspace spanned by the given vectors.
 
     The result lives in a fresh SpaceContext of the subspace's dimension; its
-    coefficient at (i1 < ... < ik) is the form evaluated on b_{i1}^...^b_{ik}.
+    coefficient at (i1 < ... < ik) is the form evaluated on
+    b_{i1}^...^b_{ik}, the form contracted by b_{i1}, then b_{i2}, ..., then
+    b_{ik}.  The contractions run on the int values of `_int_terms`, and
+    each prefix i1 < ... < ij is contracted once for every key that starts
+    with it.  Over F_p each contraction is reduced mod p; over the rationals
+    a coefficient is one Fraction, its numerator over the product of the
+    form's denominator and those of b_{i1}, ..., b_{ik}.
+
+    Raises `ValueError` when ``form`` is not a form, when a basis element
+    is not a vector of degree 1 or lives in another space, and for fewer
+    than four basis vectors (`SpaceContext`).
     """
     if form.variance != "form":
         raise ValueError("pullback expects a form")
     if any(b.variance != "vector" or b.degree != 1 for b in basis):
         raise ValueError("basis must consist of degree-1 vectors")
     sub_ctx = SpaceContext(len(basis) - 1, form.ctx.field)
+    if any(b.ctx != form.ctx for b in basis):
+        raise ValueError("basis vectors live in a different space")
+    p = sub_ctx.field.p
     k = form.degree
-    coeffs: dict[IndexSet, Scalar] = {}
-    for key in itertools.combinations(range(len(basis)), k):
-        vec = basis[key[0]]
-        blade = vec
-        for i in key[1:]:
-            blade = wedge(blade, basis[i])
-        value = pair(form, blade)
-        coeffs[key] = value
-    return AlternatingTensor.make(sub_ctx, k, "form", coeffs)
+    vectors = []
+    for b in basis:
+        b_terms, b_den = _int_terms(b)
+        vectors.append(([(1 << i, c) for (i,), c in b_terms], b_den))
+    terms: list[tuple[IndexSet, Scalar]] = []
+
+    def restrict(partial: dict[int, int], first: int, prefix: IndexSet, den: int) -> None:
+        if len(prefix) == k:
+            value = partial.get(0)
+            if value:
+                terms.append((prefix, value if p is not None else Fraction(value, den)))
+            return
+        for i in range(first, len(basis) - k + len(prefix) + 1):
+            v, v_den = vectors[i]
+            contracted = _contract_ints(partial, v, p)
+            if contracted:
+                restrict(contracted, i + 1, (*prefix, i), den * v_den)
+
+    f_terms, f_den = _int_terms(form)
+    restrict({_MASKS[key]: c for key, c in f_terms}, 0, (), f_den)
+    return _trusted(sub_ctx, k, "form", tuple(terms))
 
 
 def reduce_mod_p(tensor: AlternatingTensor, p: int) -> AlternatingTensor:

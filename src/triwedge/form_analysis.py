@@ -52,6 +52,7 @@ from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
+from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -106,6 +107,7 @@ __all__ = [
 ]
 
 _AMBIENT_DEGREE = {"vectors": 1, "bivectors": 2}
+_new_subspace = object.__new__
 
 EXHAUSTIVE_POINT_BUDGET = 10**6
 DEFAULT_GC3_SAMPLES = 10_000
@@ -117,13 +119,24 @@ _POINT_BLOCK = 256
 @dataclass(frozen=True)
 class LinearSubspace:
     """A linear subspace of V (ambient "vectors") or of the bivector space
-    Λ²V (ambient "bivectors"), spanned by the independent columns of `basis`."""
+    Λ²V (ambient "bivectors"), spanned by the independent columns of `basis`.
+
+    The public constructor checks the ambient, the row count and, by one
+    `matrix_rank`, that the columns are independent, since outside input
+    guarantees none of them.  `from_kernel` builds its result without that
+    elimination (`_check_kernel_pattern`).
+    """
 
     ambient: str
     ctx: SpaceContext
     basis: Matrix
 
     def __post_init__(self) -> None:
+        self._check_shape()
+        if matrix_rank(self.basis) != self.basis.cols:
+            raise ValueError("basis columns are dependent")
+
+    def _check_shape(self) -> None:
         if self.ambient not in _AMBIENT_DEGREE:
             raise ValueError(f"unknown ambient {self.ambient!r}")
         expected_rows = self.ambient_linear_dim
@@ -132,13 +145,23 @@ class LinearSubspace:
                 f"basis rows {self.basis.rows} do not match ambient dimension "
                 f"{expected_rows}"
             )
-        if matrix_rank(self.basis) != self.basis.cols:
-            raise ValueError("basis columns are dependent")
+
+    def _check_kernel_pattern(self) -> None:
+        """Raise `ValueError` unless the last nonzero entry of each column is
+        a 1 in a row where every other column is 0.  Such columns are
+        independent; `rank_kernel` makes them so, column j ending in the 1
+        at its own free coordinate.  Reads O(cols·rows) entries."""
+        basis = self.basis
+        cols, entries = basis.cols, basis.entries
+        for j, column in enumerate(basis.columns()):
+            last = next((i for i in reversed(range(basis.rows)) if column[i]), None)
+            row = () if last is None else entries[last * cols : (last + 1) * cols]
+            if not row or row[j] != 1 or any(v for c, v in enumerate(row) if c != j):
+                raise ValueError("kernel columns lack the echelon pattern")
 
     @property
     def ambient_linear_dim(self) -> int:
-        degree = _AMBIENT_DEGREE[self.ambient]
-        return len(list(self.ctx.index_sets(degree)))
+        return comb(self.ctx.dim, _AMBIENT_DEGREE[self.ambient])
 
     @property
     def linear_dim(self) -> int:
@@ -155,8 +178,18 @@ class LinearSubspace:
 
     @staticmethod
     def from_kernel(conditions: Matrix, ambient: str, ctx: SpaceContext) -> "LinearSubspace":
+        """The vectors that ``conditions`` (one row per linear condition on
+        the ambient coordinates) sends to zero, spanned by the columns of
+        `rank_kernel`.  They are independent by construction, so the result
+        skips the public constructor's `matrix_rank`; it checks the shape
+        and the pattern that makes them independent instead
+        (`_check_kernel_pattern`)."""
         _, kernel = rank_kernel(conditions)
-        return LinearSubspace(ambient, ctx, kernel)
+        space = _new_subspace(LinearSubspace)
+        space.__dict__.update(ambient=ambient, ctx=ctx, basis=kernel)
+        space._check_shape()
+        space._check_kernel_pattern()
+        return space
 
     @staticmethod
     def annihilator(
@@ -576,15 +609,17 @@ def genericity(
 class QuadricAnalysis:
     """The quadratic form L -> eta(L^[2]) of a 4-form eta, carried by the
     symmetric zero-diagonal polar matrix rho in the lexicographic bivector
-    basis, with its exact rank (computed on first use from one row reduction
-    of rho) and its int rows (made on first use of `polar_pairing`)."""
+    basis, with its int rows (made on first use of `rank` or
+    `polar_pairing`) and its exact rank (computed on first use from one
+    forward elimination of a copy of those rows)."""
 
     eta: AlternatingTensor
     rho: Matrix
 
     @cached_property
     def rank(self) -> int:
-        return matrix_rank(self.rho)
+        rows = [row[:] for row in self._int_rows[0]]
+        return len(row_reduce(self.rho.field, rows, self.rho.cols, back_substitute=False))
 
     def value(self, L: AlternatingTensor) -> Scalar:
         """q(L) = eta evaluated on the reduced square of L."""

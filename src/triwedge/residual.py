@@ -64,8 +64,10 @@ from .exact_scalar import (
     Scalar,
     UniPoly,
     matrix_rank,
+    packed_skew_mod_p,
     randbelow,
     rank_kernel,
+    row_reduce,
 )
 from .exterior_core import (
     AlternatingTensor,
@@ -515,26 +517,56 @@ def _decomposable_by_plane_scan(
     locus of points whose line survives the two extra conditions has
     codimension two, so a random plane meets it in finitely many points and
     the scan visits them all.
+
+    Each point P is tested by two ranks, with B the basis of the base locus
+    as columns and m its length.  First rank M'(P) = m - 2 on packed rows,
+    M' the skew matrix of the restricted form: then P carries one line P^f.
+    Then rank N(P) <= m - 2, where N(P) = M(B·P)·B and M is the skew matrix
+    of the form.  M'(P) = B^T·N(P), so ker N(P) lies in ker M'(P) = <P, f>
+    and holds P; it holds f, which means that the form kills the lift
+    B·P ^ B·f, exactly when the rank of N(P) is m - 2.  N is linear in P and
+    is combined from its values at the three anchors of the plane.  Only the
+    first hit builds its star, the line and the lift.
     """
     field = ctx_pi.field
+    p: int = field.p  # type: ignore[assignment]
     matrix = build_M(pullback(handle.omega, basis))
+    ambient = build_M(handle.omega)
+    columns = [b.coords() for b in basis]
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = list(random_points(field, dim, rng, 3))
         plane = Matrix.from_columns(field, dim, anchors)
         if matrix_rank(plane) != 3:
             continue
+        restricted = []  # N at each anchor a: row r of M(B·a) times each b_j
+        for anchor in anchors:
+            upstairs = [sum(map(mul, anchor, entries)) % p for entries in zip(*columns)]
+            restricted.append(
+                [
+                    [sum(map(mul, row, column)) % p for column in columns]
+                    for row in ambient.rows_at(upstairs)
+                ]
+            )
         for coeffs in projective_points(field, 3):
             point = plane.matvec(coeffs)
-            star = directions_through(matrix, point)
-            if star.linear_dim != 1:
+            rows, width = matrix.packed_rows_at(point)
+            if packed_skew_mod_p(p, rows, width)[0] != dim - 2:
                 continue
+            n_rows = [
+                [sum(map(mul, coeffs, entries)) % p for entries in zip(*blocks)]
+                for blocks in zip(*restricted)
+            ]
+            if len(row_reduce(field, n_rows, dim, back_substitute=False)) > dim - 2:
+                continue
+            (direction,) = directions_through(matrix, point).basis.columns()
             line_sub = wedge(
-                ctx_pi.vector_from_coords(point), ctx_pi.vector_from_coords(star.basis.column(0))
+                ctx_pi.vector_from_coords(point), ctx_pi.vector_from_coords(direction)
             )
             candidate = _lift_bivector(handle.ctx, lifted, line_sub)
-            if contract(handle.omega, candidate).is_zero():
-                return line_sub
+            if not contract(handle.omega, candidate).is_zero():
+                raise RuntimeError("internal error: a plane-scan hit fails its line test")
+            return line_sub
     return None
 
 

@@ -4,16 +4,24 @@ tests directory on the import path."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional, Sequence
 
-from triwedge.degeneracy import build_M, line_gcd, split_decomposable
+from triwedge.degeneracy import (
+    build_M,
+    directions_through,
+    line_gcd,
+    random_points,
+    split_decomposable,
+)
 from triwedge.exact_scalar import (
     ConventionError,
     FieldSpec,
     Matrix,
     Scalar,
     UniPoly,
+    matrix_rank,
     randbelow_many,
 )
 from triwedge.exterior_core import (
@@ -28,6 +36,8 @@ from triwedge.exterior_core import (
     covector_contract,
     derive_seed,
     pair,
+    projective_points,
+    pullback,
     wedge,
 )
 from triwedge.form_analysis import (
@@ -37,7 +47,7 @@ from triwedge.form_analysis import (
     SpanLattice,
     point_coords,
 )
-from triwedge.residual import ResidualHandle
+from triwedge.residual import _PLANE_SCAN_ROUNDS, ResidualHandle, _lift_bivector
 
 
 def entry_form(M: SkewLinearMatrix, i: int, j: int) -> AlternatingTensor:
@@ -286,6 +296,28 @@ def contract_terms_reference(big: AlternatingTensor, small: AlternatingTensor) -
     return _settle(acc, big.ctx.field.p)
 
 
+def pullback_reference(
+    form: AlternatingTensor, basis: Sequence[AlternatingTensor]
+) -> AlternatingTensor:
+    """The restriction of a k-form to the span of the basis: the coefficient
+    at (i1 < ... < ik) is `pair` of the form with the blade
+    b_{i1}^...^b_{ik}, built by k - 1 wedges, and the result goes through
+    `AlternatingTensor.make`."""
+    if form.variance != "form":
+        raise ValueError("pullback expects a form")
+    if any(b.variance != "vector" or b.degree != 1 for b in basis):
+        raise ValueError("basis must consist of degree-1 vectors")
+    sub_ctx = SpaceContext(len(basis) - 1, form.ctx.field)
+    k = form.degree
+    coeffs: dict = {}
+    for key in itertools.combinations(range(len(basis)), k):
+        blade = basis[key[0]]
+        for i in key[1:]:
+            blade = wedge(blade, basis[i])
+        coeffs[key] = pair(form, blade)
+    return AlternatingTensor.make(sub_ctx, k, "form", coeffs)
+
+
 def random_tensor_reference(
     ctx: SpaceContext, k: int, variance: str, seed: int
 ) -> AlternatingTensor:
@@ -505,3 +537,37 @@ def relaxed_span_reference(
         blade = AlternatingTensor.make(ctx, 2, "vector", {key: 1})
         columns.append(wedge(contract(omega, blade), x).coords())
     return _stacked_kernel(ctx, columns)
+
+
+def plane_scan_reference(
+    handle: ResidualHandle,
+    ctx_pi: SpaceContext,
+    basis: list[AlternatingTensor],
+    lifted: dict,
+    rng: random.Random,
+) -> Optional[AlternatingTensor]:
+    """`residual._decomposable_by_plane_scan` by tensors at every point: the
+    star of each point of the plane through `directions_through`, and for a
+    star of one direction the line P^f, its lift and its contraction with
+    the form."""
+    field = ctx_pi.field
+    matrix = build_M(pullback(handle.omega, basis))
+    dim = ctx_pi.dim
+    for _ in range(_PLANE_SCAN_ROUNDS):
+        anchors = list(random_points(field, dim, rng, 3))
+        plane = Matrix.from_columns(field, dim, anchors)
+        if matrix_rank(plane) != 3:
+            continue
+        for coeffs in projective_points(field, 3):
+            point = plane.matvec(coeffs)
+            star = directions_through(matrix, point)
+            if star.linear_dim != 1:
+                continue
+            line_sub = wedge(
+                ctx_pi.vector_from_coords(point),
+                ctx_pi.vector_from_coords(star.basis.column(0)),
+            )
+            candidate = _lift_bivector(handle.ctx, lifted, line_sub)
+            if contract(handle.omega, candidate).is_zero():
+                return line_sub
+    return None

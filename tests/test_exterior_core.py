@@ -16,7 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from triwedge.exact_scalar import FieldSpec
+from triwedge import exterior_core
+from triwedge.exact_scalar import FieldSpec, Matrix, matrix_rank
+from triwedge.form_analysis import LinearSubspace
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -36,6 +38,7 @@ from triwedge.exterior_core import (
 from oracles import (
     contract_terms_reference,
     pair_reference,
+    pullback_reference,
     random_tensor_reference,
     reduced_square_reference,
     wedge_reference,
@@ -375,6 +378,77 @@ def test_pullback_along_full_basis_is_identity_on_coefficients():
     omega = random_tensor(ctx, 3, "form", 4)
     restricted = pullback(omega, [ctx.basis_vector(i) for i in range(6)])
     assert restricted.terms == omega.terms
+
+
+@st.composite
+def pullback_cases(draw):
+    """(form, basis) over F_2, F_3, F_101 or Q with n = 5..8 and degree
+    1..4: the basis of the annihilator of one or of two random covectors,
+    or 4..dim random independent vectors, with Fraction entries over Q."""
+    fields = [FieldSpec.prime(2), FieldSpec.prime(3), F101, QQ]
+    fld = draw(st.sampled_from(fields), label="field")
+    ctx = SpaceContext(draw(st.integers(5, 8), label="n"), fld)
+    degree = draw(st.integers(1, 4), label="degree")
+    form = random_tensor(ctx, degree, "form", draw(st.integers(0, 99)))
+    kind = draw(st.sampled_from([1, 2, "random"]), label="covectors")
+    if kind != "random":
+        seeds = draw(st.lists(st.integers(0, 99), min_size=kind, max_size=kind))
+        covectors = [random_tensor(ctx, 1, "form", seed) for seed in seeds]
+        return form, LinearSubspace.annihilator(ctx, covectors).basis_tensors()
+    if fld.p is None:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    else:
+        entry = st.integers(0, fld.p - 1)
+    size = draw(st.integers(4, ctx.dim), label="size")
+    row = st.lists(entry, min_size=ctx.dim, max_size=ctx.dim)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    assume(matrix_rank(Matrix.from_rows(fld, rows)) == size)
+    return form, [ctx.vector_from_coords(r) for r in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pullback_cases())
+def test_pullback_matches_the_wedge_and_pair_reference(case):
+    form, basis = case
+    got, want = pullback(form, basis), pullback_reference(form, basis)
+    assert (got.ctx, got.degree, got.variance, got.terms) == (
+        want.ctx, want.degree, want.variance, want.terms
+    )
+    assert [type(v) for _, v in got.terms] == [type(v) for _, v in want.terms]
+    assert AlternatingTensor(got.ctx, got.degree, got.variance, got.terms) == got
+
+
+@pytest.mark.parametrize("fld", [FieldSpec.prime(2), FieldSpec.prime(3), F101, QQ])
+def test_pullback_raises_where_the_reference_raises(fld):
+    ctx = SpaceContext(5, fld)
+    form = random_tensor(ctx, 3, "form", 1)
+    basis = [ctx.basis_vector(i) for i in range(5)]
+    other = [SpaceContext(5, FieldSpec.prime(7)).basis_vector(0)] + basis[1:]
+    for bad_form, bad_basis in (
+        (random_tensor(ctx, 3, "vector", 1), basis),
+        (form, basis[:4] + [ctx.basis_covector(4)]),
+        (form, basis[:4] + [blade(ctx, "vector", 0, 4)]),
+        (form, other),
+        (form, [SpaceContext(6, fld).basis_vector(i) for i in range(5)]),
+        (form, basis[:3]),
+    ):
+        assert _value_error(lambda: pullback_reference(bad_form, bad_basis)) is not None
+        assert _value_error(lambda: pullback(bad_form, bad_basis)) is not None
+
+
+def test_pullback_calls_neither_wedge_nor_pair(monkeypatch):
+    ctx = ctx_q(6)
+    omega = random_tensor(ctx, 3, "form", 2)
+    covector = random_tensor(ctx, 1, "form", 3)
+    basis = LinearSubspace.annihilator(ctx, [covector]).basis_tensors()
+    want = pullback_reference(omega, basis)
+
+    def forbidden(*args):
+        raise AssertionError("pullback reached a blade kernel")
+
+    monkeypatch.setattr(exterior_core, "wedge", forbidden)
+    monkeypatch.setattr(exterior_core, "pair", forbidden)
+    assert pullback(omega, basis) == want
 
 
 # --- form documents ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwedge import catalog
+from triwedge import catalog, form_analysis
 from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, randbelow, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
@@ -878,6 +878,83 @@ def test_annihilator_is_killed_by_every_covector(case):
     rank = rank_kernel(Matrix.from_rows(ctx.field, rows))[0] if rows else 0
     assert space.linear_dim == ctx.dim - rank
     assert space.ambient == "vectors"
+
+
+@st.composite
+def condition_matrices(draw):
+    """(ctx, ambient, conditions) over F_2, F_101 or Q: n = 3..5 and 0..dim+1
+    rows over the ambient coordinates with entries in -2..2, so dependent,
+    zero and full-rank systems come up often."""
+    field = draw(st.sampled_from([F2, F101, QQ]))
+    ctx = SpaceContext(draw(st.integers(3, 5)), field)
+    ambient = draw(st.sampled_from(["vectors", "bivectors"]))
+    cols = ctx.dim if ambient == "vectors" else ctx.dim * (ctx.dim - 1) // 2
+    entries = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+    rows = draw(st.lists(entries, max_size=cols + 1))
+    flat = tuple(field.coerce(v) for row in rows for v in row)
+    return ctx, ambient, Matrix(field, len(rows), cols, flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=condition_matrices())
+def test_from_kernel_keeps_the_rank_kernel_basis(case):
+    # the trusted path must hand back rank_kernel's columns unchanged, and
+    # they must pass the public constructor's rank check
+    ctx, ambient, conditions = case
+    space = LinearSubspace.from_kernel(conditions, ambient, ctx)
+    assert space.basis == rank_kernel(conditions)[1]
+    assert LinearSubspace(ambient, ctx, space.basis) == space
+    assert space.linear_dim == conditions.cols - rank_kernel(conditions)[0]
+
+
+def test_from_kernel_runs_no_second_elimination(monkeypatch):
+    ctx = SpaceContext(4, QQ)
+    conditions = Matrix.from_rows(QQ, [[1, 2, 0, 0, 3], [0, 0, 1, 1, 1]])
+    want = LinearSubspace.from_kernel(conditions, "vectors", ctx)
+
+    def forbidden(m):
+        raise AssertionError("from_kernel ranked its kernel again")
+
+    monkeypatch.setattr(form_analysis, "matrix_rank", forbidden)
+    assert LinearSubspace.from_kernel(conditions, "vectors", ctx) == want
+
+
+@pytest.mark.parametrize("field", [F2, F101, QQ])
+def test_from_kernel_of_an_injective_system_has_no_columns(field):
+    ctx = SpaceContext(3, field)
+    identity = Matrix.from_rows(field, [[int(i == j) for j in range(4)] for i in range(4)])
+    space = LinearSubspace.from_kernel(identity, "vectors", ctx)
+    assert (space.basis.rows, space.basis.cols) == (4, 0)
+    assert space.linear_dim == 0 and space.codim == 4
+    assert space.basis_tensors() == []
+    assert LinearSubspace("vectors", ctx, space.basis).contains_subspace(space)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [[1, 0, 1, 0], [1, 0, 1, 0]],  # two columns end in one row
+        [[1, 0, 2, 0]],  # the last nonzero entry is not 1
+        [[0, 0, 0, 0]],  # a zero column
+        [[1, 0, 0, 0], [1, 1, 0, 0]],  # the first column's 1 is shared
+    ],
+)
+def test_from_kernel_rejects_columns_without_the_echelon_pattern(monkeypatch, columns):
+    # a faulty kernel builder must not slip dependent columns past the
+    # trusted path
+    ctx = SpaceContext(3, QQ)
+    kernel = Matrix.from_columns(QQ, 4, [[Fraction(v) for v in c] for c in columns])
+    monkeypatch.setattr(form_analysis, "rank_kernel", lambda m: (0, kernel))
+    with pytest.raises(ValueError, match="echelon pattern"):
+        LinearSubspace.from_kernel(Matrix(QQ, 0, 4, ()), "vectors", ctx)
+
+
+def test_from_kernel_checks_the_ambient_and_the_row_count():
+    ctx = SpaceContext(3, QQ)
+    with pytest.raises(ValueError, match="unknown ambient"):
+        LinearSubspace.from_kernel(Matrix(QQ, 0, 4, ()), "lines", ctx)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        LinearSubspace.from_kernel(Matrix(QQ, 0, 5, ()), "vectors", ctx)
 
 
 def test_linear_subspace_membership():

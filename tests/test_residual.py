@@ -56,7 +56,12 @@ from triwedge.residual import (
     sing_Y_dimension,
 )
 
-from oracles import all_minor_gcd, line_system_reference, quadric_contains_subspace
+from oracles import (
+    all_minor_gcd,
+    line_system_reference,
+    plane_scan_reference,
+    quadric_contains_subspace,
+)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -545,6 +550,19 @@ def test_plane_scan_returns_a_line_the_full_form_kills():
     assert line is not None
     assert not line.is_zero() and reduced_square(line).is_zero()
     assert contract(handle.omega, _lift_bivector(handle.ctx, lifted, line)).is_zero()
+
+
+@pytest.mark.parametrize("name, field", [("n5", F101), ("n7-ozeki", F31)])
+@pytest.mark.parametrize("seed", range(6))
+def test_plane_scan_returns_the_line_of_the_tensor_scan(name, field, seed):
+    # two rank tests per point must stop at the same point, with the same
+    # line, as the star, lift and contraction at every point
+    omega, _ = catalog.get(name, field=field)
+    handle = ResidualHandle.general(omega, seed=seed)
+    context = _base_locus_context(handle)
+    got = _decomposable_by_plane_scan(handle, *context, random.Random(seed))
+    assert got is not None
+    assert got == plane_scan_reference(handle, *context, random.Random(seed))
 
 
 def test_singular_locus_over_a_field_too_small_for_the_line_search():
