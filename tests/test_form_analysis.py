@@ -629,6 +629,20 @@ def test_polar_pairing_is_eta_on_the_wedge(fld, n):
 
 
 @pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "QQ"])
+def test_quadric_rank_leaves_the_polar_pairing_intact(fld):
+    # the rank eliminates in place, so it must work on a copy of the int
+    # rows that quadric_of has already cached for the pairing
+    ctx = SpaceContext(6, fld)
+    eta = random_tensor(ctx, 4, "form", derive_seed("polar-oracle", 0)).scale(Fraction(5, 6))
+    quadric = quadric_of(eta)
+    assert quadric.rank == rank_kernel(quadric.rho)[0] > 0
+    for k in range(3):
+        a = random_tensor(ctx, 2, "vector", derive_seed("polar-a", 0, k))
+        b = random_tensor(ctx, 2, "vector", derive_seed("polar-b", 0, k))
+        assert quadric.polar_pairing(a, b) == pair(eta, wedge(a, b))
+
+
+@pytest.mark.parametrize("fld", [F101, QQ], ids=["F101", "QQ"])
 def test_polar_pairing_on_fractional_tensors_keeps_the_field_type(fld):
     # denominators in eta, a and b, so the int dot product runs over a
     # common denominator other than 1 over the rationals
