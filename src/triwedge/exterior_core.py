@@ -556,19 +556,16 @@ def projective_point_count(p: int, length: int) -> int:
 
 def projective_points(field: FieldSpec, length: int) -> Iterable[tuple[int, ...]]:
     """All points of P^(length-1) over a prime field, normalized so the first
-    nonzero coordinate is 1; deterministic lexicographic order."""
+    nonzero coordinate is 1.  Deterministic order: by the position of that
+    1, then the coordinates after it as a base-p counter whose first digit
+    runs fastest (the reversed tuples of `itertools.product`)."""
     if field.kind != "prime":
         raise ValueError("projective enumeration needs a finite field")
-    p: int = field.p  # type: ignore[assignment]
+    digits = range(field.p)  # type: ignore[arg-type]
     for pivot in range(length):
-        tail_len = length - pivot - 1
-        for tail_code in range(p**tail_len):
-            tail = []
-            code = tail_code
-            for _ in range(tail_len):
-                code, digit = divmod(code, p)
-                tail.append(digit)
-            yield (0,) * pivot + (1,) + tuple(tail)
+        head = (0,) * pivot + (1,)
+        for tail in itertools.product(digits, repeat=length - pivot - 1):
+            yield head + tail[::-1]
 
 
 def reduced_square(L: AlternatingTensor) -> AlternatingTensor:

@@ -11,17 +11,20 @@ elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
 `Matrix`, and the line system of `residual` takes the rows from there.  Over
 F_p the skew elimination `packed_skew_mod_p` reads M(P) off
 `SkewLinearMatrix.packed_rows_at`: each row one int, slot b holding the
-(a, b) entry, from a table of packed coefficient rows cached on the matrix,
-wide enough that nothing is reduced until an entry is read.  There the
-line nodes of `degeneracy` take their principal sub-Pfaffians, and the one
-rank routine, `point_contraction_rank`, its rank (over the rationals
-`matrix_rank` of `M.evaluate(point)`).  Every rank query at a point goes
-through that routine, except the question "rank at most 2?", which
+(a, b) entry, all rows from one sum over a table cached on the matrix (one
+int per coordinate holding the whole coefficient matrix), wide enough that
+nothing is reduced until an entry is read.  There the line nodes of
+`degeneracy` take their principal sub-Pfaffians, and the one rank routine,
+`point_contraction_rank`, its rank, leaving out one index of the point's
+support since M(P)·P = 0 (over the rationals `matrix_rank` of
+`M.evaluate(point)`).  Every rank query at a point goes through that
+routine, except the question "rank at most 2?", which
 `first_rank_at_most_two` answers for a whole stream of points from the 4x4
-principal Pfaffians without building the matrix; callers that need the
-kernel take the star, `degeneracy.directions_through`.  Random points
-come from `random_points`: nonzero points, drawn over F_p a block at a time
-with one `randbelow_many` call per block.
+principal Pfaffians without building the matrix, over F_p each Pfaffian one
+product of packed sums; callers that need the kernel take the star,
+`degeneracy.directions_through`.  Random points come from `random_points`:
+nonzero points, drawn over F_p a block at a time with one `randbelow_many`
+call per block.
 
 Everything reduces to exact kernels of explicit matrices.  A k-form f induces
 linear maps "contract by a j-vector"; their matrices (columns indexed by the
@@ -240,6 +243,7 @@ def j_rank(f: AlternatingTensor, j: int) -> int:
 
 PointLike = Union[AlternatingTensor, Sequence]
 LinearTerms = tuple[tuple[int, Scalar], ...]
+PackedTerms = tuple[tuple[int, int], ...]  # (coordinate k, packed int T_k)
 
 
 def point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
@@ -318,21 +322,47 @@ class SkewLinearMatrix:
         return tuple(quartets)
 
     @cached_property
-    def _packed(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """Over F_p, the rows of the matrix packed for `packed_rows_at`: a
-        slot width w and, for each row a, the pairs (k, R) of a coordinate
-        k and one int R whose slot b (bits b*w up to (b+1)*w) holds the
-        coefficient of x_k in the (a, b) entry as a residue in [0, p).
+    def point_in_kernel(self) -> bool:
+        """Whether M(x)·x = 0 holds identically in x, as it does for every
+        `build_M` matrix (omega(x, x, .) = 0).
+
+        With c_ij,k the coefficient of x_k in the (i, j) entry, row i of
+        M(x)·x is sum c_ij,k x_j x_k, so each of its monomials must have
+        coefficient zero: c_ij,j at x_j**2 and c_ij,k + c_ik,j at x_j x_k
+        for j < k.  Each monomial is summed on its own, so in characteristic
+        2 c_ij,j is tested itself and not as 2c.
+        """
+        p = self.ctx.field.p
+        dim = self.size
+        monomials: dict[int, Scalar] = {}  # row*dim**2 + j*dim + k, j <= k
+        get = monomials.get
+        for (i, j), terms in self.pairs:
+            row_i, row_j = i * dim * dim, j * dim * dim
+            for k, c in terms:
+                key = row_i + (j * dim + k if j <= k else k * dim + j)
+                monomials[key] = get(key, 0) + c
+                key = row_j + (i * dim + k if i <= k else k * dim + i)
+                monomials[key] = get(key, 0) - c
+        return not any(v % p if p is not None else v for v in monomials.values())
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[int, ...], int, PackedTerms]:
+        """Over F_p, the matrix packed for `packed_rows_at`: a slot width w,
+        the bit offset a*dim*w of each row a, the mask of one row, and the
+        pairs (k, T_k) of each coordinate k that occurs and one int T_k that
+        holds every row of the coefficient matrix of x_k, row a at its
+        offset and its slot b (bits b*w up to (b+1)*w above that) holding
+        the coefficient of x_k in the (a, b) entry as a residue in [0, p).
 
         The (i, j) entry's terms are merged per k and reduced; its (j, i)
-        entry is stored as p minus the residue.  Row a of M(P) is then
-        sum_k P_k * R with every slot at most dim*(p - 1)**2, and w is
-        `skew_slot_width` of that bound.
+        entry is stored as p minus the residue.  Every slot of
+        sum_k P_k * T_k is then at most dim*(p - 1)**2, below 2**w for w
+        `skew_slot_width` of that bound, so no carry crosses a slot or a row.
         """
         p: int = self.ctx.field.p  # type: ignore[assignment]
         dim = self.size
         width = skew_slot_width(p, dim, dim * (p - 1) ** 2)
-        table: list[dict[int, int]] = [{} for _ in range(dim)]
+        table = [0] * dim
         for (i, j), terms in self.pairs:
             merged: dict[int, int] = {}
             for k, c in terms:
@@ -340,25 +370,43 @@ class SkewLinearMatrix:
             for k, c in merged.items():
                 c %= p
                 if c:
-                    table[i][k] = table[i].get(k, 0) + (c << j * width)
-                    table[j][k] = table[j].get(k, 0) + ((p - c) << i * width)
-        return width, tuple(tuple(row.items()) for row in table)
+                    upper = c << (i * dim + j) * width
+                    table[k] += upper + ((p - c) << (j * dim + i) * width)
+        row_width = dim * width
+        offsets = tuple(range(0, dim * row_width, row_width))
+        pairs = tuple((k, t) for k, t in enumerate(table) if t)
+        return width, offsets, (1 << row_width) - 1, pairs
 
     def packed_rows_at(self, coords: Sequence[int]) -> tuple[list[int], int]:
         """Over F_p, the rows of the matrix at an int point packed for
-        `packed_skew_mod_p`, row a being sum_k P_k * R over `_packed`, and
-        their slot width.  A coordinate outside [0, p) sends the point
-        through `point_coords`: the slot bound holds only for residues."""
-        if min(coords) < 0 or max(coords) >= self.ctx.field.p:  # type: ignore[operator]
+        `packed_skew_mod_p`, and their slot width: one sum sum_k P_k * T_k
+        over `_packed`, cut into its ``dim`` rows by shift and mask.  A
+        coordinate outside [0, p) or a point of another length goes through
+        `point_coords`: the slot bound holds only for residues."""
+        width, offsets, mask, table = self._packed
+        if (
+            len(coords) != len(offsets)
+            or min(coords) < 0
+            or max(coords) >= self.ctx.field.p  # type: ignore[operator]
+        ):
             coords = point_coords(self.ctx, coords)
-        width, table = self._packed
-        rows = []
-        for terms in table:
-            row = 0
-            for k, packed in terms:
-                row += coords[k] * packed
-            rows.append(row)
-        return rows, width
+        total = 0
+        for k, packed in table:
+            total += coords[k] * packed
+        return [total >> offset & mask for offset in offsets], width
+
+    @cached_property
+    def _packed_quartets(self) -> tuple[int, list[tuple[PackedTerms, int]]]:
+        """Over F_p, the quartets packed for `first_rank_at_most_two`: a slot
+        width w and a list that holds the first quartet of `quartets` packed
+        by `_pack_quartet`; the scan appends the others, in order, as points
+        reach them.  Each slot of the scan's product is a sum of at most
+        three products of two slots of at most dim*(p - 1)**2, so w is the
+        bit length of 3*(dim*(p - 1)**2)**2."""
+        p: int = self.ctx.field.p  # type: ignore[assignment]
+        dim = self.size
+        width = (3 * (dim * (p - 1) ** 2) ** 2).bit_length()
+        return width, [_pack_quartet(q, p, width) for q in self.quartets[:1]]
 
     def evaluate(self, point: PointLike) -> Matrix:
         """Scalar skew matrix obtained by evaluating every entry at a point:
@@ -424,14 +472,49 @@ def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     obtained by contracting the 3-form there.
 
     Over F_p the coordinates must be ints, and the rank is that of
-    `packed_skew_mod_p` on `M.packed_rows_at(coords)`.  Over the rationals
-    it is that of `M.evaluate(coords)` from `matrix_rank`.
+    `packed_skew_mod_p` on `M.packed_rows_at(coords)`.  When M(P)·P = 0
+    holds identically (`SkewLinearMatrix.point_in_kernel`), row and column
+    k of M(P) are combinations of the others for any k with P_k != 0, so
+    the elimination leaves out the last such k; the zero point has rank 0.
+    Over the rationals the rank is that of `M.evaluate(coords)` from
+    `matrix_rank`.
     """
     p = M.ctx.field.p
     if p is None:
         return matrix_rank(M.evaluate(coords))
     rows, width = M.packed_rows_at(coords)
-    return packed_skew_mod_p(p, rows, width)[0]
+    if not M.point_in_kernel:
+        return packed_skew_mod_p(p, rows, width)[0]
+    last = len(rows) - 1
+    while last >= 0 and not coords[last] % p:
+        last -= 1
+    if last < 0:
+        return 0
+    indices = [*range(last), *range(last + 1, len(rows))]
+    return packed_skew_mod_p(p, rows, width, indices)[0]
+
+
+def _pack_quartet(
+    quartet: tuple[tuple[LinearTerms, LinearTerms, int], ...], p: int, width: int
+) -> tuple[PackedTerms, int]:
+    """One quartet's products (u_s, v_s, sign_s) packed over F_p: the pairs
+    (k, T_k) of each coordinate k that occurs and one int, and a shift.
+    The low half of T_k (bits below 3*width) holds the coefficient of x_k
+    in sign_s * u_s mod p in slot s, its high half that in v_s in slot
+    (last - s), last being the number of products minus one; the shift is
+    last*width.  At a point of residues the product of the two halves of
+    sum_k P_k * T_k holds sum_s sign_s u_s v_s, the Pfaffian up to
+    multiples of p, in slot ``last``, at that shift."""
+    last = len(quartet) - 1
+    table: dict[int, int] = {}
+    for s, (first, second, sign) in enumerate(quartet):
+        for terms, factor, slot in ((first, sign, s), (second, 1, 3 + last - s)):
+            merged: dict[int, int] = {}
+            for k, c in terms:
+                merged[k] = merged.get(k, 0) + c
+            for k, c in merged.items():
+                table[k] = table.get(k, 0) + (c * factor % p << slot * width)
+    return tuple((k, t) for k, t in table.items() if t), last * width
 
 
 def first_rank_at_most_two(
@@ -444,29 +527,48 @@ def first_rank_at_most_two(
     Pfaffian vanishes, so each point is tested on the Pfaffians of
     `M.quartets` and passed over at the first nonzero one; the quadruples
     left out of that table vanish identically.  Over F_p the points must
-    already be canonical ints and each Pfaffian is reduced mod p; over the
-    rationals each point is coerced (`point_coords`) and each Pfaffian is
-    compared with zero exactly.
+    already be canonical ints, and each Pfaffian is one product of two
+    packed sums (`_pack_quartet`), read off its slot and reduced mod p; a
+    quartet is packed when the first point reaches it.  Over the rationals
+    each point is coerced (`point_coords`) and each Pfaffian is summed term
+    by term and compared with zero exactly.
     """
     p = M.ctx.field.p
     quartets = M.quartets
-    for index, point in enumerate(points):
-        coords = point if p is not None else point_coords(M.ctx, point)
-        for quartet in quartets:
-            acc = 0
-            for first, second, sign in quartet:
-                u = v = 0
-                for k, c in first:
-                    u += c * coords[k]
-                for k, c in second:
-                    v += c * coords[k]
-                acc += sign * u * v
-            if p is not None:
-                acc %= p
-            if acc:
+    if p is None:
+        for index, point in enumerate(points):
+            coords = point_coords(M.ctx, point)
+            for quartet in quartets:
+                acc = 0
+                for first, second, sign in quartet:
+                    u = v = 0
+                    for k, c in first:
+                        u += c * coords[k]
+                    for k, c in second:
+                        v += c * coords[k]
+                    acc += sign * u * v
+                if acc:
+                    break
+            else:
+                return index, point
+        return None
+    width, packed = M._packed_quartets
+    mask = (1 << width) - 1
+    half = 3 * width
+    low_mask = (1 << half) - 1
+    for index, coords in enumerate(points):
+        # the loop over the list also visits a quartet appended during it
+        for entry in packed:
+            table, shift = entry
+            total = 0
+            for k, t in table:
+                total += coords[k] * t
+            if ((total & low_mask) * (total >> half) >> shift & mask) % p:
                 break
+            if entry is packed[-1] and len(packed) < len(quartets):
+                packed.append(_pack_quartet(quartets[len(packed)], p, width))
         else:
-            return index, point
+            return index, coords
     return None
 
 

@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
@@ -334,18 +334,24 @@ def _basis_wedges(ctx_sub: SpaceContext, basis: list[AlternatingTensor]) -> dict
     return {key: wedge(basis[key[0]], basis[key[1]]) for key in ctx_sub.index_sets(2)}
 
 
-def _lift_bivector(
-    ctx: SpaceContext, wedges: dict, line: AlternatingTensor
+def _lift_line(
+    ctx: SpaceContext, columns: list[Sequence[Scalar]], line: AlternatingTensor
 ) -> AlternatingTensor:
-    """Push a bivector of a sub-context into the ambient in one `make`, through
-    ``wedges``, the wedges of its basis pairs (`_basis_wedges`)."""
-    field = ctx.field
-    return AlternatingTensor.make(
-        ctx,
-        2,
-        "vector",
-        [(k, field.mul(c, v)) for key, c in line.terms for k, v in wedges[key].terms],
-    )
+    """Push a bivector of a subspace's context into the ambient without
+    wedges: its coefficient at (i, j) is the (i, j) entry of B·C·B^T, with
+    B the subspace basis as columns and C the skew coefficient matrix of
+    ``line``, each entry one sum of products (reduced mod p over F_p)."""
+    p = ctx.field.p
+    rows = list(zip(*columns))  # the rows of B
+    scaled = [[0] * len(columns) for _ in rows]  # B·C
+    for (a, b), c in line.terms:
+        for row, out in zip(rows, scaled):
+            out[b] += row[a] * c
+            out[a] -= row[b] * c
+    coords = [sum(map(mul, scaled[i], rows[j])) for i, j in ctx.index_sets(2)]
+    if p is not None:
+        coords = [v % p for v in coords]
+    return ctx.tensor_from_coords(2, "vector", coords)
 
 
 def _sample_on_members(
@@ -364,7 +370,7 @@ def _sample_on_members(
         line_sub = draw_line_on_X(omega_sub, rng, _INNER_LINE_BUDGET)
         if line_sub is None:
             continue
-        lifted = _lift_bivector(handle.ctx, _basis_wedges(omega_sub.ctx, basis), line_sub)
+        lifted = _lift_line(handle.ctx, [b.coords() for b in basis], line_sub)
         # a line inside the base locus lies on every member: it fails like a member
         in_pi = all(covector_contract(d, lifted).is_zero() for d in (handle.x, handle.y))
         if not in_pi and member_Y(handle, lifted):
@@ -506,7 +512,6 @@ def _decomposable_by_plane_scan(
     handle: ResidualHandle,
     ctx_pi: SpaceContext,
     basis: list[AlternatingTensor],
-    lifted: dict,
     rng: random.Random,
 ) -> AlternatingTensor | None:
     """Odd ``n``: scan a plane of base-locus points for the one restricted
@@ -563,7 +568,7 @@ def _decomposable_by_plane_scan(
             line_sub = wedge(
                 ctx_pi.vector_from_coords(point), ctx_pi.vector_from_coords(direction)
             )
-            candidate = _lift_bivector(handle.ctx, lifted, line_sub)
+            candidate = _lift_line(handle.ctx, columns, line_sub)
             if not contract(handle.omega, candidate).is_zero():
                 raise RuntimeError("internal error: a plane-scan hit fails its line test")
             return line_sub
@@ -596,7 +601,7 @@ def sing_Y_dimension(handle: ResidualHandle, seed: int = 0) -> int:
     if point is None and ctx.field.kind == "prime":
         point = _decomposable_by_line_search(span, rng)
         if point is None and ctx.n % 2:
-            point = _decomposable_by_plane_scan(handle, ctx_pi, basis, lifted, rng)
+            point = _decomposable_by_plane_scan(handle, ctx_pi, basis, rng)
     if point is None:
         raise NonGenericFormError(
             "no singular point found over the sampling field"

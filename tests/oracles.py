@@ -23,6 +23,7 @@ from triwedge.exact_scalar import (
     UniPoly,
     matrix_rank,
     randbelow_many,
+    skew_slot_width,
 )
 from triwedge.exterior_core import (
     _BELOW,
@@ -47,7 +48,7 @@ from triwedge.form_analysis import (
     SpanLattice,
     point_coords,
 )
-from triwedge.residual import _PLANE_SCAN_ROUNDS, ResidualHandle, _lift_bivector
+from triwedge.residual import _PLANE_SCAN_ROUNDS, ResidualHandle
 
 
 def entry_form(M: SkewLinearMatrix, i: int, j: int) -> AlternatingTensor:
@@ -72,6 +73,90 @@ def evaluate_reference(M: SkewLinearMatrix, coords: Sequence[Scalar]) -> Matrix:
         rows[i][j] = acc
         rows[j][i] = fld.neg(acc)
     return Matrix(fld, dim, dim, tuple(value for row in rows for value in row))
+
+
+def projective_points_reference(field: FieldSpec, length: int):
+    """The points of P^(length-1) over F_p with first nonzero coordinate 1,
+    by pivot, each tail decoded from a counter by `divmod` digits, lowest
+    digit first."""
+    p = field.p
+    for pivot in range(length):
+        tail_len = length - pivot - 1
+        for tail_code in range(p**tail_len):
+            tail = []
+            code = tail_code
+            for _ in range(tail_len):
+                code, digit = divmod(code, p)
+                tail.append(digit)
+            yield (0,) * pivot + (1,) + tuple(tail)
+
+
+def packed_rows_reference(M: SkewLinearMatrix, coords: Sequence[int]) -> tuple[list[int], int]:
+    """The packed rows of M over F_p from one table per row: for each row a,
+    the pairs (k, R) whose slot b holds the coefficient of x_k in the (a, b)
+    entry as a residue, summed as P_k * R; coordinates outside [0, p) are
+    coerced first."""
+    p = M.ctx.field.p
+    dim = M.size
+    if min(coords) < 0 or max(coords) >= p:
+        coords = point_coords(M.ctx, coords)
+    width = skew_slot_width(p, dim, dim * (p - 1) ** 2)
+    table: list[dict[int, int]] = [{} for _ in range(dim)]
+    for (i, j), terms in M.pairs:
+        merged: dict[int, int] = {}
+        for k, c in terms:
+            merged[k] = merged.get(k, 0) + c
+        for k, c in merged.items():
+            c %= p
+            if c:
+                table[i][k] = table[i].get(k, 0) + (c << j * width)
+                table[j][k] = table[j].get(k, 0) + ((p - c) << i * width)
+    rows = [sum(coords[k] * packed for k, packed in row.items()) for row in table]
+    return rows, width
+
+
+def first_rank_at_most_two_reference(M: SkewLinearMatrix, points):
+    """The first (index, point) of ``points`` at which every 4x4 principal
+    Pfaffian of `M.quartets` vanishes, each summed term by term (reduced
+    mod p over F_p), or None."""
+    p = M.ctx.field.p
+    for index, point in enumerate(points):
+        coords = point if p is not None else point_coords(M.ctx, point)
+        for quartet in M.quartets:
+            acc = 0
+            for first, second, sign in quartet:
+                u = sum(c * coords[k] for k, c in first)
+                v = sum(c * coords[k] for k, c in second)
+                acc += sign * u * v
+            if p is not None:
+                acc %= p
+            if acc:
+                break
+        else:
+            return index, point
+    return None
+
+
+def point_in_kernel_reference(M: SkewLinearMatrix) -> bool:
+    """Whether M(x)·x = 0 identically, from evaluated matrices: row i of
+    M(x)·x is a quadratic form q, and q(e_j) and
+    q(e_j + e_k) - q(e_j) - q(e_k) are its coefficients, in every
+    characteristic."""
+    fld = M.ctx.field
+    dim = M.size
+
+    def image(point: list) -> tuple:
+        return evaluate_reference(M, point).matvec(point)
+
+    units = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    values = [image(e) for e in units]
+    if any(any(v) for v in values):
+        return False
+    for j, k in itertools.combinations(range(dim), 2):
+        point = [a + b for a, b in zip(units[j], units[k])]
+        if any(fld.sub(v, fld.add(a, b)) for v, a, b in zip(image(point), values[j], values[k])):
+            return False
+    return True
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -539,6 +624,21 @@ def relaxed_span_reference(
     return _stacked_kernel(ctx, columns)
 
 
+def lift_bivector_reference(
+    ctx: SpaceContext, wedges: dict, line: AlternatingTensor
+) -> AlternatingTensor:
+    """A bivector of a sub-context pushed into the ambient in one `make`,
+    through ``wedges``, the wedges of its basis pairs
+    (`residual._basis_wedges`)."""
+    field = ctx.field
+    return AlternatingTensor.make(
+        ctx,
+        2,
+        "vector",
+        [(k, field.mul(c, v)) for key, c in line.terms for k, v in wedges[key].terms],
+    )
+
+
 def plane_scan_reference(
     handle: ResidualHandle,
     ctx_pi: SpaceContext,
@@ -567,7 +667,7 @@ def plane_scan_reference(
                 ctx_pi.vector_from_coords(point),
                 ctx_pi.vector_from_coords(star.basis.column(0)),
             )
-            candidate = _lift_bivector(handle.ctx, lifted, line_sub)
+            candidate = lift_bivector_reference(handle.ctx, lifted, line_sub)
             if contract(handle.omega, candidate).is_zero():
                 return line_sub
     return None

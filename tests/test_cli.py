@@ -132,7 +132,7 @@ def test_analyze_ends_a_malformed_form_file_in_a_usage_error(document, tmp_path,
     assert capsys.readouterr().err.startswith("triwedge: error: ")
 
 
-@pytest.mark.parametrize("field", ["p:2", "p:3", "p:13"])
+@pytest.mark.parametrize("field", ["p:2", "p:3", "p:5", "p:7", "p:13"])
 @pytest.mark.parametrize("name", catalog.list_names())
 def test_analyze_answers_on_every_catalog_form_over_small_fields(name, field, tmp_path):
     code, doc = run_json(

@@ -27,6 +27,8 @@ from triwedge.exterior_core import (
     form_from_document,
     form_to_document,
     pair,
+    projective_point_count,
+    projective_points,
     pullback,
     random_tensor,
     reduce_mod_p,
@@ -38,6 +40,7 @@ from triwedge.exterior_core import (
 from oracles import (
     contract_terms_reference,
     pair_reference,
+    projective_points_reference,
     pullback_reference,
     random_tensor_reference,
     reduced_square_reference,
@@ -934,3 +937,13 @@ def test_rational_kernels_commute_with_reduction_mod_p(n, p, data):
     assert mod_p(wedge(a, b)) == wedge(mod_p(a), mod_p(b))
     assert mod_p(contract(f, v)) == contract(mod_p(f), mod_p(v))
     assert mod_p(reduced_square(L)) == reduced_square(mod_p(L))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_points_match_the_divmod_odometer(p):
+    field = FieldSpec.prime(p)
+    for length in range(1, 7):
+        points = list(projective_points(field, length))
+        assert points == list(projective_points_reference(field, length))
+        assert len(points) == len(set(points)) == projective_point_count(p, length)
+        assert all(type(point) is tuple and len(point) == length for point in points)

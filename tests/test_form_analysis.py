@@ -56,6 +56,9 @@ from triwedge.suites import RunConfig, run_suite
 from oracles import (
     entry_form,
     evaluate_reference,
+    first_rank_at_most_two_reference,
+    packed_rows_reference,
+    point_in_kernel_reference,
     quadric_contains_subspace,
     relaxed_span_reference,
     same_subspace,
@@ -310,6 +313,140 @@ def pair_tables_and_points(draw):
 def test_packed_point_rank_matches_row_reduction_on_hand_built_tables(case):
     M, point = case
     assert point_contraction_rank(M, point) == rank_kernel(M.evaluate(point))[0]
+
+
+# F_2, F_3, F_101 and the Mersenne prime 2^61 - 1, whose packed slots are the
+# widest.
+KERNEL_FIELDS = tuple(FieldSpec.prime(p) for p in (2, 3, 101, 2**61 - 1))
+
+
+@st.composite
+def kernel_forms(draw):
+    """A 3-form on a space of dimension 4 to 10 over a field of
+    `KERNEL_FIELDS`: random, a sum of 1 to 6 monomials, or, from dimension 6
+    on, the two-planes form, whose points of either plane have rank 2."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    ctx = SpaceContext(draw(st.integers(3, 9)), field)
+    shape = draw(st.sampled_from(["random", "monomials", "two-planes"]))
+    if shape == "two-planes" and ctx.dim >= 6:
+        return two_planes(ctx)
+    if shape == "monomials":
+        index = st.lists(st.integers(0, ctx.n), min_size=3, max_size=3, unique=True)
+        coeff = st.integers(1, field.p - 1) | st.just(field.p - 1)
+        terms = draw(st.lists(st.tuples(index, coeff), min_size=1, max_size=6))
+        return AlternatingTensor.make(ctx, 3, "form", terms)
+    return random_tensor(ctx, 3, "form", draw(st.integers(0, 10**6)))
+
+
+def residues(p: int, dim: int):
+    return st.lists(
+        st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1]), min_size=dim, max_size=dim
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(omega=kernel_forms(), data=st.data())
+def test_packed_rows_match_the_per_row_reference(omega, data):
+    M = build_M(omega)
+    p = omega.ctx.field.p
+    coords = data.draw(
+        residues(p, M.size)
+        | st.lists(st.integers(-2 * p, 2 * p), min_size=M.size, max_size=M.size)
+    )
+    assert M.packed_rows_at(coords) == packed_rows_reference(M, coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=kernel_forms(), data=st.data())
+def test_dropped_index_rank_matches_the_evaluated_matrix(omega, data):
+    # the last nonzero coordinate's row and column are left out; trailing
+    # zeros move that index, and all zeros give the zero point
+    M = build_M(omega)
+    assert M.point_in_kernel
+    point = data.draw(residues(omega.ctx.field.p, M.size))
+    zeros = data.draw(st.integers(0, M.size))
+    point = point[: M.size - zeros] + [0] * zeros
+    assert point_contraction_rank(M, point) == rank_kernel(M.evaluate(point))[0]
+
+
+def test_point_in_kernel_holds_for_every_build_M_matrix():
+    for field in (*KERNEL_FIELDS, QQ):
+        for n in (3, 5, 6):
+            ctx = SpaceContext(n, field)
+            forms = [random_tensor(ctx, 3, "form", n)] + ([two_planes(ctx)] if n >= 5 else [])
+            for omega in forms:
+                M = build_M(omega)
+                assert M.point_in_kernel and point_in_kernel_reference(M)
+    assert point_contraction_rank(build_M(two_planes(SpaceContext(5, F3))), [0] * 6) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pair_tables_and_points())
+def test_hand_built_tables_pack_like_the_reference_and_know_their_kernel(case):
+    M, point = case
+    assert M.packed_rows_at(point) == packed_rows_reference(M, point)
+    assert M.point_in_kernel == point_in_kernel_reference(M)
+
+
+def test_tables_whose_point_leaves_the_kernel_keep_the_full_elimination():
+    # entry (0, 1) = x_0 with (2, 3) = x_0, a table of the random-pairs kind
+    # above: row 1 of M(x)·x is -x_0**2
+    M = SkewLinearMatrix(SpaceContext(3, F101), (((0, 1), ((0, 1),)), ((2, 3), ((0, 1),))))
+    assert not M.point_in_kernel and not point_in_kernel_reference(M)
+    assert point_contraction_rank(M, [1, 0, 0, 0]) == 4
+    # over F_2 entry (0, 1) = x_1: row 0 of M(x)·x is x_1**2, whose
+    # coefficient a test of c_01,1 + c_01,1 = 2c would miss.  Leaving out
+    # index 1 at e_1 would give rank 0 instead of 2.
+    M = SkewLinearMatrix(SpaceContext(3, F2), (((0, 1), ((1, 1),)),))
+    assert not M.point_in_kernel and not point_in_kernel_reference(M)
+    assert point_contraction_rank(M, [0, 1, 0, 0]) == 2
+    assert rank_kernel(M.evaluate([0, 1, 0, 0]))[0] == 2
+
+
+def every_hit(scan, M, stream) -> list:
+    """The indices of all points of ``stream`` that ``scan`` reports, by
+    scanning again after each hit."""
+    hits, start = [], 0
+    while (found := scan(M, stream[start:])) is not None:
+        start += found[0] + 1
+        hits.append((start - 1, found[1]))
+    return hits
+
+
+@settings(max_examples=100, deadline=None)
+@given(omega=kernel_forms(), data=st.data())
+def test_packed_gc3_stream_matches_the_term_loop(omega, data):
+    # planted points lie on the first three coordinates: for the two-planes
+    # form they have rank 2, and later quartets are packed as points reach them
+    ctx = omega.ctx
+    p = ctx.field.p
+    M = build_M(omega)
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    stream = [list(x) for x in form_analysis.random_points(ctx.field, ctx.dim, rng, 30)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        planted = [randbelow(rng, p) for _ in range(3)] + [0] * (ctx.dim - 3)
+        if any(planted):
+            stream.insert(data.draw(st.integers(0, len(stream))), planted)
+    expected = every_hit(first_rank_at_most_two_reference, M, stream)
+    assert every_hit(first_rank_at_most_two, M, stream) == expected
+    assert every_hit(first_rank_at_most_two, build_M(omega), stream) == expected
+
+
+@pytest.mark.parametrize("p, dims", [(2, range(4, 11)), (3, range(4, 8))])
+def test_packed_gc3_scan_matches_the_term_loop_on_exhaustive_streams(p, dims):
+    field = FieldSpec.prime(p)
+    for dim in dims:
+        ctx = SpaceContext(dim - 1, field)
+        forms = [random_tensor(ctx, 3, "form", dim), catalog.get("n4", field=field)[0]]
+        if dim >= 6:
+            forms.append(two_planes(ctx))
+        for omega in forms:
+            if omega.ctx != ctx:
+                continue
+            M = build_M(omega)
+            stream = list(projective_points(field, dim))
+            expected = every_hit(first_rank_at_most_two_reference, M, stream)
+            assert every_hit(first_rank_at_most_two, M, stream) == expected
 
 
 def test_point_rank_reduces_ints_outside_the_residues():

@@ -43,8 +43,9 @@ from triwedge.residual import (
     Y_secancy_even,
     _INNER_LINE_BUDGET,
     _base_locus_context,
+    _basis_wedges,
     _decomposable_by_plane_scan,
-    _lift_bivector,
+    _lift_line,
     _line_minor_quotient,
     _pencil_conditions,
     _singular_span,
@@ -58,6 +59,7 @@ from triwedge.residual import (
 
 from oracles import (
     all_minor_gcd,
+    lift_bivector_reference,
     line_system_reference,
     plane_scan_reference,
     quadric_contains_subspace,
@@ -405,11 +407,11 @@ def test_congruence_lines_in_the_hyperplane_section_are_residual_lines():
 
 def test_lifted_base_locus_congruence_lines_are_residual_lines():
     handle = handle_for("n5")
-    ctx_pi, basis, wedges = _base_locus_context(handle)
+    ctx_pi, basis, _ = _base_locus_context(handle)
     omega_pi = pullback(handle.omega, basis)
     line_pi = draw_line_on_X(omega_pi, random.Random(3), _INNER_LINE_BUDGET)
     assert line_pi is not None
-    lifted = _lift_bivector(handle.ctx, wedges, line_pi)
+    lifted = _lift_line(handle.ctx, [b.coords() for b in basis], line_pi)
     assert member_Y(handle, lifted)
     # membership only needs the contraction inside <x, y>; the full form
     # does not have to kill the line, and here it does not
@@ -524,9 +526,9 @@ def test_singular_locus_dimensions_match_n_minus_five():
 
 @pytest.mark.parametrize("field", [Q, F101])
 def test_one_shot_lift_equals_the_termwise_sum(field):
-    # `_lift_bivector` lifts a line of the base locus with one `make` over the
-    # wedges of the basis pairs; it must equal the sum of the scaled lifts and
-    # the wedge-by-wedge sum
+    # `_lift_line` lifts a line of the base locus as B·C·B^T in one `make`; it
+    # must equal the sum of the scaled lifts of the basis pairs and the
+    # wedge-by-wedge sum
     handle = handle_for("n5", field=field)
     ctx_pi, basis, lifted = _base_locus_context(handle)
     for seed in range(3):
@@ -536,20 +538,51 @@ def test_one_shot_lift_equals_the_termwise_sum(field):
         for (i, j), c in line.terms:
             termwise = termwise.add(lifted[(i, j)].scale(c))
             wedgewise = wedgewise.add(wedge(basis[i], basis[j]).scale(c))
-        one_shot = _lift_bivector(handle.ctx, lifted, line)
+        one_shot = _lift_line(handle.ctx, [b.coords() for b in basis], line)
         assert not one_shot.is_zero()
         assert one_shot == termwise == wedgewise
+
+
+@pytest.mark.parametrize("p", [5, 101])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_member_lift_equals_the_wedge_lift(p, n):
+    # B·C·B^T on int columns against the wedges of every basis pair, on the
+    # basis of a hyperplane {z = 0} and on random and decomposable bivectors
+    field = FieldSpec.prime(p)
+    ctx = SpaceContext(n, field)
+    for seed in range(4):
+        z = random_tensor(ctx, 1, "form", seed)
+        if z.is_zero():
+            continue
+        basis = LinearSubspace.annihilator(ctx, [z]).basis_tensors()
+        sub = SpaceContext(len(basis) - 1, field)
+        u, v = (random_tensor(sub, 1, "vector", 10 * seed + i) for i in (1, 2))
+        for line in (random_tensor(sub, 2, "vector", seed), wedge(u, v)):
+            lifted = _lift_line(ctx, [b.coords() for b in basis], line)
+            expected = lift_bivector_reference(ctx, _basis_wedges(sub, basis), line)
+            assert lifted.terms == expected.terms
+            assert lifted == expected
+
+
+def test_member_sampling_wedges_no_basis_pairs(monkeypatch):
+    handles = [handle_for("n5"), handle_for("n6-g2")]
+    expected = [sample_line_on_Y(handles[0], seed=0), Y_secancy_even(handles[1], seed=0)]
+
+    def refuse(*args):
+        raise AssertionError("a member line was lifted through the basis wedges")
+
+    monkeypatch.setattr(residual, "_basis_wedges", refuse)
+    assert [sample_line_on_Y(handles[0], seed=0), Y_secancy_even(handles[1], seed=0)] == expected
 
 
 def test_plane_scan_returns_a_line_the_full_form_kills():
     handle = handle_for("n7-ozeki", field=F31)
     ctx_pi, basis, lifted = _base_locus_context(handle)
-    line = _decomposable_by_plane_scan(
-        handle, ctx_pi, basis, lifted, random.Random(0)
-    )
+    line = _decomposable_by_plane_scan(handle, ctx_pi, basis, random.Random(0))
     assert line is not None
     assert not line.is_zero() and reduced_square(line).is_zero()
-    assert contract(handle.omega, _lift_bivector(handle.ctx, lifted, line)).is_zero()
+    lift = lift_bivector_reference(handle.ctx, lifted, line)
+    assert contract(handle.omega, lift).is_zero()
 
 
 @pytest.mark.parametrize("name, field", [("n5", F101), ("n7-ozeki", F31)])
@@ -559,10 +592,10 @@ def test_plane_scan_returns_the_line_of_the_tensor_scan(name, field, seed):
     # line, as the star, lift and contraction at every point
     omega, _ = catalog.get(name, field=field)
     handle = ResidualHandle.general(omega, seed=seed)
-    context = _base_locus_context(handle)
-    got = _decomposable_by_plane_scan(handle, *context, random.Random(seed))
+    ctx_pi, basis, lifted = _base_locus_context(handle)
+    got = _decomposable_by_plane_scan(handle, ctx_pi, basis, random.Random(seed))
     assert got is not None
-    assert got == plane_scan_reference(handle, *context, random.Random(seed))
+    assert got == plane_scan_reference(handle, ctx_pi, basis, lifted, random.Random(seed))
 
 
 def test_singular_locus_over_a_field_too_small_for_the_line_search():
