@@ -33,11 +33,14 @@ in ``ANALYZE_RUNS``.  Four files hold the digests:
   bound; they show that dropping the search left the reports unchanged.
   The two runs over F_(2**61 - 1) cover wide packed slots in the line-node
   sub-Pfaffians: ``n6-g2`` (even n) reaches them through the degree of the
-  drop locus, ``n7-ozeki`` (odd n) through the secant pencil.  The last
-  two runs are complete exhaustive scans with no witness, of all 960,800
-  points of P^7(F_7) (``n7-ozeki``) and all 488,281 points of P^8(F_5)
-  (``n8-family``): every point passes the 4x4 Pfaffian test and the
-  projective enumeration end to end.
+  drop locus, ``n7-ozeki`` (odd n) through the secant pencil.  The runs
+  over F_7 and F_5 are complete exhaustive scans with no witness, of all
+  960,800 points of P^7(F_7) (``n7-ozeki``) and all 488,281 points of
+  P^8(F_5) (``n8-family``): every point passes the 4x4 Pfaffian test and
+  the projective enumeration end to end.  The runs over F_251 and F_257 sit on
+  either side of the 8-bit bound at which `randbelow_many` changes how it
+  draws its words: 251 has 8 bits, 257 has 9, so the sampled points of
+  ``n6-g2`` and ``n7-ozeki`` there pin both ways of drawing them.
 * ``data/residual_singular_report_digests.json``: ``residual-singular`` at
   its default field, at the seeds in ``RESIDUAL_SINGULAR_SEEDS``.  The
   ``--suite all`` runs reach it only at seeds 0 and 7, and its plane scan
@@ -80,6 +83,8 @@ ANALYZE_RUNS = (
     ("n7-ozeki", "p:2305843009213693951", 0),
     ("n7-ozeki", "p:7", 0),
     ("n8-family", "p:5", 0),
+    ("n6-g2", "p:251", 0),
+    ("n7-ozeki", "p:257", 0),
 )
 
 
