@@ -39,6 +39,7 @@ from .degeneracy import (
     independent_pair,
     line_subpfaffian_gcd,
     line_zeros,
+    point_ranks,
     random_coords,
     random_points,
     require_three_form,
@@ -69,7 +70,6 @@ from .form_analysis import (
     LinearSubspace,
     contraction_kernel,
     j_rank,
-    point_contraction_rank,
 )
 
 __all__ = [
@@ -143,7 +143,8 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
     of the requested samples, beyond which the form is reported non-generic
     instead of guessing a value.  Every draw counts towards the agreeing or
     the disagreeing draws, so at most ``samples`` plus that tolerance points
-    are drawn (`random_points`), and each is ranked as it comes.
+    are drawn (`random_points`), and each is ranked as it comes
+    (`point_ranks`).
     """
     require_three_form(omega)
     field = omega.ctx.field
@@ -162,8 +163,8 @@ def order(omega: AlternatingTensor, samples: int = 200, seed: int = 0) -> int:
     best = dim
     agree = 0
     disagree = 0
-    for coords in random_points(field, dim, rng, samples + slack):
-        value = dim - point_contraction_rank(matrix, coords) - 1
+    for rank in point_ranks(matrix, random_points(field, dim, rng, samples + slack)):
+        value = dim - rank - 1
         if value < best:
             disagree += agree
             best = value

@@ -8,12 +8,14 @@ scalar skew-symmetric matrix whose rank is the rank of the 2-form
 generic value is the fundamental locus of the line congruence attached
 to ``omega`` (points lying on infinitely many of its lines).
 
-``M`` (`SkewLinearMatrix`), `build_M` and the rank routine
-`point_contraction_rank` live in `form_analysis`.  This module re-exports
-the first two and defines `rank_at`, which coerces a point and rejects
-the zero point before taking that rank; loops over points that
-`random_points` drew, canonical and nonzero, rank them with
-`point_contraction_rank` directly.  It samples the rank histogram of M
+``M`` (`SkewLinearMatrix`), `build_M` and the rank routine `point_ranks`
+(with `point_contraction_rank`, its one-point case) live in
+`form_analysis`.  This module re-exports `SkewLinearMatrix`, `build_M` and
+`point_ranks` and defines `rank_at`, which coerces a point and rejects the
+zero point before taking its rank; a stream of points that `random_points`
+drew, canonical and nonzero, or that the exhaustive enumeration lists, is
+ranked by one `point_ranks` call, as `stratify`, `exhaustive_strata` and
+`congruence.order` do.  It samples the rank histogram of M
 over prime fields (`stratify`), measures the degree of the drop locus for
 even ``n`` by restricting a principal sub-Pfaffian to random lines,
 extracts the secant polynomial of a congruence line for odd ``n`` from the
@@ -41,7 +43,7 @@ Pf_i(M(P)) = ±g(P)·P_i for one form g of degree n/2 - 1),
 `SecantPencil.zeros` (the points of a congruence line on the rank-drop locus),
 `directions_through` (the star of congruence lines through P, the one
 kernel of M(P) taken anywhere: a caller that needs a line through P takes its
-star, and one that needs only the rank takes `point_contraction_rank`),
+star, and one that needs only the rank takes `point_ranks`),
 `split_decomposable` (two vectors whose wedge is a decomposable bivector),
 `normalize_projective` (a projective point scaled to first nonzero
 coordinate 1) and `require_three_form` (from `exterior_core`).  `line_gcd`,
@@ -61,6 +63,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import tee
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -99,6 +102,7 @@ from .form_analysis import (
     j_rank,
     point_contraction_rank,
     point_coords,
+    point_ranks,
     random_points,
 )
 
@@ -121,6 +125,7 @@ __all__ = [
     "line_subpfaffian_gcd",
     "line_zeros",
     "normalize_projective",
+    "point_ranks",
     "random_coords",
     "random_points",
     "require_three_form",
@@ -195,8 +200,8 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
     """The histogram of matrix ranks at ``samples`` random points over F_p.
 
     The points are the `random_points` draws of a generator seeded with
-    ``derive_seed("stratify", n, p, samples, seed)``, each ranked by
-    `point_contraction_rank`; the generic rank is the largest rank seen.
+    ``derive_seed("stratify", n, p, samples, seed)``, ranked by one
+    `point_ranks` stream; the generic rank is the largest rank seen.
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -207,10 +212,7 @@ def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> 
         raise ConventionError("at least one sample is required")
     rng = random.Random(derive_seed("stratify", ctx.n, field.p, samples, seed))
     M = build_M(omega)
-    histogram = Counter(
-        point_contraction_rank(M, coords)
-        for coords in random_points(field, ctx.dim, rng, samples)
-    )
+    histogram = Counter(point_ranks(M, random_points(field, ctx.dim, rng, samples)))
     return StratumReport(
         n=ctx.n, rank_histogram=MappingProxyType(dict(sorted(histogram.items())))
     )
@@ -610,7 +612,8 @@ class ExhaustiveStrata:
 
 
 def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
-    """Rank of the matrix at every point of P^n(F_p)."""
+    """Rank of the matrix at every point of P^n(F_p), in one `point_ranks`
+    stream over the enumeration."""
     require_three_form(omega)
     n = omega.ctx.n
     reduced = reduce_mod_p(omega, p)
@@ -621,9 +624,9 @@ def exhaustive_strata(omega: AlternatingTensor, p: int) -> ExhaustiveStrata:
         )
     M = build_M(reduced)
     points: dict[int, list[tuple[int, ...]]] = {}
-    for coords in projective_points(reduced.ctx.field, n + 1):
-        rank = point_contraction_rank(M, coords)
-        points.setdefault(rank, []).append(tuple(int(value) for value in coords))
+    enumerated, ranked = tee(projective_points(reduced.ctx.field, n + 1))
+    for coords, rank in zip(enumerated, point_ranks(M, ranked)):
+        points.setdefault(rank, []).append(coords)
     return ExhaustiveStrata(
         n=n,
         p=p,

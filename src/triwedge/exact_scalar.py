@@ -31,8 +31,10 @@ Lagrange interpolation (on int lists over both fields, reduced into the
 field once at the end) used to restrict determinantal loci to lines.
 `randbelow` is the package's one uniform draw below a bound: the values and
 generator state of `random.Random.randrange`, at a fraction of its cost;
-`randbelow_many` draws a run of such values with one `getrandbits` call per
-value, leaving the generator where as many `randbelow` calls would.
+`randbelow_many` draws a run of such values, leaving the generator where as
+many `randbelow` calls would: below a bound of at most 8 bits it cuts one
+`getrandbits` call per refill into bytes, and above that it makes one call
+per value.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -72,12 +74,15 @@ class ConventionError(ValueError):
 
 
 def randbelow(rng: random.Random, bound: int) -> int:
-    """``rng.randrange(bound)`` for ``bound > 0``: the same value, leaving the
-    generator in the same state, without `randrange`'s argument handling.
+    """``rng.randrange(bound)``: the same value, leaving the generator in the
+    same state, without `randrange`'s other argument handling.  A bound
+    below 1 raises `ValueError`, as it does in `randrange`.
 
     It draws ``bound.bit_length()`` random bits and redraws while the value is
     at least ``bound``, which is how `random.Random` draws below a bound.
     """
+    if bound < 1:
+        raise ValueError(f"empty range below {bound}")
     bits = bound.bit_length()
     draw = rng.getrandbits
     value = draw(bits)
@@ -88,20 +93,46 @@ def randbelow(rng: random.Random, bound: int) -> int:
 
 def randbelow_many(rng: random.Random, bound: int, count: int) -> list[int]:
     """``[randbelow(rng, bound) for _ in range(count)]``: the same values,
-    leaving the generator in the same state.
+    leaving the generator in the same state; a bound below 1 raises
+    `ValueError`.
 
     It draws as many words of ``bound.bit_length()`` bits as values are still
     missing and keeps those below ``bound``, until it has ``count``.  Each
     value is the next accepted word, as in `randbelow`, and a refill of r
     words accepts at most r values, so no word past the last accepted one
-    is drawn.
+    is drawn.  The generator emits 32-bit words, and ``getrandbits(k)`` for
+    k <= 32 is the top k bits of one word, so for a bound of at most 8 bits
+    a refill is one ``getrandbits(32*r)`` call: the top byte of each of its
+    r words, translated and filtered by `_byte_tables`.  Wider bounds make
+    one ``getrandbits`` call per word.
     """
+    if bound < 1:
+        raise ValueError(f"empty range below {bound}")
     bits = bound.bit_length()
     draw = rng.getrandbits
     values: list[int] = []
+    if bits <= 8:
+        table, reject = _byte_tables(bound)
+        while (missing := count - len(values)) > 0:
+            words = draw(32 * missing).to_bytes(4 * missing, "little")
+            values += words[3::4].translate(table, reject)
+        return values
     while len(values) < count:
         values += [v for v in map(draw, repeat(bits, count - len(values))) if v < bound]
     return values
+
+
+@cache
+def _byte_tables(bound: int) -> tuple[bytes, bytes]:
+    """For a bound of at most 8 bits, the `bytes.translate` arguments that
+    turn the top byte of a word into the word's top ``bound.bit_length()``
+    bits: the table shifting each byte right by the bits it drops, and the
+    bytes to delete first, those whose value so shifted is at least
+    ``bound``."""
+    shift = 8 - bound.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= bound)
+    return table, reject
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

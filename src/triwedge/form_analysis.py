@@ -15,16 +15,17 @@ F_p the skew elimination `packed_skew_mod_p` reads M(P) off
 int per coordinate holding the whole coefficient matrix), wide enough that
 nothing is reduced until an entry is read.  There the line nodes of
 `degeneracy` take their principal sub-Pfaffians, and the one rank routine,
-`point_contraction_rank`, its rank, leaving out one index of the point's
-support since M(P)·P = 0 (over the rationals `matrix_rank` of
-`M.evaluate(point)`).  Every rank query at a point goes through that
-routine, except the question "rank at most 2?", which
-`first_rank_at_most_two` answers for a whole stream of points from the 4x4
-principal Pfaffians without building the matrix, over F_p each Pfaffian one
-product of packed sums; callers that need the kernel take the star,
-`degeneracy.directions_through`.  Random points come from `random_points`:
-nonzero points, drawn over F_p a block at a time with one `randbelow_many`
-call per block.
+`point_ranks`, the rank at each point of a stream, leaving out one index of
+the point's support since M(P)·P = 0 (over the rationals `matrix_rank` of
+`M.evaluate(point)`); it reads whether M(x)·x = 0 holds once per stream,
+and `point_contraction_rank` is its one-point case.  Every rank
+query at a point goes through that routine, except the question "rank at
+most 2?", which `first_rank_at_most_two` answers for a whole stream of
+points from the 4x4 principal Pfaffians without building the matrix, over
+F_p each Pfaffian one product of packed sums; callers that need the kernel
+take the star, `degeneracy.directions_through`.  Random points come from
+`random_points`: nonzero points as lists, drawn over F_p a block at a time
+with one `randbelow_many` call per block.
 
 Everything reduces to exact kernels of explicit matrices.  A k-form f induces
 linear maps "contract by a j-vector"; their matrices (columns indexed by the
@@ -95,6 +96,7 @@ __all__ = [
     "SpanLattice",
     "build_M",
     "point_contraction_rank",
+    "point_ranks",
     "point_coords",
     "first_rank_at_most_two",
     "random_points",
@@ -469,29 +471,46 @@ def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
 
 def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
     """Rank of the skew matrix evaluated at one point, the rank of the 2-form
-    obtained by contracting the 3-form there.
+    obtained by contracting the 3-form there: `point_ranks` of that one
+    point."""
+    return next(point_ranks(M, (coords,)))
+
+
+def point_ranks(M: SkewLinearMatrix, points: Iterable[PointLike]) -> Iterator[int]:
+    """The rank of the skew matrix at each of ``points``, in order, taken as
+    the points come: the package's one rank routine at a point.
 
     Over F_p the coordinates must be ints, and the rank is that of
     `packed_skew_mod_p` on `M.packed_rows_at(coords)`.  When M(P)·P = 0
-    holds identically (`SkewLinearMatrix.point_in_kernel`), row and column
-    k of M(P) are combinations of the others for any k with P_k != 0, so
-    the elimination leaves out the last such k; the zero point has rank 0.
-    Over the rationals the rank is that of `M.evaluate(coords)` from
-    `matrix_rank`.
+    holds identically (`SkewLinearMatrix.point_in_kernel`, read once for
+    the stream), row and column k of M(P) are combinations of the others
+    for any k with P_k != 0, so the elimination leaves out the last such k:
+    in the usual case the last index itself, on one range made once for
+    the stream.  The zero point has rank 0.  Over the rationals the rank
+    is that of `M.evaluate(point)` from `matrix_rank`.
     """
     p = M.ctx.field.p
     if p is None:
-        return matrix_rank(M.evaluate(coords))
-    rows, width = M.packed_rows_at(coords)
-    if not M.point_in_kernel:
-        return packed_skew_mod_p(p, rows, width)[0]
-    last = len(rows) - 1
-    while last >= 0 and not coords[last] % p:
-        last -= 1
-    if last < 0:
-        return 0
-    indices = [*range(last), *range(last + 1, len(rows))]
-    return packed_skew_mod_p(p, rows, width, indices)[0]
+        for point in points:
+            yield matrix_rank(M.evaluate(point))
+        return
+    in_kernel = M.point_in_kernel
+    usual = range(M.size - 1)
+    for coords in points:
+        rows, width = M.packed_rows_at(coords)
+        if not in_kernel:
+            yield packed_skew_mod_p(p, rows, width)[0]
+        elif coords[-1] % p:
+            yield packed_skew_mod_p(p, rows, width, usual)[0]
+        else:
+            last = len(rows) - 2
+            while last >= 0 and not coords[last] % p:
+                last -= 1
+            if last < 0:
+                yield 0
+            else:
+                indices = [*range(last), *range(last + 1, len(rows))]
+                yield packed_skew_mod_p(p, rows, width, indices)[0]
 
 
 def _pack_quartet(
@@ -581,11 +600,15 @@ def random_points(
     The points and the generator state once all are taken are those of
     ``count`` draws of one point each, where a draw takes ``dim`` values and
     is redrawn while they are all zero.  Over F_p each block of at most
-    ``_POINT_BLOCK`` points is one `randbelow_many` call cut into points; the
-    all-zero ones are dropped and the next block makes up for them.  Blocks
-    are drawn as the points are taken, so a caller that stops early leaves
-    the generator at most one block past the last point it took.
+    ``_POINT_BLOCK`` points is one `randbelow_many` call cut into lists of
+    ``dim`` values; the all-zero ones are dropped and the next block makes
+    up for them.  Blocks are drawn as the points are taken, so a caller that
+    stops early leaves the generator at most one block past the last point
+    it took.  A point needs at least one coordinate: ``dim`` below 1 raises
+    `ConventionError`, since no draw could ever be nonzero.
     """
+    if dim < 1:
+        raise ConventionError(f"a random point needs at least one coordinate, not {dim}")
     if field.kind != "prime":
         while count > 0:
             coords = [field.coerce(rng.randint(-9, 9)) for _ in range(dim)]
@@ -595,10 +618,8 @@ def random_points(
         return
     p: int = field.p  # type: ignore[assignment]
     while count > 0:
-        size = min(count, _POINT_BLOCK) * dim
-        values = randbelow_many(rng, p, size)
-        block = [values[i : i + dim] for i in range(0, size, dim)]
-        nonzero = [coords for coords in block if any(coords)]
+        values = randbelow_many(rng, p, min(count, _POINT_BLOCK) * dim)
+        nonzero = list(map(list, filter(any, zip(*[iter(values)] * dim))))
         count -= len(nonzero)
         yield from nonzero
 

@@ -22,6 +22,7 @@ from triwedge.exact_scalar import (
     Scalar,
     UniPoly,
     matrix_rank,
+    packed_skew_mod_p,
     randbelow_many,
     skew_slot_width,
 )
@@ -113,6 +114,27 @@ def packed_rows_reference(M: SkewLinearMatrix, coords: Sequence[int]) -> tuple[l
                 table[j][k] = table[j].get(k, 0) + ((p - c) << i * width)
     rows = [sum(coords[k] * packed for k, packed in row.items()) for row in table]
     return rows, width
+
+
+def point_contraction_rank_reference(M: SkewLinearMatrix, coords) -> int:
+    """The rank of M at one point, one call per point: over F_p the rank of
+    `packed_skew_mod_p` on `SkewLinearMatrix.packed_rows_at`, leaving out
+    the last index k with P_k != 0 mod p when M(x)·x = 0 holds identically
+    (0 at the zero point); over the rationals `matrix_rank` of
+    `M.evaluate`."""
+    p = M.ctx.field.p
+    if p is None:
+        return matrix_rank(M.evaluate(coords))
+    rows, width = M.packed_rows_at(coords)
+    if not M.point_in_kernel:
+        return packed_skew_mod_p(p, rows, width)[0]
+    last = len(rows) - 1
+    while last >= 0 and not coords[last] % p:
+        last -= 1
+    if last < 0:
+        return 0
+    indices = [*range(last), *range(last + 1, len(rows))]
+    return packed_skew_mod_p(p, rows, width, indices)[0]
 
 
 def first_rank_at_most_two_reference(M: SkewLinearMatrix, points):

@@ -313,7 +313,7 @@ def test_verify_prints_summary_when_writing_to_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("field", ["q", "p:2", "p:3", "p:13"])
+@pytest.mark.parametrize("field", ["q", "p:2", "p:3", "p:5", "p:7", "p:13"])
 @pytest.mark.parametrize(
     "suite",
     ["span-lattice", "residual-membership", "rank-laws", "order-law", "conventions"],

@@ -172,15 +172,19 @@ def one_point_reference(field, dim, rng):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    field=st.sampled_from([FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), F101, Q]),
+    field=st.sampled_from(
+        [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5), F101, FieldSpec.prime(1009), Q]
+    ),
     dim=st.integers(1, 10),
     count=st.integers(0, 50),
     seed=st.integers(0, 2**32),
 )
 def test_random_points_repeat_random_coords_and_the_generator_state(field, dim, count, seed):
-    # over F_2 short points are often zero, so blocks are refilled
+    # over F_2 short points are often zero, so blocks are refilled; F_1009
+    # has 10 bits, past the byte draws of `randbelow_many`
     blocks, singles, reference = (random.Random(seed) for _ in range(3))
     points = list(random_points(field, dim, blocks, count))
+    assert all(type(coords) is list for coords in points)
     assert points == [random_coords(field, dim, singles) for _ in range(count)]
     assert points == [one_point_reference(field, dim, reference) for _ in range(count)]
     assert blocks.getstate() == singles.getstate() == reference.getstate()
@@ -190,8 +194,17 @@ def test_random_points_repeat_random_coords_and_the_generator_state(field, dim, 
 def test_random_points_over_many_blocks_repeat_the_one_point_draws(field, dim):
     blocks, reference = random.Random(5), random.Random(5)
     points = list(random_points(field, dim, blocks, 2000))
+    assert all(type(coords) is list for coords in points)
     assert points == [one_point_reference(field, dim, reference) for _ in range(2000)]
     assert blocks.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), F101, Q])
+def test_random_points_need_a_coordinate(field):
+    # no draw of zero coordinates is ever nonzero, so the draws would go on
+    # for ever
+    with pytest.raises(ConventionError, match="at least one coordinate"):
+        next(random_points(field, 0, random.Random(0), 1))
 
 
 def test_rank_at_rejects_the_zero_point():

@@ -881,8 +881,12 @@ def test_randbelow_repeats_randrange_and_its_generator_state(bound):
     assert fast.getstate() == reference.getstate()
 
 
+# Bounds of at most 8 bits are cut from the top bytes of whole words, and
+# wider ones are drawn a word at a time: 129 rejects nearly half its bytes,
+# so its refills repeat, and 255, 256 and 257 sit on either side of 8 bits.
 RANDBELOW_MANY_BOUNDS = [
-    1, 2, 3, 5, 101, 1009, 32003, 2**31 - 1, 2**32 - 5, 2**32, 2**32 + 15, 2**61 - 1
+    1, 2, 3, 5, 7, 101, 128, 129, 255, 256, 257, 1009, 32003,
+    2**31 - 1, 2**32 - 5, 2**32, 2**32 + 15, 2**61 - 1,
 ]
 
 
@@ -894,6 +898,28 @@ def test_randbelow_many_repeats_randbelow_and_its_generator_state(bound):
         expected = [randbelow(reference, bound) for _ in range(count)]
         assert randbelow_many(fast, bound, count) == expected
         assert fast.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, -1, -256])
+def test_randbelow_rejects_an_empty_range(bound):
+    # a bound below 1 accepts no value, so the redraws would never end
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        randbelow(rng, bound)
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(bound)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("bound", [0, -1, -256])
+@pytest.mark.parametrize("count", [0, 3])
+def test_randbelow_many_rejects_an_empty_range(bound, count):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        randbelow_many(rng, bound, count)
+    assert rng.getstate() == state
 
 
 @st.composite

@@ -46,6 +46,7 @@ from triwedge.form_analysis import (
     j_rank,
     point_contraction_rank,
     point_coords,
+    point_ranks,
     polar_quadric,
     quadric_of,
     span_lattice,
@@ -58,6 +59,7 @@ from oracles import (
     evaluate_reference,
     first_rank_at_most_two_reference,
     packed_rows_reference,
+    point_contraction_rank_reference,
     point_in_kernel_reference,
     quadric_contains_subspace,
     relaxed_span_reference,
@@ -459,6 +461,49 @@ def test_point_rank_reduces_ints_outside_the_residues():
             x = [rng.randrange(-300, 300) for _ in range(n + 1)]
             expected = rank_kernel(M.evaluate(x))[0]
             assert point_contraction_rank(M, x) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(omega=kernel_forms(), data=st.data())
+def test_point_rank_stream_matches_the_per_point_reference(omega, data):
+    # residues and ints outside [0, p), some with trailing zeros (a zero last
+    # coordinate moves the left-out index), and the zero point
+    M = build_M(omega)
+    p, dim = omega.ctx.field.p, M.size
+    point = residues(p, dim) | st.lists(st.integers(-2 * p, 2 * p), min_size=dim, max_size=dim)
+    stream = []
+    for coords, zeros in data.draw(st.lists(st.tuples(point, st.integers(0, dim)), max_size=12)):
+        stream.append(coords[: dim - zeros] + [0] * zeros)
+    stream.insert(data.draw(st.integers(0, len(stream))), [0] * dim)
+    expected = [point_contraction_rank_reference(M, coords) for coords in stream]
+    assert list(point_ranks(M, stream)) == expected
+    assert [point_contraction_rank(M, coords) for coords in stream] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pair_tables_and_points())
+def test_point_rank_stream_keeps_the_full_elimination_off_the_kernel(case):
+    # hand-built tables, some of which fail `point_in_kernel`
+    M, point = case
+    stream = [point, point[::-1], [0] * M.size, point[1:] + [0]]
+    expected = [point_contraction_rank_reference(M, coords) for coords in stream]
+    assert list(point_ranks(M, stream)) == expected
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_point_rank_stream_over_the_rationals(n):
+    ctx = SpaceContext(n, QQ)
+    rng = random.Random(n)
+    forms = [random_tensor(ctx, 3, "form", n)] + ([two_planes(ctx)] if n >= 5 else [])
+    for omega in forms:
+        M = build_M(omega)
+        stream = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n + 1)]
+            for _ in range(20)
+        ]
+        stream += [[1] + [0] * n, [0] * n + [1], [0] * (n + 1), [0, 1, 2] + [0] * (n - 2)]
+        expected = [point_contraction_rank_reference(M, coords) for coords in stream]
+        assert list(point_ranks(M, stream)) == expected
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
