@@ -20,7 +20,10 @@ in ``ANALYZE_RUNS``.  Four files hold the digests:
   fields, which are prime fields for every suite but ``quadric-count`` and
   ``form-recovery``, and ``conventions`` over F_3.  A third of the F_3
   coefficients of a random tensor are zero, so the F_3 runs pin how
-  `random_tensor` drops them.
+  `random_tensor` drops them, and many operands of the exterior kernels
+  there take their sparse loops.  ``conventions`` over F_(2**61 - 1) at
+  seed 0 pins the dense kernels on full-size residues, whose products
+  and sums run far past a machine word.
 * ``data/analyze_report_digests.json``: ``analyze`` on the catalog forms,
   fields and seeds in ``ANALYZE_RUNS``.  They cover the branches of the
   pointwise rank search and of the rank sampling that the benchmark's
@@ -69,6 +72,7 @@ SUITES = {
 }
 SEEDS = (0, 7)
 RESIDUAL_SINGULAR_SEEDS = (1, 2, 3, 4, 5, 6)
+CONVENTIONS_WIDE_PRIMES = (2305843009213693951,)
 ANALYZE_RUNS = (
     ("n6-g2", "p:2", 0),
     ("n4", "p:3", 0),
@@ -103,7 +107,8 @@ def rational_commands() -> list[list[str]]:
 
 def prime_field_commands() -> list[list[str]]:
     """The ``verify --suite all`` argument lists, one per seed, then the
-    ``conventions`` runs over F_3, one per seed."""
+    ``conventions`` runs over F_3, one per seed, then the ``conventions``
+    runs at seed 0 over the primes of ``CONVENTIONS_WIDE_PRIMES``."""
     return [
         ["verify", "--suite", "all", "--seed", str(seed), "--format", "json"]
         for seed in SEEDS
@@ -111,6 +116,10 @@ def prime_field_commands() -> list[list[str]]:
         ["verify", "--suite", "conventions", "--field", "p:3", "--seed", str(seed),
          "--format", "json"]
         for seed in SEEDS
+    ] + [
+        ["verify", "--suite", "conventions", "--field", f"p:{prime}", "--seed", "0",
+         "--format", "json"]
+        for prime in CONVENTIONS_WIDE_PRIMES
     ]
 
 
