@@ -19,7 +19,25 @@ of L.  `split_along_covector` realizes the decomposition omega = omega_x +
 beta_x^x used throughout the rank analysis, with a deterministic pivot rule
 for the auxiliary vector e (minimal index with x_i != 0, scaled so x(e)=1).
 
-Inside the kernels an index set is an int bitmask (bit i for index i), the
+`wedge`, `contract`, `covector_contract` and `reduced_square` each have two
+paths that give the same terms.  The plan path runs on dense operands: an
+index plan, built on first use and cached per (dim, degrees), lists for
+each output index set in lexicographic order a fixed number of products,
+each a position in the left operand's dense coordinates times a position
+in the right operand's coordinates followed by their negatives (the sign is
+an offset).  The kernel is then one ``map(mul, ...)`` over two
+``itemgetter`` gathers, summed in groups, and the terms come out with
+``itertools.compress``; each tensor keeps its dense int coordinates after
+first use (`AlternatingTensor._dense_ints`), and `random_tensor` and the
+plan path over F_p store them as they build one.  The bitmask loops run on
+sparse operands (catalog forms, basis vectors), where a plan would multiply
+mostly zeros: a kernel takes its plan when its loop would visit at least
+half as many term pairs as the plan has products (`_is_dense`).  Measured
+per call at dim 8 over F_101 the plan wins from about a third of that
+count for `wedge` and `reduced_square` and a fifth for the contraction, and
+at dim 6, where a plan is short, from one half to all of it.
+
+In the loops an index set is an int bitmask (bit i for index i), the
 "bitmap" representation of basis blades (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*, 2007, ch. 19): two sets are
 disjoint when ``a & b == 0``, and the sign of merging them is the parity of
@@ -49,7 +67,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import itemgetter
+from math import comb
+from operator import itemgetter, mul, neg
 from typing import Iterable, Mapping, Sequence
 
 from .exact_scalar import (
@@ -217,6 +236,95 @@ def _lexicographic_positions(dim: int, k: int) -> dict[IndexSet, int]:
     return {key: i for i, key in enumerate(keys)}
 
 
+def _gather(positions: Sequence[int]) -> itemgetter:
+    """A getter returning the entries at ``positions`` as a sequence, also
+    for a single position (where ``itemgetter(i)`` returns the entry
+    itself)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+def _inversions(first: IndexSet, second: IndexSet) -> int:
+    """Parity of the permutation sorting ``first + second`` (disjoint)."""
+    return sum(x > y for x in first for y in second) & 1
+
+
+# An index plan: for each output index set in lexicographic order, ``group``
+# products (left entry) * (right entry), the left entry read from the left
+# operand's dense coordinates and the right one from the right operand's
+# coordinates followed by their negatives, so that a sign is an offset.
+Plan = tuple[itemgetter, itemgetter, int, dict[IndexSet, int]]
+
+
+def _plan(
+    keys: dict[IndexSet, int],
+    group: int,
+    products: Iterable[tuple[int, int, int]],
+    shift: int,
+) -> Plan:
+    """A plan from (left position, right position, odd) triples, ``group``
+    per output key in order, the negated right coordinates ``shift`` on."""
+    left, right = [], []
+    for a, b, odd in products:
+        left.append(a)
+        right.append(b + shift if odd else b)
+    return _gather(left), _gather(right), group, keys
+
+
+@cache
+def _wedge_plan(dim: int, ka: int, kb: int) -> Plan:
+    """The plan of `wedge` for degrees ka and kb: each output K sums, over
+    the ka-subsets A of K in order, a[A] * b[K - A] with the sign of
+    sorting A + (K - A)."""
+    a_pos = _lexicographic_positions(dim, ka)
+    b_pos = _lexicographic_positions(dim, kb)
+    keys = _lexicographic_positions(dim, ka + kb)
+
+    def products() -> Iterable[tuple[int, int, int]]:
+        for key in keys:
+            for first in itertools.combinations(key, ka):
+                second = tuple(i for i in key if i not in first)
+                yield a_pos[first], b_pos[second], _inversions(first, second)
+
+    return _plan(keys, comb(ka + kb, ka), products(), len(b_pos))
+
+
+@cache
+def _contract_plan(dim: int, big: int, small: int) -> Plan:
+    """The plan of `_contract` for degrees big and small: each output
+    R sums, over the small-subsets S of the complement of R in order,
+    big[S + R] * small[S] with the sign of sorting S + R."""
+    big_pos = _lexicographic_positions(dim, big)
+    small_pos = _lexicographic_positions(dim, small)
+    keys = _lexicographic_positions(dim, big - small)
+
+    def products() -> Iterable[tuple[int, int, int]]:
+        for rest in keys:
+            others = [i for i in range(dim) if i not in rest]
+            for front in itertools.combinations(others, small):
+                whole = tuple(sorted(front + rest))
+                yield big_pos[whole], small_pos[front], _inversions(front, rest)
+
+    return _plan(keys, comb(dim - big + small, small), products(), len(small_pos))
+
+
+@cache
+def _square_plan(dim: int) -> Plan:
+    """The plan of `reduced_square`: each output (i, j, h, k) sums the three
+    products of its Pfaffian, L[ij] L[hk] - L[ih] L[jk] + L[ik] L[jh]."""
+    pos = _lexicographic_positions(dim, 2)
+    keys = _lexicographic_positions(dim, 4)
+
+    def products() -> Iterable[tuple[int, int, int]]:
+        for i, j, h, k in keys:
+            yield pos[i, j], pos[h, k], 0
+            yield pos[i, h], pos[j, k], 1
+            yield pos[i, k], pos[j, h], 0
+
+    return _plan(keys, 3, products(), len(pos))
+
+
 _KEYS = _KeyTable()
 _MASKS = _MaskTable()
 _BELOW = _BelowParityTable()
@@ -369,6 +477,20 @@ class AlternatingTensor:
         ints, den = as_ints(self.ctx.field, [v for _, v in self.terms])
         return list(zip([k for k, _ in self.terms], ints)), den
 
+    @cached_property
+    def _dense_ints(self) -> tuple[list[int], int]:
+        """The coordinates over all index sets in lexicographic order as ints
+        over one denominator (`_int_terms`), for the index plans of the
+        kernels.  Made by the first planned kernel that reads them and kept;
+        `random_tensor` and the planned kernels over F_p store them as they
+        build a tensor."""
+        positions = _lexicographic_positions(self.ctx.dim, self.degree)
+        terms, den = _int_terms(self)
+        out = [0] * len(positions)
+        for key, value in terms:
+            out[positions[key]] = value
+        return out, den
+
     # -- inspection ------------------------------------------------------------
 
     def coeff_map(self) -> dict[IndexSet, Scalar]:
@@ -445,6 +567,47 @@ def _trusted(
     return t
 
 
+def _is_dense(visits: int, products: int) -> bool:
+    """Whether a kernel takes its index plan: when its bitmask loop would
+    visit at least half as many term pairs as the plan has products."""
+    return 2 * visits >= products
+
+
+def _planned(
+    plan: Plan,
+    left: AlternatingTensor,
+    right: AlternatingTensor,
+    degree: int,
+    variance: str,
+) -> AlternatingTensor:
+    """The tensor a plan makes from two operands: every product in one
+    ``map(mul, ...)`` over gathered coordinates, summed in groups, then
+    reduced mod p over F_p (keeping the dense residues on the result), or
+    over the rationals one Fraction per nonzero sum over the product of the
+    operands' denominators."""
+    take_left, take_right, group, keys = plan
+    a, a_den = left._dense_ints
+    b, b_den = right._dense_ints
+    products = map(mul, take_left(a), take_right(b + list(map(neg, b))))
+    sums = list(map(sum, zip(*[products] * group)) if group > 1 else products)
+    ctx = left.ctx
+    p = ctx.field.p
+    if p is not None:
+        values = [v % p for v in sums]
+        terms = tuple(zip(itertools.compress(keys, values), filter(None, values)))
+        t = _trusted(ctx, degree, variance, terms)
+        t.__dict__["_dense_ints"] = values, 1
+        return t
+    den = a_den * b_den
+    nonzero = filter(None, sums)
+    if den == 1:
+        fractions = map(Fraction, nonzero)
+    else:
+        fractions = map(Fraction, nonzero, itertools.repeat(den))
+    terms = tuple(zip(itertools.compress(keys, sums), fractions))
+    return _trusted(ctx, degree, variance, terms)
+
+
 def pair(f: AlternatingTensor, v: AlternatingTensor) -> Scalar:
     """Determinant pairing of a k-form against a k-vector (delta on index sets)."""
     if f.ctx != v.ctx:
@@ -466,12 +629,25 @@ def pair(f: AlternatingTensor, v: AlternatingTensor) -> Scalar:
 
 
 def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
-    """Alternating product with shuffle signs; graded-commutative."""
+    """Alternating product with shuffle signs; graded-commutative.
+
+    From `_wedge_plan` when the two operands have at least half as many
+    pairs of terms as the plan has products, else from `_wedge_loop`."""
     a._check_same_space(b)
     if a.variance != b.variance:
         raise ValueError("wedge requires matching variance")
     if a.degree + b.degree > a.ctx.dim:
         raise ValueError("wedge degree exceeds space dimension")
+    dim, ka, kb = a.ctx.dim, a.degree, b.degree
+    if _is_dense(len(a.terms) * len(b.terms), comb(dim, ka) * comb(dim - ka, kb)):
+        return _planned(_wedge_plan(dim, ka, kb), a, b, ka + kb, a.variance)
+    return _trusted(a.ctx, ka + kb, a.variance, _wedge_loop(a, b))
+
+
+def _wedge_loop(
+    a: AlternatingTensor, b: AlternatingTensor
+) -> tuple[tuple[IndexSet, Scalar], ...]:
+    """Terms of ``a ^ b`` from the bitmask loop over pairs of terms."""
     masks, below = _MASKS, _BELOW
     a_terms, a_den = _int_terms(a)
     b_terms, b_den = _int_terms(b)
@@ -491,16 +667,27 @@ def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
                 acc[m] = get(m, 0) - va * vb
             else:
                 acc[m] = get(m, 0) + va * vb
-    terms = _settle_ints(acc, a.ctx.field.p, a_den * b_den)
-    return _trusted(a.ctx, a.degree + b.degree, a.variance, terms)
+    return _settle_ints(acc, a.ctx.field.p, a_den * b_den)
 
 
-def _contract_terms(
+def _contract(
+    big: AlternatingTensor, small: AlternatingTensor, variance: str
+) -> AlternatingTensor:
+    """The contraction of ``big`` by ``small`` (small's index sets moved to
+    the front and removed), of the given variance: from the index plan when
+    ``big`` is dense enough, else from `_contract_loop`."""
+    dim, kb, ks = big.ctx.dim, big.degree, small.degree
+    if small.terms and _is_dense(len(big.terms), comb(dim, kb)):
+        return _planned(_contract_plan(dim, kb, ks), big, small, kb - ks, variance)
+    return _trusted(big.ctx, kb - ks, variance, _contract_loop(big, small))
+
+
+def _contract_loop(
     big: AlternatingTensor, small: AlternatingTensor
 ) -> tuple[tuple[IndexSet, Scalar], ...]:
-    """Terms of the contraction of ``big`` by ``small`` (small's index sets
-    moved to the front and removed): every position subset of a term of
-    ``big`` is looked up among the terms of ``small``."""
+    """Terms of the contraction of ``big`` by ``small`` from the bitmask
+    loop: every position subset of a term of ``big`` is looked up among the
+    terms of ``small``."""
     masks = _MASKS
     big_terms, big_den = _int_terms(big)
     small_terms, small_den = _int_terms(small)
@@ -524,27 +711,30 @@ def _contract_terms(
 
 
 def contract(f: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
-    """Interior product defined by <contract(f, v), w> = <f, v^w>."""
+    """Interior product defined by <contract(f, v), w> = <f, v^w>.
+
+    From `_contract_plan` when f has at least half of its coefficients
+    nonzero (and v is not zero), else from `_contract_loop`."""
     if f.ctx != v.ctx:
         raise ValueError("contraction across different spaces")
     if f.variance != "form" or v.variance != "vector":
         raise ValueError("contract expects (form, vector)")
     if v.degree > f.degree:
         raise ValueError("cannot contract by a higher degree")
-    return _trusted(f.ctx, f.degree - v.degree, "form", _contract_terms(f, v))
+    return _contract(f, v, "form")
 
 
 def covector_contract(f: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
     """Contraction on the vector side: <g, covector_contract(f, v)> = <f^g, v>
     for every form g of the complementary degree.  Returns a vector of degree
-    v.degree - f.degree."""
+    v.degree - f.degree.  Dispatched as `contract`, on the density of v."""
     if f.ctx != v.ctx:
         raise ValueError("contraction across different spaces")
     if f.variance != "form" or v.variance != "vector":
         raise ValueError("covector_contract expects (form, vector)")
     if f.degree > v.degree:
         raise ValueError("cannot contract by a higher degree")
-    return _trusted(f.ctx, v.degree - f.degree, "vector", _contract_terms(v, f))
+    return _contract(v, f, "vector")
 
 
 def projective_point_count(p: int, length: int) -> int:
@@ -575,9 +765,20 @@ def reduced_square(L: AlternatingTensor) -> AlternatingTensor:
 
     Each unordered pair of disjoint terms contributes once, which is the
     Pfaffian a_ij a_hk - a_ih a_jk + a_ik a_jh summed over its three pairings.
+    From `_square_plan` when L's pairs of terms number at least half of the
+    plan's 3·C(dim, 4) products, else from `_reduced_square_loop`.
     """
     if L.variance != "vector" or L.degree != 2:
         raise ValueError("reduced_square expects a degree-2 vector")
+    size, dim = len(L.terms), L.ctx.dim
+    if _is_dense(size * (size - 1) // 2, 3 * comb(dim, 4)):
+        return _planned(_square_plan(dim), L, L, 4, "vector")
+    return _trusted(L.ctx, 4, "vector", _reduced_square_loop(L))
+
+
+def _reduced_square_loop(L: AlternatingTensor) -> tuple[tuple[IndexSet, Scalar], ...]:
+    """Terms of the reduced square of ``L`` from the bitmask loop over
+    unordered pairs of its terms."""
     masks, below = _MASKS, _BELOW
     terms, den = _int_terms(L)
     items = []
@@ -595,8 +796,7 @@ def reduced_square(L: AlternatingTensor) -> AlternatingTensor:
                 acc[m] = get(m, 0) - va * vb
             else:
                 acc[m] = get(m, 0) + va * vb
-    terms = _settle_ints(acc, L.ctx.field.p, den * den)
-    return _trusted(L.ctx, 4, "vector", terms)
+    return _settle_ints(acc, L.ctx.field.p, den * den)
 
 
 def require_three_form(omega: AlternatingTensor) -> None:
@@ -658,7 +858,9 @@ def random_tensor(
         values = [rng.randint(-10, 10) for _ in keys]
         nonzero = map(Fraction, filter(None, values))
     terms = tuple(zip(itertools.compress(keys, values), nonzero))
-    return _trusted(ctx, k, variance, terms)
+    t = _trusted(ctx, k, variance, terms)
+    t.__dict__["_dense_ints"] = values, 1
+    return t
 
 
 def _contract_ints(

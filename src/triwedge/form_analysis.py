@@ -5,9 +5,9 @@ one or two covector directions.
 
 The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
 table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
-`build_M` derives from omega.  Its one evaluation to list rows is
-`SkewLinearMatrix.rows_at`, the rows of M(P): ints in [0, p) over F_p, field
-elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
+`build_M` derives from omega, once per form object.  Its one evaluation to
+list rows is `SkewLinearMatrix.rows_at`, the rows of M(P): ints in [0, p)
+over F_p, field elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
 `Matrix`, and the line system of `residual` takes the rows from there.  Over
 F_p the skew elimination `packed_skew_mod_p` reads M(P) off
 `SkewLinearMatrix.packed_rows_at`: each row one int, slot b holding the
@@ -22,10 +22,10 @@ and `point_contraction_rank` is its one-point case.  Every rank
 query at a point goes through that routine, except the question "rank at
 most 2?", which `first_rank_at_most_two` answers for a whole stream of
 points from the 4x4 principal Pfaffians without building the matrix, over
-F_p each Pfaffian one product of packed sums; callers that need the kernel
-take the star, `degeneracy.directions_through`.  Random points come from
-`random_points`: nonzero points as lists, drawn over F_p a block at a time
-with one `randbelow_many` call per block.
+F_p each Pfaffian one product of packed sums on the coerced point; callers
+that need the kernel take the star, `degeneracy.directions_through`.
+Random points come from `random_points`: nonzero points as lists, drawn
+over F_p a block at a time with one `randbelow_many` call per block.
 
 Everything reduces to exact kernels of explicit matrices.  A k-form f induces
 linear maps "contract by a j-vector"; their matrices (columns indexed by the
@@ -41,8 +41,11 @@ of a 3-form is decided exactly for the two linear-algebra conditions
 (injectivity of x -> omega^x; full contraction rank n+1) and by seeded random
 search, plus exhaustive finite-field scan when the point count permits, for
 the condition that every point contraction has rank above 2; that search,
-exhaustive or sampled, is one `first_rank_at_most_two` scan over its stream
-of points.
+exhaustive or sampled, is one scan over its stream of points, over F_p the
+packed scan of `first_rank_at_most_two` without the coercion, since the
+points it draws or enumerates are canonical residues already.  The polar
+matrix rho is one gather from the coordinates of eta, their negatives and
+zero, on an index plan cached per dimension.
 
 Every bivector kernel of a 3-form (the spaces of `span_lattice`, the spans of
 `congruence` and of the residual handle) is one `contraction_kernel`: the
@@ -54,10 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, islice
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import random as _random
@@ -454,9 +457,15 @@ def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
     """The skew matrix of linear forms (i, j) -> <omega, e_i ^ e_j ^ P>.
 
     Each term w * x_a^x_b^x_c of omega (a < b < c) adds the terms (a, w),
-    (b, -w) and (c, w) to the entries (b, c), (a, c) and (a, b).
+    (b, -w) and (c, w) to the entries (b, c), (a, c) and (a, b).  The
+    matrix is built once per tensor object and kept on it, as its
+    `_numerator_terms` are, so the caches of the matrix itself (`_packed`,
+    `point_in_kernel`, ...) serve every later call on the same form.
     """
     require_three_form(omega)
+    known = vars(omega).get("_skew_matrix")
+    if known is not None:
+        return known
     fld = omega.ctx.field
     pairs: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for key, coeff in omega.terms:
@@ -464,9 +473,11 @@ def build_M(omega: AlternatingTensor) -> SkewLinearMatrix:
             rest = key[:pos] + key[pos + 1 :]
             value = coeff if pos % 2 == 0 else fld.neg(coeff)
             pairs.setdefault(rest, []).append((k, value))
-    return SkewLinearMatrix(
+    M = SkewLinearMatrix(
         omega.ctx, tuple((key, tuple(terms)) for key, terms in pairs.items())
     )
+    vars(omega)["_skew_matrix"] = M
+    return M
 
 
 def point_contraction_rank(M: SkewLinearMatrix, coords) -> int:
@@ -545,32 +556,53 @@ def first_rank_at_most_two(
     A skew matrix has rank at most 2 exactly when every 4x4 principal
     Pfaffian vanishes, so each point is tested on the Pfaffians of
     `M.quartets` and passed over at the first nonzero one; the quadruples
-    left out of that table vanish identically.  Over F_p the points must
-    already be canonical ints, and each Pfaffian is one product of two
-    packed sums (`_pack_quartet`), read off its slot and reduced mod p; a
-    quartet is packed when the first point reaches it.  Over the rationals
-    each point is coerced (`point_coords`) and each Pfaffian is summed term
-    by term and compared with zero exactly.
+    left out of that table vanish identically.  Each point is coerced
+    (`point_coords`).  Over F_p the coerced points go through the packed
+    scan `_first_residue_point_of_rank_at_most_two`, which `genericity`
+    calls directly on its points, already canonical residues.  Over the
+    rationals each Pfaffian is summed term by term and compared with zero
+    exactly.
     """
-    p = M.ctx.field.p
+    ctx = M.ctx
+    if ctx.field.p is not None:
+        given: list[PointLike] = [None]
+
+        def coerced() -> Iterator[tuple[Scalar, ...]]:
+            for point in points:
+                given[0] = point
+                yield point_coords(ctx, point)
+
+        found = _first_residue_point_of_rank_at_most_two(M, coerced())
+        return None if found is None else (found[0], given[0])
+    for index, point in enumerate(points):
+        coords = point_coords(ctx, point)
+        for quartet in M.quartets:
+            acc = 0
+            for first, second, sign in quartet:
+                u = v = 0
+                for k, c in first:
+                    u += c * coords[k]
+                for k, c in second:
+                    v += c * coords[k]
+                acc += sign * u * v
+            if acc:
+                break
+        else:
+            return index, point
+    return None
+
+
+def _first_residue_point_of_rank_at_most_two(
+    M: SkewLinearMatrix, points: Iterable[Sequence[int]]
+) -> Optional[tuple[int, Sequence[int]]]:
+    """`first_rank_at_most_two` over F_p for points whose coordinates are
+    already canonical residues, unchecked: each Pfaffian is one product of
+    two packed sums (`_pack_quartet`), read off its slot and reduced mod p;
+    a quartet is packed when the first point reaches it.  A coordinate
+    outside [0, p) breaks the slot bound, so other points must go through
+    `first_rank_at_most_two`."""
+    p: int = M.ctx.field.p  # type: ignore[assignment]
     quartets = M.quartets
-    if p is None:
-        for index, point in enumerate(points):
-            coords = point_coords(M.ctx, point)
-            for quartet in quartets:
-                acc = 0
-                for first, second, sign in quartet:
-                    u = v = 0
-                    for k, c in first:
-                        u += c * coords[k]
-                    for k, c in second:
-                        v += c * coords[k]
-                    acc += sign * u * v
-                if acc:
-                    break
-            else:
-                return index, point
-        return None
     width, packed = M._packed_quartets
     mask = (1 << width) - 1
     half = 3 * width
@@ -697,7 +729,10 @@ def genericity(
                 return tuple(rng.randint(-10, 10) for _ in range(dim))
 
             points = islice(filter(any, iter(draw, None)), total)
-    found = first_rank_at_most_two(M, points)
+    if fld.kind == "prime":
+        found = _first_residue_point_of_rank_at_most_two(M, points)
+    else:
+        found = first_rank_at_most_two(M, points)
     witness = None if found is None else tuple(found[1])
     examined = total if found is None else found[0] + 1
     scanned_exhaustively = can_enumerate and found is None
@@ -771,24 +806,40 @@ class QuadricAnalysis:
         return Fraction(total, den * a_den * b_den) if fld.p is None else total % fld.p
 
 
+@cache
+def _polar_gather(dim: int) -> itemgetter:
+    """The gather of rho for 4-forms on a space of dimension ``dim``: read
+    from the form's coordinates, then their negatives, then one zero, it
+    returns rho's entries in row-major order.  The entry at the pairs
+    (a, b) and (c, d) is the coordinate at their sorted union, negated when
+    sorting a, b, c, d is an odd permutation, and zero when the pairs
+    meet."""
+    pairs = list(combinations(range(dim), 2))
+    quads = {key: i for i, key in enumerate(combinations(range(dim), 4))}
+    shift = len(quads)
+    plan = []
+    for a, b in pairs:
+        for c, d in pairs:
+            if len({a, b, c, d}) < 4:
+                plan.append(2 * shift)
+            else:
+                odd = ((a > c) + (a > d) + (b > c) + (b > d)) & 1
+                plan.append(quads[tuple(sorted((a, b, c, d)))] + odd * shift)
+    return itemgetter(*plan)
+
+
 def polar_quadric(eta: AlternatingTensor) -> QuadricAnalysis:
     """The quadratic form of a 4-form with its polar matrix rho, built and
-    not checked; `quadric_of` is the checked builder."""
+    not checked; `quadric_of` is the checked builder.  rho is one gather
+    (`_polar_gather`, cached per dimension) from the coordinates of eta,
+    their negatives and zero."""
     if eta.variance != "form" or eta.degree != 4:
         raise ValueError("the quadric of a form needs a 4-form")
     fld = eta.ctx.field
-    position = {pr: idx for idx, pr in enumerate(eta.ctx.index_sets(2))}
-    size = len(position)
-    entries = [fld.zero()] * (size * size)
-    for (i, j, h, k), coeff in eta.terms:
-        minus = fld.neg(coeff)
-        for a, b, value in (
-            (position[i, j], position[h, k], coeff),
-            (position[i, h], position[j, k], minus),
-            (position[i, k], position[j, h], coeff),
-        ):
-            entries[a * size + b] = entries[b * size + a] = value
-    return QuadricAnalysis(eta, Matrix(fld, size, size, tuple(entries)))
+    coords = eta.coords()
+    size = comb(eta.ctx.dim, 2)
+    entries = _polar_gather(eta.ctx.dim)((*coords, *map(fld.neg, coords), fld.zero()))
+    return QuadricAnalysis(eta, Matrix(fld, size, size, entries))
 
 
 def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:

@@ -463,6 +463,26 @@ def reduced_square_reference(L: AlternatingTensor) -> AlternatingTensor:
     return _trusted(L.ctx, 4, "vector", _settle(acc, L.ctx.field.p))
 
 
+def polar_matrix_reference(eta: AlternatingTensor) -> Matrix:
+    """The polar matrix rho of a 4-form by the position loop: each term
+    eta_ijhk (i < j < h < k) writes itself at ((ij), (hk)), its negative at
+    ((ih), (jk)) and itself at ((ik), (jh)), and each of these at the
+    transposed place, into a zero matrix over the lexicographic pairs."""
+    fld = eta.ctx.field
+    position = {pr: idx for idx, pr in enumerate(eta.ctx.index_sets(2))}
+    size = len(position)
+    entries = [fld.zero()] * (size * size)
+    for (i, j, h, k), coeff in eta.terms:
+        minus = fld.neg(coeff)
+        for a, b, value in (
+            (position[i, j], position[h, k], coeff),
+            (position[i, h], position[j, k], minus),
+            (position[i, k], position[j, h], coeff),
+        ):
+            entries[a * size + b] = entries[b * size + a] = value
+    return Matrix(fld, size, size, tuple(entries))
+
+
 def pfaffian_expansion(m: Matrix) -> Scalar:
     """The Pfaffian by memoized recursive expansion along the first row,
     with the checks and messages of `exact_scalar.pfaffian`."""

@@ -9,6 +9,7 @@ random tensors across several degrees and dimensions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -947,3 +948,124 @@ def test_projective_points_match_the_divmod_odometer(p):
         assert points == list(projective_points_reference(field, length))
         assert len(points) == len(set(points)) == projective_point_count(p, length)
         assert all(type(point) is tuple and len(point) == length for point in points)
+
+
+# --- index plans against the bitmask loops ----------------------------------------
+
+PLAN_FIELDS = [FieldSpec.prime(2), FieldSpec.prime(3), F101, FieldSpec.prime(2**61 - 1), QQ]
+
+
+def tensor_with_terms(ctx, degree, variance, count, seed):
+    """A tensor with exactly ``count`` nonzero terms at seeded index sets:
+    residues over F_p, fractions with denominators up to 6 over Q."""
+    rng = random.Random(seed)
+    keys = sorted(rng.sample(list(ctx.index_sets(degree)), count))
+    p = ctx.field.p
+    if p is None:
+        values = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 6)) for _ in keys]
+    else:
+        values = [rng.randrange(1, p) for _ in keys]
+    return AlternatingTensor(ctx, degree, variance, tuple(zip(keys, values)))
+
+
+def term_counts(data, total, boundary, label):
+    """A term count for an operand with ``total`` index sets: none, one, the
+    dispatch boundary ``boundary`` or one below it, all of them, or any."""
+    kind = data.draw(st.sampled_from(["zero", "one", "boundary", "below", "dense", "any"]), label=label)
+    count = {
+        "zero": 0,
+        "one": 1,
+        "boundary": boundary,
+        "below": boundary - 1,
+        "dense": total,
+        "any": data.draw(st.integers(0, total), label=label + " count"),
+    }[kind]
+    return min(max(count, 0), total)
+
+
+def planned(plan, left, right, degree, variance):
+    return exterior_core._planned(plan, left, right, degree, variance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fld=st.sampled_from(PLAN_FIELDS), dim=st.integers(4, 10), data=st.data(), seed=st.integers(0, 10**6))
+def test_wedge_plan_matches_the_bitmask_loop(fld, dim, data, seed):
+    ctx = SpaceContext(dim - 1, fld)
+    ka = data.draw(st.integers(0, dim), label="ka")
+    kb = data.draw(st.integers(0, dim - ka), label="kb")
+    variance = data.draw(st.sampled_from(["vector", "form"]), label="variance")
+    products = math.comb(dim, ka) * math.comb(dim - ka, kb)
+    la = term_counts(data, math.comb(dim, ka), math.comb(dim, ka), "a terms")
+    # with la terms on the left, lb = ceil(products / (2 la)) puts the
+    # right operand on the boundary of the dispatch
+    lb = term_counts(data, math.comb(dim, kb), -(-products // (2 * max(la, 1))), "b terms")
+    a = tensor_with_terms(ctx, ka, variance, la, seed)
+    b = tensor_with_terms(ctx, kb, variance, lb, seed + 1)
+    loop = exterior_core._wedge_loop(a, b)
+    plan = planned(exterior_core._wedge_plan(dim, ka, kb), a, b, ka + kb, variance)
+    assert plan.terms == loop
+    assert wedge(a, b).terms == loop
+    assert loop == wedge_reference(a, b).terms
+    if fld.p is not None:
+        assert plan._dense_ints == (list(plan.coords()), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fld=st.sampled_from(PLAN_FIELDS), dim=st.integers(4, 10), data=st.data(), seed=st.integers(0, 10**6))
+def test_contraction_plan_matches_the_bitmask_loop(fld, dim, data, seed):
+    ctx = SpaceContext(dim - 1, fld)
+    big = data.draw(st.integers(0, dim), label="big degree")
+    small = data.draw(st.integers(0, big), label="small degree")
+    total = math.comb(dim, big)
+    f = tensor_with_terms(ctx, big, "form", term_counts(data, total, -(-total // 2), "big terms"), seed)
+    v = tensor_with_terms(ctx, small, "vector", term_counts(data, math.comb(dim, small), 1, "small terms"), seed + 1)
+    loop = exterior_core._contract_loop(f, v)
+    assert planned(exterior_core._contract_plan(dim, big, small), f, v, big - small, "form").terms == loop
+    assert contract(f, v).terms == loop == contract_terms_reference(f, v)
+    # the same degrees on the vector side: the vector is contracted by the form
+    g = tensor_with_terms(ctx, small, "form", len(v.terms), seed + 2)
+    w = tensor_with_terms(ctx, big, "vector", len(f.terms), seed + 3)
+    loop = exterior_core._contract_loop(w, g)
+    assert planned(exterior_core._contract_plan(dim, big, small), w, g, big - small, "vector").terms == loop
+    assert covector_contract(g, w).terms == loop == contract_terms_reference(w, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fld=st.sampled_from(PLAN_FIELDS), dim=st.integers(4, 10), data=st.data(), seed=st.integers(0, 10**6))
+def test_reduced_square_plan_matches_the_bitmask_loop(fld, dim, data, seed):
+    ctx = SpaceContext(dim - 1, fld)
+    products = 3 * math.comb(dim, 4)
+    # the fewest terms m with m (m - 1) / 2 visits reaching half the products
+    boundary = next(m for m in itertools.count() if m * (m - 1) >= products)
+    L = tensor_with_terms(ctx, 2, "vector", term_counts(data, math.comb(dim, 2), boundary, "terms"), seed)
+    loop = exterior_core._reduced_square_loop(L)
+    assert planned(exterior_core._square_plan(dim), L, L, 4, "vector").terms == loop
+    assert reduced_square(L).terms == loop == reduced_square_reference(L).terms
+
+
+@pytest.mark.parametrize("fld", PLAN_FIELDS)
+def test_plans_with_one_product_or_groups_of_one(fld):
+    # one product in all: 0 ^ 0, 0 ^ dim and contracting a top-degree form
+    # by a top-degree vector; groups of one: 0 ^ k for every output
+    ctx = SpaceContext(3, fld)
+    scalar = tensor_with_terms(ctx, 0, "vector", 1, 0)
+    top = tensor_with_terms(ctx, 4, "vector", 1, 1)
+    top_form = tensor_with_terms(ctx, 4, "form", 1, 2)
+    bivector = tensor_with_terms(ctx, 2, "vector", 6, 3)
+    for a, b in ((scalar, scalar), (scalar, top), (top, scalar), (scalar, bivector)):
+        plan = exterior_core._wedge_plan(4, a.degree, b.degree)
+        got = planned(plan, a, b, a.degree + b.degree, "vector")
+        assert got.terms == exterior_core._wedge_loop(a, b) == wedge_reference(a, b).terms
+    plan = exterior_core._contract_plan(4, 4, 4)
+    assert planned(plan, top_form, top, 0, "form").terms == exterior_core._contract_loop(top_form, top)
+    assert contract(top_form, top).terms == contract_terms_reference(top_form, top)
+
+
+def test_random_tensor_keeps_its_drawn_values_as_dense_coordinates():
+    for fld in PLAN_FIELDS:
+        t = random_tensor(SpaceContext(5, fld), 3, "form", 4)
+        values, den = t._dense_ints
+        assert den == 1
+        assert [fld.coerce(v) for v in values] == list(t.coords())
+        del t.__dict__["_dense_ints"]
+        assert t._dense_ints == (values, 1)

@@ -61,6 +61,7 @@ from oracles import (
     packed_rows_reference,
     point_contraction_rank_reference,
     point_in_kernel_reference,
+    polar_matrix_reference,
     quadric_contains_subspace,
     relaxed_span_reference,
     same_subspace,
@@ -756,6 +757,48 @@ def test_polar_quadric_builds_the_checked_polar_matrix(fld):
             assert built.rho == quadric_of(eta).rho
     with pytest.raises(ValueError, match="4-form"):
         polar_quadric(random_tensor(SpaceContext(5, fld), 3, "form", 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    fld=st.sampled_from([F2, F3, F101, FieldSpec.prime(2**61 - 1), QQ]),
+    dim=st.integers(4, 10),
+    share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 10**6),
+)
+def test_polar_gather_matches_the_position_loop(fld, dim, share, seed):
+    ctx = SpaceContext(dim - 1, fld)
+    rng = random.Random(seed)
+    keys = [key for key in ctx.index_sets(4) if rng.random() < share]
+    eta = AlternatingTensor.make(
+        ctx, 4, "form", {key: rng.randint(-50, 50) for key in keys}
+    )
+    assert polar_quadric(eta).rho == polar_matrix_reference(eta)
+
+
+def test_first_rank_at_most_two_coerces_points_outside_the_residues():
+    # over F_101, -1 is 100: the contraction of the two-planes form at e_0
+    # has rank 2, which the packed scan misses on a negative coordinate
+    omega = two_planes(SpaceContext(5, F101))
+    M = build_M(omega)
+    point = [-1, 0, 0, 0, 0, 0]
+    assert point_contraction_rank(M, point) == 2
+    assert first_rank_at_most_two_reference(M, [[100, 0, 0, 0, 0, 0]]) is not None
+    assert first_rank_at_most_two(M, [point]) == (0, point)
+    generic = [1, 2, 3, 4, 5, 6]
+    assert first_rank_at_most_two(M, iter([generic, point])) == (1, point)
+    assert first_rank_at_most_two(M, [generic, [205, 0, 0, -100, 0, 0]]) is None
+
+
+def test_build_M_is_built_once_per_form_object():
+    ctx = SpaceContext(6, F101)
+    omega = random_tensor(ctx, 3, "form", 0)
+    M = build_M(omega)
+    assert build_M(omega) is M
+    again = random_tensor(ctx, 3, "form", 0)
+    assert again == omega and build_M(again) is not M and build_M(again) == M
+    with pytest.raises(ConventionError):
+        build_M(random_tensor(ctx, 2, "form", 0))
 
 
 def test_conventions_claim_catches_a_wrong_polar_pairing(monkeypatch):
