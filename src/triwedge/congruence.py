@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .degeneracy import (
     NonGenericFormError,
@@ -45,13 +46,7 @@ from .degeneracy import (
     require_three_form,
     split_decomposable,
 )
-from .exact_scalar import (
-    ConventionError,
-    Matrix,
-    Scalar,
-    matrix_rank,
-    rank_kernel,
-)
+from .exact_scalar import ConventionError, Scalar, matrix_rank, rank_kernel
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -238,7 +233,7 @@ def _odd_line_attempt(
     star = directions_through(matrix, coords)
     if star.linear_dim != 1:
         return None
-    return wedge(ctx.vector_from_coords(coords), ctx.vector_from_coords(star.basis.column(0)))
+    return wedge(ctx.vector_from_coords(coords), ctx.vector_from_coords(star.basis[0]))
 
 
 def _even_line_attempt(
@@ -256,7 +251,7 @@ def _even_line_attempt(
         star = directions_through(matrix, coords)
         if star.linear_dim:
             return wedge(
-                ctx.vector_from_coords(coords), ctx.vector_from_coords(star.basis.column(0))
+                ctx.vector_from_coords(coords), ctx.vector_from_coords(star.basis[0])
             )
     return None
 
@@ -285,7 +280,7 @@ def tangent_intersection_dim(
 
     The tangent space of the decomposable locus at ``L = e ^ f`` is spanned by
     ``e ^ V`` and ``V ^ f``; its intersection with the given subspace is
-    computed exactly by joining the two column spans.
+    computed exactly by joining the two spans.
     """
     ctx = line.ctx
     field = ctx.field
@@ -301,10 +296,8 @@ def tangent_intersection_dim(
         for generator in (wedge(first, basis_vec), wedge(basis_vec, second)):
             if not generator.is_zero():
                 columns.append(generator.coords())
-    ambient = span.basis.rows
-    tangent_rank = matrix_rank(Matrix.from_columns(field, ambient, columns))
-    joined = Matrix.from_columns(field, ambient, columns + span.basis.columns())
-    joined_rank = matrix_rank(joined)
+    tangent_rank = matrix_rank(field, columns)
+    joined_rank = matrix_rank(field, columns + list(span.basis))
     return tangent_rank + span.linear_dim - joined_rank - 1
 
 
@@ -361,23 +354,12 @@ def quadrics_through_span(omega: AlternatingTensor) -> QuadricSystem:
     for i in range(len(tensors)):
         for j in range(i + 1, len(tensors)):
             rows.append(wedge(tensors[i], tensors[j]).coords())
-    quartic_dim = len(list(ctx.index_sets(4)))
-    conditions = Matrix(
-        field, len(rows), quartic_dim, tuple(v for row in rows for v in row)
-    )
-    _, kernel = rank_kernel(conditions)
-    kernel_columns = kernel.columns()
-    basis = tuple(
-        ctx.tensor_from_coords(4, "form", column) for column in kernel_columns
-    )
-    family_columns = [
-        wedge(omega, ctx.basis_covector(k)).coords() for k in range(ctx.dim)
-    ]
-    family = Matrix.from_columns(field, quartic_dim, family_columns)
-    family_rank = matrix_rank(family)
-    joined = Matrix.from_columns(field, quartic_dim, kernel_columns + family_columns)
+    _, kernel = rank_kernel(field, rows, len(list(ctx.index_sets(4))))
+    basis = tuple(ctx.tensor_from_coords(4, "form", vector) for vector in kernel)
+    family = [wedge(omega, ctx.basis_covector(k)).coords() for k in range(ctx.dim)]
     matches = (
-        kernel.cols == family_rank and matrix_rank(joined) == kernel.cols
+        len(kernel) == matrix_rank(field, family)
+        and matrix_rank(field, list(kernel) + family) == len(kernel)
     )
     return QuadricSystem(basis=basis, matches_wedge_family=matches)
 
@@ -403,12 +385,9 @@ def recover_forms(
     columns = [
         [v for b in bivectors for v in contract(f, b).coords()] for f in basis_forms
     ]
-    conditions = Matrix.from_columns(field, ctx.dim * len(bivectors), columns)
-    _, kernel = rank_kernel(conditions)
-    solutions = tuple(
-        ctx.tensor_from_coords(3, "form", column) for column in kernel.columns()
-    )
-    return kernel.cols, solutions
+    _, kernel = rank_kernel(field, list(zip(*columns)), len(basis_forms))
+    solutions = tuple(ctx.tensor_from_coords(3, "form", vector) for vector in kernel)
+    return len(kernel), solutions
 
 
 @dataclass(frozen=True)
@@ -484,8 +463,9 @@ def classify_linear_section(
     counts = {"only_full": 0, "only_split": 0, "overlap": 0, "neither": 0}
     neither_witnesses: list[tuple[int, ...]] = []
     violations: list[tuple[int, ...]] = []
+    coordinate_rows = list(zip(*space.basis))
     for coeffs in projective_points(field, space.linear_dim):
-        coords = space.basis.matvec(coeffs)
+        coords = [sum(map(mul, coeffs, row)) % p for row in coordinate_rows]
         line = ctx.tensor_from_coords(2, "vector", coords)
         if not reduced_square(line).is_zero():
             continue

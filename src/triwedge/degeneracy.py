@@ -230,8 +230,7 @@ def independent_pair(
     """Two nonzero random points that span a line, redrawn until independent."""
     while True:
         first, second = random_points(field, dim, rng, 2)
-        flat = tuple(first) + tuple(second)
-        if matrix_rank(Matrix(field, 2, dim, flat)) == 2:
+        if matrix_rank(field, (first, second)) == 2:
             return first, second
 
 
@@ -404,8 +403,7 @@ def directions_through(M: SkewLinearMatrix, point: PointLike) -> LinearSubspace:
     pivot = next(i for i, c in enumerate(coords) if not field.is_zero(c))
     rows = M.rows_at(coords)
     rows.append([field.one() if i == pivot else field.zero() for i in range(ctx.dim)])
-    conditions = Matrix(field, ctx.dim + 1, ctx.dim, tuple(v for row in rows for v in row))
-    return LinearSubspace.from_kernel(conditions, "vectors", ctx)
+    return LinearSubspace.from_kernel(rows, "vectors", ctx)
 
 
 # -- even n: degree of the rank-drop hypersurface ---------------------------------

@@ -1,23 +1,29 @@
-"""Exact scalar arithmetic, dense matrices, Pfaffians, and univariate polynomials.
+"""Exact scalar arithmetic, exact linear algebra, Pfaffians, and univariate polynomials.
 
 Every quantity in this package is an exact integer, rational, or prime-field
 element, so this module deliberately avoids floating point.  Scalars are
 represented by `fractions.Fraction` over the rationals and by Python ints in
 ``[0, p)`` over a prime field; a `FieldSpec` value carries the arithmetic for
 whichever field is in play; it rejects floats, which are no exact value.
-Matrices are immutable dense arrays over a single field, built from rows
-(`Matrix.from_rows`, which coerces) or from columns of field elements
-(`Matrix.from_columns`).  Over the rationals the hot loops run on ints:
-`as_ints` gives field elements as ints over one shared denominator (the
-values themselves over F_p), and a result becomes one Fraction at the end.
+Linear algebra takes lists of vectors of field elements and gives vectors
+back: `matrix_rank` ranks a list of vectors, which may be the rows or the
+columns of a matrix alike, eliminating whichever orientation has fewer rows,
+and `rank_kernel` takes a matrix as its rows and returns the rank and the
+kernel vectors.  Over the rationals the hot loops run on ints: `as_ints`
+gives field elements as ints over one shared denominator (the values
+themselves over F_p), and a result becomes one Fraction at the end.
 `row_reduce` is the one Gauss-Jordan elimination, on int rows over both
 fields: modulo p on ints in ``[0, p)``, and over the rationals
-fraction-free on rows scaled to integers.  `rank_kernel` reads each kernel
-entry off its rows (one Fraction over the rationals); `matrix_rank` builds
-no kernel and eliminates forward only, clearing each pivot's column in the
-rows below it.  `Matrix.matvec` takes int dot products the same way: reduced
-mod p, or over the rationals on numerators over common denominators with one
-Fraction per output row.  `packed_skew_mod_p` is the one skew elimination
+fraction-free on rows each scaled to its primitive integer multiple.
+`rank_kernel` reads each kernel entry off its rows (one Fraction over the
+rationals); `matrix_rank` builds no kernel and eliminates forward only,
+clearing each pivot's column in the rows below it.  `Matrix`, an immutable
+dense array, is kept for what needs a whole matrix: `Matrix.det`,
+`pfaffian`, `Matrix.is_skew_symmetric`, and the evaluated skew matrix and
+the residual line system whose minors are taken.  `Matrix.matvec` takes int
+dot products the same way as the eliminations: reduced mod p, or over the
+rationals on numerators over common denominators with one Fraction per
+output row.  `packed_skew_mod_p` is the one skew elimination
 over F_p, giving the rank and the Pfaffian of a principal block of an
 alternating matrix: pairwise elimination on rows packed one int each, a slot
 of `skew_slot_width` bits per entry, wide enough that no entry is reduced
@@ -44,7 +50,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -306,35 +312,6 @@ class Matrix:
                 f"entries, got {len(self.entries)}"
             )
 
-    @staticmethod
-    def from_rows(field: FieldSpec, rows: Sequence[Sequence[Scalar | str]]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Scalar] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(field.coerce(v) for v in row)
-        return Matrix(field, nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def from_columns(
-        field: FieldSpec, rows: int, columns: Sequence[Sequence[Scalar]]
-    ) -> "Matrix":
-        """The ``rows x len(columns)`` matrix with the given columns.
-
-        Entries must already be elements of ``field``: unlike `from_rows`,
-        nothing is coerced.  A column whose length is not ``rows`` raises
-        `ValueError`.
-        """
-        for column in columns:
-            if len(column) != rows:
-                raise ValueError(
-                    f"column of length {len(column)} in a matrix with {rows} rows"
-                )
-        flat = tuple(chain.from_iterable(zip(*columns)))
-        return Matrix(field, rows, len(columns), flat)
-
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
@@ -342,15 +319,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
-
-    def columns(self) -> list[tuple[Scalar, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def row_lists(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def matvec(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """The product with a column vector, as one int dot product per row:
@@ -442,31 +410,31 @@ class Matrix:
 
 
 def _pivot_inverse(pivot: int, p: int) -> int:
-    """``pivot**-1 mod p``.  `Matrix` takes its entries as given, so a pivot
-    can be a nonzero multiple of p; that raises `ConventionError`."""
+    """``pivot**-1 mod p``.  Rows and matrices are taken as given, so a
+    pivot can be a nonzero multiple of p; that raises `ConventionError`."""
     try:
         return pow(pivot, -1, p)
     except ValueError:
         raise ConventionError(f"matrix entry {pivot} is a nonzero multiple of {p}") from None
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    """The rows of ``m`` as int lists for `row_reduce`: over F_p the entries
-    themselves; over the rationals scaled to integers by the lcm of all
-    denominators and each divided by the gcd of its entries, the primitive
-    integer multiple of each row, sign kept."""
-    if m.field.kind == "prime":
-        return m.row_lists()  # type: ignore[return-value]
-    ints = _scaled_to_ints(m.entries)[0]
+def _integer_rows(field: FieldSpec, rows: Iterable[Sequence[Scalar]]) -> list[list[int]]:
+    """Rows of field elements as fresh int lists for `row_reduce`: over F_p
+    the entries themselves; over the rationals each row scaled to integers
+    by the lcm of its denominators and divided by the gcd of its entries,
+    the primitive integer multiple of the row, sign kept (the same ints as
+    scaling by the lcm of the whole matrix, since that multiple is unique)."""
+    if field.kind == "prime":
+        return [list(row) for row in rows]  # type: ignore[misc]
     out = []
-    for i in range(m.rows):
-        row = ints[i * m.cols : (i + 1) * m.cols]
+    for row in rows:
+        ints = _scaled_to_ints(row)[0]
         # reduce rather than gcd(*row): an argument tuple per row update
         # raised the peak RSS of a rational verify pass by ~1.5 MB (~7%)
-        content = reduce(gcd, row, 0)
+        content = reduce(gcd, ints, 0)
         if content > 1:
-            row = [x // content for x in row]
-        out.append(row)
+            ints = [x // content for x in ints]
+        out.append(ints)
     return out
 
 
@@ -615,35 +583,44 @@ def _packed_skew_rows(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int],
     return packed, width
 
 
-def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
-    """Exact rank and a kernel basis; kernel vectors are the columns of the result.
+def rank_kernel(
+    field: FieldSpec, rows: Sequence[Sequence[Scalar]], cols: int
+) -> tuple[int, tuple[tuple[Scalar, ...], ...]]:
+    """Exact rank and a kernel basis of the matrix with the given rows, each
+    of length ``cols``: the vectors v with row·v = 0 for every row.
 
-    Satisfies rank + kernel.cols == m.cols; each kernel column v has m·v = 0.
-    Free coordinates of kernel vectors are 0/1, so the basis is in reduced form.
-    Each entry is read off the rows of `row_reduce` as -row[fc] / row[pc]:
-    p - row[fc] over F_p, where the pivot is 1; one Fraction over the rationals.
+    Satisfies rank + len(kernel) == cols.  Free coordinates of kernel
+    vectors are 0/1, so the basis is in reduced form.  Each entry is read
+    off the rows of `row_reduce` as -row[fc] / row[pc]: p - row[fc] over
+    F_p, where the pivot is 1; one Fraction over the rationals.
     """
-    field = m.field
     p = field.p
-    a = _integer_rows(m)
-    pivots = row_reduce(field, a, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
+    a = _integer_rows(field, rows)
+    pivots = row_reduce(field, a, cols)
+    free = [c for c in range(cols) if c not in pivots]
     zero, one = field.zero(), field.one()
-    kernel_cols: list[list[Scalar]] = []
+    kernel: list[tuple[Scalar, ...]] = []
     for fc in free:
-        vec = [zero] * m.cols
+        vec = [zero] * cols
         vec[fc] = one
         for row, pc in zip(a, pivots):
             x = row[fc]
             if x:
                 vec[pc] = p - x if p is not None else Fraction(-x, row[pc])
-        kernel_cols.append(vec)
-    return len(pivots), Matrix.from_columns(field, m.cols, kernel_cols)
+        kernel.append(tuple(vec))
+    return len(pivots), tuple(kernel)
 
 
-def matrix_rank(m: Matrix) -> int:
-    """Exact rank, building no kernel: forward elimination by `row_reduce`."""
-    return len(row_reduce(m.field, _integer_rows(m), m.cols, back_substitute=False))
+def matrix_rank(field: FieldSpec, vectors: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank of a list of vectors of one length, building no kernel:
+    forward elimination by `row_reduce`.  The rank is that of the matrix
+    with the vectors as rows or as columns alike, so the elimination runs
+    on whichever of the two has fewer rows."""
+    if vectors and len(vectors) > len(vectors[0]):
+        vectors = list(zip(*vectors))
+    rows = _integer_rows(field, vectors)
+    cols = len(rows[0]) if rows else 0
+    return len(row_reduce(field, rows, cols, back_substitute=False))
 
 
 def pfaffian(m: Matrix) -> Scalar:
@@ -673,7 +650,7 @@ def pfaffian(m: Matrix) -> Scalar:
     if p is not None:
         packed, width = _packed_skew_rows(p, [m.row(i) for i in range(m.rows)])
         return packed_skew_mod_p(p, packed, width)[1]
-    a = m.row_lists()
+    a = [list(m.row(i)) for i in range(m.rows)]
     live = list(range(m.rows))
     pf = Fraction(1)
     while live:

@@ -111,7 +111,7 @@ class SpaceContext:
 
     def __post_init__(self) -> None:
         if self.n < 3:
-            raise ValueError(f"projective dimension must be >= 3, got {self.n}")
+            raise ConventionError(f"projective dimension must be >= 3, got {self.n}")
 
     @property
     def dim(self) -> int:

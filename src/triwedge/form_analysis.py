@@ -7,8 +7,9 @@ The skew matrix M(P) = omega(P, ., .) is `SkewLinearMatrix`, a frozen pair
 table (for each i < j the terms (k, coeff) of the (i, j) entry) that only
 `build_M` derives from omega, once per form object.  Its one evaluation to
 list rows is `SkewLinearMatrix.rows_at`, the rows of M(P): ints in [0, p)
-over F_p, field elements over the rationals.  `SkewLinearMatrix.evaluate` wraps them in a
-`Matrix`, and the line system of `residual` takes the rows from there.  Over
+over F_p, field elements over the rationals; the rank and kernel routines
+take these rows as they are, and `SkewLinearMatrix.evaluate` wraps them in
+a `Matrix` for what needs one (a determinant, a matrix-vector product).  Over
 F_p the skew elimination `packed_skew_mod_p` reads M(P) off
 `SkewLinearMatrix.packed_rows_at`: each row one int, slot b holding the
 (a, b) entry, all rows from one sum over a table cached on the matrix (one
@@ -17,7 +18,7 @@ nothing is reduced until an entry is read.  There the line nodes of
 `degeneracy` take their principal sub-Pfaffians, and the one rank routine,
 `point_ranks`, the rank at each point of a stream, leaving out one index of
 the point's support since M(P)·P = 0 (over the rationals `matrix_rank` of
-`M.evaluate(point)`); it reads whether M(x)·x = 0 holds once per stream,
+the rows of M(P)); it reads whether M(x)·x = 0 holds once per stream,
 and `point_contraction_rank` is its one-point case.  Every rank
 query at a point goes through that routine, except the question "rank at
 most 2?", which `first_rank_at_most_two` answers for a whole stream of
@@ -27,10 +28,16 @@ that need the kernel take the star, `degeneracy.directions_through`.
 Random points come from `random_points`: nonzero points as lists, drawn
 over F_p a block at a time with one `randbelow_many` call per block.
 
-Everything reduces to exact kernels of explicit matrices.  A k-form f induces
-linear maps "contract by a j-vector"; their matrices (columns indexed by the
-lexicographic j-index sets, rows by the complementary sets) drive both
-`j_rank` and the subspace computations.  The quadratic form of a 4-form eta
+Everything reduces to exact ranks and kernels of lists of vectors of field
+elements (`exact_scalar.matrix_rank`, `exact_scalar.rank_kernel`); no
+`Matrix` is built to rank or kernel vectors already held.  A k-form f
+induces linear maps "contract by a j-vector"; `contraction_matrix` gives
+the columns of such a map, one per lexicographic j-index set, and `j_rank`
+ranks them as they are.  A `LinearSubspace` holds its basis as a tuple of
+vectors: `LinearSubspace.from_kernel` takes the rows of the conditions and
+keeps the kernel vectors of `rank_kernel`, and the public constructor checks
+outside input (the ambient, each vector's length, independence).  The
+quadratic form of a 4-form eta
 is carried by the symmetric zero-diagonal matrix rho with
 rho[(ab),(cd)] = eta(e_a^e_b^e_c^e_d) in the lexicographic bivector basis;
 its value on a bivector L equals eta evaluated on the reduced square of L,
@@ -124,78 +131,97 @@ DEFAULT_GC3_SAMPLES = 10_000
 _POINT_BLOCK = 256
 
 
+def _ambient_length(ambient: str, ctx: SpaceContext) -> int:
+    """The dimension of the ambient space of ``ctx`` named by ``ambient``; an
+    unknown ambient raises `ValueError`."""
+    if ambient not in _AMBIENT_DEGREE:
+        raise ValueError(f"unknown ambient {ambient!r}")
+    return comb(ctx.dim, _AMBIENT_DEGREE[ambient])
+
+
 @dataclass(frozen=True)
 class LinearSubspace:
     """A linear subspace of V (ambient "vectors") or of the bivector space
-    Λ²V (ambient "bivectors"), spanned by the independent columns of `basis`.
+    Λ²V (ambient "bivectors"), spanned by the independent vectors of
+    `basis`, each a tuple of ambient coordinates.
 
-    The public constructor checks the ambient, the row count and, by one
-    `matrix_rank`, that the columns are independent, since outside input
-    guarantees none of them.  `from_kernel` builds its result without that
-    elimination (`_check_kernel_pattern`).
+    The public constructor checks the ambient, the length of every vector
+    and, by one `matrix_rank`, that the vectors are independent, since
+    outside input guarantees none of them; each failure raises `ValueError`.
+    `from_kernel` builds its result without that elimination
+    (`_check_kernel_pattern`).
     """
 
     ambient: str
     ctx: SpaceContext
-    basis: Matrix
+    basis: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
-        self._check_shape()
-        if matrix_rank(self.basis) != self.basis.cols:
-            raise ValueError("basis columns are dependent")
-
-    def _check_shape(self) -> None:
-        if self.ambient not in _AMBIENT_DEGREE:
-            raise ValueError(f"unknown ambient {self.ambient!r}")
-        expected_rows = self.ambient_linear_dim
-        if self.basis.rows != expected_rows:
-            raise ValueError(
-                f"basis rows {self.basis.rows} do not match ambient dimension "
-                f"{expected_rows}"
-            )
+        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
+        length = _ambient_length(self.ambient, self.ctx)
+        for vector in self.basis:
+            if len(vector) != length:
+                raise ValueError(
+                    f"basis vector of length {len(vector)} does not match the "
+                    f"ambient dimension {length}"
+                )
+        if matrix_rank(self.ctx.field, self.basis) != len(self.basis):
+            raise ValueError("basis vectors are dependent")
 
     def _check_kernel_pattern(self) -> None:
-        """Raise `ValueError` unless the last nonzero entry of each column is
-        a 1 in a row where every other column is 0.  Such columns are
-        independent; `rank_kernel` makes them so, column j ending in the 1
-        at its own free coordinate.  Reads O(cols·rows) entries."""
+        """Raise `ValueError` unless the last nonzero entry of each vector is
+        a 1 at a coordinate where every other vector is 0.  Such vectors are
+        independent; `rank_kernel` makes them so, vector j ending in the 1
+        at its own free coordinate.  Reads O(len(basis)·length) entries."""
         basis = self.basis
-        cols, entries = basis.cols, basis.entries
-        for j, column in enumerate(basis.columns()):
-            last = next((i for i in reversed(range(basis.rows)) if column[i]), None)
-            row = () if last is None else entries[last * cols : (last + 1) * cols]
-            if not row or row[j] != 1 or any(v for c, v in enumerate(row) if c != j):
-                raise ValueError("kernel columns lack the echelon pattern")
+        for j, vector in enumerate(basis):
+            last = next((i for i in reversed(range(len(vector))) if vector[i]), None)
+            if (
+                last is None
+                or vector[last] != 1
+                or any(other[last] for k, other in enumerate(basis) if k != j)
+            ):
+                raise ValueError("kernel vectors lack the echelon pattern")
 
     @property
     def ambient_linear_dim(self) -> int:
-        return comb(self.ctx.dim, _AMBIENT_DEGREE[self.ambient])
+        return _ambient_length(self.ambient, self.ctx)
 
     @property
     def linear_dim(self) -> int:
-        return self.basis.cols
+        return len(self.basis)
 
     @property
     def projective_dim(self) -> int:
-        return self.basis.cols - 1
+        return len(self.basis) - 1
 
     @property
     def codim(self) -> int:
         """Codimension as a linear subspace of its ambient space."""
-        return self.ambient_linear_dim - self.basis.cols
+        return self.ambient_linear_dim - len(self.basis)
 
     @staticmethod
-    def from_kernel(conditions: Matrix, ambient: str, ctx: SpaceContext) -> "LinearSubspace":
-        """The vectors that ``conditions`` (one row per linear condition on
-        the ambient coordinates) sends to zero, spanned by the columns of
-        `rank_kernel`.  They are independent by construction, so the result
-        skips the public constructor's `matrix_rank`; it checks the shape
-        and the pattern that makes them independent instead
-        (`_check_kernel_pattern`)."""
-        _, kernel = rank_kernel(conditions)
+    def from_kernel(
+        conditions: Sequence[Sequence[Scalar]], ambient: str, ctx: SpaceContext
+    ) -> "LinearSubspace":
+        """The vectors that the rows of ``conditions`` (one linear condition
+        on the ambient coordinates each, as field elements) send to zero,
+        spanned by the kernel vectors of `rank_kernel`.  They are independent
+        by construction, so the result skips the public constructor's
+        `matrix_rank`; it checks the shape and the pattern that makes them
+        independent instead (`_check_kernel_pattern`).  An unknown ambient,
+        or a row whose length is not the ambient dimension, raises
+        `ValueError`."""
+        length = _ambient_length(ambient, ctx)
+        for row in conditions:
+            if len(row) != length:
+                raise ValueError(
+                    f"condition row of length {len(row)} does not match the "
+                    f"ambient dimension {length}"
+                )
         space = _new_subspace(LinearSubspace)
-        space.__dict__.update(ambient=ambient, ctx=ctx, basis=kernel)
-        space._check_shape()
+        basis = rank_kernel(ctx.field, conditions, length)[1]
+        space.__dict__.update(ambient=ambient, ctx=ctx, basis=basis)
         space._check_kernel_pattern()
         return space
 
@@ -205,43 +231,36 @@ class LinearSubspace:
     ) -> "LinearSubspace":
         """The vectors of ``ctx`` that pair to zero with every covector; its
         dimension is ``ctx.dim`` minus the rank of the covectors."""
-        rows = tuple(v for c in covectors for v in c.coords())
-        conditions = Matrix(ctx.field, len(covectors), ctx.dim, rows)
-        return LinearSubspace.from_kernel(conditions, "vectors", ctx)
+        return LinearSubspace.from_kernel([c.coords() for c in covectors], "vectors", ctx)
 
     def basis_tensors(self) -> list[AlternatingTensor]:
         degree = _AMBIENT_DEGREE[self.ambient]
-        return [
-            self.ctx.tensor_from_coords(degree, "vector", column)
-            for column in self.basis.columns()
-        ]
+        return [self.ctx.tensor_from_coords(degree, "vector", v) for v in self.basis]
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         if (self.ambient, self.ctx) != (other.ambient, other.ctx):
             raise ValueError("subspaces of different ambient spaces")
-        columns = self.basis.columns() + other.basis.columns()
-        joined = Matrix.from_columns(self.ctx.field, self.basis.rows, columns)
-        return matrix_rank(joined) == self.basis.cols
+        return matrix_rank(self.ctx.field, self.basis + other.basis) == len(self.basis)
 
 
-def contraction_matrix(f: AlternatingTensor, j: int) -> Matrix:
-    """Matrix of the map (j-vectors) -> (forms of degree f.degree - j) given by
-    contraction against f; columns follow the lexicographic j-index sets."""
+def contraction_matrix(f: AlternatingTensor, j: int) -> list[tuple[Scalar, ...]]:
+    """The columns of the matrix of the map (j-vectors) -> (forms of degree
+    f.degree - j) given by contraction against f: the image of each basis
+    j-vector, in the lexicographic order of the j-index sets."""
     if f.variance != "form":
         raise ValueError("contraction_matrix expects a form")
     if not (1 <= j < f.degree):
         raise ValueError("need 1 <= j < degree")
     ctx = f.ctx
-    columns = []
-    for key in ctx.index_sets(j):
-        blade = AlternatingTensor.make(ctx, j, "vector", {key: 1})
-        columns.append(contract(f, blade).coords())
-    return Matrix.from_columns(ctx.field, len(columns[0]), columns)
+    return [
+        contract(f, AlternatingTensor.make(ctx, j, "vector", {key: 1})).coords()
+        for key in ctx.index_sets(j)
+    ]
 
 
 def j_rank(f: AlternatingTensor, j: int) -> int:
     """Rank of the contraction map on j-vectors, computed exactly."""
-    return matrix_rank(contraction_matrix(f, j))
+    return matrix_rank(f.ctx.field, contraction_matrix(f, j))
 
 
 # -- the skew matrix of linear forms and its pointwise rank ---------------------
@@ -498,12 +517,13 @@ def point_ranks(M: SkewLinearMatrix, points: Iterable[PointLike]) -> Iterator[in
     for any k with P_k != 0, so the elimination leaves out the last such k:
     in the usual case the last index itself, on one range made once for
     the stream.  The zero point has rank 0.  Over the rationals the rank
-    is that of `M.evaluate(point)` from `matrix_rank`.
+    is `matrix_rank` of the rows of M at the coerced point (`rows_at`).
     """
-    p = M.ctx.field.p
+    ctx = M.ctx
+    p = ctx.field.p
     if p is None:
         for point in points:
-            yield matrix_rank(M.evaluate(point))
+            yield matrix_rank(ctx.field, M.rows_at(point_coords(ctx, point)))
         return
     in_kernel = M.point_in_kernel
     usual = range(M.size - 1)
@@ -703,11 +723,8 @@ def genericity(
 
     rank_omega = j_rank(omega, 1)
 
-    wedge_columns = [
-        wedge(omega, ctx.basis_covector(i)).coords() for i in range(dim)
-    ]
-    wedge_matrix = Matrix.from_columns(fld, len(wedge_columns[0]), wedge_columns)
-    gc1 = matrix_rank(wedge_matrix) == dim
+    wedges = [wedge(omega, ctx.basis_covector(i)).coords() for i in range(dim)]
+    gc1 = matrix_rank(fld, wedges) == dim
 
     M = build_M(omega)
     can_enumerate = (
@@ -889,9 +906,9 @@ class SpanLattice:
 
 
 def bivector_contraction(omega: AlternatingTensor) -> list[list[Scalar]]:
-    """The rows of `contraction_matrix(omega, 2)`, the map L -> contract(omega, L):
-    entry (k, ij) is the coefficient of x_k in the (i, j) entry of `build_M`,
-    where each k appears at most once."""
+    """The rows of the map L -> contract(omega, L), whose columns
+    `contraction_matrix(omega, 2)` lists: entry (k, ij) is the coefficient of
+    x_k in the (i, j) entry of `build_M`, where each k appears at most once."""
     M = build_M(omega)
     position = {key: idx for idx, key in enumerate(omega.ctx.index_sets(2))}
     rows = [[omega.ctx.field.zero()] * len(position) for _ in range(M.size)]
@@ -952,9 +969,7 @@ def contraction_kernel(
             conditions += [wedge(c, ctx.basis_covector(m)).coords() for m in range(ctx.dim)]
         else:
             conditions.append(c.coords())
-    flat = tuple(v for row in conditions for v in row)
-    matrix = Matrix(ctx.field, len(conditions), len(B[0]), flat)
-    return LinearSubspace.from_kernel(matrix, "bivectors", ctx)
+    return LinearSubspace.from_kernel(conditions, "bivectors", ctx)
 
 
 def span_lattice(

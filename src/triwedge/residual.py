@@ -41,6 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -121,13 +122,13 @@ def _pencil_conditions(omega: AlternatingTensor) -> Callable[..., tuple[bool, bo
     in <x, y>.  The rows and their rank are made once per omega."""
     field = omega.ctx.field
     rows = bivector_contraction(omega)
-    rank = matrix_rank(Matrix.from_rows(field, rows))
+    rank = matrix_rank(field, rows)
 
     def conditions(x: AlternatingTensor, y: AlternatingTensor) -> tuple[bool, bool]:
         augmented = [row + [a, b] for row, a, b in zip(rows, x.coords(), y.coords())]
         in_image, on_plane = (
-            matrix_rank(Matrix.from_rows(field, table)) == rank
-            for table in (augmented, rows + [list(wedge(x, y).coords())])
+            matrix_rank(field, table) == rank
+            for table in (augmented, rows + [wedge(x, y).coords()])
         )
         return in_image, on_plane
 
@@ -247,7 +248,8 @@ class LineSystem:
             raise ConventionError("line system must annihilate its own point")
 
     def kernel_dim(self) -> int:
-        return self.matrix.cols - matrix_rank(self.matrix)
+        m = self.matrix
+        return m.cols - matrix_rank(m.field, [m.row(i) for i in range(m.rows)])
 
 
 def line_system(handle: ResidualHandle, point) -> LineSystem:
@@ -275,7 +277,8 @@ def line_system(handle: ResidualHandle, point) -> LineSystem:
         column = [g[i] - a * row_a[i] - b * row_b[i] for i in keep]
         column.append(x_at * ys[j] - xs[j] * y_at)
         columns.append([v % p for v in column] if p is not None else column)
-    matrix = Matrix.from_columns(field, ctx.dim - 1, columns)
+    entries = tuple(chain.from_iterable(zip(*columns)))  # row-major
+    matrix = Matrix(field, ctx.dim - 1, ctx.dim, entries)
     return LineSystem(point=ctx.vector_from_coords(coords), matrix=matrix)
 
 
@@ -309,14 +312,14 @@ def pencil_parameter(
         raise ConventionError("the zero bivector lies on no pencil member")
     cx = covector_contract(handle.x, line).coords()
     cy = covector_contract(handle.y, line).coords()
-    _, kernel = rank_kernel(Matrix.from_columns(ctx.field, ctx.dim, [cx, cy]))
-    if kernel.cols == 0:
+    _, kernel = rank_kernel(ctx.field, list(zip(cx, cy)), 2)
+    if not kernel:
         raise ConventionError("the line lies on no pencil member")
-    if kernel.cols > 1:
+    if len(kernel) > 1:
         raise ConventionError(
             "every pencil member contains the line (it lies in the base locus)"
         )
-    a, b = kernel.column(0)
+    a, b = kernel[0]
     return a, b
 
 
@@ -416,11 +419,8 @@ def Y_secancy_even(handle: ResidualHandle, seed: int = 0) -> tuple[int, bool]:
     lifted, line_sub, omega_sub = _sample_on_members(handle, rng)
     pencil = secant_pencil(omega_sub, line_sub)
     first, second = split_decomposable(lifted)
-    columns = [first.coords(), second.coords()] + [
-        t.coords() for t in handle.pi.basis_tensors()
-    ]
-    joined = Matrix.from_columns(ctx.field, ctx.dim, columns)
-    meets_pi = 2 + handle.pi.linear_dim - matrix_rank(joined) >= 1
+    joined = [first.coords(), second.coords(), *handle.pi.basis]
+    meets_pi = 2 + handle.pi.linear_dim - matrix_rank(ctx.field, joined) >= 1
     return pencil.total_degree, meets_pi
 
 
@@ -443,8 +443,7 @@ def _singular_span(
         contract(handle.omega, lifted[key]).coords()
         for key in ctx_pi.index_sets(2)
     ]
-    conditions = Matrix.from_columns(handle.ctx.field, len(columns[0]), columns)
-    return LinearSubspace.from_kernel(conditions, "bivectors", ctx_pi)
+    return LinearSubspace.from_kernel(list(zip(*columns)), "bivectors", ctx_pi)
 
 
 def _random_combination(
@@ -541,9 +540,9 @@ def _decomposable_by_plane_scan(
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = list(random_points(field, dim, rng, 3))
-        plane = Matrix.from_columns(field, dim, anchors)
-        if matrix_rank(plane) != 3:
+        if matrix_rank(field, anchors) != 3:
             continue
+        plane = list(zip(*anchors))  # the rows of the matrix with the anchors as columns
         restricted = []  # N at each anchor a: row r of M(B·a) times each b_j
         for anchor in anchors:
             upstairs = [sum(map(mul, anchor, entries)) % p for entries in zip(*columns)]
@@ -554,7 +553,7 @@ def _decomposable_by_plane_scan(
                 ]
             )
         for coeffs in projective_points(field, 3):
-            point = plane.matvec(coeffs)
+            point = [sum(map(mul, row, coeffs)) % p for row in plane]
             rows, width = matrix.packed_rows_at(point)
             if packed_skew_mod_p(p, rows, width)[0] != dim - 2:
                 continue
@@ -564,7 +563,7 @@ def _decomposable_by_plane_scan(
             ]
             if len(row_reduce(field, n_rows, dim, back_substitute=False)) > dim - 2:
                 continue
-            (direction,) = directions_through(matrix, point).basis.columns()
+            (direction,) = directions_through(matrix, point).basis
             line_sub = wedge(
                 ctx_pi.vector_from_coords(point), ctx_pi.vector_from_coords(direction)
             )

@@ -656,9 +656,8 @@ def _suite_form_recovery(cfg: RunConfig) -> list[Claim]:
         omega, _ = catalog.get(name)
         dimension, solutions = recover_forms(kernel_span(omega))
         dims[name] = dimension
-        columns = [s.coords() for s in solutions] + [omega.coords()]
-        joined = Matrix.from_columns(omega.ctx.field, len(columns[0]), columns)
-        contains[name] = matrix_rank(joined) == len(solutions)
+        joined = [s.coords() for s in solutions] + [omega.coords()]
+        contains[name] = matrix_rank(omega.ctx.field, joined) == len(solutions)
     return [
         _claim(
             "recovery-dimension-generic",
@@ -795,11 +794,11 @@ def _suite_secancy(cfg: RunConfig) -> list[Claim]:
         spanning = (first.coords(), second.coords())
         direct = set()
         for zero_indices in ((3, 4, 5), (0, 1, 2)):
-            columns = [[v[k] for k in zero_indices] for v in spanning]
-            _, kernel = rank_kernel(Matrix.from_columns(field, 3, columns))
-            if kernel.cols != 1:
+            rows = [[v[k] for v in spanning] for k in zero_indices]
+            _, kernel = rank_kernel(field, rows, 2)
+            if len(kernel) != 1:
                 continue
-            a, b = kernel.column(0)
+            a, b = kernel[0]
             point = first.scale(a).add(second.scale(b))
             direct.add(normalize_projective(point.coords(), p))
         if pencil_points == direct and len(direct) == 2:

@@ -23,6 +23,7 @@ from triwedge.exact_scalar import (
     UniPoly,
     matrix_rank,
     packed_skew_mod_p,
+    rank_kernel,
     randbelow_many,
     skew_slot_width,
 )
@@ -120,11 +121,11 @@ def point_contraction_rank_reference(M: SkewLinearMatrix, coords) -> int:
     """The rank of M at one point, one call per point: over F_p the rank of
     `packed_skew_mod_p` on `SkewLinearMatrix.packed_rows_at`, leaving out
     the last index k with P_k != 0 mod p when M(x)·x = 0 holds identically
-    (0 at the zero point); over the rationals `matrix_rank` of
+    (0 at the zero point); over the rationals `matrix_rank` of the rows of
     `M.evaluate`."""
     p = M.ctx.field.p
     if p is None:
-        return matrix_rank(M.evaluate(coords))
+        return matrix_rank(M.ctx.field, row_lists(M.evaluate(coords)))
     rows, width = M.packed_rows_at(coords)
     if not M.point_in_kernel:
         return packed_skew_mod_p(p, rows, width)[0]
@@ -179,6 +180,34 @@ def point_in_kernel_reference(M: SkewLinearMatrix) -> bool:
         if any(fld.sub(v, fld.add(a, b)) for v, a, b in zip(image(point), values[j], values[k])):
             return False
     return True
+
+
+def matrix_from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> Matrix:
+    """The matrix with the given rows, each value coerced into the field; a
+    ragged row raises `ValueError`."""
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    flat = tuple(field.coerce(v) for row in rows for v in row)
+    return Matrix(field, len(rows), ncols, flat)
+
+
+def matrix_from_columns(field: FieldSpec, nrows: int, columns: Sequence[Sequence]) -> Matrix:
+    """The ``nrows x len(columns)`` matrix with the given columns of field
+    elements, uncoerced."""
+    flat = tuple(v for row in zip(*columns) for v in row) if nrows else ()
+    return Matrix(field, nrows, len(columns), flat)
+
+
+def row_lists(m: Matrix) -> list[list]:
+    """The rows of a matrix as fresh lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def evaluated_rank(M: SkewLinearMatrix, point) -> int:
+    """The rank of M at a point: `rank_kernel` on the rows of `M.evaluate`."""
+    m = M.evaluate(point)
+    return rank_kernel(m.field, row_lists(m), m.cols)[0]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -252,29 +281,30 @@ def rref_reference(field: FieldSpec, a: list[list], cols: int) -> list[int]:
     return pivots
 
 
-def rank_kernel_reference(m: Matrix) -> tuple[int, Matrix]:
-    """Rank and kernel basis with each kernel entry read off the reduced rows
-    of `rref_reference`."""
-    field = m.field
-    a = m.row_lists()
-    pivots = rref_reference(field, a, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
+def rank_kernel_reference(
+    field: FieldSpec, rows: Sequence[Sequence], cols: int
+) -> tuple[int, tuple[tuple, ...]]:
+    """Rank and kernel basis of the rows, with each kernel entry read off
+    the reduced rows of `rref_reference`."""
+    a = [list(row) for row in rows]
+    pivots = rref_reference(field, a, cols)
+    free = [c for c in range(cols) if c not in pivots]
     zero, one = field.zero(), field.one()
-    kernel_cols = []
+    kernel = []
     for fc in free:
-        vec = [zero] * m.cols
+        vec = [zero] * cols
         vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = field.neg(a[r][fc])
-        kernel_cols.append(vec)
-    return len(pivots), Matrix.from_columns(field, m.cols, kernel_cols)
+        kernel.append(tuple(vec))
+    return len(pivots), tuple(kernel)
 
 
 def det_reference(m: Matrix) -> Scalar:
     """Determinant by Gaussian elimination with field operations, one entry
     at a time, over either field."""
     f = m.field
-    a = m.row_lists()
+    a = row_lists(m)
     size = m.rows
     det = f.one()
     for col in range(size):
@@ -321,7 +351,7 @@ def line_system_reference(handle: ResidualHandle, point) -> Matrix:
         column = [g[i] for i in keep]
         column.append(pair(xy, blade))
         columns.append(column)
-    return Matrix.from_columns(field, ctx.dim - 1, columns)
+    return matrix_from_columns(field, ctx.dim - 1, columns)
 
 
 def all_minor_gcd(
@@ -604,7 +634,7 @@ def same_subspace(a: LinearSubspace, b: LinearSubspace) -> bool:
 
 def singular_locus(quadric: QuadricAnalysis) -> LinearSubspace:
     """The singular subspace of a quadric: the kernel of its polar matrix."""
-    return LinearSubspace.from_kernel(quadric.rho, "bivectors", quadric.eta.ctx)
+    return LinearSubspace.from_kernel(row_lists(quadric.rho), "bivectors", quadric.eta.ctx)
 
 
 def quadric_contains_subspace(quadric: QuadricAnalysis, space: LinearSubspace) -> bool:
@@ -623,8 +653,7 @@ def quadric_contains_subspace(quadric: QuadricAnalysis, space: LinearSubspace) -
 
 
 def _stacked_kernel(ctx: SpaceContext, columns: list[tuple]) -> LinearSubspace:
-    matrix = Matrix.from_columns(ctx.field, len(columns[0]), columns)
-    return LinearSubspace.from_kernel(matrix, "bivectors", ctx)
+    return LinearSubspace.from_kernel(list(zip(*columns)), "bivectors", ctx)
 
 
 def span_lattice_reference(
@@ -697,8 +726,8 @@ def plane_scan_reference(
     dim = ctx_pi.dim
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = list(random_points(field, dim, rng, 3))
-        plane = Matrix.from_columns(field, dim, anchors)
-        if matrix_rank(plane) != 3:
+        plane = matrix_from_columns(field, dim, anchors)
+        if len(rref_reference(field, row_lists(plane), 3)) != 3:
             continue
         for coeffs in projective_points(field, 3):
             point = plane.matvec(coeffs)
@@ -707,7 +736,7 @@ def plane_scan_reference(
                 continue
             line_sub = wedge(
                 ctx_pi.vector_from_coords(point),
-                ctx_pi.vector_from_coords(star.basis.column(0)),
+                ctx_pi.vector_from_coords(star.basis[0]),
             )
             candidate = lift_bivector_reference(handle.ctx, lifted, line_sub)
             if contract(handle.omega, candidate).is_zero():

@@ -28,7 +28,7 @@ from triwedge.degeneracy import (
     rank_at,
     split_decomposable,
 )
-from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, rank_kernel
+from triwedge.exact_scalar import ConventionError, FieldSpec, matrix_rank
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -40,7 +40,7 @@ from triwedge.exterior_core import (
 )
 from triwedge.form_analysis import LinearSubspace, j_rank, span_lattice
 
-from oracles import matvec_reference, same_subspace
+from oracles import matvec_reference, row_lists, same_subspace
 
 Q = FieldSpec.rationals()
 F101 = FieldSpec.prime(101)
@@ -63,8 +63,7 @@ def plane_intersection_dim(line, zero_indices):
         [first.coords()[i] for i in zero_indices],
         [second.coords()[i] for i in zero_indices],
     ]
-    m = Matrix(field, 2, len(zero_indices), tuple(v for row in rows for v in row))
-    return 2 - rank_kernel(m)[0]
+    return 2 - matrix_rank(field, rows)
 
 
 # -- span and handle ---------------------------------------------------------------
@@ -216,9 +215,9 @@ def test_directions_through_is_the_kernel_off_the_pivot_coordinate(field):
             pivot = next(i for i, c in enumerate(coords) if c)
             evaluated = matrix.evaluate(coords)
             star = directions_through(matrix, coords)
-            rank, _ = rank_kernel(evaluated)
+            rank = matrix_rank(field, row_lists(evaluated))
             assert star.linear_dim == ctx.dim - rank - 1
-            for v in star.basis.columns():
+            for v in star.basis:
                 assert v[pivot] == 0
                 assert not any(matvec_reference(evaluated, v))
 
@@ -431,15 +430,8 @@ def test_mixed_wedge_equals_the_polarized_square_in_characteristic_two():
 
 
 def contains_form(solutions, target):
-    columns = [s.coords() for s in solutions] + [target.coords()]
-    width = len(columns[0])
-    m = Matrix(
-        target.ctx.field,
-        width,
-        len(columns),
-        tuple(columns[c][r] for r in range(width) for c in range(len(columns))),
-    )
-    return rank_kernel(m)[0] == len(solutions)
+    vectors = [s.coords() for s in solutions] + [target.coords()]
+    return matrix_rank(target.ctx.field, vectors) == len(solutions)
 
 
 def test_recovery_dimension_one_for_large_n():
@@ -472,7 +464,7 @@ def test_recovered_forms_kill_the_span():
 
 def test_recovery_of_the_zero_subspace_is_everything():
     ctx = SpaceContext(n=5, field=Q)
-    empty = LinearSubspace("bivectors", ctx, Matrix(Q, 15, 0, ()))
+    empty = LinearSubspace("bivectors", ctx, ())
     dimension, solutions = recover_forms(empty)
     assert dimension == 20
     assert len(solutions) == 20
@@ -480,7 +472,7 @@ def test_recovery_of_the_zero_subspace_is_everything():
 
 def test_recovery_rejects_vector_subspaces():
     ctx = SpaceContext(n=5, field=Q)
-    ambient = LinearSubspace("vectors", ctx, Matrix(Q, 6, 0, ()))
+    ambient = LinearSubspace("vectors", ctx, ())
     with pytest.raises(ConventionError):
         recover_forms(ambient)
 

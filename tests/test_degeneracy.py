@@ -36,7 +36,6 @@ from triwedge.degeneracy import (
 from triwedge.exact_scalar import (
     ConventionError,
     FieldSpec,
-    Matrix,
     UniPoly,
     interpolate,
     packed_skew_mod_p,
@@ -60,6 +59,8 @@ from triwedge.form_analysis import j_rank, point_contraction_rank
 from oracles import (
     all_subpfaffian_gcd,
     entry_form,
+    evaluated_rank,
+    row_lists,
     pfaffian_expansion,
     secant_pencil_reference,
 )
@@ -80,11 +81,9 @@ def normalized(coords, field):
 def kernel_line(omega, M, coords):
     """The congruence line through a point whose matrix kernel is a plane."""
     field = omega.ctx.field
-    _, kernel = rank_kernel(M.evaluate(coords))
-    for column in range(kernel.cols):
-        candidate = [kernel.entry(row, column) for row in range(kernel.rows)]
-        stacked = Matrix(field, 2, len(coords), tuple(coords) + tuple(candidate))
-        if rank_kernel(stacked)[0] == 2:
+    _, kernel = rank_kernel(field, row_lists(M.evaluate(coords)), len(coords))
+    for candidate in kernel:
+        if rank_kernel(field, [coords, candidate], len(coords))[0] == 2:
             point = omega.ctx.vector_from_coords(coords)
             return wedge(point, omega.ctx.vector_from_coords(candidate))
     raise AssertionError("kernel contains no direction besides the point")
@@ -651,7 +650,7 @@ def even_forms_and_lines(draw):
             if on_locus:
                 second = draw(st.sampled_from(on_locus))
                 first = independent_pair(field, M.size, rng)[0]
-                while rank_kernel(Matrix(field, 2, M.size, tuple(first) + tuple(second)))[0] < 2:
+                while rank_kernel(field, [first, second], M.size)[0] < 2:
                     first = independent_pair(field, M.size, rng)[0]
     return M, first, second
 
@@ -765,7 +764,7 @@ def test_exhaustive_strata_match_a_brute_force_scan():
     for coords in itertools.product(range(3), repeat=6):
         if next((c for c in coords if c), 0) != 1:
             continue  # one representative per projective point
-        rank = rank_kernel(M.evaluate(coords))[0]
+        rank = evaluated_rank(M, coords)
         assert rank_at(M, coords) == rank
         counts[rank] = counts.get(rank, 0) + 1
     assert dict(exhaustive_strata(omega, 3).counts) == counts
@@ -789,7 +788,7 @@ def test_exhaustive_strata_agree_with_row_reduction_at_every_point(n, p, catalog
     for rank, points in strata.points.items():
         assert strata.counts[rank] == len(points)
         for point in points:
-            assert rank_kernel(M.evaluate(point))[0] == rank
+            assert evaluated_rank(M, point) == rank
 
 
 def test_hyperplane_form_drops_exactly_on_the_hyperplane_mod_3():
@@ -904,7 +903,7 @@ def test_stratify_counts_the_ranks_of_its_seeded_draws(form, p, samples, seed):
     rng = random.Random(derive_seed("stratify", ctx.n, ctx.field.p, samples, seed))
     M = build_M(omega)
     expected = Counter(
-        rank_kernel(M.evaluate(coords))[0]
+        evaluated_rank(M, coords)
         for coords in random_points(ctx.field, ctx.dim, rng, samples)
     )
     report = stratify(omega, samples=samples, seed=seed)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwedge import catalog, form_analysis
-from triwedge.exact_scalar import ConventionError, FieldSpec, Matrix, randbelow, rank_kernel
+from triwedge.exact_scalar import ConventionError, FieldSpec, randbelow, rank_kernel
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -57,6 +57,7 @@ from triwedge.suites import RunConfig, run_suite
 from oracles import (
     entry_form,
     evaluate_reference,
+    evaluated_rank,
     first_rank_at_most_two_reference,
     packed_rows_reference,
     point_contraction_rank_reference,
@@ -64,6 +65,7 @@ from oracles import (
     polar_matrix_reference,
     quadric_contains_subspace,
     relaxed_span_reference,
+    row_lists,
     same_subspace,
     singular_locus,
     span_lattice_reference,
@@ -169,7 +171,7 @@ def test_point_rank_matches_the_evaluated_matrix(case):
     omega, x, b, c, scalar = case
     field = omega.ctx.field
     M = build_M(omega)
-    rank = rank_kernel(M.evaluate(x))[0]
+    rank = evaluated_rank(M, x)
     assert point_contraction_rank(M, x) == rank
     assert first_rank_at_most_two(M, [x]) == ((0, x) if rank <= 2 else None)
     # the plane scan's identity M(s*x + t*b + u*c) = s*M(x) + t*M(b) + u*M(c)
@@ -194,7 +196,7 @@ def test_evaluate_matches_the_field_operation_reference(case):
     assert M.evaluate(x) == evaluate_reference(M, x)
     # b is passed as drawn; both routes coerce it into the field
     assert M.evaluate(b) == evaluate_reference(M, b)
-    assert M.rows_at(x) == M.evaluate(x).row_lists()
+    assert M.rows_at(x) == row_lists(M.evaluate(x))
 
 
 # --- point coordinates ----------------------------------------------------------
@@ -267,7 +269,7 @@ def test_skew_matrix_rejects_a_pair_listed_twice():
     for terms in (((0, 1),), ((1, 1),)):
         M = SkewLinearMatrix(ctx, (((0, 1), terms), ((2, 3), ((0, 1),))))
         rank = point_contraction_rank(M, [1, 0, 0, 0])
-        assert rank == rank_kernel(M.evaluate([1, 0, 0, 0]))[0]
+        assert rank == evaluated_rank(M, [1, 0, 0, 0])
         assert (first_rank_at_most_two(M, [[1, 0, 0, 0]]) is not None) == (rank <= 2)
 
 
@@ -315,7 +317,7 @@ def pair_tables_and_points(draw):
 @given(case=pair_tables_and_points())
 def test_packed_point_rank_matches_row_reduction_on_hand_built_tables(case):
     M, point = case
-    assert point_contraction_rank(M, point) == rank_kernel(M.evaluate(point))[0]
+    assert point_contraction_rank(M, point) == evaluated_rank(M, point)
 
 
 # F_2, F_3, F_101 and the Mersenne prime 2^61 - 1, whose packed slots are the
@@ -369,7 +371,7 @@ def test_dropped_index_rank_matches_the_evaluated_matrix(omega, data):
     point = data.draw(residues(omega.ctx.field.p, M.size))
     zeros = data.draw(st.integers(0, M.size))
     point = point[: M.size - zeros] + [0] * zeros
-    assert point_contraction_rank(M, point) == rank_kernel(M.evaluate(point))[0]
+    assert point_contraction_rank(M, point) == evaluated_rank(M, point)
 
 
 def test_point_in_kernel_holds_for_every_build_M_matrix():
@@ -403,7 +405,7 @@ def test_tables_whose_point_leaves_the_kernel_keep_the_full_elimination():
     M = SkewLinearMatrix(SpaceContext(3, F2), (((0, 1), ((1, 1),)),))
     assert not M.point_in_kernel and not point_in_kernel_reference(M)
     assert point_contraction_rank(M, [0, 1, 0, 0]) == 2
-    assert rank_kernel(M.evaluate([0, 1, 0, 0]))[0] == 2
+    assert evaluated_rank(M, [0, 1, 0, 0]) == 2
 
 
 def every_hit(scan, M, stream) -> list:
@@ -460,7 +462,7 @@ def test_point_rank_reduces_ints_outside_the_residues():
         M = build_M(random_tensor(SpaceContext(n, F101), 3, "form", 1))
         for _ in range(200):
             x = [rng.randrange(-300, 300) for _ in range(n + 1)]
-            expected = rank_kernel(M.evaluate(x))[0]
+            expected = evaluated_rank(M, x)
             assert point_contraction_rank(M, x) == expected
 
 
@@ -519,7 +521,7 @@ def test_packed_point_rank_at_the_largest_slots(p, dim, coefficient):
     pairs = tuple(((i, j), terms) for i in range(dim) for j in range(i + 1, dim))
     M = SkewLinearMatrix(SpaceContext(dim - 1, FieldSpec.prime(p)), pairs)
     point = [p - 1] * dim
-    rank = rank_kernel(M.evaluate(point))[0]
+    rank = evaluated_rank(M, point)
     assert point_contraction_rank(M, point) == rank
     # every entry above the diagonal is dim * c * (p - 1), nonzero mod p
     # unless p divides dim: then the matrix vanishes
@@ -543,7 +545,7 @@ def j_rank_of_two_form(g: AlternatingTensor) -> int:
             else:
                 row.append(fld.zero())
         rows.append(row)
-    return rank_kernel(Matrix.from_rows(fld, rows))[0]
+    return rank_kernel(fld, rows, dim)[0]
 
 
 # --- genericity -----------------------------------------------------------------
@@ -860,7 +862,7 @@ def test_quadric_rank_leaves_the_polar_pairing_intact(fld):
     ctx = SpaceContext(6, fld)
     eta = random_tensor(ctx, 4, "form", derive_seed("polar-oracle", 0)).scale(Fraction(5, 6))
     quadric = quadric_of(eta)
-    assert quadric.rank == rank_kernel(quadric.rho)[0] > 0
+    assert quadric.rank == rank_kernel(fld, row_lists(quadric.rho), quadric.rho.cols)[0] > 0
     for k in range(3):
         a = random_tensor(ctx, 2, "vector", derive_seed("polar-a", 0, k))
         b = random_tensor(ctx, 2, "vector", derive_seed("polar-b", 0, k))
@@ -994,7 +996,7 @@ def forms_with_directions(draw):
 def test_contraction_kernels_equal_the_stacked_wedge_systems(case):
     # equal bases, not only equal subspaces: the bases are what reports print
     omega, x, y = case
-    assert bivector_contraction(omega) == contraction_matrix(omega, 2).row_lists()
+    assert bivector_contraction(omega) == [list(row) for row in zip(*contraction_matrix(omega, 2))]
     reference = span_lattice_reference(omega, x, y)
     assert kernel_span(omega).basis == reference.full.basis
     if not x.is_zero():
@@ -1085,9 +1087,27 @@ def test_kernel_builders_reject_covectors_of_another_space_or_kind():
 
 def test_linear_subspace_rejects_dependent_columns():
     ctx = SpaceContext(3, QQ)
-    basis = Matrix.from_rows(QQ, [[1, 2], [0, 0], [1, 2], [0, 0]])
-    with pytest.raises(ValueError):
+    basis = [[1, 0, 1, 0], [2, 0, 2, 0]]
+    with pytest.raises(ValueError, match="dependent"):
         LinearSubspace("vectors", ctx, basis)
+
+
+def test_linear_subspace_rejects_a_basis_vector_of_the_wrong_length():
+    # outside input: each vector must have the length of the ambient space,
+    # checked before the rank, whatever else is wrong with the basis
+    ctx = SpaceContext(3, QQ)
+    for basis in ([[1, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0, 0]], [[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="ambient dimension 4"):
+            LinearSubspace("vectors", ctx, basis)
+    with pytest.raises(ValueError, match="ambient dimension 6"):
+        LinearSubspace("bivectors", ctx, [[1, 0, 0, 0]])
+
+
+def test_linear_subspace_rejects_an_unknown_ambient():
+    ctx = SpaceContext(3, QQ)
+    for basis in ((), [[1, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="unknown ambient"):
+            LinearSubspace("lines", ctx, basis)
 
 
 @st.composite
@@ -1113,8 +1133,7 @@ def test_annihilator_is_killed_by_every_covector(case):
     for vector in space.basis_tensors():
         for covector in covectors:
             assert ctx.field.is_zero(pair(covector, vector))
-    rows = [c.coords() for c in covectors]
-    rank = rank_kernel(Matrix.from_rows(ctx.field, rows))[0] if rows else 0
+    rank = rank_kernel(ctx.field, [c.coords() for c in covectors], ctx.dim)[0]
     assert space.linear_dim == ctx.dim - rank
     assert space.ambient == "vectors"
 
@@ -1130,8 +1149,7 @@ def condition_matrices(draw):
     cols = ctx.dim if ambient == "vectors" else ctx.dim * (ctx.dim - 1) // 2
     entries = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
     rows = draw(st.lists(entries, max_size=cols + 1))
-    flat = tuple(field.coerce(v) for row in rows for v in row)
-    return ctx, ambient, Matrix(field, len(rows), cols, flat)
+    return ctx, ambient, [[field.coerce(v) for v in row] for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1141,17 +1159,18 @@ def test_from_kernel_keeps_the_rank_kernel_basis(case):
     # they must pass the public constructor's rank check
     ctx, ambient, conditions = case
     space = LinearSubspace.from_kernel(conditions, ambient, ctx)
-    assert space.basis == rank_kernel(conditions)[1]
+    rank, kernel = rank_kernel(ctx.field, conditions, space.ambient_linear_dim)
+    assert space.basis == kernel
     assert LinearSubspace(ambient, ctx, space.basis) == space
-    assert space.linear_dim == conditions.cols - rank_kernel(conditions)[0]
+    assert space.linear_dim == space.ambient_linear_dim - rank
 
 
 def test_from_kernel_runs_no_second_elimination(monkeypatch):
     ctx = SpaceContext(4, QQ)
-    conditions = Matrix.from_rows(QQ, [[1, 2, 0, 0, 3], [0, 0, 1, 1, 1]])
+    conditions = [[1, 2, 0, 0, 3], [0, 0, 1, 1, 1]]
     want = LinearSubspace.from_kernel(conditions, "vectors", ctx)
 
-    def forbidden(m):
+    def forbidden(field, vectors):
         raise AssertionError("from_kernel ranked its kernel again")
 
     monkeypatch.setattr(form_analysis, "matrix_rank", forbidden)
@@ -1161,9 +1180,9 @@ def test_from_kernel_runs_no_second_elimination(monkeypatch):
 @pytest.mark.parametrize("field", [F2, F101, QQ])
 def test_from_kernel_of_an_injective_system_has_no_columns(field):
     ctx = SpaceContext(3, field)
-    identity = Matrix.from_rows(field, [[int(i == j) for j in range(4)] for i in range(4)])
+    identity = [[field.coerce(int(i == j)) for j in range(4)] for i in range(4)]
     space = LinearSubspace.from_kernel(identity, "vectors", ctx)
-    assert (space.basis.rows, space.basis.cols) == (4, 0)
+    assert space.basis == ()
     assert space.linear_dim == 0 and space.codim == 4
     assert space.basis_tensors() == []
     assert LinearSubspace("vectors", ctx, space.basis).contains_subspace(space)
@@ -1182,26 +1201,25 @@ def test_from_kernel_rejects_columns_without_the_echelon_pattern(monkeypatch, co
     # a faulty kernel builder must not slip dependent columns past the
     # trusted path
     ctx = SpaceContext(3, QQ)
-    kernel = Matrix.from_columns(QQ, 4, [[Fraction(v) for v in c] for c in columns])
-    monkeypatch.setattr(form_analysis, "rank_kernel", lambda m: (0, kernel))
+    kernel = tuple(tuple(Fraction(v) for v in c) for c in columns)
+    monkeypatch.setattr(form_analysis, "rank_kernel", lambda field, rows, cols: (0, kernel))
     with pytest.raises(ValueError, match="echelon pattern"):
-        LinearSubspace.from_kernel(Matrix(QQ, 0, 4, ()), "vectors", ctx)
+        LinearSubspace.from_kernel([], "vectors", ctx)
 
 
 def test_from_kernel_checks_the_ambient_and_the_row_count():
     ctx = SpaceContext(3, QQ)
     with pytest.raises(ValueError, match="unknown ambient"):
-        LinearSubspace.from_kernel(Matrix(QQ, 0, 4, ()), "lines", ctx)
+        LinearSubspace.from_kernel([], "lines", ctx)
     with pytest.raises(ValueError, match="ambient dimension"):
-        LinearSubspace.from_kernel(Matrix(QQ, 0, 5, ()), "vectors", ctx)
+        LinearSubspace.from_kernel([[0] * 5], "vectors", ctx)
 
 
 def test_linear_subspace_membership():
     ctx = SpaceContext(3, QQ)
-    basis = Matrix.from_rows(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]])
-    space = LinearSubspace("vectors", ctx, basis)
-    inside = Matrix.from_rows(QQ, [[3], [-2], [0], [0]])
-    outside = Matrix.from_rows(QQ, [[0], [0], [1], [0]])
+    space = LinearSubspace("vectors", ctx, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    inside = [[3, -2, 0, 0]]
+    outside = [[0, 0, 1, 0]]
     assert space.contains_subspace(LinearSubspace("vectors", ctx, inside))
     assert not space.contains_subspace(LinearSubspace("vectors", ctx, outside))
     assert space.projective_dim == 1
@@ -1210,5 +1228,6 @@ def test_linear_subspace_membership():
 
 def test_contraction_matrix_shape():
     ctx = SpaceContext(5, QQ)
-    m = contraction_matrix(two_planes(ctx), 2)
-    assert (m.rows, m.cols) == (6, 15)
+    columns = contraction_matrix(two_planes(ctx), 2)
+    # one column per basis bivector, each a 1-form on the 6 coordinates
+    assert len(columns) == 15 and all(len(column) == 6 for column in columns)
