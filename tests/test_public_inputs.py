@@ -167,7 +167,7 @@ def _calls(omega, point, x, y, line, seed):
 
 
 @settings(
-    max_examples=200,
+    max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
