@@ -23,8 +23,8 @@ from triwedge.exact_scalar import (
     UniPoly,
     matrix_rank,
     packed_skew_mod_p,
-    rank_kernel,
     randbelow_many,
+    rank_kernel,
     skew_slot_width,
 )
 from triwedge.exterior_core import (
