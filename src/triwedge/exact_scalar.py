@@ -592,8 +592,11 @@ def rank_kernel(
     Satisfies rank + len(kernel) == cols.  Free coordinates of kernel
     vectors are 0/1, so the basis is in reduced form.  Each entry is read
     off the rows of `row_reduce` as -row[fc] / row[pc]: p - row[fc] over
-    F_p, where the pivot is 1; one Fraction over the rationals.
+    F_p, where the pivot is 1; one Fraction over the rationals.  A row of
+    another length raises `ValueError`.
     """
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"every row needs length {cols}")
     p = field.p
     a = _integer_rows(field, rows)
     pivots = row_reduce(field, a, cols)
@@ -615,12 +618,15 @@ def matrix_rank(field: FieldSpec, vectors: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank of a list of vectors of one length, building no kernel:
     forward elimination by `row_reduce`.  The rank is that of the matrix
     with the vectors as rows or as columns alike, so the elimination runs
-    on whichever of the two has fewer rows."""
-    if vectors and len(vectors) > len(vectors[0]):
-        vectors = list(zip(*vectors))
+    on whichever of the two has fewer rows.  Vectors of different lengths
+    raise `ValueError`."""
+    length = len(vectors[0]) if vectors else 0
+    if any(len(vector) != length for vector in vectors):
+        raise ValueError("vectors of different lengths have no rank")
+    if len(vectors) > length:
+        vectors, length = list(zip(*vectors)), len(vectors)
     rows = _integer_rows(field, vectors)
-    cols = len(rows[0]) if rows else 0
-    return len(row_reduce(field, rows, cols, back_substitute=False))
+    return len(row_reduce(field, rows, length, back_substitute=False))
 
 
 def pfaffian(m: Matrix) -> Scalar:

@@ -222,34 +222,41 @@ def member_Y(handle: ResidualHandle, line: AlternatingTensor) -> bool:
 
 @dataclass(frozen=True)
 class LineSystem:
-    """Evaluated matrix of ``f -> (omega(P^f) mod <x,y>, (x^y)(P^f))``.
+    """Evaluated matrix of ``f -> (omega(P^f) mod <x,y>, (x^y)(P^f))``, held
+    as its ``dim - 1`` rows.
 
     Columns are indexed by the ambient basis directions; column j holds row
     j of M(P) with the two coordinates pinned by the pivots of ``x`` and
-    ``y`` eliminated, then ``(x^y)(P^e_j)``, so there are ``dim - 1`` rows.
-    The kernel always contains the point itself, which construction
-    checks; each further kernel dimension is a pencil-worth of family lines
-    through the point.
+    ``y`` eliminated, then ``(x^y)(P^e_j)``.  The kernel always contains the
+    point itself, which construction checks; each further kernel dimension
+    is a pencil-worth of family lines through the point.
     """
 
     point: AlternatingTensor
-    matrix: Matrix
+    rows: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
         ctx = self.point.ctx
         if self.point.variance != "vector" or self.point.degree != 1:
             raise ConventionError("line system is anchored at a vector point")
-        if self.matrix.rows != ctx.dim - 1 or self.matrix.cols != ctx.dim:
+        dim = ctx.dim
+        if len(self.rows) != dim - 1 or any(len(row) != dim for row in self.rows):
             raise ConventionError("line system must have shape (dim-1) x dim")
-        field = ctx.field
-        if any(
-            not field.is_zero(v) for v in self.matrix.matvec(self.point.coords())
-        ):
+        p = ctx.field.p
+        coords = self.point.coords()
+        values = (sum(map(mul, row, coords)) for row in self.rows)
+        if any(v % p if p is not None else v for v in values):
             raise ConventionError("line system must annihilate its own point")
 
+    @cached_property
+    def matrix(self) -> Matrix:
+        """The rows as a `Matrix`, for the determinants of its minors."""
+        ctx = self.point.ctx
+        entries = tuple(chain.from_iterable(self.rows))
+        return Matrix(ctx.field, ctx.dim - 1, ctx.dim, entries)
+
     def kernel_dim(self) -> int:
-        m = self.matrix
-        return m.cols - matrix_rank(m.field, [m.row(i) for i in range(m.rows)])
+        return self.point.ctx.dim - matrix_rank(self.point.ctx.field, self.rows)
 
 
 def line_system(handle: ResidualHandle, point) -> LineSystem:
@@ -277,9 +284,7 @@ def line_system(handle: ResidualHandle, point) -> LineSystem:
         column = [g[i] - a * row_a[i] - b * row_b[i] for i in keep]
         column.append(x_at * ys[j] - xs[j] * y_at)
         columns.append([v % p for v in column] if p is not None else column)
-    entries = tuple(chain.from_iterable(zip(*columns)))  # row-major
-    matrix = Matrix(field, ctx.dim - 1, ctx.dim, entries)
-    return LineSystem(point=ctx.vector_from_coords(coords), matrix=matrix)
+    return LineSystem(point=ctx.vector_from_coords(coords), rows=tuple(zip(*columns)))
 
 
 def G_membership(handle: ResidualHandle, point) -> tuple[bool, int]:

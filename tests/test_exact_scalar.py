@@ -315,8 +315,8 @@ MERSENNE_61 = FieldSpec.prime(2**61 - 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=elimination_inputs(denominators=2))
-def test_matrix_rank_matches_rank_kernel_and_the_reference(case):
+@given(case=elimination_inputs(), data=st.data())
+def test_matrix_rank_matches_rank_kernel_and_the_reference(case, data):
     """The vectors as rows or as columns have one rank, that of `rank_kernel`
     and of the independent elimination `rank_kernel_reference`; every kernel
     vector is annihilated; and over the rationals the rank is the rank mod
@@ -329,19 +329,36 @@ def test_matrix_rank_matches_rank_kernel_and_the_reference(case):
     assert rank + len(kernel) == length
     for vector in kernel:
         assert all(field.is_zero(v) for v in _images(field, vectors, vector))
-    if field.kind == "rational":
-        # Each vector scaled to integers; a minor of size r is at most the
-        # product of the r largest row norms (Hadamard), so a bound below p
-        # leaves every nonzero r x r minor nonzero mod p: the ranks agree.
-        ints = []
-        for row in vectors:
-            scale = reduce(lcm, (v.denominator for v in row), 1)
-            ints.append([int(v * scale) for v in row])
-        norms = sorted((sum(x * x for x in row) for row in ints), reverse=True)
-        p = MERSENNE_61.p
-        assert prod(norms[:rank]) < p * p
-        coerced = [[MERSENNE_61.coerce(v) for v in row] for row in vectors]
-        assert matrix_rank(MERSENNE_61, coerced) == rank
+    # A second rational draw, with denominators 1-2 so that the modular
+    # check below provably applies: each vector scaled to integers, a minor
+    # of size r is at most the product of the r largest row norms
+    # (Hadamard), so a bound below p leaves every nonzero r x r minor
+    # nonzero mod p and the ranks agree.
+    _, vectors, _ = data.draw(elimination_inputs(fields=(QQ,), denominators=2))
+    rank = matrix_rank(QQ, vectors)
+    ints = []
+    for row in vectors:
+        scale = reduce(lcm, (v.denominator for v in row), 1)
+        ints.append([int(v * scale) for v in row])
+    norms = sorted((sum(x * x for x in row) for row in ints), reverse=True)
+    p = MERSENNE_61.p
+    assert prod(norms[:rank]) < p * p
+    coerced = [[MERSENNE_61.coerce(v) for v in row] for row in vectors]
+    assert matrix_rank(MERSENNE_61, coerced) == rank
+
+
+@pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.kind + str(f.p or ""))
+def test_rank_routines_reject_vectors_of_different_lengths(field):
+    zero, one = field.zero(), field.one()
+    ragged = [[one], [zero, one], [zero, zero, one]]
+    with pytest.raises(ValueError, match="different lengths"):
+        matrix_rank(field, ragged)
+    with pytest.raises(ValueError, match="different lengths"):
+        matrix_rank(field, [[one, zero], [one]])
+    with pytest.raises(ValueError, match="length 3"):
+        rank_kernel(field, ragged, 3)
+    with pytest.raises(ValueError, match="length 2"):
+        rank_kernel(field, [[one, zero, zero]], 2)
 
 
 @pytest.mark.parametrize("field", ELIMINATION_FIELDS, ids=lambda f: f.kind + str(f.p or ""))

@@ -301,7 +301,7 @@ def test_line_system_rejects_a_mismatched_matrix():
     system = line_system(handle, coords)
     other = line_system(handle, random_coords(F101, handle.ctx.dim, rng))
     with pytest.raises(ConventionError):
-        LineSystem(point=system.point, matrix=other.matrix)
+        LineSystem(point=system.point, rows=other.rows)
 
 
 def test_kernel_dimension_histograms_over_random_points():
