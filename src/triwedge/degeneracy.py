@@ -24,7 +24,9 @@ small prime fields (`exhaustive_strata`).  Points of the drop locus itself
 are found exactly: over small fields by `exhaustive_strata`, and along a
 line by the roots of its restricted polynomial, and its direction when the
 restriction drops degree (`line_zeros` of the `line_subpfaffian_gcd` for
-even ``n``, of the `SecantPencil` on a congruence line for odd ``n``).
+even ``n``, of the `SecantPencil` on a congruence line for odd ``n``).  The
+roots come from `exact_scalar.poly_roots_mod_p`, by algebra rather than by
+evaluation at every element, so their cost grows with log p, not p.
 
 The sampling and line helpers that `congruence`, `residual` and `suites` share
 are public here: `random_points` (nonzero random points, drawn over F_p in
@@ -79,6 +81,7 @@ from .exact_scalar import (
     packed_skew_mod_p,
     pfaffian,
     poly_gcd,
+    poly_roots_mod_p,
     row_reduce,
 )
 from .exterior_core import (
@@ -191,9 +194,14 @@ def normalize_projective(coords: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _poly_roots_prime(poly: UniPoly, p: Optional[int]) -> list[int]:
+    """The roots of a nonzero polynomial in F_p, in increasing order
+    (`poly_roots_mod_p`, in time polynomial in log p); over the rationals,
+    and for the zero polynomial, `ConventionError`."""
     if p is None:
         raise ConventionError("root finding needs a prime field")
-    return [t for t in range(p) if poly.field.is_zero(poly.eval(t))]
+    if poly.is_zero():
+        raise ConventionError("the zero polynomial vanishes at every point")
+    return poly_roots_mod_p(poly.coeffs, p)
 
 
 def stratify(omega: AlternatingTensor, samples: int = 10_000, seed: int = 0) -> StratumReport:
@@ -289,7 +297,8 @@ def line_zeros(
     """The points first + r*second over F_p at the roots r of ``poly``, in
     increasing r, then ``second`` when ``poly`` falls below ``degree``, the
     degree of what it restricts (whose value at ``second`` is the coefficient
-    of t^degree); zero points dropped.  Over the rationals `ConventionError`.
+    of t^degree); zero points dropped.  Over the rationals, and for the zero
+    polynomial, which vanishes on the whole line, `ConventionError`.
     """
     points = [
         _line_point(field, first, second, root)

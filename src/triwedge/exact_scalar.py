@@ -35,6 +35,10 @@ over the rationals.  Univariate polynomials store
 coefficients lowest-degree first and provide the monic Euclidean GCD and
 Lagrange interpolation (on int lists over both fields, reduced into the
 field once at the end) used to restrict determinantal loci to lines.
+Over F_p two helpers work on int coefficient lists with no `UniPoly` per
+step: `poly_roots_mod_p`, the distinct roots in increasing order in time
+polynomial in log p (gcd(f, x^p - x), then equal-degree splitting), and
+`poly_resultant_mod_p`, the Sylvester determinant by Euclid's algorithm.
 `randbelow` is the package's one uniform draw below a bound: the values and
 generator state of `random.Random.randrange`, at a fraction of its cost;
 `randbelow_many` draws a run of such values, leaving the generator where as
@@ -69,6 +73,8 @@ __all__ = [
     "skew_slot_width",
     "pfaffian",
     "poly_gcd",
+    "poly_resultant_mod_p",
+    "poly_roots_mod_p",
     "interpolate",
     "randbelow",
     "randbelow_many",
@@ -831,3 +837,201 @@ def interpolate(
         scale = field.div(yi, field.coerce(denom))
         coeffs = [a + scale * c for a, c in zip(coeffs, basis)]
     return UniPoly.from_coeffs(field, coeffs)
+
+
+# -- int-list polynomials over F_p ------------------------------------------------
+#
+# Coefficients lowest degree first, ints in [0, p), no trailing zeros unless
+# a function says that its lengths are formal degrees.
+
+
+def _trimmed(coeffs: list[int]) -> list[int]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _rem_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g over F_p, trimmed; g has a nonzero leading coefficient."""
+    rem = list(f)
+    top = len(g) - 1
+    inv = pow(g[top], -1, p)
+    for k in range(len(rem) - 1, top - 1, -1):
+        q = rem[k] * inv % p
+        if q:
+            shift = k - top
+            for j in range(top):
+                rem[shift + j] = (rem[shift + j] - q * g[j]) % p
+        rem[k] = 0
+    return _trimmed(rem[:top])
+
+
+def _monic_gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of f and g, not both zero."""
+    while g:
+        f, g = g, _rem_mod_p(f, g, p)
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _mulmod_p(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
+    """a·b mod ``modulus`` over F_p."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _rem_mod_p([c % p for c in out], modulus, p)
+
+
+def _powmod_p(base: list[int], exponent: int, modulus: list[int], p: int) -> list[int]:
+    """base**exponent mod ``modulus`` over F_p, by square-and-multiply."""
+    result = [1]
+    base = _rem_mod_p(base, modulus, p)
+    for bit in bin(exponent)[2:]:
+        result = _mulmod_p(result, result, modulus, p)
+        if bit == "1":
+            result = _mulmod_p(result, base, modulus, p)
+    return result
+
+
+def _sqrt_mod_p(a: int, p: int) -> int | None:
+    """A square root of ``a`` modulo the odd prime p by Tonelli–Shanks, or
+    None when ``a`` is no square; the root returned is the one the algorithm
+    lands on, not a chosen one of the two."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
+def _quadratic_roots(b: int, c: int, p: int) -> list[int]:
+    """The roots of the monic x^2 + b*x + c over F_p, p odd."""
+    half = pow(2, -1, p)
+    root = _sqrt_mod_p(b * b - 4 * c, p)
+    if root is None:
+        return []
+    return sorted({(-b + root) * half % p, (-b - root) * half % p})
+
+
+def _split_linear_factors(g: list[int], p: int) -> list[int]:
+    """The roots of a monic product of distinct linear factors over F_p, p
+    odd: equal-degree splitting by gcd(g, (x + a)^((p - 1)/2) - 1) at the
+    shifts a = 0, 1, 2, ... (Cantor and Zassenhaus 1981).  A factor split at
+    shift a has roots that agree at every shift up to a, so its parts go on
+    from a + 1."""
+    roots = []
+    pending = [(g, 0)]
+    while pending:
+        g, shift = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+            continue
+        if len(g) == 3:
+            roots.extend(_quadratic_roots(g[1], g[0], p))
+            continue
+        while True:
+            if shift >= p:
+                raise RuntimeError("internal error: no shift splits a product of roots")
+            probe = _powmod_p([shift, 1], (p - 1) // 2, g, p) or [0]
+            probe[0] = (probe[0] - 1) % p
+            factor = _monic_gcd_mod_p(g, _trimmed(probe), p)
+            shift += 1
+            if 1 < len(factor) < len(g):
+                pending.append((factor, shift))
+                pending.append((_exact_quotient_mod_p(g, factor, p), shift))
+                break
+    return roots
+
+
+def _exact_quotient_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
+    """f / g over F_p for a monic g that divides f."""
+    rem = list(f)
+    top = len(g) - 1
+    quotient = [0] * (len(f) - top)
+    for k in range(len(f) - 1, top - 1, -1):
+        q = quotient[k - top] = rem[k]
+        if q:
+            for j in range(top + 1):
+                rem[k - top + j] = (rem[k - top + j] - q * g[j]) % p
+    return quotient
+
+
+def poly_roots_mod_p(coeffs: Sequence[int], p: int) -> list[int]:
+    """The distinct roots in F_p of a nonzero polynomial, in increasing order.
+
+    ``coeffs`` are ints, lowest degree first, reduced here.  Degree 1 takes
+    one inverse, degree 2 the discriminant's square root (`_sqrt_mod_p`).
+    Higher degrees take g = gcd(f, x^p - x), the product of the distinct
+    linear factors of f, with x^p mod f by square-and-multiply, and split g
+    by `_split_linear_factors`.  Over F_2 the two elements are tried.  The
+    zero polynomial raises `ConventionError`.
+    """
+    f = _trimmed([c % p for c in coeffs])
+    if not f:
+        raise ConventionError("the zero polynomial vanishes at every point")
+    if p == 2:
+        return [t for t, value in ((0, f[0]), (1, sum(f))) if not value % 2]
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    if len(f) == 1:
+        return []
+    if len(f) == 2:
+        return [-f[0] % p]
+    if len(f) == 3:
+        return _quadratic_roots(f[1], f[0], p)
+    frobenius = _powmod_p([0, 1], p, f, p) + [0, 0]
+    frobenius[1] -= 1
+    g = _monic_gcd_mod_p(f, _trimmed([c % p for c in frobenius]), p)
+    return sorted(_split_linear_factors(g, p)) if len(g) > 1 else []
+
+
+def poly_resultant_mod_p(f: Sequence[int], g: Sequence[int], p: int) -> int:
+    """The resultant over F_p of f and g at the formal degrees ``len(f) - 1``
+    and ``len(g) - 1``, whose leading coefficients may be zero: the
+    determinant of their Sylvester matrix, by Euclid's algorithm.
+
+    With a = f's leading coefficient nonzero and r = g mod f of degree k,
+    Res_(m,n)(f, g) = a^(n-k)·Res_(m,k)(f, r) = (-1)^(mk)·a^(n-k)·Res_(k,m)(r, f);
+    a zero r with m > 0 gives 0, as do two zero leading coefficients, and
+    Res_(m,0)(f, c) = c^m.
+    """
+    f = [c % p for c in f]
+    g = [c % p for c in g]
+    m, n = len(f) - 1, len(g) - 1
+    if m < 0 or n < 0:
+        raise ConventionError("a resultant needs two polynomials of formal degree >= 0")
+    factor = 1
+    while True:
+        if m == 0:
+            return factor * pow(f[0], n, p) % p
+        if n == 0:
+            return factor * pow(g[0], m, p) % p
+        if not f[m]:
+            if not g[n]:
+                return 0
+            f, g, m, n = g, f, n, m
+            factor = -factor if m * n % 2 else factor
+        r = _rem_mod_p(g, f, p)
+        if not r:
+            return 0
+        k = len(r) - 1
+        factor = factor * pow(f[m], n - k, p) % p
+        factor = -factor if m * k % 2 else factor
+        f, g, m, n = r, f, k, m

@@ -812,11 +812,12 @@ class QuadricAnalysis:
     def polar_pairing(self, a: AlternatingTensor, b: AlternatingTensor) -> Scalar:
         """The symmetric bilinear companion a^T rho b = q(a+b) - q(a) - q(b),
         as one int dot product on numerators: reduced mod p over F_p, one
-        Fraction over the rationals."""
+        Fraction over the rationals.  The operands' numerators are their
+        cached `_dense_ints`, read once when ``a is b``."""
         fld = self.rho.field
         rows, den = self._int_rows
-        a_ints, a_den = as_ints(fld, a.coords())
-        b_ints, b_den = as_ints(fld, b.coords())
+        a_ints, a_den = a._dense_ints
+        b_ints, b_den = (a_ints, a_den) if a is b else b._dense_ints
         total = sum(
             x * sum(map(mul, row, b_ints)) for x, row in zip(a_ints, rows) if x
         )

@@ -26,7 +26,11 @@ Everything is exact linear algebra plus seeded sampling over prime fields:
   the restricted family there, and lift it back; a lifted line inside ``Pi``
   lies on every member, so it fails like a member and the next is drawn;
 * ``sing_Y_dimension`` — the singular locus (lines inside ``Pi`` killed by
-  the full form), certified at a sampled point of its exact linear span;
+  the full form), certified at a sampled point of its exact linear span; for
+  odd ``n`` the point may come from a plane of ``Pi`` solved by algebra: the
+  conditions that the form kill the one line through a point are forms of
+  degree (n - 3)/2 on the plane, met by a resultant, so the cost of a plane
+  grows with log p and not with its p² + p + 1 points;
 * ``G_membership`` / ``G_degree_odd`` — the locus of points lying on
   infinitely many family lines, detected by the kernel dimension of the line
   system and measured, for odd ``n``, by the gcd of its maximal minors along
@@ -41,9 +45,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
@@ -54,6 +58,7 @@ from .degeneracy import (
     line_cofactor,
     line_gcd,
     line_zeros,
+    normalize_projective,
     random_points,
     require_three_form,
     secant_pencil,
@@ -61,12 +66,17 @@ from .degeneracy import (
 )
 from .exact_scalar import (
     ConventionError,
+    FieldSpec,
     Matrix,
     Scalar,
     UniPoly,
+    interpolate,
     matrix_rank,
     packed_skew_mod_p,
+    poly_resultant_mod_p,
+    poly_roots_mod_p,
     randbelow,
+    randbelow_many,
     rank_kernel,
     row_reduce,
 )
@@ -85,6 +95,7 @@ from .exterior_core import (
 )
 from .form_analysis import (
     LinearSubspace,
+    SkewLinearMatrix,
     bivector_contraction,
     contraction_kernel,
     covector_echelon,
@@ -110,6 +121,8 @@ _SAMPLE_BUDGET = 64
 _INNER_LINE_BUDGET = 16
 _LINE_SEARCH_ROUNDS = 12
 _PLANE_SCAN_ROUNDS = 8
+_PLANE_PAIR_BUDGET = 3
+_PLANE_SCAN_POINT_BUDGET = 10_000
 _AGREEING_LINES = 3
 _DEGREE_LINE_BUDGET = 24
 
@@ -512,27 +525,203 @@ def _decomposable_by_line_search(
     return None
 
 
+# A ternary form over F_p: the coefficient of u^a v^b w^c at key (a, b, c),
+# zero coefficients left out.
+_Form = dict[tuple[int, int, int], int]
+
+
+def _adjugate_forms(rows_at_anchors: list[list[list[int]]], p: int) -> dict:
+    """The signed sub-Pfaffians of order m - 2 of M'(P) on a plane, as
+    ternary forms of degree (m - 2)/2 in P = u·A0 + v·A1 + w·A2.
+
+    M' is linear in P, so its (i, j) entry is the linear form whose
+    coefficients are the (i, j) entries of M' at the three anchors.  The
+    form at pair i < j is (-1)^(i+j+1) times the Pfaffian of M'(P) with rows
+    and columns i and j left out; where M'(P) has corank two, these forms
+    are the coordinates of a nonzero multiple of the wedge of its kernel.
+    Each Pfaffian of a principal block is expanded along its first row, once
+    per block.
+    """
+    size = len(rows_at_anchors[0])
+    memo: dict[tuple[int, ...], _Form] = {(): {(0, 0, 0): 1}}
+
+    def pfaffian_form(block: tuple[int, ...]) -> _Form:
+        if block in memo:
+            return memo[block]
+        first = block[0]
+        total: _Form = {}
+        for pos in range(1, len(block)):
+            linear = [rows[first][block[pos]] for rows in rows_at_anchors]
+            sign = 1 if pos % 2 else -1
+            minor = pfaffian_form(block[1:pos] + block[pos + 1 :])
+            for (a, b, c), x in minor.items():
+                for key, y in zip(((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)), linear):
+                    total[key] = total.get(key, 0) + sign * x * y
+        memo[block] = form = {key: v % p for key, v in total.items() if v % p}
+        return form
+
+    forms = {}
+    for i, j in combinations(range(size), 2):
+        block = tuple(k for k in range(size) if k != i and k != j)
+        sign = 1 if (i + j) % 2 else -1
+        forms[i, j] = {key: sign * v % p for key, v in pfaffian_form(block).items()}
+    return forms
+
+
+def _combined(forms: dict, weights: dict, p: int) -> _Form:
+    """The sum over the pairs of each weight times the pair's form."""
+    total: _Form = {}
+    for pair, weight in weights.items():
+        if weight:
+            for key, v in forms[pair].items():
+                total[key] = total.get(key, 0) + weight * v
+    return {key: v % p for key, v in total.items() if v % p}
+
+
+def _along(form: _Form, base: list[int], axis: int, degree: int, p: int) -> list[int]:
+    """The form at the points base + t·e_axis, base[axis] = 0, as the
+    coefficients in t of a polynomial of formal degree ``degree``."""
+    out = [0] * (degree + 1)
+    others = [k for k in range(3) if k != axis]
+    for key, v in form.items():
+        for k in others:
+            v *= pow(base[k], key[k], p)
+        out[key[axis]] += v
+    return [v % p for v in out]
+
+
+def _common_zeros(
+    forms: tuple[_Form, _Form], degree: int, field: FieldSpec
+) -> Optional[list[tuple[int, ...]]]:
+    """Every common zero in P^2(F_p) of two ternary forms F, G of degree d,
+    normalized (`normalize_projective`), or None when they may share a
+    component.
+
+    The centre is the coordinate point e_k of the first axis k (of w, v, u)
+    whose pure power has a nonzero coefficient in F or G, so it is no common
+    zero; with none, None.  Res_t(F, G) in the coordinate t of that axis, at
+    formal degree d, is a binary form R of degree d² in the other two
+    coordinates (a, b), zero exactly when F and G share a component, and its
+    roots (a : b) are the lines through the centre that hold common zeros.
+    R(a, 1) is interpolated from `poly_resultant_mod_p` at the nodes
+    a = 0, ..., d², so F_p must hold d² + 1 elements; a degree below d² adds
+    the root (1 : 0).  On each such line the common zeros are the common
+    roots in t (`poly_roots_mod_p`).
+    """
+    p: int = field.p  # type: ignore[assignment]
+    pure = [tuple(degree if k == axis else 0 for k in range(3)) for axis in range(3)]
+    axis = next((k for k in (2, 1, 0) if any(pure[k] in form for form in forms)), None)
+    if axis is None:
+        return None
+    first, second = (k for k in range(3) if k != axis)
+
+    def base(a: int, b: int) -> list[int]:
+        point = [0, 0, 0]
+        point[first], point[second] = a, b
+        return point
+
+    nodes = range(degree * degree + 1)
+    values = [
+        poly_resultant_mod_p(*(_along(form, base(a, 1), axis, degree, p) for form in forms), p)
+        for a in nodes
+    ]
+    resultant = interpolate(field, list(zip(nodes, values)))
+    if resultant.is_zero():
+        return None
+    lines = [base(a, 1) for a in poly_roots_mod_p(resultant.coeffs, p)]
+    if resultant.degree < degree * degree:
+        lines.append(base(1, 0))
+    zeros = []
+    for line in lines:
+        restricted = [_along(form, line, axis, degree, p) for form in forms]
+        # the centre is no common zero, so F or G is nonzero along the line
+        roots = [set(poly_roots_mod_p(poly, p)) for poly in restricted if any(poly)]
+        for t in sorted(set.intersection(*roots)):
+            line[axis] = t
+            zeros.append(normalize_projective(line, p))
+    return zeros
+
+
+def _enumeration_key(point: tuple[int, ...]) -> tuple[int, ...]:
+    """The place of a normalized point in `projective_points` order."""
+    pivot = next(k for k, v in enumerate(point) if v)
+    return (pivot, *reversed(point[pivot + 1 :]))
+
+
+def _condition_weights(
+    handle: ResidualHandle, ctx_pi: SpaceContext, basis: list[AlternatingTensor]
+) -> list[tuple[dict, dict]]:
+    """``_PLANE_PAIR_BUDGET`` pairs of weights on the pairs i < j of the base
+    locus, each weight vector alpha·L for a seeded alpha (`derive_seed`, not
+    the caller's generator), where column (i, j) of L is the contraction of
+    the form with b_i ^ b_j.  Weighting the adjugate forms so gives alpha
+    applied to the contraction of the form with the lifted kernel bivector:
+    a combination of the conditions that the lift be killed."""
+    ctx = handle.ctx
+    p: int = ctx.field.p  # type: ignore[assignment]
+    pairs = list(ctx_pi.index_sets(2))
+    columns = [contract(handle.omega, wedge(basis[i], basis[j])).coords() for i, j in pairs]
+    weights = []
+    for attempt in range(_PLANE_PAIR_BUDGET):
+        rng = random.Random(derive_seed("residual-plane-solve", ctx.n, ctx.field, attempt))
+        alphas = [randbelow_many(rng, p, ctx.dim) for _ in range(2)]
+        weights.append(
+            tuple(
+                {pair: sum(map(mul, alpha, column)) % p for pair, column in zip(pairs, columns)}
+                for alpha in alphas
+            )
+        )
+    return weights
+
+
+def _plane_candidates(
+    matrix: SkewLinearMatrix, anchors: list[list[int]], weights: list, field: FieldSpec
+) -> Iterable[tuple[int, ...]]:
+    """Points of the plane, as anchor coefficients in `projective_points`
+    order, among which are all of the plane's hits.
+
+    They are the common zeros of the adjugate forms weighted by the first
+    pair of weights whose forms share no component (`_common_zeros`).  When
+    F_p has too few elements for the resultant's nodes, or every pair shares
+    a component, the plane is scanned point by point if it has at most
+    ``_PLANE_SCAN_POINT_BUDGET`` points, and passed over otherwise.
+    """
+    p: int = field.p  # type: ignore[assignment]
+    degree = (matrix.size - 2) // 2
+    if p > degree * degree:
+        forms = _adjugate_forms([matrix.rows_at(anchor) for anchor in anchors], p)
+        for pair in weights:
+            zeros = _common_zeros(tuple(_combined(forms, w, p) for w in pair), degree, field)
+            if zeros is not None:
+                return sorted(zeros, key=_enumeration_key)
+    if p * p + p + 1 <= _PLANE_SCAN_POINT_BUDGET:
+        return projective_points(field, 3)
+    return ()
+
+
 def _decomposable_by_plane_scan(
     handle: ResidualHandle,
     ctx_pi: SpaceContext,
     basis: list[AlternatingTensor],
     rng: random.Random,
 ) -> AlternatingTensor | None:
-    """Odd ``n``: scan a plane of base-locus points for the one restricted
+    """Odd ``n``: solve a plane of base-locus points for the one restricted
     line through each (its star), keeping a line whose lift the form kills.
 
     The restriction to the base locus has odd projective dimension, so a
     general point carries exactly one line of the restricted family; the
     locus of points whose line survives the two extra conditions has
-    codimension two, so a random plane meets it in finitely many points and
-    the scan visits them all.
+    codimension two, so a random plane meets it in finitely many points.
+    They are found by algebra (`_plane_candidates`), and the first, in
+    `projective_points` order, that passes the two rank tests below gives
+    the line: the one a scan of every point of the plane would stop at.
 
-    Each point P is tested by two ranks, with B the basis of the base locus
-    as columns and m its length.  First rank M'(P) = m - 2 on packed rows,
-    M' the skew matrix of the restricted form: then P carries one line P^f.
-    Then rank N(P) <= m - 2, where N(P) = M(B·P)·B and M is the skew matrix
-    of the form.  M'(P) = B^T·N(P), so ker N(P) lies in ker M'(P) = <P, f>
-    and holds P; it holds f, which means that the form kills the lift
+    Each candidate P is tested by two ranks, with B the basis of the base
+    locus as columns and m its length.  First rank M'(P) = m - 2 on packed
+    rows, M' the skew matrix of the restricted form: then P carries one line
+    P^f.  Then rank N(P) <= m - 2, where N(P) = M(B·P)·B and M is the skew
+    matrix of the form.  M'(P) = B^T·N(P), so ker N(P) lies in ker M'(P) =
+    <P, f> and holds P; it holds f, which means that the form kills the lift
     B·P ^ B·f, exactly when the rank of N(P) is m - 2.  N is linear in P and
     is combined from its values at the three anchors of the plane.  Only the
     first hit builds its star, the line and the lift.
@@ -543,6 +732,7 @@ def _decomposable_by_plane_scan(
     ambient = build_M(handle.omega)
     columns = [b.coords() for b in basis]
     dim = ctx_pi.dim
+    weights = _condition_weights(handle, ctx_pi, basis)
     for _ in range(_PLANE_SCAN_ROUNDS):
         anchors = list(random_points(field, dim, rng, 3))
         if matrix_rank(field, anchors) != 3:
@@ -557,7 +747,7 @@ def _decomposable_by_plane_scan(
                     for row in ambient.rows_at(upstairs)
                 ]
             )
-        for coeffs in projective_points(field, 3):
+        for coeffs in _plane_candidates(matrix, anchors, weights, field):
             point = [sum(map(mul, row, coeffs)) % p for row in plane]
             rows, width = matrix.packed_rows_at(point)
             if packed_skew_mod_p(p, rows, width)[0] != dim - 2:
@@ -574,7 +764,7 @@ def _decomposable_by_plane_scan(
             )
             candidate = _lift_line(handle.ctx, columns, line_sub)
             if not contract(handle.omega, candidate).is_zero():
-                raise RuntimeError("internal error: a plane-scan hit fails its line test")
+                raise RuntimeError("internal error: a plane hit fails its line test")
             return line_sub
     return None
 
@@ -585,7 +775,7 @@ def sing_Y_dimension(handle: ResidualHandle, seed: int = 0) -> int:
     The singular locus consists of the lines inside the base locus that the
     full form kills.  Its linear span is computed exactly; a decomposable
     point of that span is then sampled (direct basis hits, root search along
-    random lines of the span, or — for odd ``n`` — a plane scan through the
+    random lines of the span, or — for odd ``n`` — a plane solve through the
     one-line-per-point structure of the base-locus restriction), and the
     tangent dimension there is certified to equal the expected ``n - 5``.
     A sampling field with no reachable point is reported as an error rather

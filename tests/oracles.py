@@ -568,6 +568,40 @@ def interpolate_reference(
     return result
 
 
+def roots_scan_reference(poly: UniPoly, p: int) -> list[int]:
+    """The roots of a polynomial in F_p by evaluating it at every element,
+    in increasing order: the root finder before it solved by algebra."""
+    return [t for t in range(p) if poly.field.is_zero(poly.eval(t))]
+
+
+def resultant_reference(f: Sequence[int], g: Sequence[int], p: int) -> int:
+    """The determinant of the Sylvester matrix of f and g at the formal
+    degrees ``len(f) - 1`` and ``len(g) - 1``, coefficients lowest first."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    if size == 0:
+        return 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    field = FieldSpec.prime(p)
+    return det_reference(matrix_from_rows(field, [[v % p for v in row] for row in rows]))
+
+
+def ternary_zeros_reference(forms, p: int) -> list[tuple[int, ...]]:
+    """The common zeros in P^2(F_p) of ternary forms {(a, b, c): coefficient}
+    by evaluation at every point, in `projective_points` order."""
+    return [
+        point
+        for point in projective_points(FieldSpec.prime(p), 3)
+        if all(
+            sum(v * point[0] ** a * point[1] ** b * point[2] ** c for (a, b, c), v in form.items())
+            % p
+            == 0
+            for form in forms
+        )
+    ]
+
+
 def all_subpfaffian_gcd(
     M: SkewLinearMatrix, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> Optional[UniPoly]:

@@ -22,7 +22,6 @@ from triwedge.congruence import (
     tangent_certificate,
 )
 from triwedge.degeneracy import (
-    NonGenericFormError,
     build_M,
     directions_through,
     rank_at,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 from triwedge import catalog, congruence, degeneracy
 from triwedge.congruence import draw_line_on_X, sample_line_on_X
 from triwedge.degeneracy import (
-    NonGenericFormError,
     SkewLinearMatrix,
     StratumReport,
+    _poly_roots_prime,
     build_M,
     directions_through,
     exhaustive_strata,
@@ -62,6 +63,7 @@ from oracles import (
     evaluated_rank,
     row_lists,
     pfaffian_expansion,
+    roots_scan_reference,
     secant_pencil_reference,
 )
 
@@ -417,7 +419,7 @@ def test_secant_pencil_rejects_bad_lines():
 
 
 def test_pencil_zeros_are_the_scanned_roots_then_infinity():
-    # the pencil's own root scan against a scan of every parameter of F_1009;
+    # the pencil's root finder against a scan of every parameter of F_1009;
     # the n5 lines all count the root at infinity, and n7-ozeki at seed 9
     # meets the drop locus in three affine points
     shapes = Counter()
@@ -443,6 +445,82 @@ def test_secant_pencil_root_finding_over_the_rationals_is_a_convention_error():
         pencil.roots()
     with pytest.raises(ConventionError, match="needs a prime field"):
         pencil.zeros()
+
+
+def _non_residue(p: int) -> int:
+    return next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """A nonzero polynomial of degree at most 8 over a small or mid-size
+    prime field, a product of linear factors with multiplicities, irreducible
+    quadratics and random factors, times a nonzero constant."""
+    p = draw(st.sampled_from([2, 3, 5, 31, 101, 1009]))
+    field = FieldSpec.prime(p)
+    irreducible = [1, 1, 1] if p == 2 else [-_non_residue(p), 0, 1]
+    poly = UniPoly.from_coeffs(field, [draw(st.integers(1, p - 1))])
+    target = draw(st.integers(0, 8))
+    while poly.degree < target:
+        kind = draw(st.sampled_from(["root", "irreducible", "random"]))
+        if kind == "root":
+            factor = [-draw(st.integers(0, p - 1)), 1]
+            times = draw(st.integers(1, 3))
+        elif kind == "irreducible":
+            factor, times = irreducible, draw(st.integers(1, 2))
+        else:
+            factor = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=4))
+            times = 1
+        step = UniPoly.from_coeffs(field, factor)
+        if step.is_zero() or poly.degree + times * step.degree > 8:
+            break
+        for _ in range(times):
+            poly = poly.mul(step)
+    return poly
+
+
+@settings(max_examples=500, deadline=None)
+@given(poly=factored_polynomials())
+def test_roots_by_algebra_match_the_scan(poly):
+    p = poly.field.p
+    assert _poly_roots_prime(poly, p) == roots_scan_reference(poly, p)
+
+
+def test_root_finding_of_the_zero_polynomial_is_a_convention_error():
+    with pytest.raises(ConventionError, match="zero polynomial"):
+        _poly_roots_prime(UniPoly.zero(F101), 101)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_root_finding_over_a_large_prime_field(p):
+    # a scan of the field would take hours; the roots come out in order
+    field = FieldSpec.prime(p)
+    poly = UniPoly.one(field)
+    for root in (p - 1, 5, 12345, 5):
+        poly = poly.mul(UniPoly.from_coeffs(field, [-root, 1]))
+    poly = poly.mul(UniPoly.from_coeffs(field, [-_non_residue(1009), 0, 1]))
+    assert _poly_roots_prime(poly, p) == [5, 12345, p - 1]
+
+
+def test_line_sampling_over_a_large_prime_field_takes_bounded_time():
+    # n6-g2 draws its lines through the roots of quadrics along lines
+    field = FieldSpec.prime(2**31 - 1)
+    omega, _ = catalog.get("n6-g2", field=field)
+    start = time.perf_counter()
+    line = sample_line_on_X(omega, seed=0)
+    assert congruence.member_X(omega, line)
+    assert time.perf_counter() - start < 10
+
+
+def test_secant_pencil_roots_over_a_large_prime_field_take_bounded_time():
+    field = FieldSpec.prime(2**61 - 1)
+    omega, _ = catalog.get("n7-ozeki", field=field)
+    start = time.perf_counter()
+    pencil = secant_pencil(omega, sample_line_on_X(omega, seed=0))
+    roots = pencil.roots()
+    assert roots == sorted(roots) and pencil.poly.degree == 3
+    assert all(field.is_zero(pencil.poly.eval(t)) for t in roots)
+    assert time.perf_counter() - start < 10
 
 
 def test_split_decomposable_rejects_anything_but_a_nonzero_bivector():
@@ -482,6 +560,11 @@ def polynomials_on_lines(draw):
 def test_line_zeros_match_a_scan_of_the_line(case):
     field, first, second, poly, degree = case
     p = field.p
+    if poly.is_zero():
+        # it vanishes at every point of the line, which no list of zeros says
+        with pytest.raises(ConventionError, match="zero polynomial"):
+            line_zeros(field, first, second, poly, degree)
+        return
     scanned = [
         [(a + t * b) % p for a, b in zip(first, second)]
         for t in range(p)

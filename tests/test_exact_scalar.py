@@ -26,12 +26,14 @@ from triwedge.exact_scalar import (
     UniPoly,
     _integer_rows,
     _packed_skew_rows,
+    _sqrt_mod_p,
     as_ints,
     interpolate,
     matrix_rank,
     packed_skew_mod_p,
     pfaffian,
     poly_gcd,
+    poly_resultant_mod_p,
     randbelow,
     randbelow_many,
     rank_kernel,
@@ -46,6 +48,7 @@ from oracles import (
     matvec_reference,
     pfaffian_expansion,
     rank_kernel_reference,
+    resultant_reference,
     row_lists,
     rref_reference,
     transpose,
@@ -969,3 +972,42 @@ def test_interpolate_matches_the_unipoly_reference(case):
     assert poly == interpolate_reference(field, points)
     for x, y in points:
         assert poly.eval(x) == field.coerce(y)
+
+
+@st.composite
+def formal_polynomial_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 31, 101]))
+    coeffs = st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=6)
+    return p, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=formal_polynomial_pairs())
+def test_resultant_is_the_sylvester_determinant(case):
+    # the lengths are formal degrees: zero leading coefficients included
+    p, f, g = case
+    assert poly_resultant_mod_p(f, g, p) == resultant_reference(f, g, p)
+
+
+def test_resultant_anchors():
+    # Res(x - 2, x - 5) = 2 - 5; a shared root gives 0; two zero leading
+    # coefficients give 0; Res of a constant c at formal degree 0 is c^m
+    assert poly_resultant_mod_p([-2, 1], [-5, 1], 101) == -3 % 101
+    assert poly_resultant_mod_p([6, -5, 1], [-2, 1], 101) == 0
+    assert poly_resultant_mod_p([1, 1, 0], [3, 1, 0], 101) == 0
+    assert poly_resultant_mod_p([1, 2, 3], [7], 101) == 49
+    with pytest.raises(ConventionError):
+        poly_resultant_mod_p([], [1], 101)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 1009, 2**31 - 1])
+def test_square_roots_mod_p(p):
+    # 17, 41, 97 and 1009 are 1 mod 8, where Tonelli-Shanks runs its loop
+    rng = random.Random(p)
+    values = range(p) if p < 2000 else [rng.randrange(p) for _ in range(200)]
+    for a in values:
+        root = _sqrt_mod_p(a, p)
+        if a and pow(a, (p - 1) // 2, p) != 1:
+            assert root is None
+        else:
+            assert root is not None and root * root % p == a

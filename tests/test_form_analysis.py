@@ -174,7 +174,7 @@ def test_point_rank_matches_the_evaluated_matrix(case):
     rank = evaluated_rank(M, x)
     assert point_contraction_rank(M, x) == rank
     assert first_rank_at_most_two(M, [x]) == ((0, x) if rank <= 2 else None)
-    # the plane scan's identity M(s*x + t*b + u*c) = s*M(x) + t*M(b) + u*M(c)
+    # the plane solve's identity M(s*x + t*b + u*c) = s*M(x) + t*M(b) + u*M(c)
     s, t, u = (field.coerce(v) for v in (scalar, scalar + 1, 2))
     b, c = ([field.coerce(v) for v in q] for q in (b, c))
     combined = [

@@ -7,8 +7,9 @@ by name where they are defined.  The first two are aliases of the public
 `row_reduce` that no module calls by those names; only `degeneracy`, which
 defines `_poly_roots_prime`, calls it.
 
-No module imports a name it never reads either: a lint check on the AST,
-since the package declares no dependencies and no linter is installed.
+No module imports a name it never reads either, in the package or in the
+tests: a lint check on the AST, since the package declares no dependencies
+and no linter is installed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import triwedge
 
 PACKAGE = Path(triwedge.__file__).parent
+TESTS = Path(__file__).parent
 PINNED: frozenset[str] = frozenset()
 
 
@@ -124,6 +126,15 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {
         path.name: names
         for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    found = {
+        path.name: names
+        for path in sorted(TESTS.glob("*.py"))
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,13 @@ from triwedge import catalog, cli, residual
 from triwedge.congruence import draw_line_on_X, kernel_span, member_X, sample_line_on_X
 from triwedge.degeneracy import (
     NonGenericFormError,
+    build_M,
+    directions_through,
     independent_pair,
     random_coords,
     split_decomposable,
 )
-from triwedge.exact_scalar import ConventionError, FieldSpec
+from triwedge.exact_scalar import ConventionError, FieldSpec, matrix_rank
 from triwedge.suites import RunConfig, run_suite
 from triwedge.exterior_core import (
     SpaceContext,
@@ -42,9 +45,12 @@ from triwedge.residual import (
     ResidualHandle,
     Y_secancy_even,
     _INNER_LINE_BUDGET,
+    _adjugate_forms,
     _base_locus_context,
     _basis_wedges,
+    _common_zeros,
     _decomposable_by_plane_scan,
+    _enumeration_key,
     _lift_line,
     _line_minor_quotient,
     _pencil_conditions,
@@ -63,6 +69,7 @@ from oracles import (
     line_system_reference,
     plane_scan_reference,
     quadric_contains_subspace,
+    ternary_zeros_reference,
 )
 
 Q = FieldSpec.rationals()
@@ -585,8 +592,8 @@ def test_plane_scan_returns_a_line_the_full_form_kills():
     assert contract(handle.omega, lift).is_zero()
 
 
-@pytest.mark.parametrize("name, field", [("n5", F101), ("n7-ozeki", F31)])
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name, field", [("n5", F101), ("n7-ozeki", F31), ("n7-ozeki", F101)])
+@pytest.mark.parametrize("seed", range(12))
 def test_plane_scan_returns_the_line_of_the_tensor_scan(name, field, seed):
     # two rank tests per point must stop at the same point, with the same
     # line, as the star, lift and contraction at every point
@@ -596,6 +603,133 @@ def test_plane_scan_returns_the_line_of_the_tensor_scan(name, field, seed):
     got = _decomposable_by_plane_scan(handle, ctx_pi, basis, random.Random(seed))
     assert got is not None
     assert got == plane_scan_reference(handle, ctx_pi, basis, lifted, random.Random(seed))
+
+
+@pytest.mark.parametrize(
+    "name, p, seed, shared",
+    [
+        # F_3 holds too few nodes for the resultant of two quadrics (5)
+        ("n7-ozeki", 3, 0, False),
+        # at these seeds every pair of weighted forms shares a component
+        ("n7-ozeki", 5, 0, True),
+        ("n7-ozeki", 7, 9, True),
+        ("n5", 3, 0, True),
+        ("n5", 7, 7, True),
+    ],
+)
+def test_plane_solve_scans_a_small_plane_where_the_algebra_cannot_answer(
+    monkeypatch, name, p, seed, shared
+):
+    field = FieldSpec.prime(p)
+    omega, _ = catalog.get(name, field=field)
+    handle = ResidualHandle.general(omega, seed=seed)
+    ctx_pi, basis, lifted = _base_locus_context(handle)
+    answers = []
+
+    def spy(*args):
+        answers.append(_common_zeros(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(residual, "_common_zeros", spy)
+    got = _decomposable_by_plane_scan(handle, ctx_pi, basis, random.Random(seed))
+    assert got == plane_scan_reference(handle, ctx_pi, basis, lifted, random.Random(seed))
+    assert (None in answers) == shared and (answers != []) == shared
+
+
+@pytest.mark.parametrize("name, field", [("n5", F101), ("n7-ozeki", F31)])
+def test_adjugate_forms_span_the_kernel_of_the_restricted_matrix(name, field):
+    # at a point of the plane where M'(P) has corank two, the forms' values
+    # are the coordinates of a nonzero multiple of P ^ f, f its star
+    handle = handle_for(name, field=field)
+    ctx_pi, basis, _ = _base_locus_context(handle)
+    matrix = build_M(pullback(handle.omega, basis))
+    rng = random.Random(3)
+    p = field.p
+    checked = 0
+    for _ in range(10):
+        anchors = [random_coords(field, ctx_pi.dim, rng) for _ in range(3)]
+        forms = _adjugate_forms([matrix.rows_at(anchor) for anchor in anchors], p)
+        coeffs = [rng.randrange(p) for _ in range(3)]
+        point = [sum(c * a[k] for c, a in zip(coeffs, anchors)) % p for k in range(ctx_pi.dim)]
+        star = directions_through(matrix, point)
+        if not any(point) or star.linear_dim != 1:
+            continue
+        values = [
+            sum(v * coeffs[0] ** a * coeffs[1] ** b * coeffs[2] ** c for (a, b, c), v in form.items())
+            % p
+            for form in forms.values()
+        ]
+        kernel = wedge(ctx_pi.vector_from_coords(point), ctx_pi.vector_from_coords(star.basis[0]))
+        assert any(values)
+        assert matrix_rank(field, [values, list(kernel.coords())]) == 1
+        checked += 1
+    assert checked >= 5
+
+
+def _ternary_forms(degree: int, p: int, min_size: int = 0):
+    keys = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    return st.dictionaries(
+        st.sampled_from(keys), st.integers(1, p - 1), min_size=min_size, max_size=len(keys)
+    )
+
+
+def _product(f: dict, g: dict, p: int) -> dict:
+    out: dict = {}
+    for (a, b, c), x in f.items():
+        for (d, e, h), y in g.items():
+            key = (a + d, b + e, c + h)
+            out[key] = (out.get(key, 0) + x * y) % p
+    return {key: v for key, v in out.items() if v}
+
+
+@st.composite
+def ternary_form_pairs(draw):
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    degree = draw(st.integers(1, 2 if p < 10 else 3))
+    return p, degree, draw(_ternary_forms(degree, p)), draw(_ternary_forms(degree, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ternary_form_pairs())
+def test_common_zeros_of_two_ternary_forms_match_a_scan_of_the_plane(case):
+    p, degree, f, g = case
+    zeros = _common_zeros((f, g), degree, FieldSpec.prime(p))
+    if zeros is not None:
+        assert sorted(zeros, key=_enumeration_key) == ternary_zeros_reference((f, g), p)
+
+
+@st.composite
+def forms_with_a_common_factor(draw):
+    # F_p must hold (d + 1)^2 + 1 nodes for the products, of degree d + 1
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    degree = draw(st.integers(1, 1 if p < 10 else 2))
+    factor = draw(_ternary_forms(1, p, min_size=1))
+    f, g = (draw(_ternary_forms(degree, p, min_size=1)) for _ in range(2))
+    return p, degree + 1, _product(f, factor, p), _product(g, factor, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=forms_with_a_common_factor())
+def test_common_zeros_of_two_forms_with_a_common_factor_are_not_claimed(case):
+    p, degree, f, g = case
+    assert _common_zeros((f, g), degree, FieldSpec.prime(p)) is None
+
+
+def test_singular_locus_over_a_large_prime_field_takes_bounded_time(monkeypatch):
+    # over F_(2^31 - 1) the singular point comes from the plane solve, where
+    # a scan of one plane would visit 4.6e18 points
+    field = FieldSpec.prime(2**31 - 1)
+    solved = []
+
+    def spy(*args):
+        solved.append(_decomposable_by_plane_scan(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(residual, "_decomposable_by_plane_scan", spy)
+    start = time.perf_counter()
+    assert sing_Y_dimension(handle_for("n7-ozeki", field=field), seed=0) == 2
+    assert time.perf_counter() - start < 10
+    assert solved and solved[-1] is not None
 
 
 def test_singular_locus_over_a_field_too_small_for_the_line_search():
