@@ -570,7 +570,7 @@ def interpolate_reference(
 
 def roots_scan_reference(poly: UniPoly, p: int) -> list[int]:
     """The roots of a polynomial in F_p by evaluating it at every element,
-    in increasing order: the root finder before it solved by algebra."""
+    in increasing order: the brute-force reference for `poly_roots_mod_p`."""
     return [t for t in range(p) if poly.field.is_zero(poly.eval(t))]
 
 
