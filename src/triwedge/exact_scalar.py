@@ -16,9 +16,12 @@ themselves over F_p), and a result becomes one Fraction at the end.
 fields: modulo p on ints in ``[0, p)``, and over the rationals
 fraction-free on rows each scaled to its primitive integer multiple.
 `rank_kernel` reads each kernel entry off its rows (one Fraction over the
-rationals); `matrix_rank` builds no kernel and eliminates forward only,
-clearing each pivot's column in the rows below it.  `Matrix`, an immutable
-dense array, is kept for what needs a whole matrix: `Matrix.det`,
+rationals); `rank_kernel_ints` does the same on int rows a caller already
+holds, such as the numerators of a form, so that no entry passes through a
+Fraction on the way in; `matrix_rank` builds no kernel and eliminates
+forward only, clearing each pivot's column in the rows below it.
+`Matrix`, an immutable dense array, is kept for what needs a whole matrix:
+`Matrix.det`,
 `pfaffian`, `Matrix.is_skew_symmetric`, and the evaluated skew matrix and
 the residual line system whose minors are taken.  `Matrix.matvec` takes int
 dot products the same way as the eliminations: reduced mod p, or over the
@@ -67,6 +70,7 @@ __all__ = [
     "UniPoly",
     "row_reduce",
     "rank_kernel",
+    "rank_kernel_ints",
     "matrix_rank",
     "as_ints",
     "packed_skew_mod_p",
@@ -603,8 +607,17 @@ def rank_kernel(
     """
     if any(len(row) != cols for row in rows):
         raise ValueError(f"every row needs length {cols}")
+    return rank_kernel_ints(field, _integer_rows(field, rows), cols)
+
+
+def rank_kernel_ints(
+    field: FieldSpec, a: list[list[int]], cols: int
+) -> tuple[int, tuple[tuple[Scalar, ...], ...]]:
+    """`rank_kernel` of int rows as `row_reduce` takes them, eliminated in
+    place: residues in ``[0, p)`` over F_p, and over the rationals any
+    integer multiples of the rows (the kernel is the same), so a caller
+    that holds numerators hands them over with no Fraction per entry."""
     p = field.p
-    a = _integer_rows(field, rows)
     pivots = row_reduce(field, a, cols)
     free = [c for c in range(cols) if c not in pivots]
     zero, one = field.zero(), field.one()

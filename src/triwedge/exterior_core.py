@@ -29,7 +29,11 @@ an offset).  The kernel is then one ``map(mul, ...)`` over two
 ``itemgetter`` gathers, summed in groups, and the terms come out with
 ``itertools.compress``; each tensor keeps its dense int coordinates after
 first use (`AlternatingTensor._dense_ints`), and `random_tensor` and the
-plan path over F_p store them as they build one.  The bitmask loops run on
+plan path over F_p store them as they build one.  `contraction_gathers`
+lays the contraction's products out as a matrix, a gather per row and per
+column over a form's coordinates, their negatives and zero, so that
+`form_analysis` ranks and reduces contraction matrices on a form's ints
+with the sign convention of `contract` itself.  The bitmask loops run on
 sparse operands (catalog forms, basis vectors), where a plan would multiply
 mostly zeros: a kernel takes its plan when its loop would visit at least
 half as many term pairs as the plan has products (`_is_dense`).  Measured
@@ -69,7 +73,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb
 from operator import itemgetter, mul, neg
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_scalar import (
     ConventionError,
@@ -90,6 +94,7 @@ __all__ = [
     "split_along_covector",
     "require_three_form",
     "random_tensor",
+    "contraction_gathers",
     "pullback",
     "reduce_mod_p",
     "projective_points",
@@ -290,23 +295,62 @@ def _wedge_plan(dim: int, ka: int, kb: int) -> Plan:
     return _plan(keys, comb(ka + kb, ka), products(), len(b_pos))
 
 
+def _contract_products(dim: int, big: int, small: int) -> Iterator[tuple[int, int, int]]:
+    """The products of a contraction for degrees big and small: for each
+    output R in lexicographic order and each small-subset S of the
+    complement of R in order, (position of S + R among the big-sets,
+    position of S among the small-sets, whether sorting S + R is odd), the
+    term big[S + R] * small[S] with that sign.  Generated, not kept: the
+    plans built from them are cached."""
+    big_pos = _lexicographic_positions(dim, big)
+    small_pos = _lexicographic_positions(dim, small)
+    for rest in _lexicographic_positions(dim, big - small):
+        others = [i for i in range(dim) if i not in rest]
+        for front in itertools.combinations(others, small):
+            whole = tuple(sorted(front + rest))
+            yield big_pos[whole], small_pos[front], _inversions(front, rest)
+
+
 @cache
 def _contract_plan(dim: int, big: int, small: int) -> Plan:
     """The plan of `_contract` for degrees big and small: each output
     R sums, over the small-subsets S of the complement of R in order,
-    big[S + R] * small[S] with the sign of sorting S + R."""
-    big_pos = _lexicographic_positions(dim, big)
-    small_pos = _lexicographic_positions(dim, small)
-    keys = _lexicographic_positions(dim, big - small)
+    big[S + R] * small[S] with the sign of sorting S + R
+    (`_contract_products`)."""
+    return _plan(
+        _lexicographic_positions(dim, big - small),
+        comb(dim - big + small, small),
+        _contract_products(dim, big, small),
+        comb(dim, small),
+    )
 
-    def products() -> Iterable[tuple[int, int, int]]:
-        for rest in keys:
-            others = [i for i in range(dim) if i not in rest]
-            for front in itertools.combinations(others, small):
-                whole = tuple(sorted(front + rest))
-                yield big_pos[whole], small_pos[front], _inversions(front, rest)
 
-    return _plan(keys, comb(dim - big + small, small), products(), len(small_pos))
+@cache
+def contraction_gathers(
+    dim: int, degree: int, j: int
+) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
+    """The matrix of the map (j-vectors) -> (forms of degree ``degree`` - j),
+    contraction against a ``degree``-form on a space of dimension ``dim``,
+    as gathers: one per column (the image of each basis j-vector, in the
+    lexicographic order of the j-index sets) and one per row (each
+    (degree - j)-index set in that order).  Each reads a form's dense
+    coordinates followed by their negatives and one zero.  Entry (R, S) is
+    the form's coordinate at S + R, negated when sorting S + R is odd, and
+    zero when S and R meet: the products `contract` sums
+    (`_contract_products`), so the matrix keeps its sign convention.
+    Cached per (dim, degree, j); j outside 1 <= j < degree <= dim raises
+    `ValueError`."""
+    if not (1 <= j < degree <= dim):
+        raise ValueError("need 1 <= j < degree")
+    count = comb(dim, degree)
+    group = comb(dim - degree + j, j)
+    matrix = [[2 * count] * comb(dim, j) for _ in range(comb(dim, degree - j))]
+    for index, (whole, front, odd) in enumerate(_contract_products(dim, degree, j)):
+        matrix[index // group][front] = whole + count * odd
+    return (
+        tuple(itemgetter(*column) for column in zip(*matrix)),
+        tuple(itemgetter(*row) for row in matrix),
+    )
 
 
 @cache

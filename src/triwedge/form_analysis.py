@@ -29,45 +29,55 @@ Random points come from `random_points`: nonzero points as lists, drawn
 over F_p a block at a time with one `randbelow_many` call per block.
 
 Everything reduces to exact ranks and kernels of lists of vectors of field
-elements (`exact_scalar.matrix_rank`, `exact_scalar.rank_kernel`); no
-`Matrix` is built to rank or kernel vectors already held.  A k-form f
-induces linear maps "contract by a j-vector"; `contraction_matrix` gives
-the columns of such a map, one per lexicographic j-index set, and `j_rank`
-ranks them as they are.  A `LinearSubspace` holds its basis as a tuple of
-vectors: `LinearSubspace.from_kernel` takes the rows of the conditions and
-keeps the kernel vectors of `rank_kernel`, and the public constructor checks
-outside input (the ambient, each vector's length, independence).  The
-quadratic form of a 4-form eta
-is carried by the symmetric zero-diagonal matrix rho with
-rho[(ab),(cd)] = eta(e_a^e_b^e_c^e_d) in the lexicographic bivector basis;
-its value on a bivector L equals eta evaluated on the reduced square of L,
-and the factor-two bookkeeping (L^L = 2 L^[2]) is cross-asserted at
-construction, on bivectors and reduced squares the space context draws once,
-except in characteristic 2, where the polar matrix alone is used.  Genericity
+elements (`exact_scalar.matrix_rank`, `exact_scalar.rank_kernel`), or of
+int rows where the numerators are at hand (`row_reduce`,
+`exact_scalar.rank_kernel_ints`): over F_p the residues, over the rationals
+numerators over one denominator, with no Fraction per entry.  No `Matrix` is
+built to rank or kernel vectors already held.  A k-form f induces linear
+maps "contract by a j-vector"; their matrices are gathers of f's
+numerators (`AlternatingTensor._dense_ints`), their negatives and zero, on
+an index plan cached per (dim, degree, j) whose positions and signs are
+the products that `contract` sums (`exterior_core.contraction_gathers`).
+`contraction_matrix` gives the columns of such a map as field elements,
+one per lexicographic j-index set, and `j_rank` eliminates the gathered int
+rows or columns, whichever are fewer.  A `LinearSubspace` holds its basis as a tuple of vectors:
+`LinearSubspace.from_kernel` takes the rows of the conditions and keeps the
+kernel vectors of `rank_kernel`, and the public constructor coerces and
+checks outside input (the ambient, each vector's length, independence).
+Containment runs no elimination: a basis with the kernel pattern (vector j
+ending in a 1 at its own free coordinate) gives the conditions of
+membership, checked on ints and kept on the subspace.  The quadratic form
+of a 4-form eta is carried by the symmetric zero-diagonal matrix rho with
+rho[(ab),(cd)] = eta(e_a^e_b^e_c^e_d) in the lexicographic bivector basis,
+the matrix of the contraction of eta by bivectors, so its int rows are that
+gather; its value on a bivector L equals eta evaluated on the reduced
+square of L, and the factor-two bookkeeping (L^L = 2 L^[2]) is
+cross-asserted at construction, on bivectors and reduced squares the space
+context draws once, except in characteristic 2, where the polar matrix
+alone is used.  Genericity
 of a 3-form is decided exactly for the two linear-algebra conditions
 (injectivity of x -> omega^x; full contraction rank n+1) and by seeded random
 search, plus exhaustive finite-field scan when the point count permits, for
 the condition that every point contraction has rank above 2; that search,
 exhaustive or sampled, is one scan over its stream of points, over F_p the
 packed scan of `first_rank_at_most_two` without the coercion, since the
-points it draws or enumerates are canonical residues already.  The polar
-matrix rho is one gather from the coordinates of eta, their negatives and
-zero, on an index plan cached per dimension.
+points it draws or enumerates are canonical residues already.
 
 Every bivector kernel of a 3-form (the spaces of `span_lattice`, the spans of
 `congruence` and of the residual handle) is one `contraction_kernel`: the
-rows of `bivector_contraction`, read off `build_M`, reduced modulo the
-covectors through their echelon form (`covector_echelon`).
+int rows of the map L -> contract(omega, L) (`bivector_contraction` as
+field elements), reduced modulo the covectors' fraction-free echelon rows
+(`covector_echelon` as field elements) and handed to `rank_kernel_ints`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, reduce
 from itertools import combinations, islice
-from math import comb
-from operator import itemgetter, mul
+from math import comb, lcm
+from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import random as _random
@@ -82,13 +92,14 @@ from .exact_scalar import (
     packed_skew_mod_p,
     randbelow_many,
     rank_kernel,
+    rank_kernel_ints,
     row_reduce,
     skew_slot_width,
 )
 from .exterior_core import (
     AlternatingTensor,
     SpaceContext,
-    contract,
+    contraction_gathers,
     derive_seed,
     pair,
     projective_point_count,
@@ -145,11 +156,21 @@ class LinearSubspace:
     Λ²V (ambient "bivectors"), spanned by the independent vectors of
     `basis`, each a tuple of ambient coordinates.
 
-    The public constructor checks the ambient, the length of every vector
-    and, by one `matrix_rank`, that the vectors are independent, since
-    outside input guarantees none of them; each failure raises `ValueError`.
-    `from_kernel` builds its result without that elimination
-    (`_check_kernel_pattern`).
+    The public constructor coerces every entry into the field
+    (`FieldSpec.coerce`: a reduced residue over F_p, a Fraction over the
+    rationals, `ConventionError` for a float or for a denominator that
+    vanishes mod p) and checks the ambient, the length of every vector and,
+    by one `matrix_rank`, that the vectors are independent, since outside
+    input guarantees none of them; each of these failures raises
+    `ValueError`.  `from_kernel` builds its result without that elimination
+    (`_kernel_space`).
+
+    Membership is read off the kernel pattern (`_pattern`): with f_j the
+    free coordinate of basis vector b_j, v lies in the span exactly when
+    v[c] = sum_j b_j[c]·v[f_j] at every other coordinate c.
+    `contains_subspace` checks these conditions on ints
+    (`_membership_rows`, one denominator per condition), kept on the
+    subspace after first use.
     """
 
     ambient: str
@@ -157,7 +178,12 @@ class LinearSubspace:
     basis: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
+        coerce = self.ctx.field.coerce
+        try:
+            basis = tuple(tuple(map(coerce, vector)) for vector in self.basis)
+        except ZeroDivisionError as exc:
+            raise ConventionError(f"a basis entry is undefined: {exc}") from exc
+        object.__setattr__(self, "basis", basis)
         length = _ambient_length(self.ambient, self.ctx)
         for vector in self.basis:
             if len(vector) != length:
@@ -168,20 +194,44 @@ class LinearSubspace:
         if matrix_rank(self.ctx.field, self.basis) != len(self.basis):
             raise ValueError("basis vectors are dependent")
 
-    def _check_kernel_pattern(self) -> None:
-        """Raise `ValueError` unless the last nonzero entry of each vector is
-        a 1 at a coordinate where every other vector is 0.  Such vectors are
-        independent; `rank_kernel` makes them so, vector j ending in the 1
-        at its own free coordinate.  Reads O(len(basis)·length) entries."""
-        basis = self.basis
-        for j, vector in enumerate(basis):
-            last = next((i for i in reversed(range(len(vector))) if vector[i]), None)
-            if (
-                last is None
-                or vector[last] != 1
-                or any(other[last] for k, other in enumerate(basis) if k != j)
-            ):
-                raise ValueError("kernel vectors lack the echelon pattern")
+    @cached_property
+    def _pattern(self) -> tuple[tuple[tuple[Scalar, ...], ...], list[int]]:
+        """A basis of the span with the kernel pattern, and the free
+        coordinate of each of its vectors: `basis` itself where it has the
+        pattern (always after `from_kernel`, which stores it), otherwise the
+        kernel of the annihilator of `basis`, computed once."""
+        free = _free_coordinates(self.basis)
+        if free is not None:
+            return self.basis, free
+        field, length = self.ctx.field, self.ambient_linear_dim
+        annihilator = rank_kernel(field, self.basis, length)[1]
+        basis = rank_kernel(field, annihilator, length)[1]
+        return basis, _free_coordinates(basis)  # type: ignore[return-value]
+
+    @cached_property
+    def _membership_rows(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """The conditions of membership on ints: one (c, den, terms) for
+        each coordinate c that is no free coordinate of `_pattern`, terms
+        the pairs (f_j, num) with b_j[c] = num / den over the denominator
+        the b_j[c] share (`as_ints`; over F_p the residues over 1).  A vector
+        v lies in the span exactly when den·v[c] = sum num·v[f_j] for every
+        condition, on v scaled to ints as well."""
+        basis, free = self._pattern
+        taken = set(free)
+        field = self.ctx.field
+        rows = []
+        for c in range(self.ambient_linear_dim):
+            if c in taken:
+                continue
+            column = [(f, vector[c]) for f, vector in zip(free, basis) if vector[c]]
+            nums, den = as_ints(field, [value for _, value in column])
+            rows.append((c, den, [(f, num) for (f, _), num in zip(column, nums)]))
+        return rows
+
+    @cached_property
+    def _int_basis(self) -> list[list[int]]:
+        """Each basis vector as ints over its own denominator (`as_ints`)."""
+        return [as_ints(self.ctx.field, vector)[0] for vector in self.basis]
 
     @property
     def ambient_linear_dim(self) -> int:
@@ -209,7 +259,7 @@ class LinearSubspace:
         spanned by the kernel vectors of `rank_kernel`.  They are independent
         by construction, so the result skips the public constructor's
         `matrix_rank`; it checks the shape and the pattern that makes them
-        independent instead (`_check_kernel_pattern`).  An unknown ambient,
+        independent instead (`_kernel_space`).  An unknown ambient,
         or a row whose length is not the ambient dimension, raises
         `ValueError`."""
         length = _ambient_length(ambient, ctx)
@@ -219,11 +269,7 @@ class LinearSubspace:
                     f"condition row of length {len(row)} does not match the "
                     f"ambient dimension {length}"
                 )
-        space = _new_subspace(LinearSubspace)
-        basis = rank_kernel(ctx.field, conditions, length)[1]
-        space.__dict__.update(ambient=ambient, ctx=ctx, basis=basis)
-        space._check_kernel_pattern()
-        return space
+        return _kernel_space(ambient, ctx, rank_kernel(ctx.field, conditions, length)[1])
 
     @staticmethod
     def annihilator(
@@ -238,29 +284,112 @@ class LinearSubspace:
         return [self.ctx.tensor_from_coords(degree, "vector", v) for v in self.basis]
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
+        """Whether every basis vector of ``other`` satisfies this space's
+        `_membership_rows`, checked on ints with no elimination."""
         if (self.ambient, self.ctx) != (other.ambient, other.ctx):
             raise ValueError("subspaces of different ambient spaces")
-        return matrix_rank(self.ctx.field, self.basis + other.basis) == len(self.basis)
+        p = self.ctx.field.p
+        rows = self._membership_rows
+        for v in other._int_basis:
+            for c, den, terms in rows:
+                total = den * v[c]
+                for f, num in terms:
+                    total -= num * v[f]
+                if total if p is None else total % p:
+                    return False
+        return True
+
+
+def _free_coordinates(basis: Sequence[Sequence[Scalar]]) -> Optional[list[int]]:
+    """The free coordinate of each vector of a basis with the kernel pattern,
+    or None without it: the last nonzero entry of each vector is a 1 at a
+    coordinate where every other vector is 0.  Such vectors are independent;
+    `rank_kernel` makes them so, vector j ending in the 1 at its own free
+    coordinate.  Reads O(len(basis)·length) entries."""
+    free = []
+    for j, vector in enumerate(basis):
+        last = next((i for i in reversed(range(len(vector))) if vector[i]), None)
+        if (
+            last is None
+            or vector[last] != 1
+            or any(other[last] for k, other in enumerate(basis) if k != j)
+        ):
+            return None
+        free.append(last)
+    return free
+
+
+def _kernel_space(
+    ambient: str, ctx: SpaceContext, basis: tuple[tuple[Scalar, ...], ...]
+) -> LinearSubspace:
+    """The subspace spanned by kernel vectors of `rank_kernel` or
+    `rank_kernel_ints`, built without the public constructor's elimination:
+    the pattern that makes them independent (`_free_coordinates`) is checked
+    instead, raising `ValueError` without it, and kept as the subspace's
+    `_pattern`."""
+    free = _free_coordinates(basis)
+    if free is None:
+        raise ValueError("kernel vectors lack the echelon pattern")
+    space = _new_subspace(LinearSubspace)
+    space.__dict__.update(ambient=ambient, ctx=ctx, basis=basis, _pattern=(basis, free))
+    return space
+
+
+# -- the contraction map of a form by j-vectors ----------------------------------
+
+
+def _contraction_gathers(
+    f: AlternatingTensor, j: int
+) -> tuple[tuple[itemgetter, ...], tuple[itemgetter, ...]]:
+    """`contraction_gathers` for the form ``f``; a tensor that is not a
+    form, or j outside 1 <= j < f.degree, raises `ValueError`."""
+    if f.variance != "form":
+        raise ValueError("contraction_matrix expects a form")
+    return contraction_gathers(f.ctx.dim, f.degree, j)
+
+
+def _gathered(
+    f: AlternatingTensor, gathers: Sequence[itemgetter]
+) -> tuple[list[list[int]], int]:
+    """Fresh int lists from the gathers of `contraction_gathers` read on f's
+    numerators (`_dense_ints`), and the denominator they share: over F_p a
+    negated entry is the residue (-x) % p, so zero stays 0."""
+    values, den = f._dense_ints
+    p = f.ctx.field.p
+    negated = map(neg, values) if p is None else [(-x) % p for x in values]
+    signed = [*values, *negated, 0]
+    return [list(get(signed)) for get in gathers], den
+
+
+def _field_vectors(
+    field: FieldSpec, rows: Sequence[Sequence[int]], den: int
+) -> list[tuple[Scalar, ...]]:
+    """Int rows over a shared denominator as field elements: the residues
+    themselves over F_p, one canonical Fraction per entry over the
+    rationals."""
+    if field.p is not None:
+        return [tuple(row) for row in rows]
+    if den == 1:
+        return [tuple(map(Fraction, row)) for row in rows]
+    return [tuple(Fraction(x, den) for x in row) for row in rows]
 
 
 def contraction_matrix(f: AlternatingTensor, j: int) -> list[tuple[Scalar, ...]]:
     """The columns of the matrix of the map (j-vectors) -> (forms of degree
     f.degree - j) given by contraction against f: the image of each basis
-    j-vector, in the lexicographic order of the j-index sets."""
-    if f.variance != "form":
-        raise ValueError("contraction_matrix expects a form")
-    if not (1 <= j < f.degree):
-        raise ValueError("need 1 <= j < degree")
-    ctx = f.ctx
-    return [
-        contract(f, AlternatingTensor.make(ctx, j, "vector", {key: 1})).coords()
-        for key in ctx.index_sets(j)
-    ]
+    j-vector, in the lexicographic order of the j-index sets, gathered from
+    f's numerators (`contraction_gathers`)."""
+    columns, den = _gathered(f, _contraction_gathers(f, j)[0])
+    return _field_vectors(f.ctx.field, columns, den)
 
 
 def j_rank(f: AlternatingTensor, j: int) -> int:
-    """Rank of the contraction map on j-vectors, computed exactly."""
-    return matrix_rank(f.ctx.field, contraction_matrix(f, j))
+    """Rank of the contraction map on j-vectors, computed exactly: forward
+    elimination of the gathered int rows or columns of its matrix, whichever
+    are fewer."""
+    columns, rows = _contraction_gathers(f, j)
+    ints, _ = _gathered(f, rows if len(rows) < len(columns) else columns)
+    return len(row_reduce(f.ctx.field, ints, len(ints[0]), back_substitute=False))
 
 
 # -- the skew matrix of linear forms and its pointwise rank ---------------------
@@ -784,17 +913,26 @@ def genericity(
 class QuadricAnalysis:
     """The quadratic form L -> eta(L^[2]) of a 4-form eta, carried by the
     symmetric zero-diagonal polar matrix rho in the lexicographic bivector
-    basis, with its int rows (made on first use of `rank` or
-    `polar_pairing`) and its exact rank (computed on first use from one
-    forward elimination of a copy of those rows)."""
+    basis.  rho[(ab), (cd)] = eta(e_a^e_b^e_c^e_d) is the matrix of the
+    contraction of eta by bivectors, so its int rows are one gather of
+    eta's numerators (`contraction_gathers`, cached per dimension), made on
+    first use of `rank` or `polar_pairing`; the exact rank is computed on
+    first use from one forward elimination of a copy of those rows, and
+    rho itself, as a `Matrix` of field elements, only when read."""
 
     eta: AlternatingTensor
-    rho: Matrix
+
+    @cached_property
+    def rho(self) -> Matrix:
+        rows, den = self._int_rows
+        size = len(rows)
+        entries = _field_vectors(self.eta.ctx.field, rows, den)
+        return Matrix(self.eta.ctx.field, size, size, tuple(v for row in entries for v in row))
 
     @cached_property
     def rank(self) -> int:
         rows = [row[:] for row in self._int_rows[0]]
-        return len(row_reduce(self.rho.field, rows, self.rho.cols, back_substitute=False))
+        return len(row_reduce(self.eta.ctx.field, rows, len(rows), back_substitute=False))
 
     def value(self, L: AlternatingTensor) -> Scalar:
         """q(L) = eta evaluated on the reduced square of L."""
@@ -802,19 +940,17 @@ class QuadricAnalysis:
 
     @cached_property
     def _int_rows(self) -> tuple[list[list[int]], int]:
-        """The rows of rho as ints over the denominator they share
-        (`as_ints`)."""
-        rho = self.rho
-        entries, den = as_ints(rho.field, rho.entries)
-        size = rho.cols
-        return [entries[i * size : (i + 1) * size] for i in range(rho.rows)], den
+        """The rows of rho as ints over the denominator they share: the
+        columns of `contraction_matrix(eta, 2)` gathered from eta's
+        numerators (`_dense_ints`)."""
+        return _gathered(self.eta, _contraction_gathers(self.eta, 2)[0])
 
     def polar_pairing(self, a: AlternatingTensor, b: AlternatingTensor) -> Scalar:
         """The symmetric bilinear companion a^T rho b = q(a+b) - q(a) - q(b),
         as one int dot product on numerators: reduced mod p over F_p, one
         Fraction over the rationals.  The operands' numerators are their
         cached `_dense_ints`, read once when ``a is b``."""
-        fld = self.rho.field
+        fld = self.eta.ctx.field
         rows, den = self._int_rows
         a_ints, a_den = a._dense_ints
         b_ints, b_den = (a_ints, a_den) if a is b else b._dense_ints
@@ -824,40 +960,13 @@ class QuadricAnalysis:
         return Fraction(total, den * a_den * b_den) if fld.p is None else total % fld.p
 
 
-@cache
-def _polar_gather(dim: int) -> itemgetter:
-    """The gather of rho for 4-forms on a space of dimension ``dim``: read
-    from the form's coordinates, then their negatives, then one zero, it
-    returns rho's entries in row-major order.  The entry at the pairs
-    (a, b) and (c, d) is the coordinate at their sorted union, negated when
-    sorting a, b, c, d is an odd permutation, and zero when the pairs
-    meet."""
-    pairs = list(combinations(range(dim), 2))
-    quads = {key: i for i, key in enumerate(combinations(range(dim), 4))}
-    shift = len(quads)
-    plan = []
-    for a, b in pairs:
-        for c, d in pairs:
-            if len({a, b, c, d}) < 4:
-                plan.append(2 * shift)
-            else:
-                odd = ((a > c) + (a > d) + (b > c) + (b > d)) & 1
-                plan.append(quads[tuple(sorted((a, b, c, d)))] + odd * shift)
-    return itemgetter(*plan)
-
-
 def polar_quadric(eta: AlternatingTensor) -> QuadricAnalysis:
-    """The quadratic form of a 4-form with its polar matrix rho, built and
-    not checked; `quadric_of` is the checked builder.  rho is one gather
-    (`_polar_gather`, cached per dimension) from the coordinates of eta,
-    their negatives and zero."""
+    """The quadratic form of a 4-form, not checked; `quadric_of` is the
+    checked builder.  Its polar rows are gathered from eta's numerators on
+    first use (`QuadricAnalysis._int_rows`)."""
     if eta.variance != "form" or eta.degree != 4:
         raise ValueError("the quadric of a form needs a 4-form")
-    fld = eta.ctx.field
-    coords = eta.coords()
-    size = comb(eta.ctx.dim, 2)
-    entries = _polar_gather(eta.ctx.dim)((*coords, *map(fld.neg, coords), fld.zero()))
-    return QuadricAnalysis(eta, Matrix(fld, size, size, entries))
+    return QuadricAnalysis(eta)
 
 
 def quadric_of(eta: AlternatingTensor) -> QuadricAnalysis:
@@ -909,14 +1018,29 @@ class SpanLattice:
 def bivector_contraction(omega: AlternatingTensor) -> list[list[Scalar]]:
     """The rows of the map L -> contract(omega, L), whose columns
     `contraction_matrix(omega, 2)` lists: entry (k, ij) is the coefficient of
-    x_k in the (i, j) entry of `build_M`, where each k appears at most once."""
-    M = build_M(omega)
-    position = {key: idx for idx, key in enumerate(omega.ctx.index_sets(2))}
-    rows = [[omega.ctx.field.zero()] * len(position) for _ in range(M.size)]
-    for key, terms in M.pairs:
-        for k, coeff in terms:
-            rows[k][position[key]] = coeff
-    return rows
+    x_k in the (i, j) entry of `build_M`, gathered from omega's numerators
+    (`contraction_gathers`)."""
+    require_three_form(omega)
+    rows, den = _gathered(omega, _contraction_gathers(omega, 2)[1])
+    return [list(row) for row in _field_vectors(omega.ctx.field, rows, den)]
+
+
+def _covector_rows(
+    ctx: SpaceContext, covectors: Sequence[AlternatingTensor]
+) -> tuple[list[list[int]], list[int]]:
+    """The covectors' echelon rows on ints and their pivots, from one
+    `row_reduce` of their numerators: over F_p the reduced rows (pivot 1),
+    over the rationals fraction-free rows, row r a multiple of reduced row r
+    by its pivot entry.  A covector that is not a 1-form of ``ctx`` raises
+    `ConventionError`."""
+    for g in covectors:
+        if g.ctx != ctx:
+            raise ConventionError("covector lives on a different space")
+        if g.variance != "form" or g.degree != 1:
+            raise ConventionError("covectors must be 1-forms")
+    rows = [list(g._dense_ints[0]) for g in covectors]
+    pivots = row_reduce(ctx.field, rows, ctx.dim)
+    return rows[: len(pivots)], pivots
 
 
 def covector_echelon(
@@ -926,17 +1050,9 @@ def covector_echelon(
     pivots and the other indices: g is in their span exactly when
     g[i] - sum_r g[pivot_r] * r[i] = 0 at every other i.  A covector that is
     not a 1-form of ``ctx`` raises `ConventionError`."""
-    for g in covectors:
-        if g.ctx != ctx:
-            raise ConventionError("covector lives on a different space")
-        if g.variance != "form" or g.degree != 1:
-            raise ConventionError("covectors must be 1-forms")
-    field = ctx.field
-    rows = [as_ints(field, g.coords())[0] for g in covectors]
-    pivots = row_reduce(field, rows, ctx.dim)
-    if field.kind == "rational":  # row r is a multiple of reduced row r
+    rows, pivots = _covector_rows(ctx, covectors)
+    if ctx.field.kind == "rational":  # row r is a multiple of reduced row r
         rows = [[Fraction(v, row[pc]) for v in row] for row, pc in zip(rows, pivots)]
-    rows = rows[: len(pivots)]
     others = [i for i in range(ctx.dim) if i not in pivots]
     return rows, pivots, others
 
@@ -949,28 +1065,41 @@ def contraction_kernel(
     """The bivectors L with contract(omega, L) in the span of the covectors
     (zero for none) and, with ``inside``, c(L) = 0 for c their wedge: the rows
     of `bivector_contraction` reduced modulo the covectors, and those of
-    L -> c(L), coordinate m being <c ^ e^m, L> (<c, L> for two covectors)."""
+    L -> c(L), coordinate m being <c ^ e^m, L> (<c, L> for two covectors).
+
+    Every condition is an int row: the map's rows are gathered from omega's
+    numerators, and row i, less sum_r (r[i] / r[pc]) times row pc over the
+    covectors' echelon rows r on ints (`_covector_rows`), is taken times the
+    lcm D of the pivots r[pc] it meets, as D·B[i] - sum_r (D / r[pc])·r[i]·B[pc]
+    (over F_p every pivot is 1 and the row is reduced mod p); the kernel of
+    `rank_kernel_ints` is that of the field rows."""
     require_three_form(omega)
     ctx = omega.ctx
-    echelon, pivots, others = covector_echelon(ctx, covectors)
+    echelon, pivots = _covector_rows(ctx, covectors)
     if inside and len(covectors) not in (1, 2):
         raise ConventionError("the condition c(L) = 0 needs one or two covectors")
-    B = bivector_contraction(omega)
+    B, _ = _gathered(omega, _contraction_gathers(omega, 2)[1])
     p = ctx.field.p
     conditions = []
-    for i in others:
-        row = B[i]
-        for r, pc in zip(echelon, pivots):
-            if r[i]:
-                row = [a - r[i] * b for a, b in zip(row, B[pc])]
+    for i in range(ctx.dim):
+        if i in pivots:
+            continue
+        terms = [(r[i], r[pc], B[pc]) for r, pc in zip(echelon, pivots) if r[i]]
+        den = reduce(lcm, [d for _, d, _ in terms], 1)
+        row = [den * a for a in B[i]]
+        for x, d, b in terms:
+            factor = den // d * x
+            row = [a - factor * y for a, y in zip(row, b)]
         conditions.append([v % p for v in row] if p is not None else row)
     if inside:
         c = covectors[0] if len(covectors) == 1 else wedge(*covectors)
         if c.degree == 1:
-            conditions += [wedge(c, ctx.basis_covector(m)).coords() for m in range(ctx.dim)]
+            wedges = [wedge(c, ctx.basis_covector(m)) for m in range(ctx.dim)]
         else:
-            conditions.append(c.coords())
-    return LinearSubspace.from_kernel(conditions, "bivectors", ctx)
+            wedges = [c]
+        conditions += [list(w._dense_ints[0]) for w in wedges]
+    length = comb(ctx.dim, 2)
+    return _kernel_space("bivectors", ctx, rank_kernel_ints(ctx.field, conditions, length)[1])
 
 
 def span_lattice(

@@ -660,10 +660,29 @@ def triangle_rows_reference(kind: str, depth: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(r) for r in rows)
 
 
+def contains_subspace_reference(a: LinearSubspace, b: LinearSubspace) -> bool:
+    """Whether ``a`` contains ``b``, by one `matrix_rank`: stacking b's basis
+    under a's leaves the rank at a's dimension."""
+    if (a.ambient, a.ctx) != (b.ambient, b.ctx):
+        raise ValueError("subspaces of different ambient spaces")
+    return matrix_rank(a.ctx.field, a.basis + b.basis) == len(a.basis)
+
+
 def same_subspace(a: LinearSubspace, b: LinearSubspace) -> bool:
     """Whether two subspaces of one ambient space are equal: one contains
-    the other and their dimensions agree."""
-    return a.linear_dim == b.linear_dim and a.contains_subspace(b)
+    the other (`contains_subspace_reference`) and their dimensions agree."""
+    return a.linear_dim == b.linear_dim and contains_subspace_reference(a, b)
+
+
+def contraction_matrix_reference(f: AlternatingTensor, j: int) -> list[tuple[Scalar, ...]]:
+    """The columns of the contraction map of a form on j-vectors, one
+    `contract` per basis j-vector, in the lexicographic order of the j-index
+    sets."""
+    ctx = f.ctx
+    return [
+        contract(f, AlternatingTensor.make(ctx, j, "vector", {key: 1})).coords()
+        for key in ctx.index_sets(j)
+    ]
 
 
 def singular_locus(quadric: QuadricAnalysis) -> LinearSubspace:

@@ -1088,3 +1088,29 @@ def test_random_tensor_keeps_its_drawn_values_as_dense_coordinates():
         assert [fld.coerce(v) for v in values] == list(t.coords())
         del t.__dict__["_dense_ints"]
         assert t._dense_ints == (values, 1)
+
+
+@pytest.mark.parametrize("dim, degree, j", [(4, 2, 1), (6, 3, 1), (6, 3, 2), (7, 4, 2), (8, 4, 3), (5, 5, 2)])
+def test_contraction_gathers_read_contract_off_the_coordinates(dim, degree, j):
+    # on a form whose coefficients are all distinct, each gathered entry
+    # names one coordinate and its sign, so the whole matrix is checked
+    ctx = SpaceContext(dim - 1, FieldSpec.rationals())
+    keys = list(ctx.index_sets(degree))
+    f = exterior_core.AlternatingTensor.make(
+        ctx, degree, "form", {key: i + 1 for i, key in enumerate(keys)}
+    )
+    coords = list(f.coords())
+    signed = [*coords, *(-c for c in coords), 0]
+    columns, rows = exterior_core.contraction_gathers(dim, degree, j)
+    want = [
+        contract(f, exterior_core.AlternatingTensor.make(ctx, j, "vector", {key: 1})).coords()
+        for key in ctx.index_sets(j)
+    ]
+    assert [tuple(get(signed)) for get in columns] == want
+    assert [tuple(get(signed)) for get in rows] == list(zip(*want))
+
+
+@pytest.mark.parametrize("dim, degree, j", [(6, 3, 0), (6, 3, 3), (6, 3, 4), (4, 5, 2)])
+def test_contraction_gathers_reject_degrees_out_of_range(dim, degree, j):
+    with pytest.raises(ValueError, match="need 1 <= j < degree"):
+        exterior_core.contraction_gathers(dim, degree, j)

@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwedge import catalog, form_analysis
-from triwedge.exact_scalar import ConventionError, FieldSpec, randbelow, rank_kernel
+from triwedge.exact_scalar import (
+    ConventionError,
+    FieldSpec,
+    matrix_rank,
+    randbelow,
+    rank_kernel,
+)
 from triwedge.exterior_core import (
     AlternatingTensor,
     SpaceContext,
@@ -55,6 +62,8 @@ from triwedge.congruence import kernel_span
 from triwedge.suites import RunConfig, run_suite
 
 from oracles import (
+    contains_subspace_reference,
+    contraction_matrix_reference,
     entry_form,
     evaluate_reference,
     evaluated_rank,
@@ -1231,3 +1240,189 @@ def test_contraction_matrix_shape():
     columns = contraction_matrix(two_planes(ctx), 2)
     # one column per basis bivector, each a 1-form on the 6 coordinates
     assert len(columns) == 15 and all(len(column) == 6 for column in columns)
+
+
+# --- rational numerators: containment, j-ranks and polar rows -------------------------
+
+
+def test_linear_subspace_coerces_its_entries():
+    F5 = FieldSpec.prime(5)
+    ctx = SpaceContext(4, F5)
+    # 5 is 0 mod 5: the vector is e_1, not a pivot that is a multiple of p
+    assert LinearSubspace("vectors", ctx, [(5, 1, 0, 0, 0)]).basis == ((0, 1, 0, 0, 0),)
+    assert LinearSubspace("vectors", ctx, [(-1, 0, 0, 0, 0)]).basis == ((4, 0, 0, 0, 0),)
+    assert LinearSubspace("vectors", ctx, [("1/2", 0, 0, 0, 1)]).basis == ((3, 0, 0, 0, 1),)
+    space = LinearSubspace("vectors", ctx, [(5, 1, 0, 0, 0), (0, 0, 0, 0, -4)])
+    assert space.contains_subspace(LinearSubspace("vectors", ctx, [(0, 2, 0, 0, 3)]))
+    assert not space.contains_subspace(LinearSubspace("vectors", ctx, [(1, 0, 0, 0, 0)]))
+    q = SpaceContext(4, QQ)
+    half = LinearSubspace("vectors", q, [("1/2", 0, 0, 0, 1)])
+    assert half.basis == ((Fraction(1, 2), 0, 0, 0, 1),)
+    assert all(type(v) is Fraction for v in half.basis[0])
+    assert half.contains_subspace(LinearSubspace("vectors", q, [(1, 0, 0, 0, 2)]))
+    for ctx_ in (ctx, q):
+        with pytest.raises(ConventionError, match="float"):
+            LinearSubspace("vectors", ctx_, [(0.5, 0, 0, 0, 1)])
+    with pytest.raises(ConventionError, match="vanishes mod 5"):
+        LinearSubspace("vectors", ctx, [("1/5", 0, 0, 0, 1)])
+
+
+def _rational_or_residue(rng: random.Random, field: FieldSpec):
+    """A random coefficient: over Q an odd numerator over an even
+    denominator, never an integer; over F_p a residue, zero included."""
+    if field.p is None:
+        return Fraction(2 * rng.randint(-10, 10) + 1, 2 * rng.randint(1, 6))
+    return rng.randrange(field.p)
+
+
+@st.composite
+def fractional_forms(draw, degree):
+    """A form of the given degree over Q (non-integral coefficients), F_2,
+    F_3 or F_101, n = 3..7, on a share of the index sets from none (the
+    zero form) to all of them."""
+    field = draw(st.sampled_from([QQ, F2, F3, F101]))
+    ctx = SpaceContext(draw(st.integers(3, 7)), field)
+    share = draw(st.sampled_from([0.0, 0.15, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    coeffs = {
+        key: _rational_or_residue(rng, field)
+        for key in ctx.index_sets(degree)
+        if rng.random() < share
+    }
+    return AlternatingTensor.make(ctx, degree, "form", coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=st.sampled_from([3, 4]).flatmap(fractional_forms))
+def test_j_rank_matches_the_contract_built_matrix(f):
+    for j in (1, 2):
+        reference = contraction_matrix_reference(f, j)
+        assert contraction_matrix(f, j) == reference
+        assert [tuple(map(type, c)) for c in contraction_matrix(f, j)] == [
+            tuple(map(type, c)) for c in reference
+        ]
+        assert j_rank(f, j) == matrix_rank(f.ctx.field, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=fractional_forms(4))
+def test_gathered_polar_rows_match_the_position_loop(eta):
+    quadric = polar_quadric(eta)
+    reference = polar_matrix_reference(eta)
+    assert quadric.rho == reference
+    assert all(type(a) is type(b) for a, b in zip(quadric.rho.entries, reference.entries))
+    rows, den = quadric._int_rows
+    fld = eta.ctx.field
+    assert [fld.coerce(Fraction(x, den)) for row in rows for x in row] == list(reference.entries)
+    assert quadric.rank == matrix_rank(fld, row_lists(reference))
+
+
+@st.composite
+def subspace_families(draw):
+    """Subspaces of one ambient space over Q (non-integral entries), F_2, F_3
+    or F_101: kernels of random conditions (`from_kernel`), the zero space,
+    and public-constructor spaces spanned by combinations of a kernel's
+    vectors (inside it), by its vectors and one more (around it), and by its
+    vectors reversed and scaled (equal to it)."""
+    field = draw(st.sampled_from([QQ, F2, F3, F101]))
+    ctx = SpaceContext(draw(st.integers(3, 5)), field)
+    ambient = draw(st.sampled_from(["vectors", "bivectors"]))
+    length = ctx.dim if ambient == "vectors" else comb(ctx.dim, 2)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+
+    def entry():
+        return field.coerce(_rational_or_residue(rng, field) if rng.random() < 0.6 else 0)
+
+    def public(vectors):
+        kept = []
+        for vector in vectors:
+            if matrix_rank(field, kept + [vector]) == len(kept) + 1:
+                kept.append(vector)
+        return LinearSubspace(ambient, ctx, kept)
+
+    spaces = [LinearSubspace(ambient, ctx, ())]
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [[entry() for _ in range(length)] for _ in range(rng.randint(0, length))]
+        kernel = LinearSubspace.from_kernel(rows, ambient, ctx)
+        basis = [list(v) for v in kernel.basis]
+        combos = []
+        for _ in range(rng.randint(1, 3)):
+            weights = [entry() for _ in basis]
+            combos.append(
+                [sum(field.mul(w, v[i]) for w, v in zip(weights, basis)) for i in range(length)]
+            )
+        scale = field.coerce({None: "-2/7", 2: 1, 3: 2, 101: 3}[field.p])
+        spaces += [
+            kernel,
+            public([[field.coerce(x) for x in v] for v in combos]),
+            public(basis + [[entry() for _ in range(length)]]),
+            public([[field.mul(scale, x) for x in v] for v in reversed(basis)]),
+        ]
+    return spaces
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces=subspace_families())
+def test_containment_matches_the_rank_reference(spaces):
+    for a in spaces:
+        for b in spaces:
+            assert a.contains_subspace(b) == contains_subspace_reference(a, b)
+        assert a.contains_subspace(a)
+
+
+def test_containment_of_kernel_spaces_runs_no_elimination(monkeypatch):
+    ctx = SpaceContext(6, QQ)
+    omega = random_tensor(ctx, 3, "form", 3).scale(Fraction(1, 6))
+    x, y = (random_tensor(ctx, 1, "form", s).scale(Fraction(5, 7)) for s in (4, 5))
+    lattice = span_lattice(omega, x, y)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("containment eliminated")
+
+    for name in ("matrix_rank", "rank_kernel", "row_reduce"):
+        monkeypatch.setattr(form_analysis, name, forbidden)
+    assert lattice.modulo_x.contains_subspace(lattice.full)
+    assert lattice.modulo_xy.contains_subspace(lattice.modulo_x)
+    assert not lattice.full.contains_subspace(lattice.modulo_x)
+
+
+def test_a_public_basis_takes_its_pattern_once(monkeypatch):
+    ctx = SpaceContext(3, QQ)
+    space = LinearSubspace("vectors", ctx, [[1, 1, 0, 0], [0, 1, 1, 0]])
+    calls = []
+    real = form_analysis.rank_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(form_analysis, "rank_kernel", counted)
+    inside = LinearSubspace("vectors", ctx, [[1, 2, 1, 0]])
+    outside = LinearSubspace("vectors", ctx, [[1, 0, 0, 0]])
+    assert space.contains_subspace(inside) and not space.contains_subspace(outside)
+    assert len(calls) == 2  # the annihilator and its kernel, once
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_scaling_a_form_by_a_sixth_keeps_its_ranks_and_spans(n):
+    # `random_tensor` over Q draws integers, so the rational workload never
+    # meets a denominator; a sixth of each form must give the same answers
+    ctx = SpaceContext(n, QQ)
+    sixth = Fraction(1, 6)
+    for seed in range(2):
+        omega = random_tensor(ctx, 3, "form", derive_seed("sixth", n, seed))
+        x = random_tensor(ctx, 1, "form", derive_seed("sixth-x", n, seed))
+        y = random_tensor(ctx, 1, "form", derive_seed("sixth-y", n, seed))
+        scaled = omega.scale(sixth)
+        assert scaled._dense_ints[1] % 6 == 0
+        lattice = span_lattice(omega, x, y)
+        for other in (span_lattice(scaled, x, y), span_lattice(scaled, x.scale(sixth), y)):
+            assert other.codimensions() == lattice.codimensions()
+            assert {k: s.basis for k, s in other.as_dict().items()} == {
+                k: s.basis for k, s in lattice.as_dict().items()
+            }
+        assert j_rank(scaled, 1) == j_rank(omega, 1)
+        assert j_rank(scaled, 2) == j_rank(omega, 2)
+        eta = wedge(omega, x)
+        assert quadric_of(eta.scale(sixth)).rank == quadric_of(eta).rank
+        assert j_rank(eta.scale(sixth), 2) == j_rank(eta, 2)
