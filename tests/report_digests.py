@@ -43,7 +43,11 @@ in ``ANALYZE_RUNS``.  Four files hold the digests:
   the projective enumeration end to end.  The runs over F_251 and F_257 sit on
   either side of the 8-bit bound at which `randbelow_many` changes how it
   draws its words: 251 has 8 bits, 257 has 9, so the sampled points of
-  ``n6-g2`` and ``n7-ozeki`` there pin both ways of drawing them.
+  ``n6-g2`` and ``n7-ozeki`` there pin both ways of drawing them.  The
+  runs over F_127 and F_131 sit on either side of the bound 2·(p − 1) ≤ 255
+  up to which `point_ranks` ranks a block of points at once on byte lanes:
+  the sampled ranks of ``n6-g2`` and ``n7-ozeki`` are taken on lanes over
+  F_127 and point by point over F_131.
 * ``data/residual_singular_report_digests.json``: ``residual-singular`` at
   its default field, at the seeds in ``RESIDUAL_SINGULAR_SEEDS``.  The
   ``--suite all`` runs reach it only at seeds 0 and 7, so with these the
@@ -91,6 +95,10 @@ ANALYZE_RUNS = (
     ("n8-family", "p:5", 0),
     ("n6-g2", "p:251", 0),
     ("n7-ozeki", "p:257", 0),
+    ("n6-g2", "p:127", 0),
+    ("n7-ozeki", "p:127", 0),
+    ("n6-g2", "p:131", 0),
+    ("n7-ozeki", "p:131", 0),
 )
 
 
