@@ -31,7 +31,13 @@ over F_p, giving the rank and the Pfaffian of a principal block of an
 alternating matrix: pairwise elimination on rows packed one int each, a slot
 of `skew_slot_width` bits per entry, wide enough that no entry is reduced
 until it is read.  `pfaffian` packs list rows into it; over the rationals
-it runs the same elimination on Fractions.
+it runs the same elimination on Fractions.  Over F_p with 2·(p − 1) <= 255,
+that is p <= 127, `lane_skew_ranks` ranks a block of alternating matrices
+at once, one matrix per byte of a `bytes` string (a lane): sums are int
+additions of whole strings, and products and quotients go through the
+discrete-logarithm tables of `ByteLanes` by `bytes.translate`.
+`byte_lanes` builds those tables on its first call for each p and keeps
+them.
 `Matrix.det` runs the Schur-complement elimination that pivots on the first
 row with a nonzero first entry, on ints mod p over F_p and on Fractions
 over the rationals.  Univariate polynomials store
@@ -59,7 +65,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[Fraction, int]
 
@@ -74,6 +80,9 @@ __all__ = [
     "matrix_rank",
     "as_ints",
     "packed_skew_mod_p",
+    "ByteLanes",
+    "byte_lanes",
+    "lane_skew_ranks",
     "skew_slot_width",
     "pfaffian",
     "poly_gcd",
@@ -591,6 +600,169 @@ def _packed_skew_rows(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int],
             acc = acc << width | value % p
         packed.append(acc)
     return packed, width
+
+
+class ByteLanes(NamedTuple):
+    """Arithmetic over F_p on byte lanes, for a prime with 2·(p − 1) <= 255.
+
+    A lane vector is a `bytes` string holding one residue in ``[0, p)`` per
+    lane; read as one int (``int.from_bytes(..., "little")``) two lane
+    vectors add lane by lane with no carry as long as every lane sum stays
+    below 256.  Products go through discrete logarithms to the primitive
+    root ``g``: each table below maps a byte through `bytes.translate`, and
+    a zero lane, which has no logarithm, is masked out with ``nonzero``.
+
+    - ``log``: x -> the logarithm of x, and ``neg_log``: x -> that of -x
+      (0 for x = 0);
+    - ``inv_log``: x -> the logarithm of 1/x (0 for x = 0);
+    - ``exp``: s -> g**s and ``neg_exp``: s -> -g**s, for any s < 256, so
+      a sum of two logarithms, at most 2·(p − 2), maps to its product;
+    - ``nonzero``: x -> 0xFF when x is not 0, else 0 (a byte, so it also
+      tells whether an OR of lane vectors is zero in a lane);
+    - ``reduce``: s -> s mod p and ``reduce_log``: s -> s mod (p − 1);
+    - ``scale[c]``: x -> c·x mod p for each residue c.
+    """
+
+    p: int
+    log: bytes
+    neg_log: bytes
+    inv_log: bytes
+    exp: bytes
+    neg_exp: bytes
+    nonzero: bytes
+    reduce: bytes
+    reduce_log: bytes
+    scale: tuple[bytes, ...]
+
+
+@cache
+def byte_lanes(p: int) -> ByteLanes | None:
+    """The `ByteLanes` tables of F_p, built on the first call for each p, or
+    None when 2·(p − 1) > 255, where a sum of two residues overflows a byte.
+    ``p`` must be prime."""
+    if 2 * (p - 1) > 255:
+        return None
+    order = p - 1
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    g = next(g for g in range(1, p) if all(pow(g, order // q, p) != 1 for q in factors))
+    powers = [pow(g, s, p) for s in range(order)]
+    logs = [0] * 256
+    for s, x in enumerate(powers):
+        logs[x] = s
+    half = order // 2  # -1 = g**half
+    low = range(256)
+    return ByteLanes(
+        p=p,
+        log=bytes(logs[x % p] for x in low),
+        neg_log=bytes((logs[x % p] + half) % order if x % p else 0 for x in low),
+        inv_log=bytes(-logs[x % p] % order for x in low),
+        exp=bytes(powers[s % order] for s in low),
+        neg_exp=bytes(-powers[s % order] % p for s in low),
+        nonzero=bytes(255 if x else 0 for x in low),
+        reduce=bytes(x % p for x in low),
+        reduce_log=bytes(x % order for x in low),
+        scale=tuple(bytes(c * x % p for x in low) for c in range(p)),
+    )
+
+
+def lane_skew_ranks(
+    lanes: ByteLanes, count: int, entries: dict[tuple[int, int], bytes], indices: Sequence[int]
+) -> tuple[bytes, bytes]:
+    """Ranks over F_p of the principal blocks on ``indices`` of ``count``
+    alternating matrices at once, one matrix per byte lane.
+
+    ``entries`` maps each pair a < b of ``indices`` to the lane vector (see
+    `ByteLanes`) of the (a, b) entries, ``count`` bytes; a missing pair is
+    zero in every lane.  Each step pivots every lane on one pair (i, j), the
+    remaining entry with the most nonzero lanes, and takes the alternating
+    Schur complement a_kl += (a_jk·a_il − a_ik·a_jl) / a_ij on the remaining
+    indices, each product one `translate` of a sum of logarithms; the rank
+    of each lane whose pivot is nonzero grows by 2.  A lane whose pivot is
+    zero while one of its remaining entries is not falls out: it is zeroed
+    in every entry, so it stays out of later pivots.  The elimination stops
+    when every remaining entry is zero in every lane.
+
+    Returns the rank of each lane as ``count`` bytes and the lanes that fell
+    out as ``count`` bytes, 0xFF for such a lane (its rank byte is then
+    meaningless) and 0 otherwise.  ``entries`` is consumed.
+    """
+    p = lanes.p
+    frombytes = int.from_bytes
+    log, neg_log, inv_log = lanes.log, lanes.neg_log, lanes.inv_log
+    exp, neg_exp = lanes.exp, lanes.neg_exp
+    nonzero, reduce_p, reduce_log = lanes.nonzero, lanes.reduce, lanes.reduce_log
+    # a residue plus two products stays below 256 only for small p
+    one_reduction = 3 * (p - 1) <= 255
+    full = (1 << 8 * count) - 1
+    twos = full // 255 * 2
+    ranks = fallen = 0
+    live = sorted(indices)
+    entries = {key: e for key, e in entries.items() if e.count(0) < count}
+    while entries:
+        ints = {key: frombytes(e, "little") for key, e in entries.items()}
+        i, j = min(entries, key=lambda key: entries[key].count(0))
+        pivot = entries[(i, j)]
+        pivot_mask = frombytes(pivot.translate(nonzero), "little")
+        ranks += pivot_mask & twos
+        some = reduce(operator.or_, ints.values()).to_bytes(count, "little")
+        drop = frombytes(some.translate(nonzero), "little") & ~pivot_mask
+        fallen |= drop
+        keep = full ^ drop
+        inv = frombytes(pivot.translate(inv_log), "little")
+        live.remove(i)
+        live.remove(j)
+        # for each remaining r: log of a_jr / a_ij and of a_ir, with the
+        # masks of the lanes where a_jr and a_ir are nonzero
+        over: dict[int, tuple[int, int]] = {}
+        row_i: dict[int, tuple[int, int]] = {}
+        for r in live:
+            e = entries.get((j, r) if j < r else (r, j))
+            if e is not None:
+                s = frombytes(e.translate(log if j < r else neg_log), "little") + inv
+                over[r] = (
+                    frombytes(s.to_bytes(count, "little").translate(reduce_log), "little"),
+                    frombytes(e.translate(nonzero), "little"),
+                )
+            e = entries.get((i, r) if i < r else (r, i))
+            if e is not None:
+                row_i[r] = (
+                    frombytes(e.translate(log if i < r else neg_log), "little"),
+                    frombytes(e.translate(nonzero), "little"),
+                )
+        updated: dict[tuple[int, int], bytes] = {}
+        for pos, k in enumerate(live):
+            xk = over.get(k)
+            yk = row_i.get(k)
+            for l in live[pos + 1 :]:
+                acc = ints.get((k, l), 0)
+                changed = False
+                yl = row_i.get(l)
+                if xk is not None and yl is not None:
+                    # a_jk/a_ij · a_il
+                    s = (xk[0] + yl[0]).to_bytes(count, "little").translate(exp)
+                    acc += frombytes(s, "little") & xk[1] & yl[1]
+                    changed = True
+                xl = over.get(l)
+                if yk is not None and xl is not None:
+                    # -(a_ik · a_jl/a_ij)
+                    s = (yk[0] + xl[0]).to_bytes(count, "little").translate(neg_exp)
+                    term = frombytes(s, "little") & yk[1] & xl[1]
+                    if changed and acc and not one_reduction:
+                        acc = frombytes(
+                            acc.to_bytes(count, "little").translate(reduce_p), "little"
+                        )
+                    acc += term
+                    changed = True
+                if not acc:
+                    continue
+                if not (changed or drop):
+                    updated[(k, l)] = entries[(k, l)]
+                    continue
+                e = (acc & keep).to_bytes(count, "little").translate(reduce_p)
+                if e.count(0) < count:
+                    updated[(k, l)] = e
+        entries = updated
+    return ranks.to_bytes(count, "little"), fallen.to_bytes(count, "little")
 
 
 def rank_kernel(

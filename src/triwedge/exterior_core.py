@@ -49,12 +49,13 @@ a popcount.  Masks and the sorted tuples of ``terms`` convert through
 module tables that grow with the distinct index sets in use (at most 2^dim
 for one space).  Contraction looks each position subset of a term of the
 larger tensor up among the terms of the smaller one.  The kernels (`wedge`,
-`contract`, `covector_contract`, `reduced_square`, `pair`, `pullback`) run on
-ints over both fields: each operand's values are ints over one denominator
-(over the rationals numerators from `exact_scalar.as_ints`, kept on the
-tensor after first use), products accumulate as ints per output key, and each
-key is settled once, reduced mod p, or over the rationals as one canonical
-Fraction of the sum over the product of the operands' denominators.
+`contract`, `covector_contract`, `reduced_square`, `pair`, `pullback`,
+`pullback_rows`) run on ints over both fields: each operand's values are
+ints over one denominator (over the rationals numerators from
+`exact_scalar.as_ints`, kept on the tensor after first use), products
+accumulate as ints per output key, and each key is settled once, reduced
+mod p, or over the rationals as one canonical Fraction of the sum over the
+product of the operands' denominators.
 
 Validation: the public constructor ``AlternatingTensor(...)`` checks every
 term (`__post_init__`), and `make` checks the variance, the degree and the
@@ -96,6 +97,7 @@ __all__ = [
     "random_tensor",
     "contraction_gathers",
     "pullback",
+    "pullback_rows",
     "reduce_mod_p",
     "projective_points",
     "projective_point_count",
@@ -952,12 +954,42 @@ def pullback(
     sub_ctx = SpaceContext(len(basis) - 1, form.ctx.field)
     if any(b.ctx != form.ctx for b in basis):
         raise ValueError("basis vectors live in a different space")
-    p = sub_ctx.field.p
-    k = form.degree
     vectors = []
     for b in basis:
         b_terms, b_den = _int_terms(b)
         vectors.append(([(1 << i, c) for (i,), c in b_terms], b_den))
+    return _pullback(form, sub_ctx, vectors)
+
+
+def pullback_rows(
+    form: AlternatingTensor, rows: Sequence[Sequence[int]]
+) -> AlternatingTensor:
+    """`pullback` along the vectors whose coordinates are the int ``rows``,
+    with no tensor built for them: over F_p any ints, reduced with each
+    contraction, and over the rationals the vectors themselves (over
+    denominator 1).
+
+    Raises `ValueError` when ``form`` is not a form, when a row has another
+    length than the form's space or an entry that is not an int, and for
+    fewer than four rows (`SpaceContext`).
+    """
+    if form.variance != "form":
+        raise ValueError("pullback expects a form")
+    dim = form.ctx.dim
+    if any(len(row) != dim or not all(type(c) is int for c in row) for row in rows):
+        raise ValueError(f"every row needs {dim} int coordinates")
+    sub_ctx = SpaceContext(len(rows) - 1, form.ctx.field)
+    vectors = [([(1 << i, c) for i, c in enumerate(row) if c], 1) for row in rows]
+    return _pullback(form, sub_ctx, vectors)
+
+
+def _pullback(
+    form: AlternatingTensor, sub_ctx: SpaceContext, vectors: list[tuple[list, int]]
+) -> AlternatingTensor:
+    """The pullback of ``form`` to ``sub_ctx`` along basis vectors given as
+    their int terms (bitmask, value) over a denominator each."""
+    p = sub_ctx.field.p
+    k = form.degree
     terms: list[tuple[IndexSet, Scalar]] = []
 
     def restrict(partial: dict[int, int], first: int, prefix: IndexSet, den: int) -> None:
@@ -966,7 +998,7 @@ def pullback(
             if value:
                 terms.append((prefix, value if p is not None else Fraction(value, den)))
             return
-        for i in range(first, len(basis) - k + len(prefix) + 1):
+        for i in range(first, len(vectors) - k + len(prefix) + 1):
             v, v_den = vectors[i]
             contracted = _contract_ints(partial, v, p)
             if contracted:

@@ -68,7 +68,6 @@ from .exterior_core import (
     contract,
     derive_seed,
     pair,
-    pullback,
     random_tensor,
     wedge,
 )
@@ -486,8 +485,7 @@ def _suite_rank_laws(cfg: RunConfig) -> list[Claim]:
             eta = wedge(beta, wedge(x, y))
             if not wedge(x, y).is_zero() and not eta.is_zero():
                 checked["plane-times-two-form"] += 1
-                sub = LinearSubspace.annihilator(ctx, [x, y]).basis_tensors()
-                restricted_rank = j_rank(pullback(beta, sub), 1)
+                restricted_rank = j_rank(LinearSubspace.annihilator(ctx, [x, y]).pullback(beta), 1)
                 if quadric_of(eta).rank != 2 * restricted_rank + 2:
                     mismatch["plane-times-two-form"] += 1
 
@@ -496,8 +494,7 @@ def _suite_rank_laws(cfg: RunConfig) -> list[Claim]:
             eta = wedge(omega, x)
             if not x.is_zero() and not eta.is_zero():
                 checked["covector-times-form"] += 1
-                sub = LinearSubspace.annihilator(ctx, [x]).basis_tensors()
-                restricted_rank = j_rank(pullback(omega, sub), 1)
+                restricted_rank = j_rank(LinearSubspace.annihilator(ctx, [x]).pullback(omega), 1)
                 if quadric_of(eta).rank != 2 * restricted_rank:
                     mismatch["covector-times-form"] += 1
     return [
@@ -573,8 +570,7 @@ def _suite_span_lattice(cfg: RunConfig) -> list[Claim]:
         n = ctx.n
         x, y = general_directions(omega, seed=cfg.seed)
         lattice = span_lattice(omega, x, y)
-        sub = LinearSubspace.annihilator(ctx, [x]).basis_tensors()
-        restricted_rank = j_rank(pullback(omega, sub), 1)
+        restricted_rank = j_rank(LinearSubspace.annihilator(ctx, [x]).pullback(omega), 1)
         expected = {
             "full": n + 1,
             "modulo_x": n,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from triwedge.degeneracy import (
     build_M,
@@ -117,25 +117,38 @@ def packed_rows_reference(M: SkewLinearMatrix, coords: Sequence[int]) -> tuple[l
     return rows, width
 
 
-def point_contraction_rank_reference(M: SkewLinearMatrix, coords) -> int:
-    """The rank of M at one point, one call per point: over F_p the rank of
-    `packed_skew_mod_p` on `SkewLinearMatrix.packed_rows_at`, leaving out
-    the last index k with P_k != 0 mod p when M(x)·x = 0 holds identically
-    (0 at the zero point); over the rationals `matrix_rank` of the rows of
-    `M.evaluate`."""
+def point_ranks_reference(M: SkewLinearMatrix, points) -> Iterator[int]:
+    """The rank of M at each of ``points``, one point at a time, as
+    `point_ranks` took them before it ranked blocks on byte lanes.  Over F_p
+    each point is coerced (`point_coords`) and ranked by `packed_skew_mod_p`
+    on `SkewLinearMatrix.packed_rows_at`, leaving out the last index k with
+    P_k != 0 when M(x)·x = 0 holds identically (0 at the zero point); over
+    the rationals the rank is `matrix_rank` of the rows of `M.evaluate`."""
     p = M.ctx.field.p
     if p is None:
-        return matrix_rank(M.ctx.field, row_lists(M.evaluate(coords)))
-    rows, width = M.packed_rows_at(coords)
-    if not M.point_in_kernel:
-        return packed_skew_mod_p(p, rows, width)[0]
-    last = len(rows) - 1
-    while last >= 0 and not coords[last] % p:
-        last -= 1
-    if last < 0:
-        return 0
-    indices = [*range(last), *range(last + 1, len(rows))]
-    return packed_skew_mod_p(p, rows, width, indices)[0]
+        for point in points:
+            yield matrix_rank(M.ctx.field, row_lists(M.evaluate(point)))
+        return
+    in_kernel = M.point_in_kernel
+    for point in points:
+        coords = point_coords(M.ctx, point)
+        rows, width = M.packed_rows_at(coords)
+        if not in_kernel:
+            yield packed_skew_mod_p(p, rows, width)[0]
+            continue
+        last = len(rows) - 1
+        while last >= 0 and not coords[last]:
+            last -= 1
+        if last < 0:
+            yield 0
+        else:
+            indices = [*range(last), *range(last + 1, len(rows))]
+            yield packed_skew_mod_p(p, rows, width, indices)[0]
+
+
+def point_contraction_rank_reference(M: SkewLinearMatrix, coords) -> int:
+    """The rank of M at one point: `point_ranks_reference` of that point."""
+    return next(point_ranks_reference(M, [coords]))
 
 
 def first_rank_at_most_two_reference(M: SkewLinearMatrix, points):

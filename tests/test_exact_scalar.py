@@ -28,7 +28,9 @@ from triwedge.exact_scalar import (
     _packed_skew_rows,
     _sqrt_mod_p,
     as_ints,
+    byte_lanes,
     interpolate,
+    lane_skew_ranks,
     matrix_rank,
     packed_skew_mod_p,
     pfaffian,
@@ -884,6 +886,67 @@ def test_skew_rank_anchors():
     # e0^e1 + e2^e3 has rank 4
     rows = [[0, 1, 0, 0], [6, 0, 0, 0], [0, 0, 0, 1], [0, 0, 6, 0]]
     assert _skew_rank(7, rows) == 4
+
+
+LANE_PRIMES = (2, 3, 5, 7, 11, 31, 83, 89, 101, 127)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_byte_lane_tables_are_field_arithmetic(p):
+    lanes = byte_lanes(p)
+    residues = range(p)
+    nonzero = range(1, p)
+    for x in nonzero:
+        for y in nonzero:
+            assert lanes.exp[lanes.log[x] + lanes.log[y]] == x * y % p
+            assert lanes.neg_exp[lanes.log[x] + lanes.log[y]] == -x * y % p
+            assert lanes.exp[lanes.neg_log[x] + lanes.log[y]] == -x * y % p
+            assert lanes.exp[lanes.reduce_log[lanes.log[x] + lanes.inv_log[y]]] == (
+                x * pow(y, -1, p) % p
+            )
+    assert all(lanes.scale[c][x] == c * x % p for c in residues for x in residues)
+    assert all(lanes.reduce[s] == s % p for s in range(256))
+    assert [lanes.nonzero[x] for x in range(256)] == [0] + [255] * 255
+
+
+def test_byte_lanes_stop_where_two_residues_overflow_a_byte():
+    # 2 * (127 - 1) = 252 fits a byte, 2 * (131 - 1) = 260 does not
+    assert byte_lanes(127) is not None
+    assert byte_lanes(131) is None
+    assert byte_lanes(2**61 - 1) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.data())
+def test_lane_skew_ranks_match_row_reduction(case):
+    """Each lane of a block of alternating matrices, sparse or low-rank so
+    that pivots vanish in some lanes: a lane that does not fall out has the
+    rank of its matrix, and one lane at least never falls out."""
+    p = case.draw(st.sampled_from(LANE_PRIMES))
+    size = case.draw(st.integers(0, 9))
+    count = case.draw(st.integers(1, 40))
+    rng = random.Random(case.draw(st.integers(0, 10**6)))
+    density = case.draw(st.sampled_from([0.2, 0.6, 1.0]))
+    matrices = []
+    for _ in range(count):
+        rows = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < density:
+                    rows[i][j] = rng.randrange(p)
+                    rows[j][i] = -rows[i][j] % p
+        matrices.append(rows)
+    entries = {
+        (i, j): bytes(rows[i][j] for rows in matrices)
+        for i in range(size)
+        for j in range(i + 1, size)
+    }
+    ranks, fallen = lane_skew_ranks(byte_lanes(p), count, entries, range(size))
+    assert len(ranks) == len(fallen) == count
+    assert set(fallen) <= {0, 255} and 0 in fallen
+    for rows, rank, out in zip(matrices, ranks, fallen):
+        if not out:
+            assert rank == _skew_rank(p, rows)
 
 
 # --- seeded draws --------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triwedge import exterior_core
-from triwedge.exact_scalar import FieldSpec, matrix_rank
+from triwedge.exact_scalar import FieldSpec, as_ints, matrix_rank
 from triwedge.form_analysis import LinearSubspace
 from triwedge.exterior_core import (
     AlternatingTensor,
@@ -31,6 +31,7 @@ from triwedge.exterior_core import (
     projective_point_count,
     projective_points,
     pullback,
+    pullback_rows,
     random_tensor,
     reduce_mod_p,
     reduced_square,
@@ -438,6 +439,29 @@ def test_pullback_raises_where_the_reference_raises(fld):
     ):
         assert _value_error(lambda: pullback_reference(bad_form, bad_basis)) is not None
         assert _value_error(lambda: pullback(bad_form, bad_basis)) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pullback_cases())
+def test_pullback_rows_match_the_reference_on_int_rows(case):
+    # each basis vector scaled to ints over its own denominator
+    form, basis = case
+    rows = [as_ints(form.ctx.field, b.coords())[0] for b in basis]
+    vectors = [form.ctx.vector_from_coords(row) for row in rows]
+    assert pullback_rows(form, rows) == pullback_reference(form, vectors)
+
+
+def test_pullback_rows_reject_what_is_no_int_row_of_the_space():
+    ctx = ctx_q(5)
+    form = random_tensor(ctx, 3, "form", 1)
+    rows = [[int(i == j) for j in range(6)] for i in range(5)]
+    for bad_form, bad_rows in (
+        (random_tensor(ctx, 3, "vector", 1), rows),
+        (form, rows[:4] + [[0] * 5]),
+        (form, rows[:4] + [[Fraction(1, 2)] + [0] * 5]),
+        (form, rows[:3]),
+    ):
+        assert _value_error(lambda: pullback_rows(bad_form, bad_rows)) is not None
 
 
 def test_pullback_calls_neither_wedge_nor_pair(monkeypatch):

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwedge import catalog, form_analysis
+from triwedge import catalog, congruence, degeneracy, form_analysis
 from triwedge.exact_scalar import (
     ConventionError,
     FieldSpec,
+    lane_skew_ranks,
     matrix_rank,
     randbelow,
     rank_kernel,
@@ -34,6 +36,7 @@ from triwedge.exterior_core import (
     pair,
     projective_point_count,
     projective_points,
+    pullback,
     random_tensor,
     reduced_square,
     wedge,
@@ -56,9 +59,11 @@ from triwedge.form_analysis import (
     point_ranks,
     polar_quadric,
     quadric_of,
+    random_points,
     span_lattice,
 )
 from triwedge.congruence import kernel_span
+from triwedge.degeneracy import NonGenericFormError
 from triwedge.suites import RunConfig, run_suite
 
 from oracles import (
@@ -70,6 +75,7 @@ from oracles import (
     first_rank_at_most_two_reference,
     packed_rows_reference,
     point_contraction_rank_reference,
+    point_ranks_reference,
     point_in_kernel_reference,
     polar_matrix_reference,
     quadric_contains_subspace,
@@ -89,6 +95,32 @@ F101 = FieldSpec.prime(101)
 
 def two_planes(ctx: SpaceContext) -> AlternatingTensor:
     return AlternatingTensor.make(ctx, 3, "form", {(0, 1, 2): 1, (3, 4, 5): 1})
+
+
+# --- LinearSubspace.pullback -----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from([QQ, F3, F101]),
+    n=st.integers(4, 7),
+    seed=st.integers(0, 10**6),
+    count=st.integers(1, 2),
+)
+def test_pullback_on_the_int_basis_keeps_the_restricted_ranks(field, n, seed, count):
+    # the rank laws' restricted rank, against the pullback on the basis
+    # tensors of the annihilator as the subspace holds them
+    ctx = SpaceContext(n, field)
+    covectors = [random_tensor(ctx, 1, "form", seed + k) for k in range(count)]
+    space = LinearSubspace.annihilator(ctx, covectors)
+    if space.linear_dim < 4:
+        return
+    for degree in (2, 3):
+        form = random_tensor(ctx, degree, "form", seed)
+        restricted = space.pullback(form)
+        reference = pullback(form, space.basis_tensors())
+        for j in range(1, degree):
+            assert j_rank(restricted, j) == j_rank(reference, j)
 
 
 # --- j_rank -------------------------------------------------------------------
@@ -516,6 +548,123 @@ def test_point_rank_stream_over_the_rationals(n):
         stream += [[1] + [0] * n, [0] * n + [1], [0] * (n + 1), [0, 1, 2] + [0] * (n - 2)]
         expected = [point_contraction_rank_reference(M, coords) for coords in stream]
         assert list(point_ranks(M, stream)) == expected
+
+
+# Byte lanes serve 5 <= p <= 127; 2 and 3 stay on the packed path, and 131
+# is the least prime where a sum of two residues overflows a byte.
+LANE_PRIMES = (2, 3, 5, 7, 11, 101, 127, 131)
+# Catalog forms with entries of M that vanish identically.
+LANE_CATALOG = ("n3", "n5", "n7-ozeki", "genN-mod3")
+LANE_BLOCK = form_analysis._LANE_BLOCK
+
+
+@st.composite
+def lane_streams(draw):
+    """A skew matrix over F_p, p in `LANE_PRIMES`, and a stream of 1, B - 1,
+    B or B + 1 points of residues, B the lane block.  The matrix comes from
+    a random form, a decomposable form u^v^w (point rank at most 2), a form
+    of `LANE_CATALOG`, or a random pair table, which mostly fails
+    `point_in_kernel`.  Up to 20 points are replaced by the zero point or
+    have their last coordinate set to 0."""
+    p = draw(st.sampled_from(LANE_PRIMES))
+    field = FieldSpec.prime(p)
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(["random", "decomposable", "catalog", "table"]))
+    if kind == "catalog":
+        M = build_M(catalog.get(draw(st.sampled_from(LANE_CATALOG)), field=field)[0])
+    else:
+        ctx = SpaceContext(draw(st.integers(3, 9)), field)
+        if kind == "random":
+            M = build_M(random_tensor(ctx, 3, "form", seed))
+        elif kind == "decomposable":
+            u, v, w = (random_tensor(ctx, 1, "form", seed + k) for k in range(3))
+            M = build_M(wedge(wedge(u, v), w))
+        else:
+            upper = list(combinations(range(ctx.dim), 2))
+            pairs = tuple(
+                (pair, tuple((rng.randrange(ctx.dim), rng.randrange(p)) for _ in range(2)))
+                for pair in rng.sample(upper, rng.randint(1, len(upper)))
+            )
+            M = SkewLinearMatrix(ctx, pairs)
+    dim = M.size
+    count = draw(st.sampled_from([1, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 1]))
+    points = [[rng.randrange(p) for _ in range(dim)] for _ in range(count)]
+    for _ in range(draw(st.integers(0, 20))):
+        t = rng.randrange(count)
+        points[t] = [0] * dim if rng.random() < 0.2 else points[t][:-1] + [0]
+    return M, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lane_streams())
+def test_lane_ranks_match_the_point_by_point_reference(case):
+    M, points = case
+    assert list(point_ranks(M, points)) == list(point_ranks_reference(M, points))
+
+
+def test_point_ranks_takes_byte_lanes_exactly_from_5_to_127(monkeypatch):
+    blocks = []
+
+    def counted(lanes, count, entries, indices):
+        blocks.append(lanes.p)
+        return lane_skew_ranks(lanes, count, entries, indices)
+
+    monkeypatch.setattr(form_analysis, "lane_skew_ranks", counted)
+    for p in LANE_PRIMES:
+        field = FieldSpec.prime(p)
+        M = build_M(random_tensor(SpaceContext(6, field), 3, "form", p))
+        points = list(random_points(field, M.size, random.Random(p), 64))
+        assert list(point_ranks(M, points)) == list(point_ranks_reference(M, points))
+    assert sorted(set(blocks)) == [5, 7, 11, 101, 127]
+
+
+@pytest.mark.parametrize("p", [5, 131])
+def test_point_ranks_pulls_at_most_one_block(p):
+    field = FieldSpec.prime(p)
+    M = build_M(random_tensor(SpaceContext(6, field), 3, "form", 0))
+    pulled = 0
+
+    def stream():
+        nonlocal pulled
+        for point in random_points(field, M.size, random.Random(0), 3 * LANE_BLOCK):
+            pulled += 1
+            yield point
+
+    ranks = point_ranks(M, stream())
+    next(ranks)
+    assert pulled == (LANE_BLOCK if p <= 127 else 1)
+    for _ in range(LANE_BLOCK):
+        next(ranks)
+    assert pulled == (2 * LANE_BLOCK if p <= 127 else LANE_BLOCK + 1)
+
+
+def _sampled_and_exhaustive(name: str) -> list:
+    """`stratify` and `order` of a catalog form over F_5 and F_101 (or the
+    error the order sampling raises), and `exhaustive_strata` over F_5 and
+    F_7 where P^n has at most 20,000 points."""
+    out = []
+    for p in (5, 101):
+        omega = catalog.get(name, field=FieldSpec.prime(p))[0]
+        out.append(dict(degeneracy.stratify(omega, samples=2000, seed=3).rank_histogram))
+        if p >= congruence.MIN_ORDER_PRIME:
+            try:
+                out.append(congruence.order(omega, samples=500, seed=3))
+            except NonGenericFormError as exc:
+                out.append(str(exc))
+    omega = catalog.get(name)[0]
+    for p in (5, 7):
+        if projective_point_count(p, omega.ctx.dim) <= 20_000:
+            out.append(dict(degeneracy.exhaustive_strata(omega, p).points))
+    return out
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_strata_and_order_match_their_values_through_the_reference(name, monkeypatch):
+    computed = _sampled_and_exhaustive(name)
+    monkeypatch.setattr(degeneracy, "point_ranks", point_ranks_reference)
+    monkeypatch.setattr(congruence, "point_ranks", point_ranks_reference)
+    assert _sampled_and_exhaustive(name) == computed
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)

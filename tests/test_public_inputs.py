@@ -7,17 +7,20 @@ rationals, with drawn points, covectors and bivectors (zero ones included)
 and small sampling budgets (`classify_linear_section` on a custom space of
 at most four dimensions, since the default one can hold a million points).
 Each call must return or raise one of the two package errors; any other
-exception fails the property.
+exception fails the property.  The points are int lists; a test of its own
+gives the point-rank routines float, string and vector-tensor points, on the
+packed path and on byte lanes.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from triwedge import congruence, degeneracy, form_analysis, residual
+from triwedge import catalog, congruence, degeneracy, form_analysis, residual
 from triwedge.degeneracy import NonGenericFormError
 from triwedge.exact_scalar import ConventionError, FieldSpec, UniPoly
 from triwedge.exterior_core import (
@@ -181,3 +184,31 @@ def test_public_functions_answer_or_raise_a_package_error(case):
             thunk()
         except (ConventionError, NonGenericFormError):
             pass
+
+
+def test_point_ranks_coerce_every_point_that_is_not_canonical_residues():
+    """A float point raises `ConventionError`, a string coordinate is coerced
+    ("1/2" is 51 mod 101) and a vector tensor is read by its coordinates, on
+    the packed path (one point) and on byte lanes (a block of 20), through
+    `point_ranks` and `SkewLinearMatrix.packed_rows_at` alike."""
+    omega = catalog.get("n6-g2", field=FieldSpec.prime(101))[0]
+    M = form_analysis.build_M(omega)
+    ctx = omega.ctx
+    vector = ctx.vector_from_coords([1, 2, 3, 4, 5, 6, 7])
+    for count in (1, 20):
+        for point in ([1.5] * 7, [1, 2, 3, 4, 5, 6, 1.5]):
+            with pytest.raises(ConventionError, match="not an exact scalar"):
+                list(form_analysis.point_ranks(M, [point] * count))
+        halves = list(form_analysis.point_ranks(M, [["1/2"] * 7] * count))
+        assert halves == list(form_analysis.point_ranks(M, [[51] * 7] * count))
+        tensors = list(form_analysis.point_ranks(M, [vector] * count))
+        assert tensors == list(form_analysis.point_ranks(M, [[1, 2, 3, 4, 5, 6, 7]] * count))
+        mixed = [[51] * 7, ["1/2"] * 7, vector, [True] * 7] * (count // 4 + 1)
+        assert list(form_analysis.point_ranks(M, mixed)) == [
+            form_analysis.point_contraction_rank(M, form_analysis.point_coords(ctx, point))
+            for point in mixed
+        ]
+    with pytest.raises(ConventionError, match="not an exact scalar"):
+        M.packed_rows_at([1.5] * 7)
+    assert M.packed_rows_at(["1/2"] * 7) == M.packed_rows_at([51] * 7)
+    assert M.packed_rows_at(vector) == M.packed_rows_at([1, 2, 3, 4, 5, 6, 7])
