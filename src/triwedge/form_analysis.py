@@ -567,9 +567,13 @@ class SkewLinearMatrix:
         that is not ``dim`` canonical residues (values of type ``int`` in
         [0, p)) goes through `point_coords`: the slot bound holds only for
         residues."""
-        width, offsets, mask, table = self._packed
-        if not _canonical(coords, len(offsets), self.ctx.field.p):  # type: ignore[arg-type]
+        if not _canonical(coords, self.size, self.ctx.field.p):  # type: ignore[arg-type]
             coords = point_coords(self.ctx, coords)
+        return self._packed_rows(coords)
+
+    def _packed_rows(self, coords: Sequence[int]) -> tuple[list[int], int]:
+        """`packed_rows_at` of a point of canonical residues, unchecked."""
+        width, offsets, mask, table = self._packed
         total = 0
         for k, packed in table:
             total += coords[k] * packed
@@ -770,15 +774,17 @@ def _packed_rank(M: SkewLinearMatrix, in_kernel: bool, point: PointLike) -> int:
     p: int = M.ctx.field.p  # type: ignore[assignment]
     if not _canonical(point, M.size, p):
         point = point_coords(M.ctx, point)
-    rows, width = M.packed_rows_at(point)
+    rows, width = M._packed_rows(point)
     if not in_kernel:
         return packed_skew_mod_p(p, rows, width)[0]
-    last = len(rows) - 1
+    size = len(rows)
+    last = size - 1
     while last >= 0 and not point[last]:
         last -= 1
     if last < 0:
         return 0
-    return packed_skew_mod_p(p, rows, width, [*range(last), *range(last + 1, len(rows))])[0]
+    indices = range(last) if last == size - 1 else [*range(last), *range(last + 1, size)]
+    return packed_skew_mod_p(p, rows, width, indices)[0]
 
 
 def _block_ranks(

@@ -75,8 +75,8 @@ from oracles import (
     first_rank_at_most_two_reference,
     packed_rows_reference,
     point_contraction_rank_reference,
-    point_ranks_reference,
     point_in_kernel_reference,
+    point_ranks_reference,
     polar_matrix_reference,
     quadric_contains_subspace,
     relaxed_span_reference,
