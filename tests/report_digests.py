@@ -47,7 +47,11 @@ in ``ANALYZE_RUNS``.  Four files hold the digests:
   runs over F_127 and F_131 sit on either side of the bound 2·(p − 1) ≤ 255
   up to which `point_ranks` ranks a block of points at once on byte lanes:
   the sampled ranks of ``n6-g2`` and ``n7-ozeki`` are taken on lanes over
-  F_127 and point by point over F_131.
+  F_127 and point by point over F_131.  The runs over F_11 and F_37 take
+  the sampled pointwise rank search at the low end of that lane range,
+  where the runs over F_5 and F_7 are exhaustive scans: ``n6-g2`` over
+  F_11 examines all 10,000 samples and finds no witness, ``n4`` over F_37
+  finds one at sample 17.
 * ``data/residual_singular_report_digests.json``: ``residual-singular`` at
   its default field, at the seeds in ``RESIDUAL_SINGULAR_SEEDS``.  The
   ``--suite all`` runs reach it only at seeds 0 and 7, so with these the
@@ -99,6 +103,8 @@ ANALYZE_RUNS = (
     ("n7-ozeki", "p:127", 0),
     ("n6-g2", "p:131", 0),
     ("n7-ozeki", "p:131", 0),
+    ("n6-g2", "p:11", 0),
+    ("n4", "p:37", 0),
 )
 
 
