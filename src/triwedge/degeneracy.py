@@ -30,8 +30,10 @@ evaluation at every element, so their cost grows with log p, not p.
 
 The sampling and line helpers that `congruence`, `residual` and `suites` share
 are public here: `random_points` (nonzero random points, drawn over F_p in
-blocks of one `randbelow_many` call each; it lives in `form_analysis`, whose
-pointwise rank search draws from it too), `random_coords` (its one-point
+blocks of one draw each, `randbelow_bytes` for p < 256 and `randbelow_many`
+above; it lives in `form_analysis`, whose pointwise rank search screens the
+same drawn bytes on byte lanes for 5 <= p <= 127 and takes its points
+otherwise), `random_coords` (its one-point
 case), `independent_pair` (two independent points spanning a line, one
 two-point draw at a time), `line_gcd` and `line_zeros` (the gcd of
 polynomials restricted to that line, and the points where one vanishes,

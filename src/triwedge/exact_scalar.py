@@ -51,9 +51,10 @@ polynomial in log p (gcd(f, x^p - x), then equal-degree splitting), and
 `randbelow` is the package's one uniform draw below a bound: the values and
 generator state of `random.Random.randrange`, at a fraction of its cost;
 `randbelow_many` draws a run of such values, leaving the generator where as
-many `randbelow` calls would: below a bound of at most 8 bits it cuts one
-`getrandbits` call per refill into bytes, and above that it makes one call
-per value.
+many `randbelow` calls would: below a bound of at most 8 bits it is
+`randbelow_bytes`, which cuts one `getrandbits` call per refill into bytes
+and returns them as one `bytes`, and above that it makes one call per
+value.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ __all__ = [
     "interpolate",
     "randbelow",
     "randbelow_many",
+    "randbelow_bytes",
 ]
 
 
@@ -125,25 +127,42 @@ def randbelow_many(rng: random.Random, bound: int, count: int) -> list[int]:
     missing and keeps those below ``bound``, until it has ``count``.  Each
     value is the next accepted word, as in `randbelow`, and a refill of r
     words accepts at most r values, so no word past the last accepted one
-    is drawn.  The generator emits 32-bit words, and ``getrandbits(k)`` for
-    k <= 32 is the top k bits of one word, so for a bound of at most 8 bits
-    a refill is one ``getrandbits(32*r)`` call: the top byte of each of its
-    r words, translated and filtered by `_byte_tables`.  Wider bounds make
-    one ``getrandbits`` call per word.
+    is drawn.  A bound of at most 8 bits draws through `randbelow_bytes`;
+    wider bounds make one ``getrandbits`` call per word.
     """
     if bound < 1:
         raise ValueError(f"empty range below {bound}")
     bits = bound.bit_length()
+    if bits <= 8:
+        return list(randbelow_bytes(rng, bound, count))
     draw = rng.getrandbits
     values: list[int] = []
-    if bits <= 8:
-        table, reject = _byte_tables(bound)
-        while (missing := count - len(values)) > 0:
-            words = draw(32 * missing).to_bytes(4 * missing, "little")
-            values += words[3::4].translate(table, reject)
-        return values
     while len(values) < count:
         values += [v for v in map(draw, repeat(bits, count - len(values))) if v < bound]
+    return values
+
+
+def randbelow_bytes(rng: random.Random, bound: int, count: int) -> bytes:
+    """`randbelow_many` as ``count`` bytes, for a bound of at most 8 bits:
+    the same values, leaving the generator in the same state.  A bound
+    below 1 raises `ValueError`, as does one of more than 8 bits, whose
+    values no byte holds.
+
+    The generator emits 32-bit words, and ``getrandbits(k)`` for k <= 32 is
+    the top k bits of one word, so a refill of r missing values is one
+    ``getrandbits(32*r)`` call: the top byte of each of its r words,
+    translated and filtered by `_byte_tables`.
+    """
+    if bound < 1:
+        raise ValueError(f"empty range below {bound}")
+    if bound > 255:
+        raise ValueError(f"the bound {bound} has more than 8 bits")
+    table, reject = _byte_tables(bound)
+    draw = rng.getrandbits
+    values = b""
+    while (missing := count - len(values)) > 0:
+        words = draw(32 * missing).to_bytes(4 * missing, "little")
+        values += words[3::4].translate(table, reject)
     return values
 
 

@@ -34,7 +34,9 @@ principal Pfaffians without building the matrix, over F_p each Pfaffian one
 product of packed sums on the coerced point; callers that need the kernel
 take the star, `degeneracy.directions_through`.
 Random points come from `random_points`: nonzero points as lists, drawn
-over F_p a block at a time with one `randbelow_many` call per block.
+over F_p a block at a time, for p < 256 one `randbelow_bytes` call per
+block (`_point_blocks`, the all-zero points cut out of the bytes), above it
+one `randbelow_many` call.
 
 Everything reduces to exact ranks and kernels of lists of vectors of field
 elements (`exact_scalar.matrix_rank`, `exact_scalar.rank_kernel`), or of
@@ -67,9 +69,16 @@ of a 3-form is decided exactly for the two linear-algebra conditions
 (injectivity of x -> omega^x; full contraction rank n+1) and by seeded random
 search, plus exhaustive finite-field scan when the point count permits, for
 the condition that every point contraction has rank above 2; that search,
-exhaustive or sampled, is one scan over its stream of points, over F_p the
-packed scan of `first_rank_at_most_two` without the coercion, since the
-points it draws or enumerates are canonical residues already.
+exhaustive or sampled, is one scan over its stream of points, which are
+canonical residues already, so no point is coerced.  Over F_p with
+5 <= p <= 127 the scan takes the points as blocks of bytes, the drawn bytes
+of `_point_blocks` themselves or the enumerated points packed into bytes,
+and screens each block on byte lanes on the first 4x4 Pfaffian (and on the
+next ones while at least 16 points are left): a point at which a screened
+Pfaffian is nonzero has rank above 2 and is passed over unchecked, and the
+points kept go, in order, to the packed scan of `first_rank_at_most_two`,
+which tests every Pfaffian.  Over other prime fields that packed scan takes
+every point.
 
 Every bivector kernel of a 3-form (the spaces of `span_lattice`, the spans of
 `congruence` and of the residual handle) is one `contraction_kernel`: the
@@ -101,6 +110,7 @@ from .exact_scalar import (
     lane_skew_ranks,
     matrix_rank,
     packed_skew_mod_p,
+    randbelow_bytes,
     randbelow_many,
     rank_kernel,
     rank_kernel_ints,
@@ -150,7 +160,9 @@ _new_subspace = object.__new__
 EXHAUSTIVE_POINT_BUDGET = 10**6
 DEFAULT_GC3_SAMPLES = 10_000
 # Random points over F_p are drawn in blocks of at most this many points, one
-# `randbelow_many` call per block.
+# draw per block (`randbelow_bytes` for p < 256); the gc3 scan screens each
+# drawn block on byte lanes as it is, and cuts enumerated points into blocks
+# of the same size.
 _POINT_BLOCK = 256
 
 
@@ -590,40 +602,42 @@ class SkewLinearMatrix:
         each (k, c) that occurs; columns are summed as ints and reduced
         whenever one more residue could overflow a byte.  Entries that vanish
         identically are left out."""
-        p = lanes.p
         count = len(columns[0])
-        scale, reduce_p = lanes.scale, lanes.reduce
-        frombytes = int.from_bytes
-        per_reduction = 255 // (p - 1)
         scaled: dict[tuple[int, int], int] = {}
-        entries = {}
-        for key, terms in self._reduced_pairs:
-            if key[1] >= size or not terms:
-                continue
-            if len(terms) == 1:
-                k, c = terms[0]
-                entries[key] = columns[k].translate(scale[c])
-                continue
-            acc = held = 0
-            for term in terms:
-                value = scaled.get(term)
-                if value is None:
-                    k, c = term
-                    value = scaled[term] = frombytes(columns[k].translate(scale[c]), "little")
-                if held == per_reduction:
-                    acc = frombytes(acc.to_bytes(count, "little").translate(reduce_p), "little")
-                    held = 1
-                acc += value
-                held += 1
-            entries[key] = acc.to_bytes(count, "little").translate(reduce_p)
-        return entries
+        return {
+            key: _lane_sum(lanes, columns, count, terms, scaled)
+            for key, terms in self._reduced_pairs
+            if key[1] < size and terms
+        }
+
+    @cached_property
+    def _lane_quartets(self) -> tuple[tuple[tuple[PackedTerms, PackedTerms, int], ...], ...]:
+        """Over F_p, `quartets` for the screen on byte lanes
+        (`_lane_pfaffian_zeros`): each product's two entries merged and
+        reduced as in `_reduced_pairs`, a product with an entry that
+        vanishes mod p left out, and a quartet with no product left dropped,
+        since its Pfaffian vanishes identically."""
+        reduced = {
+            terms: merged for (_, terms), (_, merged) in zip(self.pairs, self._reduced_pairs)
+        }
+        screened = []
+        for quartet in self.quartets:
+            products = tuple(
+                (reduced[first], reduced[second], sign)
+                for first, second, sign in quartet
+                if reduced[first] and reduced[second]
+            )
+            if products:
+                screened.append(products)
+        return tuple(screened)
 
     @cached_property
     def _packed_quartets(self) -> tuple[int, list[tuple[PackedTerms, int]]]:
-        """Over F_p, the quartets packed for `first_rank_at_most_two`: a slot
-        width w and a list that holds the first quartet of `quartets` packed
-        by `_pack_quartet`; the scan appends the others, in order, as points
-        reach them.  Each slot of the scan's product is a sum of at most
+        """Over F_p, the quartets packed for `first_rank_at_most_two`'s packed
+        scan, which also checks the points that the byte-lane screen of
+        `genericity` keeps: a slot width w and a list that holds the first
+        quartet of `quartets` packed by `_pack_quartet`; the scan appends the
+        others, in order, as points reach them.  Each slot of the scan's product is a sum of at most
         three products of two slots of at most dim*(p - 1)**2, so w is the
         bit length of 3*(dim*(p - 1)**2)**2."""
         p: int = self.ctx.field.p  # type: ignore[assignment]
@@ -753,6 +767,10 @@ def point_ranks(M: SkewLinearMatrix, points: Iterable[PointLike]) -> Iterator[in
 # Over 2,000 points of each of the 15 forms of the benchmark's analyze
 # workload, blocks of 512 points took 0.041-0.048 s against 0.038-0.040 s
 # for blocks of 1,024, with a traced memory peak of 0.29 MB against 0.51 MB.
+# The gc3 screen goes on to the next 4x4 Pfaffian while at least
+# _LANE_MIN_BLOCK points are kept: over 10,000 draws of each of the analyze
+# workload's 15 forms at p = 101 its scan took 48-53 ms with a bound of 8 to
+# 64 and 55-69 ms with 2 (best of 25 runs, two runs per bound).
 _LANE_BLOCK = 512
 _LANE_MIN_PRIME = 5
 _LANE_MIN_BLOCK = 16
@@ -847,6 +865,73 @@ def _positions(data: bytes, value: int) -> Iterator[int]:
         yield t
 
 
+def _lane_sum(
+    lanes: ByteLanes,
+    columns: Sequence[bytes],
+    count: int,
+    terms: PackedTerms,
+    scaled: dict[tuple[int, int], int],
+) -> bytes:
+    """The lane vector of sum_k c·x_k over the terms (k, c) of ``terms``,
+    residues c in [1, p), at the coordinate columns ``columns`` of ``count``
+    lanes: each c·x_k one `translate`, kept in ``scaled`` as an int for the
+    other sums on the same columns, and the ints summed and reduced whenever
+    one more residue could overflow a byte."""
+    if len(terms) == 1:
+        k, c = terms[0]
+        return columns[k].translate(lanes.scale[c])
+    frombytes = int.from_bytes
+    reduce_p = lanes.reduce
+    per_reduction = 255 // (lanes.p - 1)
+    acc = held = 0
+    for term in terms:
+        value = scaled.get(term)
+        if value is None:
+            k, c = term
+            value = scaled[term] = frombytes(columns[k].translate(lanes.scale[c]), "little")
+        if held == per_reduction:
+            acc = frombytes(acc.to_bytes(count, "little").translate(reduce_p), "little")
+            held = 1
+        acc += value
+        held += 1
+    return acc.to_bytes(count, "little").translate(reduce_p)
+
+
+def _lane_pfaffian_zeros(
+    lanes: ByteLanes,
+    columns: Sequence[bytes],
+    count: int,
+    quartet: tuple[tuple[PackedTerms, PackedTerms, int], ...],
+    scaled: dict[tuple[int, int], int],
+) -> list[int]:
+    """The lanes, in order, at which the Pfaffian sum_s sign_s u_s v_s of
+    one quartet of `SkewLinearMatrix._lane_quartets` vanishes mod p, on the
+    coordinate columns ``columns`` of ``count`` lanes: each u_s and v_s is
+    a `_lane_sum`, each product the antilog (negated when sign_s is -1) of
+    the sum of their logarithms, masked to the lanes where both are
+    nonzero, and the products are summed as ints, reduced whenever one
+    more could overflow a byte."""
+    frombytes = int.from_bytes
+    log, nonzero, reduce_p = lanes.log, lanes.nonzero, lanes.reduce
+    per_reduction = 255 // (lanes.p - 1)
+    acc = held = 0
+    for first, second, sign in quartet:
+        u = _lane_sum(lanes, columns, count, first, scaled)
+        v = _lane_sum(lanes, columns, count, second, scaled)
+        logs = frombytes(u.translate(log), "little") + frombytes(v.translate(log), "little")
+        product = logs.to_bytes(count, "little").translate(lanes.exp if sign > 0 else lanes.neg_exp)
+        if held == per_reduction:
+            acc = frombytes(acc.to_bytes(count, "little").translate(reduce_p), "little")
+            held = 1
+        acc += (
+            frombytes(product, "little")
+            & frombytes(u.translate(nonzero), "little")
+            & frombytes(v.translate(nonzero), "little")
+        )
+        held += 1
+    return list(_positions(acc.to_bytes(count, "little").translate(reduce_p), 0))
+
+
 def _pack_quartet(
     quartet: tuple[tuple[LinearTerms, LinearTerms, int], ...], p: int, width: int
 ) -> tuple[PackedTerms, int]:
@@ -881,10 +966,13 @@ def first_rank_at_most_two(
     `M.quartets` and passed over at the first nonzero one; the quadruples
     left out of that table vanish identically.  Each point is coerced
     (`point_coords`).  Over F_p the coerced points go through the packed
-    scan `_first_residue_point_of_rank_at_most_two`, which `genericity`
-    calls directly on its points, already canonical residues.  Over the
-    rationals each Pfaffian is summed term by term and compared with zero
-    exactly.
+    scan `_first_residue_point_of_rank_at_most_two`, one point at a time.
+    `genericity` calls that scan directly on its points, already canonical
+    residues, over F_p for p <= 3 and p >= 131; for 5 <= p <= 127 it screens
+    them a block at a time on byte lanes first
+    (`_first_lane_point_of_rank_at_most_two`) and hands the packed scan only
+    the points at which the screened Pfaffians vanish.  Over the rationals
+    each Pfaffian is summed term by term and compared with zero exactly.
     """
     ctx = M.ctx
     if ctx.field.p is not None:
@@ -946,6 +1034,74 @@ def _first_residue_point_of_rank_at_most_two(
     return None
 
 
+def _first_lane_point_of_rank_at_most_two(
+    M: SkewLinearMatrix, lanes: ByteLanes, blocks: Iterable[bytes]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """`first_rank_at_most_two` over F_p with 2·(p − 1) <= 255 for a stream
+    of points given as blocks of canonical residues, one byte per
+    coordinate and ``dim`` bytes per point, unchecked: the index counts the
+    points of every block, and the point comes back as a tuple.
+
+    Each block is screened on byte lanes (see `ByteLanes`), one lane per
+    point, on the columns ``flat[k::dim]``: `_lane_pfaffian_zeros` keeps the
+    lanes at which the first quartet of `M._lane_quartets` vanishes, and
+    while at least ``_LANE_MIN_BLOCK`` lanes are kept the next quartet
+    screens them, on columns cut down to the kept lanes.  A point whose lane
+    falls out of the screen has a nonzero 4x4 Pfaffian mod p, so rank above
+    2, and is passed over unchecked.  The kept points go, in order, to the
+    packed scan `_first_residue_point_of_rank_at_most_two`, which tests
+    every quartet, so the first point it finds is the stream's first.
+    """
+    dim = M.size
+    quartets = M._lane_quartets
+    start = 0
+    for flat in blocks:
+        count = len(flat) // dim
+        kept: Sequence[int] = range(count)
+        columns = [flat[k::dim] for k in range(dim)]
+        scaled: dict[tuple[int, int], int] = {}
+        for quartet in quartets:
+            if len(kept) < _LANE_MIN_BLOCK:
+                break
+            zeros = _lane_pfaffian_zeros(lanes, columns, len(kept), quartet, scaled)
+            if len(zeros) < len(kept):
+                kept = [kept[t] for t in zeros]
+                columns = [bytes(map(column.__getitem__, zeros)) for column in columns]
+                scaled = {}
+        found = _first_residue_point_of_rank_at_most_two(
+            M, [flat[t * dim : (t + 1) * dim] for t in kept]
+        )
+        if found is not None:
+            return start + kept[found[0]], tuple(found[1])
+        start += count
+    return None
+
+
+def _flat_blocks(points: Iterable[Sequence[int]], dim: int) -> Iterator[bytes]:
+    """``points`` of canonical residues mod p < 256 as blocks of at most
+    ``_POINT_BLOCK`` points, each block one `bytes` of their coordinates."""
+    stream = iter(points)
+    while block := bytes(chain.from_iterable(islice(stream, _POINT_BLOCK))):
+        yield block
+
+
+def _point_blocks(p: int, dim: int, rng: _random.Random, count: int) -> Iterator[bytes]:
+    """The draws of `random_points` over F_p for p < 256 as blocks of
+    bytes, ``dim`` bytes per point: each block one `randbelow_bytes` call of
+    at most ``_POINT_BLOCK`` points, with the all-zero points cut out, drawn
+    as the blocks are taken."""
+    zero = bytes(dim)
+    while count > 0:
+        flat = randbelow_bytes(rng, p, min(count, _POINT_BLOCK) * dim)
+        if zero in flat:
+            # the run of zeros found may straddle two points: only whole
+            # zero points are cut out
+            points = (flat[t : t + dim] for t in range(0, len(flat), dim))
+            flat = b"".join(point for point in points if point != zero)
+        count -= len(flat) // dim
+        yield flat
+
+
 def random_points(
     field: FieldSpec, dim: int, rng: _random.Random, count: int
 ) -> Iterator[list[Scalar]]:
@@ -955,9 +1111,11 @@ def random_points(
     The points and the generator state once all are taken are those of
     ``count`` draws of one point each, where a draw takes ``dim`` values and
     is redrawn while they are all zero.  Over F_p each block of at most
-    ``_POINT_BLOCK`` points is one `randbelow_many` call cut into lists of
-    ``dim`` values; the all-zero ones are dropped and the next block makes
-    up for them.  Blocks are drawn as the points are taken, so a caller that
+    ``_POINT_BLOCK`` points is one draw cut into lists of ``dim`` values:
+    for p < 256 the bytes of `_point_blocks` (one `randbelow_bytes` call),
+    which `genericity` screens as they are, and above that one
+    `randbelow_many` call.  The all-zero points are dropped and the next
+    block makes up for them.  Blocks are drawn as the points are taken, so a caller that
     stops early leaves the generator at most one block past the last point
     it took.  A point needs at least one coordinate: ``dim`` below 1 raises
     `ConventionError`, since no draw could ever be nonzero.
@@ -972,6 +1130,10 @@ def random_points(
                 yield coords
         return
     p: int = field.p  # type: ignore[assignment]
+    if p < 256:
+        for flat in _point_blocks(p, dim, rng, count):
+            yield from map(list, zip(*[iter(flat)] * dim))
+        return
     while count > 0:
         values = randbelow_many(rng, p, min(count, _POINT_BLOCK) * dim)
         nonzero = list(map(list, filter(any, zip(*[iter(values)] * dim))))
@@ -1016,7 +1178,8 @@ def genericity(
     exact.  gc3 is decided by seeded random search over at least `samples`
     points; over a prime field whose projective point count fits the budget,
     an exhaustive scan replaces sampling and the verdict is a certificate for
-    that field.
+    that field.  Over F_p with 5 <= p <= 127 either stream is screened a
+    block at a time on byte lanes (`_first_lane_point_of_rank_at_most_two`).
     """
     require_three_form(omega)
     ctx = omega.ctx
@@ -1030,29 +1193,32 @@ def genericity(
     gc1 = matrix_rank(fld, wedges) == dim
 
     M = build_M(omega)
-    can_enumerate = (
-        fld.kind == "prime"
-        and projective_point_count(fld.p, dim) <= EXHAUSTIVE_POINT_BUDGET  # type: ignore[arg-type]
-    )
-    points: Iterable[Sequence]
+    p = fld.p
+    can_enumerate = p is not None and projective_point_count(p, dim) <= EXHAUSTIVE_POINT_BUDGET
     if can_enumerate:
-        total = projective_point_count(fld.p, dim)  # type: ignore[arg-type]
-        points = projective_points(fld, dim)
+        total = projective_point_count(p, dim)  # type: ignore[arg-type]
     else:
         total = max(samples, 0)
         rng = _random.Random(derive_seed("gc3", ctx.n, fld, seed))
-        if fld.kind == "prime":
-            points = random_points(fld, dim, rng, total)
+    lanes = byte_lanes(p) if p is not None and p >= _LANE_MIN_PRIME else None
+    if lanes is not None:
+        if can_enumerate:
+            blocks = _flat_blocks(projective_points(fld, dim), dim)
         else:
-            # nonzero points with entries in -10..10, as tuples of ints
-            def draw() -> tuple[int, ...]:
-                return tuple(rng.randint(-10, 10) for _ in range(dim))
-
-            points = islice(filter(any, iter(draw, None)), total)
-    if fld.kind == "prime":
+            blocks = _point_blocks(p, dim, rng, total)  # type: ignore[arg-type]
+        found = _first_lane_point_of_rank_at_most_two(M, lanes, blocks)
+    elif p is not None:
+        if can_enumerate:
+            points = projective_points(fld, dim)
+        else:
+            points = random_points(fld, dim, rng, total)
         found = _first_residue_point_of_rank_at_most_two(M, points)
     else:
-        found = first_rank_at_most_two(M, points)
+        # nonzero points with entries in -10..10, as tuples of ints
+        def draw() -> tuple[int, ...]:
+            return tuple(rng.randint(-10, 10) for _ in range(dim))
+
+        found = first_rank_at_most_two(M, islice(filter(any, iter(draw, None)), total))
     witness = None if found is None else tuple(found[1])
     examined = total if found is None else found[0] + 1
     scanned_exhaustively = can_enumerate and found is None

@@ -191,8 +191,13 @@ def test_random_points_repeat_random_coords_and_the_generator_state(field, dim, 
     assert blocks.getstate() == singles.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("field, dim", [(FieldSpec.prime(2), 1), (F101, 7)])
+@pytest.mark.parametrize(
+    "field, dim",
+    [(FieldSpec.prime(2), 1), (F101, 7), (FieldSpec.prime(5), 2), (FieldSpec.prime(1009), 3)],
+)
 def test_random_points_over_many_blocks_repeat_the_one_point_draws(field, dim):
+    # F_5 in two coordinates draws the zero point once in 25, so many blocks
+    # lose points; F_1009 draws past the byte draws
     blocks, reference = random.Random(5), random.Random(5)
     points = list(random_points(field, dim, blocks, 2000))
     assert all(type(coords) is list for coords in points)

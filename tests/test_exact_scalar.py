@@ -37,6 +37,7 @@ from triwedge.exact_scalar import (
     poly_gcd,
     poly_resultant_mod_p,
     randbelow,
+    randbelow_bytes,
     randbelow_many,
     rank_kernel,
     row_reduce,
@@ -981,6 +982,27 @@ def test_randbelow_many_repeats_randbelow_and_its_generator_state(bound):
         expected = [randbelow(reference, bound) for _ in range(count)]
         assert randbelow_many(fast, bound, count) == expected
         assert fast.getstate() == reference.getstate()
+
+
+def test_randbelow_bytes_repeats_randbelow_and_its_generator_state():
+    # every bound that a byte holds, each over counts that need no refill,
+    # a few refills and many
+    for bound in range(1, 256):
+        reference = random.Random(bound)
+        fast = random.Random(bound)
+        for count in (0, 1, 5, 300):
+            expected = bytes(randbelow(reference, bound) for _ in range(count))
+            assert randbelow_bytes(fast, bound, count) == expected
+            assert fast.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, -1, 256, 1009])
+def test_randbelow_bytes_rejects_a_bound_outside_a_byte(bound):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty range" if bound < 1 else "more than 8 bits"):
+        randbelow_bytes(rng, bound, 3)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("bound", [0, -1, -256])

@@ -23,9 +23,11 @@ from triwedge import catalog, congruence, degeneracy, form_analysis
 from triwedge.exact_scalar import (
     ConventionError,
     FieldSpec,
+    byte_lanes,
     lane_skew_ranks,
     matrix_rank,
     randbelow,
+    randbelow_many,
     rank_kernel,
 )
 from triwedge.exterior_core import (
@@ -637,6 +639,160 @@ def test_point_ranks_pulls_at_most_one_block(p):
     for _ in range(LANE_BLOCK):
         next(ranks)
     assert pulled == (2 * LANE_BLOCK if p <= 127 else LANE_BLOCK + 1)
+
+
+# The gc3 scan screens blocks of this many points on byte lanes.
+POINT_BLOCK = form_analysis._POINT_BLOCK
+GC3_CATALOG = ("n3", "n4", "n5-tangent", "n7-ozeki")
+
+
+def as_tuple(found):
+    """A scan's (index, point) with the point as a tuple, or None."""
+    return None if found is None else (found[0], tuple(found[1]))
+
+
+def gc3_scan(M, stream):
+    """`genericity`'s scan of a stream of residue points: on byte lanes for
+    5 <= p <= 127, the packed scan otherwise; the point comes back as a
+    tuple."""
+    p = M.ctx.field.p
+    lanes = byte_lanes(p) if p >= form_analysis._LANE_MIN_PRIME else None
+    if lanes is None:
+        return as_tuple(form_analysis._first_residue_point_of_rank_at_most_two(M, stream))
+    blocks = form_analysis._flat_blocks(stream, M.size)
+    return form_analysis._first_lane_point_of_rank_at_most_two(M, lanes, blocks)
+
+
+def first_quartet_vanishing_form(ctx: SpaceContext, seed: int) -> AlternatingTensor:
+    """e014 + e235 + e024 + e135 and random terms on the triples that meet
+    {0, 1, 2, 3} at most once: the Pfaffian of the first quartet (0, 1, 2, 3)
+    is x4·x5 − x4·x5, identically zero though both its products are listed."""
+    rng = random.Random(seed)
+    terms = {(0, 1, 4): 1, (2, 3, 5): 1, (0, 2, 4): 1, (1, 3, 5): 1}
+    for triple in combinations(range(ctx.dim), 3):
+        if len(set(triple) & {0, 1, 2, 3}) <= 1 and rng.random() < 0.5:
+            terms[triple] = randbelow(rng, ctx.field.p)
+    return AlternatingTensor.make(ctx, 3, "form", terms)
+
+
+def low_rank_point(M):
+    """A point of small support at which M has rank at most 2 (a basis
+    vector or the sum of two), or None."""
+    dim = M.size
+    units = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    candidates = units + [[a + b for a, b in zip(units[j], units[k])] for j, k in
+                          combinations(range(dim), 2)]
+    found = first_rank_at_most_two_reference(M, candidates)
+    return None if found is None else found[1]
+
+
+@st.composite
+def gc3_streams(draw):
+    """A skew matrix over F_p, p in `LANE_PRIMES`, and a stream of 2B
+    residue points, B the block of the gc3 scan.  The matrix comes from a
+    random form, a decomposable form (e012, or u^v^w of random covectors:
+    every point has rank at most 2), a form of `GC3_CATALOG` (`n3` has no
+    quartet), the two-planes form or a form whose first quartet vanishes
+    identically.  At some of the positions 0, B - 1, B and 2B - 1 a point
+    of rank at most 2 is planted: one of small support when there is one,
+    a point of the first plane for the two-planes form, else the zero
+    point."""
+    p = draw(st.sampled_from(LANE_PRIMES))
+    field = FieldSpec.prime(p)
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(["random", "e012", "decomposable", "catalog", "two-planes",
+                                 "vanishing"]))
+    ctx = SpaceContext(draw(st.integers(5 if kind in ("two-planes", "vanishing") else 3, 9)),
+                       field)
+    if kind == "catalog":
+        omega = catalog.get(draw(st.sampled_from(GC3_CATALOG)), field=field)[0]
+    elif kind == "random":
+        omega = random_tensor(ctx, 3, "form", seed)
+    elif kind == "e012":
+        omega = AlternatingTensor.make(ctx, 3, "form", {(0, 1, 2): 1})
+    elif kind == "decomposable":
+        u, v, w = (random_tensor(ctx, 1, "form", seed + k) for k in range(3))
+        omega = wedge(wedge(u, v), w)
+    elif kind == "two-planes":
+        omega = two_planes(ctx)
+    else:
+        omega = first_quartet_vanishing_form(ctx, seed)
+    M = build_M(omega)
+    dim = M.size
+    stream = [[randbelow(rng, p) for _ in range(dim)] for _ in range(2 * POINT_BLOCK)]
+    if kind == "two-planes":
+        planted = [1, randbelow(rng, p), randbelow(rng, p)] + [0] * (dim - 3)
+    else:
+        planted = low_rank_point(M) or [0] * dim
+    positions = [0, POINT_BLOCK - 1, POINT_BLOCK, 2 * POINT_BLOCK - 1]
+    for t in draw(st.lists(st.sampled_from(positions), max_size=4, unique=True)):
+        stream[t] = list(planted)
+    return M, stream
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=gc3_streams())
+def test_gc3_scan_finds_the_first_low_rank_point_of_the_reference(case):
+    # from the start, and from points that move the block boundaries
+    M, stream = case
+    for start in (0, 1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1):
+        rest = stream[start:]
+        assert gc3_scan(M, rest) == as_tuple(first_rank_at_most_two_reference(M, rest))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("kind", ["e012", "random"])
+def test_gc3_scan_skips_the_all_zero_draws(p, kind):
+    # the seeds whose first draw is the zero point; the scan's stream is the
+    # one-point draws that are not zero, so its first point is the second draw
+    field = FieldSpec.prime(p)
+    ctx = SpaceContext(3, field)
+    seeds = [s for s in range(20_000) if not any(randbelow_many(random.Random(s), p, ctx.dim))]
+    assert seeds
+    forms = {"e012": AlternatingTensor.make(ctx, 3, "form", {(0, 1, 2): 1}),
+             "random": random_tensor(ctx, 3, "form", p)}
+    M = build_M(forms[kind])
+    lanes = byte_lanes(p)
+    for seed in seeds[:5]:
+        for total in (1, POINT_BLOCK, 3 * POINT_BLOCK):
+            blocks = form_analysis._point_blocks(p, ctx.dim, random.Random(seed), total)
+            found = form_analysis._first_lane_point_of_rank_at_most_two(M, lanes, blocks)
+            rng, points = random.Random(seed), []
+            while len(points) < total:
+                point = randbelow_many(rng, p, ctx.dim)
+                if any(point):
+                    points.append(point)
+            assert found == as_tuple(first_rank_at_most_two_reference(M, points))
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_genericity_takes_byte_lanes_exactly_from_5_to_127(p, monkeypatch):
+    scans = []
+    lane_scan = form_analysis._first_lane_point_of_rank_at_most_two
+
+    def counted(M, lanes, blocks):
+        scans.append(lanes.p)
+        return lane_scan(M, lanes, blocks)
+
+    monkeypatch.setattr(form_analysis, "_first_lane_point_of_rank_at_most_two", counted)
+    field = FieldSpec.prime(p)
+    for omega in (random_tensor(SpaceContext(6, field), 3, "form", p),
+                  catalog.get("n4", field=field)[0]):
+        ctx = omega.ctx
+        report = genericity(omega, samples=700, seed=p)
+        if projective_point_count(p, ctx.dim) <= EXHAUSTIVE_POINT_BUDGET:
+            stream = list(projective_points(field, ctx.dim))
+        else:
+            rng = random.Random(derive_seed("gc3", ctx.n, field, p))
+            stream = list(random_points(field, ctx.dim, rng, 700))
+        expected = first_rank_at_most_two_reference(build_M(omega), stream)
+        if expected is None:
+            assert (report.gc3_witness, report.gc3_samples) == (None, len(stream))
+        else:
+            assert report.gc3_witness == tuple(expected[1])
+            assert report.gc3_samples == expected[0] + 1
+    assert scans == ([p, p] if 5 <= p <= 127 else [])
 
 
 def _sampled_and_exhaustive(name: str) -> list:
