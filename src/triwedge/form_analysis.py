@@ -637,9 +637,9 @@ class SkewLinearMatrix:
         scan, which also checks the points that the byte-lane screen of
         `genericity` keeps: a slot width w and a list that holds the first
         quartet of `quartets` packed by `_pack_quartet`; the scan appends the
-        others, in order, as points reach them.  Each slot of the scan's product is a sum of at most
-        three products of two slots of at most dim*(p - 1)**2, so w is the
-        bit length of 3*(dim*(p - 1)**2)**2."""
+        others, in order, as points reach them.  Each slot of the scan's
+        product is a sum of at most three products of two slots of at most
+        dim*(p - 1)**2, so w is the bit length of 3*(dim*(p - 1)**2)**2."""
         p: int = self.ctx.field.p  # type: ignore[assignment]
         dim = self.size
         width = (3 * (dim * (p - 1) ** 2) ** 2).bit_length()

@@ -680,9 +680,8 @@ def low_rank_point(M):
     vector or the sum of two), or None."""
     dim = M.size
     units = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    candidates = units + [[a + b for a, b in zip(units[j], units[k])] for j, k in
-                          combinations(range(dim), 2)]
-    found = first_rank_at_most_two_reference(M, candidates)
+    pairs = [[a + b for a, b in zip(units[j], units[k])] for j, k in combinations(range(dim), 2)]
+    found = first_rank_at_most_two_reference(M, units + pairs)
     return None if found is None else found[1]
 
 
@@ -701,10 +700,10 @@ def gc3_streams(draw):
     field = FieldSpec.prime(p)
     seed = draw(st.integers(0, 10**6))
     rng = random.Random(seed)
-    kind = draw(st.sampled_from(["random", "e012", "decomposable", "catalog", "two-planes",
-                                 "vanishing"]))
-    ctx = SpaceContext(draw(st.integers(5 if kind in ("two-planes", "vanishing") else 3, 9)),
-                       field)
+    kinds = ["random", "e012", "decomposable", "catalog", "two-planes", "vanishing"]
+    kind = draw(st.sampled_from(kinds))
+    least = 5 if kind in ("two-planes", "vanishing") else 3
+    ctx = SpaceContext(draw(st.integers(least, 9)), field)
     if kind == "catalog":
         omega = catalog.get(draw(st.sampled_from(GC3_CATALOG)), field=field)[0]
     elif kind == "random":
@@ -741,28 +740,41 @@ def test_gc3_scan_finds_the_first_low_rank_point_of_the_reference(case):
         assert gc3_scan(M, rest) == as_tuple(first_rank_at_most_two_reference(M, rest))
 
 
+def nonzero_draws(p: int, dim: int, rng: random.Random, count: int) -> list:
+    """``count`` one-point draws of ``dim`` values, the all-zero ones left
+    out, and the number of draws left out before the last one kept."""
+    points, zeros = [], 0
+    while len(points) < count:
+        point = randbelow_many(rng, p, dim)
+        if any(point):
+            points.append(point)
+        else:
+            zeros += 1
+    return points, zeros
+
+
 @pytest.mark.parametrize("p", [5, 7])
-@pytest.mark.parametrize("kind", ["e012", "random"])
-def test_gc3_scan_skips_the_all_zero_draws(p, kind):
-    # the seeds whose first draw is the zero point; the scan's stream is the
-    # one-point draws that are not zero, so its first point is the second draw
+def test_gc3_scan_skips_the_all_zero_draws(p):
+    # M's one quartet has the Pfaffian x0·x1 − x2·x3, so about one point in
+    # p is a hit; the seeds are those where a zero point is drawn before the
+    # first hit, and the scan must count only the nonzero draws
     field = FieldSpec.prime(p)
     ctx = SpaceContext(3, field)
-    seeds = [s for s in range(20_000) if not any(randbelow_many(random.Random(s), p, ctx.dim))]
-    assert seeds
-    forms = {"e012": AlternatingTensor.make(ctx, 3, "form", {(0, 1, 2): 1}),
-             "random": random_tensor(ctx, 3, "form", p)}
-    M = build_M(forms[kind])
+    pairs = (((0, 1), ((0, 1),)), ((2, 3), ((1, 1),)), ((0, 2), ((2, 1),)), ((1, 3), ((3, 1),)))
+    M = SkewLinearMatrix(ctx, pairs)
     lanes = byte_lanes(p)
+    seeds = []
+    for seed in range(20_000):
+        rng = random.Random(seed)
+        first = first_rank_at_most_two_reference(M, nonzero_draws(p, ctx.dim, rng, 20)[0])
+        if first is not None and nonzero_draws(p, ctx.dim, random.Random(seed), first[0] + 1)[1]:
+            seeds.append(seed)
+    assert len(seeds) >= 5
     for seed in seeds[:5]:
         for total in (1, POINT_BLOCK, 3 * POINT_BLOCK):
             blocks = form_analysis._point_blocks(p, ctx.dim, random.Random(seed), total)
             found = form_analysis._first_lane_point_of_rank_at_most_two(M, lanes, blocks)
-            rng, points = random.Random(seed), []
-            while len(points) < total:
-                point = randbelow_many(rng, p, ctx.dim)
-                if any(point):
-                    points.append(point)
+            points = nonzero_draws(p, ctx.dim, random.Random(seed), total)[0]
             assert found == as_tuple(first_rank_at_most_two_reference(M, points))
 
 
@@ -777,8 +789,8 @@ def test_genericity_takes_byte_lanes_exactly_from_5_to_127(p, monkeypatch):
 
     monkeypatch.setattr(form_analysis, "_first_lane_point_of_rank_at_most_two", counted)
     field = FieldSpec.prime(p)
-    for omega in (random_tensor(SpaceContext(6, field), 3, "form", p),
-                  catalog.get("n4", field=field)[0]):
+    forms = [random_tensor(SpaceContext(6, field), 3, "form", p), catalog.get("n4", field=field)[0]]
+    for omega in forms:
         ctx = omega.ctx
         report = genericity(omega, samples=700, seed=p)
         if projective_point_count(p, ctx.dim) <= EXHAUSTIVE_POINT_BUDGET:
