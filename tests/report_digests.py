@@ -23,7 +23,10 @@ in ``ANALYZE_RUNS``.  Four files hold the digests:
   `random_tensor` drops them, and many operands of the exterior kernels
   there take their sparse loops.  ``conventions`` over F_(2**61 - 1) at
   seed 0 pins the dense kernels on full-size residues, whose products
-  and sums run far past a machine word.
+  and sums run far past a machine word.  ``residual-membership`` at seed 0
+  over F_5, F_127 and F_131 pins its sampled lines and line-system kernel
+  dimensions at the low end of the range 5 <= p <= 127 in which the point
+  streams take byte lanes, and on either side of its upper bound.
 * ``data/analyze_report_digests.json``: ``analyze`` on the catalog forms,
   fields and seeds in ``ANALYZE_RUNS``.  They cover the branches of the
   pointwise rank search and of the rank sampling that the benchmark's
@@ -83,6 +86,7 @@ SUITES = {
 SEEDS = (0, 7)
 RESIDUAL_SINGULAR_SEEDS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15)
 CONVENTIONS_WIDE_PRIMES = (2305843009213693951,)
+RESIDUAL_MEMBERSHIP_PRIMES = (5, 127, 131)
 ANALYZE_RUNS = (
     ("n6-g2", "p:2", 0),
     ("n4", "p:3", 0),
@@ -124,7 +128,9 @@ def rational_commands() -> list[list[str]]:
 def prime_field_commands() -> list[list[str]]:
     """The ``verify --suite all`` argument lists, one per seed, then the
     ``conventions`` runs over F_3, one per seed, then the ``conventions``
-    runs at seed 0 over the primes of ``CONVENTIONS_WIDE_PRIMES``."""
+    runs at seed 0 over the primes of ``CONVENTIONS_WIDE_PRIMES``, then the
+    ``residual-membership`` runs at seed 0 over the primes of
+    ``RESIDUAL_MEMBERSHIP_PRIMES``."""
     return [
         ["verify", "--suite", "all", "--seed", str(seed), "--format", "json"]
         for seed in SEEDS
@@ -136,6 +142,10 @@ def prime_field_commands() -> list[list[str]]:
         ["verify", "--suite", "conventions", "--field", f"p:{prime}", "--seed", "0",
          "--format", "json"]
         for prime in CONVENTIONS_WIDE_PRIMES
+    ] + [
+        ["verify", "--suite", "residual-membership", "--field", f"p:{prime}", "--seed", "0",
+         "--format", "json"]
+        for prime in RESIDUAL_MEMBERSHIP_PRIMES
     ]
 
 
