@@ -35,9 +35,10 @@ it runs the same elimination on Fractions.  Over F_p with 2·(p − 1) <= 255,
 that is p <= 127, `lane_skew_ranks` ranks a block of alternating matrices
 at once, one matrix per byte of a `bytes` string (a lane): sums are int
 additions of whole strings, and products and quotients go through the
-discrete-logarithm tables of `ByteLanes` by `bytes.translate`.
-`byte_lanes` builds those tables on its first call for each p and keeps
-them.
+discrete-logarithm tables of `ByteLanes` by `bytes.translate`;
+`lane_ranks` does the same for matrices of any shape, and `lane_sum`
+evaluates a linear form on a block's coordinate columns.  `byte_lanes`
+builds those tables on its first call for each p and keeps them.
 `Matrix.det` runs the Schur-complement elimination that pivots on the first
 row with a nonzero first entry, on ints mod p over F_p and on Fractions
 over the rationals.  Univariate polynomials store
@@ -84,6 +85,8 @@ __all__ = [
     "ByteLanes",
     "byte_lanes",
     "lane_skew_ranks",
+    "lane_ranks",
+    "lane_sum",
     "skew_slot_width",
     "pfaffian",
     "poly_gcd",
@@ -782,6 +785,124 @@ def lane_skew_ranks(
                     updated[(k, l)] = e
         entries = updated
     return ranks.to_bytes(count, "little"), fallen.to_bytes(count, "little")
+
+
+def lane_ranks(
+    lanes: ByteLanes, count: int, entries: dict[tuple[int, int], bytes]
+) -> tuple[bytes, bytes]:
+    """Ranks over F_p of ``count`` matrices at once, one matrix per byte lane:
+    the sibling of `lane_skew_ranks` for matrices of any shape.
+
+    ``entries`` maps each position (r, c) to the lane vector (see
+    `ByteLanes`) of the (r, c) entries, ``count`` bytes; a missing position
+    is zero in every lane.  Each step pivots every lane on one position
+    (i, j), the remaining entry with the most nonzero lanes, drops row i and
+    column j, and takes a_rc −= a_rj·a_ic / a_ij on the rest: the quotient
+    a_rj / a_ij is the logarithm of a_rj plus that of 1/a_ij, reduced mod
+    p − 1 (``reduce_log``), and the negated product one `translate` by
+    ``neg_exp``, masked to the lanes where a_rj and a_ic are nonzero; the
+    rank of each lane whose pivot is nonzero grows by 1.  A lane whose pivot
+    is zero while one of its remaining entries is not falls out, as in
+    `lane_skew_ranks`: it is zeroed in every entry, so it stays out of later
+    pivots.  The elimination stops when every remaining entry is zero in
+    every lane.
+
+    Returns the rank of each lane as ``count`` bytes and the lanes that fell
+    out as ``count`` bytes, 0xFF for such a lane (its rank byte is then
+    meaningless) and 0 otherwise.
+    """
+    frombytes = int.from_bytes
+    log, inv_log, neg_exp = lanes.log, lanes.inv_log, lanes.neg_exp
+    nonzero, reduce_p, reduce_log = lanes.nonzero, lanes.reduce, lanes.reduce_log
+    full = (1 << 8 * count) - 1
+    ones = full // 255
+    ranks = fallen = 0
+    entries = {key: e for key, e in entries.items() if e.count(0) < count}
+    while entries:
+        i, j = min(entries, key=lambda key: entries[key].count(0))
+        pivot = entries[(i, j)]
+        pivot_mask = frombytes(pivot.translate(nonzero), "little")
+        ranks += pivot_mask & ones
+        some = reduce(operator.or_, (frombytes(e, "little") for e in entries.values()))
+        drop = frombytes(some.to_bytes(count, "little").translate(nonzero), "little")
+        drop &= ~pivot_mask
+        fallen |= drop
+        keep = full ^ drop
+        inv = frombytes(pivot.translate(inv_log), "little")
+        # for each other row r: the log of a_rj / a_ij and the mask of a_rj;
+        # for each other column c: the log of a_ic and the mask of a_ic
+        over: dict[int, tuple[int, int]] = {}
+        row_i: dict[int, tuple[int, int]] = {}
+        for (r, c), e in entries.items():
+            if c == j and r != i:
+                s = (frombytes(e.translate(log), "little") + inv).to_bytes(count, "little")
+                over[r] = (
+                    frombytes(s.translate(reduce_log), "little"),
+                    frombytes(e.translate(nonzero), "little"),
+                )
+            elif r == i and c != j:
+                row_i[c] = (
+                    frombytes(e.translate(log), "little"),
+                    frombytes(e.translate(nonzero), "little"),
+                )
+        updated: dict[tuple[int, int], bytes] = {}
+        for (r, c), e in entries.items():
+            if r == i or c == j:
+                continue
+            x, y = over.get(r), row_i.get(c)
+            if x is None or y is None:
+                if drop:
+                    e = (frombytes(e, "little") & keep).to_bytes(count, "little")
+                if e.count(0) < count:
+                    updated[(r, c)] = e
+                continue
+            s = (x[0] + y[0]).to_bytes(count, "little").translate(neg_exp)
+            acc = frombytes(e, "little") + (frombytes(s, "little") & x[1] & y[1])
+            e = (acc & keep).to_bytes(count, "little").translate(reduce_p)
+            if e.count(0) < count:
+                updated[(r, c)] = e
+        # the positions that were zero in every lane and fill in
+        for r, x in over.items():
+            for c, y in row_i.items():
+                if (r, c) not in entries:
+                    s = (x[0] + y[0]).to_bytes(count, "little").translate(neg_exp)
+                    e = (frombytes(s, "little") & x[1] & y[1] & keep).to_bytes(count, "little")
+                    if e.count(0) < count:
+                        updated[(r, c)] = e
+        entries = updated
+    return ranks.to_bytes(count, "little"), fallen.to_bytes(count, "little")
+
+
+def lane_sum(
+    lanes: ByteLanes,
+    columns: Sequence[bytes],
+    count: int,
+    terms: Sequence[tuple[int, int]],
+    scaled: dict[tuple[int, int], int],
+) -> bytes:
+    """The lane vector of sum_k c·x_k over the terms (k, c) of ``terms``,
+    residues c in [1, p), at the coordinate columns ``columns`` of ``count``
+    lanes: each c·x_k one `translate`, kept in ``scaled`` as an int for the
+    other sums on the same columns, and the ints summed and reduced whenever
+    one more residue could overflow a byte."""
+    if len(terms) == 1:
+        k, c = terms[0]
+        return columns[k].translate(lanes.scale[c])
+    frombytes = int.from_bytes
+    reduce_p = lanes.reduce
+    per_reduction = 255 // (lanes.p - 1)
+    acc = held = 0
+    for term in terms:
+        value = scaled.get(term)
+        if value is None:
+            k, c = term
+            value = scaled[term] = frombytes(columns[k].translate(lanes.scale[c]), "little")
+        if held == per_reduction:
+            acc = frombytes(acc.to_bytes(count, "little").translate(reduce_p), "little")
+            held = 1
+        acc += value
+        held += 1
+    return acc.to_bytes(count, "little").translate(reduce_p)
 
 
 def rank_kernel(

@@ -93,6 +93,7 @@ __all__ = [
     "covector_contract",
     "reduced_square",
     "split_along_covector",
+    "hyperplane_restriction",
     "require_three_form",
     "random_tensor",
     "contraction_gathers",
@@ -875,6 +876,31 @@ def split_along_covector(
     beta = contract(omega, e)
     omega_x = omega.sub(wedge(beta, x))
     return omega_x, beta, e
+
+
+def hyperplane_restriction(
+    omega: AlternatingTensor, z: AlternatingTensor
+) -> AlternatingTensor:
+    """A 3-form restricted to the hyperplane {z = 0} of a nonzero covector
+    z, in a fresh SpaceContext one dimension down: `pullback` along the
+    basis that `rank_kernel` gives the annihilator of z, b_i = e_i −
+    (z_i/z_q)·e_q for i != q in increasing order, with q the first index at
+    which z is nonzero.
+
+    With e = e_q / z_q, omega(b_a, b_b, b_c) for a, b, c != q is
+    omega_abc − (z_a·omega(e, e_b, e_c) − z_b·omega(e, e_a, e_c) +
+    z_c·omega(e, e_a, e_b)), the (a, b, c) coefficient of omega − (ι_e
+    omega) ∧ z: the first part of `split_along_covector`, whose pivot rule
+    picks the same e.  That part is killed by e, so no term of it holds the
+    index q, and the result is its terms with each index above q moved down
+    by one; no basis vector is built and nothing is contracted per basis
+    vector.
+    """
+    omega_z = split_along_covector(omega, z)[0]
+    (q,), _ = z.terms[0]
+    sub_ctx = SpaceContext(omega.ctx.n - 1, omega.ctx.field)
+    terms = tuple((tuple(k - (k > q) for k in key), c) for key, c in omega_z.terms)
+    return _trusted(sub_ctx, 3, "form", terms)
 
 
 def derive_seed(*parts: object) -> int:

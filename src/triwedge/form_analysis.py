@@ -21,8 +21,9 @@ the point's support since M(P)·P = 0 (over the rationals `matrix_rank` of
 the rows of M(P)); it reads whether M(x)·x = 0 holds once per stream, and
 `point_contraction_rank` is its one-point case.  Over F_p with
 5 <= p <= 127 it ranks a block of up to 512 points at once on byte lanes,
-one byte per point (`exact_scalar.ByteLanes`): `SkewLinearMatrix.lanes_at`
-evaluates M on the block's coordinate columns and
+one byte per point (`exact_scalar.ByteLanes`, on the lanes of
+`point_lanes`): `lane_columns` cuts the block into coordinate columns,
+`SkewLinearMatrix.lanes_at` evaluates M on them and
 `exact_scalar.lane_skew_ranks` eliminates every lane with one pivot pair per
 step.  A lane whose pivot vanishes is ranked again in a smaller block; a
 point with last coordinate 0, a point that is not canonical residues, a
@@ -108,6 +109,7 @@ from .exact_scalar import (
     as_ints,
     byte_lanes,
     lane_skew_ranks,
+    lane_sum,
     matrix_rank,
     packed_skew_mod_p,
     randbelow_bytes,
@@ -141,6 +143,8 @@ __all__ = [
     "point_contraction_rank",
     "point_ranks",
     "point_coords",
+    "point_lanes",
+    "lane_columns",
     "first_rank_at_most_two",
     "random_points",
     "bivector_contraction",
@@ -438,16 +442,21 @@ def point_coords(ctx: SpaceContext, point: PointLike) -> tuple[Scalar, ...]:
 
     Over F_p a sequence of canonical residues (every value of type ``int``
     in ``[0, p)``) is taken as it is; anything else, bools included, goes
-    through `FieldSpec.coerce`.
+    through `FieldSpec.coerce`.  A point that is no sequence, or a value
+    that the field cannot coerce (``None``, an arbitrary object), raises
+    `ConventionError`.
     """
     if isinstance(point, AlternatingTensor):
         if point.ctx != ctx or point.degree != 1 or point.variance != "vector":
             raise ConventionError("point must be a vector of the same space")
         return point.coords()
-    coords = tuple(point)
-    p = ctx.field.p
-    if p is None or not all(type(v) is int and 0 <= v < p for v in coords):
-        coords = tuple(ctx.field.coerce(value) for value in coords)
+    try:
+        coords = tuple(point)
+        p = ctx.field.p
+        if p is None or not all(type(v) is int and 0 <= v < p for v in coords):
+            coords = tuple(ctx.field.coerce(value) for value in coords)
+    except TypeError as exc:
+        raise ConventionError(f"a point is a sequence of field elements: {exc}") from exc
     if len(coords) != ctx.dim:
         raise ConventionError(f"expected {ctx.dim} coordinates, got {len(coords)}")
     return coords
@@ -605,7 +614,7 @@ class SkewLinearMatrix:
         count = len(columns[0])
         scaled: dict[tuple[int, int], int] = {}
         return {
-            key: _lane_sum(lanes, columns, count, terms, scaled)
+            key: lane_sum(lanes, columns, count, terms, scaled)
             for key, terms in self._reduced_pairs
             if key[1] < size and terms
         }
@@ -732,7 +741,7 @@ def point_ranks(M: SkewLinearMatrix, points: Iterable[PointLike]) -> Iterator[in
 
     Over F_p with ``_LANE_MIN_PRIME`` = 5 <= p and 2·(p − 1) <= 255, so
     p <= 127 (`exact_scalar.byte_lanes`), and M of at most 255 rows, the
-    points are taken a block of at most ``_LANE_BLOCK`` = 512 at a time,
+    points are taken a block of at most ``LANE_BLOCK`` = 512 at a time,
     so a caller that stops early has pulled at most one block past its
     last rank, and the block is ranked at once on byte lanes
     (`_block_ranks`).  Every other point takes the packed path one at a
@@ -748,17 +757,17 @@ def point_ranks(M: SkewLinearMatrix, points: Iterable[PointLike]) -> Iterator[in
             yield matrix_rank(ctx.field, M.rows_at(point_coords(ctx, point)))
         return
     in_kernel = M.point_in_kernel
-    lanes = byte_lanes(p) if p >= _LANE_MIN_PRIME and M.size <= 255 else None
+    lanes = point_lanes(ctx.field, M.size)
     if lanes is None:
         for point in points:
             yield _packed_rank(M, in_kernel, point)
         return
     stream = iter(points)
-    while block := list(islice(stream, _LANE_BLOCK)):
+    while block := list(islice(stream, LANE_BLOCK)):
         yield from _block_ranks(M, lanes, in_kernel, block)
 
 
-# Byte lanes rank blocks of at most _LANE_BLOCK points, which bounds the
+# Byte lanes rank blocks of at most LANE_BLOCK points, which bounds the
 # memory a block holds whatever the stream's length.  Timed on 1,024 random
 # points of `n7-ozeki` and a random form with n = 8 or 9 (Python 3.11, 2-vCPU
 # VM): the lanes took as long as the packed path at p = 2 and 3, where many
@@ -768,12 +777,49 @@ def point_ranks(M: SkewLinearMatrix, points: Iterable[PointLike]) -> Iterator[in
 # workload, blocks of 512 points took 0.041-0.048 s against 0.038-0.040 s
 # for blocks of 1,024, with a traced memory peak of 0.29 MB against 0.51 MB.
 # The gc3 screen goes on to the next 4x4 Pfaffian while at least
-# _LANE_MIN_BLOCK points are kept: over 10,000 draws of each of the analyze
+# LANE_MIN_BLOCK points are kept: over 10,000 draws of each of the analyze
 # workload's 15 forms at p = 101 its scan took 48-53 ms with a bound of 8 to
 # 64 and 55-69 ms with 2 (best of 25 runs, two runs per bound).
-_LANE_BLOCK = 512
+LANE_BLOCK = 512
 _LANE_MIN_PRIME = 5
-_LANE_MIN_BLOCK = 16
+LANE_MIN_BLOCK = 16
+
+
+def point_lanes(field: FieldSpec, size: int) -> Optional[ByteLanes]:
+    """The byte lanes on which the point streams (`point_ranks`,
+    `residual.line_system_kernel_dims`) rank a block of points at once:
+    `exact_scalar.byte_lanes` of F_p for ``_LANE_MIN_PRIME`` = 5 <= p <= 127
+    when the ranks, at most ``size``, fit a byte; None for every other field
+    and size, where every point is ranked on its own."""
+    p = field.p
+    if p is None or p < _LANE_MIN_PRIME or size > 255:
+        return None
+    return byte_lanes(p)
+
+
+def lane_columns(block: Sequence[PointLike], dim: int, p: int) -> tuple[list[bytes], set[int]]:
+    """A block of points on byte lanes, one lane per point: the ``dim``
+    coordinate columns, column k holding coordinate k of every point as one
+    byte, and the positions of the points that are not `_canonical`, at
+    which a zero point stands in.
+
+    When every point is ``dim`` values that `bytes` reads below p, the
+    block goes to the lanes as it is: such a value is an int residue or an
+    int-like value (a bool) that coerces to the same int, so no position is
+    returned.  A caller takes the points at the returned positions one at a
+    time, through `point_coords`."""
+    try:
+        flat = bytes(chain.from_iterable(block)) if set(map(len, block)) == {dim} else b""
+    except (TypeError, ValueError):
+        flat = b""
+    if not flat or flat.translate(None, bytes(range(p))):
+        single = {t for t, point in enumerate(block) if not _canonical(point, dim, p)}
+        zero = (0,) * dim
+        stand_ins = (zero if t in single else point for t, point in enumerate(block))
+        flat = bytes(chain.from_iterable(stand_ins))
+    else:
+        single = set()
+    return [flat[k::dim] for k in range(dim)], single
 
 
 def _canonical(coords: Sequence, dim: int, p: int) -> bool:
@@ -811,35 +857,21 @@ def _block_ranks(
     """`point_ranks` of a block of points over F_p with 2·(p − 1) <= 255.
 
     The points are ranked on byte lanes: their coordinate columns are cut
-    out of one `bytes` of every coordinate, M is evaluated on them
-    (`SkewLinearMatrix.lanes_at`) and `lane_skew_ranks` eliminates every
-    lane at once, leaving out the last index when M(P)·P = 0.  When every
-    point is ``dim`` values that `bytes` reads below p, the block goes to
-    the lanes as it is: such a value is an int residue or an int-like value
-    (a bool) that coerces to the same int.  Otherwise each point that is not
-    `_canonical` takes the packed path and a zero point stands in for it on
-    the lanes.  The points whose lanes fall out of the elimination are
-    ranked again as a block of their own, smaller than this one, and the
-    points with last coordinate 0 when M(P)·P = 0 take the packed path
-    (`_packed_rank`), as does every point of a block of fewer than
-    ``_LANE_MIN_BLOCK`` points.
+    out of one `bytes` of every coordinate (`lane_columns`), M is evaluated
+    on them (`SkewLinearMatrix.lanes_at`) and `lane_skew_ranks` eliminates
+    every lane at once, leaving out the last index when M(P)·P = 0.  Each
+    point that is not `_canonical` takes the packed path, and a zero point
+    stands in for it on the lanes.  The points whose lanes fall out of the
+    elimination are ranked again as a block of their own, smaller than this
+    one, and the points with last coordinate 0 when M(P)·P = 0 take the
+    packed path (`_packed_rank`), as does every point of a block of fewer
+    than ``LANE_MIN_BLOCK`` points.
     """
     count = len(block)
-    if count < _LANE_MIN_BLOCK:
+    if count < LANE_MIN_BLOCK:
         return [_packed_rank(M, in_kernel, point) for point in block]
-    p, dim = lanes.p, M.size
-    try:
-        flat = bytes(chain.from_iterable(block)) if set(map(len, block)) == {dim} else b""
-    except (TypeError, ValueError):
-        flat = b""
-    if not flat or flat.translate(None, bytes(range(p))):
-        packed = {t for t, point in enumerate(block) if not _canonical(point, dim, p)}
-        zero = (0,) * dim
-        stand_ins = (zero if t in packed else point for t, point in enumerate(block))
-        flat = bytes(chain.from_iterable(stand_ins))
-    else:
-        packed = set()
-    columns = [flat[k::dim] for k in range(dim)]
+    dim = M.size
+    columns, packed = lane_columns(block, dim, lanes.p)
     size = dim
     if in_kernel:
         size = dim - 1
@@ -865,38 +897,6 @@ def _positions(data: bytes, value: int) -> Iterator[int]:
         yield t
 
 
-def _lane_sum(
-    lanes: ByteLanes,
-    columns: Sequence[bytes],
-    count: int,
-    terms: PackedTerms,
-    scaled: dict[tuple[int, int], int],
-) -> bytes:
-    """The lane vector of sum_k c·x_k over the terms (k, c) of ``terms``,
-    residues c in [1, p), at the coordinate columns ``columns`` of ``count``
-    lanes: each c·x_k one `translate`, kept in ``scaled`` as an int for the
-    other sums on the same columns, and the ints summed and reduced whenever
-    one more residue could overflow a byte."""
-    if len(terms) == 1:
-        k, c = terms[0]
-        return columns[k].translate(lanes.scale[c])
-    frombytes = int.from_bytes
-    reduce_p = lanes.reduce
-    per_reduction = 255 // (lanes.p - 1)
-    acc = held = 0
-    for term in terms:
-        value = scaled.get(term)
-        if value is None:
-            k, c = term
-            value = scaled[term] = frombytes(columns[k].translate(lanes.scale[c]), "little")
-        if held == per_reduction:
-            acc = frombytes(acc.to_bytes(count, "little").translate(reduce_p), "little")
-            held = 1
-        acc += value
-        held += 1
-    return acc.to_bytes(count, "little").translate(reduce_p)
-
-
 def _lane_pfaffian_zeros(
     lanes: ByteLanes,
     columns: Sequence[bytes],
@@ -907,7 +907,7 @@ def _lane_pfaffian_zeros(
     """The lanes, in order, at which the Pfaffian sum_s sign_s u_s v_s of
     one quartet of `SkewLinearMatrix._lane_quartets` vanishes mod p, on the
     coordinate columns ``columns`` of ``count`` lanes: each u_s and v_s is
-    a `_lane_sum`, each product the antilog (negated when sign_s is -1) of
+    a `lane_sum`, each product the antilog (negated when sign_s is -1) of
     the sum of their logarithms, masked to the lanes where both are
     nonzero, and the products are summed as ints, reduced whenever one
     more could overflow a byte."""
@@ -916,8 +916,8 @@ def _lane_pfaffian_zeros(
     per_reduction = 255 // (lanes.p - 1)
     acc = held = 0
     for first, second, sign in quartet:
-        u = _lane_sum(lanes, columns, count, first, scaled)
-        v = _lane_sum(lanes, columns, count, second, scaled)
+        u = lane_sum(lanes, columns, count, first, scaled)
+        v = lane_sum(lanes, columns, count, second, scaled)
         logs = frombytes(u.translate(log), "little") + frombytes(v.translate(log), "little")
         product = logs.to_bytes(count, "little").translate(lanes.exp if sign > 0 else lanes.neg_exp)
         if held == per_reduction:
@@ -1045,7 +1045,7 @@ def _first_lane_point_of_rank_at_most_two(
     Each block is screened on byte lanes (see `ByteLanes`), one lane per
     point, on the columns ``flat[k::dim]``: `_lane_pfaffian_zeros` keeps the
     lanes at which the first quartet of `M._lane_quartets` vanishes, and
-    while at least ``_LANE_MIN_BLOCK`` lanes are kept the next quartet
+    while at least ``LANE_MIN_BLOCK`` lanes are kept the next quartet
     screens them, on columns cut down to the kept lanes.  A point whose lane
     falls out of the screen has a nonzero 4x4 Pfaffian mod p, so rank above
     2, and is passed over unchecked.  The kept points go, in order, to the
@@ -1061,7 +1061,7 @@ def _first_lane_point_of_rank_at_most_two(
         columns = [flat[k::dim] for k in range(dim)]
         scaled: dict[tuple[int, int], int] = {}
         for quartet in quartets:
-            if len(kept) < _LANE_MIN_BLOCK:
+            if len(kept) < LANE_MIN_BLOCK:
                 break
             zeros = _lane_pfaffian_zeros(lanes, columns, len(kept), quartet, scaled)
             if len(zeros) < len(kept):

@@ -20,11 +20,21 @@ Everything is exact linear algebra plus seeded sampling over prime fields:
   whose kernel beyond ``P`` consists of the family directions through ``P``,
   read off the rows of the skew matrix M(P) of the form (``omega(P^e_j)`` is
   row j of M(P)), with M and `covector_echelon` of x, y kept once per handle;
+* ``line_system_kernel_dims`` — the kernel dimension of the line system at
+  each point of a stream.  Every entry of the line system is a fixed linear
+  form in P, kept once per handle as its values at the basis points, so over
+  F_p with 5 <= p <= 127 a block of up to 512 points is evaluated on byte
+  lanes (`exact_scalar.lane_sum`) and ranked at once
+  (`exact_scalar.lane_ranks`), where `form_analysis.point_ranks` ranks its
+  blocks; every other point takes ``line_system`` one at a time;
 * ``member_Y`` / ``pencil_parameter`` — membership and the pencil member a
   family line lives on;
 * ``sample_line_on_Y`` — restrict to a random pencil member, sample a line of
   the restricted family there, and lift it back; a lifted line inside ``Pi``
-  lies on every member, so it fails like a member and the next is drawn;
+  lies on every member, so it fails like a member and the next is drawn.  A
+  member {z = 0} is cut by one split of the form along z
+  (`exterior_core.hyperplane_restriction`), and its basis, that of
+  `rank_kernel`, is built straight from z;
 * ``sing_Y_dimension`` — the singular locus (lines inside ``Pi`` killed by
   the full form), certified at a sampled point of its exact linear span; for
   odd ``n`` the point may come from a plane of ``Pi`` solved by algebra: the
@@ -44,10 +54,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
-from itertools import chain, combinations
-from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property, reduce
+from itertools import chain, combinations, islice, product
+from operator import mul, or_
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .congruence import draw_line_on_X, sample_line_on_X, tangent_intersection_dim
 from .degeneracy import (
@@ -65,12 +75,15 @@ from .degeneracy import (
     split_decomposable,
 )
 from .exact_scalar import (
+    ByteLanes,
     ConventionError,
     FieldSpec,
     Matrix,
     Scalar,
     UniPoly,
     interpolate,
+    lane_ranks,
+    lane_sum,
     matrix_rank,
     packed_skew_mod_p,
     poly_resultant_mod_p,
@@ -86,6 +99,7 @@ from .exterior_core import (
     contract,
     covector_contract,
     derive_seed,
+    hyperplane_restriction,
     pair,
     projective_points,
     pullback,
@@ -94,12 +108,16 @@ from .exterior_core import (
     wedge,
 )
 from .form_analysis import (
+    LANE_BLOCK,
+    LANE_MIN_BLOCK,
     LinearSubspace,
     SkewLinearMatrix,
     bivector_contraction,
     contraction_kernel,
     covector_echelon,
+    lane_columns,
     point_coords,
+    point_lanes,
 )
 
 __all__ = [
@@ -110,6 +128,7 @@ __all__ = [
     "Y_secancy_even",
     "general_directions",
     "line_system",
+    "line_system_kernel_dims",
     "member_Y",
     "pencil_parameter",
     "sample_line_on_Y",
@@ -211,6 +230,24 @@ class ResidualHandle:
         echelon = covector_echelon(self.ctx, [self.x, self.y])
         return (build_M(self.omega), *echelon, self.x.coords(), self.y.coords())
 
+    @cached_property
+    def _line_system_forms(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Over F_p, each entry (r, c) of the line system as the linear form
+        sum_k a_k·P_k in the point P, for `line_system_kernel_dims`: every
+        entry is linear in P, so a_k is the entry at the basis point e_k.
+        The terms (k, a_k) hold residues in [1, p); an entry that vanishes
+        identically is left out."""
+        dim = self.ctx.dim
+        at_basis = [
+            _line_system_rows(self, [int(i == k) for i in range(dim)]) for k in range(dim)
+        ]
+        forms = {}
+        for r, c in product(range(dim - 1), range(dim)):
+            terms = tuple((k, rows[r][c]) for k, rows in enumerate(at_basis) if rows[r][c])
+            if terms:
+                forms[(r, c)] = terms
+        return forms
+
     @staticmethod
     def general(omega: AlternatingTensor, seed: int = 0) -> "ResidualHandle":
         x, y = general_directions(omega, seed)
@@ -283,12 +320,18 @@ def line_system(handle: ResidualHandle, point) -> LineSystem:
     rationals a Fraction.
     """
     ctx = handle.ctx
-    field = ctx.field
     coords = point_coords(ctx, point)
-    if all(field.is_zero(c) for c in coords):
+    if all(ctx.field.is_zero(c) for c in coords):
         raise ConventionError("the line system at the zero point is undefined")
+    return LineSystem(point=ctx.vector_from_coords(coords), rows=_line_system_rows(handle, coords))
+
+
+def _line_system_rows(
+    handle: ResidualHandle, coords: Sequence[Scalar]
+) -> tuple[tuple[Scalar, ...], ...]:
+    """The rows of the line system at a point of field elements, unchecked."""
     M, (row_a, row_b), (piv_a, piv_b), keep, xs, ys = handle._line_system_data
-    p = field.p
+    p = handle.ctx.field.p
     x_at = sum(map(mul, xs, coords))
     y_at = sum(map(mul, ys, coords))
     columns: list[list[Scalar]] = []
@@ -297,7 +340,68 @@ def line_system(handle: ResidualHandle, point) -> LineSystem:
         column = [g[i] - a * row_a[i] - b * row_b[i] for i in keep]
         column.append(x_at * ys[j] - xs[j] * y_at)
         columns.append([v % p for v in column] if p is not None else column)
-    return LineSystem(point=ctx.vector_from_coords(coords), rows=tuple(zip(*columns)))
+    return tuple(zip(*columns))
+
+
+def line_system_kernel_dims(handle: ResidualHandle, points: Iterable) -> Iterator[int]:
+    """``line_system(handle, P).kernel_dim()`` at each of ``points``, in
+    order.
+
+    Over F_p with 5 <= p <= 127 (`form_analysis.point_lanes`) the points are
+    taken a block of at most ``LANE_BLOCK`` = 512 at a time, as
+    `form_analysis.point_ranks` takes them, and the block is ranked at once
+    on byte lanes (`_lane_kernel_dims`).  Every other point, over every
+    other field, takes `line_system` one at a time, pulled as it is ranked.
+    Both paths give the exact dimension, and a point that `line_system`
+    rejects (the zero point, a point the field cannot hold) raises the same
+    `ConventionError` on both.
+    """
+    dim = handle.ctx.dim
+    lanes = point_lanes(handle.ctx.field, dim)
+    if lanes is None:
+        for point in points:
+            yield line_system(handle, point).kernel_dim()
+        return
+    stream = iter(points)
+    while block := list(islice(stream, LANE_BLOCK)):
+        yield from _lane_kernel_dims(handle, lanes, block)
+
+
+def _lane_kernel_dims(handle: ResidualHandle, lanes: ByteLanes, block: list) -> list[int]:
+    """`line_system_kernel_dims` of a block of points over F_p with
+    2·(p − 1) <= 255.
+
+    Each entry of the line system is a fixed linear form in the point
+    (`ResidualHandle._line_system_forms`), so the block's coordinate columns
+    (`form_analysis.lane_columns`) give every entry at every point as one
+    lane vector each (`exact_scalar.lane_sum`), and `exact_scalar.lane_ranks`
+    ranks every lane at once; the kernel dimension is dim minus the rank.
+    The points whose lanes fall out of the elimination are ranked again as
+    a block of their own, smaller than this one.  The points that are not
+    canonical residues and the zero points take `line_system` one at a time,
+    in order, as does every point of a block of fewer than
+    ``LANE_MIN_BLOCK`` = 16 points.
+    """
+    count = len(block)
+    if count < LANE_MIN_BLOCK:
+        return [line_system(handle, point).kernel_dim() for point in block]
+    dim = handle.ctx.dim
+    columns, single = lane_columns(block, dim, lanes.p)
+    support = reduce(or_, (int.from_bytes(column, "little") for column in columns))
+    single.update(t for t, v in enumerate(support.to_bytes(count, "little")) if not v)
+    scaled: dict[tuple[int, int], int] = {}
+    entries = {
+        key: lane_sum(lanes, columns, count, terms, scaled)
+        for key, terms in handle._line_system_forms.items()
+    }
+    ranks, fallen = lane_ranks(lanes, count, entries)
+    result = [dim - rank for rank in ranks]
+    redo = [t for t in range(count) if fallen[t] and t not in single]
+    for t, k in zip(redo, _lane_kernel_dims(handle, lanes, [block[t] for t in redo])):
+        result[t] = k
+    for t in sorted(single):
+        result[t] = line_system(handle, block[t]).kernel_dim()
+    return result
 
 
 def G_membership(handle: ResidualHandle, point) -> tuple[bool, int]:
@@ -343,11 +447,30 @@ def pencil_parameter(
 
 def _pencil_member_data(
     handle: ResidualHandle, a: Scalar, b: Scalar
-) -> tuple[list[AlternatingTensor], AlternatingTensor]:
-    """Basis of the hyperplane {a*x + b*y = 0} and the restricted form on it."""
+) -> tuple[list[list[Scalar]], AlternatingTensor]:
+    """The basis of the hyperplane {z = 0}, z = a*x + b*y, as the coordinate
+    lists of its vectors, and the restricted form on it.
+
+    The basis is the one `rank_kernel` gives the annihilator of z: e_i −
+    (z_i/z_q)·e_q for i != q in increasing order, q the first index at which
+    z is nonzero, built straight from z.  The form is
+    `exterior_core.hyperplane_restriction`, the pullback along that basis
+    read off one split of omega along z."""
+    field = handle.ctx.field
     z = handle.x.scale(a).add(handle.y.scale(b))
-    basis = LinearSubspace.annihilator(handle.ctx, [z]).basis_tensors()
-    return basis, pullback(handle.omega, basis)
+    (q,), z_q = z.terms[0]
+    factor = field.neg(field.inv(z_q))
+    zero, one = field.zero(), field.one()
+    coords = z.coords()
+    columns = []
+    for i, z_i in enumerate(coords):
+        if i != q:
+            column = [zero] * len(coords)
+            column[i] = one
+            if z_i:
+                column[q] = field.mul(z_i, factor)
+            columns.append(column)
+    return columns, hyperplane_restriction(handle.omega, z)
 
 
 def _basis_wedges(ctx_sub: SpaceContext, basis: list[AlternatingTensor]) -> dict:
@@ -386,12 +509,12 @@ def _sample_on_members(
         b = randbelow(rng, field.p)  # type: ignore[arg-type]
         if field.is_zero(a) and field.is_zero(b):
             continue
-        basis, omega_sub = _pencil_member_data(handle, a, b)
+        columns, omega_sub = _pencil_member_data(handle, a, b)
         # no full-rank gate downstairs: a failed member moves on to the next
         line_sub = draw_line_on_X(omega_sub, rng, _INNER_LINE_BUDGET)
         if line_sub is None:
             continue
-        lifted = _lift_line(handle.ctx, [b.coords() for b in basis], line_sub)
+        lifted = _lift_line(handle.ctx, columns, line_sub)
         # a line inside the base locus lies on every member: it fails like a member
         in_pi = all(covector_contract(d, lifted).is_zero() for d in (handle.x, handle.y))
         if not in_pi and member_Y(handle, lifted):

@@ -42,7 +42,6 @@ from .degeneracy import (
     hypersurface_degree,
     normalize_projective,
     random_points,
-    rank_at,
     secant_pencil,
     split_decomposable,
 )
@@ -74,6 +73,7 @@ from .exterior_core import (
 from .form_analysis import (
     LinearSubspace,
     j_rank,
+    point_ranks,
     polar_quadric,
     quadric_of,
     span_lattice,
@@ -83,7 +83,7 @@ from .residual import (
     Y_secancy_even,
     G_degree_odd,
     general_directions,
-    line_system,
+    line_system_kernel_dims,
     member_Y,
     pencil_parameter,
     sample_line_on_Y,
@@ -877,8 +877,8 @@ def _suite_residual_membership(cfg: RunConfig) -> list[Claim]:
                 parameter_failures += 1
         rng = random.Random(derive_seed("residual-kernel", name, cfg.seed))
         histogram: dict[int, int] = {}
-        for coords in random_points(field, handle.ctx.dim, rng, 250):
-            k = line_system(handle, coords).kernel_dim()
+        points = random_points(field, handle.ctx.dim, rng, 250)
+        for k in line_system_kernel_dims(handle, points):
             histogram[k] = histogram.get(k, 0) + 1
         modes[name] = max(histogram, key=lambda k: histogram[k])
     return [
@@ -1042,10 +1042,10 @@ def _suite_conventions(cfg: RunConfig) -> list[Claim]:
         ctx = contexts[4 + (i % 5)]
         omega = random_tensor(ctx, 3, "form", derive_seed("cv-s", cfg.seed, i))
         matrix = build_M(omega)
-        for coords in random_points(field, ctx.dim, rng, instances // star_forms):
+        points = list(random_points(field, ctx.dim, rng, instances // star_forms))
+        for coords, rank in zip(points, point_ranks(matrix, points)):
             star = directions_through(matrix, coords)
-            corank = ctx.dim - rank_at(matrix, coords)
-            if star.projective_dim != corank - 2:
+            if star.projective_dim != ctx.dim - rank - 2:
                 star_mismatch += 1
 
     return [

@@ -367,6 +367,19 @@ def line_system_reference(handle: ResidualHandle, point) -> Matrix:
     return matrix_from_columns(field, ctx.dim - 1, columns)
 
 
+def pencil_member_reference(
+    handle: ResidualHandle, a: Scalar, b: Scalar
+) -> tuple[list[list[Scalar]], AlternatingTensor]:
+    """The pencil member {a*x + b*y = 0} as the residual sampler first built
+    it: the basis vectors of the annihilator of z = a*x + b*y
+    (`LinearSubspace.annihilator`, one `rank_kernel`) as tensors, their
+    coordinate lists, and the form pulled back along them (`pullback`, one
+    recursive contraction per basis vector)."""
+    z = handle.x.scale(a).add(handle.y.scale(b))
+    basis = LinearSubspace.annihilator(handle.ctx, [z]).basis_tensors()
+    return [list(v.coords()) for v in basis], pullback(handle.omega, basis)
+
+
 def all_minor_gcd(
     handle: ResidualHandle, first: Sequence[Scalar], second: Sequence[Scalar]
 ) -> Optional[UniPoly]:

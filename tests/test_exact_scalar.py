@@ -30,6 +30,7 @@ from triwedge.exact_scalar import (
     as_ints,
     byte_lanes,
     interpolate,
+    lane_ranks,
     lane_skew_ranks,
     matrix_rank,
     packed_skew_mod_p,
@@ -948,6 +949,76 @@ def test_lane_skew_ranks_match_row_reduction(case):
     for rows, rank, out in zip(matrices, ranks, fallen):
         if not out:
             assert rank == _skew_rank(p, rows)
+
+
+# `lane_ranks` pivots the lanes on one entry at a time, so a lane can fall out
+# only where a residue can vanish: these primes are the low end of the lane
+# range (many zero entries), two in its middle and its upper bound.
+GENERAL_LANE_PRIMES = (5, 7, 101, 127)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.data())
+def test_lane_ranks_match_matrix_rank(case):
+    """Each lane of a block of matrices of one shape, sparse, or of a drawn
+    rank below the full one (a product of two random factors), so that
+    pivots vanish in some lanes: a lane that does not fall out has the rank
+    that `matrix_rank` gives its matrix, and one lane at least never falls
+    out."""
+    p = case.draw(st.sampled_from(GENERAL_LANE_PRIMES))
+    rows = case.draw(st.integers(0, 9))
+    cols = case.draw(st.integers(0, 9))
+    count = case.draw(st.integers(1, 40))
+    rng = random.Random(case.draw(st.integers(0, 10**6)))
+    density = case.draw(st.sampled_from([0.2, 0.6, 1.0]))
+    inner = case.draw(st.one_of(st.none(), st.integers(0, 4)))
+    matrices = []
+    for _ in range(count):
+        if inner is None:
+            matrix = [
+                [rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        else:
+            left = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+            matrix = [
+                [sum(a * b for a, b in zip(row, column)) % p for column in zip(*right)]
+                if inner
+                else [0] * cols
+                for row in left
+            ]
+        matrices.append(matrix)
+    entries = {
+        (r, c): bytes(matrix[r][c] for matrix in matrices)
+        for r in range(rows)
+        for c in range(cols)
+        if rng.random() < 0.9 or any(matrix[r][c] for matrix in matrices)
+    }
+    ranks, fallen = lane_ranks(byte_lanes(p), count, entries)
+    assert len(ranks) == len(fallen) == count
+    assert set(fallen) <= {0, 255} and 0 in fallen
+    field = FieldSpec.prime(p)
+    for matrix, rank, out in zip(matrices, ranks, fallen):
+        if not out:
+            assert rank == matrix_rank(field, matrix)
+
+
+@pytest.mark.parametrize("p", GENERAL_LANE_PRIMES)
+def test_lane_ranks_drop_a_lane_whose_pivot_vanishes(p):
+    """Three lanes hold the identity and one the swap matrix: the pivot
+    (0, 0), nonzero in three lanes, vanishes in the fourth while its (0, 1)
+    entry does not, so that lane falls out and the others have rank 2.  A
+    lane of zeros has rank 0, and a block of no entries ranks 0 everywhere."""
+    identity, swap, zero = [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]
+    matrices = [identity, identity, swap, identity, zero]
+    entries = {
+        (r, c): bytes(matrix[r][c] for matrix in matrices) for r in range(2) for c in range(2)
+    }
+    ranks, fallen = lane_ranks(byte_lanes(p), 5, entries)
+    assert list(fallen) == [0, 0, 255, 0, 0]
+    assert [ranks[t] for t in (0, 1, 3, 4)] == [2, 2, 2, 0]
+    assert lane_ranks(byte_lanes(p), 3, {}) == (bytes(3), bytes(3))
 
 
 # --- seeded draws --------------------------------------------------------------------

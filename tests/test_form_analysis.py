@@ -557,7 +557,7 @@ def test_point_rank_stream_over_the_rationals(n):
 LANE_PRIMES = (2, 3, 5, 7, 11, 101, 127, 131)
 # Catalog forms with entries of M that vanish identically.
 LANE_CATALOG = ("n3", "n5", "n7-ozeki", "genN-mod3")
-LANE_BLOCK = form_analysis._LANE_BLOCK
+LANE_BLOCK = form_analysis.LANE_BLOCK
 
 
 @st.composite

@@ -157,6 +157,10 @@ def _calls(omega, point, x, y, line, seed):
     ]
     for name, method in (
         ("line_system", lambda h: residual.line_system(h, point)),
+        (
+            "line_system_kernel_dims",
+            lambda h: list(residual.line_system_kernel_dims(h, [point] * 17)),
+        ),
         ("G_membership", lambda h: residual.G_membership(h, point)),
         ("member_Y", lambda h: [residual.member_Y(h, L) for L in lines()]),
         ("pencil_parameter", lambda h: [residual.pencil_parameter(h, L) for L in lines()]),
@@ -212,3 +216,31 @@ def test_point_ranks_coerce_every_point_that_is_not_canonical_residues():
         M.packed_rows_at([1.5] * 7)
     assert M.packed_rows_at(["1/2"] * 7) == M.packed_rows_at([51] * 7)
     assert M.packed_rows_at(vector) == M.packed_rows_at([1, 2, 3, 4, 5, 6, 7])
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rationals()])
+def test_points_that_are_no_sequences_of_scalars_raise_convention_error(field):
+    """None, an int, an arbitrary object, and sequences of None or of such
+    objects are no points: every routine that takes a point raises
+    `ConventionError`, one point at a time and in a block of 20 (byte lanes
+    over F_101), not the `TypeError` of `tuple` or `FieldSpec.coerce`."""
+    omega = catalog.get("n5", field=field)[0]
+    ctx = omega.ctx
+    M = form_analysis.build_M(omega)
+    handle = residual.ResidualHandle.general(omega, 0)
+    good = [1] * ctx.dim
+    for bad in (None, 5, object(), [None] * ctx.dim, [object()] * ctx.dim):
+        calls = [
+            lambda: form_analysis.point_coords(ctx, bad),
+            lambda: degeneracy.rank_at(M, bad),
+            lambda: degeneracy.directions_through(M, bad),
+            lambda: list(form_analysis.point_ranks(M, [bad])),
+            lambda: list(form_analysis.point_ranks(M, [good] * 19 + [bad])),
+            lambda: residual.line_system(handle, bad),
+            lambda: residual.G_membership(handle, bad),
+            lambda: list(residual.line_system_kernel_dims(handle, [bad])),
+            lambda: list(residual.line_system_kernel_dims(handle, [good] * 19 + [bad])),
+        ]
+        for call in calls:
+            with pytest.raises(ConventionError, match="sequence of field elements"):
+                call()

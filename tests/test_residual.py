@@ -25,7 +25,7 @@ from triwedge.degeneracy import (
     random_coords,
     split_decomposable,
 )
-from triwedge.exact_scalar import ConventionError, FieldSpec, matrix_rank
+from triwedge.exact_scalar import ConventionError, FieldSpec, lane_ranks, matrix_rank
 from triwedge.suites import RunConfig, run_suite
 from triwedge.exterior_core import (
     SpaceContext,
@@ -54,9 +54,11 @@ from triwedge.residual import (
     _lift_line,
     _line_minor_quotient,
     _pencil_conditions,
+    _pencil_member_data,
     _singular_span,
     general_directions,
     line_system,
+    line_system_kernel_dims,
     member_Y,
     pencil_parameter,
     sample_line_on_Y,
@@ -67,6 +69,7 @@ from oracles import (
     all_minor_gcd,
     lift_bivector_reference,
     line_system_reference,
+    pencil_member_reference,
     plane_scan_reference,
     quadric_contains_subspace,
     ternary_zeros_reference,
@@ -327,6 +330,127 @@ def test_kernel_dimension_histograms_over_random_points():
             k = line_system(handle, coords).kernel_dim()
             histogram[k] = histogram.get(k, 0) + 1
         assert histogram == expected[name]
+
+
+# The kernel-dimension stream ranks blocks on byte lanes for 5 <= p <= 127 and
+# point by point elsewhere: 2 and 3 below the lanes, 131 above them.
+STREAM_PRIMES = (2, 3, 5, 7, 101, 127, 131)
+# A single point, a block just below and at the least lane block, the suite's
+# block and one just past the lane block of 512 points.
+STREAM_LENGTHS = (1, 15, 16, 250, 513)
+
+
+@functools.cache
+def stream_handle(p: int, n: int) -> ResidualHandle:
+    """A general handle of a random form of ``n`` over F_p, from the first
+    seed that gives one (over F_2 and F_3 some forms have none)."""
+    field = FieldSpec.prime(p)
+    for seed in range(20):
+        omega = random_tensor(SpaceContext(n, field), 3, "form", seed)
+        try:
+            return ResidualHandle.general(omega, seed)
+        except NonGenericFormError:
+            continue
+    raise AssertionError(f"no handle for n = {n} over F_{p}")
+
+
+def stream_points(p: int, dim: int, count: int, seed: int) -> list[list[int]]:
+    """``count`` nonzero points of residues, a quarter of them with some
+    coordinates set to 0 (the last one among them, now and then)."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        point = [rng.randrange(p) for _ in range(dim)]
+        if rng.random() < 0.25:
+            for k in rng.sample(range(dim), rng.randint(1, dim - 1)):
+                point[k] = 0
+        if any(point):
+            points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("p", STREAM_PRIMES)
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_kernel_dimension_stream_matches_the_line_systems(p, n):
+    handle = stream_handle(p, n)
+    for count in STREAM_LENGTHS:
+        points = stream_points(p, handle.ctx.dim, count, 1000 * n + count)
+        expected = [line_system(handle, point).kernel_dim() for point in points]
+        assert list(line_system_kernel_dims(handle, points)) == expected
+
+
+def test_kernel_dimension_stream_takes_byte_lanes_exactly_from_5_to_127(monkeypatch):
+    """Blocks of 250 points go to the lanes for 5 <= p <= 127 only, and at
+    F_5, where many pivots vanish, lanes fall out and are ranked again as
+    smaller blocks."""
+    blocks: list[tuple[int, int]] = []
+
+    def counted(lanes, count, entries):
+        blocks.append((lanes.p, count))
+        return lane_ranks(lanes, count, entries)
+
+    monkeypatch.setattr(residual, "lane_ranks", counted)
+    for p in STREAM_PRIMES:
+        handle = stream_handle(p, 6)
+        points = stream_points(p, handle.ctx.dim, 250, p)
+        expected = [line_system(handle, point).kernel_dim() for point in points]
+        assert list(line_system_kernel_dims(handle, points)) == expected
+    assert sorted({q for q, _ in blocks}) == [5, 7, 101, 127]
+    assert any(q == 5 and count < 250 for q, count in blocks)
+
+
+@pytest.mark.parametrize("p", [5, 131])
+def test_kernel_dimension_stream_coerces_and_rejects_points_as_line_system_does(p):
+    """Points that are not canonical residues (shifted by p, strings, bools,
+    vector tensors) take `line_system` one at a time inside a lane block and
+    give its dimensions; the zero point, a float point and None raise
+    `ConventionError` on the lanes and off them."""
+    handle = stream_handle(p, 6)
+    ctx = handle.ctx
+    points = stream_points(p, ctx.dim, 40, 7)
+    points[3] = [v + p for v in points[3]]
+    points[10] = [str(v) for v in points[10]]
+    points[17] = [True] * ctx.dim
+    points[25] = ctx.vector_from_coords(points[25])
+    expected = [line_system(handle, point).kernel_dim() for point in points]
+    assert list(line_system_kernel_dims(handle, points)) == expected
+    for bad in ([0] * ctx.dim, [1.5] * ctx.dim, None):
+        with pytest.raises(ConventionError):
+            list(line_system_kernel_dims(handle, points[:20] + [bad] + points[20:]))
+        with pytest.raises(ConventionError):
+            list(line_system_kernel_dims(handle, [bad]))
+
+
+@pytest.mark.parametrize("field", [F101, FieldSpec.prime(5), Q])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_pencil_member_matches_the_basis_tensor_pullback(field, n):
+    """The split restriction and the columns built from z equal the
+    annihilator basis and its pullback, with the pivot of z = a*x + b*y at
+    the first index (a general handle), in the middle (z = y - 2x and
+    z = x + y) and at the last index, where z = x has that one nonzero
+    coordinate, as z = y - 2x has one in the middle."""
+    ctx = SpaceContext(n, field)
+    omega = random_tensor(ctx, 3, "form", n)
+
+    def covector(values: dict) -> object:
+        return ctx.tensor_from_coords(1, "form", [field.coerce(values.get(i, 0)) for i in range(ctx.dim)])
+
+    built = ResidualHandle(omega, covector({n: 1}), covector({n // 2: 1, n: 2}))
+    cases = [(built, a, b) for a, b in ((1, 0), (-2, 1), (1, 1), (3, 1))]
+    general = ResidualHandle.general(omega, 0)
+    cases += [(general, a, b) for a, b in ((1, 0), (0, 1), (2, 5))]
+    pivots = set()
+    for handle, a, b in cases:
+        a, b = field.coerce(a), field.coerce(b)
+        z = handle.x.scale(a).add(handle.y.scale(b))
+        pivots.add((z.terms[0][0][0], len(z.terms)))
+        columns, restricted = _pencil_member_data(handle, a, b)
+        expected_columns, expected = pencil_member_reference(handle, a, b)
+        assert columns == expected_columns
+        assert restricted == expected and restricted.terms == expected.terms
+        assert restricted.ctx == SpaceContext(n - 1, field)
+    assert {(n, 1), (n // 2, 1), (n // 2, 2)} <= pivots
+    assert any(pivot == 0 for pivot, _ in pivots)
 
 
 # -- membership of the infinitely-many-lines locus ----------------------------------
